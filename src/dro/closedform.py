@@ -285,8 +285,8 @@ def interval_data_from_instance(inst: ProblemInstance) -> IntervalData | None:
         elif isinstance(s, SemiBandit):
             l = lo.copy()
             u = hi.copy()
-            for i, v in s.observed:
-                l[i] = u[i] = np.clip(v, lo[i], hi[i])
+            idx = [i for i, _ in s.observed]
+            l[idx] = u[idx] = np.clip([v for _, v in s.observed], lo[idx], hi[idx])
             lowers.append(l)
             uppers.append(u)
         else:

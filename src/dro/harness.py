@@ -27,6 +27,7 @@ import numpy as np
 
 from .closedform import (
     IntervalData,
+    interval_data_from_instance,
     milp_cop,
     solve_interval_detail,
 )
@@ -36,6 +37,7 @@ from .datagen import (
     cucb_collect,
     cucb_collect_mcp,
     growing_delta,
+    observe_semibandit,
     sample_nominal,
 )
 from .errors import DegenerateDenominator, DimensionMismatch, EmptyInput
@@ -196,15 +198,6 @@ def _bandit_outcome(skeleton, decisions, totals, epsilon, cop, dist, backend) ->
     return InstanceOutcome(rho, diag.time_ms, quality, None)
 
 
-def _semibandit_interval(observations, n, num_samples):
-    lowers = np.zeros((num_samples, n))
-    uppers = np.ones((num_samples, n))
-    for k in range(num_samples):
-        for a, v in observations[k]:
-            lowers[k, a] = uppers[k, a] = min(max(v, 0.0), 1.0)
-    return lowers, uppers
-
-
 def _run_sorting_instance(cfg: SweepConfig, cell, ss, backend) -> InstanceOutcome:
     _, rng_means, rng_data, rng_noise = [np.random.default_rng(s) for s in ss.spawn(4)]
     n = int(cfg.params["n"])
@@ -242,8 +235,8 @@ def _run_spp_instance(cfg: SweepConfig, cell, ss, backend) -> InstanceOutcome:
     eps = cfg.cell_epsilon(cell, num_k, h)
     cop = spp_cop(graph)
     if cfg.feedback == "semibandit":
-        lowers, uppers = _semibandit_interval(run.observations, n, num_k)
-        idata = IntervalData(lowers, uppers, np.zeros(n), np.ones(n))
+        scen = observe_semibandit(run.samples[:num_k], run.decisions[:num_k])
+        idata = interval_data_from_instance(skeleton.instance(scen, eps))
         return _interval_outcome(skeleton.feasible, idata, eps, cop, "min", dist)
     totals = [sum(v for _, v in run.observations[k]) for k in range(num_k)]
     return _bandit_outcome(skeleton, run.decisions[:num_k], totals, eps, cop, dist, backend)
@@ -261,20 +254,14 @@ def _run_mcp_instance(cfg: SweepConfig, cell, ss, backend) -> InstanceOutcome:
     dist = BetaNominal.random(n1, cfg.sigma, rng_means)
     run = cucb_collect_mcp(system, dist, k_total, rng_data)
     eps = cfg.cell_epsilon(cell, num_k, budget, n1=n1)
-    n = skeleton.feasible.n
     cop = milp_cop(skeleton.feasible, backend)
+    # samples and decisions live on the item block; the selection block is zero
+    pad = np.zeros((num_k, n2))
+    decisions = np.hstack([run.decisions[:num_k], pad])
     if cfg.feedback == "semibandit":
-        low_items, up_items = _semibandit_interval(run.observations, n1, num_k)
-        lowers = np.hstack([low_items, np.zeros((num_k, n2))])
-        uppers = np.hstack([up_items, np.zeros((num_k, n2))])
-        idata = IntervalData(
-            lowers,
-            uppers,
-            np.zeros(n),
-            np.concatenate([np.ones(n1), np.zeros(n2)]),
-        )
+        scen = observe_semibandit(np.hstack([run.samples[:num_k], pad]), decisions)
+        idata = interval_data_from_instance(skeleton.instance(scen, eps))
         return _interval_outcome(skeleton.feasible, idata, eps, cop, "max", dist)
-    decisions = np.hstack([run.decisions[:num_k], np.zeros((num_k, n2))])
     totals = [sum(v for _, v in run.observations[k]) for k in range(num_k)]
     return _bandit_outcome(skeleton, decisions, totals, eps, cop, dist, backend)
 

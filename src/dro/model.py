@@ -84,19 +84,18 @@ class Polytope:
         """
         n = self.num_vars
         if self.is_box():
-            lo = np.full(n, -np.inf)
-            hi = np.full(n, np.inf)
-            for a_row, b in zip(self.rows_a, self.rows_b):
-                nz = np.flatnonzero(a_row)
-                if nz.size == 0:
+            lo = [-np.inf] * n
+            hi = [np.inf] * n
+            cols = (self.rows_a != 0).argmax(axis=1)
+            coefs = self.rows_a[np.arange(self.num_rows), cols]
+            for j, coef, b in zip(cols.tolist(), coefs.tolist(), self.rows_b.tolist()):
+                if coef == 0:  # an all-zero row bounds nothing
                     continue
-                j = int(nz[0])
-                coef = a_row[j]
                 if coef > 0:
                     hi[j] = min(hi[j], b / coef)
                 else:
                     lo[j] = max(lo[j], b / coef)
-            return lo, hi
+            return np.array(lo), np.array(hi)
         lo = np.empty(n)
         hi = np.empty(n)
         lower = np.full(n, -np.inf)
@@ -114,10 +113,6 @@ class Polytope:
                 else:
                     target[j] = -np.inf if sense == "min" else np.inf
         return lo, hi
-
-    def is_bounded(self) -> bool:
-        lo, hi = self.box_bounds()
-        return bool(np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)))
 
     def feasible_point(self):
         """Any point satisfying all rows, or None when the system is empty."""

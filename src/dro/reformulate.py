@@ -68,15 +68,6 @@ class ReformulationVars:
     def total(self) -> int:
         return self.n + 1 + self.num_samples * self.w0 + sum(self.wk)
 
-    def names(self) -> list[str]:
-        out = [f"x[{j}]" for j in range(self.n)]
-        out.append("lam")
-        for k in range(self.num_samples):
-            out.extend(f"nu[{k}][{i}]" for i in range(self.w0))
-        for k in range(self.num_samples):
-            out.extend(f"gamma[{k}][{i}]" for i in range(self.wk[k]))
-        return out
-
 
 @dataclass(eq=False)
 class DiscreteDistribution:
@@ -190,16 +181,16 @@ def build_dro_milp(inst: ProblemInstance):
     n = inst.n
     fs = inst.feasible
     support = inst.support
-    lowered = [lower_scenario(s, support) for s in inst.scenarios]
+    # validate_instance has already run every scenario's emptiness LP
+    lowered = [lower_scenario(s, support, check=False) for s in inst.scenarios]
     num_k = len(lowered)
     w0 = support.num_rows
     layout = ReformulationVars(n, w0, tuple(p.num_rows for p in lowered))
     nvar = layout.total
 
-    upper = fs.upper.copy()
     int_mask = np.zeros(nvar, dtype=bool)
     int_mask[:n] = fs.integer_mask()
-    if np.any(int_mask[:n] & ~np.isfinite(upper)):
+    if np.any(int_mask[:n] & ~np.isfinite(fs.upper)):
         raise UnboundedDecisionVariable(
             "integer decision variables need explicit upper bounds"
         )
@@ -211,57 +202,41 @@ def build_dro_milp(inst: ProblemInstance):
         c[layout.nu(k)] = support.rows_b / num_k
         c[layout.gamma(k)] = lowered[k].rows_b
 
-    rows, rels, rhs = [], [], []
-
-    def add(row, rel, b):
-        rows.append(row)
-        rels.append(rel)
-        rhs.append(b)
-
+    # per sample: n coupling rows, then 2n band rows as interleaved pairs;
+    # the decision feasibility rows close the matrix
+    nb = 3 * n * num_k
+    a = np.zeros((nb + fs.num_rows, nvar))
+    rhs = np.empty(nb + fs.num_rows)
     t_xx, t_c = loss.t_xx, loss.t_c
     b0t = support.rows_a.T  # (n, w0)
     for k in range(num_k):
-        bkt = lowered[k].rows_a.T  # (n, wk)
+        start = 3 * n * k
+        couple = slice(start, start + n)
+        band = slice(start + n, start + 3 * n)
+        top = slice(start + n, start + 3 * n, 2)
+        bot = slice(start + n + 1, start + 3 * n, 2)
         nu_sl, ga_sl = layout.nu(k), layout.gamma(k)
         # coupling: (1/K)(t_xx x - B0.T nu_k) - Bk.T gamma_k = -(1/K) t_c
-        for i in range(n):
-            row = np.zeros(nvar)
-            row[:n] = t_xx[i] / num_k
-            row[nu_sl] = -b0t[i] / num_k
-            row[ga_sl] = -bkt[i]
-            add(row, EQ, -t_c[i] / num_k)
+        a[couple, :n] = t_xx / num_k
+        a[couple, nu_sl] = -b0t / num_k
+        a[couple, ga_sl] = -lowered[k].rows_a.T
+        rhs[couple] = -t_c / num_k
         # band: -lam <= t_xx x + t_c - B0.T nu_k <= lam
-        for i in range(n):
-            row = np.zeros(nvar)
-            row[:n] = t_xx[i]
-            row[nu_sl] = -b0t[i]
-            row[layout.lam] = -1.0
-            add(row, LE, -t_c[i])
-            row2 = np.zeros(nvar)
-            row2[:n] = -t_xx[i]
-            row2[nu_sl] = b0t[i]
-            row2[layout.lam] = -1.0
-            add(row2, LE, t_c[i])
-    # decision feasibility
-    gmat = fs.matrix()
-    for i in range(fs.num_rows):
-        row = np.zeros(nvar)
-        row[:n] = gmat[i]
-        add(row, LE, fs.rhs[i])
+        a[top, :n] = t_xx
+        a[top, nu_sl] = -b0t
+        rhs[top] = -t_c
+        a[bot, :n] = -t_xx
+        a[bot, nu_sl] = b0t
+        rhs[bot] = t_c
+        a[band, layout.lam] = -1.0
+    a[nb:, :n] = fs.matrix()
+    rhs[nb:] = fs.rhs
+    rel = ((EQ,) * n + (LE,) * (2 * n)) * num_k + (LE,) * fs.num_rows
 
     lower = np.zeros(nvar)
     up = np.full(nvar, np.inf)
-    up[:n] = upper
-    lp = LinearProgram(
-        c,
-        np.array(rows),
-        tuple(rels),
-        np.array(rhs),
-        lower,
-        up,
-        sense="min",
-        c0=loss.t_const,
-    )
+    up[:n] = fs.upper
+    lp = LinearProgram(c, a, rel, rhs, lower, up, sense="min", c0=loss.t_const)
     return MixedIntegerProgram(lp, int_mask), layout, lowered
 
 

@@ -2,6 +2,7 @@
 
 from .lp import (
     EQ,
+    ERROR,
     GE,
     INFEASIBLE,
     ITERLIMIT,
@@ -12,7 +13,7 @@ from .lp import (
     SolveResult,
     solve_lp,
 )
-from .milp import MixedIntegerProgram, lp_relaxation_value, solve_milp
+from .milp import MixedIntegerProgram, solve_milp
 from .backend import Backend, ReferenceKernel, ScipyBackend, get_backend
 from .dump import dump_program
 
@@ -22,7 +23,6 @@ __all__ = [
     "SolveResult",
     "solve_lp",
     "solve_milp",
-    "lp_relaxation_value",
     "Backend",
     "ReferenceKernel",
     "ScipyBackend",
@@ -32,6 +32,7 @@ __all__ = [
     "INFEASIBLE",
     "UNBOUNDED",
     "ITERLIMIT",
+    "ERROR",
     "LE",
     "EQ",
     "GE",

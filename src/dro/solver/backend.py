@@ -13,7 +13,7 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from .. import tolerances as tol
-from .lp import EQ, GE, INFEASIBLE, ITERLIMIT, LE, OPTIMAL, UNBOUNDED
+from .lp import EQ, ERROR, GE, INFEASIBLE, ITERLIMIT, LE, OPTIMAL, UNBOUNDED
 from .lp import LinearProgram, SolveResult, solve_lp
 from .milp import MixedIntegerProgram, solve_milp
 
@@ -37,27 +37,8 @@ class ReferenceKernel:
         return solve_milp(mip)
 
 
-def _split_rows(lp: LinearProgram):
-    """Rows rearranged into scipy's (A_ub, b_ub, A_eq, b_eq) form."""
-    ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
-    for i, r in enumerate(lp.rel):
-        if r == LE:
-            ub_rows.append(lp.a[i])
-            ub_rhs.append(lp.b[i])
-        elif r == GE:
-            ub_rows.append(-lp.a[i])
-            ub_rhs.append(-lp.b[i])
-        else:
-            eq_rows.append(lp.a[i])
-            eq_rhs.append(lp.b[i])
-    a_ub = np.array(ub_rows) if ub_rows else None
-    a_eq = np.array(eq_rows) if eq_rows else None
-    return a_ub, (np.array(ub_rhs) if ub_rows else None), a_eq, (
-        np.array(eq_rhs) if eq_rows else None
-    )
-
-
-_STATUS_FROM_SCIPY = {0: OPTIMAL, 1: ITERLIMIT, 2: INFEASIBLE, 3: UNBOUNDED}
+# scipy's codes for both linprog and milp; 4 is numerical trouble or "other"
+_STATUS_FROM_SCIPY = {0: OPTIMAL, 1: ITERLIMIT, 2: INFEASIBLE, 3: UNBOUNDED, 4: ERROR}
 
 
 class ScipyBackend:
@@ -73,34 +54,31 @@ class ScipyBackend:
         from scipy.optimize import linprog
 
         flip = -1.0 if lp.sense == "max" else 1.0
-        a_ub, b_ub, a_eq, b_eq = _split_rows(lp)
-        bounds = list(zip(lp.lower, np.where(np.isfinite(lp.upper), lp.upper, None)))
+        rel = np.array(lp.rel, dtype=str)
+        eq, ge = rel == EQ, rel == GE
+        # scipy's (A_ub, b_ub, A_eq, b_eq) form, >= rows negated into A_ub
+        a_ub, b_ub = lp.a[~eq], lp.b[~eq]
+        ge_ub = ge[~eq]
+        np.negative(a_ub, out=a_ub, where=ge_ub[:, None])
+        np.negative(b_ub, out=b_ub, where=ge_ub)
         res = linprog(
             flip * lp.c,
             A_ub=a_ub,
             b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=bounds,
+            A_eq=lp.a[eq],
+            b_eq=lp.b[eq],
+            bounds=np.column_stack([lp.lower, lp.upper]),
             method="highs",
         )
-        status = _STATUS_FROM_SCIPY.get(res.status, INFEASIBLE)
+        status = _STATUS_FROM_SCIPY[res.status]
         if status != OPTIMAL:
             return SolveResult(status)
         value = flip * (res.fun + flip * lp.c0)
-        # reassemble per-row duals in the original row order
-        dual = np.zeros(lp.m)
-        iu = ie = 0
-        for i, r in enumerate(lp.rel):
-            if r == LE:
-                dual[i] = flip * res.ineqlin.marginals[iu]
-                iu += 1
-            elif r == GE:
-                dual[i] = -flip * res.ineqlin.marginals[iu]
-                iu += 1
-            else:
-                dual[i] = flip * res.eqlin.marginals[ie]
-                ie += 1
+        # per-row duals in the original row order
+        dual = np.empty(lp.m)
+        dual[~eq] = flip * res.ineqlin.marginals
+        np.negative(dual, out=dual, where=ge)
+        dual[eq] = flip * res.eqlin.marginals
         return SolveResult(OPTIMAL, value, np.asarray(res.x), dual, value)
 
     def solve_milp(self, mip: MixedIntegerProgram) -> SolveResult:
@@ -110,22 +88,18 @@ class ScipyBackend:
         mip.check_integer_bounds()
         lp = mip.lp
         flip = -1.0 if lp.sense == "max" else 1.0
-        lb = np.full(lp.m, -np.inf)
-        ub = np.full(lp.m, np.inf)
-        for i, r in enumerate(lp.rel):
-            if r in (LE, EQ):
-                ub[i] = lp.b[i]
-            if r in (GE, EQ):
-                lb[i] = lp.b[i]
+        rel = np.array(lp.rel, dtype=str)
+        lb = np.where(rel == LE, -np.inf, lp.b)
+        ub = np.where(rel == GE, np.inf, lp.b)
         constraints = LinearConstraint(lp.a, lb, ub) if lp.m else ()
         res = scipy_milp(
             c=flip * lp.c,
             constraints=constraints,
             integrality=mip.integer.astype(int),
             bounds=Bounds(lp.lower, lp.upper),
-            options={"mip_rel_gap": 1e-9},
+            options={"mip_rel_gap": tol.VALUE_TOL},
         )
-        status = _STATUS_FROM_SCIPY.get(res.status, INFEASIBLE)
+        status = _STATUS_FROM_SCIPY[res.status]
         if status != OPTIMAL:
             return SolveResult(status)
         x = np.asarray(res.x)

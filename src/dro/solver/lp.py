@@ -20,6 +20,7 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 ITERLIMIT = "iterlimit"
+ERROR = "error"  # the solver gave up for numerical or other reasons
 
 LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = (LE, EQ, GE)
@@ -87,23 +88,6 @@ class LinearProgram:
     @property
     def m(self) -> int:
         return self.a.shape[0]
-
-    @classmethod
-    def from_rows(cls, objective, rows, bounds, sense="min", constant=0.0):
-        """Build from a list of (coefficients, relation, rhs) triples."""
-        c = _as_1d(objective, name="objective")
-        n = c.shape[0]
-        if rows:
-            a = np.array([_as_1d(r[0], n, "row") for r in rows])
-            rel = tuple(r[1] for r in rows)
-            b = np.array([float(r[2]) for r in rows])
-        else:
-            a, rel, b = np.zeros((0, n)), (), np.zeros(0)
-        lower = np.array([lo for lo, _ in bounds], dtype=float)
-        upper = np.array(
-            [np.inf if hi is None else hi for _, hi in bounds], dtype=float
-        )
-        return cls(c, a, rel, b, lower, upper, sense=sense, c0=constant)
 
     def residuals(self, x) -> np.ndarray:
         """Signed violation of every row at ``x`` (positive = violated)."""
@@ -235,9 +219,12 @@ class _Tableau:
 def solve_lp(lp: LinearProgram, max_pivots: int | None = None) -> SolveResult:
     """Solve an LP with the reference simplex kernel.
 
-    On an ``optimal`` result the primal satisfies every row within
-    ``FEAS_TOL``, strong duality holds within ``DUAL_TOL`` scaling, and
-    ``dual`` holds shadow prices d(value)/d(rhs) per original row.
+    Phase one reports ``infeasible`` when the artificial sum exceeds
+    ``FEAS_TOL`` times (1 + the largest |rhs|).  On an ``optimal`` result
+    ``dual`` holds shadow prices d(value)/d(rhs) per original row and
+    ``dual_objective`` their objective, both from a re-solve against the final
+    basis (zeros and None if that basis is singular); the duality gap is not
+    checked here.
     """
     if max_pivots is None:
         max_pivots = tol.MAX_PIVOTS

@@ -56,14 +56,6 @@ def _bounded_lp(base: LinearProgram, lower, upper) -> LinearProgram:
     )
 
 
-def lp_relaxation_value(mip: MixedIntegerProgram, max_pivots=None) -> float:
-    """Objective of the MILP with integrality dropped."""
-    res = solve_lp(mip.lp, max_pivots=max_pivots)
-    if res.status != OPTIMAL:
-        raise RuntimeError(f"LP relaxation did not solve: {res.status}")
-    return res.value
-
-
 def _fix_and_polish(mip: MixedIntegerProgram, x_lp, lower, upper, max_pivots):
     """Round the integer block, re-solve the continuous block, and return the
     exact completed solution or None if the rounding is infeasible."""

@@ -10,12 +10,6 @@ FEAS_TOL = 1e-7
 # A variable counts as integral when within this distance of an integer.
 INT_TOL = 1e-6
 
-# Relative optimality gap for branch & bound termination.
-MIP_GAP = 1e-6
-
-# Strong duality / complementary slackness checks on LP solutions.
-DUAL_TOL = 1e-6
-
 # Simplex pivot element and reduced-cost thresholds.
 PIVOT_TOL = 1e-9
 
@@ -25,5 +19,6 @@ STALL_PIVOTS = 5000
 # Default simplex iteration limit.
 MAX_PIVOTS = 10**6
 
-# Two LP optima count as equal (idempotence, bound comparisons) below this.
+# Two LP optima count as equal (idempotence, bound comparisons) below this;
+# also the relative MIP gap of both branch & bound kernels.
 VALUE_TOL = 1e-9

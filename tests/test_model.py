@@ -27,6 +27,11 @@ def unit_box(n):
     return Polytope.box(np.zeros(n), np.ones(n))
 
 
+def is_bounded(poly):
+    lo, hi = poly.box_bounds()
+    return bool(np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)))
+
+
 def sorting_instance(n=3, h=1, scenarios=None, epsilon=0.0):
     scenarios = scenarios or (Exact(np.full(n, 0.5)),)
     return gen_sorting(n, h).instance(scenarios, epsilon)
@@ -60,7 +65,7 @@ class TestPolytope:
 
     def test_unbounded_detected(self):
         half = Polytope(2, -np.eye(2), np.zeros(2))  # c >= 0
-        assert not half.is_bounded()
+        assert not is_bounded(half)
 
     def test_feasible_point_none_when_empty(self):
         empty = Polytope(1, np.array([[1.0], [-1.0]]), np.array([0.0, -1.0]))

@@ -1,4 +1,5 @@
-"""Reformulation builders versus closed forms, enumeration, and metric axioms."""
+"""Reformulation builders versus a row-by-row reference, closed forms,
+enumeration, and metric axioms."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,13 @@ from dro.closedform import (
     solve_interval,
     worst_case_cost,
 )
+from dro.datagen import (
+    BetaNominal,
+    cucb_collect,
+    cucb_collect_mcp,
+    observe_bandit,
+    observe_semibandit,
+)
 from dro.model import (
     Bandit,
     BiaffineLoss,
@@ -16,22 +24,161 @@ from dro.model import (
     Interval,
     Polytope,
     ProblemInstance,
+    SemiBandit,
     lower_scenario,
+    validate_instance,
 )
-from dro.problems import gen_layered_spp, gen_sorting
+from dro.problems import gen_layered_spp, gen_mcp, gen_sorting
 from dro.reformulate import (
     DiscreteDistribution,
     ReformulationVars,
+    _negated_loss,
+    build_dro_milp,
     build_wc_expectation_lp,
     discrete_w1,
     solve_dro,
 )
 from dro.selfcheck import random_bandit_instance, random_interval_instance
-from dro.solver import LE, OPTIMAL, LinearProgram, solve_lp
+from dro.solver import (
+    EQ,
+    LE,
+    OPTIMAL,
+    LinearProgram,
+    MixedIntegerProgram,
+    dump_program,
+    solve_lp,
+)
 
 
 def unit_box(n):
     return Polytope.box(np.zeros(n), np.ones(n))
+
+
+def column_names(layout):
+    out = [f"x[{j}]" for j in range(layout.n)]
+    out.append("lam")
+    for k in range(layout.num_samples):
+        out.extend(f"nu[{k}][{i}]" for i in range(layout.w0))
+    for k in range(layout.num_samples):
+        out.extend(f"gamma[{k}][{i}]" for i in range(layout.wk[k]))
+    return out
+
+
+def reference_dro_milp(inst):
+    """The single-level MILP assembled one dense row at a time: the builder
+    the block assembly in ``build_dro_milp`` must reproduce bit for bit."""
+    diags = [d for d in validate_instance(inst) if d.severity == "error"]
+    assert not diags
+    loss = inst.loss if inst.sense == "min" else _negated_loss(inst.loss)
+    n = inst.n
+    fs = inst.feasible
+    support = inst.support
+    lowered = [lower_scenario(s, support) for s in inst.scenarios]
+    num_k = len(lowered)
+    layout = ReformulationVars(n, support.num_rows, tuple(p.num_rows for p in lowered))
+    nvar = layout.total
+    int_mask = np.zeros(nvar, dtype=bool)
+    int_mask[:n] = fs.integer_mask()
+
+    c = np.zeros(nvar)
+    c[:n] = loss.t_x
+    c[layout.lam] = inst.epsilon
+    for k in range(num_k):
+        c[layout.nu(k)] = support.rows_b / num_k
+        c[layout.gamma(k)] = lowered[k].rows_b
+
+    rows, rels, rhs = [], [], []
+
+    def add(row, rel, b):
+        rows.append(row)
+        rels.append(rel)
+        rhs.append(b)
+
+    t_xx, t_c = loss.t_xx, loss.t_c
+    b0t = support.rows_a.T
+    for k in range(num_k):
+        bkt = lowered[k].rows_a.T
+        nu_sl, ga_sl = layout.nu(k), layout.gamma(k)
+        for i in range(n):
+            row = np.zeros(nvar)
+            row[:n] = t_xx[i] / num_k
+            row[nu_sl] = -b0t[i] / num_k
+            row[ga_sl] = -bkt[i]
+            add(row, EQ, -t_c[i] / num_k)
+        for i in range(n):
+            row = np.zeros(nvar)
+            row[:n] = t_xx[i]
+            row[nu_sl] = -b0t[i]
+            row[layout.lam] = -1.0
+            add(row, LE, -t_c[i])
+            row2 = np.zeros(nvar)
+            row2[:n] = -t_xx[i]
+            row2[nu_sl] = b0t[i]
+            row2[layout.lam] = -1.0
+            add(row2, LE, t_c[i])
+    gmat = fs.matrix()
+    for i in range(fs.num_rows):
+        row = np.zeros(nvar)
+        row[:n] = gmat[i]
+        add(row, LE, fs.rhs[i])
+
+    up = np.full(nvar, np.inf)
+    up[:n] = fs.upper
+    lp = LinearProgram(
+        c, np.array(rows), tuple(rels), np.array(rhs), np.zeros(nvar), up,
+        sense="min", c0=loss.t_const,
+    )
+    return MixedIntegerProgram(lp, int_mask)
+
+
+def _spp_history(h, r, num_k, feedback, seed):
+    ss = np.random.SeedSequence([seed, h, r, num_k])
+    rng_means, rng_data = [np.random.default_rng(s) for s in ss.spawn(2)]
+    skeleton, graph = gen_layered_spp(h, r)
+    dist = BetaNominal.random(graph.num_arcs, 0.125, rng_means)
+    run = cucb_collect(graph, dist, num_k, rng_data)
+    return skeleton.instance(feedback(run.samples, run.decisions), h / 11.0)
+
+
+def _mcp_bandit(seed):
+    n1, n2 = 8, 6
+    skeleton, system = gen_mcp(n1, n2, 3, 2, seed)
+    rng = np.random.default_rng(seed)
+    dist = BetaNominal.random(n1, 0.125, rng)
+    run = cucb_collect_mcp(system, dist, 6, rng)
+    pad = np.zeros((6, n2))
+    scen = observe_bandit(np.hstack([run.samples, pad]), np.hstack([run.decisions, pad]))
+    return skeleton.instance(scen, 0.4)
+
+
+def _non_box_support(seed):
+    # unit box cut by sum(c) <= n - 1.5; exact and semibandit samples inside
+    rng = np.random.default_rng(seed)
+    n = 5
+    sk = gen_sorting(n, 2)
+    box = unit_box(n)
+    support = Polytope(
+        n,
+        np.vstack([box.rows_a, np.ones((1, n))]),
+        np.concatenate([box.rows_b, [n - 1.5]]),
+    )
+    data = rng.random((4, n)) * 0.6
+    scen = (Exact(data[0]), SemiBandit(((0, data[1, 0]), (3, data[1, 3]))), Exact(data[2]))
+    scen += tuple(observe_semibandit(data[3:], np.array([[1.0, 1.0, 0.0, 0.0, 1.0]])))
+    return ProblemInstance(sk.feasible, sk.loss, support, scen, 0.3)
+
+
+def _reference_cases():
+    rng = np.random.default_rng(404)
+    cases = [pytest.param(random_interval_instance(rng), id=f"interval-{i}") for i in range(8)]
+    cases += [pytest.param(random_bandit_instance(rng)[0], id=f"bandit-{i}") for i in range(8)]
+    cases += [
+        pytest.param(_spp_history(5, 3, 25, observe_bandit, 0), id="spp-bandit-5-3-25"),
+        pytest.param(_spp_history(4, 2, 6, observe_semibandit, 1), id="spp-semibandit-4-2-6"),
+        pytest.param(_mcp_bandit(7), id="mcp-bandit-max"),
+        pytest.param(_non_box_support(8), id="non-box-support"),
+    ]
+    return cases
 
 
 class TestVariableLayout:
@@ -43,8 +190,26 @@ class TestVariableLayout:
         assert layout.gamma(0) == slice(16, 24)
         assert layout.gamma(1) == slice(24, 31)
         assert layout.total == 31
-        assert len(layout.names()) == 31
-        assert layout.names()[3] == "lam"
+        assert len(column_names(layout)) == 31
+        assert column_names(layout)[3] == "lam"
+
+
+@pytest.mark.parametrize("inst", _reference_cases())
+def test_block_builder_matches_row_builder(inst):
+    mip, _, _ = build_dro_milp(inst)
+    ref = reference_dro_milp(inst)
+    assert dump_program(mip) == dump_program(ref)
+    lp, rlp = mip.lp, ref.lp
+    for got, want in (
+        (lp.a, rlp.a), (lp.b, rlp.b), (lp.c, rlp.c), (lp.lower, rlp.lower), (lp.upper, rlp.upper)
+    ):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        # bit for bit, signed zeros included
+        assert got.tobytes() == want.tobytes()
+    assert lp.rel == rlp.rel
+    assert lp.c0 == rlp.c0 and lp.sense == rlp.sense
+    assert np.array_equal(mip.integer, ref.integer)
 
 
 class TestWorstCaseExpectationLp:

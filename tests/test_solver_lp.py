@@ -27,6 +27,22 @@ def box_lp(c, rows, rel, rhs, lo, hi, sense="min", c0=0.0):
     )
 
 
+def lp_from_rows(objective, rows, bounds, sense="min", constant=0.0):
+    """Build from a list of (coefficients, relation, rhs) triples and
+    (lower, upper-or-None) bounds."""
+    c = np.asarray(objective, dtype=float)
+    n = c.shape[0]
+    if rows:
+        a = np.array([np.asarray(r[0], dtype=float) for r in rows])
+        rel = tuple(r[1] for r in rows)
+        b = np.array([float(r[2]) for r in rows])
+    else:
+        a, rel, b = np.zeros((0, n)), (), np.zeros(0)
+    lower = np.array([lo for lo, _ in bounds], dtype=float)
+    upper = np.array([np.inf if hi is None else hi for _, hi in bounds], dtype=float)
+    return LinearProgram(c, a, rel, b, lower, upper, sense=sense, c0=constant)
+
+
 def test_single_variable_floor():
     # min x s.t. x >= 1, x in [0, 10]
     res = solve_lp(box_lp([1.0], [[1.0]], [GE], [1.0], [0.0], [10.0]))
@@ -62,7 +78,7 @@ def test_two_point_transportation_matches_grid_oracle():
         ([1.0, 0.0, 1.0, 0.0], EQ, q[0]),
         ([0.0, 1.0, 0.0, 1.0], EQ, q[1]),
     ]
-    lp = LinearProgram.from_rows(cost.reshape(-1), rows, [(0.0, None)] * 4)
+    lp = lp_from_rows(cost.reshape(-1), rows, [(0.0, None)] * 4)
     res = solve_lp(lp)
     assert res.status == OPTIMAL
     assert res.value == pytest.approx(best, abs=1e-6)
@@ -187,10 +203,10 @@ def test_weak_duality_and_complementary_slackness():
 def test_shadow_price_by_finite_difference():
     # min 2x + 3y s.t. x + y >= 2, x - y <= 1, bounds x,y >= 0
     rows = [([1.0, 1.0], GE, 2.0), ([1.0, -1.0], LE, 1.0)]
-    lp = LinearProgram.from_rows([2.0, 3.0], rows, [(0.0, None)] * 2)
+    lp = lp_from_rows([2.0, 3.0], rows, [(0.0, None)] * 2)
     res = solve_lp(lp)
     eps = 1e-6
-    bumped = LinearProgram.from_rows([2.0, 3.0], [([1.0, 1.0], GE, 2.0 + eps), rows[1]], [(0.0, None)] * 2)
+    bumped = lp_from_rows([2.0, 3.0], [([1.0, 1.0], GE, 2.0 + eps), rows[1]], [(0.0, None)] * 2)
     drv = (solve_lp(bumped).value - res.value) / eps
     assert res.dual[0] == pytest.approx(drv, abs=1e-5)
 

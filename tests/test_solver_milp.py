@@ -14,7 +14,7 @@ from dro.solver import (
     LinearProgram,
     MixedIntegerProgram,
     dump_program,
-    lp_relaxation_value,
+    solve_lp,
     solve_milp,
 )
 
@@ -31,6 +31,13 @@ def binary_mip(c, rows, rel, rhs, sense="min"):
         sense=sense,
     )
     return MixedIntegerProgram(lp, np.ones(n, dtype=bool))
+
+
+def lp_relaxation_value(mip):
+    """Objective of the MILP with integrality dropped."""
+    res = solve_lp(mip.lp)
+    assert res.status == OPTIMAL
+    return res.value
 
 
 def test_two_var_packing():
