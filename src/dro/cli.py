@@ -25,14 +25,10 @@ from .closedform import (
 )
 from .datagen import BetaNominal, cucb_collect, cucb_collect_mcp, observe_bandit, observe_semibandit
 from .harness import SweepConfig, preset_sweep, records_to_csv, run_sweep
-from .model import (
-    load_instance,
-    load_instance_meta,
-    save_instance,
-    validate_instance,
-)
+from .errors import InvalidInstance
+from .model import load_instance, load_instance_meta, save_instance
 from .problems import CoverageSystem, LayeredGraph, gen_layered_spp, gen_mcp, gen_sorting
-from .reformulate import build_dro_milp, solve_dro
+from .reformulate import build_dro_milp, solve_dro_milp
 from .selfcheck import run_all
 from .solver import dump_program, get_backend
 
@@ -57,17 +53,16 @@ def _cmd_solve(args) -> int:
         from dataclasses import replace
 
         inst = replace(inst, epsilon=args.epsilon)
-    problems = [d for d in validate_instance(inst) if d.severity == "error"]
-    if problems:
-        for d in problems:
-            print(str(d), file=sys.stderr)
+    try:
+        mip, _, _ = build_dro_milp(inst)
+    except InvalidInstance as e:
+        for d in e.diagnostics:
+            print(d, file=sys.stderr)
         return 1
     if args.dump_milp:
-        mip, _, _ = build_dro_milp(inst)
         with open(args.dump_milp, "w") as fh:
             fh.write(dump_program(mip))
-    backend = get_backend(args.backend)
-    value, x, diag = solve_dro(inst, backend)
+    value, x, diag = solve_dro_milp(inst, mip, get_backend(args.backend))
     if value is None:
         print(f"solve failed: {diag.status}", file=sys.stderr)
         return 1

@@ -39,3 +39,11 @@ class EmptyInput(DroError):
 
 class UnboundedDecisionVariable(DroError):
     """An integer decision variable lacks a finite upper bound."""
+
+
+class InvalidInstance(DroError, ValueError):
+    """A problem instance failed validation; ``diagnostics`` lists every finding."""
+
+    def __init__(self, diagnostics):
+        self.diagnostics = tuple(diagnostics)
+        super().__init__("invalid instance: " + "; ".join(str(d) for d in self.diagnostics))

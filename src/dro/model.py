@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DimensionMismatch, EmptyIntersection
+from .errors import DimensionMismatch, EmptyIntersection, InvalidInstance
 from .solver import LE, OPTIMAL, LinearProgram, solve_lp
 
 
@@ -77,11 +78,15 @@ class Polytope:
         return bool(np.all((np.abs(self.rows_a) > 0).sum(axis=1) <= 1))
 
     def box_bounds(self):
-        """Per-coordinate (lower, upper) bounds.
+        """Per-coordinate (lower, upper) bounds as read-only arrays.
 
-        Structural for box-shaped systems, otherwise 2n LP solves; entries are
-        ``+-inf`` where the polytope is unbounded in that direction.
+        Structural for box-shaped systems, otherwise 2n LP solves run once per
+        polytope; entries are ``+-inf`` where the polytope is unbounded.
         """
+        return self._box_bounds
+
+    @cached_property
+    def _box_bounds(self):
         n = self.num_vars
         if self.is_box():
             lo = [-np.inf] * n
@@ -95,7 +100,7 @@ class Polytope:
                     hi[j] = min(hi[j], b / coef)
                 else:
                     lo[j] = max(lo[j], b / coef)
-            return np.array(lo), np.array(hi)
+            return _freeze(lo), _freeze(hi)
         lo = np.empty(n)
         hi = np.empty(n)
         lower = np.full(n, -np.inf)
@@ -112,7 +117,7 @@ class Polytope:
                     target[j] = res.value
                 else:
                     target[j] = -np.inf if sense == "min" else np.inf
-        return lo, hi
+        return _freeze(lo), _freeze(hi)
 
     def feasible_point(self):
         """Any point satisfying all rows, or None when the system is empty."""
@@ -240,9 +245,9 @@ class FeasibleSet:
 class DataScenario:
     """What is known about one training sample."""
 
-    def rows(self, n: int):
+    def rows(self, support: Polytope):
         """The scenario's own constraint rows as (matrix, rhs), before the
-        support is appended."""
+        support's rows are appended."""
         raise NotImplementedError
 
 
@@ -268,7 +273,8 @@ class Exact(DataScenario):
     def __post_init__(self):
         self.point = _freeze(self.point)
 
-    def rows(self, n):
+    def rows(self, support):
+        n = support.num_vars
         if self.point.shape != (n,):
             raise DimensionMismatch("scenario dimension mismatch")
         return _pairs(np.eye(n), self.point)
@@ -276,7 +282,7 @@ class Exact(DataScenario):
 
 @dataclass(eq=False)
 class Interval(DataScenario):
-    """Componentwise bounds lower <= c <= upper around the sample."""
+    """Componentwise bounds lower <= c <= upper, clipped to the support's box."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -287,11 +293,14 @@ class Interval(DataScenario):
         if self.lower.shape != self.upper.shape:
             raise DimensionMismatch("interval bounds must match")
 
-    def rows(self, n):
+    def rows(self, support):
+        n = support.num_vars
         if self.lower.shape != (n,):
             raise DimensionMismatch("scenario dimension mismatch")
+        lo, hi = support.box_bounds()
         eye = np.eye(n)
-        return np.vstack([eye, -eye]), np.concatenate([self.upper, -self.lower])
+        upper, lower = np.minimum(self.upper, hi), np.maximum(self.lower, lo)
+        return np.vstack([eye, -eye]), np.concatenate([upper, -lower])
 
 
 @dataclass(eq=False)
@@ -303,7 +312,8 @@ class SemiBandit(DataScenario):
     def __post_init__(self):
         self.observed = tuple((int(i), float(v)) for i, v in self.observed)
 
-    def rows(self, n):
+    def rows(self, support):
+        n = support.num_vars
         if any(i < 0 or i >= n for i, _ in self.observed):
             raise DimensionMismatch("observed index out of range")
         if not self.observed:
@@ -328,7 +338,8 @@ class Bandit(DataScenario):
         self.mask = _freeze(np.round(mask))
         self.total = float(self.total)
 
-    def rows(self, n):
+    def rows(self, support):
+        n = support.num_vars
         if self.mask.shape != (n,):
             raise DimensionMismatch("scenario dimension mismatch")
         return _pairs(self.mask.reshape(1, n), np.array([self.total]))
@@ -360,65 +371,57 @@ class ProblemInstance:
         return len(self.scenarios)
 
 
-def lower_scenario(scenario: DataScenario, support: Polytope, check: bool = True) -> Polytope:
+def lower_scenario(scenario: DataScenario, support: Polytope) -> Polytope:
     """Intersect a scenario with the support into one inequality system.
 
-    Interval scenarios are clipped to the support's box eagerly, so the
-    result's bounds are nested inside the support's.  Raises
-    :class:`EmptyIntersection` when the combined system is infeasible.
+    Raises :class:`EmptyIntersection` when the combined system is infeasible.
     """
-    n = support.num_vars
-    if isinstance(scenario, Interval):
-        lo, hi = support.box_bounds()
-        eff_lo = np.maximum(scenario.lower, lo)
-        eff_hi = np.minimum(scenario.upper, hi)
-        eye = np.eye(n)
-        a = np.vstack([eye, -eye, support.rows_a])
-        b = np.concatenate([eff_hi, -eff_lo, support.rows_b])
-    else:
-        sa, sb = scenario.rows(n)
-        a = np.vstack([sa, support.rows_a])
-        b = np.concatenate([sb, support.rows_b])
-    out = Polytope(n, a, b)
-    if check and out.feasible_point() is None:
+    sa, sb = scenario.rows(support)
+    out = Polytope(
+        support.num_vars,
+        np.vstack([sa, support.rows_a]),
+        np.concatenate([sb, support.rows_b]),
+    )
+    if out.feasible_point() is None:
         raise EmptyIntersection("scenario is incompatible with the support")
     return out
 
 
 @dataclass
 class Diagnostic:
-    """One validation finding; ``severity`` is 'error' or 'warning'."""
+    """One validation finding."""
 
     code: str
-    severity: str
     message: str
 
     def __str__(self):
-        return f"[{self.severity}] {self.code}: {self.message}"
+        return f"{self.code}: {self.message}"
 
 
-def validate_instance(inst: ProblemInstance) -> list[Diagnostic]:
-    """Check every structural invariant; empty list means the instance is sound.
+def validate_instance(inst: ProblemInstance) -> tuple[Polytope, ...]:
+    """Check every structural invariant and lower each scenario exactly once.
 
-    Boundedness of the support is established through per-coordinate LP solves
-    (structural shortcut for boxes).  Never raises: findings come back as
-    diagnostics with a severity.
+    Returns each sample's lowered polytope, in scenario order.  Raises
+    :class:`InvalidInstance` listing every finding when the instance is not
+    sound.  Boundedness of the support is established through per-coordinate
+    LP solves (structural shortcut for boxes).
     """
     out = []
-    err = lambda code, msg: out.append(Diagnostic(code, "error", msg))
+    err = lambda code, msg: out.append(Diagnostic(code, msg))
 
     n = inst.support.num_vars
     if inst.loss.n != n:
         err("DimensionMismatch", f"loss dimension {inst.loss.n} != support dimension {n}")
-        return out
-    if inst.feasible.n != n:
-        err(
-            "DimensionMismatch",
-            f"decision dimension {inst.feasible.n} != support dimension {n}",
-        )
-        return out
+        raise InvalidInstance(out)
+    fs = inst.feasible
+    if fs.n != n:
+        err("DimensionMismatch", f"decision dimension {fs.n} != support dimension {n}")
+        raise InvalidInstance(out)
     if not inst.loss.is_symmetric():
         err("AsymmetricLoss", "the bilinear block must equal its transpose")
+    bad = np.flatnonzero(fs.integer_mask() & ~np.isfinite(fs.upper))
+    if bad.size:
+        err("UnboundedDecisionVariable", f"integer decisions {bad.tolist()} need upper bounds")
     if inst.num_samples < 1:
         err("NoScenarios", "at least one training scenario is required")
     if inst.epsilon < 0:
@@ -428,26 +431,25 @@ def validate_instance(inst: ProblemInstance) -> list[Diagnostic]:
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi)))
         err("UnboundedSupport", f"support unbounded in coordinates {bad.tolist()}")
-        return out
+        raise InvalidInstance(out)
     if inst.support.feasible_point() is None:
         err("EmptySupport", "support polytope is empty")
-        return out
+        raise InvalidInstance(out)
 
+    lowered = []
     for k, s in enumerate(inst.scenarios):
-        if isinstance(s, Interval):
-            if s.lower.shape != (n,):
-                err("DimensionMismatch", f"scenario {k} has wrong dimension")
-                continue
-            if np.any(s.lower > s.upper + tol.VALUE_TOL):
-                err("InvertedInterval", f"scenario {k} has lower > upper")
-                continue
+        if isinstance(s, Interval) and np.any(s.lower > s.upper + tol.VALUE_TOL):
+            err("InvertedInterval", f"scenario {k} has lower > upper")
+            continue
         try:
-            lower_scenario(s, inst.support)
+            lowered.append(lower_scenario(s, inst.support))
         except EmptyIntersection:
             err("EmptyIntersection", f"scenario {k} is incompatible with the support")
         except DimensionMismatch as e:
             err("DimensionMismatch", f"scenario {k}: {e}")
-    return out
+    if out:
+        raise InvalidInstance(out)
+    return tuple(lowered)
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DimensionMismatch, UnboundedDecisionVariable
+from .errors import DimensionMismatch
 from .model import (
     BiaffineLoss,
     Polytope,
     ProblemInstance,
-    lower_scenario,
     validate_instance,
 )
+from .model import lower_scenario  # noqa: F401  kept bound: perfbench/spans.py patches this name
 from .solver import (
     EQ,
     LE,
@@ -172,17 +172,14 @@ def build_dro_milp(inst: ProblemInstance):
 
     Maximize-sense instances are negated to minimization here; callers undo
     the sign on the reported value.  Returns ``(mip, layout, lowered)`` where
-    ``lowered`` holds each sample's combined constraint polytope.
+    ``lowered`` holds each sample's combined constraint polytope.  Raises
+    :class:`~dro.errors.InvalidInstance` when the instance fails validation.
     """
-    diags = [d for d in validate_instance(inst) if d.severity == "error"]
-    if diags:
-        raise ValueError("invalid instance: " + "; ".join(str(d) for d in diags))
+    lowered = validate_instance(inst)
     loss = inst.loss if inst.sense == "min" else _negated_loss(inst.loss)
     n = inst.n
     fs = inst.feasible
     support = inst.support
-    # validate_instance has already run every scenario's emptiness LP
-    lowered = [lower_scenario(s, support, check=False) for s in inst.scenarios]
     num_k = len(lowered)
     w0 = support.num_rows
     layout = ReformulationVars(n, w0, tuple(p.num_rows for p in lowered))
@@ -190,10 +187,6 @@ def build_dro_milp(inst: ProblemInstance):
 
     int_mask = np.zeros(nvar, dtype=bool)
     int_mask[:n] = fs.integer_mask()
-    if np.any(int_mask[:n] & ~np.isfinite(fs.upper)):
-        raise UnboundedDecisionVariable(
-            "integer decision variables need explicit upper bounds"
-        )
 
     c = np.zeros(nvar)
     c[:n] = loss.t_x
@@ -249,13 +242,19 @@ class SolveDiagnostics:
 
 
 def solve_dro(inst: ProblemInstance, backend: Backend | None = None):
-    """Solve the full three-level problem; returns ``(value, x, diagnostics)``.
+    """Solve the full three-level problem; returns ``(value, x, diagnostics)``."""
+    mip, _, _ = build_dro_milp(inst)
+    return solve_dro_milp(inst, mip, backend)
+
+
+def solve_dro_milp(inst: ProblemInstance, mip: MixedIntegerProgram, backend: Backend | None = None):
+    """Solve ``mip``, the instance's single-level MILP from
+    :func:`build_dro_milp`; returns ``(value, x, diagnostics)``.
 
     The decision is extracted from the MILP solution, re-verified against the
     feasible set, and the value is reported in the instance's own sense.
     """
     backend = backend or ReferenceKernel()
-    mip, layout, _ = build_dro_milp(inst)
     t0 = time.perf_counter()
     res = backend.solve_milp(mip)
     elapsed = (time.perf_counter() - t0) * 1000.0

@@ -9,33 +9,21 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.stats import spearmanr
 
 from dro.cli import main
-from dro.closedform import (
-    interval_data_from_instance,
-    solve_disjoint_bandit,
-    solve_interval,
-    worst_case_cost,
-)
+from dro.closedform import worst_case_cost
 from dro.datagen import BetaNominal, sample_nominal
 from dro.harness import SweepConfig, hoeffding_bound, run_sweep
-from dro.model import BiaffineLoss, Polytope
 from dro.problems import sorting_cop
-from dro.reformulate import (
-    DiscreteDistribution,
-    build_wc_expectation_lp,
-    discrete_w1,
-    solve_dro,
-)
 from dro.selfcheck import (
-    brute_force_milp,
-    random_bandit_instance,
-    random_binary_milp,
-    random_interval_instance,
+    check_bandit_oracle,
+    check_interval_oracle,
+    check_kernel_enumeration,
+    check_w1_axioms,
+    check_wc_expectation,
 )
-from dro.solver import ScipyBackend, solve_lp, solve_milp
+from dro.solver import ScipyBackend
 
 
 from conftest import ACCEPTANCE_LINES
@@ -49,124 +37,51 @@ def report(num, name, passed, detail):
 
 
 def test_01_interval_closed_form_equivalence():
-    rng = np.random.default_rng(1001)
     t0 = time.time()
-    worst = 0.0
-    for _ in range(200):
-        inst = random_interval_instance(rng)
-        v_milp, _, _ = solve_dro(inst)
-        idata = interval_data_from_instance(inst)
-        v_cf, _ = solve_interval(inst.feasible, idata, inst.epsilon)
-        err = abs(v_milp - v_cf) / (1.0 + abs(v_cf))
-        worst = max(worst, err)
+    res = check_interval_oracle(200, 1001)
     elapsed = time.time() - t0
     report(
         1,
         "interval closed-form equivalence",
-        worst <= 1e-6 and elapsed < 120.0,
-        f"200 instances, worst rel err {worst:.2e}, {elapsed:.1f}s (< 120s)",
+        res.passed and elapsed < 120.0,
+        f"200 instances, worst rel err {res.worst:.2e}, {elapsed:.1f}s (< 120s)",
     )
 
 
 def test_02_grouped_bandit_equivalence():
-    rng = np.random.default_rng(1002)
     t0 = time.time()
-    worst = 0.0
-    misses = 0
-    for _ in range(200):
-        inst, hist = random_bandit_instance(rng)
-        v_milp, x_milp, _ = solve_dro(inst)
-        v_cf, _ = solve_disjoint_bandit(hist, inst.epsilon)
-        worst = max(worst, abs(v_milp - v_cf))
-        scores = (
-            hist.grouping.counts * hist.group_means
-            + (hist.num_samples - hist.grouping.counts) * hist.h
-        )
-        argmin = np.flatnonzero(scores <= scores.min() + 1e-9)
-        if not any(
-            np.array_equal(np.round(x_milp), hist.grouping.decisions[v]) for v in argmin
-        ):
-            misses += 1
+    res = check_bandit_oracle(200, 1002)
     elapsed = time.time() - t0
     report(
         2,
         "grouped bandit closed-form equivalence",
-        worst <= 1e-6 and misses == 0 and elapsed < 180.0,
-        f"200 histories, worst abs err {worst:.2e}, argmin misses {misses}, {elapsed:.1f}s (< 180s)",
+        res.passed and elapsed < 180.0,
+        f"200 histories, worst abs err {res.worst:.2e}, argmin misses {res.misses}, {elapsed:.1f}s (< 180s)",
     )
 
 
 def test_03_capped_mean_identity():
-    rng = np.random.default_rng(1003)
-    worst = 0.0
-    for _ in range(500):
-        n = int(rng.integers(1, 11))
-        k = int(rng.integers(1, 6))
-        support = Polytope.box(np.zeros(n), np.ones(n))
-        x = rng.integers(0, 2, n).astype(float)
-        data = rng.random((k, n))
-        eps = float(rng.random() * 2.0)
-        lp = build_wc_expectation_lp(x, data, support, BiaffineLoss.bilinear(n), eps)
-        got = solve_lp(lp).value
-        want = worst_case_cost(x, data, np.ones(n), eps)
-        worst = max(worst, abs(got - want))
-    report(3, "capped-mean identity", worst <= 1e-6, f"500 triples, worst abs err {worst:.2e}")
+    res = check_wc_expectation(500, 1003)
+    report(3, "capped-mean identity", res.passed, f"500 triples, worst abs err {res.worst:.2e}")
 
 
 def test_04_kernel_matches_enumeration():
-    rng = np.random.default_rng(1004)
-    worst = 0.0
-    status_errors = 0
-    for _ in range(200):
-        mip = random_binary_milp(rng)
-        res = solve_milp(mip)
-        best = brute_force_milp(mip)
-        if best is None:
-            if res.status != "infeasible":
-                status_errors += 1
-        elif res.status != "optimal":
-            status_errors += 1
-        else:
-            worst = max(worst, abs(res.value - best))
+    res = check_kernel_enumeration(200, 1004)
     report(
         4,
         "kernel brute-force equivalence",
-        worst <= 1e-6 and status_errors == 0,
-        f"200 binary programs, worst abs err {worst:.2e}, status errors {status_errors}",
+        res.passed,
+        f"200 binary programs, worst abs err {res.worst:.2e}, status errors {res.misses}",
     )
 
 
 def test_05_transport_metric_axioms():
-    rng = np.random.default_rng(1005)
-
-    def rand_dist(n):
-        k = int(rng.integers(1, 5))
-        w = rng.random(k) + 0.1
-        return DiscreteDistribution(rng.random((k, n)) * 2.0 - 0.5, w / w.sum())
-
-    failures = []
-    for t in range(300):
-        n = int(rng.integers(1, 4))
-        p, q, r = rand_dist(n), rand_dist(n), rand_dist(n)
-        if discrete_w1(p, q) != discrete_w1(q, p):
-            failures.append(f"{t}: asymmetry")
-        if discrete_w1(p, q) < 0.0:
-            failures.append(f"{t}: negative")
-        if discrete_w1(p, p) != 0.0:
-            failures.append(f"{t}: self-distance")
-        if discrete_w1(p, r) > discrete_w1(p, q) + discrete_w1(q, r) + 1e-6:
-            failures.append(f"{t}: triangle")
-        a, b = rng.random(n), rng.random(n)
-        dd = discrete_w1(
-            DiscreteDistribution.empirical([a]), DiscreteDistribution.empirical([b])
-        )
-        if dd != float(np.abs(a - b).sum()):
-            failures.append(f"{t}: dirac-dirac")
+    res = check_w1_axioms(300, 1005)
     report(
         5,
         "transport metric axioms",
-        not failures,
-        f"300 triples clean" if not failures else "; ".join(failures[:3]),
+        res.passed,
+        "300 triples clean" if res.passed else res.detail,
     )
 
 

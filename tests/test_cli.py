@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dro.cli import main
-from dro.model import Bandit, Interval, load_instance, save_instance
+from dro.model import Bandit, Interval, instance_to_dict, load_instance, save_instance
 from dro.problems import gen_sorting
 
 
@@ -45,10 +45,14 @@ def test_solve_writes_deterministic_json(interval_instance, tmp_path):
     assert payload["time_ms"] == 0.0
 
 
-def test_solve_epsilon_override_and_dump(interval_instance, tmp_path):
+def test_solve_epsilon_override_and_dump(interval_instance, tmp_path, model_calls):
     dump = tmp_path / "milp.txt"
     out = tmp_path / "o.json"
     assert main(["solve", interval_instance, "--epsilon", "0.0", "--dump-milp", str(dump), "-o", str(out)]) == 0
+    # validated, lowered and built once: one emptiness LP per scenario and
+    # one for the box support
+    num_k = load_instance(interval_instance).num_samples
+    assert model_calls == {"lower_scenario": num_k, "solve_lp": num_k + 1}
     text = dump.read_text()
     assert text.startswith("PROBLEM MILP min")
     v0 = json.loads(out.read_text())["value"]
@@ -63,6 +67,16 @@ def test_solve_rejects_invalid_instance(tmp_path, capsys):
     save_instance(path, sk.instance((), 0.0))  # no scenarios
     assert main(["solve", str(path)]) == 1
     assert "NoScenarios" in capsys.readouterr().err
+
+
+def test_solve_rejects_unbounded_integer_decisions(tmp_path, capsys):
+    sk = gen_sorting(3, 1)
+    blob = instance_to_dict(sk.instance((Interval(np.zeros(3), np.ones(3)),), 0.1))
+    blob["feasible"]["bounds"] = [None] * 3
+    path = tmp_path / "unbounded.json"
+    path.write_text(json.dumps(blob))
+    assert main(["solve", str(path)]) == 1
+    assert "UnboundedDecisionVariable" in capsys.readouterr().err
 
 
 def test_closed_form_interval_route(interval_instance, tmp_path, capsys):

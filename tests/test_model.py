@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from dro.errors import DimensionMismatch, EmptyIntersection
+from dro.errors import DimensionMismatch, EmptyIntersection, InvalidInstance
 from dro.model import (
     Bandit,
     BiaffineLoss,
@@ -35,6 +35,12 @@ def is_bounded(poly):
 def sorting_instance(n=3, h=1, scenarios=None, epsilon=0.0):
     scenarios = scenarios or (Exact(np.full(n, 0.5)),)
     return gen_sorting(n, h).instance(scenarios, epsilon)
+
+
+def finding_codes(inst):
+    with pytest.raises(InvalidInstance) as info:
+        validate_instance(inst)
+    return [d.code for d in info.value.diagnostics]
 
 
 class TestPolytope:
@@ -86,7 +92,7 @@ class TestBiaffineLoss:
         assert not loss.is_symmetric()
         inst = sorting_instance(2, 1)
         bad = ProblemInstance(inst.feasible, loss, inst.support, inst.scenarios, 0.0)
-        assert any(d.code == "AsymmetricLoss" for d in validate_instance(bad))
+        assert "AsymmetricLoss" in finding_codes(bad)
 
 
 class TestLowering:
@@ -159,27 +165,26 @@ class TestLowering:
 
 class TestValidate:
     def test_well_formed_instance_clean(self):
-        assert validate_instance(sorting_instance()) == []
+        # one lowered polytope: the sample's 6 paired rows and the box's 6
+        assert [p.num_rows for p in validate_instance(sorting_instance())] == [12]
 
     def test_unbounded_support(self):
         inst = sorting_instance()
         bad = ProblemInstance(
             inst.feasible, inst.loss, Polytope(3, -np.eye(3), np.zeros(3)), inst.scenarios, 0.0
         )
-        codes = [d.code for d in validate_instance(bad)]
-        assert "UnboundedSupport" in codes
+        assert "UnboundedSupport" in finding_codes(bad)
 
     def test_inverted_interval(self):
         inst = sorting_instance(
             scenarios=(Interval(np.array([0.8, 0.2, 0.2]), np.array([0.4, 0.9, 0.9])),)
         )
-        codes = [d.code for d in validate_instance(inst)]
-        assert "InvertedInterval" in codes
+        assert "InvertedInterval" in finding_codes(inst)
 
     def test_no_scenarios_and_negative_radius(self):
         inst = sorting_instance()
         bad = ProblemInstance(inst.feasible, inst.loss, inst.support, (), -0.5)
-        codes = [d.code for d in validate_instance(bad)]
+        codes = finding_codes(bad)
         assert "NoScenarios" in codes
         assert "NegativeRadius" in codes
 

@@ -24,7 +24,7 @@ class TestSorting:
         sk = gen_sorting(50, 5)
         assert sk.feasible.n == 50
         assert sk.feasible.n_cont == 0
-        assert validate_instance(sk.instance((Exact(np.full(50, 0.5)),), 0.0)) == []
+        assert len(validate_instance(sk.instance((Exact(np.full(50, 0.5)),), 0.0))) == 1
 
     def test_single_forced_decision(self):
         sk = gen_sorting(1, 1)

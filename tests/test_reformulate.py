@@ -67,8 +67,7 @@ def column_names(layout):
 def reference_dro_milp(inst):
     """The single-level MILP assembled one dense row at a time: the builder
     the block assembly in ``build_dro_milp`` must reproduce bit for bit."""
-    diags = [d for d in validate_instance(inst) if d.severity == "error"]
-    assert not diags
+    validate_instance(inst)
     loss = inst.loss if inst.sense == "min" else _negated_loss(inst.loss)
     n = inst.n
     fs = inst.feasible
@@ -151,21 +150,30 @@ def _mcp_bandit(seed):
     return skeleton.instance(scen, 0.4)
 
 
+def _cut_box(n):
+    # unit box cut by sum(c) <= n - 1.5, which is not a box system
+    box = unit_box(n)
+    return Polytope(n, np.vstack([box.rows_a, np.ones((1, n))]), np.append(box.rows_b, n - 1.5))
+
+
 def _non_box_support(seed):
-    # unit box cut by sum(c) <= n - 1.5; exact and semibandit samples inside
+    # exact and semibandit samples inside the cut box
     rng = np.random.default_rng(seed)
     n = 5
     sk = gen_sorting(n, 2)
-    box = unit_box(n)
-    support = Polytope(
-        n,
-        np.vstack([box.rows_a, np.ones((1, n))]),
-        np.concatenate([box.rows_b, [n - 1.5]]),
-    )
     data = rng.random((4, n)) * 0.6
     scen = (Exact(data[0]), SemiBandit(((0, data[1, 0]), (3, data[1, 3]))), Exact(data[2]))
     scen += tuple(observe_semibandit(data[3:], np.array([[1.0, 1.0, 0.0, 0.0, 1.0]])))
-    return ProblemInstance(sk.feasible, sk.loss, support, scen, 0.3)
+    return ProblemInstance(sk.feasible, sk.loss, _cut_box(n), scen, 0.3)
+
+
+def _non_box_intervals(seed):
+    # six noise boxes that stick out of the cut box, so clipping them matters
+    rng = np.random.default_rng(seed)
+    sk = gen_sorting(5, 2)
+    data, width = rng.random((6, 5)) * 0.6, rng.random((6, 5)) * 0.5
+    scen = tuple(Interval(d - w, d + w) for d, w in zip(data, width))
+    return ProblemInstance(sk.feasible, sk.loss, _cut_box(5), scen, 0.3)
 
 
 def _reference_cases():
@@ -177,6 +185,7 @@ def _reference_cases():
         pytest.param(_spp_history(4, 2, 6, observe_semibandit, 1), id="spp-semibandit-4-2-6"),
         pytest.param(_mcp_bandit(7), id="mcp-bandit-max"),
         pytest.param(_non_box_support(8), id="non-box-support"),
+        pytest.param(_non_box_intervals(9), id="non-box-intervals"),
     ]
     return cases
 
@@ -210,6 +219,13 @@ def test_block_builder_matches_row_builder(inst):
     assert lp.rel == rlp.rel
     assert lp.c0 == rlp.c0 and lp.sense == rlp.sense
     assert np.array_equal(mip.integer, ref.integer)
+
+
+def test_build_validates_and_lowers_once(model_calls):
+    # the support's bounds cost 2n LPs once, then one emptiness LP for the
+    # support and one per scenario; nothing is lowered twice
+    build_dro_milp(_non_box_intervals(9))  # n = 5, six scenarios
+    assert model_calls == {"lower_scenario": 6, "solve_lp": 2 * 5 + 6 + 1}
 
 
 class TestWorstCaseExpectationLp:
