@@ -47,6 +47,11 @@ def _emit(payload: dict, path: str | None):
         sys.stdout.write(text)
 
 
+def _print_findings(err: InvalidInstance):
+    for d in err.diagnostics:
+        print(d, file=sys.stderr)
+
+
 def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     if args.epsilon is not None:
@@ -56,8 +61,7 @@ def _cmd_solve(args) -> int:
     try:
         mip, _, _ = build_dro_milp(inst)
     except InvalidInstance as e:
-        for d in e.diagnostics:
-            print(d, file=sys.stderr)
+        _print_findings(e)
         return 1
     if args.dump_milp:
         with open(args.dump_milp, "w") as fh:
@@ -81,6 +85,11 @@ def _cmd_solve(args) -> int:
 
 def _cmd_closed_form(args) -> int:
     inst = load_instance(args.instance)
+    try:
+        idata = interval_data_from_instance(inst)
+    except InvalidInstance as e:
+        _print_findings(e)
+        return 1
     hist = bandit_history_from_instance(inst)
     if hist is not None and inst.sense == "min":
         value, v_star = solve_disjoint_bandit(hist, inst.epsilon)
@@ -96,14 +105,13 @@ def _cmd_closed_form(args) -> int:
             args.output,
         )
         return 0
-    idata = interval_data_from_instance(inst)
     if idata is not None:
         value, x = solve_interval(
             inst.feasible, idata, inst.epsilon, milp_cop(inst.feasible, get_backend(args.backend)), inst.sense
         )
         _emit({"value": value, "x_or_group": [float(v) for v in x], "method": "thm2"}, args.output)
         return 0
-    print("instance fits neither closed form (need interval-style scenarios on a box, or non-overlapping total-cost histories on the unit box)", file=sys.stderr)
+    print("instance fits neither closed form (need every scenario to lower to a box, or non-overlapping total-cost histories on the unit box)", file=sys.stderr)
     return 1
 
 
@@ -164,17 +172,21 @@ def _cmd_collect(args) -> int:
 def _cmd_sweep(args) -> int:
     with open(args.config) as fh:
         raw = json.load(fh)
-    if "preset" in raw:
-        cfg = preset_sweep(
-            raw["preset"],
-            seed=_seed_override(int(raw.get("seed", 0))),
-            paper_scale=bool(raw.get("paper_scale", False)) or args.paper_scale,
-            feedback=raw.get("feedback"),
-        )
-    else:
-        raw["seed"] = _seed_override(int(raw["seed"]))
-        raw["grid"] = tuple(raw["grid"])
-        cfg = SweepConfig(**raw)
+    try:
+        if "preset" in raw:
+            cfg = preset_sweep(
+                raw["preset"],
+                seed=_seed_override(int(raw.get("seed", 0))),
+                paper_scale=bool(raw.get("paper_scale", False)) or args.paper_scale,
+                feedback=raw.get("feedback"),
+            )
+        else:
+            raw["seed"] = _seed_override(int(raw["seed"]))
+            raw["grid"] = tuple(raw["grid"])
+            cfg = SweepConfig(**raw)
+    except ValueError as e:
+        print(f"invalid sweep config: {e}", file=sys.stderr)
+        return 1
     backend = get_backend(args.backend) if args.backend else None
     records = run_sweep(cfg, backend=backend)
     csv_text = records_to_csv(records, include_timings=args.timings)

@@ -14,14 +14,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import DimensionMismatch, OverlappingDecisions
-from .model import (
-    Bandit,
-    Exact,
-    FeasibleSet,
-    Interval,
-    ProblemInstance,
-    SemiBandit,
-)
+from .model import Bandit, FeasibleSet, ProblemInstance, validate_instance
 from .solver import OPTIMAL, LinearProgram, MixedIntegerProgram, ReferenceKernel
 
 
@@ -268,30 +261,21 @@ def solve_disjoint_bandit(hist: BanditHistory, epsilon: float):
 
 def interval_data_from_instance(inst: ProblemInstance) -> IntervalData | None:
     """Express the instance's scenarios as interval data, or None if they
-    don't fit (non-box support, or any total-cost scenario)."""
-    if not inst.support.is_box():
+    don't fit.
+
+    Runs :func:`~dro.model.validate_instance` (raising
+    :class:`~dro.errors.InvalidInstance` on bad data) and reads each lowered
+    polytope's box bounds; the data fit exactly when every lowered polytope
+    is box-shaped.
+    """
+    lowered = validate_instance(inst)
+    if not all(p.is_box() for p in lowered):
         return None
+    lowers, uppers = zip(*(p.box_bounds() for p in lowered))
     lo, hi = inst.support.box_bounds()
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        return None
-    lowers, uppers = [], []
-    for s in inst.scenarios:
-        if isinstance(s, Exact):
-            lowers.append(np.clip(s.point, lo, hi))
-            uppers.append(np.clip(s.point, lo, hi))
-        elif isinstance(s, Interval):
-            lowers.append(np.maximum(s.lower, lo))
-            uppers.append(np.minimum(s.upper, hi))
-        elif isinstance(s, SemiBandit):
-            l = lo.copy()
-            u = hi.copy()
-            idx = [i for i, _ in s.observed]
-            l[idx] = u[idx] = np.clip([v for _, v in s.observed], lo[idx], hi[idx])
-            lowers.append(l)
-            uppers.append(u)
-        else:
-            return None
-    return IntervalData(np.array(lowers), np.array(uppers), lo, hi)
+    # a point validated within FEAS_TOL outside the support lowers to a
+    # slightly inverted box; clipping projects it onto the support
+    return IntervalData(np.clip(lowers, lo, hi), np.clip(uppers, lo, hi), lo, hi)
 
 
 def bandit_history_from_instance(inst: ProblemInstance) -> BanditHistory | None:

@@ -17,10 +17,6 @@ class BadCardinality(DroError):
     """Requested selection size is outside [1, n]."""
 
 
-class TooLarge(DroError):
-    """Exhaustive enumeration would exceed the configured limit."""
-
-
 class MeanOutOfRange(DroError):
     """Requested mean is incompatible with the given standard deviation."""
 

@@ -128,6 +128,13 @@ class SweepConfig:
             raise ValueError(f"unknown family {self.family!r}")
         if self.sweep not in ("delta", "h", "gamma", "K", "n1"):
             raise ValueError(f"unknown sweep parameter {self.sweep!r}")
+        if self.feedback not in ("interval", "semibandit", "bandit"):
+            raise ValueError(f"unknown feedback {self.feedback!r}")
+        if self.delta_schedule not in ("const", "growing"):
+            raise ValueError(f"unknown delta schedule {self.delta_schedule!r}")
+        kind = self.epsilon_rule.get("kind")
+        if kind not in ("fixed", "sqrt", "prop_h", "prop_n1"):
+            raise ValueError(f"unknown epsilon rule {kind!r}")
         if self.k_max is None:
             self.k_max = max(self.cell_k(v) for v in self.grid)
 
@@ -144,9 +151,8 @@ class SweepConfig:
             return wasserstein_radius(num_samples, gamma)
         if kind == "prop_h":
             return float(rule["coef"]) * h
-        if kind == "prop_n1":
-            return float(rule["coef"]) * (n1 if n1 is not None else self.params["n1"])
-        raise ValueError(f"unknown epsilon rule {kind!r}")
+        # prop_n1, the last kind __post_init__ admits
+        return float(rule["coef"]) * (n1 if n1 is not None else self.params["n1"])
 
     def shares_instances(self) -> bool:
         """True when cells reweight the same instance data; structural sweeps

@@ -75,6 +75,10 @@ class Polytope:
 
     def is_box(self) -> bool:
         """True when every row constrains a single coordinate."""
+        return self._is_box
+
+    @cached_property
+    def _is_box(self) -> bool:
         return bool(np.all((np.abs(self.rows_a) > 0).sum(axis=1) <= 1))
 
     def box_bounds(self):
@@ -96,10 +100,13 @@ class Polytope:
             for j, coef, b in zip(cols.tolist(), coefs.tolist(), self.rows_b.tolist()):
                 if coef == 0:  # an all-zero row bounds nothing
                     continue
+                # strict comparisons keep the first of equal bounds (0.0, -0.0)
+                v = b / coef
                 if coef > 0:
-                    hi[j] = min(hi[j], b / coef)
-                else:
-                    lo[j] = max(lo[j], b / coef)
+                    if v < hi[j]:
+                        hi[j] = v
+                elif v > lo[j]:
+                    lo[j] = v
             return _freeze(lo), _freeze(hi)
         lo = np.empty(n)
         hi = np.empty(n)
@@ -120,23 +127,33 @@ class Polytope:
         return _freeze(lo), _freeze(hi)
 
     def feasible_point(self):
-        """Any point satisfying all rows, or None when the system is empty."""
+        """Any point satisfying all rows, or None when the system is empty.
+
+        Structural for box-shaped systems (the origin clipped into the box
+        bounds), otherwise one LP solve; either candidate must then pass the
+        same ``FEAS_TOL`` residual check.
+        """
         n = self.num_vars
-        res = solve_lp(
-            LinearProgram(
-                np.zeros(n),
-                self.rows_a,
-                tuple([LE] * self.num_rows),
-                self.rows_b,
-                np.full(n, -np.inf),
-                np.full(n, np.inf),
+        if self.is_box():
+            lo, hi = self.box_bounds()
+            x = np.clip(np.zeros(n), lo, hi)
+        else:
+            res = solve_lp(
+                LinearProgram(
+                    np.zeros(n),
+                    self.rows_a,
+                    tuple([LE] * self.num_rows),
+                    self.rows_b,
+                    np.full(n, -np.inf),
+                    np.full(n, np.inf),
+                )
             )
-        )
-        if res.status != OPTIMAL:
+            if res.status != OPTIMAL:
+                return None
+            x = res.x
+        if self.num_rows and np.max(self.rows_a @ x - self.rows_b) > tol.FEAS_TOL:
             return None
-        if self.num_rows and np.max(self.rows_a @ res.x - self.rows_b) > tol.FEAS_TOL:
-            return None
-        return res.x
+        return x
 
 
 @dataclass(eq=False)
@@ -403,8 +420,8 @@ def validate_instance(inst: ProblemInstance) -> tuple[Polytope, ...]:
 
     Returns each sample's lowered polytope, in scenario order.  Raises
     :class:`InvalidInstance` listing every finding when the instance is not
-    sound.  Boundedness of the support is established through per-coordinate
-    LP solves (structural shortcut for boxes).
+    sound.  Boundedness of the support and emptiness of each system are
+    established through LP solves, or structurally for box-shaped systems.
     """
     out = []
     err = lambda code, msg: out.append(Diagnostic(code, msg))

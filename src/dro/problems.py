@@ -1,5 +1,5 @@
 """Benchmark problem families: item selection, layered-graph routing, and
-maximum coverage, plus brute-force enumeration oracles.
+maximum coverage, plus exact combinatorial solvers (routing DP, stable selection).
 
 Each generator returns a :class:`ProblemSkeleton` (feasible set, loss,
 support) that becomes a full instance once scenarios and a radius are
@@ -9,12 +9,11 @@ observation masks align across runs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadCardinality, DimensionMismatch, TooLarge
+from .errors import BadCardinality, DimensionMismatch
 from .model import BiaffineLoss, FeasibleSet, Polytope, ProblemInstance
 
 
@@ -76,10 +75,6 @@ class LayeredGraph:
     def num_arcs(self) -> int:
         return 2 * self.r + (self.h - 2) * self.r**2
 
-    @property
-    def num_paths(self) -> int:
-        return self.r ** (self.h - 1)
-
     def arc_index(self, layer: int, tail: int, head: int) -> int:
         """Arc from node ``tail`` of ``layer`` to node ``head`` of ``layer+1``.
 
@@ -107,10 +102,6 @@ class LayeredGraph:
         x = np.zeros(self.num_arcs)
         x[self.path_arcs(nodes)] = 1.0
         return x
-
-    def all_paths(self):
-        """Every path as its intermediate-node tuple, lexicographic order."""
-        return itertools.product(range(self.r), repeat=self.h - 1)
 
 
 def gen_layered_spp(h: int, r: int):
@@ -181,12 +172,6 @@ class CoverageSystem:
     def n_subsets(self) -> int:
         return len(self.subsets)
 
-    def covered_items(self, chosen) -> np.ndarray:
-        x = np.zeros(self.n_items)
-        for i in chosen:
-            x[list(self.subsets[i])] = 1.0
-        return x
-
 
 def gen_mcp(n_items: int, n_subsets: int, subset_size: int, budget: int, seed):
     """Maximum-coverage skeleton with uniformly random fixed-size subsets.
@@ -234,24 +219,6 @@ def gen_mcp(n_items: int, n_subsets: int, subset_size: int, budget: int, seed):
         },
     )
     return skeleton, system
-
-
-def enumerate_feasible(feasible: FeasibleSet, limit: int = 1 << 22):
-    """All feasible binary decisions by exhaustive search (oracle use only)."""
-    if feasible.n_cont != 0:
-        raise ValueError("enumeration requires a purely integer decision set")
-    if np.any(feasible.upper > 1.0 + 1e-12):
-        raise ValueError("enumeration requires binary variables")
-    n = feasible.n_int
-    if 2**n > limit:
-        raise TooLarge(f"2^{n} assignments exceed the limit {limit}")
-    out = []
-    g = feasible.g2
-    for bits in itertools.product((0.0, 1.0), repeat=n):
-        x = np.array(bits)
-        if feasible.num_rows == 0 or np.all(g @ x <= feasible.rhs + 1e-9):
-            out.append(x)
-    return out
 
 
 def shortest_path_dp(graph: LayeredGraph, arc_costs):

@@ -91,17 +91,9 @@ class LinearProgram:
 
     def residuals(self, x) -> np.ndarray:
         """Signed violation of every row at ``x`` (positive = violated)."""
-        x = _as_1d(x, self.n, "point")
-        ax = self.a @ x if self.m else np.zeros(0)
-        out = np.zeros(self.m)
-        for i, r in enumerate(self.rel):
-            if r == LE:
-                out[i] = ax[i] - self.b[i]
-            elif r == GE:
-                out[i] = self.b[i] - ax[i]
-            else:
-                out[i] = abs(ax[i] - self.b[i])
-        return out
+        ax = self.a @ _as_1d(x, self.n, "point")
+        rel = np.array(self.rel, dtype=str)
+        return np.select([rel == LE, rel == GE], [ax - self.b, self.b - ax], np.abs(ax - self.b))
 
     def max_violation(self, x) -> float:
         """Largest constraint or bound violation at ``x``."""

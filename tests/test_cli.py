@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 
 from dro.cli import main
-from dro.model import Bandit, Interval, instance_to_dict, load_instance, save_instance
+from dro.model import (
+    Bandit,
+    Exact,
+    Interval,
+    SemiBandit,
+    instance_to_dict,
+    load_instance,
+    save_instance,
+)
 from dro.problems import gen_sorting
 
 
@@ -49,10 +57,10 @@ def test_solve_epsilon_override_and_dump(interval_instance, tmp_path, model_call
     dump = tmp_path / "milp.txt"
     out = tmp_path / "o.json"
     assert main(["solve", interval_instance, "--epsilon", "0.0", "--dump-milp", str(dump), "-o", str(out)]) == 0
-    # validated, lowered and built once: one emptiness LP per scenario and
-    # one for the box support
+    # validated, lowered and built once; every lowered scenario and the
+    # support are boxes, so no emptiness LP runs
     num_k = load_instance(interval_instance).num_samples
-    assert model_calls == {"lower_scenario": num_k, "solve_lp": num_k + 1}
+    assert model_calls == {"lower_scenario": num_k, "solve_lp": 0}
     text = dump.read_text()
     assert text.startswith("PROBLEM MILP min")
     v0 = json.loads(out.read_text())["value"]
@@ -87,6 +95,34 @@ def test_closed_form_interval_route(interval_instance, tmp_path, capsys):
     solved = tmp_path / "full.json"
     assert main(["solve", interval_instance, "-o", str(solved)]) == 0
     assert payload["value"] == pytest.approx(json.loads(solved.read_text())["value"], abs=1e-6)
+
+
+def test_closed_form_validates_and_lowers_once(interval_instance, tmp_path, model_calls):
+    out = tmp_path / "cf.json"
+    assert main(["closed-form", interval_instance, "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["method"] == "thm2"
+    num_k = load_instance(interval_instance).num_samples
+    assert model_calls == {"lower_scenario": num_k, "solve_lp": 0}
+
+
+@pytest.mark.parametrize(
+    "scenarios,epsilon,code",
+    [
+        ((Exact(np.array([1.5, 0.2, 0.3])),), 0.1, "EmptyIntersection"),
+        ((SemiBandit(((0, 0.4), (2, 1.5))),), 0.1, "EmptyIntersection"),
+        ((Interval(np.zeros(3), np.ones(3)),), -0.1, "NegativeRadius"),
+        ((Interval(np.array([0.6, 0.0, 0.0]), np.array([0.4, 1.0, 1.0])),), 0.1, "InvertedInterval"),
+        ((), 0.1, "NoScenarios"),
+    ],
+    ids=["exact-outside", "semibandit-outside", "negative-radius", "inverted", "no-scenarios"],
+)
+def test_closed_form_rejects_invalid_instance(tmp_path, capsys, scenarios, epsilon, code):
+    path = tmp_path / "bad.json"
+    save_instance(path, gen_sorting(3, 1).instance(scenarios, epsilon))
+    assert main(["closed-form", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{code}: " in err
+    assert "Traceback" not in err
 
 
 def test_closed_form_bandit_route(bandit_instance, tmp_path):
@@ -165,6 +201,23 @@ def test_sweep_from_config_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     header = out1.read_text().splitlines()[0]
     assert header == "param,mean_rho,mad_rho,mean_time_ms,mean_lp_quality,n_f1_wins,n_fail"
+
+
+def test_sweep_rejects_unknown_epsilon_rule(tmp_path, capsys):
+    cfg = {
+        "family": "sorting",
+        "sweep": "delta",
+        "grid": [0.0],
+        "instances": 2,
+        "seed": 3,
+        "params": {"n": 6, "h": 2},
+        "epsilon_rule": {"kind": "sqr", "gamma": 1.0},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["sweep", str(cfg_path), "-o", str(tmp_path / "out.csv")]) == 1
+    assert "unknown epsilon rule 'sqr'" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_sweep_preset_config(tmp_path):

@@ -16,10 +16,13 @@ from dro.closedform import (
     solve_interval_detail,
     worst_case_cost,
 )
-from dro.errors import OverlappingDecisions
-from dro.model import Bandit, Interval, SemiBandit
-from dro.problems import enumerate_feasible, gen_sorting, sorting_cop
+from dro.datagen import BetaNominal, cucb_collect, cucb_collect_mcp, observe_semibandit
+from dro.errors import InvalidInstance, OverlappingDecisions
+from dro.model import Bandit, Exact, Interval, ProblemInstance, SemiBandit
+from dro.problems import gen_layered_spp, gen_mcp, gen_sorting, sorting_cop
 from dro.reformulate import solve_dro
+from dro.selfcheck import random_interval_instance
+from enumeration import enumerate_feasible
 
 
 class TestWorstCaseCost:
@@ -215,7 +218,103 @@ class TestMaxSenseAgainstMilp:
             assert v_milp == pytest.approx(v_cf, abs=1e-6 * (1 + abs(v_cf)))
 
 
+def reference_interval_data(inst):
+    """The interval adapter as it was before it read the lowered polytopes:
+    per-type clipping against the support's box."""
+    if not inst.support.is_box():
+        return None
+    lo, hi = inst.support.box_bounds()
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        return None
+    lowers, uppers = [], []
+    for s in inst.scenarios:
+        if isinstance(s, Exact):
+            lowers.append(np.clip(s.point, lo, hi))
+            uppers.append(np.clip(s.point, lo, hi))
+        elif isinstance(s, Interval):
+            lowers.append(np.maximum(s.lower, lo))
+            uppers.append(np.minimum(s.upper, hi))
+        elif isinstance(s, SemiBandit):
+            l = lo.copy()
+            u = hi.copy()
+            idx = [i for i, _ in s.observed]
+            l[idx] = u[idx] = np.clip([v for _, v in s.observed], lo[idx], hi[idx])
+            lowers.append(l)
+            uppers.append(u)
+        else:
+            return None
+    return IntervalData(np.array(lowers), np.array(uppers), lo, hi)
+
+
+def adapter_inputs():
+    """Criterion-1 draws, SPP and MCP semibandit histories, and Exact,
+    Interval and SemiBandit scenarios on the unit box, some of them within
+    FEAS_TOL outside it."""
+    rng = np.random.default_rng(61)
+    out = [random_interval_instance(rng) for _ in range(12)]
+    for t, (h, r, k) in enumerate([(3, 2, 4), (4, 3, 8), (5, 3, 15), (5, 3, 25), (3, 3, 1)] * 2):
+        sk, graph = gen_layered_spp(h, r)
+        dist = BetaNominal.random(graph.num_arcs, 0.125, rng)
+        run = cucb_collect(graph, dist, k, rng)
+        out.append(sk.instance(observe_semibandit(run.samples, run.decisions), 0.1 * t))
+    for t in range(10):
+        n2 = 4 + t % 3
+        sk, system = gen_mcp(8, n2, 3, 2, seed=t)
+        dist = BetaNominal.random(8, 0.125, rng)
+        k = 2 + 2 * t
+        run = cucb_collect_mcp(system, dist, k, rng)
+        pad = np.zeros((k, n2))
+        scen = observe_semibandit(np.hstack([run.samples, pad]), np.hstack([run.decisions, pad]))
+        out.append(sk.instance(scen, 0.2))
+    for t in range(10):
+        n = 3 + t % 4
+        data = rng.random((3, n))
+        # on the support's boundary, or outside it within FEAS_TOL
+        data[0, 0] = (0.0, 1.0, -0.0, 1.0 + 1e-8, -1e-8)[t % 5]
+        scen = [Exact(data[0]), Interval(np.maximum(data[1] - 0.3, 0.0), data[1])]
+        scen.append(Interval(data[2], np.minimum(data[2] + 0.3, 1.0)))
+        out.append(gen_sorting(n, 1 + t % n).instance(scen[: 1 + t % 3], 0.3))
+        observed = ((0, (1.0 + 1e-8, -1e-8, -0.0, 0.5)[t % 4]), (n - 1, float(data[1, -1])))
+        out.append(gen_sorting(n, 1).instance((SemiBandit(observed), Exact(data[2])), 0.3))
+    return out
+
+
 class TestInstanceAdapters:
+    def test_interval_adapter_matches_per_type_clipping(self):
+        inputs = adapter_inputs()
+        assert len(inputs) >= 40
+        for inst in inputs:
+            got = interval_data_from_instance(inst)
+            want = reference_interval_data(inst)
+            for name in ("lower", "upper", "support_lower", "support_upper"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes(), name
+
+    def test_one_component_bandit_fits_thm2(self):
+        # a total over one component pins that component: the lowered polytope
+        # is a box, so the two-COP solution must reach the MILP value
+        rng = np.random.default_rng(71)
+        for t in range(8):
+            n = int(rng.integers(2, 6))
+            h = int(rng.integers(1, n + 1))
+            k = int(rng.integers(1, 4))
+            comps = rng.integers(0, n, k)
+            scen = tuple(Bandit(np.eye(n)[j], float(rng.random())) for j in comps)
+            sense = "max" if t % 2 else "min"
+            sk = gen_sorting(n, h)
+            inst = ProblemInstance(sk.feasible, sk.loss, sk.support, scen, float(rng.random()), sense)
+            v_milp, _, _ = solve_dro(inst)
+            idata = interval_data_from_instance(inst)
+            assert idata is not None
+            v_cf, _ = solve_interval(sk.feasible, idata, inst.epsilon, sorting_cop(n, h), sense)
+            assert v_milp == pytest.approx(v_cf, abs=1e-6 * (1 + abs(v_cf)))
+
+    def test_interval_adapter_rejects_invalid_data(self):
+        inst = gen_sorting(3, 1).instance((Exact(np.array([1.5, 0.2, 0.3])),), 0.1)
+        with pytest.raises(InvalidInstance):
+            interval_data_from_instance(inst)
+
     def test_interval_adapter_rejects_bandit(self):
         inst = gen_sorting(3, 1).instance((Bandit(np.array([1.0, 1, 0]), 0.5),), 0.1)
         assert interval_data_from_instance(inst) is None

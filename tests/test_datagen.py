@@ -19,6 +19,7 @@ from dro.datagen import (
 from dro.errors import MeanOutOfRange
 from dro.model import lower_scenario, Polytope
 from dro.problems import LayeredGraph, gen_mcp
+from enumeration import all_paths, covered_items
 
 
 class TestBetaParams:
@@ -165,7 +166,7 @@ class TestCucb:
         run = cucb_collect(g, dist, 500, 99)
         run2 = cucb_collect(g, dist, 500, 99)
         np.testing.assert_array_equal(run.decisions, run2.decisions)
-        paths = [g.path_vector(nodes) for nodes in g.all_paths()]
+        paths = [g.path_vector(nodes) for nodes in all_paths(g)]
         true_best = min(range(len(paths)), key=lambda i: float(dist.mean @ paths[i]))
         freq = [sum(np.array_equal(d, p) for d in run.decisions) for p in paths]
         assert int(np.argmax(freq)) == true_best
@@ -192,4 +193,4 @@ class TestMcpCollector:
         np.testing.assert_array_equal(run.decisions, run2.decisions)
         for sel, dec in zip(run.selections, run.decisions):
             assert len(sel) == 2
-            np.testing.assert_array_equal(dec, system.covered_items(sel))
+            np.testing.assert_array_equal(dec, covered_items(system, sel))

@@ -170,6 +170,19 @@ class TestRunSweep:
             assert r.mean_lp_quality is not None
             assert 0.0 < r.mean_lp_quality <= 1.0 + 1e-9
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"feedback": "bandt"},
+            {"delta_schedule": "grow"},
+            {"epsilon_rule": {"kind": "sqr", "gamma": 1.0}},
+        ],
+        ids=["feedback", "delta_schedule", "epsilon_rule"],
+    )
+    def test_unknown_config_values_rejected(self, override):
+        with pytest.raises(ValueError, match="unknown"):
+            small_sorting_cfg(**override)
+
     def test_failures_counted_not_fatal(self):
         cfg = small_sorting_cfg()
         cfg.params = {"n": 8, "h": 9}  # cardinality beyond n: every instance fails

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from dro import tolerances as tol
 from dro.errors import DimensionMismatch, EmptyIntersection, InvalidInstance
 from dro.model import (
     Bandit,
@@ -21,6 +22,7 @@ from dro.model import (
     validate_instance,
 )
 from dro.problems import gen_sorting
+from dro.solver import LE, OPTIMAL, LinearProgram, solve_lp
 
 
 def unit_box(n):
@@ -30,6 +32,22 @@ def unit_box(n):
 def is_bounded(poly):
     lo, hi = poly.box_bounds()
     return bool(np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)))
+
+
+def lp_feasible_point(poly):
+    """Emptiness by one LP over the rows, the check for every shape."""
+    n = poly.num_vars
+    res = solve_lp(
+        LinearProgram(
+            np.zeros(n), poly.rows_a, tuple([LE] * poly.num_rows), poly.rows_b,
+            np.full(n, -np.inf), np.full(n, np.inf),
+        )
+    )
+    if res.status != OPTIMAL:
+        return None
+    if poly.num_rows and np.max(poly.rows_a @ res.x - poly.rows_b) > tol.FEAS_TOL:
+        return None
+    return res.x
 
 
 def sorting_instance(n=3, h=1, scenarios=None, epsilon=0.0):
@@ -69,6 +87,28 @@ class TestPolytope:
         np.testing.assert_allclose(blo2, lo, atol=1e-7)
         np.testing.assert_allclose(bhi2, hi, atol=1e-7)
 
+    def test_box_bounds_bits_match_min_max_reference(self):
+        # per-row min()/max() updates in row order fix which of 0.0 and -0.0
+        # a tie keeps; the structural bounds must keep the same bits
+        rng = np.random.default_rng(31)
+        for _ in range(2000):
+            n = int(rng.integers(1, 5))
+            m = int(rng.integers(0, 10))
+            a = np.zeros((m, n))
+            a[np.arange(m), rng.integers(0, n, m)] = rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0], m)
+            b = rng.choice([0.0, -0.0, 0.25, -0.5, 1.0, np.inf, -np.inf], m)
+            poly = Polytope(n, a, b)
+            lo, hi = [-np.inf] * n, [np.inf] * n
+            for row, rhs in zip(a, b):
+                for j in np.flatnonzero(row):
+                    if row[j] > 0:
+                        hi[j] = min(hi[j], rhs / row[j])
+                    else:
+                        lo[j] = max(lo[j], rhs / row[j])
+            got_lo, got_hi = poly.box_bounds()
+            assert got_lo.tobytes() == np.array(lo).tobytes()
+            assert got_hi.tobytes() == np.array(hi).tobytes()
+
     def test_unbounded_detected(self):
         half = Polytope(2, -np.eye(2), np.zeros(2))  # c >= 0
         assert not is_bounded(half)
@@ -76,6 +116,33 @@ class TestPolytope:
     def test_feasible_point_none_when_empty(self):
         empty = Polytope(1, np.array([[1.0], [-1.0]]), np.array([0.0, -1.0]))
         assert empty.feasible_point() is None
+
+    def test_box_emptiness_structural_agrees_with_lp(self, model_calls):
+        # coefficients are powers of two and right-hand sides multiples of
+        # 1/4, so every bound is exact and an inverted pair is at least 1/16
+        # apart, far from the FEAS_TOL edge
+        rng = np.random.default_rng(29)
+        verdicts = set()
+        for _ in range(400):
+            n = int(rng.integers(1, 5))
+            m = int(rng.integers(0, 9))
+            a = np.zeros((m, n))
+            cols = rng.integers(0, n, m)
+            coefs = rng.choice([-4.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 4.0], m)
+            keep = rng.random(m) < 0.85  # the rest stay all-zero rows
+            a[np.arange(m)[keep], cols[keep]] = coefs[keep]
+            b = rng.integers(-8, 9, m) / 4.0
+            b[~keep & (b == 0.0)] = -0.25
+            poly = Polytope(n, a, b)
+            assert poly.is_box()
+            got = poly.feasible_point()
+            want = lp_feasible_point(poly)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert poly.contains(got)
+            verdicts.add(got is None)
+        assert verdicts == {True, False}
+        assert model_calls["solve_lp"] == 0
 
 
 class TestBiaffineLoss:

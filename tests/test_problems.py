@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from dro.errors import BadCardinality, TooLarge
+from dro.errors import BadCardinality
 from dro.model import validate_instance, Exact
 from dro.problems import (
     CoverageSystem,
     LayeredGraph,
-    enumerate_feasible,
     gen_layered_spp,
     gen_mcp,
     gen_sorting,
@@ -17,6 +16,7 @@ from dro.problems import (
     spp_cop,
 )
 from dro.solver import LE, LinearProgram, MixedIntegerProgram, solve_lp, solve_milp
+from enumeration import TooLarge, all_paths, covered_items, enumerate_feasible, num_paths
 
 
 class TestSorting:
@@ -53,8 +53,8 @@ class TestLayeredGraph:
         assert LayeredGraph(3, 3).num_arcs == 15
         assert LayeredGraph(2, 4).num_arcs == 8
         assert LayeredGraph(11, 5).num_arcs == 235
-        assert LayeredGraph(2, 4).num_paths == 4
-        assert LayeredGraph(3, 3).num_paths == 9
+        assert num_paths(LayeredGraph(2, 4)) == 4
+        assert num_paths(LayeredGraph(3, 3)) == 9
 
     def test_counts_match_constructed_structure(self):
         g = LayeredGraph(11, 5)
@@ -71,19 +71,19 @@ class TestLayeredGraph:
     def test_every_path_has_h_arcs(self):
         for h, r in ((2, 3), (3, 2), (4, 2)):
             g = LayeredGraph(h, r)
-            for nodes in g.all_paths():
+            for nodes in all_paths(g):
                 assert g.path_vector(nodes).sum() == h
 
     def test_flow_encoding_enumeration(self):
         sk, g = gen_layered_spp(3, 2)
         pts = enumerate_feasible(sk.feasible)
         assert len(pts) == 4
-        expected = {tuple(g.path_vector(nodes)) for nodes in g.all_paths()}
+        expected = {tuple(g.path_vector(nodes)) for nodes in all_paths(g)}
         assert {tuple(p) for p in pts} == expected
 
     def test_dp_matches_enumeration_and_milp(self):
         sk, g = gen_layered_spp(3, 2)
-        paths = [g.path_vector(nodes) for nodes in g.all_paths()]
+        paths = [g.path_vector(nodes) for nodes in all_paths(g)]
         rng = np.random.default_rng(6)
         fs = sk.feasible
         for _ in range(50):
@@ -162,7 +162,7 @@ class TestCoverage:
 
     def test_budget_covers_everything_when_loose(self):
         sk, system = gen_mcp(6, 6, 2, 6, seed=1)
-        covered = system.covered_items(range(6))
+        covered = covered_items(system, range(6))
         # with all subsets selectable the union may or may not be everything;
         # selecting all and covering the union must be feasible
         x = np.concatenate([covered, np.ones(6)])

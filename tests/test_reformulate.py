@@ -48,6 +48,7 @@ from dro.solver import (
     dump_program,
     solve_lp,
 )
+from enumeration import all_paths
 
 
 def unit_box(n):
@@ -336,7 +337,7 @@ class TestSolveDro:
         rng = np.random.default_rng(55)
         skeleton, graph = gen_layered_spp(h, r)
         n = graph.num_arcs
-        paths = [graph.path_vector(nodes) for nodes in graph.all_paths()]
+        paths = [graph.path_vector(nodes) for nodes in all_paths(graph)]
         hidden = rng.random((2, n))
         decisions = [paths[0], paths[1]]  # overlap in the fan-in/fan-out arcs
         scen = tuple(Bandit(d, float(c @ d)) for d, c in zip(decisions, hidden))
