@@ -91,10 +91,7 @@ def milp_cop(feasible: FeasibleSet, backend=None):
         res = backend.solve_milp(MixedIntegerProgram(lp, feasible.integer_mask()))
         if res.status != OPTIMAL:
             raise RuntimeError(f"combinatorial solve failed: {res.status}")
-        x = res.x.copy()
-        mask = feasible.integer_mask()
-        x[mask] = np.round(x[mask])
-        return float(res.value), x
+        return float(res.value), res.x
 
     return solve
 
@@ -163,20 +160,11 @@ class DecisionGrouping:
         return self.decisions.shape[0]
 
 
-@dataclass
-class OverlapViolation:
-    """Two distinct decisions that share a component."""
-
-    first: int
-    second: int
-    component: int
-
-
 def group_decisions(decisions):
     """Partition identical decisions into groups and verify disjoint supports.
 
-    Returns a :class:`DecisionGrouping` on success or an
-    :class:`OverlapViolation` naming the offending pair.
+    Raises :class:`~dro.errors.OverlappingDecisions` naming the first pair of
+    distinct decisions that share a component, and that component.
     """
     dec = np.atleast_2d(np.asarray(decisions, dtype=float))
     dec = np.round(dec)
@@ -195,7 +183,7 @@ def group_decisions(decisions):
         for v in range(u + 1, len(reps)):
             both = np.flatnonzero((reps_arr[u] > 0.5) & (reps_arr[v] > 0.5))
             if both.size:
-                return OverlapViolation(u, v, int(both[0]))
+                raise OverlappingDecisions(f"decisions {u} and {v} share component {int(both[0])}")
     counts = np.bincount(group_of, minlength=len(reps))
     return DecisionGrouping(reps_arr, counts, group_of)
 
@@ -226,11 +214,6 @@ class BanditHistory:
         if np.any(np.abs(weights - h) > tol.INT_TOL):
             raise ValueError("all decisions must select the same number of components")
         grouping = group_decisions(dec)
-        if isinstance(grouping, OverlapViolation):
-            raise OverlappingDecisions(
-                f"decisions {grouping.first} and {grouping.second} share component "
-                f"{grouping.component}"
-            )
         means = np.zeros(grouping.num_groups)
         for v in range(grouping.num_groups):
             means[v] = tot[grouping.group_of == v].mean()

@@ -40,7 +40,7 @@ from .datagen import (
     observe_semibandit,
     sample_nominal,
 )
-from .errors import DegenerateDenominator, DimensionMismatch, EmptyInput
+from .errors import DegenerateDenominator, DimensionMismatch, DroError, EmptyInput
 from .model import Bandit, FeasibleSet
 from .problems import gen_layered_spp, gen_mcp, gen_sorting, sorting_cop, spp_cop
 from .reformulate import solve_dro
@@ -94,6 +94,10 @@ def nominal_relative_loss(x_tilde, dist: BetaNominal, feasible: FeasibleSet, sen
     return float(m @ x_tilde) / denom
 
 
+_FEEDBACK_RUN = {"sorting": ("interval",), "spp": ("semibandit", "bandit"), "mcp": ("semibandit", "bandit")}
+_EPSILON_PARAM = {"fixed": "value", "sqrt": "gamma", "prop_h": "coef", "prop_n1": "coef"}
+
+
 @dataclass
 class SweepConfig:
     """One sweep: a family, a swept parameter with its grid, and cell recipes.
@@ -101,7 +105,9 @@ class SweepConfig:
     ``epsilon_rule`` is one of ``{"kind": "fixed", "value": v}``,
     ``{"kind": "sqrt", "gamma": g}`` (radius g/sqrt(K)),
     ``{"kind": "prop_h", "coef": c}`` (radius c*h), or
-    ``{"kind": "prop_n1", "coef": c}`` (radius c*n1).
+    ``{"kind": "prop_n1", "coef": c}`` (radius c*n1).  ``feedback`` must be
+    one the family runs: ``interval`` for sorting, ``semibandit`` or
+    ``bandit`` for spp and mcp.
     """
 
     family: str  # sorting | spp | mcp
@@ -128,13 +134,24 @@ class SweepConfig:
             raise ValueError(f"unknown family {self.family!r}")
         if self.sweep not in ("delta", "h", "gamma", "K", "n1"):
             raise ValueError(f"unknown sweep parameter {self.sweep!r}")
-        if self.feedback not in ("interval", "semibandit", "bandit"):
-            raise ValueError(f"unknown feedback {self.feedback!r}")
+        runs = _FEEDBACK_RUN[self.family]
+        if self.feedback not in runs:
+            raise ValueError(
+                f"unknown feedback {self.feedback!r} for family {self.family!r}; "
+                f"it runs {' or '.join(runs)}"
+            )
         if self.delta_schedule not in ("const", "growing"):
             raise ValueError(f"unknown delta schedule {self.delta_schedule!r}")
         kind = self.epsilon_rule.get("kind")
-        if kind not in ("fixed", "sqrt", "prop_h", "prop_n1"):
+        if kind not in _EPSILON_PARAM:
             raise ValueError(f"unknown epsilon rule {kind!r}")
+        # a gamma sweep takes the sqrt rule's gamma from the cell
+        param = _EPSILON_PARAM[kind]
+        value = self.epsilon_rule.get(param)
+        if not (kind == "sqrt" and self.sweep == "gamma") and not (
+            isinstance(value, (int, float)) and value >= 0
+        ):
+            raise ValueError(f"epsilon rule {kind!r} needs {param!r} >= 0, got {value!r}")
         if self.k_max is None:
             self.k_max = max(self.cell_k(v) for v in self.grid)
 
@@ -283,8 +300,11 @@ def run_sweep(cfg: SweepConfig, backend=None, on_cell=None) -> list[SweepRecord]
     """Execute every cell of the sweep and aggregate per-cell records.
 
     Failed instances are counted in ``n_fail`` and excluded from the
-    aggregates rather than imputed.  ``on_cell(record)`` is invoked after each
-    cell for progress reporting.
+    aggregates rather than imputed.  A failure is a
+    :class:`~dro.errors.DroError` (bad data) or a ``RuntimeError`` (a solve
+    that did not reach optimality); any other exception is a bug and
+    propagates.  ``on_cell(record)`` is invoked after each cell for progress
+    reporting.
     """
     if backend is None:
         backend = ScipyBackend()
@@ -298,7 +318,7 @@ def run_sweep(cfg: SweepConfig, backend=None, on_cell=None) -> list[SweepRecord]
             ss = np.random.SeedSequence(entropy)
             try:
                 outcomes.append(runner(cfg, cell, ss, backend))
-            except Exception:
+            except (DroError, RuntimeError):
                 failures += 1
         if outcomes:
             rhos = [o.rho for o in outcomes]
@@ -396,7 +416,7 @@ _PRESETS = {
 def preset_sweep(name: str, seed: int = 0, paper_scale: bool = False, feedback: str | None = None) -> SweepConfig:
     """Canned sweep configurations at desk scale, or at the published sizes
     with ``paper_scale``.  ``feedback`` selects semibandit or bandit where the
-    preset supports both."""
+    preset supports both; one the family does not run is rejected."""
     if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(_PRESETS)}")
     p = _PRESETS[name]["paper" if paper_scale else "desk"]
@@ -404,19 +424,19 @@ def preset_sweep(name: str, seed: int = 0, paper_scale: bool = False, feedback: 
         return SweepConfig(
             "sorting", "delta", p["grid"], p["M"], seed,
             {"n": p["n"], "h": p["h"]}, {"kind": "fixed", "value": 1.0},
-            feedback="interval", k_samples=p["K"],
+            feedback=feedback or "interval", k_samples=p["K"],
         )
     if name == "sorting-h":
         return SweepConfig(
             "sorting", "h", p["grid"], p["M"], seed,
             {"n": p["n"], "h": p["grid"][0]}, {"kind": "fixed", "value": 1.0},
-            feedback="interval", k_samples=p["K"], delta=p["delta"],
+            feedback=feedback or "interval", k_samples=p["K"], delta=p["delta"],
         )
     if name == "sorting-gamma":
         return SweepConfig(
             "sorting", "gamma", p["grid"], p["M"], seed,
             {"n": p["n"], "h": p["h"]}, {"kind": "sqrt", "gamma": 0.0},
-            feedback="interval", k_samples=p["K"],
+            feedback=feedback or "interval", k_samples=p["K"],
         )
     if name == "sorting-k":
         k_max = max(p["grid"])
@@ -424,7 +444,7 @@ def preset_sweep(name: str, seed: int = 0, paper_scale: bool = False, feedback: 
             "sorting", "K", p["grid"], p["M"], seed,
             {"n": p["n"], "h": p["h"]},
             {"kind": "sqrt", "gamma": math.sqrt(k_max)},
-            feedback="interval", k_max=k_max, delta_schedule="growing",
+            feedback=feedback or "interval", k_max=k_max, delta_schedule="growing",
         )
     if name == "spp-k":
         k_max = max(p["grid"])

@@ -265,8 +265,6 @@ def solve_dro_milp(inst: ProblemInstance, mip: MixedIntegerProgram, backend: Bac
     if res.status != OPTIMAL:
         return None, None, diags
     x = res.x[: inst.n].copy()
-    ints = inst.feasible.integer_mask()
-    x[ints] = np.round(x[ints])
     if not inst.feasible.contains(x):
         raise RuntimeError("extracted decision failed re-verification")
     value = res.value if inst.sense == "min" else -res.value

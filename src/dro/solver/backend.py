@@ -3,7 +3,8 @@
 Every backend honours one contract: ``solve_lp(LinearProgram)`` and
 ``solve_milp(MixedIntegerProgram)`` both return a :class:`SolveResult`.  The
 reference kernel is always available and is the default everywhere; the scipy
-backend wraps HiGHS and is useful for the larger experiment sweeps.
+backend runs HiGHS through :func:`scipy.optimize.milp` alone and is useful for
+the larger experiment sweeps.
 """
 
 from __future__ import annotations
@@ -13,13 +14,18 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from .. import tolerances as tol
-from .lp import EQ, ERROR, GE, INFEASIBLE, ITERLIMIT, LE, OPTIMAL, UNBOUNDED
+from .lp import ERROR, GE, INFEASIBLE, ITERLIMIT, LE, OPTIMAL, UNBOUNDED
 from .lp import LinearProgram, SolveResult, solve_lp
 from .milp import MixedIntegerProgram, solve_milp
 
 
 @runtime_checkable
 class Backend(Protocol):
+    """On ``optimal``, both solves report the value in the program's own
+    sense (``c0`` included) and a point ``x``; ``solve_milp`` also reports
+    ``node_count`` and ``root_lp`` and rounds the integer entries of ``x``.
+    Duals and pivot counts come from the reference kernel only."""
+
     def solve_lp(self, lp: LinearProgram) -> SolveResult: ...
 
     def solve_milp(self, mip: MixedIntegerProgram) -> SolveResult: ...
@@ -37,12 +43,13 @@ class ReferenceKernel:
         return solve_milp(mip)
 
 
-# scipy's codes for both linprog and milp; 4 is numerical trouble or "other"
+# scipy.optimize.milp's codes; 4 is "other", which covers numerical trouble
 _STATUS_FROM_SCIPY = {0: OPTIMAL, 1: ITERLIMIT, 2: INFEASIBLE, 3: UNBOUNDED, 4: ERROR}
 
 
 class ScipyBackend:
-    """HiGHS-backed solves through :mod:`scipy.optimize`.
+    """HiGHS-backed solves through :func:`scipy.optimize.milp` alone; an LP is
+    a MILP with no integer columns.
 
     Used for desk-scale sweeps whose MILPs are too large for a dense tableau;
     deterministic for fixed inputs (serial HiGHS).
@@ -50,56 +57,36 @@ class ScipyBackend:
 
     name = "scipy"
 
-    def solve_lp(self, lp: LinearProgram) -> SolveResult:
-        from scipy.optimize import linprog
+    @staticmethod
+    def _highs(lp: LinearProgram, integer: np.ndarray):
+        """Solve ``lp`` with the ``integer`` columns integral, rows passed
+        whole in their own order; returns the status and scipy's result."""
+        from scipy.optimize import Bounds, LinearConstraint, milp
 
-        flip = -1.0 if lp.sense == "max" else 1.0
-        rel = np.array(lp.rel, dtype=str)
-        eq, ge = rel == EQ, rel == GE
-        # scipy's (A_ub, b_ub, A_eq, b_eq) form, >= rows negated into A_ub
-        a_ub, b_ub = lp.a[~eq], lp.b[~eq]
-        ge_ub = ge[~eq]
-        np.negative(a_ub, out=a_ub, where=ge_ub[:, None])
-        np.negative(b_ub, out=b_ub, where=ge_ub)
-        res = linprog(
-            flip * lp.c,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=lp.a[eq],
-            b_eq=lp.b[eq],
-            bounds=np.column_stack([lp.lower, lp.upper]),
-            method="highs",
-        )
-        status = _STATUS_FROM_SCIPY[res.status]
-        if status != OPTIMAL:
-            return SolveResult(status)
-        value = flip * (res.fun + flip * lp.c0)
-        # per-row duals in the original row order
-        dual = np.empty(lp.m)
-        dual[~eq] = flip * res.ineqlin.marginals
-        np.negative(dual, out=dual, where=ge)
-        dual[eq] = flip * res.eqlin.marginals
-        return SolveResult(OPTIMAL, value, np.asarray(res.x), dual, value)
-
-    def solve_milp(self, mip: MixedIntegerProgram) -> SolveResult:
-        from scipy.optimize import Bounds, LinearConstraint
-        from scipy.optimize import milp as scipy_milp
-
-        mip.check_integer_bounds()
-        lp = mip.lp
         flip = -1.0 if lp.sense == "max" else 1.0
         rel = np.array(lp.rel, dtype=str)
         lb = np.where(rel == LE, -np.inf, lp.b)
         ub = np.where(rel == GE, np.inf, lp.b)
-        constraints = LinearConstraint(lp.a, lb, ub) if lp.m else ()
-        res = scipy_milp(
+        res = milp(
             c=flip * lp.c,
-            constraints=constraints,
-            integrality=mip.integer.astype(int),
+            constraints=LinearConstraint(lp.a, lb, ub) if lp.m else (),
+            integrality=integer.astype(int),
             bounds=Bounds(lp.lower, lp.upper),
             options={"mip_rel_gap": tol.VALUE_TOL},
         )
-        status = _STATUS_FROM_SCIPY[res.status]
+        return _STATUS_FROM_SCIPY[res.status], res
+
+    def solve_lp(self, lp: LinearProgram) -> SolveResult:
+        status, res = self._highs(lp, np.zeros(lp.n, dtype=bool))
+        if status != OPTIMAL:
+            return SolveResult(status)
+        flip = -1.0 if lp.sense == "max" else 1.0
+        return SolveResult(OPTIMAL, flip * (res.fun + flip * lp.c0), np.asarray(res.x))
+
+    def solve_milp(self, mip: MixedIntegerProgram) -> SolveResult:
+        mip.check_integer_bounds()
+        lp = mip.lp
+        status, res = self._highs(lp, mip.integer)
         if status != OPTIMAL:
             return SolveResult(status)
         x = np.asarray(res.x)

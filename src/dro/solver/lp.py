@@ -109,7 +109,11 @@ class LinearProgram:
 
 @dataclass
 class SolveResult:
-    """Outcome of one LP or MILP solve."""
+    """Outcome of one LP or MILP solve.
+
+    For an optimal MILP solve, the integer entries of ``x`` are exact
+    integers: every backend rounds them once, so callers need not.
+    """
 
     status: str
     value: float | None = None

@@ -74,6 +74,8 @@ def _fix_and_polish(mip: MixedIntegerProgram, x_lp, lower, upper, max_pivots):
     res = solve_lp(_bounded_lp(mip.lp, lo, hi), max_pivots=max_pivots)
     if res.status != OPTIMAL:
         return None
+    # the fixed columns can come back a rounding error off their bounds
+    res.x[mip.integer] = rounded
     return res.value, res.x
 
 

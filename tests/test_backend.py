@@ -5,19 +5,81 @@ import pytest
 import scipy.optimize
 
 from dro.cli import main
+from dro.datagen import BetaNominal, cucb_collect, observe_bandit
 from dro.model import Exact, save_instance
-from dro.problems import gen_sorting
-from dro.reformulate import solve_dro
+from dro.problems import gen_layered_spp, gen_sorting
+from dro.reformulate import build_dro_milp, solve_dro
 from dro.selfcheck import brute_force_milp, random_binary_milp
 from dro.solver import (
     ERROR,
+    INFEASIBLE,
     OPTIMAL,
+    UNBOUNDED,
     MixedIntegerProgram,
     ReferenceKernel,
     ScipyBackend,
+    SolveResult,
     get_backend,
 )
-from dro.solver.lp import GE, LE, LinearProgram
+from dro.solver.backend import _STATUS_FROM_SCIPY
+from dro.solver.lp import EQ, GE, LE, LinearProgram
+
+
+def reference_linprog(lp):
+    """The earlier ScipyBackend.solve_lp: HiGHS through scipy.optimize.linprog
+    with the rows split into (A_ub, A_eq), kept as the reference the single
+    milp entry point must reproduce."""
+    from scipy.optimize import linprog
+
+    flip = -1.0 if lp.sense == "max" else 1.0
+    rel = np.array(lp.rel, dtype=str)
+    eq, ge = rel == EQ, rel == GE
+    # scipy's (A_ub, b_ub, A_eq, b_eq) form, >= rows negated into A_ub
+    a_ub, b_ub = lp.a[~eq], lp.b[~eq]
+    ge_ub = ge[~eq]
+    np.negative(a_ub, out=a_ub, where=ge_ub[:, None])
+    np.negative(b_ub, out=b_ub, where=ge_ub)
+    res = linprog(
+        flip * lp.c,
+        A_ub=a_ub,
+        b_ub=b_ub,
+        A_eq=lp.a[eq],
+        b_eq=lp.b[eq],
+        bounds=np.column_stack([lp.lower, lp.upper]),
+        method="highs",
+    )
+    status = _STATUS_FROM_SCIPY[res.status]
+    if status != OPTIMAL:
+        return SolveResult(status)
+    value = flip * (res.fun + flip * lp.c0)
+    # per-row duals in the original row order
+    dual = np.empty(lp.m)
+    dual[~eq] = flip * res.ineqlin.marginals
+    np.negative(dual, out=dual, where=ge)
+    dual[eq] = flip * res.eqlin.marginals
+    return SolveResult(OPTIMAL, value, np.asarray(res.x), dual, value)
+
+
+def random_lp(rng):
+    """A small LP with a random relation mix, sense, offset and column
+    uppers (some infinite); about half of the right-hand sides are drawn
+    around a known point, the rest at random, so that infeasible and
+    unbounded programs occur alongside optimal ones."""
+    n = int(rng.integers(1, 7))
+    m = int(rng.integers(0, 6))
+    a = rng.normal(size=(m, n))
+    rel = tuple(rng.choice([LE, EQ, GE], m))
+    if rng.random() < 0.5:
+        x0 = rng.random(n)
+        b = a @ x0 + np.select([np.array(rel) == LE, np.array(rel) == GE], [0.3, -0.3], 0.0)
+    else:
+        b = rng.normal(size=m) * 2.0
+    upper = np.where(rng.random(n) < 0.5, np.inf, rng.random(n) * 3.0)
+    return LinearProgram(
+        rng.normal(size=n), a, rel, b, np.zeros(n), upper,
+        sense="min" if rng.random() < 0.5 else "max",
+        c0=float(rng.normal()) if rng.random() < 0.7 else 0.0,
+    )
 
 
 def test_registry():
@@ -48,7 +110,54 @@ def test_backends_agree_on_lp():
         assert r1.status == r2.status
         if r1.status == OPTIMAL:
             assert r1.value == pytest.approx(r2.value, abs=1e-7)
-            np.testing.assert_allclose(r1.dual, r2.dual, atol=1e-6)
+
+
+def test_lp_through_milp_matches_linprog():
+    rng = np.random.default_rng(2024)
+    sp = ScipyBackend()
+    seen = set()
+    for _ in range(400):
+        lp = random_lp(rng)
+        mine, ref = sp.solve_lp(lp), reference_linprog(lp)
+        assert mine.status == ref.status
+        seen.add(mine.status)
+        if ref.status == OPTIMAL:
+            assert abs(mine.value - ref.value) <= 1e-12 * (1.0 + abs(ref.value))
+            assert mine.dual is None
+            assert lp.max_violation(mine.x) <= 1e-7
+    assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
+def test_dual_milp_relaxation_bits_match_linprog():
+    # root_lp, and so the sweep's mean_lp_quality, is this relaxation value
+    sp = ScipyBackend()
+    skeleton, graph = gen_layered_spp(5, 3)
+    for seed in (0, 1):
+        for num_k in (5, 10, 15, 20, 25):
+            rng = np.random.default_rng([seed, num_k])
+            dist = BetaNominal.random(graph.num_arcs, 0.125, rng)
+            run = cucb_collect(graph, dist, num_k, rng)
+            inst = skeleton.instance(observe_bandit(run.samples, run.decisions), 5 / 11.0)
+            lp = build_dro_milp(inst)[0].lp
+            mine, ref = sp.solve_lp(lp), reference_linprog(lp)
+            assert mine.status == ref.status == OPTIMAL
+            assert mine.value == ref.value
+
+
+def test_highs_runs_without_linprog(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("linprog called")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+    sp = ScipyBackend()
+    lp = LinearProgram(
+        np.array([1.0, 2.0]), np.array([[1.0, 1.0]]), (GE,), np.array([1.5]),
+        np.zeros(2), np.full(2, 2.0),
+    )
+    assert sp.solve_lp(lp).value == pytest.approx(1.5)
+    res = sp.solve_milp(MixedIntegerProgram(lp, np.ones(2, dtype=bool)))
+    assert res.value == pytest.approx(2.0)
+    assert res.root_lp == pytest.approx(1.5)
 
 
 def test_backends_agree_on_milp():
@@ -65,12 +174,24 @@ def test_backends_agree_on_milp():
             assert r2.value == pytest.approx(best, abs=1e-6)
 
 
+def test_milp_integer_entries_exact_on_both_backends():
+    # a mixed program: the reference kernel's incumbent is an LP point there
+    rng = np.random.default_rng(61)
+    for _ in range(40):
+        mip = random_binary_milp(rng)
+        mixed = MixedIntegerProgram(mip.lp, rng.random(mip.n) < 0.6)
+        for backend in (ReferenceKernel(), ScipyBackend()):
+            res = backend.solve_milp(mixed)
+            if res.status == OPTIMAL:
+                ints = res.x[mixed.integer]
+                np.testing.assert_array_equal(ints, np.round(ints))
+
+
 def test_highs_status_4_reported_as_error(monkeypatch, tmp_path, capsys):
-    # scipy status 4: numerical trouble for linprog, "other" for milp
+    # scipy status 4: "other" for milp, which covers numerical trouble
     def gave_up(*args, **kwargs):
         return scipy.optimize.OptimizeResult(status=4, success=False, x=None, fun=None)
 
-    monkeypatch.setattr(scipy.optimize, "linprog", gave_up)
     monkeypatch.setattr(scipy.optimize, "milp", gave_up)
     sp = ScipyBackend()
     lp = LinearProgram(np.ones(2), np.ones((1, 2)), (GE,), np.ones(1), np.zeros(2), np.ones(2))

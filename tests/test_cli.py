@@ -220,6 +220,35 @@ def test_sweep_rejects_unknown_epsilon_rule(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"epsilon_rule": {"kind": "fixed"}}, "epsilon rule 'fixed' needs 'value'"),
+        ({"family": "spp", "params": {"h": 3, "r": 2}}, "unknown feedback 'interval' for family 'spp'"),
+        ({"preset": "sorting-delta", "feedback": "bandit"}, "unknown feedback 'bandit' for family 'sorting'"),
+    ],
+    ids=["missing-value", "spp-interval", "sorting-preset-bandit"],
+)
+def test_sweep_rejects_misread_config(tmp_path, capsys, override, message):
+    cfg = {
+        "family": "sorting",
+        "sweep": "delta",
+        "grid": [0.0],
+        "instances": 2,
+        "seed": 3,
+        "params": {"n": 6, "h": 2},
+        "epsilon_rule": {"kind": "fixed", "value": 1.0},
+    }
+    cfg.update(override)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["sweep", str(cfg_path), "-o", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid sweep config: ")
+    assert message in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_sweep_preset_config(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"preset": "sorting-delta", "seed": 1}))

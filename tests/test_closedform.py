@@ -7,7 +7,6 @@ from dro.closedform import (
     BanditHistory,
     DecisionGrouping,
     IntervalData,
-    OverlapViolation,
     bandit_history_from_instance,
     group_decisions,
     interval_data_from_instance,
@@ -119,9 +118,8 @@ class TestGrouping:
         np.testing.assert_array_equal(g.group_of, [0, 0, 1])
 
     def test_overlap_reported_with_component(self):
-        g = group_decisions([[1, 1, 0], [0, 1, 1]])
-        assert isinstance(g, OverlapViolation)
-        assert g.component == 1
+        with pytest.raises(OverlappingDecisions, match="component 1"):
+            group_decisions([[1, 1, 0], [0, 1, 1]])
 
     def test_identical_history_single_group(self):
         g = group_decisions([[1, 0, 1]] * 5)

@@ -7,6 +7,7 @@ import pytest
 
 from dro.closedform import IntervalData, solve_interval_detail
 from dro.datagen import BetaNominal, corrupt_interval
+from dro import harness
 from dro.errors import EmptyInput
 from dro.harness import (
     CSV_HEADER,
@@ -182,6 +183,40 @@ class TestRunSweep:
     def test_unknown_config_values_rejected(self, override):
         with pytest.raises(ValueError, match="unknown"):
             small_sorting_cfg(**override)
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"epsilon_rule": {"kind": "fixed"}}, "'fixed' needs 'value'"),
+            ({"epsilon_rule": {"kind": "sqrt"}}, "'sqrt' needs 'gamma'"),
+            ({"epsilon_rule": {"kind": "prop_h", "value": 1.0}}, "'prop_h' needs 'coef'"),
+            ({"epsilon_rule": {"kind": "prop_n1"}}, "'prop_n1' needs 'coef'"),
+            ({"epsilon_rule": {"kind": "fixed", "value": -1.0}}, "'value' >= 0, got -1.0"),
+            ({"epsilon_rule": {"kind": "sqrt", "gamma": "1"}}, "'gamma' >= 0, got '1'"),
+            ({"feedback": "bandit"}, "'bandit' for family 'sorting'; it runs interval"),
+            ({"family": "spp", "params": {"h": 3, "r": 2}}, "'interval' for family 'spp'"),
+            ({"family": "mcp", "feedback": "interval"}, "semibandit or bandit"),
+        ],
+        ids=[
+            "fixed", "sqrt", "prop_h", "prop_n1", "negative", "string",
+            "sorting-bandit", "spp-default", "mcp-interval",
+        ],
+    )
+    def test_misread_config_rejected(self, override, message):
+        with pytest.raises(ValueError, match=message):
+            small_sorting_cfg(**override)
+
+    def test_gamma_sweep_takes_gamma_from_cell(self):
+        cfg = small_sorting_cfg(sweep="gamma", grid=(1.0, 2.0), epsilon_rule={"kind": "sqrt"})
+        assert cfg.cell_epsilon(2.0, 4, 2) == pytest.approx(1.0)
+
+    def test_bug_in_runner_propagates(self, monkeypatch):
+        def broken(*args):
+            raise KeyError("n")
+
+        monkeypatch.setitem(harness._RUNNERS, "sorting", broken)
+        with pytest.raises(KeyError):
+            run_sweep(small_sorting_cfg())
 
     def test_failures_counted_not_fatal(self):
         cfg = small_sorting_cfg()
