@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .harness import SweepConfig, preset_sweep, records_to_csv, run_sweep
 from .errors import InvalidInstance
 from .model import load_instance, load_instance_meta, save_instance
 from .problems import CoverageSystem, LayeredGraph, gen_layered_spp, gen_mcp, gen_sorting
-from .reformulate import build_dro_milp, solve_dro_milp
+from .reformulate import build_dro_milp, relaxation_value, solve_dro_milp
 from .selfcheck import run_all
 from .solver import dump_program, get_backend
 
@@ -55,8 +56,6 @@ def _print_findings(err: InvalidInstance):
 def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     if args.epsilon is not None:
-        from dataclasses import replace
-
         inst = replace(inst, epsilon=args.epsilon)
     try:
         mip, _, _ = build_dro_milp(inst)
@@ -66,7 +65,8 @@ def _cmd_solve(args) -> int:
     if args.dump_milp:
         with open(args.dump_milp, "w") as fh:
             fh.write(dump_program(mip))
-    value, x, diag = solve_dro_milp(inst, mip, get_backend(args.backend))
+    backend = get_backend(args.backend)
+    value, x, diag = solve_dro_milp(inst, mip, backend)
     if value is None:
         print(f"solve failed: {diag.status}", file=sys.stderr)
         return 1
@@ -75,7 +75,7 @@ def _cmd_solve(args) -> int:
             "value": value,
             "x": [float(v) for v in x],
             "node_count": diag.node_count,
-            "root_lp": diag.root_lp,
+            "root_lp": relaxation_value(inst, mip, backend),
             "time_ms": diag.time_ms if args.timings else 0.0,
         },
         args.output,
@@ -181,8 +181,13 @@ def _cmd_sweep(args) -> int:
                 feedback=raw.get("feedback"),
             )
         else:
+            known = fields(SweepConfig)
+            unknown = sorted(set(raw) - {f.name for f in known})
+            required = (f.name for f in known if f.default is MISSING and f.default_factory is MISSING)
+            missing = [name for name in required if name not in raw]
+            if unknown or missing:
+                raise ValueError(f"unknown fields {unknown}, missing fields {missing}")
             raw["seed"] = _seed_override(int(raw["seed"]))
-            raw["grid"] = tuple(raw["grid"])
             cfg = SweepConfig(**raw)
     except ValueError as e:
         print(f"invalid sweep config: {e}", file=sys.stderr)

@@ -43,7 +43,7 @@ from .datagen import (
 from .errors import DegenerateDenominator, DimensionMismatch, DroError, EmptyInput
 from .model import Bandit, FeasibleSet
 from .problems import gen_layered_spp, gen_mcp, gen_sorting, sorting_cop, spp_cop
-from .reformulate import solve_dro
+from .reformulate import build_dro_milp, relaxation_value, solve_dro_milp
 from .solver import ScipyBackend
 
 
@@ -145,13 +145,13 @@ class SweepConfig:
         kind = self.epsilon_rule.get("kind")
         if kind not in _EPSILON_PARAM:
             raise ValueError(f"unknown epsilon rule {kind!r}")
-        # a gamma sweep takes the sqrt rule's gamma from the cell
+        # a gamma sweep takes the sqrt rule's gamma from each cell
         param = _EPSILON_PARAM[kind]
-        value = self.epsilon_rule.get(param)
-        if not (kind == "sqrt" and self.sweep == "gamma") and not (
-            isinstance(value, (int, float)) and value >= 0
-        ):
-            raise ValueError(f"epsilon rule {kind!r} needs {param!r} >= 0, got {value!r}")
+        gamma_cells = kind == "sqrt" and self.sweep == "gamma"
+        for value in self.grid if gamma_cells else (self.epsilon_rule.get(param),):
+            if not (isinstance(value, (int, float)) and value >= 0):
+                what = "grid cells" if gamma_cells else repr(param)
+                raise ValueError(f"epsilon rule {kind!r} needs {what} >= 0, got {value!r}")
         if self.k_max is None:
             self.k_max = max(self.cell_k(v) for v in self.grid)
 
@@ -211,13 +211,13 @@ def _interval_outcome(feasible, idata, epsilon, cop, sense, dist) -> InstanceOut
 def _bandit_outcome(skeleton, decisions, totals, epsilon, cop, dist, backend) -> InstanceOutcome:
     scenarios = [Bandit(decisions[k], float(totals[k])) for k in range(len(totals))]
     inst = skeleton.instance(scenarios, epsilon)
-    value, x, diag = solve_dro(inst, backend)
+    mip, _, _ = build_dro_milp(inst)
+    value, x, diag = solve_dro_milp(inst, mip, backend)
     if value is None:
         raise RuntimeError(f"robust solve failed: {diag.status}")
     rho = nominal_relative_loss(x, dist, skeleton.feasible, skeleton.sense, cop)
-    quality = None
-    if diag.root_lp is not None and abs(diag.root_lp) > 1e-12:
-        quality = value / diag.root_lp
+    root = relaxation_value(inst, mip, backend)
+    quality = value / root if root is not None and abs(root) > 1e-12 else None
     return InstanceOutcome(rho, diag.time_ms, quality, None)
 
 

@@ -236,8 +236,7 @@ def build_dro_milp(inst: ProblemInstance):
 @dataclass
 class SolveDiagnostics:
     node_count: int | None
-    root_lp: float | None
-    time_ms: float
+    time_ms: float  # the MILP solve alone
     status: str
 
 
@@ -258,10 +257,7 @@ def solve_dro_milp(inst: ProblemInstance, mip: MixedIntegerProgram, backend: Bac
     t0 = time.perf_counter()
     res = backend.solve_milp(mip)
     elapsed = (time.perf_counter() - t0) * 1000.0
-    root = res.root_lp
-    if inst.sense == "max":
-        root = None if root is None else -root
-    diags = SolveDiagnostics(res.node_count, root, elapsed, res.status)
+    diags = SolveDiagnostics(res.node_count, elapsed, res.status)
     if res.status != OPTIMAL:
         return None, None, diags
     x = res.x[: inst.n].copy()
@@ -269,6 +265,15 @@ def solve_dro_milp(inst: ProblemInstance, mip: MixedIntegerProgram, backend: Bac
         raise RuntimeError("extracted decision failed re-verification")
     value = res.value if inst.sense == "min" else -res.value
     return value, x, diags
+
+
+def relaxation_value(inst: ProblemInstance, mip: MixedIntegerProgram, backend: Backend):
+    """LP relaxation value of ``mip``, the instance's MILP from
+    :func:`build_dro_milp`, in the instance's own sense; ``None`` unless optimal."""
+    res = backend.solve_lp(mip.lp)
+    if not res.optimal:
+        return None
+    return res.value if inst.sense == "min" else -res.value
 
 
 def discrete_w1(p: DiscreteDistribution, q: DiscreteDistribution, backend=None) -> float:

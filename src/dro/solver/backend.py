@@ -23,8 +23,9 @@ from .milp import MixedIntegerProgram, solve_milp
 class Backend(Protocol):
     """On ``optimal``, both solves report the value in the program's own
     sense (``c0`` included) and a point ``x``; ``solve_milp`` also reports
-    ``node_count`` and ``root_lp`` and rounds the integer entries of ``x``.
-    Duals and pivot counts come from the reference kernel only."""
+    ``node_count`` and rounds the integer entries of ``x``.  Each call is one
+    solve, so the LP relaxation of a MILP is ``solve_lp(mip.lp)``.  Duals and
+    pivot counts come from the reference kernel only."""
 
     def solve_lp(self, lp: LinearProgram) -> SolveResult: ...
 
@@ -91,15 +92,8 @@ class ScipyBackend:
             return SolveResult(status)
         x = np.asarray(res.x)
         x[mip.integer] = np.round(x[mip.integer])
-        value = float(lp.c @ x) + lp.c0
-        relax = self.solve_lp(lp)
-        return SolveResult(
-            OPTIMAL,
-            value,
-            x,
-            node_count=int(getattr(res, "mip_node_count", 0) or 0),
-            root_lp=relax.value if relax.optimal else None,
-        )
+        nodes = int(getattr(res, "mip_node_count", 0) or 0)
+        return SolveResult(OPTIMAL, float(lp.c @ x) + lp.c0, x, node_count=nodes)
 
 
 _BACKENDS = {"reference": ReferenceKernel, "scipy": ScipyBackend}

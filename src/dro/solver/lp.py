@@ -109,7 +109,8 @@ class LinearProgram:
 
 @dataclass
 class SolveResult:
-    """Outcome of one LP or MILP solve.
+    """Outcome of one LP or MILP solve, and of that solve alone: a MILP result
+    carries no LP relaxation value.
 
     For an optimal MILP solve, the integer entries of ``x`` are exact
     integers: every backend rounds them once, so callers need not.
@@ -122,7 +123,6 @@ class SolveResult:
     dual_objective: float | None = None
     pivots: int = 0
     node_count: int | None = None
-    root_lp: float | None = None
 
     @property
     def optimal(self) -> bool:

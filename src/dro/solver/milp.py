@@ -82,8 +82,8 @@ def _fix_and_polish(mip: MixedIntegerProgram, x_lp, lower, upper, max_pivots):
 def solve_milp(mip: MixedIntegerProgram, max_pivots=None, max_nodes=200000) -> SolveResult:
     """Solve a MILP by branch & bound over the reference LP kernel.
 
-    The result records the number of explored nodes and the root-relaxation
-    objective.  Integer variables must carry finite upper bounds.
+    The result records the number of explored nodes and simplex pivots.
+    Integer variables must carry finite upper bounds.
     """
     mip.check_integer_bounds()
     base = mip.lp
@@ -91,7 +91,6 @@ def solve_milp(mip: MixedIntegerProgram, max_pivots=None, max_nodes=200000) -> S
     root = solve_lp(base, max_pivots=max_pivots)
     if root.status in (INFEASIBLE, UNBOUNDED, ITERLIMIT):
         return SolveResult(root.status, node_count=1, pivots=root.pivots)
-    root_lp = root.value
 
     incumbent_val = np.inf  # minimization scale (flip applied)
     incumbent_x = None
@@ -146,12 +145,7 @@ def solve_milp(mip: MixedIntegerProgram, max_pivots=None, max_nodes=200000) -> S
                 heapq.heappush(heap, (flip * res.value, seq, lo, hi, res.x))
 
     if incumbent_x is None:
-        return SolveResult(INFEASIBLE, node_count=nodes, pivots=pivots, root_lp=root_lp)
+        return SolveResult(INFEASIBLE, node_count=nodes, pivots=pivots)
     return SolveResult(
-        OPTIMAL,
-        flip * incumbent_val,
-        incumbent_x,
-        node_count=nodes,
-        pivots=pivots,
-        root_lp=root_lp,
+        OPTIMAL, flip * incumbent_val, incumbent_x, node_count=nodes, pivots=pivots
     )

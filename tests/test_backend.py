@@ -5,6 +5,7 @@ import pytest
 import scipy.optimize
 
 from dro.cli import main
+from dro.closedform import milp_cop
 from dro.datagen import BetaNominal, cucb_collect, observe_bandit
 from dro.model import Exact, save_instance
 from dro.problems import gen_layered_spp, gen_sorting
@@ -129,7 +130,8 @@ def test_lp_through_milp_matches_linprog():
 
 
 def test_dual_milp_relaxation_bits_match_linprog():
-    # root_lp, and so the sweep's mean_lp_quality, is this relaxation value
+    # reformulate.relaxation_value solves this relaxation for `dro solve`'s
+    # root_lp and the sweep's mean_lp_quality
     sp = ScipyBackend()
     skeleton, graph = gen_layered_spp(5, 3)
     for seed in (0, 1):
@@ -154,10 +156,9 @@ def test_highs_runs_without_linprog(monkeypatch):
         np.array([1.0, 2.0]), np.array([[1.0, 1.0]]), (GE,), np.array([1.5]),
         np.zeros(2), np.full(2, 2.0),
     )
-    assert sp.solve_lp(lp).value == pytest.approx(1.5)
-    res = sp.solve_milp(MixedIntegerProgram(lp, np.ones(2, dtype=bool)))
-    assert res.value == pytest.approx(2.0)
-    assert res.root_lp == pytest.approx(1.5)
+    mip = MixedIntegerProgram(lp, np.ones(2, dtype=bool))
+    assert sp.solve_milp(mip).value == pytest.approx(2.0)
+    assert sp.solve_lp(mip.lp).value == pytest.approx(1.5)
 
 
 def test_backends_agree_on_milp():
@@ -169,9 +170,32 @@ def test_backends_agree_on_milp():
         assert r1.status == r2.status
         if r1.status == OPTIMAL:
             assert r1.value == pytest.approx(r2.value, abs=1e-6)
-            assert r2.root_lp == pytest.approx(r1.root_lp, abs=1e-6)
+            relax = ref.solve_lp(mip.lp).value
+            assert sp.solve_lp(mip.lp).value == pytest.approx(relax, abs=1e-6)
             best = brute_force_milp(mip)
             assert r2.value == pytest.approx(best, abs=1e-6)
+
+
+def test_one_highs_call_per_milp(monkeypatch):
+    calls = []
+    original = scipy.optimize.milp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", counted)
+    sp = ScipyBackend()
+    rng = np.random.default_rng(62)
+    for _ in range(10):
+        calls.clear()
+        sp.solve_milp(random_binary_milp(rng))
+        assert len(calls) == 1
+    cop = milp_cop(gen_sorting(5, 2).feasible, sp)
+    for sense in ("min", "max"):
+        calls.clear()
+        cop(rng.random(5), sense)
+        assert len(calls) == 1
 
 
 def test_milp_integer_entries_exact_on_both_backends():

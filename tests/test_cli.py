@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dro.cli import main
+from dro.datagen import BetaNominal, cucb_collect_mcp, observe_bandit
 from dro.model import (
     Bandit,
     Exact,
@@ -16,7 +17,9 @@ from dro.model import (
     load_instance,
     save_instance,
 )
-from dro.problems import gen_sorting
+from dro.problems import gen_mcp, gen_sorting
+from dro.reformulate import build_dro_milp
+from test_solver_milp import lp_relaxation_value
 
 
 @pytest.fixture()
@@ -42,6 +45,19 @@ def bandit_instance(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def mcp_bandit_instance(tmp_path):
+    # max sense: the MILP minimizes the negated robust value
+    sk, system = gen_mcp(6, 4, 3, 2, 7)
+    rng = np.random.default_rng(7)
+    run = cucb_collect_mcp(system, BetaNominal.random(6, 0.125, rng), 3, rng)
+    pad = np.zeros((3, 4))
+    scen = observe_bandit(np.hstack([run.samples, pad]), np.hstack([run.decisions, pad]))
+    path = tmp_path / "mcp_bandit.json"
+    save_instance(path, sk.instance(scen, 0.4))
+    return str(path)
+
+
 def test_solve_writes_deterministic_json(interval_instance, tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -51,6 +67,22 @@ def test_solve_writes_deterministic_json(interval_instance, tmp_path):
     payload = json.loads(out1.read_text())
     assert set(payload) == {"value", "x", "node_count", "root_lp", "time_ms"}
     assert payload["time_ms"] == 0.0
+
+
+@pytest.mark.parametrize("backend", ["reference", "scipy"])
+def test_solve_reports_root_lp_in_instance_sense(bandit_instance, mcp_bandit_instance, tmp_path, backend):
+    for path in (bandit_instance, mcp_bandit_instance):
+        inst = load_instance(path)
+        relax = lp_relaxation_value(build_dro_milp(inst)[0])
+        out = tmp_path / "o.json"
+        assert main(["solve", path, "--backend", backend, "-o", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        if inst.sense == "min":
+            assert payload["root_lp"] == pytest.approx(relax, abs=1e-9)
+            assert payload["root_lp"] <= payload["value"] + 1e-9
+        else:
+            assert payload["root_lp"] == pytest.approx(-relax, abs=1e-9)
+            assert payload["root_lp"] >= payload["value"] - 1e-9
 
 
 def test_solve_epsilon_override_and_dump(interval_instance, tmp_path, model_calls):
@@ -226,8 +258,17 @@ def test_sweep_rejects_unknown_epsilon_rule(tmp_path, capsys):
         ({"epsilon_rule": {"kind": "fixed"}}, "epsilon rule 'fixed' needs 'value'"),
         ({"family": "spp", "params": {"h": 3, "r": 2}}, "unknown feedback 'interval' for family 'spp'"),
         ({"preset": "sorting-delta", "feedback": "bandit"}, "unknown feedback 'bandit' for family 'sorting'"),
+        (
+            {"sweep": "gamma", "grid": [-1.0], "epsilon_rule": {"kind": "sqrt"}},
+            "epsilon rule 'sqrt' needs grid cells >= 0, got -1.0",
+        ),
+        ({"instance": 1}, "unknown fields ['instance']"),
+        ({"seed": None}, "missing fields ['seed']"),
     ],
-    ids=["missing-value", "spp-interval", "sorting-preset-bandit"],
+    ids=[
+        "missing-value", "spp-interval", "sorting-preset-bandit",
+        "negative-gamma-grid", "unknown-field", "missing-seed",
+    ],
 )
 def test_sweep_rejects_misread_config(tmp_path, capsys, override, message):
     cfg = {
@@ -240,6 +281,7 @@ def test_sweep_rejects_misread_config(tmp_path, capsys, override, message):
         "epsilon_rule": {"kind": "fixed", "value": 1.0},
     }
     cfg.update(override)
+    cfg = {k: v for k, v in cfg.items() if v is not None}  # None drops a field
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["sweep", str(cfg_path), "-o", str(tmp_path / "out.csv")]) == 1
@@ -253,7 +295,6 @@ def test_sweep_preset_config(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"preset": "sorting-delta", "seed": 1}))
     out = tmp_path / "out.csv"
-    # shrink via DRO_SEED no; presets are fixed, so just run the real desk one?
     # the desk preset is 5 cells x 30 instances of cheap selection solves
     assert main(["sweep", str(cfg_path), "-o", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 6

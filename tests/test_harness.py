@@ -196,10 +196,14 @@ class TestRunSweep:
             ({"feedback": "bandit"}, "'bandit' for family 'sorting'; it runs interval"),
             ({"family": "spp", "params": {"h": 3, "r": 2}}, "'interval' for family 'spp'"),
             ({"family": "mcp", "feedback": "interval"}, "semibandit or bandit"),
+            (
+                {"sweep": "gamma", "grid": (-1.0,), "epsilon_rule": {"kind": "sqrt"}},
+                "'sqrt' needs grid cells >= 0, got -1.0",
+            ),
         ],
         ids=[
             "fixed", "sqrt", "prop_h", "prop_n1", "negative", "string",
-            "sorting-bandit", "spp-default", "mcp-interval",
+            "sorting-bandit", "spp-default", "mcp-interval", "negative-gamma-grid",
         ],
     )
     def test_misread_config_rejected(self, override, message):
