@@ -24,7 +24,7 @@ from .closedform import (
     solve_disjoint_bandit,
     solve_interval,
 )
-from .datagen import BetaNominal, cucb_collect, cucb_collect_mcp, observe_bandit, observe_semibandit
+from .datagen import BetaNominal, cucb_collect, cucb_collect_mcp, observe
 from .harness import SweepConfig, preset_sweep, records_to_csv, run_sweep
 from .errors import InvalidInstance
 from .model import load_instance, load_instance_meta, save_instance
@@ -135,6 +135,8 @@ def _cmd_collect(args) -> int:
     seed = _seed_override(args.seed)
     ss = np.random.SeedSequence([seed])
     rng_means, rng_run = [np.random.default_rng(s) for s in ss.spawn(2)]
+    n = inst.feasible.n
+    misfit = "structure does not fit the instance: {}, but the instance has dimension {}"
     if args.family == "spp":
         h = args.cardinality or meta.get("h")
         r = args.r or meta.get("r")
@@ -142,26 +144,23 @@ def _cmd_collect(args) -> int:
             print("graph shape unknown: pass --h and -r or generate with `dro gen spp`", file=sys.stderr)
             return 1
         graph = LayeredGraph(int(h), int(r))
+        if graph.num_arcs != n:
+            print(misfit.format(f"a ({h}, {r}) graph has {graph.num_arcs} arcs", n), file=sys.stderr)
+            return 1
         dist = BetaNominal.random(graph.num_arcs, args.sigma, rng_means)
         run = cucb_collect(graph, dist, args.k, rng_run)
-        decisions, samples = run.decisions, run.samples
     else:
         subsets = meta.get("subsets")
         if not subsets:
             print("subset system unknown: generate the instance with `dro gen mcp`", file=sys.stderr)
             return 1
-        n1 = int(meta["n1"])
-        n2 = int(meta["n2"])
-        system = CoverageSystem(n1, tuple(tuple(s) for s in subsets), int(meta["budget"]))
-        dist = BetaNominal.random(n1, args.sigma, rng_means)
+        system = CoverageSystem(int(meta["n1"]), tuple(tuple(s) for s in subsets), int(meta["budget"]))
+        if system.n_items + system.n_subsets != n:
+            print(misfit.format(f"{system.n_items} items plus {system.n_subsets} subsets", n), file=sys.stderr)
+            return 1
+        dist = BetaNominal.random(system.n_items, args.sigma, rng_means)
         run = cucb_collect_mcp(system, dist, args.k, rng_run)
-        pad = np.zeros((args.k, n2))
-        decisions = np.hstack([run.decisions, pad])
-        samples = np.hstack([run.samples, pad])
-    if args.feedback == "semibandit":
-        new = observe_semibandit(samples, decisions)
-    else:
-        new = observe_bandit(samples, decisions)
+    new = observe(args.feedback, run.samples, run.decisions, n)
     inst = type(inst)(
         inst.feasible, inst.loss, inst.support, inst.scenarios + tuple(new), inst.epsilon, inst.sense
     )
@@ -174,6 +173,9 @@ def _cmd_sweep(args) -> int:
         raw = json.load(fh)
     try:
         if "preset" in raw:
+            unknown = sorted(set(raw) - {"preset", "seed", "paper_scale", "feedback"})
+            if unknown:
+                raise ValueError(f"unknown fields {unknown}")
             cfg = preset_sweep(
                 raw["preset"],
                 seed=_seed_override(int(raw.get("seed", 0))),

@@ -141,12 +141,26 @@ def observe_semibandit(data, decisions):
 
 
 def observe_bandit(data, decisions):
-    """Scenario k records only decision k's total cost."""
-    data = np.atleast_2d(np.asarray(data, dtype=float))
+    """Scenario k records only decision k's total cost: the index-order sum
+    of the values :func:`observe_semibandit` records for sample k."""
+    semi = observe_semibandit(data, decisions)
     decisions = np.atleast_2d(np.asarray(decisions, dtype=float))
-    if data.shape != decisions.shape:
-        raise DimensionMismatch("data and decisions must align")
-    return [Bandit(x, float(c @ x)) for c, x in zip(data, decisions)]
+    return [Bandit(x, float(sum(v for _, v in s.observed))) for x, s in zip(decisions, semi)]
+
+
+_OBSERVERS = {"semibandit": observe_semibandit, "bandit": observe_bandit}
+
+
+def observe(feedback: str, samples, decisions, n: int):
+    """Scenarios of a collector history under ``feedback`` (``semibandit`` or
+    ``bandit``), zero-padded up to the instance dimension ``n`` (the
+    selection block of a coverage instance)."""
+    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    decisions = np.atleast_2d(np.asarray(decisions, dtype=float))
+    if samples.shape[1] > n:
+        raise DimensionMismatch(f"history has {samples.shape[1]} components, the instance {n}")
+    pad = np.zeros((samples.shape[0], n - samples.shape[1]))
+    return _OBSERVERS[feedback](np.hstack([samples, pad]), np.hstack([decisions, pad]))
 
 
 @dataclass(eq=False)
@@ -160,23 +174,20 @@ class CucbState:
     def fresh(cls, n: int) -> "CucbState":
         return cls(np.zeros(n, dtype=int), np.zeros(n))
 
-    def optimistic_costs(self, step: int) -> np.ndarray:
-        """Mean minus the exploration bonus, clipped at zero.
-
-        Unobserved components get an infinite bonus, hence adjusted cost 0
-        (this also covers step 1, where the bonus is 0/0).
-        """
+    def _bonus(self, step: int) -> np.ndarray:
+        """Exploration bonus sqrt(3 ln(step) / (2 count)); infinite for
+        unobserved components (this also covers step 1, where it is 0/0)."""
         with np.errstate(divide="ignore", invalid="ignore"):
             bonus = np.sqrt(3.0 * np.log(step) / (2.0 * self.counts))
-        bonus = np.where(self.counts > 0, bonus, np.inf)
-        return np.maximum(self.means - bonus, 0.0)
+        return np.where(self.counts > 0, bonus, np.inf)
+
+    def optimistic_costs(self, step: int) -> np.ndarray:
+        """Mean minus the exploration bonus, clipped at zero (minimization)."""
+        return np.maximum(self.means - self._bonus(step), 0.0)
 
     def pessimistic_values(self, step: int) -> np.ndarray:
         """Mean plus the exploration bonus, clipped at one (maximization)."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bonus = np.sqrt(3.0 * np.log(step) / (2.0 * self.counts))
-        bonus = np.where(self.counts > 0, bonus, np.inf)
-        return np.minimum(self.means + bonus, 1.0)
+        return np.minimum(self.means + self._bonus(step), 1.0)
 
     def update(self, mask, values):
         idx = np.flatnonzero(mask > 0.5)
@@ -187,62 +198,55 @@ class CucbState:
 
 @dataclass(eq=False)
 class CollectorRun:
-    """Decisions, per-step observations, and the hidden samples behind them."""
+    """Decisions and the hidden samples behind them, one row per step;
+    :func:`observe` turns them into scenarios."""
 
     decisions: np.ndarray  # (K, n) binary
-    observations: list  # per step: tuple of (index, value)
     samples: np.ndarray  # (K, n) hidden full samples
     selections: list | None = None  # coverage runs: chosen subset indices
 
-    @property
-    def totals(self) -> np.ndarray:
-        return np.einsum("kn,kn->k", self.samples, self.decisions)
+
+def _collect(n: int, dist: BetaNominal, num_k: int, seed_or_rng, choose):
+    """The CUCB loop: per step k (1-based), ``choose(state, k)`` picks the
+    decision, then one nominal sample is drawn (the only RNG consumption) and
+    the decision's components are folded into the running means."""
+    rng = _rng(seed_or_rng)
+    state = CucbState.fresh(n)
+    decisions = np.zeros((num_k, n))
+    samples = np.zeros((num_k, n))
+    for k in range(num_k):
+        decisions[k] = choose(state, k + 1)
+        samples[k] = sample_nominal(dist, 1, rng)[0]
+        state.update(decisions[k], samples[k])
+    return decisions, samples
 
 
 def cucb_collect(graph: LayeredGraph, dist: BetaNominal, num_k: int, seed_or_rng) -> CollectorRun:
-    """Adaptive path history: route optimistically, then observe the arcs used.
-
-    Per step: choose the shortest path under the optimistic adjusted costs,
-    draw one fresh nominal sample (the only RNG consumption, after the path
-    choice), and fold the traversed arcs into the running means.
-    """
+    """Adaptive path history: per step, route along the shortest path under
+    the optimistic adjusted costs, then observe the arcs used."""
     if dist.n != graph.num_arcs:
         raise DimensionMismatch("nominal dimension must equal the arc count")
-    rng = _rng(seed_or_rng)
-    state = CucbState.fresh(graph.num_arcs)
-    decisions = np.zeros((num_k, graph.num_arcs))
-    samples = np.zeros((num_k, graph.num_arcs))
-    observations = []
-    for k in range(num_k):
-        _, path = shortest_path_dp(graph, state.optimistic_costs(k + 1))
-        sample = sample_nominal(dist, 1, rng)[0]
-        decisions[k] = path
-        samples[k] = sample
-        idx = np.flatnonzero(path > 0.5)
-        observations.append(tuple((int(a), float(sample[a])) for a in idx))
-        state.update(path, sample)
-    return CollectorRun(decisions, observations, samples)
+    return CollectorRun(*_collect(
+        graph.num_arcs, dist, num_k, seed_or_rng,
+        lambda state, step: shortest_path_dp(graph, state.optimistic_costs(step))[1],
+    ))
 
 
 def cucb_collect_mcp(system: CoverageSystem, dist: BetaNominal, num_k: int, seed_or_rng) -> CollectorRun:
     """Adaptive coverage history via greedy optimistic subset selection.
 
     Per step: greedily pick ``budget`` subsets maximizing the marginal sum of
-    the optimistic item values (ties to the lowest subset index), observe the
-    covered items of one fresh sample, update.  Decisions and samples live on
-    the item block only.
+    the optimistic item values (ties to the lowest subset index), then
+    observe the covered items.  Decisions and samples live on the item block
+    only; ``selections`` records the chosen subsets of each step.
     """
     if dist.n != system.n_items:
         raise DimensionMismatch("nominal dimension must equal the item count")
-    rng = _rng(seed_or_rng)
-    state = CucbState.fresh(system.n_items)
-    decisions = np.zeros((num_k, system.n_items))
-    samples = np.zeros((num_k, system.n_items))
-    observations = []
-    selections = []
     members = [np.array(s, dtype=int) for s in system.subsets]
-    for k in range(num_k):
-        values = state.pessimistic_values(k + 1)
+    selections = []
+
+    def choose(state, step):
+        values = state.pessimistic_values(step)
         covered = np.zeros(system.n_items, dtype=bool)
         chosen = []
         for _ in range(min(system.budget, system.n_subsets)):
@@ -255,12 +259,7 @@ def cucb_collect_mcp(system: CoverageSystem, dist: BetaNominal, num_k: int, seed
             best = int(np.argmax(gains))
             chosen.append(best)
             covered[members[best]] = True
-        sample = sample_nominal(dist, 1, rng)[0]
-        x = covered.astype(float)
-        decisions[k] = x
-        samples[k] = sample
-        idx = np.flatnonzero(covered)
-        observations.append(tuple((int(a), float(sample[a])) for a in idx))
         selections.append(tuple(chosen))
-        state.update(x, sample)
-    return CollectorRun(decisions, observations, samples, selections)
+        return covered.astype(float)
+
+    return CollectorRun(*_collect(system.n_items, dist, num_k, seed_or_rng, choose), selections)

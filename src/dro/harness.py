@@ -37,11 +37,11 @@ from .datagen import (
     cucb_collect,
     cucb_collect_mcp,
     growing_delta,
-    observe_semibandit,
+    observe,
     sample_nominal,
 )
 from .errors import DegenerateDenominator, DimensionMismatch, DroError, EmptyInput
-from .model import Bandit, FeasibleSet
+from .model import FeasibleSet
 from .problems import gen_layered_spp, gen_mcp, gen_sorting, sorting_cop, spp_cop
 from .reformulate import build_dro_milp, relaxation_value, solve_dro_milp
 from .solver import ScipyBackend
@@ -107,7 +107,9 @@ class SweepConfig:
     ``{"kind": "prop_h", "coef": c}`` (radius c*h), or
     ``{"kind": "prop_n1", "coef": c}`` (radius c*n1).  ``feedback`` must be
     one the family runs: ``interval`` for sorting, ``semibandit`` or
-    ``bandit`` for spp and mcp.
+    ``bandit`` for spp and mcp.  K grid cells and ``k_samples`` are at least
+    1.  ``k_max`` is the largest K of the grid: the history length a K sweep
+    collects and reads every cell off, and the growing schedule's divisor.
     """
 
     family: str  # sorting | spp | mcp
@@ -119,7 +121,6 @@ class SweepConfig:
     epsilon_rule: dict
     feedback: str = "interval"  # interval | semibandit | bandit
     k_samples: int = 10
-    k_max: int | None = None
     delta: float = 0.0
     delta_schedule: str = "const"  # const | growing
     sigma: float = 0.125
@@ -152,8 +153,14 @@ class SweepConfig:
             if not (isinstance(value, (int, float)) and value >= 0):
                 what = "grid cells" if gamma_cells else repr(param)
                 raise ValueError(f"epsilon rule {kind!r} needs {what} >= 0, got {value!r}")
-        if self.k_max is None:
-            self.k_max = max(self.cell_k(v) for v in self.grid)
+        if int(self.k_samples) < 1:
+            raise ValueError(f"k_samples must be >= 1, got {self.k_samples!r}")
+        if self.sweep == "K" and min(self.cell_k(v) for v in self.grid) < 1:
+            raise ValueError(f"K grid cells must be >= 1, got {list(self.grid)}")
+
+    @property
+    def k_max(self) -> int:
+        return max(self.cell_k(v) for v in self.grid)
 
     def cell_k(self, cell) -> int:
         return int(cell) if self.sweep == "K" else int(self.k_samples)
@@ -208,14 +215,19 @@ def _interval_outcome(feasible, idata, epsilon, cop, sense, dist) -> InstanceOut
     return InstanceOutcome(rho, dt, None, detail.winner == "saa")
 
 
-def _bandit_outcome(skeleton, decisions, totals, epsilon, cop, dist, backend) -> InstanceOutcome:
-    scenarios = [Bandit(decisions[k], float(totals[k])) for k in range(len(totals))]
-    inst = skeleton.instance(scenarios, epsilon)
+def _history_outcome(cfg: SweepConfig, skeleton, run, num_k, epsilon, cop, dist, backend) -> InstanceOutcome:
+    """Observe the history's first ``num_k`` steps with the sweep's feedback,
+    then solve: thm2 on semi-bandit boxes, the dual MILP on bandit totals."""
+    scen = observe(cfg.feedback, run.samples[:num_k], run.decisions[:num_k], skeleton.feasible.n)
+    inst = skeleton.instance(scen, epsilon)
+    if cfg.feedback == "semibandit":
+        idata = interval_data_from_instance(inst)
+        return _interval_outcome(inst.feasible, idata, epsilon, cop, inst.sense, dist)
     mip, _, _ = build_dro_milp(inst)
     value, x, diag = solve_dro_milp(inst, mip, backend)
     if value is None:
         raise RuntimeError(f"robust solve failed: {diag.status}")
-    rho = nominal_relative_loss(x, dist, skeleton.feasible, skeleton.sense, cop)
+    rho = nominal_relative_loss(x, dist, inst.feasible, inst.sense, cop)
     root = relaxation_value(inst, mip, backend)
     quality = value / root if root is not None and abs(root) > 1e-12 else None
     return InstanceOutcome(rho, diag.time_ms, quality, None)
@@ -226,7 +238,7 @@ def _run_sorting_instance(cfg: SweepConfig, cell, ss, backend) -> InstanceOutcom
     n = int(cfg.params["n"])
     h = int(cell) if cfg.sweep == "h" else int(cfg.params["h"])
     num_k = cfg.cell_k(cell)
-    k_total = max(cfg.cell_k(v) for v in cfg.grid) if cfg.sweep == "K" else num_k
+    k_total = cfg.k_max
     dist = BetaNominal.random(n, cfg.sigma, rng_means)
     p = rng_data.uniform(size=n)  # per-component corruption probability
     samples = sample_nominal(dist, k_total, rng_data)
@@ -250,19 +262,11 @@ def _run_spp_instance(cfg: SweepConfig, cell, ss, backend) -> InstanceOutcome:
     h = int(cell) if cfg.sweep == "h" else int(cfg.params["h"])
     r = int(cfg.params["r"])
     skeleton, graph = gen_layered_spp(h, r)
-    n = graph.num_arcs
     num_k = cfg.cell_k(cell)
-    k_total = max(cfg.cell_k(v) for v in cfg.grid) if cfg.sweep == "K" else num_k
-    dist = BetaNominal.random(n, cfg.sigma, rng_means)
-    run = cucb_collect(graph, dist, k_total, rng_data)
+    dist = BetaNominal.random(graph.num_arcs, cfg.sigma, rng_means)
+    run = cucb_collect(graph, dist, cfg.k_max, rng_data)
     eps = cfg.cell_epsilon(cell, num_k, h)
-    cop = spp_cop(graph)
-    if cfg.feedback == "semibandit":
-        scen = observe_semibandit(run.samples[:num_k], run.decisions[:num_k])
-        idata = interval_data_from_instance(skeleton.instance(scen, eps))
-        return _interval_outcome(skeleton.feasible, idata, eps, cop, "min", dist)
-    totals = [sum(v for _, v in run.observations[k]) for k in range(num_k)]
-    return _bandit_outcome(skeleton, run.decisions[:num_k], totals, eps, cop, dist, backend)
+    return _history_outcome(cfg, skeleton, run, num_k, eps, spp_cop(graph), dist, backend)
 
 
 def _run_mcp_instance(cfg: SweepConfig, cell, ss, backend) -> InstanceOutcome:
@@ -273,20 +277,11 @@ def _run_mcp_instance(cfg: SweepConfig, cell, ss, backend) -> InstanceOutcome:
     budget = int(cfg.params["budget"])
     skeleton, system = gen_mcp(n1, n2, subset_size, budget, rng_struct)
     num_k = cfg.cell_k(cell)
-    k_total = max(cfg.cell_k(v) for v in cfg.grid) if cfg.sweep == "K" else num_k
     dist = BetaNominal.random(n1, cfg.sigma, rng_means)
-    run = cucb_collect_mcp(system, dist, k_total, rng_data)
+    run = cucb_collect_mcp(system, dist, cfg.k_max, rng_data)
     eps = cfg.cell_epsilon(cell, num_k, budget, n1=n1)
     cop = milp_cop(skeleton.feasible, backend)
-    # samples and decisions live on the item block; the selection block is zero
-    pad = np.zeros((num_k, n2))
-    decisions = np.hstack([run.decisions[:num_k], pad])
-    if cfg.feedback == "semibandit":
-        scen = observe_semibandit(np.hstack([run.samples[:num_k], pad]), decisions)
-        idata = interval_data_from_instance(skeleton.instance(scen, eps))
-        return _interval_outcome(skeleton.feasible, idata, eps, cop, "max", dist)
-    totals = [sum(v for _, v in run.observations[k]) for k in range(num_k)]
-    return _bandit_outcome(skeleton, decisions, totals, eps, cop, dist, backend)
+    return _history_outcome(cfg, skeleton, run, num_k, eps, cop, dist, backend)
 
 
 _RUNNERS = {
@@ -444,7 +439,7 @@ def preset_sweep(name: str, seed: int = 0, paper_scale: bool = False, feedback: 
             "sorting", "K", p["grid"], p["M"], seed,
             {"n": p["n"], "h": p["h"]},
             {"kind": "sqrt", "gamma": math.sqrt(k_max)},
-            feedback=feedback or "interval", k_max=k_max, delta_schedule="growing",
+            feedback=feedback or "interval", delta_schedule="growing",
         )
     if name == "spp-k":
         k_max = max(p["grid"])
@@ -454,7 +449,7 @@ def preset_sweep(name: str, seed: int = 0, paper_scale: bool = False, feedback: 
             "spp", "K", p["grid"], p["M"], seed,
             {"h": p["h"], "r": p["r"]},
             {"kind": "sqrt", "gamma": math.sqrt(k_max) * p["h"] / 11.0},
-            feedback=feedback or "semibandit", k_max=k_max,
+            feedback=feedback or "semibandit",
         )
     if name == "mcp-k":
         k_max = max(p["grid"])
@@ -462,7 +457,7 @@ def preset_sweep(name: str, seed: int = 0, paper_scale: bool = False, feedback: 
             "mcp", "K", p["grid"], p["M"], seed,
             {"n1": p["n1"], "n2": p["n2"], "subset_size": p["subset_size"], "budget": p["budget"]},
             {"kind": "sqrt", "gamma": math.sqrt(k_max)},
-            feedback=feedback or "semibandit", k_max=k_max,
+            feedback=feedback or "semibandit",
         )
     if name == "spp-h":
         return SweepConfig(

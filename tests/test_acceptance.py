@@ -161,7 +161,7 @@ def test_09_feedback_quality_ordering():
     for feedback in ("semibandit", "bandit"):
         cfg = SweepConfig(
             "spp", "K", (5, 10, 15, 20, 25), 30, 1009, {"h": 5, "r": 3},
-            {"kind": "sqrt", "gamma": gamma}, feedback=feedback, k_max=k_max,
+            {"kind": "sqrt", "gamma": gamma}, feedback=feedback,
         )
         curves[feedback] = [r.mean_rho for r in run_sweep(cfg, backend=ScipyBackend())]
     elapsed = time.time() - t0

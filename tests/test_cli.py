@@ -204,6 +204,28 @@ def test_collect_bandit_round(tmp_path):
     assert all(isinstance(s, Bandit) for s in loaded.scenarios)
 
 
+def test_collect_rejects_structure_of_wrong_size(tmp_path, capsys):
+    spp = tmp_path / "spp.json"
+    assert main(["gen", "spp", "--h", "3", "-r", "2", "-o", str(spp)]) == 0
+    mcp = tmp_path / "mcp.json"
+    assert main([
+        "gen", "mcp", "--n1", "6", "--n2", "4", "--subset-size", "2", "--budget", "2",
+        "--seed", "3", "-o", str(mcp),
+    ]) == 0
+    raw = json.loads(mcp.read_text())
+    raw["meta"]["subsets"] = raw["meta"]["subsets"][:3]  # one subset short
+    mcp.write_text(json.dumps(raw))
+    for family, path, extra, message in (
+        ("spp", spp, ["--h", "4", "-r", "3"], "a (4, 3) graph has 24 arcs, but the instance has dimension 8"),
+        ("mcp", mcp, [], "6 items plus 3 subsets, but the instance has dimension 10"),
+    ):
+        before = path.read_bytes()
+        args = ["collect", family, str(path), "--k", "3", "--feedback", "bandit", *extra]
+        assert main(args) == 1
+        assert message in capsys.readouterr().err
+        assert path.read_bytes() == before
+
+
 def test_collect_determinism(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -252,22 +274,34 @@ def test_sweep_rejects_unknown_epsilon_rule(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+# drops every key of the full config but the seed, leaving a preset config
+_FULL_ONLY = dict.fromkeys(("family", "sweep", "grid", "instances", "params", "epsilon_rule"))
+
+
 @pytest.mark.parametrize(
     "override, message",
     [
         ({"epsilon_rule": {"kind": "fixed"}}, "epsilon rule 'fixed' needs 'value'"),
         ({"family": "spp", "params": {"h": 3, "r": 2}}, "unknown feedback 'interval' for family 'spp'"),
-        ({"preset": "sorting-delta", "feedback": "bandit"}, "unknown feedback 'bandit' for family 'sorting'"),
+        (
+            {**_FULL_ONLY, "preset": "sorting-delta", "feedback": "bandit"},
+            "unknown feedback 'bandit' for family 'sorting'",
+        ),
         (
             {"sweep": "gamma", "grid": [-1.0], "epsilon_rule": {"kind": "sqrt"}},
             "epsilon rule 'sqrt' needs grid cells >= 0, got -1.0",
         ),
         ({"instance": 1}, "unknown fields ['instance']"),
         ({"seed": None}, "missing fields ['seed']"),
+        ({**_FULL_ONLY, "preset": "spp-k", "feedbak": "bandit"}, "unknown fields ['feedbak']"),
+        ({"sweep": "K", "grid": [0, 5]}, "K grid cells must be >= 1, got [0, 5]"),
+        ({"k_samples": 0}, "k_samples must be >= 1, got 0"),
+        ({"k_max": 5}, "unknown fields ['k_max']"),
     ],
     ids=[
         "missing-value", "spp-interval", "sorting-preset-bandit",
         "negative-gamma-grid", "unknown-field", "missing-seed",
+        "preset-stray-key", "zero-k-cell", "zero-k-samples", "derived-k-max",
     ],
 )
 def test_sweep_rejects_misread_config(tmp_path, capsys, override, message):

@@ -12,13 +12,14 @@ from dro.datagen import (
     cucb_collect_mcp,
     growing_delta,
     mean_interval,
+    observe,
     observe_bandit,
     observe_semibandit,
     sample_nominal,
 )
-from dro.errors import MeanOutOfRange
+from dro.errors import DimensionMismatch, MeanOutOfRange
 from dro.model import lower_scenario, Polytope
-from dro.problems import LayeredGraph, gen_mcp
+from dro.problems import LayeredGraph, gen_layered_spp, gen_mcp
 from enumeration import all_paths, covered_items
 
 
@@ -175,13 +176,39 @@ class TestCucb:
         g = LayeredGraph(3, 2)
         dist = BetaNominal.random(g.num_arcs, 0.125, 3)
         run = cucb_collect(g, dist, 20, 4)
+        semi = observe_semibandit(run.samples, run.decisions)
+        bandit = observe_bandit(run.samples, run.decisions)
         for k in range(20):
-            for a, v in run.observations[k]:
+            for a, v in semi[k].observed:
                 assert run.decisions[k][a] == 1.0
                 assert v == run.samples[k][a]
-        np.testing.assert_allclose(
-            run.totals, [sum(v for _, v in obs) for obs in run.observations], atol=1e-12
-        )
+            assert bandit[k].total == sum(v for _, v in semi[k].observed)
+
+
+class TestObserve:
+    @pytest.mark.parametrize("family", ["spp", "mcp"])
+    def test_bandit_total_is_sum_of_semibandit_values(self, family):
+        # c @ x rounds differently from the index-order sum on some of these
+        if family == "spp":
+            skeleton, graph = gen_layered_spp(5, 3)
+            run = cucb_collect(graph, BetaNominal.random(graph.num_arcs, 0.125, 1), 50, 2)
+        else:
+            skeleton, system = gen_mcp(20, 20, 5, 5, seed=1)
+            run = cucb_collect_mcp(system, BetaNominal.random(20, 0.125, 1), 50, 2)
+        n = skeleton.feasible.n
+        semi = observe("semibandit", run.samples, run.decisions, n)
+        bandit = observe("bandit", run.samples, run.decisions, n)
+        assert len(semi) == len(bandit) == 50
+        for s, b in zip(semi, bandit):
+            assert b.total == sum(v for _, v in s.observed)
+
+    def test_pads_to_instance_dimension(self):
+        data = np.array([[0.2, 0.5]])
+        (scen,) = observe("bandit", data, np.array([[1.0, 1.0]]), 4)
+        np.testing.assert_array_equal(scen.mask, [1.0, 1.0, 0.0, 0.0])
+        assert scen.total == 0.2 + 0.5
+        with pytest.raises(DimensionMismatch):
+            observe("semibandit", data, np.ones((1, 2)), 1)
 
 
 class TestMcpCollector:

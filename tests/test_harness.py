@@ -1,5 +1,6 @@
 """Harness helpers, sweep behavior, determinism, and CSV emission."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -153,7 +154,7 @@ class TestRunSweep:
     def test_spp_bandit_lp_quality_band(self):
         cfg = SweepConfig(
             "spp", "K", (4, 8), 5, 3, {"h": 5, "r": 3},
-            {"kind": "sqrt", "gamma": math.sqrt(8) * 5 / 11}, feedback="bandit", k_max=8,
+            {"kind": "sqrt", "gamma": math.sqrt(8) * 5 / 11}, feedback="bandit",
         )
         recs = run_sweep(cfg, backend=ScipyBackend())
         for r in recs:
@@ -164,7 +165,7 @@ class TestRunSweep:
         cfg = SweepConfig(
             "mcp", "K", (3, 6), 4, 5,
             {"n1": 10, "n2": 8, "subset_size": 3, "budget": 2},
-            {"kind": "sqrt", "gamma": 1.0}, feedback="bandit", k_max=6,
+            {"kind": "sqrt", "gamma": 1.0}, feedback="bandit",
         )
         recs = run_sweep(cfg, backend=ScipyBackend())
         for r in recs:
@@ -200,15 +201,45 @@ class TestRunSweep:
                 {"sweep": "gamma", "grid": (-1.0,), "epsilon_rule": {"kind": "sqrt"}},
                 "'sqrt' needs grid cells >= 0, got -1.0",
             ),
+            ({"sweep": "K", "grid": (0, 5)}, r"K grid cells must be >= 1, got \[0, 5\]"),
+            ({"k_samples": 0}, "k_samples must be >= 1, got 0"),
         ],
         ids=[
             "fixed", "sqrt", "prop_h", "prop_n1", "negative", "string",
             "sorting-bandit", "spp-default", "mcp-interval", "negative-gamma-grid",
+            "zero-k-cell", "zero-k-samples",
         ],
     )
     def test_misread_config_rejected(self, override, message):
         with pytest.raises(ValueError, match=message):
             small_sorting_cfg(**override)
+
+    def test_k_max_is_largest_cell_k(self):
+        assert small_sorting_cfg(sweep="K", grid=(4, 9, 2)).k_max == 9
+        assert small_sorting_cfg().k_max == 8  # k_samples outside a K sweep
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SweepConfig(
+                "spp", "K", (3, 6, 9), 3, 4, {"h": 3, "r": 2},
+                {"kind": "sqrt", "gamma": 1.0}, feedback="semibandit",
+            ),
+            SweepConfig(
+                "mcp", "K", (3, 6, 9), 3, 4,
+                {"n1": 8, "n2": 6, "subset_size": 3, "budget": 2},
+                {"kind": "sqrt", "gamma": 1.0}, feedback="semibandit",
+            ),
+        ],
+        ids=["spp-k", "mcp-k"],
+    )
+    def test_one_cell_k_sweep_matches_full_sweep_row(self, cfg):
+        # a K sweep reads each cell off a prefix of one collector history, so
+        # a shorter history for a one-cell sweep gives the same row
+        rows = records_to_csv(run_sweep(cfg)).splitlines()[1:]
+        for cell, row in zip(cfg.grid, rows):
+            one = dataclasses.replace(cfg, grid=(cell,))
+            assert records_to_csv(run_sweep(one)).splitlines()[1:] == [row]
 
     def test_gamma_sweep_takes_gamma_from_cell(self):
         cfg = small_sorting_cfg(sweep="gamma", grid=(1.0, 2.0), epsilon_rule={"kind": "sqrt"})
