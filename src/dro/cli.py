@@ -178,7 +178,7 @@ def _cmd_sweep(args) -> int:
                 raise ValueError(f"unknown fields {unknown}")
             cfg = preset_sweep(
                 raw["preset"],
-                seed=_seed_override(int(raw.get("seed", 0))),
+                seed=_seed_override(raw.get("seed", 0)),
                 paper_scale=bool(raw.get("paper_scale", False)) or args.paper_scale,
                 feedback=raw.get("feedback"),
             )
@@ -189,7 +189,7 @@ def _cmd_sweep(args) -> int:
             missing = [name for name in required if name not in raw]
             if unknown or missing:
                 raise ValueError(f"unknown fields {unknown}, missing fields {missing}")
-            raw["seed"] = _seed_override(int(raw["seed"]))
+            raw["seed"] = _seed_override(raw["seed"])
             cfg = SweepConfig(**raw)
     except ValueError as e:
         print(f"invalid sweep config: {e}", file=sys.stderr)

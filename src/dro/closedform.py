@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import DimensionMismatch, OverlappingDecisions
-from .model import Bandit, FeasibleSet, ProblemInstance, validate_instance
+from .model import Bandit, FeasibleSet, ProblemInstance, sample_boxes, validate_instance
 from .solver import OPTIMAL, LinearProgram, MixedIntegerProgram, ReferenceKernel
 
 
@@ -248,17 +248,13 @@ def interval_data_from_instance(inst: ProblemInstance) -> IntervalData | None:
 
     Runs :func:`~dro.model.validate_instance` (raising
     :class:`~dro.errors.InvalidInstance` on bad data) and reads each lowered
-    polytope's box bounds; the data fit exactly when every lowered polytope
-    is box-shaped.
+    polytope's box through :func:`~dro.model.sample_boxes`; the data fit
+    exactly when every lowered polytope is box-shaped.
     """
-    lowered = validate_instance(inst)
-    if not all(p.is_box() for p in lowered):
+    boxes = sample_boxes(inst.support, validate_instance(inst))
+    if boxes is None or not np.all(np.isnan(boxes[3])):
         return None
-    lowers, uppers = zip(*(p.box_bounds() for p in lowered))
-    lo, hi = inst.support.box_bounds()
-    # a point validated within FEAS_TOL outside the support lowers to a
-    # slightly inverted box; clipping projects it onto the support
-    return IntervalData(np.clip(lowers, lo, hi), np.clip(uppers, lo, hi), lo, hi)
+    return IntervalData(boxes[0], boxes[1], *inst.support.box_bounds())
 
 
 def bandit_history_from_instance(inst: ProblemInstance) -> BanditHistory | None:

@@ -20,6 +20,7 @@ written as 0 unless explicitly enabled).
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -129,6 +130,24 @@ class SweepConfig:
         self.grid = tuple(self.grid)
         if not self.grid:
             raise ValueError("grid must be nonempty")
+        # JSON gives any type; a string or list here would fail later with a
+        # TypeError instead of a config error
+        for name in ("params", "epsilon_rule"):
+            if not isinstance(getattr(self, name), dict):
+                raise ValueError(f"{name} must be an object, got {getattr(self, name)!r}")
+        for name, kind, values in (
+            ("instances", numbers.Integral, (self.instances,)),
+            ("seed", numbers.Integral, (self.seed,)),
+            ("k_samples", numbers.Integral, (self.k_samples,)),
+            ("delta", numbers.Real, (self.delta,)),
+            ("sigma", numbers.Real, (self.sigma,)),
+            ("grid cells", numbers.Real, self.grid),
+            ("params values", numbers.Real, tuple(self.params.values())),
+        ):
+            for v in values:
+                if isinstance(v, bool) or not isinstance(v, kind):
+                    what = "an integer" if kind is numbers.Integral else "a number"
+                    raise ValueError(f"{name} must be {what}, got {v!r}")
         if self.instances < 1:
             raise ValueError("need at least one instance per cell")
         if self.family not in ("sorting", "spp", "mcp"):

@@ -126,18 +126,64 @@ class Polytope:
                     target[j] = -np.inf if sense == "min" else np.inf
         return _freeze(lo), _freeze(hi)
 
+    def box_and_equality(self):
+        """The system as box bounds plus at most one equality, or None.
+
+        Returns ``(lo, hi, m, t)`` when every row constrains a single
+        coordinate except at most one pair ``m @ c <= t``, ``-m @ c <= -t``
+        (a lowered Bandit scenario); ``lo``/``hi`` are the single-coordinate
+        rows' bounds, and ``m`` and ``t`` are None without that pair.
+        """
+        return self._box_and_equality
+
+    @cached_property
+    def _box_and_equality(self):
+        if self.is_box():
+            return (*self.box_bounds(), None, None)
+        general = np.flatnonzero((self.rows_a != 0).sum(axis=1) > 1)
+        if general.size != 2:
+            return None
+        i, j = general
+        a, b = self.rows_a, self.rows_b
+        if not (np.array_equal(a[i], -a[j]) and b[i] == -b[j]):
+            return None
+        keep = np.ones(self.num_rows, dtype=bool)
+        keep[general] = False
+        lo, hi = Polytope(self.num_vars, a[keep], b[keep]).box_bounds()
+        return lo, hi, a[i], b[i]
+
+    def _structural_point(self):
+        """The candidate point of a box, or of a box plus one equality whose
+        coefficients meet only finite bounds; None for any other shape."""
+        shape = self.box_and_equality()
+        if shape is None:
+            return None
+        lo, hi, m, t = shape
+        x = np.clip(np.zeros(self.num_vars), lo, hi)
+        if m is None:
+            return x
+        on = m != 0
+        if not np.all(np.isfinite(lo[on]) & np.isfinite(hi[on])):
+            return None
+        down = np.where(m > 0, lo, np.where(on, hi, x))
+        up = np.where(m > 0, hi, np.where(on, lo, x))
+        v_down, v_up = float(m @ down), float(m @ up)
+        theta = (t - v_down) / (v_up - v_down) if v_up > v_down else 0.0
+        return down + min(max(theta, 0.0), 1.0) * (up - down)
+
     def feasible_point(self):
         """Any point satisfying all rows, or None when the system is empty.
 
         Structural for box-shaped systems (the origin clipped into the box
-        bounds), otherwise one LP solve; either candidate must then pass the
-        same ``FEAS_TOL`` residual check.
+        bounds) and for a bounded box plus one equality ``m @ c = t`` (the
+        point on the segment between the box corners that minimise and
+        maximise ``m @ c`` where that segment meets the equality), otherwise
+        one LP solve; any candidate must then pass the same ``FEAS_TOL``
+        residual check.
         """
         n = self.num_vars
-        if self.is_box():
-            lo, hi = self.box_bounds()
-            x = np.clip(np.zeros(n), lo, hi)
-        else:
+        x = self._structural_point()
+        if x is None:
             res = solve_lp(
                 LinearProgram(
                     np.zeros(n),
@@ -467,6 +513,30 @@ def validate_instance(inst: ProblemInstance) -> tuple[Polytope, ...]:
     if out:
         raise InvalidInstance(out)
     return tuple(lowered)
+
+
+def sample_boxes(support: Polytope, lowered):
+    """``(lo, hi, m, t)`` stacked over samples when the support is a box and
+    every lowered system is a box plus at most one equality, else None.
+
+    ``lo``/``hi`` (K, n) are each sample's box clipped into the support's
+    box; a point validated within ``FEAS_TOL`` outside the support lowers to
+    a slightly inverted box, and clipping projects it onto the support.  Row
+    k of ``m`` (K, n) and ``t[k]`` hold sample k's equality ``m @ c = t``,
+    with a zero row and ``t[k]`` NaN when it has none.
+    """
+    if not support.is_box():
+        return None
+    shapes = [p.box_and_equality() for p in lowered]
+    if any(s is None for s in shapes):
+        return None
+    l, u = support.box_bounds()
+    lo = np.clip([s[0] for s in shapes], l, u)
+    hi = np.clip([s[1] for s in shapes], l, u)
+    n = support.num_vars
+    m = np.array([np.zeros(n) if s[2] is None else s[2] for s in shapes])
+    t = np.array([np.nan if s[3] is None else s[3] for s in shapes])
+    return lo, hi, m, t
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Builders that turn a problem instance into solvable programs.
 
 Two builders mirror the two dual reformulations: the fixed-decision LP for the
-worst-case expectation over the Wasserstein ball, and the full single-level
-MILP in which the per-sample data uncertainty is dualized as well.  A discrete
+worst-case expectation over the Wasserstein ball, and the single-level MILP in
+which the per-sample data uncertainty is dualized as well.  The MILP comes in
+two forms with the same optimal value: a compact per-coordinate form when the
+support is a box and every sample lowers to a box plus at most one equality,
+and the full dual of every support and scenario row otherwise.  A discrete
 Wasserstein-1 routine is included for validating ball membership.
 """
 
@@ -19,6 +22,7 @@ from .model import (
     BiaffineLoss,
     Polytope,
     ProblemInstance,
+    sample_boxes,
     validate_instance,
 )
 from .model import lower_scenario  # noqa: F401  kept bound: perfbench/spans.py patches this name
@@ -36,7 +40,7 @@ from .solver import (
 
 @dataclass(eq=False)
 class ReformulationVars:
-    """Column layout of the single-level MILP.
+    """Column layout of the full dual MILP.
 
     Order: decision block x (n), the transport multiplier lam (1), one dual
     block per sample for the support rows (w0 each), then one dual block per
@@ -67,6 +71,37 @@ class ReformulationVars:
     @property
     def total(self) -> int:
         return self.n + 1 + self.num_samples * self.w0 + sum(self.wk)
+
+
+@dataclass(eq=False)
+class CompactVars:
+    """Column layout of the compact MILP for box supports.
+
+    Order: decision block x (n), the transport multiplier lam (1), one
+    epigraph column sigma[k][i] per sample and coordinate, then one pair
+    (mu+, mu-) per sample with an equality, in sample order.  Every column
+    but x is nonnegative.
+    """
+
+    n: int
+    num_samples: int
+    eq: tuple  # samples with an equality, ascending
+
+    @property
+    def lam(self) -> int:
+        return self.n
+
+    def sigma(self, k: int) -> slice:
+        start = self.n + 1 + k * self.n
+        return slice(start, start + self.n)
+
+    def mu(self, k: int) -> int:
+        """Column of mu+ for sample ``k``; mu- follows it."""
+        return self.n + 1 + self.num_samples * self.n + 2 * self.eq.index(k)
+
+    @property
+    def total(self) -> int:
+        return self.n + 1 + self.num_samples * self.n + 2 * len(self.eq)
 
 
 @dataclass(eq=False)
@@ -168,14 +203,118 @@ def _negated_loss(loss: BiaffineLoss) -> BiaffineLoss:
 
 
 def build_dro_milp(inst: ProblemInstance):
-    """The single-level MILP over (x, lam, nu, gamma).
+    """The single-level MILP: the compact form on box data, else the full dual.
 
     Maximize-sense instances are negated to minimization here; callers undo
     the sign on the reported value.  Returns ``(mip, layout, lowered)`` where
+    ``layout`` is a :class:`CompactVars` or :class:`ReformulationVars` and
     ``lowered`` holds each sample's combined constraint polytope.  Raises
     :class:`~dro.errors.InvalidInstance` when the instance fails validation.
     """
     lowered = validate_instance(inst)
+    boxes = sample_boxes(inst.support, lowered)
+    if boxes is None:
+        return (*_full_dual(inst, lowered), lowered)
+    return (*_compact_dual(inst, *boxes), lowered)
+
+
+def build_full_dual_milp(inst: ProblemInstance):
+    """The full dual of every support and scenario row, whatever their shape;
+    same contract as :func:`build_dro_milp`, which uses it only when the
+    compact form does not apply."""
+    lowered = validate_instance(inst)
+    return (*_full_dual(inst, lowered), lowered)
+
+
+def _compact_dual(inst: ProblemInstance, lo, hi, m, t):
+    """The compact MILP over (x, lam, sigma, mu+, mu-) for box data.
+
+    With d = t_xx x + t_c, sample k's inner sup separates by coordinate once
+    its equality m_k @ c_hat = t_k carries a free multiplier mu_k: its value
+    is mu_k t_k + sum_i s_ki with s_ki the largest of
+    d_i c - lam |c - c_hat| - mu_k m_ki c_hat over the points (c_hat, c) of
+    [L_i, U_i] x [l_i, u_i] that can attain it, where [L, U] = [lo_k, hi_k]
+    and [l, u] is the support's box.  Those points are (L, l), (L, L),
+    (U, U) and (U, u) when m_ki = 0, since the nearest point of [L, U] is
+    then the best c_hat, and also (L, u) and (U, l) otherwise.  The columns
+    hold sigma_ki = s_ki - f(L, L) >= 0 and mu_k = mu+ - mu-, so every lower
+    bound is finite; duplicate points and rows that are identically zero
+    are dropped.
+    """
+    loss = inst.loss if inst.sense == "min" else _negated_loss(inst.loss)
+    n = inst.n
+    fs = inst.feasible
+    num_k = lo.shape[0]
+    has_eq = ~np.isnan(t)
+    layout = CompactVars(n, num_k, tuple(np.flatnonzero(has_eq).tolist()))
+    nvar = layout.total
+    l, u = (np.broadcast_to(b, lo.shape) for b in inst.support.box_bounds())
+
+    # candidate points (c_hat, c), shape (K, n, 5); (L, L) is the anchor
+    c_hat = np.stack([lo, hi, hi, lo, hi], axis=2)
+    c_pt = np.stack([l, hi, u, u, l], axis=2)
+    active = np.ones(c_hat.shape, dtype=bool)
+    active[:, :, 3:] = (m != 0)[:, :, None]
+    anchor = lo[:, :, None]
+    active &= (c_hat != anchor) | (c_pt != anchor)
+    for j in range(1, 5):
+        for q in range(j):
+            active[:, :, j] &= (c_hat[:, :, j] != c_hat[:, :, q]) | (c_pt[:, :, j] != c_pt[:, :, q])
+
+    kk, ii, jj = np.nonzero(active)  # sample-major, then coordinate, then point
+    ch, cp, anc = c_hat[kk, ii, jj], c_pt[kk, ii, jj], lo[kk, ii]
+    t_xx, t_c = loss.t_xx, loss.t_c
+    dx = cp - anc
+    lam_coef = -np.abs(cp - ch)
+    mu_coef = -m[kk, ii] * (ch - anc)
+    rhs_pts = -dx * t_c[ii]
+    x_zero = (dx == 0) | ~np.any(t_xx != 0, axis=1)[ii]
+    keep = ~(x_zero & (lam_coef == 0) & (mu_coef == 0) & (rhs_pts == 0))
+    kk, ii, dx, lam_coef, mu_coef, rhs_pts = (
+        v[keep] for v in (kk, ii, dx, lam_coef, mu_coef, rhs_pts)
+    )
+
+    # s_ki >= f(c_hat, c) becomes
+    # (c - L) t_xx[i] x - |c - c_hat| lam - m_ki (c_hat - L) mu - sigma_ki <= -(c - L) t_c[i]
+    nr = kk.shape[0]
+    rows = np.arange(nr)
+    a = np.zeros((nr + fs.num_rows, nvar))
+    rhs = np.empty(nr + fs.num_rows)
+    a[:nr, :n] = dx[:, None] * t_xx[ii]
+    a[rows, layout.lam] = lam_coef
+    a[rows, n + 1 + kk * n + ii] = -1.0
+    mu_col = np.full(num_k, -1)
+    mu_col[has_eq] = [layout.mu(k) for k in layout.eq]
+    on_eq = has_eq[kk]
+    a[rows[on_eq], mu_col[kk[on_eq]]] = mu_coef[on_eq]
+    a[rows[on_eq], mu_col[kk[on_eq]] + 1] = -mu_coef[on_eq]
+    rhs[:nr] = rhs_pts
+    a[nr:, :n] = fs.matrix()
+    rhs[nr:] = fs.rhs
+
+    # objective: t_x x + t_const + eps lam + (1/K) sum_k (mu_k t_k + sum_i s_ki),
+    # with sum_i f_ki(L, L) = L_k @ d - mu_k m_k @ L_k moved onto x, mu and c0
+    c = np.zeros(nvar)
+    c[:n] = loss.t_x + lo.sum(axis=0) @ t_xx / num_k
+    c[layout.lam] = inst.epsilon
+    c[n + 1 : n + 1 + num_k * n] = 1.0 / num_k
+    mu_obj = (t[has_eq] - (m * lo).sum(axis=1)[has_eq]) / num_k
+    c[mu_col[has_eq]] = mu_obj
+    c[mu_col[has_eq] + 1] = -mu_obj
+    c0 = loss.t_const + float((lo @ t_c).sum()) / num_k
+
+    int_mask = np.zeros(nvar, dtype=bool)
+    int_mask[:n] = fs.integer_mask()
+    up = np.full(nvar, np.inf)
+    up[:n] = fs.upper
+    rel = (LE,) * (nr + fs.num_rows)
+    lp = LinearProgram(c, a, rel, rhs, np.zeros(nvar), up, sense="min", c0=c0)
+    return MixedIntegerProgram(lp, int_mask), layout
+
+
+def _full_dual(inst: ProblemInstance, lowered):
+    """The MILP over (x, lam, nu, gamma) that dualizes every support and
+    scenario row; returns ``(mip, layout)``."""
     loss = inst.loss if inst.sense == "min" else _negated_loss(inst.loss)
     n = inst.n
     fs = inst.feasible
@@ -230,7 +369,7 @@ def build_dro_milp(inst: ProblemInstance):
     up = np.full(nvar, np.inf)
     up[:n] = fs.upper
     lp = LinearProgram(c, a, rel, rhs, lower, up, sense="min", c0=loss.t_const)
-    return MixedIntegerProgram(lp, int_mask), layout, lowered
+    return MixedIntegerProgram(lp, int_mask), layout
 
 
 @dataclass

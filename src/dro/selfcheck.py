@@ -22,18 +22,25 @@ from .closedform import (
 from .model import (
     Bandit,
     BiaffineLoss,
+    Exact,
     Interval,
     Polytope,
     ProblemInstance,
+    SemiBandit,
 )
 from .problems import gen_layered_spp, gen_sorting
 from .reformulate import (
+    CompactVars,
     DiscreteDistribution,
+    build_dro_milp,
+    build_full_dual_milp,
     build_wc_expectation_lp,
     discrete_w1,
+    relaxation_value,
     solve_dro,
+    solve_dro_milp,
 )
-from .solver import LinearProgram, MixedIntegerProgram, solve_lp, solve_milp
+from .solver import LinearProgram, MixedIntegerProgram, ReferenceKernel, solve_lp, solve_milp
 
 
 @dataclass
@@ -142,6 +149,70 @@ def random_bandit_instance(rng: np.random.Generator):
     scen = tuple(Bandit(decisions[k], float(totals[k])) for k in range(num_k))
     inst = gen_sorting(n, h).instance(scen, eps)
     return inst, hist
+
+
+def random_box_instance(rng: np.random.Generator) -> ProblemInstance:
+    """Selection instance on a random box support with a random biaffine
+    loss, sense and mix of Exact, Interval, SemiBandit and Bandit samples;
+    intervals may stick out of the support."""
+    n = int(rng.integers(2, 7))
+    skeleton = gen_sorting(n, int(rng.integers(1, n + 1)))
+    lo = rng.uniform(-0.5, 0.5, n)
+    hi = lo + rng.uniform(0.2, 1.5, n)
+    if rng.random() < 0.5:
+        loss = BiaffineLoss.bilinear(n)
+    else:
+        t_xx = rng.normal(size=(n, n))
+        loss = BiaffineLoss(t_xx + t_xx.T, rng.normal(size=n), rng.normal(size=n), rng.normal())
+    kinds = rng.integers(0, 4, int(rng.integers(1, 5)))
+    scen = []
+    for kind in kinds:
+        point = rng.uniform(lo, hi)
+        if kind == 0:
+            scen.append(Exact(point))
+        elif kind == 1:
+            width = rng.random(n) * (hi - lo)
+            scen.append(Interval(point - width, point + width))
+        elif kind == 2:
+            seen = np.flatnonzero(rng.random(n) < 0.5)
+            scen.append(SemiBandit(tuple((int(i), float(point[i])) for i in seen)))
+        else:
+            mask = (rng.random(n) < 0.6).astype(float)
+            scen.append(Bandit(mask, float(mask @ point)))
+    sense = "min" if rng.random() < 0.5 else "max"
+    support = Polytope.box(lo, hi)
+    return ProblemInstance(
+        skeleton.feasible, loss, support, tuple(scen), float(rng.random()), sense
+    )
+
+
+def check_compact_dual(count: int, seed) -> CheckResult:
+    """The compact MILP for box data against the full dual of every row:
+    MILP and LP relaxation values on the reference kernel."""
+    rng = np.random.default_rng(seed)
+    kernel = ReferenceKernel()
+    worst, failures = 0.0, []
+    for t in range(count):
+        inst = random_box_instance(rng)
+        mip, layout, _ = build_dro_milp(inst)
+        if not isinstance(layout, CompactVars):
+            failures.append(f"instance {t}: box data built the full dual")
+            continue
+        full, _, _ = build_full_dual_milp(inst)
+        pairs = (
+            ("milp", solve_dro_milp(inst, mip, kernel)[0], solve_dro_milp(inst, full, kernel)[0]),
+            ("lp", relaxation_value(inst, mip, kernel), relaxation_value(inst, full, kernel)),
+        )
+        for what, got, want in pairs:
+            if got is None or want is None:
+                failures.append(f"instance {t}: {what} solve failed ({got} vs {want})")
+                continue
+            err = abs(got - want) / max(1.0, abs(want))
+            worst = max(worst, err)
+            if err > 1e-9:
+                failures.append(f"instance {t}: {what} {got} vs {want}")
+    clean = f"{count} box instances agree (worst rel err {worst:.2e})"
+    return _result("compact-vs-full-dual", failures, clean, worst=worst)
 
 
 def check_kernel_enumeration(count: int, seed) -> CheckResult:
@@ -264,4 +335,5 @@ def run_all(seed=0, scale: float = 1.0) -> list[CheckResult]:
         check_interval_oracle(c(15), [seed, 3]),
         check_bandit_oracle(c(15), [seed, 4]),
         check_w1_axioms(c(40), [seed, 5]),
+        check_compact_dual(c(20), [seed, 6]),
     ]

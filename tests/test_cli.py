@@ -101,6 +101,19 @@ def test_solve_epsilon_override_and_dump(interval_instance, tmp_path, model_call
     assert v_eps >= v0 - 1e-9  # larger radius can only raise the robust cost
 
 
+@pytest.mark.parametrize("backend", ["reference", "scipy"])
+def test_solve_exact_point_just_outside_support(tmp_path, backend):
+    # validation accepts a point FEAS_TOL-close to the box; the compact form
+    # reads it clipped into the support, so both backends answer its cost
+    path = tmp_path / "edge.json"
+    save_instance(path, gen_sorting(3, 1).instance((Exact(np.array([1 + 1e-8, 0.2, 0.3])),), 0.0))
+    out = tmp_path / "o.json"
+    assert main(["solve", str(path), "--backend", backend, "-o", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["value"] == pytest.approx(0.2, abs=1e-9)
+    assert payload["x"] == [0.0, 1.0, 0.0]
+
+
 def test_solve_rejects_invalid_instance(tmp_path, capsys):
     sk = gen_sorting(3, 1)
     path = tmp_path / "bad.json"
@@ -297,11 +310,21 @@ _FULL_ONLY = dict.fromkeys(("family", "sweep", "grid", "instances", "params", "e
         ({"sweep": "K", "grid": [0, 5]}, "K grid cells must be >= 1, got [0, 5]"),
         ({"k_samples": 0}, "k_samples must be >= 1, got 0"),
         ({"k_max": 5}, "unknown fields ['k_max']"),
+        ({"instances": "2"}, "instances must be an integer, got '2'"),
+        ({"seed": 3.5}, "seed must be an integer, got 3.5"),
+        ({"sigma": [0.1]}, "sigma must be a number, got [0.1]"),
+        ({"grid": [0.0, "0.4"]}, "grid cells must be a number, got '0.4'"),
+        ({**_FULL_ONLY, "preset": "sorting-delta", "seed": "1"}, "seed must be an integer, got '1'"),
+        ({"epsilon_rule": 1.0}, "epsilon_rule must be an object, got 1.0"),
+        ({"params": [6, 2]}, "params must be an object, got [6, 2]"),
+        ({"params": {"n": "six", "h": 2}}, "params values must be a number, got 'six'"),
     ],
     ids=[
         "missing-value", "spp-interval", "sorting-preset-bandit",
         "negative-gamma-grid", "unknown-field", "missing-seed",
         "preset-stray-key", "zero-k-cell", "zero-k-samples", "derived-k-max",
+        "string-instances", "float-seed", "list-sigma", "string-grid-cell",
+        "preset-string-seed", "scalar-epsilon-rule", "list-params", "string-param",
     ],
 )
 def test_sweep_rejects_misread_config(tmp_path, capsys, override, message):
@@ -358,4 +381,4 @@ def test_dro_seed_env_override(tmp_path, monkeypatch):
 def test_validate_exit_code(capsys):
     assert main(["validate", "--scale", "0.1", "--seed", "4"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 5
+    assert out.count("PASS") == 6

@@ -144,6 +144,49 @@ class TestPolytope:
         assert verdicts == {True, False}
         assert model_calls["solve_lp"] == 0
 
+    def test_box_equality_emptiness_structural_agrees_with_lp(self, model_calls):
+        # a lowered bandit shape: box rows plus one m @ c = t pair; totals are
+        # drawn on a 1/8 grid and the reachable range has quarter ends, so a
+        # total is either reachable or at least 1/8 outside, far from FEAS_TOL
+        rng = np.random.default_rng(31)
+        cases = []
+        for _ in range(300):
+            n = int(rng.integers(2, 6))
+            lo = rng.integers(-4, 3, n) / 4.0
+            hi = lo + rng.integers(0, 5, n) / 4.0
+            m = rng.choice([-2.0, -1.0, 0.0, 0.0, 1.0, 2.0], n)
+            m[:2] = rng.choice([-1.0, 1.0], 2)  # a general row, not a box row
+            box = Polytope.box(lo, hi)
+            t = rng.integers(-40, 41) / 8.0
+            eq_a, eq_b = np.vstack([m, -m]), np.array([t, -t])
+            cases.append(
+                Polytope(n, np.vstack([eq_a, box.rows_a]), np.concatenate([eq_b, box.rows_b]))
+            )
+        got = [poly.feasible_point() for poly in cases]
+        assert model_calls["solve_lp"] == 0
+        verdicts = set()
+        for poly, point in zip(cases, got):
+            assert poly.box_and_equality()[2] is not None
+            assert (point is None) == (lp_feasible_point(poly) is None)
+            if point is not None:
+                assert poly.contains(point)
+            verdicts.add(point is None)
+        assert verdicts == {True, False}
+
+    def test_box_and_equality_shapes(self):
+        box = unit_box(3)
+        lo, hi, m, t = box.box_and_equality()
+        assert m is None and t is None
+        assert lo.tolist() == [0.0] * 3 and hi.tolist() == [1.0] * 3
+        lo, hi, m, t = lower_scenario(Bandit(np.array([1, 0, 1]), 1.2), box).box_and_equality()
+        assert m.tolist() == [1.0, 0.0, 1.0] and t == 1.2
+        assert lo.tolist() == [0.0] * 3 and hi.tolist() == [1.0] * 3
+        # one-sided general rows, or two different equalities, fit neither shape
+        cut = Polytope(3, np.vstack([box.rows_a, np.ones((1, 3))]), np.append(box.rows_b, 2.0))
+        assert cut.box_and_equality() is None
+        two = Polytope(3, np.array([[1, 1, 0], [-1, -1, 0], [0, 1, 1], [0, -1, -1.0]]), np.ones(4))
+        assert two.box_and_equality() is None
+
 
 class TestBiaffineLoss:
     def test_evaluate_exact(self):

@@ -30,13 +30,17 @@ from dro.model import (
 )
 from dro.problems import gen_layered_spp, gen_mcp, gen_sorting
 from dro.reformulate import (
+    CompactVars,
     DiscreteDistribution,
     ReformulationVars,
     _negated_loss,
     build_dro_milp,
+    build_full_dual_milp,
     build_wc_expectation_lp,
     discrete_w1,
+    relaxation_value,
     solve_dro,
+    solve_dro_milp,
 )
 from dro.selfcheck import random_bandit_instance, random_interval_instance
 from dro.solver import (
@@ -45,6 +49,7 @@ from dro.solver import (
     OPTIMAL,
     LinearProgram,
     MixedIntegerProgram,
+    ScipyBackend,
     dump_program,
     solve_lp,
 )
@@ -66,8 +71,9 @@ def column_names(layout):
 
 
 def reference_dro_milp(inst):
-    """The single-level MILP assembled one dense row at a time: the builder
-    the block assembly in ``build_dro_milp`` must reproduce bit for bit."""
+    """The full dual MILP assembled one dense row at a time: the builder the
+    block assembly in ``build_full_dual_milp`` must reproduce bit for bit,
+    and whose values the compact form must reach."""
     validate_instance(inst)
     loss = inst.loss if inst.sense == "min" else _negated_loss(inst.loss)
     n = inst.n
@@ -127,6 +133,75 @@ def reference_dro_milp(inst):
     lp = LinearProgram(
         c, np.array(rows), tuple(rels), np.array(rhs), np.zeros(nvar), up,
         sense="min", c0=loss.t_const,
+    )
+    return MixedIntegerProgram(lp, int_mask)
+
+
+def reference_compact_milp(inst):
+    """The compact MILP for box data assembled one row at a time, looping
+    over samples, coordinates and candidate points (c_hat, c)."""
+    lowered = validate_instance(inst)
+    loss = inst.loss if inst.sense == "min" else _negated_loss(inst.loss)
+    n, fs = inst.n, inst.feasible
+    num_k = len(lowered)
+    l, u = inst.support.box_bounds()
+    samples = []
+    for p in lowered:
+        lo, hi, m, t = p.box_and_equality()
+        samples.append((np.clip(lo, l, u), np.clip(hi, l, u), m, t))
+    eq = tuple(k for k, s in enumerate(samples) if s[2] is not None)
+    layout = CompactVars(n, num_k, eq)
+    nvar = layout.total
+
+    rows, rhs = [], []
+    for k, (lo, hi, m, t) in enumerate(samples):
+        for i in range(n):
+            big_l, big_u = lo[i], hi[i]
+            mi = 0.0 if m is None else m[i]
+            points = [(big_l, l[i]), (big_u, big_u), (big_u, u[i])]
+            if mi != 0:
+                points += [(big_l, u[i]), (big_u, l[i])]
+            seen = {(big_l, big_l)}
+            for c_hat, c in points:
+                if (c_hat, c) in seen:
+                    continue
+                seen.add((c_hat, c))
+                row = np.zeros(nvar)
+                row[:n] = (c - big_l) * loss.t_xx[i]
+                row[layout.lam] = -abs(c - c_hat)
+                b = -(c - big_l) * loss.t_c[i]
+                if m is not None:
+                    row[layout.mu(k)] = -mi * (c_hat - big_l)
+                    row[layout.mu(k) + 1] = mi * (c_hat - big_l)
+                if np.any(row != 0) or b != 0:  # else only -sigma <= 0
+                    row[layout.sigma(k).start + i] = -1.0
+                    rows.append(row)
+                    rhs.append(b)
+    gmat = fs.matrix()
+    for i in range(fs.num_rows):
+        row = np.zeros(nvar)
+        row[:n] = gmat[i]
+        rows.append(row)
+        rhs.append(fs.rhs[i])
+
+    c = np.zeros(nvar)
+    c[:n] = loss.t_x
+    c0 = loss.t_const
+    c[layout.lam] = inst.epsilon
+    for k, (lo, hi, m, t) in enumerate(samples):
+        c[:n] += loss.t_xx.T @ lo / num_k
+        c0 += lo @ loss.t_c / num_k
+        c[layout.sigma(k)] = 1.0 / num_k
+        if m is not None:
+            c[layout.mu(k)] = (t - m @ lo) / num_k
+            c[layout.mu(k) + 1] = -(t - m @ lo) / num_k
+    up = np.full(nvar, np.inf)
+    up[:n] = fs.upper
+    int_mask = np.zeros(nvar, dtype=bool)
+    int_mask[:n] = fs.integer_mask()
+    lp = LinearProgram(
+        c, np.array(rows), (LE,) * len(rows), np.array(rhs), np.zeros(nvar), up,
+        sense="min", c0=c0,
     )
     return MixedIntegerProgram(lp, int_mask)
 
@@ -203,11 +278,43 @@ class TestVariableLayout:
         assert len(column_names(layout)) == 31
         assert column_names(layout)[3] == "lam"
 
+    def test_compact_offsets_cover_all_columns(self):
+        layout = CompactVars(3, 4, (1, 3))
+        assert layout.lam == 3
+        assert layout.sigma(0) == slice(4, 7)
+        assert layout.sigma(3) == slice(13, 16)
+        assert (layout.mu(1), layout.mu(3)) == (16, 18)
+        assert layout.total == 20
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
 
 @pytest.mark.parametrize("inst", _reference_cases())
 def test_block_builder_matches_row_builder(inst):
-    mip, _, _ = build_dro_milp(inst)
+    mip, layout, _ = build_dro_milp(inst)
     ref = reference_dro_milp(inst)
+    if isinstance(layout, CompactVars):
+        # box data: the compact form reaches the full dual's MILP and LP
+        # relaxation values
+        assert inst.support.is_box()
+        sp = ScipyBackend()
+        got, _, _ = solve_dro_milp(inst, mip, sp)
+        want, _, _ = solve_dro_milp(inst, ref, sp)
+        assert _close(got, want)
+        assert _close(relaxation_value(inst, mip, sp), relaxation_value(inst, ref, sp))
+        # the vectorized assembly against the loop: the same rows, bit for
+        # bit; the objective sums over samples in another order
+        loop = reference_compact_milp(inst).lp
+        for got, want in ((mip.lp.a, loop.a), (mip.lp.b, loop.b), (mip.lp.upper, loop.upper)):
+            assert got.tobytes() == want.tobytes()
+        assert mip.lp.rel == loop.rel
+        np.testing.assert_allclose(mip.lp.c, loop.c, rtol=0.0, atol=1e-12)
+        assert mip.lp.c0 == pytest.approx(loop.c0, rel=0.0, abs=1e-12)
+        mip, _, _ = build_full_dual_milp(inst)
+    else:
+        assert not inst.support.is_box()
     assert dump_program(mip) == dump_program(ref)
     lp, rlp = mip.lp, ref.lp
     for got, want in (
@@ -220,6 +327,17 @@ def test_block_builder_matches_row_builder(inst):
     assert lp.rel == rlp.rel
     assert lp.c0 == rlp.c0 and lp.sense == rlp.sense
     assert np.array_equal(mip.integer, ref.integer)
+
+
+def test_compact_bandit_build_runs_no_lp(model_calls):
+    # every lowered bandit sample is the unit box plus one equality: the
+    # emptiness checks are structural and the compact form needs no bounds LP
+    inst = _spp_history(5, 3, 25, observe_bandit, 0)
+    mip, layout, _ = build_dro_milp(inst)
+    assert isinstance(layout, CompactVars)
+    assert len(layout.eq) == inst.num_samples
+    assert model_calls == {"lower_scenario": inst.num_samples, "solve_lp": 0}
+    assert mip.lp.n == layout.total == inst.n + 1 + inst.num_samples * (inst.n + 2)
 
 
 def test_build_validates_and_lowers_once(model_calls):
