@@ -15,6 +15,16 @@ structure.  Four child streams are spawned per instance, consumed in a fixed
 order: structure, nominal means, data/collector, corruption.  Identical
 configs and seeds therefore produce identical CSV bytes (timing columns are
 written as 0 unless explicitly enabled).
+
+A shared sweep draws each instance once and reads every cell off it.  For
+spp and mcp the structure, the nominal law, the collector history at
+``k_max`` steps, the COP handle and the nominal optimum are kept for the
+whole sweep, and each cell observes its K prefix, sets its radius and
+solves; sorting keeps its nominal law and samples, and corrupts them and
+builds its cardinality structure per cell.  An instance whose draw fails
+counts as a failure in every cell.  A structural sweep draws per cell.
+``mean_time_ms`` still times the whole robust solve of each cell: both
+interval candidates, or the dual MILP.
 """
 
 from __future__ import annotations
@@ -22,7 +32,8 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +45,7 @@ from .closedform import (
 )
 from .datagen import (
     BetaNominal,
+    CollectorRun,
     corrupt_interval,
     cucb_collect,
     cucb_collect_mcp,
@@ -43,7 +55,7 @@ from .datagen import (
 )
 from .errors import DegenerateDenominator, DimensionMismatch, DroError, EmptyInput
 from .model import FeasibleSet
-from .problems import gen_layered_spp, gen_mcp, gen_sorting, sorting_cop, spp_cop
+from .problems import ProblemSkeleton, gen_layered_spp, gen_mcp, gen_sorting, sorting_cop, spp_cop
 from .reformulate import build_dro_milp, relaxation_value, solve_dro_milp
 from .solver import ScipyBackend
 
@@ -73,30 +85,49 @@ def mad(values) -> float:
     return float(np.abs(arr - arr.mean()).mean())
 
 
-def nominal_relative_loss(x_tilde, dist: BetaNominal, feasible: FeasibleSet, sense="min", cop=None) -> float:
-    """Expected cost of the decision over the best achievable expected cost.
+def _padded_mean(dist: BetaNominal, n: int) -> np.ndarray:
+    m = np.zeros(n)
+    m[: dist.n] = dist.mean
+    return m
+
+
+def nominal_optimum(dist: BetaNominal, feasible: FeasibleSet, sense="min", cop=None) -> float:
+    """The best achievable expected cost, the denominator of the relative loss.
 
     With a bilinear loss and independent components the expectation is exactly
-    ``mean @ x``, so one deterministic combinatorial solve gives the
-    denominator.  Components beyond the nominal dimension (selection flags)
-    carry zero mean.  At least 1 for minimization, at most 1 for maximization.
+    ``mean @ x``, so one deterministic combinatorial solve gives it.
+    Components beyond the nominal dimension (selection flags) carry zero mean.
+    """
+    cop = cop or milp_cop(feasible)
+    denom, _ = cop(_padded_mean(dist, feasible.n), sense)
+    if abs(denom) < 1e-12:
+        raise DegenerateDenominator("nominal optimum is zero")
+    return denom
+
+
+def nominal_relative_loss(
+    x_tilde, dist: BetaNominal, feasible: FeasibleSet, sense="min", cop=None, optimum=None
+) -> float:
+    """Expected cost of the decision over the best achievable expected cost.
+
+    ``optimum`` is that best cost when already known (a sweep solves it once
+    per instance); otherwise :func:`nominal_optimum` solves it with ``cop``.
+    At least 1 for minimization, at most 1 for maximization.
     """
     x_tilde = np.asarray(x_tilde, dtype=float)
     if x_tilde.shape != (feasible.n,):
         raise DimensionMismatch("decision must match the feasible set")
     if not feasible.contains(x_tilde):
         raise ValueError("decision is not feasible")
-    m = np.zeros(feasible.n)
-    m[: dist.n] = dist.mean
-    cop = cop or milp_cop(feasible)
-    denom, _ = cop(m, sense)
-    if abs(denom) < 1e-12:
-        raise DegenerateDenominator("nominal optimum is zero")
-    return float(m @ x_tilde) / denom
+    if optimum is None:
+        optimum = nominal_optimum(dist, feasible, sense, cop)
+    return float(_padded_mean(dist, feasible.n) @ x_tilde) / optimum
 
 
 _FEEDBACK_RUN = {"sorting": ("interval",), "spp": ("semibandit", "bandit"), "mcp": ("semibandit", "bandit")}
 _EPSILON_PARAM = {"fixed": "value", "sqrt": "gamma", "prop_h": "coef", "prop_n1": "coef"}
+# params each family's runner reads; a sweep over one of them takes it from the cell
+_FAMILY_PARAMS = {"sorting": ("n", "h"), "spp": ("r", "h"), "mcp": ("n2", "subset_size", "budget", "n1")}
 
 
 @dataclass
@@ -111,6 +142,9 @@ class SweepConfig:
     ``bandit`` for spp and mcp.  K grid cells and ``k_samples`` are at least
     1.  ``k_max`` is the largest K of the grid: the history length a K sweep
     collects and reads every cell off, and the growing schedule's divisor.
+    ``params`` holds every key the family reads, the swept one excepted:
+    ``n`` and ``h`` for sorting, ``r`` and ``h`` for spp, and ``n1``,
+    ``n2``, ``subset_size`` and ``budget`` for mcp.
     """
 
     family: str  # sorting | spp | mcp
@@ -176,6 +210,15 @@ class SweepConfig:
             raise ValueError(f"k_samples must be >= 1, got {self.k_samples!r}")
         if self.sweep == "K" and min(self.cell_k(v) for v in self.grid) < 1:
             raise ValueError(f"K grid cells must be >= 1, got {list(self.grid)}")
+        reads = {k for k in _FAMILY_PARAMS[self.family] if k != self.sweep}
+        if kind == "prop_n1" and self.family != "mcp":  # mcp passes its own n1
+            reads.add("n1")
+        missing = sorted(reads - self.params.keys())
+        if missing:
+            raise ValueError(
+                f"params lack {missing}, which family {self.family!r} reads when "
+                f"sweeping {self.sweep!r} with the {kind!r} rule"
+            )
 
     @property
     def k_max(self) -> int:
@@ -226,46 +269,59 @@ class SweepRecord:
     n_fail: int
 
 
-def _interval_outcome(feasible, idata, epsilon, cop, sense, dist) -> InstanceOutcome:
+class _Draw:
+    """The random instance behind one sweep index.
+
+    Its four child streams are spawned once, when the draw is made, and are
+    consumed in a fixed order: structure, nominal means, data/collector,
+    corruption.  ``keep(build, *args)`` runs ``build(*args, *rngs)`` on
+    first use and gives every later call the same result, or raises the same
+    failure again, so a shared sweep draws the cell-independent part of an
+    instance once and reads every cell off it.  A build reads the cell only
+    for a structural parameter, and a structural sweep draws per cell.
+    """
+
+    def __init__(self, entropy):
+        self.streams = np.random.SeedSequence(entropy).spawn(4)
+        self._kept = None
+
+    def keep(self, build, *args):
+        if self._kept is None:
+            try:
+                self._kept = build(*args, *[np.random.default_rng(s) for s in self.streams])
+            except (DroError, RuntimeError) as exc:
+                self._kept = exc
+        if isinstance(self._kept, Exception):
+            raise self._kept
+        return self._kept
+
+
+def _interval_outcome(feasible, idata, epsilon, cop, sense, dist, optimum=None) -> InstanceOutcome:
     t0 = time.perf_counter()
     detail = solve_interval_detail(feasible, idata, epsilon, cop, sense)
     dt = (time.perf_counter() - t0) * 1000.0
-    rho = nominal_relative_loss(detail.x, dist, feasible, sense, cop)
+    rho = nominal_relative_loss(detail.x, dist, feasible, sense, cop, optimum)
     return InstanceOutcome(rho, dt, None, detail.winner == "saa")
 
 
-def _history_outcome(cfg: SweepConfig, skeleton, run, num_k, epsilon, cop, dist, backend) -> InstanceOutcome:
-    """Observe the history's first ``num_k`` steps with the sweep's feedback,
-    then solve: thm2 on semi-bandit boxes, the dual MILP on bandit totals."""
-    scen = observe(cfg.feedback, run.samples[:num_k], run.decisions[:num_k], skeleton.feasible.n)
-    inst = skeleton.instance(scen, epsilon)
-    if cfg.feedback == "semibandit":
-        idata = interval_data_from_instance(inst)
-        return _interval_outcome(inst.feasible, idata, epsilon, cop, inst.sense, dist)
-    mip, _, _ = build_dro_milp(inst)
-    value, x, diag = solve_dro_milp(inst, mip, backend)
-    if value is None:
-        raise RuntimeError(f"robust solve failed: {diag.status}")
-    rho = nominal_relative_loss(x, dist, inst.feasible, inst.sense, cop)
-    root = relaxation_value(inst, mip, backend)
-    quality = value / root if root is not None and abs(root) > 1e-12 else None
-    return InstanceOutcome(rho, diag.time_ms, quality, None)
-
-
-def _run_sorting_instance(cfg: SweepConfig, cell, ss, backend) -> InstanceOutcome:
-    _, rng_means, rng_data, rng_noise = [np.random.default_rng(s) for s in ss.spawn(4)]
+def _draw_sorting(cfg: SweepConfig, _rng_struct, rng_means, rng_data, _rng_noise):
     n = int(cfg.params["n"])
-    h = int(cell) if cfg.sweep == "h" else int(cfg.params["h"])
-    num_k = cfg.cell_k(cell)
-    k_total = cfg.k_max
     dist = BetaNominal.random(n, cfg.sigma, rng_means)
     p = rng_data.uniform(size=n)  # per-component corruption probability
-    samples = sample_nominal(dist, k_total, rng_data)
+    return dist, p, sample_nominal(dist, cfg.k_max, rng_data)
+
+
+def _run_sorting_instance(cfg: SweepConfig, cell, draw: _Draw, backend) -> InstanceOutcome:
+    dist, p, samples = draw.keep(_draw_sorting, cfg)
+    n = dist.n
+    h = int(cell) if cfg.sweep == "h" else int(cfg.params["h"])
+    num_k = cfg.cell_k(cell)
     if cfg.delta_schedule == "growing":
-        delta = growing_delta(k_total, n, cfg.k_max)
+        delta = growing_delta(cfg.k_max, n, cfg.k_max)
     else:
-        d = float(cell) if cfg.sweep == "delta" else cfg.delta
-        delta = np.full((k_total, n), d)
+        delta = float(cell) if cfg.sweep == "delta" else cfg.delta
+    # the corruption stream restarts in every cell, as a fresh draw would
+    rng_noise = np.random.default_rng(draw.streams[3])
     scen = corrupt_interval(samples, delta, p, rng_noise)[:num_k]
     lowers = np.array([s.lower for s in scen])
     uppers = np.array([s.upper for s in scen])
@@ -276,33 +332,75 @@ def _run_sorting_instance(cfg: SweepConfig, cell, ss, backend) -> InstanceOutcom
     return _interval_outcome(feasible, idata, eps, cop, "min", dist)
 
 
-def _run_spp_instance(cfg: SweepConfig, cell, ss, backend) -> InstanceOutcome:
-    _, rng_means, rng_data, _ = [np.random.default_rng(s) for s in ss.spawn(4)]
+@dataclass(eq=False)
+class _HistoryDraw:
+    """The cell-independent part of an spp or mcp instance: the skeleton, the
+    nominal law, its collector history at ``k_max`` steps, the COP handle and
+    the nominal optimum the relative loss divides by."""
+
+    skeleton: ProblemSkeleton
+    dist: BetaNominal
+    run: CollectorRun
+    cop: Callable
+    radius_scale: int  # what prop_h scales: path length or budget
+    n1: int | None  # what prop_n1 scales, None to read it from params
+    optimum: float = field(init=False)
+
+    def __post_init__(self):
+        self.optimum = nominal_optimum(self.dist, self.skeleton.feasible, self.skeleton.sense, self.cop)
+
+
+def _draw_spp(cfg: SweepConfig, cell, backend, _rng_struct, rng_means, rng_data, _rng_noise):
     h = int(cell) if cfg.sweep == "h" else int(cfg.params["h"])
-    r = int(cfg.params["r"])
-    skeleton, graph = gen_layered_spp(h, r)
-    num_k = cfg.cell_k(cell)
+    skeleton, graph = gen_layered_spp(h, int(cfg.params["r"]))
     dist = BetaNominal.random(graph.num_arcs, cfg.sigma, rng_means)
     run = cucb_collect(graph, dist, cfg.k_max, rng_data)
-    eps = cfg.cell_epsilon(cell, num_k, h)
-    return _history_outcome(cfg, skeleton, run, num_k, eps, spp_cop(graph), dist, backend)
+    return _HistoryDraw(skeleton, dist, run, spp_cop(graph), h, None)
 
 
-def _run_mcp_instance(cfg: SweepConfig, cell, ss, backend) -> InstanceOutcome:
-    rng_struct, rng_means, rng_data, _ = [np.random.default_rng(s) for s in ss.spawn(4)]
+def _draw_mcp(cfg: SweepConfig, cell, backend, rng_struct, rng_means, rng_data, _rng_noise):
     n1 = int(cell) if cfg.sweep == "n1" else int(cfg.params["n1"])
-    n2 = int(cfg.params["n2"])
-    subset_size = int(cfg.params["subset_size"])
     budget = int(cfg.params["budget"])
-    skeleton, system = gen_mcp(n1, n2, subset_size, budget, rng_struct)
-    num_k = cfg.cell_k(cell)
+    skeleton, system = gen_mcp(
+        n1, int(cfg.params["n2"]), int(cfg.params["subset_size"]), budget, rng_struct
+    )
     dist = BetaNominal.random(n1, cfg.sigma, rng_means)
     run = cucb_collect_mcp(system, dist, cfg.k_max, rng_data)
-    eps = cfg.cell_epsilon(cell, num_k, budget, n1=n1)
-    cop = milp_cop(skeleton.feasible, backend)
-    return _history_outcome(cfg, skeleton, run, num_k, eps, cop, dist, backend)
+    return _HistoryDraw(skeleton, dist, run, milp_cop(skeleton.feasible, backend), budget, n1)
 
 
+def _history_outcome(cfg: SweepConfig, cell, drawn: _HistoryDraw, backend) -> InstanceOutcome:
+    """Observe the history's first K steps with the sweep's feedback, then
+    solve: thm2 on semi-bandit boxes, the dual MILP on bandit totals."""
+    num_k = cfg.cell_k(cell)
+    eps = cfg.cell_epsilon(cell, num_k, drawn.radius_scale, n1=drawn.n1)
+    run, skeleton = drawn.run, drawn.skeleton
+    scen = observe(cfg.feedback, run.samples[:num_k], run.decisions[:num_k], skeleton.feasible.n)
+    inst = skeleton.instance(scen, eps)
+    if cfg.feedback == "semibandit":
+        idata = interval_data_from_instance(inst)
+        return _interval_outcome(
+            inst.feasible, idata, eps, drawn.cop, inst.sense, drawn.dist, drawn.optimum
+        )
+    mip, _, _ = build_dro_milp(inst)
+    value, x, diag = solve_dro_milp(inst, mip, backend)
+    if value is None:
+        raise RuntimeError(f"robust solve failed: {diag.status}")
+    rho = nominal_relative_loss(x, drawn.dist, inst.feasible, inst.sense, optimum=drawn.optimum)
+    root = relaxation_value(inst, mip, backend)
+    quality = value / root if root is not None and abs(root) > 1e-12 else None
+    return InstanceOutcome(rho, diag.time_ms, quality, None)
+
+
+def _run_spp_instance(cfg: SweepConfig, cell, draw: _Draw, backend) -> InstanceOutcome:
+    return _history_outcome(cfg, cell, draw.keep(_draw_spp, cfg, cell, backend), backend)
+
+
+def _run_mcp_instance(cfg: SweepConfig, cell, draw: _Draw, backend) -> InstanceOutcome:
+    return _history_outcome(cfg, cell, draw.keep(_draw_mcp, cfg, cell, backend), backend)
+
+
+# family -> runner(cfg, cell, draw, backend): one instance's outcome in one cell
 _RUNNERS = {
     "sorting": _run_sorting_instance,
     "spp": _run_spp_instance,
@@ -323,15 +421,16 @@ def run_sweep(cfg: SweepConfig, backend=None, on_cell=None) -> list[SweepRecord]
     if backend is None:
         backend = ScipyBackend()
     runner = _RUNNERS[cfg.family]
+    shared = cfg.shares_instances()
+    draws = [_Draw([cfg.seed, i]) for i in range(cfg.instances)] if shared else None
     records = []
     for ci, cell in enumerate(cfg.grid):
         outcomes = []
         failures = 0
         for i in range(cfg.instances):
-            entropy = [cfg.seed, i] if cfg.shares_instances() else [cfg.seed, ci, i]
-            ss = np.random.SeedSequence(entropy)
+            draw = draws[i] if shared else _Draw([cfg.seed, ci, i])
             try:
-                outcomes.append(runner(cfg, cell, ss, backend))
+                outcomes.append(runner(cfg, cell, draw, backend))
             except (DroError, RuntimeError):
                 failures += 1
         if outcomes:

@@ -318,6 +318,24 @@ _FULL_ONLY = dict.fromkeys(("family", "sweep", "grid", "instances", "params", "e
         ({"epsilon_rule": 1.0}, "epsilon_rule must be an object, got 1.0"),
         ({"params": [6, 2]}, "params must be an object, got [6, 2]"),
         ({"params": {"n": "six", "h": 2}}, "params values must be a number, got 'six'"),
+        ({"params": {"n": 6}}, "params lack ['h'], which family 'sorting' reads when sweeping 'delta'"),
+        ({"sweep": "h", "grid": [2], "params": {"h": 2}}, "params lack ['n'], which family 'sorting'"),
+        (
+            {"family": "spp", "feedback": "semibandit", "params": {"h": 3}},
+            "params lack ['r'], which family 'spp' reads",
+        ),
+        (
+            {"family": "mcp", "sweep": "n1", "grid": [8], "feedback": "semibandit", "params": {"n1": 8}},
+            "params lack ['budget', 'n2', 'subset_size'], which family 'mcp' reads when sweeping 'n1'",
+        ),
+        (
+            {"family": "mcp", "feedback": "bandit", "params": {"n2": 6, "subset_size": 3, "budget": 2}},
+            "params lack ['n1'], which family 'mcp' reads",
+        ),
+        (
+            {"epsilon_rule": {"kind": "prop_n1", "coef": 0.1}},
+            "params lack ['n1'], which family 'sorting' reads when sweeping 'delta' with the 'prop_n1' rule",
+        ),
     ],
     ids=[
         "missing-value", "spp-interval", "sorting-preset-bandit",
@@ -325,6 +343,8 @@ _FULL_ONLY = dict.fromkeys(("family", "sweep", "grid", "instances", "params", "e
         "preset-stray-key", "zero-k-cell", "zero-k-samples", "derived-k-max",
         "string-instances", "float-seed", "list-sigma", "string-grid-cell",
         "preset-string-seed", "scalar-epsilon-rule", "list-params", "string-param",
+        "sorting-no-h", "sorting-h-sweep-no-n", "spp-no-r", "mcp-n1-sweep-no-budget",
+        "mcp-no-n1", "prop-n1-no-n1",
     ],
 )
 def test_sweep_rejects_misread_config(tmp_path, capsys, override, message):

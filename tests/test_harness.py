@@ -95,6 +95,21 @@ def small_sorting_cfg(seed=11, **overrides):
     return SweepConfig(**base)
 
 
+def _small_mcp_k_cfg(**overrides):
+    base = dict(
+        family="mcp",
+        sweep="K",
+        grid=(3, 5, 8),
+        instances=3,
+        seed=6,
+        params={"n1": 8, "n2": 6, "subset_size": 3, "budget": 2},
+        epsilon_rule={"kind": "sqrt", "gamma": 1.0},
+        feedback="semibandit",
+    )
+    base.update(overrides)
+    return SweepConfig(**base)
+
+
 class TestRunSweep:
     def test_rho_bounds_by_sense(self):
         recs = run_sweep(small_sorting_cfg())
@@ -203,16 +218,43 @@ class TestRunSweep:
             ),
             ({"sweep": "K", "grid": (0, 5)}, r"K grid cells must be >= 1, got \[0, 5\]"),
             ({"k_samples": 0}, "k_samples must be >= 1, got 0"),
+            ({"params": {"n": 8}}, r"params lack \['h'\], which family 'sorting' reads"),
+            (
+                {"family": "mcp", "feedback": "bandit", "params": {"n1": 8, "budget": 2}},
+                r"params lack \['n2', 'subset_size'\]",
+            ),
+            (
+                {"epsilon_rule": {"kind": "prop_n1", "coef": 0.1}},
+                r"params lack \['n1'\], which family 'sorting' reads when sweeping 'delta' "
+                "with the 'prop_n1' rule",
+            ),
         ],
         ids=[
             "fixed", "sqrt", "prop_h", "prop_n1", "negative", "string",
             "sorting-bandit", "spp-default", "mcp-interval", "negative-gamma-grid",
-            "zero-k-cell", "zero-k-samples",
+            "zero-k-cell", "zero-k-samples", "sorting-no-h", "mcp-no-n2",
+            "prop-n1-no-n1",
         ],
     )
     def test_misread_config_rejected(self, override, message):
         with pytest.raises(ValueError, match=message):
             small_sorting_cfg(**override)
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"sweep": "h", "grid": (1, 2), "params": {"n": 8}},
+            {
+                "family": "mcp", "sweep": "n1", "grid": (6, 8), "feedback": "semibandit",
+                "params": {"n2": 6, "subset_size": 3, "budget": 2},
+                "epsilon_rule": {"kind": "prop_n1", "coef": 0.1},
+            },
+            {"family": "spp", "sweep": "h", "grid": (3,), "feedback": "bandit", "params": {"r": 2}},
+        ],
+        ids=["sorting-h", "mcp-n1", "spp-h"],
+    )
+    def test_swept_param_may_be_left_out(self, override):
+        assert small_sorting_cfg(**override).params == override["params"]
 
     def test_k_max_is_largest_cell_k(self):
         assert small_sorting_cfg(sweep="K", grid=(4, 9, 2)).k_max == 9
@@ -230,12 +272,34 @@ class TestRunSweep:
                 {"n1": 8, "n2": 6, "subset_size": 3, "budget": 2},
                 {"kind": "sqrt", "gamma": 1.0}, feedback="semibandit",
             ),
+            SweepConfig(
+                "spp", "K", (3, 6), 2, 4, {"h": 3, "r": 2},
+                {"kind": "sqrt", "gamma": 1.0}, feedback="bandit",
+            ),
+            SweepConfig(
+                "mcp", "K", (3, 6), 2, 4,
+                {"n1": 8, "n2": 6, "subset_size": 3, "budget": 2},
+                {"kind": "sqrt", "gamma": 1.0}, feedback="bandit",
+            ),
+            small_sorting_cfg(grid=(0.0, 0.3, 0.6)),
+            small_sorting_cfg(sweep="gamma", grid=(0.5, 2.0, 4.0), epsilon_rule={"kind": "sqrt"}),
+            small_sorting_cfg(sweep="h", grid=(1, 3, 5), delta=0.3),
+            SweepConfig(
+                "mcp", "gamma", (0.5, 2.0), 3, 4,
+                {"n1": 8, "n2": 6, "subset_size": 3, "budget": 2},
+                {"kind": "sqrt"}, feedback="semibandit",
+            ),
         ],
-        ids=["spp-k", "mcp-k"],
+        ids=[
+            "spp-k", "mcp-k", "spp-k-bandit", "mcp-k-bandit",
+            "sorting-delta", "sorting-gamma", "sorting-h", "mcp-gamma",
+        ],
     )
     def test_one_cell_k_sweep_matches_full_sweep_row(self, cfg):
-        # a K sweep reads each cell off a prefix of one collector history, so
-        # a shorter history for a one-cell sweep gives the same row
+        # a shared sweep reads every cell off one draw of each instance (a K
+        # sweep off a prefix of one collector history), so a fresh draw for a
+        # one-cell sweep gives the same row
+        assert cfg.shares_instances()
         rows = records_to_csv(run_sweep(cfg)).splitlines()[1:]
         for cell, row in zip(cfg.grid, rows):
             one = dataclasses.replace(cfg, grid=(cell,))
@@ -252,6 +316,65 @@ class TestRunSweep:
         monkeypatch.setitem(harness._RUNNERS, "sorting", broken)
         with pytest.raises(KeyError):
             run_sweep(small_sorting_cfg())
+
+    def test_bug_in_kept_draw_propagates(self, monkeypatch):
+        def broken(*args):
+            raise KeyError("collector")
+
+        monkeypatch.setattr(harness, "cucb_collect_mcp", broken)
+        with pytest.raises(KeyError):
+            run_sweep(_small_mcp_k_cfg())
+
+    def test_failed_draw_fails_every_cell(self):
+        # subset_size > n1 makes gen_mcp raise BadCardinality on every draw
+        cfg = _small_mcp_k_cfg(params={"n1": 3, "n2": 6, "subset_size": 4, "budget": 2})
+        recs = run_sweep(cfg)
+        assert [r.n_fail for r in recs] == [cfg.instances] * len(cfg.grid)
+        assert all(r.mean_rho is None for r in recs)
+
+    def test_shared_sweep_draws_each_instance_once(self, monkeypatch):
+        counts = {"collect": 0, "cop": 0}
+        collect, make_cop = harness.cucb_collect_mcp, harness.milp_cop
+
+        def counted_collect(*args):
+            counts["collect"] += 1
+            return collect(*args)
+
+        def counted_make_cop(*args):
+            cop = make_cop(*args)
+
+            def solve(*a):
+                counts["cop"] += 1
+                return cop(*a)
+
+            return solve
+
+        monkeypatch.setattr(harness, "cucb_collect_mcp", counted_collect)
+        monkeypatch.setattr(harness, "milp_cop", counted_make_cop)
+        cfg = _small_mcp_k_cfg()
+        recs = run_sweep(cfg)
+        assert all(r.n_fail == 0 for r in recs)
+        cells = len(cfg.grid)
+        assert counts["collect"] == cfg.instances
+        # two interval candidates per cell, one nominal optimum per instance
+        assert counts["cop"] == cfg.instances * (2 * cells + 1)
+
+    def test_structural_sweep_draws_per_cell(self, monkeypatch):
+        calls = []
+        collect = harness.cucb_collect
+
+        def counted_collect(graph, *args):
+            calls.append(graph.h)
+            return collect(graph, *args)
+
+        monkeypatch.setattr(harness, "cucb_collect", counted_collect)
+        cfg = SweepConfig(
+            "spp", "h", (3, 4, 5), 2, 4, {"r": 2},
+            {"kind": "prop_h", "coef": 0.1}, feedback="semibandit",
+        )
+        assert not cfg.shares_instances()
+        run_sweep(cfg)
+        assert calls == [3, 3, 4, 4, 5, 5]
 
     def test_failures_counted_not_fatal(self):
         cfg = small_sorting_cfg()
