@@ -8,6 +8,7 @@ decisions never overlap (a one-dimensional enumeration over history groups).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,21 +75,24 @@ class IntervalData:
 
 
 def milp_cop(feasible: FeasibleSet, backend=None):
-    """Universal combinatorial solver: min/max costs.x over the feasible set."""
+    """Universal combinatorial solver: min/max costs.x over the feasible set.
+
+    The rows and bounds are built once per handle; a call swaps in its costs.
+    """
     backend = backend or ReferenceKernel()
+    template = LinearProgram(
+        np.zeros(feasible.n),
+        feasible.matrix(),
+        tuple(["<="] * feasible.num_rows),
+        feasible.rhs,
+        np.zeros(feasible.n),
+        feasible.upper,
+    )
+    integer = feasible.integer_mask()
 
     def solve(costs, sense="min"):
-        costs = np.asarray(costs, dtype=float)
-        lp = LinearProgram(
-            costs,
-            feasible.matrix(),
-            tuple(["<="] * feasible.num_rows),
-            feasible.rhs,
-            np.zeros(feasible.n),
-            feasible.upper,
-            sense=sense,
-        )
-        res = backend.solve_milp(MixedIntegerProgram(lp, feasible.integer_mask()))
+        lp = dataclasses.replace(template, c=costs, sense=sense)
+        res = backend.solve_milp(MixedIntegerProgram(lp, integer))
         if res.status != OPTIMAL:
             raise RuntimeError(f"combinatorial solve failed: {res.status}")
         return float(res.value), res.x

@@ -55,7 +55,15 @@ from .datagen import (
 )
 from .errors import DegenerateDenominator, DimensionMismatch, DroError, EmptyInput
 from .model import FeasibleSet
-from .problems import ProblemSkeleton, gen_layered_spp, gen_mcp, gen_sorting, sorting_cop, spp_cop
+from .problems import (
+    ProblemSkeleton,
+    gen_layered_spp,
+    gen_mcp,
+    gen_sorting,
+    mcp_cop,
+    sorting_cop,
+    spp_cop,
+)
 from .reformulate import build_dro_milp, relaxation_value, solve_dro_milp
 from .solver import ScipyBackend
 
@@ -350,7 +358,7 @@ class _HistoryDraw:
         self.optimum = nominal_optimum(self.dist, self.skeleton.feasible, self.skeleton.sense, self.cop)
 
 
-def _draw_spp(cfg: SweepConfig, cell, backend, _rng_struct, rng_means, rng_data, _rng_noise):
+def _draw_spp(cfg: SweepConfig, cell, _rng_struct, rng_means, rng_data, _rng_noise):
     h = int(cell) if cfg.sweep == "h" else int(cfg.params["h"])
     skeleton, graph = gen_layered_spp(h, int(cfg.params["r"]))
     dist = BetaNominal.random(graph.num_arcs, cfg.sigma, rng_means)
@@ -358,7 +366,7 @@ def _draw_spp(cfg: SweepConfig, cell, backend, _rng_struct, rng_means, rng_data,
     return _HistoryDraw(skeleton, dist, run, spp_cop(graph), h, None)
 
 
-def _draw_mcp(cfg: SweepConfig, cell, backend, rng_struct, rng_means, rng_data, _rng_noise):
+def _draw_mcp(cfg: SweepConfig, cell, rng_struct, rng_means, rng_data, _rng_noise):
     n1 = int(cell) if cfg.sweep == "n1" else int(cfg.params["n1"])
     budget = int(cfg.params["budget"])
     skeleton, system = gen_mcp(
@@ -366,7 +374,7 @@ def _draw_mcp(cfg: SweepConfig, cell, backend, rng_struct, rng_means, rng_data, 
     )
     dist = BetaNominal.random(n1, cfg.sigma, rng_means)
     run = cucb_collect_mcp(system, dist, cfg.k_max, rng_data)
-    return _HistoryDraw(skeleton, dist, run, milp_cop(skeleton.feasible, backend), budget, n1)
+    return _HistoryDraw(skeleton, dist, run, mcp_cop(system), budget, n1)
 
 
 def _history_outcome(cfg: SweepConfig, cell, drawn: _HistoryDraw, backend) -> InstanceOutcome:
@@ -393,11 +401,11 @@ def _history_outcome(cfg: SweepConfig, cell, drawn: _HistoryDraw, backend) -> In
 
 
 def _run_spp_instance(cfg: SweepConfig, cell, draw: _Draw, backend) -> InstanceOutcome:
-    return _history_outcome(cfg, cell, draw.keep(_draw_spp, cfg, cell, backend), backend)
+    return _history_outcome(cfg, cell, draw.keep(_draw_spp, cfg, cell), backend)
 
 
 def _run_mcp_instance(cfg: SweepConfig, cell, draw: _Draw, backend) -> InstanceOutcome:
-    return _history_outcome(cfg, cell, draw.keep(_draw_mcp, cfg, cell, backend), backend)
+    return _history_outcome(cfg, cell, draw.keep(_draw_mcp, cfg, cell), backend)
 
 
 # family -> runner(cfg, cell, draw, backend): one instance's outcome in one cell

@@ -28,7 +28,7 @@ from .model import (
     ProblemInstance,
     SemiBandit,
 )
-from .problems import gen_layered_spp, gen_sorting
+from .problems import gen_layered_spp, gen_mcp, gen_sorting, mcp_cop
 from .reformulate import (
     CompactVars,
     DiscreteDistribution,
@@ -99,6 +99,45 @@ def brute_force_milp(mip: MixedIntegerProgram):
         if best is None or (lp.sense == "min") == (v < best):
             best = v
     return best
+
+
+def brute_force_coverage(system, costs) -> float:
+    """Largest covered weight, items of negative cost weighing 0, over every
+    selection of ``min(budget, n_subsets)`` subsets."""
+    n1 = system.n_items
+    weights = np.maximum(np.asarray(costs, dtype=float)[:n1], 0.0)
+    incidence = np.zeros((system.n_subsets, n1), dtype=bool)
+    for i, s in enumerate(system.subsets):
+        incidence[i, list(s)] = True
+    picks = min(system.budget, system.n_subsets)
+    combos = itertools.combinations(range(system.n_subsets), picks)
+    best = 0.0
+    while chunk := list(itertools.islice(combos, 4096)):
+        covered = incidence[np.array(chunk, dtype=int).reshape(len(chunk), picks)].any(axis=1)
+        best = max(best, float((covered @ weights).max()))
+    return best
+
+
+def random_coverage_costs(rng: np.random.Generator):
+    """A random coverage system and nonnegative costs, zero on the selection
+    block and on a random share of the items (on all of them one time in
+    ten).  Every other system picks 5 of 24-26 subsets, more selections than
+    the coverage search scores in one pass, so its depth-first search and
+    pruning bounds run.
+
+    Returns ``(skeleton, system, costs)``.
+    """
+    if rng.random() < 0.5:
+        n1, n2 = int(rng.integers(1, 13)), int(rng.integers(1, 9))
+        budget, size = int(rng.integers(1, n2 + 2)), int(rng.integers(1, min(n1, 4) + 1))
+    else:
+        n1, n2 = int(rng.integers(20, 71)), int(rng.integers(24, 27))
+        budget, size = 5, int(rng.integers(4, 8))
+    skeleton, system = gen_mcp(n1, n2, size, budget, rng)
+    costs = np.zeros(n1 + n2)
+    share = 0.0 if rng.random() < 0.1 else 0.7
+    costs[:n1] = rng.random(n1) * (rng.random(n1) < share)
+    return skeleton, system, costs
 
 
 def random_interval_instance(rng: np.random.Generator) -> ProblemInstance:
@@ -235,6 +274,22 @@ def check_kernel_enumeration(count: int, seed) -> CheckResult:
     return _result("kernel-vs-enumeration", failures, clean, worst=worst, misses=misses)
 
 
+def check_mcp_cop(count: int, seed) -> CheckResult:
+    """The coverage search against enumeration of every selection."""
+    rng = np.random.default_rng(seed)
+    worst, failures = 0.0, []
+    for t in range(count):
+        skeleton, system, costs = random_coverage_costs(rng)
+        got, x = mcp_cop(system)(costs)
+        want = brute_force_coverage(system, costs)
+        err = abs(got - want) / (1.0 + abs(want))
+        worst = max(worst, err)
+        if err > 1e-12 or not skeleton.feasible.contains(x):
+            failures.append(f"system {t}: {got} vs {want}")
+    clean = f"{count} coverage systems match (worst rel err {worst:.2e})"
+    return _result("mcp-cop-vs-enumeration", failures, clean, worst=worst)
+
+
 def check_interval_oracle(count: int, seed) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst, failures = 0.0, []
@@ -336,4 +391,5 @@ def run_all(seed=0, scale: float = 1.0) -> list[CheckResult]:
         check_bandit_oracle(c(15), [seed, 4]),
         check_w1_axioms(c(40), [seed, 5]),
         check_compact_dual(c(20), [seed, 6]),
+        check_mcp_cop(c(20), [seed, 7]),
     ]

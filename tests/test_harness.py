@@ -334,7 +334,7 @@ class TestRunSweep:
 
     def test_shared_sweep_draws_each_instance_once(self, monkeypatch):
         counts = {"collect": 0, "cop": 0}
-        collect, make_cop = harness.cucb_collect_mcp, harness.milp_cop
+        collect, make_cop = harness.cucb_collect_mcp, harness.mcp_cop
 
         def counted_collect(*args):
             counts["collect"] += 1
@@ -350,7 +350,7 @@ class TestRunSweep:
             return solve
 
         monkeypatch.setattr(harness, "cucb_collect_mcp", counted_collect)
-        monkeypatch.setattr(harness, "milp_cop", counted_make_cop)
+        monkeypatch.setattr(harness, "mcp_cop", counted_make_cop)
         cfg = _small_mcp_k_cfg()
         recs = run_sweep(cfg)
         assert all(r.n_fail == 0 for r in recs)

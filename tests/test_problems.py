@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from dro.errors import BadCardinality
+from dro.closedform import milp_cop
+from dro.errors import BadCardinality, DimensionMismatch
 from dro.model import validate_instance, Exact
 from dro.problems import (
     CoverageSystem,
@@ -11,11 +12,13 @@ from dro.problems import (
     gen_layered_spp,
     gen_mcp,
     gen_sorting,
+    mcp_cop,
     shortest_path_dp,
     sorting_cop,
     spp_cop,
 )
-from dro.solver import LE, LinearProgram, MixedIntegerProgram, solve_lp, solve_milp
+from dro.selfcheck import brute_force_coverage
+from dro.solver import LE, LinearProgram, MixedIntegerProgram, ScipyBackend, solve_lp, solve_milp
 from enumeration import TooLarge, all_paths, covered_items, enumerate_feasible, num_paths
 
 
@@ -203,3 +206,73 @@ class TestSppCop:
         cop = spp_cop(g)
         with pytest.raises(ValueError):
             cop(np.zeros(g.num_arcs), "max")
+
+
+class TestMcpCop:
+    def _check(self, sk, system, costs):
+        n1 = system.n_items
+        value, x = mcp_cop(system)(costs)
+        want = brute_force_coverage(system, costs)
+        assert abs(value - want) <= 1e-12 * (1.0 + abs(want))
+        assert sk.feasible.contains(x)
+        chosen = np.flatnonzero(x[n1:])
+        assert len(chosen) == min(system.budget, system.n_subsets)
+        covered = covered_items(system, chosen) > 0
+        np.testing.assert_array_equal(x[:n1], covered & (costs[:n1] >= 0.0))
+
+    def test_matches_enumeration(self):
+        rng = np.random.default_rng(10)
+        for t in range(48):
+            n1, n2 = int(rng.integers(1, 13)), int(rng.integers(1, 8))
+            size = int(rng.integers(1, min(n1, 4) + 1))
+            budget = 1 + t % (n2 + 1)  # 1 through n2 + 1
+            sk, system = gen_mcp(n1, n2, size, budget, rng)
+            costs = np.zeros(n1 + n2)
+            if t % 4:  # every fourth system has all-zero costs
+                costs[:n1] = rng.random(n1) * (rng.random(n1) < 0.6)
+            if t % 5 == 1:
+                costs[:n1] -= 0.25  # items of negative cost are never flagged
+            self._check(sk, system, costs)
+
+    def test_matches_enumeration_beyond_one_pass(self):
+        # C(24, 5) selections exceed what one vectorized pass scores, so the
+        # depth-first search and its bounds decide these
+        rng = np.random.default_rng(11)
+        for _ in range(2):
+            sk, system = gen_mcp(40, 24, 5, 5, rng)
+            costs = np.zeros(64)
+            costs[:40] = rng.random(40) * (rng.random(40) < 0.8)
+            self._check(sk, system, costs)
+
+    def test_two_mask_words_match_highs(self):
+        rng = np.random.default_rng(12)
+        sk, system = gen_mcp(70, 30, 5, 4, rng)
+        costs = np.zeros(100)
+        costs[:70] = rng.random(70)
+        value, x = mcp_cop(system)(costs)
+        highs, _ = milp_cop(sk.feasible, ScipyBackend())(costs, "max")
+        assert value >= highs - 1e-9
+        assert sk.feasible.contains(x)
+        assert value == pytest.approx(float(costs @ x), abs=1e-12)
+
+    def test_deterministic(self):
+        rng = np.random.default_rng(13)
+        _, system = gen_mcp(20, 20, 5, 5, rng)
+        costs = np.concatenate([rng.random(20), np.zeros(20)])
+        cop = mcp_cop(system)
+        assert cop(costs)[1].tobytes() == cop(costs)[1].tobytes()
+
+    def test_rejects_bad_input(self):
+        _, system = gen_mcp(6, 4, 2, 2, seed=0)
+        cop = mcp_cop(system)
+        costs = np.concatenate([np.ones(6), np.zeros(4)])
+        with pytest.raises(ValueError):
+            cop(costs, "min")
+        selection_cost = costs.copy()
+        selection_cost[7] = 0.5
+        with pytest.raises(ValueError):
+            cop(selection_cost)
+        with pytest.raises(DimensionMismatch):
+            cop(costs[:-1])
+        with pytest.raises(BadCardinality):
+            mcp_cop(CoverageSystem(3, ((0,), (1, 2)), -1))
