@@ -191,9 +191,8 @@ class CucbState:
 
     def update(self, mask, values):
         idx = np.flatnonzero(mask > 0.5)
-        for a in idx:
-            self.counts[a] += 1
-            self.means[a] += (values[a] - self.means[a]) / self.counts[a]
+        self.counts[idx] += 1
+        self.means[idx] += (values[idx] - self.means[idx]) / self.counts[idx]
 
 
 @dataclass(eq=False)
@@ -239,27 +238,33 @@ def cucb_collect_mcp(system: CoverageSystem, dist: BetaNominal, num_k: int, seed
     the optimistic item values (ties to the lowest subset index), then
     observe the covered items.  Decisions and samples live on the item block
     only; ``selections`` records the chosen subsets of each step.
+
+    A gain sums its subset's uncovered values one by one in member order
+    (numpy's ``sum`` over the uncovered values gives the same bits while at
+    most seven remain).
     """
     if dist.n != system.n_items:
         raise DimensionMismatch("nominal dimension must equal the item count")
-    members = [np.array(s, dtype=int) for s in system.subsets]
+    # one row of member indices per subset, padded with the index of an
+    # appended item that is never covered and worth zero
+    width = max(len(s) for s in system.subsets)
+    members = np.full((system.n_subsets, width), system.n_items)
+    for i, s in enumerate(system.subsets):
+        members[i, : len(s)] = s
     selections = []
 
     def choose(state, step):
-        values = state.pessimistic_values(step)
-        covered = np.zeros(system.n_items, dtype=bool)
+        values = np.append(state.pessimistic_values(step), 0.0)
+        covered = np.zeros(system.n_items + 1, dtype=bool)
         chosen = []
         for _ in range(min(system.budget, system.n_subsets)):
-            gains = np.array(
-                [
-                    values[m[~covered[m]]].sum() if i not in chosen else -np.inf
-                    for i, m in enumerate(members)
-                ]
-            )
+            terms = np.where(covered[members], 0.0, values[members])
+            gains = np.cumsum(terms, axis=1)[:, -1]
+            gains[chosen] = -np.inf
             best = int(np.argmax(gains))
             chosen.append(best)
             covered[members[best]] = True
         selections.append(tuple(chosen))
-        return covered.astype(float)
+        return covered[:-1].astype(float)
 
     return CollectorRun(*_collect(system.n_items, dist, num_k, seed_or_rng, choose), selections)

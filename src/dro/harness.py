@@ -19,10 +19,13 @@ written as 0 unless explicitly enabled).
 A shared sweep draws each instance once and reads every cell off it.  For
 spp and mcp the structure, the nominal law, the collector history at
 ``k_max`` steps, the COP handle and the nominal optimum are kept for the
-whole sweep, and each cell observes its K prefix, sets its radius and
-solves; sorting keeps its nominal law and samples, and corrupts them and
-builds its cardinality structure per cell.  An instance whose draw fails
-counts as a failure in every cell.  A structural sweep draws per cell.
+whole sweep.  Under semibandit feedback the draw also validates and lowers
+the whole history once, and each cell slices its K prefix of boxes off it;
+under bandit feedback each cell observes its K prefix and builds and solves
+its dual MILP.  Sorting keeps its nominal law and samples, and corrupts them
+and builds its cardinality structure per cell.  An instance whose draw
+fails, its lowering included, counts as a failure in every cell.  A
+structural sweep draws per cell.
 ``mean_time_ms`` still times the whole robust solve of each cell: both
 interval candidates, or the dual MILP.
 """
@@ -33,7 +36,7 @@ import math
 import numbers
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -344,7 +347,9 @@ def _run_sorting_instance(cfg: SweepConfig, cell, draw: _Draw, backend) -> Insta
 class _HistoryDraw:
     """The cell-independent part of an spp or mcp instance: the skeleton, the
     nominal law, its collector history at ``k_max`` steps, the COP handle and
-    the nominal optimum the relative loss divides by."""
+    the nominal optimum the relative loss divides by.  Under semibandit
+    feedback it also keeps the history's boxes, validated and lowered once,
+    and a cell reads its K prefix off them."""
 
     skeleton: ProblemSkeleton
     dist: BetaNominal
@@ -352,10 +357,19 @@ class _HistoryDraw:
     cop: Callable
     radius_scale: int  # what prop_h scales: path length or budget
     n1: int | None  # what prop_n1 scales, None to read it from params
+    feedback: InitVar[str]
     optimum: float = field(init=False)
+    boxes: IntervalData | None = field(init=False)
 
-    def __post_init__(self):
-        self.optimum = nominal_optimum(self.dist, self.skeleton.feasible, self.skeleton.sense, self.cop)
+    def __post_init__(self, feedback):
+        skeleton = self.skeleton
+        self.optimum = nominal_optimum(self.dist, skeleton.feasible, skeleton.sense, self.cop)
+        self.boxes = None
+        if feedback == "semibandit":
+            # the radius plays no part in the boxes; SweepConfig has already
+            # rejected a negative one
+            scen = observe(feedback, self.run.samples, self.run.decisions, skeleton.feasible.n)
+            self.boxes = interval_data_from_instance(skeleton.instance(scen, 0.0))
 
 
 def _draw_spp(cfg: SweepConfig, cell, _rng_struct, rng_means, rng_data, _rng_noise):
@@ -363,7 +377,7 @@ def _draw_spp(cfg: SweepConfig, cell, _rng_struct, rng_means, rng_data, _rng_noi
     skeleton, graph = gen_layered_spp(h, int(cfg.params["r"]))
     dist = BetaNominal.random(graph.num_arcs, cfg.sigma, rng_means)
     run = cucb_collect(graph, dist, cfg.k_max, rng_data)
-    return _HistoryDraw(skeleton, dist, run, spp_cop(graph), h, None)
+    return _HistoryDraw(skeleton, dist, run, spp_cop(graph), h, None, cfg.feedback)
 
 
 def _draw_mcp(cfg: SweepConfig, cell, rng_struct, rng_means, rng_data, _rng_noise):
@@ -374,22 +388,25 @@ def _draw_mcp(cfg: SweepConfig, cell, rng_struct, rng_means, rng_data, _rng_nois
     )
     dist = BetaNominal.random(n1, cfg.sigma, rng_means)
     run = cucb_collect_mcp(system, dist, cfg.k_max, rng_data)
-    return _HistoryDraw(skeleton, dist, run, mcp_cop(system), budget, n1)
+    return _HistoryDraw(skeleton, dist, run, mcp_cop(system), budget, n1, cfg.feedback)
 
 
 def _history_outcome(cfg: SweepConfig, cell, drawn: _HistoryDraw, backend) -> InstanceOutcome:
-    """Observe the history's first K steps with the sweep's feedback, then
-    solve: thm2 on semi-bandit boxes, the dual MILP on bandit totals."""
+    """Solve on the history's first K steps: thm2 on the semi-bandit boxes
+    lowered at draw time, the dual MILP on bandit totals observed here."""
     num_k = cfg.cell_k(cell)
     eps = cfg.cell_epsilon(cell, num_k, drawn.radius_scale, n1=drawn.n1)
     run, skeleton = drawn.run, drawn.skeleton
+    if cfg.feedback == "semibandit":
+        full = drawn.boxes
+        idata = IntervalData(
+            full.lower[:num_k], full.upper[:num_k], full.support_lower, full.support_upper
+        )
+        return _interval_outcome(
+            skeleton.feasible, idata, eps, drawn.cop, skeleton.sense, drawn.dist, drawn.optimum
+        )
     scen = observe(cfg.feedback, run.samples[:num_k], run.decisions[:num_k], skeleton.feasible.n)
     inst = skeleton.instance(scen, eps)
-    if cfg.feedback == "semibandit":
-        idata = interval_data_from_instance(inst)
-        return _interval_outcome(
-            inst.feasible, idata, eps, drawn.cop, inst.sense, drawn.dist, drawn.optimum
-        )
     mip, _, _ = build_dro_milp(inst)
     value, x, diag = solve_dro_milp(inst, mip, backend)
     if value is None:

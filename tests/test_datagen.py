@@ -19,7 +19,7 @@ from dro.datagen import (
 )
 from dro.errors import DimensionMismatch, MeanOutOfRange
 from dro.model import lower_scenario, Polytope
-from dro.problems import LayeredGraph, gen_layered_spp, gen_mcp
+from dro.problems import CoverageSystem, LayeredGraph, gen_layered_spp, gen_mcp
 from enumeration import all_paths, covered_items
 
 
@@ -221,3 +221,58 @@ class TestMcpCollector:
         for sel, dec in zip(run.selections, run.decisions):
             assert len(sel) == 2
             np.testing.assert_array_equal(dec, covered_items(system, sel))
+
+
+def _list_greedy_collect_mcp(system, dist, num_k, seed):
+    """The coverage collector scored one subset at a time: a list
+    comprehension of numpy sums over each subset's uncovered values, and a
+    scalar running-mean update."""
+    rng = np.random.default_rng(seed)
+    state = CucbState.fresh(system.n_items)
+    members = [np.array(s, dtype=int) for s in system.subsets]
+    decisions = np.zeros((num_k, system.n_items))
+    samples = np.zeros((num_k, system.n_items))
+    selections = []
+    for k in range(num_k):
+        values = state.pessimistic_values(k + 1)
+        covered = np.zeros(system.n_items, dtype=bool)
+        chosen = []
+        for _ in range(min(system.budget, system.n_subsets)):
+            gains = np.array(
+                [
+                    values[m[~covered[m]]].sum() if i not in chosen else -np.inf
+                    for i, m in enumerate(members)
+                ]
+            )
+            best = int(np.argmax(gains))
+            chosen.append(best)
+            covered[members[best]] = True
+        selections.append(tuple(chosen))
+        decisions[k] = covered
+        samples[k] = sample_nominal(dist, 1, rng)[0]
+        for a in np.flatnonzero(covered):
+            state.counts[a] += 1
+            state.means[a] += (samples[k, a] - state.means[a]) / state.counts[a]
+    return decisions, samples, selections
+
+
+class TestMcpCollectorMatchesListGreedy:
+    @pytest.mark.parametrize("case", range(30))
+    def test_bitwise_equal(self, case):
+        rng = np.random.default_rng([31, case])
+        n_items = int(rng.integers(4, 16))
+        n_subsets = int(rng.integers(2, 10))
+        # unequal sizes up to seven, a budget of n_subsets or more every
+        # third case; every first step is an all-ties step, since every
+        # unobserved item is worth 1
+        sizes = rng.integers(1, min(7, n_items) + 1, size=n_subsets)
+        subsets = [rng.choice(n_items, size=int(z), replace=False) for z in sizes]
+        budget = n_subsets + int(rng.integers(0, 3)) if case % 3 == 0 else int(rng.integers(1, n_subsets + 1))
+        system = CoverageSystem(n_items, subsets, budget)
+        dist = BetaNominal.random(n_items, 0.125, rng)
+        num_k = int(rng.integers(1, 25))
+        run = cucb_collect_mcp(system, dist, num_k, [case])
+        decisions, samples, selections = _list_greedy_collect_mcp(system, dist, num_k, [case])
+        assert run.selections == selections
+        assert run.decisions.tobytes() == decisions.tobytes()
+        assert run.samples.tobytes() == samples.tobytes()

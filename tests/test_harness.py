@@ -8,7 +8,7 @@ import pytest
 
 from dro.closedform import IntervalData, solve_interval_detail
 from dro.datagen import BetaNominal, corrupt_interval
-from dro import harness
+from dro import closedform, harness
 from dro.errors import EmptyInput
 from dro.harness import (
     CSV_HEADER,
@@ -296,14 +296,17 @@ class TestRunSweep:
         ],
     )
     def test_one_cell_k_sweep_matches_full_sweep_row(self, cfg):
-        # a shared sweep reads every cell off one draw of each instance (a K
-        # sweep off a prefix of one collector history), so a fresh draw for a
-        # one-cell sweep gives the same row
+        # a shared sweep reads every cell off one draw of each instance (a
+        # semibandit K sweep slices its boxes off one lowering of the whole
+        # history), so a fresh draw for a one-cell sweep, which lowers only
+        # its own K steps, gives the same record, timing aside
+        def untimed(rec):
+            return dataclasses.replace(rec, mean_time_ms=None)
+
         assert cfg.shares_instances()
-        rows = records_to_csv(run_sweep(cfg)).splitlines()[1:]
-        for cell, row in zip(cfg.grid, rows):
-            one = dataclasses.replace(cfg, grid=(cell,))
-            assert records_to_csv(run_sweep(one)).splitlines()[1:] == [row]
+        for cell, rec in zip(cfg.grid, run_sweep(cfg)):
+            (one,) = run_sweep(dataclasses.replace(cfg, grid=(cell,)))
+            assert untimed(one) == untimed(rec)
 
     def test_gamma_sweep_takes_gamma_from_cell(self):
         cfg = small_sorting_cfg(sweep="gamma", grid=(1.0, 2.0), epsilon_rule={"kind": "sqrt"})
@@ -358,6 +361,40 @@ class TestRunSweep:
         assert counts["collect"] == cfg.instances
         # two interval candidates per cell, one nominal optimum per instance
         assert counts["cop"] == cfg.instances * (2 * cells + 1)
+
+    @staticmethod
+    def _count_validations(monkeypatch):
+        calls = []
+        validate = closedform.validate_instance
+
+        def counted_validate(inst):
+            calls.append(inst.num_samples)
+            return validate(inst)
+
+        monkeypatch.setattr(closedform, "validate_instance", counted_validate)
+        return calls
+
+    def test_shared_semibandit_sweep_lowers_each_history_once(self, monkeypatch, model_calls):
+        validations = self._count_validations(monkeypatch)
+        cfg = _small_mcp_k_cfg()
+        recs = run_sweep(cfg)
+        assert all(r.n_fail == 0 for r in recs)
+        # one validation of the whole history per instance, none per cell
+        assert validations == [cfg.k_max] * cfg.instances
+        assert model_calls["lower_scenario"] == cfg.instances * cfg.k_max
+
+    def test_structural_semibandit_sweep_validates_per_cell(self, monkeypatch, model_calls):
+        validations = self._count_validations(monkeypatch)
+        cfg = SweepConfig(
+            "mcp", "n1", (6, 8), 2, 4, {"n2": 6, "subset_size": 3, "budget": 2},
+            {"kind": "prop_n1", "coef": 0.05}, feedback="semibandit", k_samples=4,
+        )
+        assert not cfg.shares_instances()
+        recs = run_sweep(cfg)
+        assert all(r.n_fail == 0 for r in recs)
+        cells = len(cfg.grid)
+        assert validations == [cfg.k_samples] * (cfg.instances * cells)
+        assert model_calls["lower_scenario"] == cfg.instances * cells * cfg.k_samples
 
     def test_structural_sweep_draws_per_cell(self, monkeypatch):
         calls = []
