@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import DimensionMismatch, OverlappingDecisions
-from .model import Bandit, FeasibleSet, ProblemInstance, sample_boxes, validate_instance
+from .model import Bandit, FeasibleSet, ProblemInstance, SampleBoxes, validate_instance
 from .solver import OPTIMAL, LinearProgram, MixedIntegerProgram, ReferenceKernel
 
 
@@ -251,14 +251,14 @@ def interval_data_from_instance(inst: ProblemInstance) -> IntervalData | None:
     don't fit.
 
     Runs :func:`~dro.model.validate_instance` (raising
-    :class:`~dro.errors.InvalidInstance` on bad data) and reads each lowered
-    polytope's box through :func:`~dro.model.sample_boxes`; the data fit
-    exactly when every lowered polytope is box-shaped.
+    :class:`~dro.errors.InvalidInstance` on bad data) and reads the
+    :class:`~dro.model.SampleBoxes` it returns on a box support; the data
+    fit exactly when no sample carries an equality.
     """
-    boxes = sample_boxes(inst.support, validate_instance(inst))
-    if boxes is None or not np.all(np.isnan(boxes[3])):
+    boxes = validate_instance(inst)
+    if not isinstance(boxes, SampleBoxes) or not np.all(np.isnan(boxes.t)):
         return None
-    return IntervalData(boxes[0], boxes[1], *inst.support.box_bounds())
+    return IntervalData(boxes.lo, boxes.hi, *inst.support.box_bounds())
 
 
 def bandit_history_from_instance(inst: ProblemInstance) -> BanditHistory | None:

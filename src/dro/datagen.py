@@ -8,7 +8,10 @@ selection rule to produce realistic decision histories.
 PRNG contract: every randomized routine consumes a ``numpy.random.Generator``
 (PCG64).  Integer seeds are accepted and expanded with ``default_rng``;
 derived streams and draw order are documented per routine, so runs replay
-exactly for a fixed seed and numpy version.
+exactly for a fixed seed and numpy version.  The adaptive collectors draw
+their whole (K, n) history of nominal samples in one call before choosing any
+decision; their selection rules consume no randomness, so this is the stream
+of K one-row draws.
 """
 
 from __future__ import annotations
@@ -206,16 +209,15 @@ class CollectorRun:
 
 
 def _collect(n: int, dist: BetaNominal, num_k: int, seed_or_rng, choose):
-    """The CUCB loop: per step k (1-based), ``choose(state, k)`` picks the
-    decision, then one nominal sample is drawn (the only RNG consumption) and
-    the decision's components are folded into the running means."""
-    rng = _rng(seed_or_rng)
+    """The CUCB loop: the K nominal samples are drawn first, in one
+    :func:`sample_nominal` call (the only RNG consumption); then per step k
+    (1-based) ``choose(state, k)`` picks the decision and the decision's
+    components of sample k are folded into the running means."""
+    samples = sample_nominal(dist, num_k, seed_or_rng)
     state = CucbState.fresh(n)
     decisions = np.zeros((num_k, n))
-    samples = np.zeros((num_k, n))
     for k in range(num_k):
         decisions[k] = choose(state, k + 1)
-        samples[k] = sample_nominal(dist, 1, rng)[0]
         state.update(decisions[k], samples[k])
     return decisions, samples
 

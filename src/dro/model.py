@@ -126,64 +126,17 @@ class Polytope:
                     target[j] = -np.inf if sense == "min" else np.inf
         return _freeze(lo), _freeze(hi)
 
-    def box_and_equality(self):
-        """The system as box bounds plus at most one equality, or None.
-
-        Returns ``(lo, hi, m, t)`` when every row constrains a single
-        coordinate except at most one pair ``m @ c <= t``, ``-m @ c <= -t``
-        (a lowered Bandit scenario); ``lo``/``hi`` are the single-coordinate
-        rows' bounds, and ``m`` and ``t`` are None without that pair.
-        """
-        return self._box_and_equality
-
-    @cached_property
-    def _box_and_equality(self):
-        if self.is_box():
-            return (*self.box_bounds(), None, None)
-        general = np.flatnonzero((self.rows_a != 0).sum(axis=1) > 1)
-        if general.size != 2:
-            return None
-        i, j = general
-        a, b = self.rows_a, self.rows_b
-        if not (np.array_equal(a[i], -a[j]) and b[i] == -b[j]):
-            return None
-        keep = np.ones(self.num_rows, dtype=bool)
-        keep[general] = False
-        lo, hi = Polytope(self.num_vars, a[keep], b[keep]).box_bounds()
-        return lo, hi, a[i], b[i]
-
-    def _structural_point(self):
-        """The candidate point of a box, or of a box plus one equality whose
-        coefficients meet only finite bounds; None for any other shape."""
-        shape = self.box_and_equality()
-        if shape is None:
-            return None
-        lo, hi, m, t = shape
-        x = np.clip(np.zeros(self.num_vars), lo, hi)
-        if m is None:
-            return x
-        on = m != 0
-        if not np.all(np.isfinite(lo[on]) & np.isfinite(hi[on])):
-            return None
-        down = np.where(m > 0, lo, np.where(on, hi, x))
-        up = np.where(m > 0, hi, np.where(on, lo, x))
-        v_down, v_up = float(m @ down), float(m @ up)
-        theta = (t - v_down) / (v_up - v_down) if v_up > v_down else 0.0
-        return down + min(max(theta, 0.0), 1.0) * (up - down)
-
     def feasible_point(self):
         """Any point satisfying all rows, or None when the system is empty.
 
         Structural for box-shaped systems (the origin clipped into the box
-        bounds) and for a bounded box plus one equality ``m @ c = t`` (the
-        point on the segment between the box corners that minimise and
-        maximise ``m @ c`` where that segment meets the equality), otherwise
-        one LP solve; any candidate must then pass the same ``FEAS_TOL``
-        residual check.
+        bounds), otherwise one LP solve; either candidate must then pass the
+        same ``FEAS_TOL`` residual check.
         """
         n = self.num_vars
-        x = self._structural_point()
-        if x is None:
+        if self.is_box():
+            x = np.clip(np.zeros(n), *self.box_bounds())
+        else:
             res = solve_lp(
                 LinearProgram(
                     np.zeros(n),
@@ -305,6 +258,13 @@ class FeasibleSet:
         return bool(np.all(self.matrix() @ x <= self.rhs + feas_tol))
 
 
+# the DimensionMismatch reasons a scenario gives, on either lowering path
+_WRONG_LENGTH = "scenario dimension mismatch"
+_OUT_OF_RANGE = "observed index out of range"
+_REPEATED = "observed index repeated"
+_NAN = "scenario data holds NaN"
+
+
 class DataScenario:
     """What is known about one training sample."""
 
@@ -339,7 +299,9 @@ class Exact(DataScenario):
     def rows(self, support):
         n = support.num_vars
         if self.point.shape != (n,):
-            raise DimensionMismatch("scenario dimension mismatch")
+            raise DimensionMismatch(_WRONG_LENGTH)
+        if np.isnan(self.point).any():
+            raise DimensionMismatch(_NAN)
         return _pairs(np.eye(n), self.point)
 
 
@@ -359,7 +321,9 @@ class Interval(DataScenario):
     def rows(self, support):
         n = support.num_vars
         if self.lower.shape != (n,):
-            raise DimensionMismatch("scenario dimension mismatch")
+            raise DimensionMismatch(_WRONG_LENGTH)
+        if np.isnan(self.lower).any() or np.isnan(self.upper).any():
+            raise DimensionMismatch(_NAN)
         lo, hi = support.box_bounds()
         eye = np.eye(n)
         upper, lower = np.minimum(self.upper, hi), np.maximum(self.lower, lo)
@@ -368,7 +332,8 @@ class Interval(DataScenario):
 
 @dataclass(eq=False)
 class SemiBandit(DataScenario):
-    """Exact values on observed components, nothing elsewhere."""
+    """Exact values on observed components, nothing elsewhere; each index
+    appears at most once."""
 
     observed: tuple  # of (index, value)
 
@@ -378,7 +343,11 @@ class SemiBandit(DataScenario):
     def rows(self, support):
         n = support.num_vars
         if any(i < 0 or i >= n for i, _ in self.observed):
-            raise DimensionMismatch("observed index out of range")
+            raise DimensionMismatch(_OUT_OF_RANGE)
+        if len({i for i, _ in self.observed}) != len(self.observed):
+            raise DimensionMismatch(_REPEATED)
+        if any(np.isnan(v) for _, v in self.observed):
+            raise DimensionMismatch(_NAN)
         if not self.observed:
             return np.zeros((0, n)), np.zeros(0)
         m = np.zeros((len(self.observed), n))
@@ -404,7 +373,9 @@ class Bandit(DataScenario):
     def rows(self, support):
         n = support.num_vars
         if self.mask.shape != (n,):
-            raise DimensionMismatch("scenario dimension mismatch")
+            raise DimensionMismatch(_WRONG_LENGTH)
+        if np.isnan(self.mask).any() or np.isnan(self.total):
+            raise DimensionMismatch(_NAN)
         return _pairs(self.mask.reshape(1, n), np.array([self.total]))
 
 
@@ -461,13 +432,166 @@ class Diagnostic:
         return f"{self.code}: {self.message}"
 
 
-def validate_instance(inst: ProblemInstance) -> tuple[Polytope, ...]:
+@dataclass(eq=False)
+class SampleBoxes:
+    """Every sample of a box-support instance as a box plus at most one
+    equality, stacked over samples.
+
+    ``lo``/``hi`` (K, n) are each sample's box clipped into the support's
+    box; a point validated within ``FEAS_TOL`` outside the support lowers to
+    a slightly inverted box, and clipping projects it onto the support.  Row
+    k of ``m`` (K, n) and ``t[k]`` hold sample k's equality ``m @ c = t``
+    (a bandit total over two or more components), with a zero row and
+    ``t[k]`` NaN when it has none.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    m: np.ndarray
+    t: np.ndarray
+
+
+_BOX_KINDS = (Exact, Interval, SemiBandit, Bandit)
+
+
+def lower_box_scenarios(scenarios, support: Polytope):
+    """Lower every scenario against a box support in one vectorized pass per
+    scenario kind, building no per-scenario :class:`Polytope`.
+
+    Returns ``(boxes, findings)``: the :class:`SampleBoxes` of the systems
+    that :func:`lower_scenario` builds, and a :class:`Diagnostic` for each
+    scenario that fails, in scenario order.  Each sample's own rows are
+    ``c_i <= up[k, i]`` and ``-c_i <= -low[k, i]`` (exact points and
+    semi-bandit observations pin their coordinates, intervals are clipped
+    against the support's box, a bandit total over one component pins it),
+    or one row pair ``m @ c = t`` (a bandit total over two or more).  Bounds
+    merge as :meth:`Polytope.box_bounds` reads the sample's rows and then the
+    support's, first of equal bounds kept, and emptiness is the
+    ``FEAS_TOL`` residual of those rows at the candidate point that
+    :meth:`Polytope.feasible_point` uses for a box: the origin clipped into
+    the box, or, on a row pair, the point where the segment between the box
+    corners that minimise and maximise ``m @ c`` meets the equality.
+    """
+    n = support.num_vars
+    num_k = len(scenarios)
+    l, u = support.box_bounds()
+    found = {}
+    of_kind = {kind: [] for kind in _BOX_KINDS}
+    for k, s in enumerate(scenarios):
+        of_kind[type(s)].append(k)
+
+    def well_sized(kind, field):
+        keep = []
+        for k in of_kind[kind]:
+            s = scenarios[k]
+            if kind is Interval and np.any(s.lower > s.upper + tol.VALUE_TOL):
+                found[k] = Diagnostic("InvertedInterval", f"scenario {k} has lower > upper")
+            elif getattr(s, field).shape != (n,):
+                found[k] = Diagnostic("DimensionMismatch", f"scenario {k}: {_WRONG_LENGTH}")
+            else:
+                keep.append(k)
+        return keep
+
+    up = np.full((num_k, n), np.inf)
+    low = np.full((num_k, n), -np.inf)
+
+    ks = well_sized(Exact, "point")
+    if ks:
+        up[ks] = low[ks] = np.array([scenarios[k].point for k in ks])
+
+    ks = well_sized(Interval, "lower")
+    if ks:
+        up[ks] = np.minimum([scenarios[k].upper for k in ks], u)
+        low[ks] = np.maximum([scenarios[k].lower for k in ks], l)
+
+    ks = of_kind[SemiBandit]
+    if ks:
+        observed = [scenarios[k].observed for k in ks]
+        rows = np.repeat(ks, [len(o) for o in observed])
+        pairs = np.array([p for o in observed for p in o], dtype=float).reshape(-1, 2)
+        idx, vals = pairs[:, 0], pairs[:, 1]
+        outside = (idx < 0) | (idx >= n)
+        key = rows[~outside] * n + idx[~outside].astype(np.intp)
+        keys, counts = np.unique(key, return_counts=True)
+        out_of_range = set(rows[outside].tolist())
+        repeated = set((keys[counts > 1] // n).tolist())
+        for k in ks:
+            if k in out_of_range:
+                found[k] = Diagnostic("DimensionMismatch", f"scenario {k}: {_OUT_OF_RANGE}")
+            elif k in repeated:
+                found[k] = Diagnostic("DimensionMismatch", f"scenario {k}: {_REPEATED}")
+        ok = ~np.isin(rows, list(out_of_range | repeated))
+        rows, idx = rows[ok], idx[ok].astype(np.intp)
+        up[rows, idx] = low[rows, idx] = vals[ok]
+
+    # bounds add the one-component bandit totals, which stay off the box rows
+    # because their rows are mask[j] c_j = t, not c_j = t / mask[j]
+    bound_up, bound_low = up, low
+    m = np.zeros((num_k, n))
+    t = np.full(num_k, np.nan)
+    band = np.array(well_sized(Bandit, "mask"), dtype=np.intp)
+    if band.size:
+        masks = np.array([scenarios[k].mask for k in band])
+        totals = np.array([scenarios[k].total for k in band])
+        nnz = np.count_nonzero(masks, axis=1)
+        pair = nnz > 1
+        m[band[pair]] = masks[pair]
+        t[band[pair]] = totals[pair]
+        one = np.flatnonzero(nnz == 1)
+        if one.size:
+            j = np.argmax(masks[one] != 0, axis=1)
+            bound_up, bound_low = up.copy(), low.copy()
+            bound_up[band[one], j] = bound_low[band[one], j] = totals[one] / masks[one, j]
+
+    # the sample's rows first, then the support's: a support bound replaces
+    # the sample's only when strictly tighter
+    hi = np.where(bound_up <= u, bound_up, u)
+    lo = np.where(bound_low >= l, bound_low, l)
+    x = np.clip(0.0, lo, hi)
+    eq = np.flatnonzero(~np.isnan(t))
+    if eq.size:
+        me, le, he, xe = m[eq], lo[eq], hi[eq], x[eq]
+        on = me != 0
+        down = np.where(me > 0, le, np.where(on, he, xe))
+        top = np.where(me > 0, he, np.where(on, le, xe))
+        v_down, v_up = (me * down).sum(axis=1), (me * top).sum(axis=1)
+        rising = v_up > v_down
+        theta = np.zeros(eq.size)
+        theta[rising] = (t[eq][rising] - v_down[rising]) / (v_up[rising] - v_down[rising])
+        theta = np.minimum(np.maximum(theta, 0.0), 1.0)
+        x[eq] = down + theta[:, None] * (top - down)
+
+    # NaN passes every residual check, so it is rejected on its own; a NaN
+    # interval bound survives the clipping into up/low
+    nan = np.isnan(up).any(axis=1) | np.isnan(low).any(axis=1)
+    if band.size:
+        nan[band] |= np.isnan(masks).any(axis=1) | np.isnan(totals)
+    for k in np.flatnonzero(nan).tolist():
+        found.setdefault(k, Diagnostic("DimensionMismatch", f"scenario {k}: {_NAN}"))
+
+    residual = np.maximum(x - up, low - x).max(axis=1, initial=-np.inf)
+    if band.size:
+        mx = (masks * x[band]).sum(axis=1)
+        residual[band] = np.maximum(residual[band], np.maximum(mx - totals, totals - mx))
+    if support.num_rows:
+        residual = np.maximum(residual, (x @ support.rows_a.T - support.rows_b).max(axis=1))
+    for k in np.flatnonzero(residual > tol.FEAS_TOL).tolist():
+        found.setdefault(k, Diagnostic("EmptyIntersection", f"scenario {k} is incompatible with the support"))
+
+    boxes = SampleBoxes(np.clip(lo, l, u), np.clip(hi, l, u), m, t)
+    return boxes, [found[k] for k in sorted(found)]
+
+
+def validate_instance(inst: ProblemInstance):
     """Check every structural invariant and lower each scenario exactly once.
 
-    Returns each sample's lowered polytope, in scenario order.  Raises
-    :class:`InvalidInstance` listing every finding when the instance is not
-    sound.  Boundedness of the support and emptiness of each system are
-    established through LP solves, or structurally for box-shaped systems.
+    On a box support whose scenarios are all of the four built-in kinds,
+    returns the :class:`SampleBoxes` of :func:`lower_box_scenarios`;
+    otherwise each sample's lowered polytope from :func:`lower_scenario`, in
+    scenario order.  Raises :class:`InvalidInstance` listing every finding
+    when the instance is not sound.  Boundedness of the support and emptiness
+    of each system are established through LP solves, or structurally on a
+    box support.
     """
     out = []
     err = lambda code, msg: out.append(Diagnostic(code, msg))
@@ -499,6 +623,13 @@ def validate_instance(inst: ProblemInstance) -> tuple[Polytope, ...]:
         err("EmptySupport", "support polytope is empty")
         raise InvalidInstance(out)
 
+    if inst.support.is_box() and all(type(s) in _BOX_KINDS for s in inst.scenarios):
+        boxes, findings = lower_box_scenarios(inst.scenarios, inst.support)
+        out.extend(findings)
+        if out:
+            raise InvalidInstance(out)
+        return boxes
+
     lowered = []
     for k, s in enumerate(inst.scenarios):
         if isinstance(s, Interval) and np.any(s.lower > s.upper + tol.VALUE_TOL):
@@ -513,30 +644,6 @@ def validate_instance(inst: ProblemInstance) -> tuple[Polytope, ...]:
     if out:
         raise InvalidInstance(out)
     return tuple(lowered)
-
-
-def sample_boxes(support: Polytope, lowered):
-    """``(lo, hi, m, t)`` stacked over samples when the support is a box and
-    every lowered system is a box plus at most one equality, else None.
-
-    ``lo``/``hi`` (K, n) are each sample's box clipped into the support's
-    box; a point validated within ``FEAS_TOL`` outside the support lowers to
-    a slightly inverted box, and clipping projects it onto the support.  Row
-    k of ``m`` (K, n) and ``t[k]`` hold sample k's equality ``m @ c = t``,
-    with a zero row and ``t[k]`` NaN when it has none.
-    """
-    if not support.is_box():
-        return None
-    shapes = [p.box_and_equality() for p in lowered]
-    if any(s is None for s in shapes):
-        return None
-    l, u = support.box_bounds()
-    lo = np.clip([s[0] for s in shapes], l, u)
-    hi = np.clip([s[1] for s in shapes], l, u)
-    n = support.num_vars
-    m = np.array([np.zeros(n) if s[2] is None else s[2] for s in shapes])
-    t = np.array([np.nan if s[3] is None else s[3] for s in shapes])
-    return lo, hi, m, t
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,10 @@ from .model import (
     BiaffineLoss,
     Polytope,
     ProblemInstance,
-    sample_boxes,
+    SampleBoxes,
+    lower_scenario,
     validate_instance,
 )
-from .model import lower_scenario  # noqa: F401  kept bound: perfbench/spans.py patches this name
 from .solver import (
     EQ,
     LE,
@@ -208,25 +208,30 @@ def build_dro_milp(inst: ProblemInstance):
     Maximize-sense instances are negated to minimization here; callers undo
     the sign on the reported value.  Returns ``(mip, layout, lowered)`` where
     ``layout`` is a :class:`CompactVars` or :class:`ReformulationVars` and
-    ``lowered`` holds each sample's combined constraint polytope.  Raises
-    :class:`~dro.errors.InvalidInstance` when the instance fails validation.
+    ``lowered`` is what :func:`~dro.model.validate_instance` returned: the
+    :class:`~dro.model.SampleBoxes` of box data, else each sample's combined
+    constraint polytope.  Raises :class:`~dro.errors.InvalidInstance` when
+    the instance fails validation.
     """
     lowered = validate_instance(inst)
-    boxes = sample_boxes(inst.support, lowered)
-    if boxes is None:
-        return (*_full_dual(inst, lowered), lowered)
-    return (*_compact_dual(inst, *boxes), lowered)
+    if isinstance(lowered, SampleBoxes):
+        return (*_compact_dual(inst, lowered), lowered)
+    return (*_full_dual(inst, lowered), lowered)
 
 
 def build_full_dual_milp(inst: ProblemInstance):
     """The full dual of every support and scenario row, whatever their shape;
     same contract as :func:`build_dro_milp`, which uses it only when the
-    compact form does not apply."""
+    compact form does not apply.  On box data, where validation builds no
+    polytopes, it lowers each scenario into its own polytope after
+    validating."""
     lowered = validate_instance(inst)
+    if isinstance(lowered, SampleBoxes):
+        lowered = tuple(lower_scenario(s, inst.support) for s in inst.scenarios)
     return (*_full_dual(inst, lowered), lowered)
 
 
-def _compact_dual(inst: ProblemInstance, lo, hi, m, t):
+def _compact_dual(inst: ProblemInstance, boxes: SampleBoxes):
     """The compact MILP over (x, lam, sigma, mu+, mu-) for box data.
 
     With d = t_xx x + t_c, sample k's inner sup separates by coordinate once
@@ -244,6 +249,7 @@ def _compact_dual(inst: ProblemInstance, lo, hi, m, t):
     loss = inst.loss if inst.sense == "min" else _negated_loss(inst.loss)
     n = inst.n
     fs = inst.feasible
+    lo, hi, m, t = boxes.lo, boxes.hi, boxes.m, boxes.t
     num_k = lo.shape[0]
     has_eq = ~np.isnan(t)
     layout = CompactVars(n, num_k, tuple(np.flatnonzero(has_eq).tolist()))

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tolerances as tol
 from .closedform import (
     BanditHistory,
     interval_data_from_instance,
@@ -19,6 +20,7 @@ from .closedform import (
     solve_interval,
     worst_case_cost,
 )
+from .errors import InvalidInstance
 from .model import (
     Bandit,
     BiaffineLoss,
@@ -26,7 +28,10 @@ from .model import (
     Interval,
     Polytope,
     ProblemInstance,
+    SampleBoxes,
     SemiBandit,
+    lower_scenario,
+    validate_instance,
 )
 from .problems import gen_layered_spp, gen_mcp, gen_sorting, mcp_cop
 from .reformulate import (
@@ -225,6 +230,97 @@ def random_box_instance(rng: np.random.Generator) -> ProblemInstance:
     )
 
 
+def random_mixed_box_instance(rng: np.random.Generator) -> ProblemInstance:
+    """Selection instance on a random box support with a mix of Exact,
+    Interval, SemiBandit and Bandit samples at the edges of the lowering:
+    signed-zero bounds, points on the support's faces or ``FEAS_TOL / 10``
+    outside it, intervals sticking out of it, and bandit masks over zero, one
+    or several components.  Every other support writes its box with scaled
+    rows (``2 c_i <= 2 u_i``)."""
+    n = int(rng.integers(1, 7))
+    skeleton = gen_sorting(n, int(rng.integers(1, n + 1)))
+    lo = rng.choice([0.0, -0.0, -0.5, 0.25], n) * (rng.random(n) < 0.5)
+    hi = lo + rng.choice([0.0, 0.5, 1.0], n)
+    hi[hi == 0.0] = rng.choice([0.0, -0.0], int(np.sum(hi == 0.0)))
+    box = Polytope.box(lo, hi)
+    support = box if rng.random() < 0.5 else Polytope(n, 2.0 * box.rows_a, 2.0 * box.rows_b)
+    scen = []
+    for kind in rng.integers(0, 4, int(rng.integers(1, 9))):
+        point = np.where(rng.random(n) < 0.3, np.where(rng.random(n) < 0.5, lo, hi),
+                         lo + rng.random(n) * (hi - lo))
+        if kind == 0:
+            out = rng.choice([-1.0, 0.0, 1.0], n) * tol.FEAS_TOL / 10
+            scen.append(Exact(np.where(out < 0, lo, np.where(out > 0, hi, point)) + out))
+        elif kind == 1:
+            width = rng.random(n) * rng.choice([0.0, 1.0, 2.0])
+            scen.append(Interval(point - width, point + width))
+        elif kind == 2:
+            seen = np.flatnonzero(rng.random(n) < 0.5)
+            scen.append(SemiBandit(tuple((int(i), float(point[i])) for i in seen)))
+        else:
+            mask = (rng.random(n) < rng.choice([0.2, 0.6])).astype(float)
+            scen.append(Bandit(mask, float(mask @ point)))
+    return ProblemInstance(
+        skeleton.feasible, BiaffineLoss.bilinear(n), support, tuple(scen), 0.0
+    )
+
+
+def read_lowered_rows(poly: Polytope):
+    """``(lo, hi, m, t)`` of one lowered system read row by row, or None when
+    it is not a box plus at most one equality row pair ``m @ c <= t``,
+    ``-m @ c <= -t``: ``lo``/``hi`` are the bounds of the single-coordinate
+    rows in row order (:meth:`~dro.model.Polytope.box_bounds`), and ``m`` is a
+    zero row and ``t`` NaN without the pair."""
+    a, b = poly.rows_a, poly.rows_b
+    general = np.flatnonzero(np.count_nonzero(a, axis=1) > 1)
+    m, t = np.zeros(poly.num_vars), np.nan
+    if general.size == 2:
+        i, j = general
+        if not (np.array_equal(a[i], -a[j]) and b[i] == -b[j]):
+            return None
+        m, t = a[i], b[i]
+    elif general.size:
+        return None
+    keep = np.ones(poly.num_rows, dtype=bool)
+    keep[general] = False
+    return (*Polytope(poly.num_vars, a[keep], b[keep]).box_bounds(), m, t)
+
+
+def check_box_lowering(count: int, seed) -> CheckResult:
+    """The vectorized lowering of box data against a row-by-row reading of
+    each scenario's :func:`~dro.model.lower_scenario` system, clipped into
+    the support's box: every array bit for bit."""
+    rng = np.random.default_rng(seed)
+    failures = []
+    for t in range(count):
+        inst = random_mixed_box_instance(rng)
+        try:
+            boxes = validate_instance(inst)
+        except InvalidInstance as e:
+            failures.append(f"instance {t}: {e}")
+            continue
+        if not isinstance(boxes, SampleBoxes):
+            failures.append(f"instance {t}: box data lowered to polytopes")
+            continue
+        reads = [read_lowered_rows(lower_scenario(s, inst.support)) for s in inst.scenarios]
+        if any(r is None for r in reads):
+            failures.append(f"instance {t}: a lowered system is not a box plus one equality")
+            continue
+        l, u = inst.support.box_bounds()
+        want = (
+            np.clip([r[0] for r in reads], l, u),
+            np.clip([r[1] for r in reads], l, u),
+            np.array([r[2] for r in reads]),
+            np.array([r[3] for r in reads]),
+        )
+        got = (boxes.lo, boxes.hi, boxes.m, boxes.t)
+        for name, g, w in zip(("lo", "hi", "m", "t"), got, want):
+            if g.shape != w.shape or g.tobytes() != w.tobytes():
+                failures.append(f"instance {t}: {name} differs")
+    clean = f"{count} mixed box instances lower bit for bit"
+    return _result("box-lowering-vs-rows", failures, clean)
+
+
 def check_compact_dual(count: int, seed) -> CheckResult:
     """The compact MILP for box data against the full dual of every row:
     MILP and LP relaxation values on the reference kernel."""
@@ -392,4 +488,5 @@ def run_all(seed=0, scale: float = 1.0) -> list[CheckResult]:
         check_w1_axioms(c(40), [seed, 5]),
         check_compact_dual(c(20), [seed, 6]),
         check_mcp_cop(c(20), [seed, 7]),
+        check_box_lowering(c(40), [seed, 8]),
     ]

@@ -17,14 +17,23 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture()
 def model_calls(monkeypatch):
-    """Live counts of calls to ``model.lower_scenario`` and ``model.solve_lp``."""
-    calls = {"lower_scenario": 0, "solve_lp": 0}
-    for name in calls:
+    """Live counts of scenarios lowered and of calls to ``model.solve_lp``.
+
+    A ``model.lower_scenario`` call lowers one scenario and a
+    ``model.lower_box_scenarios`` call lowers every scenario it is given.
+    """
+    calls = {"lowered": 0, "solve_lp": 0}
+
+    def count(name, key, weight):
         original = getattr(model, name)
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+        def counted(*args, **kwargs):
+            calls[key] += weight(args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(model, name, counted)
+
+    count("lower_scenario", "lowered", lambda args: 1)
+    count("lower_box_scenarios", "lowered", lambda args: len(args[0]))
+    count("solve_lp", "solve_lp", lambda args: 1)
     return calls

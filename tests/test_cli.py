@@ -92,7 +92,7 @@ def test_solve_epsilon_override_and_dump(interval_instance, tmp_path, model_call
     # validated, lowered and built once; every lowered scenario and the
     # support are boxes, so no emptiness LP runs
     num_k = load_instance(interval_instance).num_samples
-    assert model_calls == {"lower_scenario": num_k, "solve_lp": 0}
+    assert model_calls == {"lowered": num_k, "solve_lp": 0}
     text = dump.read_text()
     assert text.startswith("PROBLEM MILP min")
     v0 = json.loads(out.read_text())["value"]
@@ -147,7 +147,7 @@ def test_closed_form_validates_and_lowers_once(interval_instance, tmp_path, mode
     assert main(["closed-form", interval_instance, "-o", str(out)]) == 0
     assert json.loads(out.read_text())["method"] == "thm2"
     num_k = load_instance(interval_instance).num_samples
-    assert model_calls == {"lower_scenario": num_k, "solve_lp": 0}
+    assert model_calls == {"lowered": num_k, "solve_lp": 0}
 
 
 @pytest.mark.parametrize(
@@ -401,4 +401,4 @@ def test_dro_seed_env_override(tmp_path, monkeypatch):
 def test_validate_exit_code(capsys):
     assert main(["validate", "--scale", "0.1", "--seed", "4"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 7
+    assert out.count("PASS") == 8

@@ -19,7 +19,7 @@ from dro.datagen import (
 )
 from dro.errors import DimensionMismatch, MeanOutOfRange
 from dro.model import lower_scenario, Polytope
-from dro.problems import CoverageSystem, LayeredGraph, gen_layered_spp, gen_mcp
+from dro.problems import CoverageSystem, LayeredGraph, gen_layered_spp, gen_mcp, shortest_path_dp
 from enumeration import all_paths, covered_items
 
 
@@ -276,3 +276,45 @@ class TestMcpCollectorMatchesListGreedy:
         assert run.selections == selections
         assert run.decisions.tobytes() == decisions.tobytes()
         assert run.samples.tobytes() == samples.tobytes()
+
+
+def _per_step_spp_collect(graph, dist, num_k, rng):
+    """The routing collector drawing one nominal row per step, after that
+    step's shortest-path decision."""
+    state = CucbState.fresh(graph.num_arcs)
+    decisions = np.zeros((num_k, graph.num_arcs))
+    samples = np.zeros((num_k, graph.num_arcs))
+    for k in range(num_k):
+        decisions[k] = shortest_path_dp(graph, state.optimistic_costs(k + 1))[1]
+        samples[k] = sample_nominal(dist, 1, rng)[0]
+        state.update(decisions[k], samples[k])
+    return decisions, samples
+
+
+class TestCollectorsMatchPerStepDraws:
+    """Both collectors draw their whole history in one call: the decisions,
+    the samples and the generator's final state are those of one draw per
+    step."""
+
+    @pytest.mark.parametrize("h,r,num_k", [(3, 2, 1), (3, 3, 25), (4, 4, 25), (5, 3, 40)])
+    def test_spp(self, h, r, num_k):
+        graph = LayeredGraph(h, r)
+        dist = BetaNominal.random(graph.num_arcs, 0.125, [h, r])
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        run = cucb_collect(graph, dist, num_k, rng)
+        decisions, samples = _per_step_spp_collect(graph, dist, num_k, ref_rng)
+        assert run.decisions.tobytes() == decisions.tobytes()
+        assert run.samples.tobytes() == samples.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n_items,n_subsets,num_k", [(6, 4, 1), (20, 10, 25), (42, 20, 25)])
+    def test_mcp(self, n_items, n_subsets, num_k):
+        _, system = gen_mcp(n_items, n_subsets, 3, 3, seed=n_items)
+        dist = BetaNominal.random(n_items, 0.125, n_subsets)
+        rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
+        run = cucb_collect_mcp(system, dist, num_k, rng)
+        decisions, samples, selections = _list_greedy_collect_mcp(system, dist, num_k, ref_rng)
+        assert run.selections == selections
+        assert run.decisions.tobytes() == decisions.tobytes()
+        assert run.samples.tobytes() == samples.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state

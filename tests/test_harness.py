@@ -381,7 +381,7 @@ class TestRunSweep:
         assert all(r.n_fail == 0 for r in recs)
         # one validation of the whole history per instance, none per cell
         assert validations == [cfg.k_max] * cfg.instances
-        assert model_calls["lower_scenario"] == cfg.instances * cfg.k_max
+        assert model_calls["lowered"] == cfg.instances * cfg.k_max
 
     def test_structural_semibandit_sweep_validates_per_cell(self, monkeypatch, model_calls):
         validations = self._count_validations(monkeypatch)
@@ -394,7 +394,7 @@ class TestRunSweep:
         assert all(r.n_fail == 0 for r in recs)
         cells = len(cfg.grid)
         assert validations == [cfg.k_samples] * (cfg.instances * cells)
-        assert model_calls["lower_scenario"] == cfg.instances * cells * cfg.k_samples
+        assert model_calls["lowered"] == cfg.instances * cells * cfg.k_samples
 
     def test_structural_sweep_draws_per_cell(self, monkeypatch):
         calls = []

@@ -22,6 +22,7 @@ from dro.model import (
     validate_instance,
 )
 from dro.problems import gen_sorting
+from dro.selfcheck import read_lowered_rows
 from dro.solver import LE, OPTIMAL, LinearProgram, solve_lp
 
 
@@ -55,10 +56,20 @@ def sorting_instance(n=3, h=1, scenarios=None, epsilon=0.0):
     return gen_sorting(n, h).instance(scenarios, epsilon)
 
 
-def finding_codes(inst):
-    with pytest.raises(InvalidInstance) as info:
+def findings(inst):
+    """(code, message) of each validation finding, in order; empty when
+    the instance is valid."""
+    try:
         validate_instance(inst)
-    return [d.code for d in info.value.diagnostics]
+    except InvalidInstance as e:
+        return [(d.code, d.message) for d in e.diagnostics]
+    return []
+
+
+def finding_codes(inst):
+    found = findings(inst)
+    assert found
+    return [code for code, _ in found]
 
 
 class TestPolytope:
@@ -145,9 +156,10 @@ class TestPolytope:
         assert model_calls["solve_lp"] == 0
 
     def test_box_equality_emptiness_structural_agrees_with_lp(self, model_calls):
-        # a lowered bandit shape: box rows plus one m @ c = t pair; totals are
-        # drawn on a 1/8 grid and the reachable range has quarter ends, so a
-        # total is either reachable or at least 1/8 outside, far from FEAS_TOL
+        # a bandit total on a box support: box rows plus one m @ c = t pair,
+        # lowered by validation without an LP; totals are drawn on a 1/8 grid
+        # and the reachable range has quarter ends, so a total is either
+        # reachable or at least 1/8 outside, far from FEAS_TOL
         rng = np.random.default_rng(31)
         cases = []
         for _ in range(300):
@@ -156,36 +168,44 @@ class TestPolytope:
             hi = lo + rng.integers(0, 5, n) / 4.0
             m = rng.choice([-2.0, -1.0, 0.0, 0.0, 1.0, 2.0], n)
             m[:2] = rng.choice([-1.0, 1.0], 2)  # a general row, not a box row
-            box = Polytope.box(lo, hi)
             t = rng.integers(-40, 41) / 8.0
-            eq_a, eq_b = np.vstack([m, -m]), np.array([t, -t])
-            cases.append(
-                Polytope(n, np.vstack([eq_a, box.rows_a]), np.concatenate([eq_b, box.rows_b]))
+            inst = ProblemInstance(
+                gen_sorting(n, 1).feasible, BiaffineLoss.bilinear(n), Polytope.box(lo, hi),
+                (Bandit(m, t),), 0.0,
             )
-        got = [poly.feasible_point() for poly in cases]
+            cases.append((inst, findings(inst)))
         assert model_calls["solve_lp"] == 0
         verdicts = set()
-        for poly, point in zip(cases, got):
-            assert poly.box_and_equality()[2] is not None
-            assert (point is None) == (lp_feasible_point(poly) is None)
-            if point is not None:
-                assert poly.contains(point)
-            verdicts.add(point is None)
+        for inst, found in cases:
+            assert found in ([], [("EmptyIntersection", "scenario 0 is incompatible with the support")])
+            empty = bool(found)
+            box, (scen,) = inst.support, inst.scenarios
+            eq_a, eq_b = np.vstack([scen.mask, -scen.mask]), np.array([scen.total, -scen.total])
+            poly = Polytope(inst.n, np.vstack([eq_a, box.rows_a]), np.concatenate([eq_b, box.rows_b]))
+            assert empty == (lp_feasible_point(poly) is None)
+            verdicts.add(empty)
         assert verdicts == {True, False}
 
     def test_box_and_equality_shapes(self):
+        # validation's boxes: an exact point pins its box and has no
+        # equality, a bandit total over two components keeps the support box
+        # and its row pair
+        inst = sorting_instance(3, 1, (Exact(np.array([0.1, 0.5, 0.9])), Bandit(np.array([1, 0, 1]), 1.2)))
+        boxes = validate_instance(inst)
+        assert boxes.lo.tolist() == [[0.1, 0.5, 0.9], [0.0] * 3]
+        assert boxes.hi.tolist() == [[0.1, 0.5, 0.9], [1.0] * 3]
+        assert boxes.m.tolist() == [[0.0] * 3, [1.0, 0.0, 1.0]]
+        assert np.isnan(boxes.t[0]) and boxes.t[1] == 1.2
+        # the row-by-row reading: one-sided general rows, or two different
+        # equalities, fit neither shape
         box = unit_box(3)
-        lo, hi, m, t = box.box_and_equality()
-        assert m is None and t is None
+        lo, hi, m, t = read_lowered_rows(box)
         assert lo.tolist() == [0.0] * 3 and hi.tolist() == [1.0] * 3
-        lo, hi, m, t = lower_scenario(Bandit(np.array([1, 0, 1]), 1.2), box).box_and_equality()
-        assert m.tolist() == [1.0, 0.0, 1.0] and t == 1.2
-        assert lo.tolist() == [0.0] * 3 and hi.tolist() == [1.0] * 3
-        # one-sided general rows, or two different equalities, fit neither shape
+        assert m.tolist() == [0.0] * 3 and np.isnan(t)
         cut = Polytope(3, np.vstack([box.rows_a, np.ones((1, 3))]), np.append(box.rows_b, 2.0))
-        assert cut.box_and_equality() is None
+        assert read_lowered_rows(cut) is None
         two = Polytope(3, np.array([[1, 1, 0], [-1, -1, 0], [0, 1, 1], [0, -1, -1.0]]), np.ones(4))
-        assert two.box_and_equality() is None
+        assert read_lowered_rows(two) is None
 
 
 class TestBiaffineLoss:
@@ -275,8 +295,10 @@ class TestLowering:
 
 class TestValidate:
     def test_well_formed_instance_clean(self):
-        # one lowered polytope: the sample's 6 paired rows and the box's 6
-        assert [p.num_rows for p in validate_instance(sorting_instance())] == [12]
+        # one sample, its box pinned at the point, no equality
+        boxes = validate_instance(sorting_instance())
+        assert boxes.lo.tolist() == boxes.hi.tolist() == [[0.5] * 3]
+        assert boxes.m.tolist() == [[0.0] * 3] and np.isnan(boxes.t).all()
 
     def test_unbounded_support(self):
         inst = sorting_instance()
@@ -297,6 +319,131 @@ class TestValidate:
         codes = finding_codes(bad)
         assert "NoScenarios" in codes
         assert "NegativeRadius" in codes
+
+
+def structural_point(poly):
+    """The candidate point of a box, or of a box plus one equality row pair
+    (the per-scenario structural emptiness check before validation lowered
+    box data in one pass): the origin clipped into the box, or the point
+    where the segment between the corners that minimise and maximise
+    ``m @ c`` meets ``m @ c = t``."""
+    lo, hi, m, t = read_lowered_rows(poly)
+    x = np.clip(np.zeros(poly.num_vars), lo, hi)
+    if np.isnan(t):
+        return x
+    on = m != 0
+    down = np.where(m > 0, lo, np.where(on, hi, x))
+    up = np.where(m > 0, hi, np.where(on, lo, x))
+    v_down, v_up = float(m @ down), float(m @ up)
+    theta = (t - v_down) / (v_up - v_down) if v_up > v_down else 0.0
+    return down + min(max(theta, 0.0), 1.0) * (up - down)
+
+
+def per_scenario_findings(inst):
+    """The scenario findings of validation run one scenario at a time: the
+    inversion check, the scenario's rows stacked on the support's into one
+    polytope, and the FEAS_TOL residual at its structural point."""
+    out = []
+    support = inst.support
+    for k, s in enumerate(inst.scenarios):
+        if isinstance(s, Interval) and np.any(s.lower > s.upper + tol.VALUE_TOL):
+            out.append(("InvertedInterval", f"scenario {k} has lower > upper"))
+            continue
+        try:
+            sa, sb = s.rows(support)
+        except DimensionMismatch as e:
+            out.append(("DimensionMismatch", f"scenario {k}: {e}"))
+            continue
+        poly = Polytope(inst.n, np.vstack([sa, support.rows_a]), np.concatenate([sb, support.rows_b]))
+        if np.max(poly.rows_a @ structural_point(poly) - poly.rows_b) > tol.FEAS_TOL:
+            out.append(("EmptyIntersection", f"scenario {k} is incompatible with the support"))
+    return out
+
+
+class TestBoxFindings:
+    """Invalid mixed instances on a box support: validation's vectorized
+    pass reports the same codes, messages and order as the per-scenario
+    path."""
+
+    lo = np.array([-0.5, 0.0, 0.25, -0.0])
+    hi = np.array([0.5, 1.0, 0.75, 0.0])
+
+    def instance(self, *scenarios):
+        n = self.lo.shape[0]
+        return ProblemInstance(
+            gen_sorting(n, 2).feasible, BiaffineLoss.bilinear(n), Polytope.box(self.lo, self.hi),
+            scenarios, 0.1,
+        )
+
+    def check(self, inst, codes):
+        got = findings(inst)
+        assert got == per_scenario_findings(inst)
+        assert [code for code, _ in got] == codes
+
+    def test_empty_intersection_at_scenario_k(self):
+        inst = self.instance(
+            Exact(np.array([0.0, 0.5, 0.5, 0.0])),
+            Interval(np.array([-1.0, 0.2, 0.3, 0.0]), np.array([0.0, 0.4, 2.0, 0.0])),
+            SemiBandit(((1, 1.5), (2, 0.5))),
+            Bandit(np.array([1.0, 1.0, 0.0, 0.0]), 0.5),
+            Exact(np.array([0.0, 0.5, 0.5, 2 * tol.FEAS_TOL])),
+            Interval(np.array([0.6, 0.0, 0.3, 0.0]), np.array([0.9, 1.0, 0.4, 0.0])),
+            Exact(np.array([0.0, 0.5, 0.5, tol.FEAS_TOL / 10])),
+        )
+        self.check(inst, ["EmptyIntersection"] * 3)
+        assert [m for _, m in findings(inst)] == [
+            f"scenario {k} is incompatible with the support" for k in (2, 4, 5)
+        ]
+
+    def test_inverted_interval_before_length(self):
+        inst = self.instance(
+            Interval(np.array([0.4, 0.5, 0.5, 0.0]), np.array([0.3, 0.6, 0.6, 0.0])),
+            Exact(np.array([0.0, 0.5, 0.5, 0.0])),
+            Interval(np.array([0.4, 0.5]), np.array([0.3, 0.6])),  # inverted and too short
+            Interval(np.array([0.1, 0.5]), np.array([0.3, 0.6])),  # too short only
+        )
+        self.check(inst, ["InvertedInterval", "InvertedInterval", "DimensionMismatch"])
+
+    def test_dimension_mismatches(self):
+        inst = self.instance(
+            SemiBandit(((0, 0.1), (4, 0.5))),  # index n
+            SemiBandit(((-1, 0.1),)),
+            SemiBandit(((1, 0.5), (1, 0.5))),  # repeated, same value
+            SemiBandit(((2, 0.3), (2, 0.5), (7, 0.0))),  # repeated and out of range
+            Bandit(np.ones(3), 1.0),
+            Exact(np.zeros(5)),
+            SemiBandit(((3, 0.0), (1, 0.2))),
+            SemiBandit(()),
+            # NaN passes every residual check, so it is malformed data
+            Exact(np.array([0.0, np.nan, 0.5, 0.0])),
+            Interval(np.array([-0.5, 0.0, 0.25, np.nan]), np.full(4, 0.5)),
+            SemiBandit(((1, np.nan),)),
+            Bandit(np.array([1.0, 1.0, 0.0, 0.0]), np.nan),
+            Bandit(np.array([1.0, np.nan, 0.0, 0.0]), 0.5),
+        )
+        self.check(inst, ["DimensionMismatch"] * 11)
+        assert [m.split(": ", 1)[1] for _, m in findings(inst)] == [
+            "observed index out of range", "observed index out of range",
+            "observed index repeated", "observed index out of range",
+            "scenario dimension mismatch", "scenario dimension mismatch",
+        ] + ["scenario data holds NaN"] * 5
+
+    @pytest.mark.parametrize("mask", [[1.0, 1.0, 1.0, 0.0], [1.0, -1.0, 2.0, 0.0], [0.0, 2.0, 0.0, 0.0]])
+    def test_bandit_totals_at_the_tolerance(self, mask):
+        # the reachable range of mask @ c is [sum min(m lo, m hi), sum max(m lo, m hi)];
+        # a total FEAS_TOL / 2 beyond it passes, 3 FEAS_TOL beyond it fails
+        # (a total over one component pins c_j = t / mask[j], so with
+        # mask[j] = 2 the support's row c_j <= u_j sees half the excess)
+        m = np.array(mask)
+        low = float(np.minimum(m * self.lo, m * self.hi).sum())
+        high = float(np.maximum(m * self.lo, m * self.hi).sum())
+        f = tol.FEAS_TOL
+        totals = [low - 3 * f, low - f / 2, low, (low + high) / 2, high, high + f / 2, high + 3 * f]
+        inst = self.instance(*(Bandit(m, t) for t in totals))
+        self.check(inst, ["EmptyIntersection"] * 2)
+        assert [msg for _, msg in findings(inst)] == [
+            "scenario 0 is incompatible with the support", "scenario 6 is incompatible with the support",
+        ]
 
 
 class TestFeasibleSet:

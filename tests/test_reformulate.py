@@ -42,7 +42,7 @@ from dro.reformulate import (
     solve_dro,
     solve_dro_milp,
 )
-from dro.selfcheck import random_bandit_instance, random_interval_instance
+from dro.selfcheck import random_bandit_instance, random_interval_instance, read_lowered_rows
 from dro.solver import (
     EQ,
     LE,
@@ -139,15 +139,18 @@ def reference_dro_milp(inst):
 
 def reference_compact_milp(inst):
     """The compact MILP for box data assembled one row at a time, looping
-    over samples, coordinates and candidate points (c_hat, c)."""
-    lowered = validate_instance(inst)
+    over samples, coordinates and candidate points (c_hat, c), from each
+    scenario's lowered polytope read row by row."""
+    validate_instance(inst)
     loss = inst.loss if inst.sense == "min" else _negated_loss(inst.loss)
     n, fs = inst.n, inst.feasible
-    num_k = len(lowered)
+    num_k = inst.num_samples
     l, u = inst.support.box_bounds()
     samples = []
-    for p in lowered:
-        lo, hi, m, t = p.box_and_equality()
+    for s in inst.scenarios:
+        lo, hi, m, t = read_lowered_rows(lower_scenario(s, inst.support))
+        if np.isnan(t):
+            m = t = None
         samples.append((np.clip(lo, l, u), np.clip(hi, l, u), m, t))
     eq = tuple(k for k, s in enumerate(samples) if s[2] is not None)
     layout = CompactVars(n, num_k, eq)
@@ -336,7 +339,7 @@ def test_compact_bandit_build_runs_no_lp(model_calls):
     mip, layout, _ = build_dro_milp(inst)
     assert isinstance(layout, CompactVars)
     assert len(layout.eq) == inst.num_samples
-    assert model_calls == {"lower_scenario": inst.num_samples, "solve_lp": 0}
+    assert model_calls == {"lowered": inst.num_samples, "solve_lp": 0}
     assert mip.lp.n == layout.total == inst.n + 1 + inst.num_samples * (inst.n + 2)
 
 
@@ -344,7 +347,7 @@ def test_build_validates_and_lowers_once(model_calls):
     # the support's bounds cost 2n LPs once, then one emptiness LP for the
     # support and one per scenario; nothing is lowered twice
     build_dro_milp(_non_box_intervals(9))  # n = 5, six scenarios
-    assert model_calls == {"lower_scenario": 6, "solve_lp": 2 * 5 + 6 + 1}
+    assert model_calls == {"lowered": 6, "solve_lp": 2 * 5 + 6 + 1}
 
 
 class TestWorstCaseExpectationLp:
