@@ -7,6 +7,7 @@ from .lp import (
     INFEASIBLE,
     ITERLIMIT,
     LE,
+    NODELIMIT,
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
@@ -32,6 +33,7 @@ __all__ = [
     "INFEASIBLE",
     "UNBOUNDED",
     "ITERLIMIT",
+    "NODELIMIT",
     "ERROR",
     "LE",
     "EQ",

@@ -1,10 +1,23 @@
-"""Reference LP kernel: two-phase primal simplex on a dense tableau.
+"""Reference LP kernel: simplex on a dense tableau, cold or warm-started.
 
-The pivoting rule is Dantzig (most negative reduced cost) with ties broken by
-lowest column index; after ``STALL_PIVOTS`` consecutive non-improving pivots
-the kernel switches to Bland's rule, which guarantees termination.  All ties
-are broken deterministically, so identical inputs produce identical pivot
-sequences and identical results.
+A cold solve runs the two-phase primal simplex from a slack and artificial
+basis.  A warm solve starts from the final :class:`Basis` of an earlier
+solve of the same program (same ``c``, ``a`` and relations) under other
+variable bounds, as a branch & bound child does from its parent.  It rebuilds
+the tableau B^-1 [A | b] for the new bounds with one factorization of the
+basis matrix B; a bound change leaves that basis dual feasible, so a dual
+simplex restores primal feasibility, usually in a few pivots.  A warm solve
+falls back to the cold path when the basis cannot be reused: B is singular
+at the new data, the bounds change which variables are free or capped (the
+standard form then has another layout), or the basis is not dual feasible.
+
+Both paths end in the same primal phase two and the same clean re-solve
+against the final basis.  The primal rule is Dantzig (most negative reduced
+cost); the dual rule takes the most negative basic value as the leaving row.
+Ratio-test ties go to the lowest index, and after ``STALL_PIVOTS``
+consecutive non-improving pivots either loop switches to Bland's rule, which
+guarantees termination.  All ties are broken deterministically, so identical
+inputs produce identical pivot sequences and identical results.
 """
 
 from __future__ import annotations
@@ -19,7 +32,8 @@ from ..errors import DimensionMismatch
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-ITERLIMIT = "iterlimit"
+ITERLIMIT = "iterlimit"  # a pivot cap (max_pivots) stopped the solve
+NODELIMIT = "nodelimit"  # branch & bound stopped at its node cap (max_nodes)
 ERROR = "error"  # the solver gave up for numerical or other reasons
 
 LE, EQ, GE = "<=", "=", ">="
@@ -107,6 +121,22 @@ class LinearProgram:
         return max(parts)
 
 
+@dataclass(frozen=True, eq=False)
+class Basis:
+    """The final basis of a reference solve, kept to warm-start a solve of
+    the same program under other variable bounds.
+
+    ``rows`` are the standard-form rows that phase one kept (the others were
+    redundant) and ``cols`` the basic column of each; ``layout`` names the
+    standard form they index: which variables are free, which are capped,
+    and the row relations.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    layout: bytes
+
+
 @dataclass
 class SolveResult:
     """Outcome of one LP or MILP solve, and of that solve alone: a MILP result
@@ -114,6 +144,10 @@ class SolveResult:
 
     For an optimal MILP solve, the integer entries of ``x`` are exact
     integers: every backend rounds them once, so callers need not.
+    ``pivots`` counts the reference kernel's simplex pivots, primal and dual
+    alike (for a MILP, over its branch & bound node LPs).  ``basis`` is the
+    final basis of an optimal reference LP solve, which ``solve_lp`` accepts
+    as a warm start; it is None for any other result and from HiGHS.
     """
 
     status: str
@@ -123,20 +157,90 @@ class SolveResult:
     dual_objective: float | None = None
     pivots: int = 0
     node_count: int | None = None
+    basis: Basis | None = None
 
     @property
     def optimal(self) -> bool:
         return self.status == OPTIMAL
 
 
-class _Tableau:
-    """Dense simplex tableau over the standard-form system A z = b, z >= 0."""
+class _StandardForm:
+    """``lp`` as  min costs.z  s.t.  a z = b, z >= 0.
 
-    def __init__(self, a_std, b_std, basis):
-        m = a_std.shape[0]
-        self.t = np.hstack([a_std, b_std.reshape(m, 1)])
+    Free variables split into z = pos - neg, the ``neg`` columns after the
+    others (``n`` columns in all); every variable is shifted by its finite
+    lower bound; finite upper bounds become ``<=`` rows after the program's
+    own; one slack column per inequality row follows; and each row is
+    negated where needed so that b >= 0 (``sign``).
+    """
+
+    def __init__(self, lp: LinearProgram):
+        self.flip = flip = -1.0 if lp.sense == "max" else 1.0
+        free = ~np.isfinite(lp.lower)
+        capped = np.isfinite(lp.upper)
+        self.layout = free.tobytes() + capped.tobytes() + "".join(lp.rel).encode()
+        self.free_idx = free_idx = np.flatnonzero(free)
+        n = lp.n + free_idx.size
+        self.n = n
+        c = np.concatenate([flip * lp.c, -flip * lp.c[free_idx]])
+        self.lo = lo = np.where(free, 0.0, lp.lower)
+        self.shift_const = flip * lp.c0 + float(c[: lp.n] @ lo)
+
+        # shifted variables t = z - lo >= 0; a free variable's upper bound
+        # constrains pos - neg
+        fin = np.flatnonzero(capped)
+        rel = np.array(lp.rel + (LE,) * fin.size, dtype=str)
+        m = rel.size
+        ineq = np.flatnonzero(rel != EQ)
+        a = np.zeros((m, n + ineq.size))
+        if lp.m:
+            a[: lp.m, : lp.n] = lp.a
+            a[: lp.m, lp.n : n] = -lp.a[:, free_idx]
+        bound_rows = lp.m + np.arange(fin.size)
+        a[bound_rows, fin] = 1.0
+        capped_free = free[fin]
+        a[bound_rows[capped_free], lp.n + np.searchsorted(free_idx, fin[capped_free])] = -1.0
+        slack_sign = np.where(rel[ineq] == LE, 1.0, -1.0)
+        a[ineq, n + np.arange(ineq.size)] = slack_sign
+        b = np.concatenate([lp.b - lp.a @ lo, lp.upper[fin] - lo[fin]])
+        self.sign = sign = np.where(b < 0, -1.0, 1.0)
+        flipped = sign < 0
+        a[flipped] = -a[flipped]
+        self.a = a
+        self.b = b * sign
+        self.m = m
+        self.costs = np.zeros(a.shape[1])
+        self.costs[:n] = c
+        # a slack that survived the normalization with +1 starts basic
+        self.slack_basis = np.full(m, -1)
+        usable = slack_sign * sign[ineq] > 0
+        self.slack_basis[ineq[usable]] = n + np.flatnonzero(usable)
+
+
+class _Stall:
+    """Counts consecutive pivots that leave the objective where it was; after
+    ``STALL_PIVOTS`` of them the loop switches to Bland's rule for good."""
+
+    def __init__(self):
+        self.count = 0
+        self.bland = False
+
+    def record(self, gain):
+        if gain > 1e-12:
+            self.count = 0
+        else:
+            self.count += 1
+            self.bland = self.bland or self.count >= tol.STALL_PIVOTS
+
+
+class _Tableau:
+    """Dense simplex tableau [T | rhs] over A z = b, z >= 0, with the basic
+    column and the standard-form row of each of its rows."""
+
+    def __init__(self, t, basis, rows):
+        self.t = t
         self.basis = list(basis)
-        self.rows = list(range(m))  # surviving original row indices
+        self.rows = list(rows)
         self.pivots = 0
 
     def _eliminate(self, row, col):
@@ -162,17 +266,14 @@ class _Tableau:
         self.pivots += 1
 
     def run(self, costs, allowed, max_pivots):
-        """Minimize ``costs`` over the allowed columns from the current basis."""
+        """Minimize ``costs`` over the allowed columns from the current,
+        primal feasible basis (primal simplex)."""
         obj = self.objective_row(costs)
-        stall = 0
-        bland = False
-        best = obj[-1]
+        stall = _Stall()
         while True:
-            if self.pivots >= max_pivots:
-                return ITERLIMIT
             rc = obj[:-1].copy()
             rc[~allowed] = np.inf
-            if bland:
+            if stall.bland:
                 neg = np.flatnonzero(rc < -tol.PIVOT_TOL)
                 if neg.size == 0:
                     return OPTIMAL
@@ -181,6 +282,8 @@ class _Tableau:
                 col = int(np.argmin(rc))
                 if rc[col] >= -tol.PIVOT_TOL:
                     return OPTIMAL
+            if self.pivots >= max_pivots:
+                return ITERLIMIT
             column = self.t[:, col]
             rhs = self.t[:, -1]
             pos = column > tol.PIVOT_TOL
@@ -192,14 +295,41 @@ class _Tableau:
             near = np.flatnonzero(ratios <= best_ratio + tol.PIVOT_TOL)
             # ties by lowest basic-variable index keeps Bland's rule valid
             row = int(min(near, key=lambda i: self.basis[i]))
+            before = obj[-1]
             self.pivot(row, col, obj)
-            if obj[-1] > best - 1e-12:
-                stall += 1
-                if stall >= tol.STALL_PIVOTS:
-                    bland = True
+            stall.record(obj[-1] - before)
+
+    def run_dual(self, costs, max_pivots, infeasible_below):
+        """Restore primal feasibility from a dual feasible basis (dual
+        simplex) until every basic value is at least ``-PIVOT_TOL``.
+
+        A row whose basic value is below ``infeasible_below`` and which has
+        no entry under ``-PIVOT_TOL`` proves the program infeasible; a row
+        above it that cannot be pivoted is left as it is.
+        """
+        obj = self.objective_row(costs)
+        stall = _Stall()
+        while True:
+            rhs = self.t[:, -1]
+            short = np.flatnonzero(rhs < -tol.PIVOT_TOL)
+            # leaving row: most negative value, or under Bland's rule the
+            # lowest basic index; ties by lowest row
+            key = np.asarray(self.basis)[short] if stall.bland else rhs[short]
+            for row in short[np.argsort(key, kind="stable")]:
+                entering = np.flatnonzero(self.t[row, :-1] < -tol.PIVOT_TOL)
+                if entering.size:
+                    break
+                if rhs[row] < infeasible_below:
+                    return INFEASIBLE
             else:
-                stall = 0
-                best = obj[-1]
+                return OPTIMAL
+            if self.pivots >= max_pivots:
+                return ITERLIMIT
+            ratios = np.maximum(obj[entering], 0.0) / -self.t[row, entering]
+            col = int(entering[np.flatnonzero(ratios <= ratios.min() + tol.PIVOT_TOL)[0]])
+            before = obj[-1]
+            self.pivot(int(row), col, obj)
+            stall.record(before - obj[-1])
 
     def drop_row(self, i):
         self.t = np.delete(self.t, i, axis=0)
@@ -212,149 +342,143 @@ class _Tableau:
         return z
 
 
-def solve_lp(lp: LinearProgram, max_pivots: int | None = None) -> SolveResult:
+def _cold_start(sf: _StandardForm, max_pivots, infeasible_above):
+    """Phase one of the two-phase simplex: from the slack basis plus one
+    artificial column per row without a usable slack, drive the artificial
+    sum to zero, then pivot the artificials out and drop the rows they leave
+    redundant.  Returns the tableau and ``optimal`` once it is feasible."""
+    m, n_real = sf.a.shape
+    basis = sf.slack_basis.copy()
+    art_rows = np.flatnonzero(basis < 0)
+    n_art = art_rows.size
+    ncols = n_real + n_art
+    t = np.zeros((m, ncols + 1))
+    t[:, :n_real] = sf.a
+    t[art_rows, n_real + np.arange(n_art)] = 1.0
+    t[:, -1] = sf.b
+    basis[art_rows] = n_real + np.arange(n_art)
+    tab = _Tableau(t, basis, range(m))
+    if not n_art:
+        return tab, OPTIMAL
+    phase1 = np.zeros(ncols)
+    phase1[n_real:] = 1.0
+    status = tab.run(phase1, np.ones(ncols, dtype=bool), max_pivots)
+    if status == ITERLIMIT:
+        return tab, ITERLIMIT
+    art_sum = float(phase1[tab.basis] @ tab.t[:, -1])
+    if art_sum > infeasible_above:
+        return tab, INFEASIBLE
+    # drive artificials out; rows with no real pivot are redundant
+    for i in reversed(range(m)):
+        if tab.basis[i] < n_real:
+            continue
+        cand = np.flatnonzero(np.abs(tab.t[i, :n_real]) > 1e-8)
+        if cand.size:
+            tab.pivot(i, int(cand[0]), np.zeros(ncols + 1))
+        else:
+            tab.drop_row(i)
+    return tab, OPTIMAL
+
+
+def _warm_start(sf: _StandardForm, basis: Basis):
+    """The tableau of ``basis`` at this standard form's data, rebuilt with
+    one factorization, or None when the basis cannot be reused here."""
+    if basis.layout != sf.layout:
+        return None
+    rows, cols = basis.rows, basis.cols
+    t = np.empty((rows.size, sf.a.shape[1] + 1))
+    t[:, :-1] = sf.a[rows]
+    t[:, -1] = sf.b[rows]
+    nonbasic = np.ones(t.shape[1], dtype=bool)
+    nonbasic[cols] = False
+    try:
+        sol = np.linalg.solve(t[:, cols], t[:, nonbasic])
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(sol).all():
+        return None
+    t[:, nonbasic] = sol
+    t[:, cols] = 0.0
+    t[np.arange(rows.size), cols] = 1.0
+    tab = _Tableau(t, cols, rows)
+    if np.any(tab.objective_row(sf.costs)[:-1] < -tol.PIVOT_TOL):
+        return None
+    return tab
+
+
+def solve_lp(
+    lp: LinearProgram, max_pivots: int | None = None, basis: Basis | None = None
+) -> SolveResult:
     """Solve an LP with the reference simplex kernel.
 
-    Phase one reports ``infeasible`` when the artificial sum exceeds
-    ``FEAS_TOL`` times (1 + the largest |rhs|).  On an ``optimal`` result
-    ``dual`` holds shadow prices d(value)/d(rhs) per original row and
-    ``dual_objective`` their objective, both from a re-solve against the final
-    basis (zeros and None if that basis is singular); the duality gap is not
-    checked here.
+    ``basis``, the final basis of an earlier optimal solve of a program with
+    the same ``c``, ``a`` and relations, warm-starts the solve (see the
+    module docstring); without one, or when it cannot be reused, the solve
+    is cold.  Either path reports ``infeasible`` only past ``FEAS_TOL``
+    times (1 + the largest |rhs|): phase one when the artificial sum exceeds
+    it, the dual simplex when a basic value below minus that has no negative
+    entry in its row.  ``max_pivots`` caps primal and dual pivots together.
+    On an ``optimal`` result ``dual`` holds shadow prices d(value)/d(rhs)
+    per original row and ``dual_objective`` their objective, both from a
+    re-solve against the final basis (zeros and None if that basis is
+    singular); the duality gap is not checked here.
     """
     if max_pivots is None:
         max_pivots = tol.MAX_PIVOTS
-    flip = -1.0 if lp.sense == "max" else 1.0
-    n = lp.n
-    free = ~np.isfinite(lp.lower)
-    free_idx = np.flatnonzero(free)
-    # free variables split into x = pos - neg; shifted columns follow
-    c = np.concatenate([flip * lp.c, -flip * lp.c[free_idx]])
-    a_base = np.hstack([lp.a, -lp.a[:, free_idx]]) if lp.m else np.zeros((0, n + free_idx.size))
-    lo = np.where(free, 0.0, lp.lower)
-    hi = lp.upper.copy()
-    n_ext = n + free_idx.size
-    lo_ext = np.concatenate([lo, np.zeros(free_idx.size)])
-    shift_const = flip * lp.c0 + float(c[:n] @ lo)
-
-    # shifted variables t = z - lo >= 0; finite upper bounds become rows
-    rows_a, rows_b, rows_rel = [], [], []
-    if lp.m:
-        rows_a.append(a_base)
-        rows_b.append(lp.b - a_base @ lo_ext)
-        rows_rel.extend(lp.rel)
-    fin = np.flatnonzero(np.isfinite(hi))
-    if fin.size:
-        bnd = np.zeros((fin.size, n_ext))
-        cols = np.arange(fin.size)
-        bnd[cols, fin] = 1.0
-        # a free variable's upper bound constrains pos - neg
-        for r, j in enumerate(fin):
-            if free[j]:
-                bnd[r, n + np.searchsorted(free_idx, j)] = -1.0
-        rows_a.append(bnd)
-        rows_b.append(hi[fin] - lo[fin])
-        rows_rel.extend([LE] * fin.size)
-    if not rows_a:
+    sf = _StandardForm(lp)
+    if not sf.m:
         # row-free LP with free upper bounds: solved by inspection
-        if np.any(c < -tol.PIVOT_TOL):
+        if np.any(sf.costs < -tol.PIVOT_TOL):
             return SolveResult(UNBOUNDED)
-        x = lo.copy()
-        value = flip * shift_const
-        return SolveResult(OPTIMAL, value, x, np.zeros(0), value)
+        value = sf.flip * sf.shift_const
+        return SolveResult(OPTIMAL, value, sf.lo.copy(), np.zeros(0), value)
 
-    a_all = np.vstack(rows_a)
-    b_all = np.concatenate(rows_b)
-    m_all = a_all.shape[0]
-    n = n_ext
-
-    # equality form: one slack per inequality row, then normalize b >= 0
-    n_slack = sum(1 for r in rows_rel if r != EQ)
-    a_std = np.zeros((m_all, n + n_slack))
-    a_std[:, :n] = a_all
-    s = n
-    slack_col = np.full(m_all, -1, dtype=int)
-    for i, r in enumerate(rows_rel):
-        if r == EQ:
-            continue
-        a_std[i, s] = 1.0 if r == LE else -1.0
-        slack_col[i] = s
-        s += 1
-    sign = np.where(b_all < 0, -1.0, 1.0)
-    a_std *= sign[:, None]
-    b_std = b_all * sign
-
-    # initial basis: the row's slack where it survived with +1, else artificial
-    basis = np.full(m_all, -1, dtype=int)
-    for i in range(m_all):
-        j = slack_col[i]
-        if j >= 0 and a_std[i, j] > 0.5:
-            basis[i] = j
-    art_rows = np.flatnonzero(basis < 0)
-    n_art = art_rows.size
-    if n_art:
-        art = np.zeros((m_all, n_art))
-        art[art_rows, np.arange(n_art)] = 1.0
-        a_std = np.hstack([a_std, art])
-        basis[art_rows] = n + n_slack + np.arange(n_art)
-    ncols = a_std.shape[1]
-    n_real = n + n_slack
-    tab = _Tableau(a_std, b_std, basis)
-
-    feas_scale = 1.0 + float(np.abs(b_std).max(initial=0.0))
-    if n_art:
-        phase1 = np.zeros(ncols)
-        phase1[n_real:] = 1.0
-        status = tab.run(phase1, np.ones(ncols, dtype=bool), max_pivots)
-        if status == ITERLIMIT:
-            return SolveResult(ITERLIMIT, pivots=tab.pivots)
-        art_sum = float(phase1[tab.basis] @ tab.t[:, -1])
-        if art_sum > tol.FEAS_TOL * feas_scale:
-            return SolveResult(INFEASIBLE, pivots=tab.pivots)
-        # drive artificials out; rows with no real pivot are redundant
-        for i in reversed(range(m_all)):
-            if tab.basis[i] < n_real:
-                continue
-            cand = np.flatnonzero(np.abs(tab.t[i, :n_real]) > 1e-8)
-            if cand.size:
-                tab.pivot(i, int(cand[0]), np.zeros(ncols + 1))
-            else:
-                tab.drop_row(i)
-    allowed = np.ones(ncols, dtype=bool)
-    allowed[n_real:] = False
-
-    costs = np.zeros(ncols)
-    costs[:n] = c
-    status = tab.run(costs, allowed, max_pivots)
+    feas_tol = tol.FEAS_TOL * (1.0 + float(np.abs(sf.b).max(initial=0.0)))
+    tab = None if basis is None else _warm_start(sf, basis)
+    if tab is not None:
+        status = tab.run_dual(sf.costs, max_pivots, -feas_tol)
+    else:
+        tab, status = _cold_start(sf, max_pivots, feas_tol)
+    if status == OPTIMAL:
+        ncols = tab.t.shape[1] - 1
+        n_real = sf.a.shape[1]
+        costs = np.zeros(ncols)
+        costs[:n_real] = sf.costs
+        status = tab.run(costs, np.arange(ncols) < n_real, max_pivots)
     if status != OPTIMAL:
         return SolveResult(status, pivots=tab.pivots)
+    return _result_at_basis(lp, sf, tab)
 
-    # clean re-solve against original standard-form data removes pivot drift
-    kept = np.array(tab.rows, dtype=int)
-    basis_idx = np.array(tab.basis, dtype=int)
-    bmat = a_std[np.ix_(kept, basis_idx)]
+
+def _result_at_basis(lp: LinearProgram, sf: _StandardForm, tab: _Tableau) -> SolveResult:
+    """The optimal result at the tableau's final basis; the clean re-solve
+    against the standard-form data removes pivot drift."""
+    kept = np.array(tab.rows, dtype=np.int32)
+    cols = np.array(tab.basis, dtype=np.int32)
+    n_real = sf.a.shape[1]
+    bmat = sf.a[np.ix_(kept, cols)]
     y_kept = None
     try:
-        xb = np.linalg.solve(bmat, b_std[kept])
-        z = np.zeros(ncols)
-        z[basis_idx] = xb
-        y_kept = np.linalg.solve(bmat.T, costs[basis_idx])
+        xb = np.linalg.solve(bmat, sf.b[kept])
+        z = np.zeros(n_real)
+        z[cols] = xb
+        y_kept = np.linalg.solve(bmat.T, sf.costs[cols])
     except np.linalg.LinAlgError:
-        z = tab.solution(ncols)
-    x_ext = z[:n] + lo_ext
+        z = tab.solution(n_real)
+    x_ext = z[: sf.n] + np.concatenate([sf.lo, np.zeros(sf.free_idx.size)])
     x = x_ext[: lp.n].copy()
-    if free_idx.size:
-        x[free_idx] = x_ext[free_idx] - x_ext[lp.n :]
+    if sf.free_idx.size:
+        x[sf.free_idx] = x_ext[sf.free_idx] - x_ext[lp.n :]
     value = float(lp.c @ x) + lp.c0
 
     dual = np.zeros(lp.m)
     dual_obj = None
     if y_kept is not None:
-        y_full = np.zeros(m_all)
+        y_full = np.zeros(sf.m)
         y_full[kept] = y_kept
-        y_rows = y_full * sign  # undo the b >= 0 normalization
-        dual = flip * y_rows[: lp.m]
-        dual_obj = flip * (float(y_kept @ b_std[kept]) + shift_const)
+        y_rows = y_full * sf.sign  # undo the b >= 0 normalization
+        dual = sf.flip * y_rows[: lp.m]
+        dual_obj = sf.flip * (float(y_kept @ sf.b[kept]) + sf.shift_const)
     return SolveResult(
         OPTIMAL,
         value,
@@ -362,4 +486,5 @@ def solve_lp(lp: LinearProgram, max_pivots: int | None = None) -> SolveResult:
         dual,
         dual_objective=dual_obj,
         pivots=tab.pivots,
+        basis=Basis(kept, cols, sf.layout),
     )

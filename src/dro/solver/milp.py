@@ -3,6 +3,15 @@
 Node selection is best-first by LP bound; branching picks the most fractional
 integer variable with ties broken by lowest index.  Both rules are
 deterministic, so identical inputs explore identical trees.
+
+The root LP is solved cold.  Every other LP differs from its parent's only in
+the bounds of integer columns, so each heap node keeps its LP's final
+:class:`~.lp.Basis` (two small int arrays and a layout key, never a
+tableau), and its children, and the fix-and-polish LP of a mixed program,
+are warm-started from it: ``solve_lp`` re-optimizes by dual simplex and
+falls back to a cold solve when the basis cannot be reused.  Node LPs are
+solved through this module's ``solve_lp`` name, where a tracer can wrap
+them.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from ..errors import UnboundedDecisionVariable
 from .lp import (
     INFEASIBLE,
     ITERLIMIT,
+    NODELIMIT,
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
@@ -56,10 +66,13 @@ def _bounded_lp(base: LinearProgram, lower, upper) -> LinearProgram:
     )
 
 
-def _fix_and_polish(mip: MixedIntegerProgram, x_lp, lower, upper, max_pivots):
-    """Round the integer block, re-solve the continuous block, and return the
-    exact completed solution or None if the rounding is infeasible."""
-    rounded = np.round(x_lp[mip.integer])
+def _fix_and_polish(mip: MixedIntegerProgram, x_lp, lower, upper, basis, max_pivots):
+    """Round the integer block, re-solve the continuous block from the node's
+    ``basis``, and return the exact completed solution or None if the
+    rounding is infeasible."""
+    # + 0.0 turns a rounded -0.0 into 0.0: the sign of a rounding error in
+    # the LP point must not reach the written decision
+    rounded = np.round(x_lp[mip.integer]) + 0.0
     lo = lower.copy()
     hi = upper.copy()
     lo[mip.integer] = rounded
@@ -71,7 +84,7 @@ def _fix_and_polish(mip: MixedIntegerProgram, x_lp, lower, upper, max_pivots):
             return None
         value = float(mip.lp.c @ x) + mip.lp.c0
         return value, x
-    res = solve_lp(_bounded_lp(mip.lp, lo, hi), max_pivots=max_pivots)
+    res = solve_lp(_bounded_lp(mip.lp, lo, hi), max_pivots=max_pivots, basis=basis)
     if res.status != OPTIMAL:
         return None
     # the fixed columns can come back a rounding error off their bounds
@@ -82,8 +95,10 @@ def _fix_and_polish(mip: MixedIntegerProgram, x_lp, lower, upper, max_pivots):
 def solve_milp(mip: MixedIntegerProgram, max_pivots=None, max_nodes=200000) -> SolveResult:
     """Solve a MILP by branch & bound over the reference LP kernel.
 
-    The result records the number of explored nodes and simplex pivots.
-    Integer variables must carry finite upper bounds.
+    The result records the number of explored nodes and the simplex pivots
+    of their LPs.  The search stops with ``nodelimit`` once ``max_nodes``
+    nodes are explored and with ``iterlimit`` when a node LP reaches
+    ``max_pivots``.  Integer variables must carry finite upper bounds.
     """
     mip.check_integer_bounds()
     base = mip.lp
@@ -98,7 +113,7 @@ def solve_milp(mip: MixedIntegerProgram, max_pivots=None, max_nodes=200000) -> S
     pivots = root.pivots
     seq = 0
     heap = []
-    heapq.heappush(heap, (flip * root.value, seq, base.lower, base.upper, root.x))
+    heapq.heappush(heap, (flip * root.value, seq, base.lower, base.upper, root.x, root.basis))
 
     def prune_cut():
         if not np.isfinite(incumbent_val):
@@ -106,13 +121,13 @@ def solve_milp(mip: MixedIntegerProgram, max_pivots=None, max_nodes=200000) -> S
         return incumbent_val - tol.VALUE_TOL * (1.0 + abs(incumbent_val))
 
     while heap:
-        bound, _, lower, upper, x_lp = heapq.heappop(heap)
+        bound, _, lower, upper, x_lp, basis = heapq.heappop(heap)
         if bound >= prune_cut():
             break  # best-first: every remaining node is at least as bad
         frac = np.abs(x_lp - np.round(x_lp))
         frac[~mip.integer] = 0.0
         if frac.max(initial=0.0) <= tol.INT_TOL:
-            polished = _fix_and_polish(mip, x_lp, lower, upper, max_pivots)
+            polished = _fix_and_polish(mip, x_lp, lower, upper, basis, max_pivots)
             if polished is not None:
                 val, x = polished
                 if flip * val < incumbent_val:
@@ -126,14 +141,14 @@ def solve_milp(mip: MixedIntegerProgram, max_pivots=None, max_nodes=200000) -> S
         v = x_lp[j]
         for lo_j, hi_j in ((lower[j], np.floor(v)), (np.ceil(v), upper[j])):
             if nodes >= max_nodes:
-                return SolveResult(ITERLIMIT, node_count=nodes, pivots=pivots)
+                return SolveResult(NODELIMIT, node_count=nodes, pivots=pivots)
             lo = lower.copy()
             hi = upper.copy()
             lo[j] = max(lo[j], lo_j)
             hi[j] = min(hi[j], hi_j)
             if lo[j] > hi[j]:
                 continue
-            res = solve_lp(_bounded_lp(base, lo, hi), max_pivots=max_pivots)
+            res = solve_lp(_bounded_lp(base, lo, hi), max_pivots=max_pivots, basis=basis)
             nodes += 1
             pivots += res.pivots
             if res.status == ITERLIMIT:
@@ -142,7 +157,7 @@ def solve_milp(mip: MixedIntegerProgram, max_pivots=None, max_nodes=200000) -> S
                 continue
             if flip * res.value < prune_cut():
                 seq += 1
-                heapq.heappush(heap, (flip * res.value, seq, lo, hi, res.x))
+                heapq.heappush(heap, (flip * res.value, seq, lo, hi, res.x, res.basis))
 
     if incumbent_x is None:
         return SolveResult(INFEASIBLE, node_count=nodes, pivots=pivots)

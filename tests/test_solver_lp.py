@@ -1,17 +1,22 @@
-"""LP kernel tests: hand-solved programs, duality, and a scipy cross-check."""
+"""LP kernel tests: hand-solved programs, duality, a scipy cross-check, and
+warm starts from an earlier solve's basis."""
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from dro import tolerances as tol
 from dro.solver import (
     EQ,
     GE,
+    INFEASIBLE,
+    ITERLIMIT,
     LE,
     OPTIMAL,
     LinearProgram,
     solve_lp,
 )
+from dro.solver import lp as kernel
 
 
 def box_lp(c, rows, rel, rhs, lo, hi, sense="min", c0=0.0):
@@ -220,3 +225,149 @@ def test_iteration_limit_reported():
     assert res.status in ("iterlimit", OPTIMAL)  # tiny LPs may finish in one pivot
     res0 = solve_lp(lp, max_pivots=0)
     assert res0.status == "iterlimit"
+
+
+def with_bounds(lp, lower=None, upper=None):
+    return LinearProgram(
+        lp.c, lp.a, lp.rel, lp.b,
+        lp.lower if lower is None else np.asarray(lower, float),
+        lp.upper if upper is None else np.asarray(upper, float),
+        sense=lp.sense, c0=lp.c0,
+    )
+
+
+@pytest.fixture()
+def forbid_cold(monkeypatch):
+    """Once called, fail any solve that takes the cold path."""
+
+    def cold(*args):
+        raise AssertionError("cold path taken")
+
+    return lambda: monkeypatch.setattr(kernel, "_cold_start", cold)
+
+
+@pytest.fixture()
+def pivot_log(monkeypatch):
+    """The (row, col) of every simplex pivot, in order."""
+    log = []
+    original = kernel._Tableau.pivot
+
+    def logged(tab, row, col, obj):
+        log.append((row, col))
+        return original(tab, row, col, obj)
+
+    monkeypatch.setattr(kernel._Tableau, "pivot", logged)
+    return log
+
+
+def test_warm_start_matches_cold_on_bound_changes():
+    # every child of a random LP, warm from the parent's basis, agrees with
+    # its cold solve in status and value, within fewer pivots overall
+    rng = np.random.default_rng(2718)
+    warm_pivots = cold_pivots = solved = 0
+    for _ in range(150):
+        lp = _random_lp(rng)
+        parent = solve_lp(lp)
+        if parent.status != OPTIMAL:
+            continue
+        j = int(rng.integers(lp.n))
+        lower, upper = lp.lower.copy(), lp.upper.copy()
+        if rng.random() < 0.5 and np.isfinite(lower[j]):
+            lower[j] = parent.x[j] + rng.random()
+        else:
+            upper[j] = parent.x[j] - rng.random()
+        if lower[j] > upper[j]:
+            continue
+        child = with_bounds(lp, lower, upper)
+        warm, cold = solve_lp(child, basis=parent.basis), solve_lp(child)
+        assert warm.status == cold.status
+        warm_pivots += warm.pivots
+        cold_pivots += cold.pivots
+        if cold.status == OPTIMAL:
+            solved += 1
+            assert abs(warm.value - cold.value) <= 1e-9 * (1.0 + abs(cold.value))
+            assert child.max_violation(warm.x) <= 1e-7
+    assert solved > 30
+    assert warm_pivots < cold_pivots
+
+
+def test_warm_bound_change_that_empties_the_lp_is_infeasible(forbid_cold):
+    # min x + y s.t. x + y >= 1 on the unit box; capping both at 0.4 empties it
+    lp = box_lp([1.0, 1.0], [[1.0, 1.0]], [GE], [1.0], [0.0, 0.0], [1.0, 1.0])
+    parent = solve_lp(lp)
+    assert parent.status == OPTIMAL
+    child = with_bounds(lp, upper=[0.4, 0.4])
+    assert solve_lp(child).status == INFEASIBLE
+    forbid_cold()
+    assert solve_lp(child, basis=parent.basis).status == INFEASIBLE
+
+
+# x3 <= 1 makes the first dual pivot degenerate: it leaves the objective where
+# it was, and the second leaving row differs between the two rules
+BLAND_LP = dict(
+    c=[-2.0, 0.0, 0.0, -1.0],
+    rows=[[-2.0, 0.0, 2.0, -1.0], [-2.0, 2.0, 0.0, 0.0], [2.0, -1.0, 1.0, 1.0]],
+    rel=[GE, GE, LE],
+    rhs=[2.0, 0.0, 3.0],
+    lo=[0.0] * 4,
+    hi=[2.0] * 4,
+)
+
+
+def test_dual_loop_switches_to_bland_after_stall(monkeypatch, pivot_log, forbid_cold):
+    lp = box_lp(**BLAND_LP)
+    parent = solve_lp(lp)
+    child = with_bounds(lp, upper=[2.0, 2.0, 1.0, 2.0])
+    cold = solve_lp(child)
+    forbid_cold()
+    runs = []
+    for stall in (tol.STALL_PIVOTS, 1):
+        monkeypatch.setattr(tol, "STALL_PIVOTS", stall)
+        pivot_log.clear()
+        res = solve_lp(child, basis=parent.basis)
+        assert res.status == OPTIMAL
+        assert res.value == pytest.approx(cold.value, abs=1e-12)
+        runs.append(list(pivot_log))
+    dantzig, bland = runs
+    assert len(dantzig) == len(bland) == 2
+    assert dantzig[0] == bland[0] and dantzig[1] != bland[1]
+
+
+def test_warm_path_honours_max_pivots(forbid_cold):
+    lp = box_lp(**BLAND_LP)
+    parent = solve_lp(lp)
+    child = with_bounds(lp, upper=[2.0, 2.0, 1.0, 2.0])
+    forbid_cold()
+    warm = solve_lp(child, basis=parent.basis)
+    assert warm.status == OPTIMAL and warm.pivots == 2
+    capped = solve_lp(child, max_pivots=1, basis=parent.basis)
+    assert capped.status == ITERLIMIT
+    assert capped.pivots == 1
+
+
+def _same_result(got, want):
+    assert got.status == want.status
+    assert got.pivots == want.pivots
+    assert got.value == want.value
+    np.testing.assert_array_equal(got.x, want.x)
+
+
+def test_unusable_basis_falls_back_to_cold():
+    def two_rows(second_row, second_rhs, sense="min"):
+        return box_lp([1.0, 2.0], [[1.0, 1.0], second_row], [GE, LE], [1.0, second_rhs],
+                      [0.0, 0.0], [3.0, 3.0], sense=sense)
+
+    lp = two_rows([1.0, -1.0], 0.5)
+    parent = solve_lp(lp)
+    assert parent.status == OPTIMAL
+
+    # the same rows made parallel: the parent's basis matrix is singular there
+    parallel = two_rows([1.0, 1.0], 1.5)
+    bmat = kernel._StandardForm(parallel).a[np.ix_(parent.basis.rows, parent.basis.cols)]
+    assert np.linalg.matrix_rank(bmat) < bmat.shape[0]
+    # a column losing its upper bound: the standard form has one row fewer
+    uncapped = with_bounds(lp, upper=[3.0, np.inf])
+    # the opposite sense: the basis is not dual feasible
+    flipped = two_rows([1.0, -1.0], 0.5, sense="max")
+    for other in (parallel, uncapped, flipped):
+        _same_result(solve_lp(other, basis=parent.basis), solve_lp(other))

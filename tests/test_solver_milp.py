@@ -4,12 +4,21 @@ import itertools
 
 import numpy as np
 import pytest
+from cold_bnb import cold_solve_milp
 
 from dro.errors import UnboundedDecisionVariable
-from dro.selfcheck import brute_force_milp, random_binary_milp
+from dro.reformulate import build_dro_milp
+from dro.selfcheck import (
+    brute_force_milp,
+    random_bandit_instance,
+    random_binary_milp,
+    random_interval_instance,
+)
 from dro.solver import (
     GE,
+    ITERLIMIT,
     LE,
+    NODELIMIT,
     OPTIMAL,
     LinearProgram,
     MixedIntegerProgram,
@@ -142,8 +151,55 @@ def test_determinism_same_tree():
     mip = random_binary_milp(rng)
     r1, r2 = solve_milp(mip), solve_milp(mip)
     assert r1.node_count == r2.node_count
+    assert r1.pivots == r2.pivots
     assert r1.value == r2.value
     np.testing.assert_array_equal(r1.x, r2.x)
+
+
+def test_node_and_pivot_limits_have_their_own_statuses():
+    # min x s.t. 2x >= 1, x binary: the root relaxation is fractional
+    mip = binary_mip([1.0], [[2.0]], [GE], [1.0])
+    capped = solve_milp(mip, max_nodes=1)
+    assert capped.status == NODELIMIT
+    assert capped.node_count == 1
+    assert solve_milp(mip, max_pivots=0).status == ITERLIMIT
+
+
+def _binary_draws():
+    rng = np.random.default_rng(31337)  # the draws of test_random_suite_matches_brute_force
+    return [random_binary_milp(rng) for _ in range(60)]
+
+
+def _mixed_draws():
+    rng = np.random.default_rng(61)  # as test_milp_integer_entries_exact_on_both_backends
+    mips = []
+    for _ in range(40):
+        mip = random_binary_milp(rng)
+        mips.append(MixedIntegerProgram(mip.lp, rng.random(mip.n) < 0.6))
+    return mips
+
+
+def _dro_draws():
+    # the criterion 1 and 2 generators, at those criteria's seeds
+    rng_i, rng_b = np.random.default_rng(1001), np.random.default_rng(1002)
+    insts = [random_interval_instance(rng_i) for _ in range(15)]
+    insts += [random_bandit_instance(rng_b)[0] for _ in range(15)]
+    return [build_dro_milp(inst)[0] for inst in insts]
+
+
+@pytest.mark.parametrize("draws", [_binary_draws, _mixed_draws, _dro_draws])
+def test_warm_tree_matches_cold_reference(draws):
+    warm_pivots = cold_pivots = 0
+    for mip in draws():
+        warm, cold = solve_milp(mip), cold_solve_milp(mip)
+        assert warm.status == cold.status
+        warm_pivots += warm.pivots
+        cold_pivots += cold.pivots
+        if warm.status == OPTIMAL:
+            assert abs(warm.value - cold.value) <= 1e-9 * (1.0 + abs(cold.value))
+            ints = warm.x[mip.integer]
+            np.testing.assert_array_equal(ints, np.round(ints))
+    assert warm_pivots < cold_pivots
 
 
 def test_dump_format_stable():
