@@ -77,31 +77,34 @@ class ReformulationVars:
 class CompactVars:
     """Column layout of the compact MILP for box supports.
 
-    Order: decision block x (n), the transport multiplier lam (1), one
-    epigraph column sigma[k][i] per sample and coordinate, then one pair
-    (mu+, mu-) per sample with an equality, in sample order.  Every column
-    but x is nonnegative.
+    Order: decision block x (n), the transport multiplier lam (1), the
+    epigraph columns, then one pair (mu+, mu-) per sample with an equality,
+    in sample order.  ``sigma[k, i]`` is the epigraph column of sample k's
+    coordinate i: the coordinates that no equality covers share one column
+    per coordinate i and clipped box [L, U], every other coordinate has its
+    own, and the columns are numbered in order of first occurrence,
+    sample-major.  Every column but x is nonnegative.
     """
 
     n: int
-    num_samples: int
     eq: tuple  # samples with an equality, ascending
+    sigma: np.ndarray  # (K, n) int, the epigraph column of each coordinate
+
+    @property
+    def num_sigma(self) -> int:
+        return int(self.sigma.max()) - self.n
 
     @property
     def lam(self) -> int:
         return self.n
 
-    def sigma(self, k: int) -> slice:
-        start = self.n + 1 + k * self.n
-        return slice(start, start + self.n)
-
     def mu(self, k: int) -> int:
         """Column of mu+ for sample ``k``; mu- follows it."""
-        return self.n + 1 + self.num_samples * self.n + 2 * self.eq.index(k)
+        return self.n + 1 + self.num_sigma + 2 * self.eq.index(k)
 
     @property
     def total(self) -> int:
-        return self.n + 1 + self.num_samples * self.n + 2 * len(self.eq)
+        return self.n + 1 + self.num_sigma + 2 * len(self.eq)
 
 
 @dataclass(eq=False)
@@ -231,6 +234,38 @@ def build_full_dual_milp(inst: ProblemInstance):
     return (*_full_dual(inst, lowered), lowered)
 
 
+def _epigraph_columns(lo, hi, free):
+    """Epigraph columns of box data: the coordinates where ``free`` (K, n)
+    holds (m_ki = 0) share one column per coordinate i and clipped box
+    [L, U], compared by value; every other coordinate has its own.
+
+    Returns ``(col, first, count)``: each coordinate's epigraph column,
+    counted from 0 in order of first occurrence, sample-major; whether the
+    coordinate is the first of its column; and each column's number of
+    coordinates.
+    """
+    num_k, n = lo.shape
+    flat = np.arange(num_k * n)
+    lo_f, hi_f = lo.ravel(), hi.ravel()
+    # coordinate i - n when the column can be shared, else the own flat index
+    owner = np.where(free.ravel(), flat % n - n, flat)
+    order = np.lexsort((hi_f, lo_f, owner))  # stable: each group's first coordinate leads
+    o_owner, o_lo, o_hi = owner[order], lo_f[order], hi_f[order]
+    new = np.empty(flat.shape[0], dtype=bool)  # a group starts here
+    new[0] = True
+    np.not_equal(o_owner[1:], o_owner[:-1], out=new[1:])
+    new[1:] |= o_lo[1:] != o_lo[:-1]
+    new[1:] |= o_hi[1:] != o_hi[:-1]
+    lead = np.empty_like(flat)  # each coordinate's first coordinate
+    lead[order] = order[new][new.cumsum() - 1]
+    first = lead == flat
+    col = (first.cumsum() - 1)[lead]
+    return col.reshape(num_k, n), first.reshape(num_k, n), np.bincount(col)
+
+
+_EARLIER = np.tri(6, k=-1, dtype=bool)  # [j, q]: candidate q precedes j
+
+
 def _compact_dual(inst: ProblemInstance, boxes: SampleBoxes):
     """The compact MILP over (x, lam, sigma, mu+, mu-) for box data.
 
@@ -245,6 +280,13 @@ def _compact_dual(inst: ProblemInstance, boxes: SampleBoxes):
     hold sigma_ki = s_ki - f(L, L) >= 0 and mu_k = mu+ - mu-, so every lower
     bound is finite; duplicate points and rows that are identically zero
     are dropped.
+
+    When m_ki = 0 the rows of sigma_ki depend on (i, L_ki, U_ki) alone, so
+    all such coordinates with equal keys (on a bandit history, mostly the
+    unobserved ones, whose box is the support's) share one column, weighted
+    by their count over K, whose rows come from the first of them: within a
+    group the sigma lie above the same functions with positive weights, so
+    they are equal at an optimum of the MILP and of its LP relaxation.
     """
     loss = inst.loss if inst.sense == "min" else _negated_loss(inst.loss)
     n = inst.n
@@ -252,20 +294,25 @@ def _compact_dual(inst: ProblemInstance, boxes: SampleBoxes):
     lo, hi, m, t = boxes.lo, boxes.hi, boxes.m, boxes.t
     num_k = lo.shape[0]
     has_eq = ~np.isnan(t)
-    layout = CompactVars(n, num_k, tuple(np.flatnonzero(has_eq).tolist()))
+    free = m == 0
+    col, first, count = _epigraph_columns(lo, hi, free)
+    layout = CompactVars(n, tuple(np.flatnonzero(has_eq).tolist()), n + 1 + col)
+    num_sigma = count.shape[0]
     nvar = layout.total
     l, u = (np.broadcast_to(b, lo.shape) for b in inst.support.box_bounds())
 
-    # candidate points (c_hat, c), shape (K, n, 5); (L, L) is the anchor
-    c_hat = np.stack([lo, hi, hi, lo, hi], axis=2)
-    c_pt = np.stack([l, hi, u, u, l], axis=2)
-    active = np.ones(c_hat.shape, dtype=bool)
-    active[:, :, 3:] = (m != 0)[:, :, None]
-    anchor = lo[:, :, None]
-    active &= (c_hat != anchor) | (c_pt != anchor)
-    for j in range(1, 5):
-        for q in range(j):
-            active[:, :, j] &= (c_hat[:, :, j] != c_hat[:, :, q]) | (c_pt[:, :, j] != c_pt[:, :, q])
+    # candidate points (c_hat, c), shape (K, n, 6): the anchor (L, L), then
+    # the points that can attain the sup, each dropped where it repeats an
+    # earlier one; a shared column's rows come from its first coordinate
+    c_hat = np.stack([lo, lo, hi, hi, lo, hi], axis=2)
+    c_pt = np.stack([lo, l, hi, u, u, l], axis=2)
+    same = (c_hat[:, :, :, None] == c_hat[:, :, None, :]) & (
+        c_pt[:, :, :, None] == c_pt[:, :, None, :]
+    )
+    active = ~(same & _EARLIER).any(axis=3)
+    active &= first[:, :, None]
+    active[:, :, 0] = False
+    active[:, :, 4:] &= ~free[:, :, None]
 
     kk, ii, jj = np.nonzero(active)  # sample-major, then coordinate, then point
     ch, cp, anc = c_hat[kk, ii, jj], c_pt[kk, ii, jj], lo[kk, ii]
@@ -288,9 +335,9 @@ def _compact_dual(inst: ProblemInstance, boxes: SampleBoxes):
     rhs = np.empty(nr + fs.num_rows)
     a[:nr, :n] = dx[:, None] * t_xx[ii]
     a[rows, layout.lam] = lam_coef
-    a[rows, n + 1 + kk * n + ii] = -1.0
+    a[rows, layout.sigma[kk, ii]] = -1.0
     mu_col = np.full(num_k, -1)
-    mu_col[has_eq] = [layout.mu(k) for k in layout.eq]
+    mu_col[has_eq] = n + 1 + num_sigma + 2 * np.arange(len(layout.eq))
     on_eq = has_eq[kk]
     a[rows[on_eq], mu_col[kk[on_eq]]] = mu_coef[on_eq]
     a[rows[on_eq], mu_col[kk[on_eq]] + 1] = -mu_coef[on_eq]
@@ -303,7 +350,7 @@ def _compact_dual(inst: ProblemInstance, boxes: SampleBoxes):
     c = np.zeros(nvar)
     c[:n] = loss.t_x + lo.sum(axis=0) @ t_xx / num_k
     c[layout.lam] = inst.epsilon
-    c[n + 1 : n + 1 + num_k * n] = 1.0 / num_k
+    c[n + 1 : n + 1 + num_sigma] = count / num_k
     mu_obj = (t[has_eq] - (m * lo).sum(axis=1)[has_eq]) / num_k
     c[mu_col[has_eq]] = mu_obj
     c[mu_col[has_eq] + 1] = -mu_obj

@@ -63,14 +63,17 @@ class ScipyBackend:
         """Solve ``lp`` with the ``integer`` columns integral, rows passed
         whole in their own order; returns the status and scipy's result."""
         from scipy.optimize import Bounds, LinearConstraint, milp
+        from scipy.sparse import csc_array
 
         flip = -1.0 if lp.sense == "max" else 1.0
         rel = np.array(lp.rel, dtype=str)
         lb = np.where(rel == LE, -np.inf, lp.b)
         ub = np.where(rel == GE, np.inf, lp.b)
+        # HiGHS takes the matrix column-wise; handing scipy the sparse form
+        # skips its dense float copy of ``a`` before the same conversion
         res = milp(
             c=flip * lp.c,
-            constraints=LinearConstraint(lp.a, lb, ub) if lp.m else (),
+            constraints=LinearConstraint(csc_array(lp.a), lb, ub) if lp.m else (),
             integrality=integer.astype(int),
             bounds=Bounds(lp.lower, lp.upper),
             options={"mip_rel_gap": tol.VALUE_TOL},

@@ -67,9 +67,10 @@ def _bounded_lp(base: LinearProgram, lower, upper) -> LinearProgram:
 
 
 def _fix_and_polish(mip: MixedIntegerProgram, x_lp, lower, upper, basis, max_pivots):
-    """Round the integer block, re-solve the continuous block from the node's
-    ``basis``, and return the exact completed solution or None if the
-    rounding is infeasible."""
+    """Round the integer block and re-solve the continuous block from the
+    node's ``basis``.  Returns ``(polished, pivots)``: the exact completed
+    solution ``(value, x)``, or None if the rounding is infeasible, and the
+    pivots of the polish LP."""
     # + 0.0 turns a rounded -0.0 into 0.0: the sign of a rounding error in
     # the LP point must not reach the written decision
     rounded = np.round(x_lp[mip.integer]) + 0.0
@@ -81,24 +82,25 @@ def _fix_and_polish(mip: MixedIntegerProgram, x_lp, lower, upper, basis, max_piv
         x = x_lp.copy()
         x[mip.integer] = rounded
         if _bounded_lp(mip.lp, lower, upper).max_violation(x) > tol.FEAS_TOL:
-            return None
+            return None, 0
         value = float(mip.lp.c @ x) + mip.lp.c0
-        return value, x
+        return (value, x), 0
     res = solve_lp(_bounded_lp(mip.lp, lo, hi), max_pivots=max_pivots, basis=basis)
     if res.status != OPTIMAL:
-        return None
+        return None, res.pivots
     # the fixed columns can come back a rounding error off their bounds
     res.x[mip.integer] = rounded
-    return res.value, res.x
+    return (res.value, res.x), res.pivots
 
 
 def solve_milp(mip: MixedIntegerProgram, max_pivots=None, max_nodes=200000) -> SolveResult:
     """Solve a MILP by branch & bound over the reference LP kernel.
 
     The result records the number of explored nodes and the simplex pivots
-    of their LPs.  The search stops with ``nodelimit`` once ``max_nodes``
-    nodes are explored and with ``iterlimit`` when a node LP reaches
-    ``max_pivots``.  Integer variables must carry finite upper bounds.
+    of every LP it solved, fix-and-polish LPs included.  The search stops
+    with ``nodelimit`` once ``max_nodes`` nodes are explored and with
+    ``iterlimit`` when a node LP reaches ``max_pivots``.  Integer variables
+    must carry finite upper bounds.
     """
     mip.check_integer_bounds()
     base = mip.lp
@@ -127,7 +129,10 @@ def solve_milp(mip: MixedIntegerProgram, max_pivots=None, max_nodes=200000) -> S
         frac = np.abs(x_lp - np.round(x_lp))
         frac[~mip.integer] = 0.0
         if frac.max(initial=0.0) <= tol.INT_TOL:
-            polished = _fix_and_polish(mip, x_lp, lower, upper, basis, max_pivots)
+            polished, polish_pivots = _fix_and_polish(
+                mip, x_lp, lower, upper, basis, max_pivots
+            )
+            pivots += polish_pivots
             if polished is not None:
                 val, x = polished
                 if flip * val < incumbent_val:

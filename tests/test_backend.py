@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse
 
 from dro.cli import main
 from dro.closedform import milp_cop
@@ -159,6 +160,31 @@ def test_highs_runs_without_linprog(monkeypatch):
     mip = MixedIntegerProgram(lp, np.ones(2, dtype=bool))
     assert sp.solve_milp(mip).value == pytest.approx(2.0)
     assert sp.solve_lp(mip.lp).value == pytest.approx(1.5)
+
+
+def test_highs_gets_the_matrix_sparse(monkeypatch):
+    # the rows reach scipy as one csc array equal to lp.a, not a dense copy
+    seen = []
+    original = scipy.optimize.milp
+
+    def capture(*args, **kwargs):
+        seen.append(kwargs["constraints"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", capture)
+    rng = np.random.default_rng(63)
+    skeleton, graph = gen_layered_spp(3, 2)
+    dist = BetaNominal.random(graph.num_arcs, 0.125, rng)
+    run = cucb_collect(graph, dist, 6, rng)
+    mip = build_dro_milp(skeleton.instance(observe_bandit(run.samples, run.decisions), 0.3))[0]
+    sp = ScipyBackend()
+    for solve in (lambda: sp.solve_milp(mip), lambda: sp.solve_lp(mip.lp)):
+        seen.clear()
+        assert solve().status == OPTIMAL
+        (con,) = seen
+        assert scipy.sparse.issparse(con.A) and con.A.format == "csc"
+        assert con.A.dtype == np.float64
+        np.testing.assert_array_equal(con.A.toarray(), mip.lp.a)
 
 
 def test_backends_agree_on_milp():

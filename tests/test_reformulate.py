@@ -49,6 +49,7 @@ from dro.solver import (
     OPTIMAL,
     LinearProgram,
     MixedIntegerProgram,
+    ReferenceKernel,
     ScipyBackend,
     dump_program,
     solve_lp,
@@ -140,7 +141,9 @@ def reference_dro_milp(inst):
 def reference_compact_milp(inst):
     """The compact MILP for box data assembled one row at a time, looping
     over samples, coordinates and candidate points (c_hat, c), from each
-    scenario's lowered polytope read row by row."""
+    scenario's lowered polytope read row by row.  Coordinates outside the
+    sample's equality share a column per (i, L, U), in order of first
+    occurrence, and only the first of them emits rows."""
     validate_instance(inst)
     loss = inst.loss if inst.sense == "min" else _negated_loss(inst.loss)
     n, fs = inst.n, inst.feasible
@@ -153,12 +156,30 @@ def reference_compact_milp(inst):
             m = t = None
         samples.append((np.clip(lo, l, u), np.clip(hi, l, u), m, t))
     eq = tuple(k for k, s in enumerate(samples) if s[2] is not None)
-    layout = CompactVars(n, num_k, eq)
+
+    sigma = np.zeros((num_k, n), dtype=int)
+    shared, count, emits = {}, [], set()
+    for k, (lo, hi, m, t) in enumerate(samples):
+        for i in range(n):
+            if m is None or m[i] == 0:
+                key = (i, float(lo[i]), float(hi[i]))
+                if key in shared:
+                    sigma[k, i] = shared[key]
+                    count[shared[key] - n - 1] += 1
+                    continue
+                shared[key] = n + 1 + len(count)
+            sigma[k, i] = n + 1 + len(count)
+            count.append(1)
+            emits.add((k, i))
+    layout = CompactVars(n, eq, sigma)
     nvar = layout.total
+    assert nvar == n + 1 + len(count) + 2 * len(eq)
 
     rows, rhs = [], []
     for k, (lo, hi, m, t) in enumerate(samples):
         for i in range(n):
+            if (k, i) not in emits:
+                continue
             big_l, big_u = lo[i], hi[i]
             mi = 0.0 if m is None else m[i]
             points = [(big_l, l[i]), (big_u, big_u), (big_u, u[i])]
@@ -177,7 +198,7 @@ def reference_compact_milp(inst):
                     row[layout.mu(k)] = -mi * (c_hat - big_l)
                     row[layout.mu(k) + 1] = mi * (c_hat - big_l)
                 if np.any(row != 0) or b != 0:  # else only -sigma <= 0
-                    row[layout.sigma(k).start + i] = -1.0
+                    row[sigma[k, i]] = -1.0
                     rows.append(row)
                     rhs.append(b)
     gmat = fs.matrix()
@@ -191,10 +212,11 @@ def reference_compact_milp(inst):
     c[:n] = loss.t_x
     c0 = loss.t_const
     c[layout.lam] = inst.epsilon
+    for j, size in enumerate(count):
+        c[n + 1 + j] = size / num_k
     for k, (lo, hi, m, t) in enumerate(samples):
         c[:n] += loss.t_xx.T @ lo / num_k
         c0 += lo @ loss.t_c / num_k
-        c[layout.sigma(k)] = 1.0 / num_k
         if m is not None:
             c[layout.mu(k)] = (t - m @ lo) / num_k
             c[layout.mu(k) + 1] = -(t - m @ lo) / num_k
@@ -206,7 +228,7 @@ def reference_compact_milp(inst):
         c, np.array(rows), (LE,) * len(rows), np.array(rhs), np.zeros(nvar), up,
         sense="min", c0=c0,
     )
-    return MixedIntegerProgram(lp, int_mask)
+    return MixedIntegerProgram(lp, int_mask), layout
 
 
 def _spp_history(h, r, num_k, feedback, seed):
@@ -282,12 +304,15 @@ class TestVariableLayout:
         assert column_names(layout)[3] == "lam"
 
     def test_compact_offsets_cover_all_columns(self):
-        layout = CompactVars(3, 4, (1, 3))
+        # samples 0 and 2 share columns 5 and 6, and sample 3 shares
+        # column 4 with sample 0; every column in 4..11 is someone's
+        sigma = np.array([[4, 5, 6], [7, 8, 9], [10, 5, 6], [4, 11, 6]])
+        layout = CompactVars(3, (1, 3), sigma)
         assert layout.lam == 3
-        assert layout.sigma(0) == slice(4, 7)
-        assert layout.sigma(3) == slice(13, 16)
-        assert (layout.mu(1), layout.mu(3)) == (16, 18)
-        assert layout.total == 20
+        assert layout.num_sigma == 8
+        assert sorted(set(sigma.ravel().tolist())) == list(range(4, 12))
+        assert (layout.mu(1), layout.mu(3)) == (12, 14)
+        assert layout.total == 16
 
 
 def _close(got, want):
@@ -309,7 +334,10 @@ def test_block_builder_matches_row_builder(inst):
         assert _close(relaxation_value(inst, mip, sp), relaxation_value(inst, ref, sp))
         # the vectorized assembly against the loop: the same rows, bit for
         # bit; the objective sums over samples in another order
-        loop = reference_compact_milp(inst).lp
+        loop, loop_layout = reference_compact_milp(inst)
+        loop = loop.lp
+        np.testing.assert_array_equal(layout.sigma, loop_layout.sigma)
+        assert layout.eq == loop_layout.eq
         for got, want in ((mip.lp.a, loop.a), (mip.lp.b, loop.b), (mip.lp.upper, loop.upper)):
             assert got.tobytes() == want.tobytes()
         assert mip.lp.rel == loop.rel
@@ -340,7 +368,45 @@ def test_compact_bandit_build_runs_no_lp(model_calls):
     assert isinstance(layout, CompactVars)
     assert len(layout.eq) == inst.num_samples
     assert model_calls == {"lowered": inst.num_samples, "solve_lp": 0}
-    assert mip.lp.n == layout.total == inst.n + 1 + inst.num_samples * (inst.n + 2)
+    assert mip.lp.n == layout.total == _bandit_columns(inst)
+    assert layout.num_sigma < inst.num_samples * inst.n
+
+
+def _bandit_columns(inst):
+    """Columns of the compact MILP of a bandit history whose totals each
+    cover two or more coordinates: x, lam, one epigraph column per observed
+    coordinate, one per coordinate that some sample leaves unobserved (the
+    support box, shared), and (mu+, mu-) per sample."""
+    observed = np.array([s.mask != 0 for s in inst.scenarios])
+    shared = int((~observed).any(axis=0).sum())
+    return inst.n + 1 + int(observed.sum()) + shared + 2 * inst.num_samples
+
+
+def test_paper_scale_bandit_program_is_merged():
+    # the paper-scale (11, 5, 100) spp-k bandit cell, built but not solved:
+    # one column per sample and coordinate would make a 94,104 x 23,936
+    # dense matrix of about 18 GB
+    inst = _spp_history(11, 5, 100, observe_bandit, 0)
+    mip, layout, _ = build_dro_milp(inst)
+    assert isinstance(layout, CompactVars)
+    observed = np.array([s.mask != 0 for s in inst.scenarios])
+    unobserved = int((~observed).any(axis=0).sum())
+    # unit box: three rows per observed coordinate, one per shared column
+    rows = 3 * int(observed.sum()) + unobserved + inst.feasible.num_rows
+    assert mip.lp.a.shape == (rows, _bandit_columns(inst))
+    assert mip.lp.a.nbytes < 64 * 2**20
+
+
+@pytest.mark.parametrize("backend", [ReferenceKernel(), ScipyBackend()], ids=["reference", "scipy"])
+def test_merged_bandit_history_matches_full_dual(backend):
+    inst = _spp_history(3, 2, 6, observe_bandit, 2)
+    mip, layout, _ = build_dro_milp(inst)
+    full, _, _ = build_full_dual_milp(inst)
+    assert layout.num_sigma < inst.num_samples * inst.n
+    got, _, _ = solve_dro_milp(inst, mip, backend)
+    want, _, _ = solve_dro_milp(inst, full, backend)
+    assert _close(got, want)
+    assert _close(relaxation_value(inst, mip, backend), relaxation_value(inst, full, backend))
 
 
 def test_build_validates_and_lowers_once(model_calls):
