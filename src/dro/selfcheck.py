@@ -45,7 +45,14 @@ from .reformulate import (
     solve_dro,
     solve_dro_milp,
 )
-from .solver import LinearProgram, MixedIntegerProgram, ReferenceKernel, solve_lp, solve_milp
+from .solver import (
+    LinearProgram,
+    MixedIntegerProgram,
+    ReferenceKernel,
+    ScipyBackend,
+    solve_lp,
+    solve_milp,
+)
 
 
 @dataclass
@@ -427,6 +434,34 @@ def check_bandit_oracle(count: int, seed) -> CheckResult:
     return _result("grouped-bandit-closed-form", failures, clean, worst=worst, misses=misses)
 
 
+def check_highs_vs_reference(count: int, seed) -> CheckResult:
+    """``solve_dro`` on HiGHS against the reference kernel: one interval and
+    one bandit instance per draw, equal statuses and values within 1e-9
+    relative (decisions may differ at tied optima)."""
+    rng = np.random.default_rng(seed)
+    ref, highs = ReferenceKernel(), ScipyBackend()
+    worst, misses, failures = 0.0, 0, []
+    for t in range(count):
+        for kind, inst in (
+            ("interval", random_interval_instance(rng)),
+            ("bandit", random_bandit_instance(rng)[0]),
+        ):
+            v_ref, _, d_ref = solve_dro(inst, ref)
+            v_highs, _, d_highs = solve_dro(inst, highs)
+            if d_ref.status != d_highs.status:
+                misses += 1
+                failures.append(f"{kind} {t}: status {d_highs.status} vs {d_ref.status}")
+                continue
+            if v_ref is None:
+                continue
+            err = abs(v_highs - v_ref) / max(1.0, abs(v_ref))
+            worst = max(worst, err)
+            if err > 1e-9:
+                failures.append(f"{kind} {t}: {v_highs} vs {v_ref}")
+    clean = f"{2 * count} instances agree (worst rel err {worst:.2e})"
+    return _result("highs-vs-reference", failures, clean, worst=worst, misses=misses)
+
+
 def check_wc_expectation(count: int, seed) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst, failures = 0.0, []
@@ -489,4 +524,5 @@ def run_all(seed=0, scale: float = 1.0) -> list[CheckResult]:
         check_compact_dual(c(20), [seed, 6]),
         check_mcp_cop(c(20), [seed, 7]),
         check_box_lowering(c(40), [seed, 8]),
+        check_highs_vs_reference(c(10), [seed, 9]),
     ]

@@ -9,6 +9,7 @@ the larger experiment sweeps.
 
 from __future__ import annotations
 
+import warnings
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -47,6 +48,17 @@ class ReferenceKernel:
 # scipy.optimize.milp's codes; 4 is "other", which covers numerical trouble
 _STATUS_FROM_SCIPY = {0: OPTIMAL, 1: ITERLIMIT, 2: INFEASIBLE, 3: UNBOUNDED, 4: ERROR}
 
+# The HiGHS options of every solve.  Feasibility jump only hunts for a first
+# incumbent before the root LP, and every MILP this package sends completes
+# any decision in X to a feasible point (the compact dual with lambda = mu =
+# 0 and each sigma at its largest row, the full dual by LP duality over a
+# bounded support, a COP over its own set), so it is a fixed cost per solve.
+_HIGHS_OPTIONS = {"mip_rel_gap": tol.VALUE_TOL, "mip_heuristic_run_feasibility_jump": False}
+# scipy forwards options it does not document to HiGHS verbatim and says so
+# with a RuntimeWarning, the one warning silenced; the OptimizeWarning scipy
+# raises when this HiGHS build lacks the option (and skips it) still shows
+_VERBATIM_WARNING = r"Unrecognized options detected: .*These will be passed to HiGHS verbatim"
+
 
 class ScipyBackend:
     """HiGHS-backed solves through :func:`scipy.optimize.milp` alone; an LP is
@@ -71,13 +83,15 @@ class ScipyBackend:
         ub = np.where(rel == GE, np.inf, lp.b)
         # HiGHS takes the matrix column-wise; handing scipy the sparse form
         # skips its dense float copy of ``a`` before the same conversion
-        res = milp(
-            c=flip * lp.c,
-            constraints=LinearConstraint(csc_array(lp.a), lb, ub) if lp.m else (),
-            integrality=integer.astype(int),
-            bounds=Bounds(lp.lower, lp.upper),
-            options={"mip_rel_gap": tol.VALUE_TOL},
-        )
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", _VERBATIM_WARNING, RuntimeWarning)
+            res = milp(
+                c=flip * lp.c,
+                constraints=LinearConstraint(csc_array(lp.a), lb, ub) if lp.m else (),
+                integrality=integer.astype(int),
+                bounds=Bounds(lp.lower, lp.upper),
+                options=_HIGHS_OPTIONS,
+            )
         return _STATUS_FROM_SCIPY[res.status], res
 
     def solve_lp(self, lp: LinearProgram) -> SolveResult:

@@ -27,6 +27,7 @@ def _bounded_lp(base, lower, upper):
 
 
 def _fix_and_polish(mip, x_lp, lower, upper, max_pivots):
+    """``(polished, pivots)`` as in ``dro.solver.milp``."""
     rounded = np.round(x_lp[mip.integer])
     lo = lower.copy()
     hi = upper.copy()
@@ -36,13 +37,13 @@ def _fix_and_polish(mip, x_lp, lower, upper, max_pivots):
         x = x_lp.copy()
         x[mip.integer] = rounded
         if _bounded_lp(mip.lp, lower, upper).max_violation(x) > tol.FEAS_TOL:
-            return None
-        return float(mip.lp.c @ x) + mip.lp.c0, x
+            return None, 0
+        return (float(mip.lp.c @ x) + mip.lp.c0, x), 0
     res = solve_lp(_bounded_lp(mip.lp, lo, hi), max_pivots=max_pivots)
     if res.status != OPTIMAL:
-        return None
+        return None, res.pivots
     res.x[mip.integer] = rounded
-    return res.value, res.x
+    return (res.value, res.x), res.pivots
 
 
 def cold_solve_milp(mip, max_pivots=None, max_nodes=200000) -> SolveResult:
@@ -73,7 +74,8 @@ def cold_solve_milp(mip, max_pivots=None, max_nodes=200000) -> SolveResult:
         frac = np.abs(x_lp - np.round(x_lp))
         frac[~mip.integer] = 0.0
         if frac.max(initial=0.0) <= tol.INT_TOL:
-            polished = _fix_and_polish(mip, x_lp, lower, upper, max_pivots)
+            polished, polish_pivots = _fix_and_polish(mip, x_lp, lower, upper, max_pivots)
+            pivots += polish_pivots
             if polished is not None:
                 val, x = polished
                 if flip * val < incumbent_val:

@@ -1,17 +1,20 @@
 """Backend contract: the scipy wrapper matches the reference kernel."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.optimize
 import scipy.sparse
 
+from dro import tolerances as tol
 from dro.cli import main
 from dro.closedform import milp_cop
 from dro.datagen import BetaNominal, cucb_collect, observe_bandit
 from dro.model import Exact, save_instance
 from dro.problems import gen_layered_spp, gen_sorting
 from dro.reformulate import build_dro_milp, solve_dro
-from dro.selfcheck import brute_force_milp, random_binary_milp
+from dro.selfcheck import brute_force_milp, check_highs_vs_reference, random_binary_milp
 from dro.solver import (
     ERROR,
     INFEASIBLE,
@@ -162,29 +165,93 @@ def test_highs_runs_without_linprog(monkeypatch):
     assert sp.solve_lp(mip.lp).value == pytest.approx(1.5)
 
 
-def test_highs_gets_the_matrix_sparse(monkeypatch):
-    # the rows reach scipy as one csc array equal to lp.a, not a dense copy
-    seen = []
-    original = scipy.optimize.milp
-
-    def capture(*args, **kwargs):
-        seen.append(kwargs["constraints"])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "milp", capture)
+def small_bandit_dual_milp():
+    """The dual MILP of a (3, 2) SPP bandit history of 6 samples."""
     rng = np.random.default_rng(63)
     skeleton, graph = gen_layered_spp(3, 2)
     dist = BetaNominal.random(graph.num_arcs, 0.125, rng)
     run = cucb_collect(graph, dist, 6, rng)
-    mip = build_dro_milp(skeleton.instance(observe_bandit(run.samples, run.decisions), 0.3))[0]
+    return build_dro_milp(skeleton.instance(observe_bandit(run.samples, run.decisions), 0.3))[0]
+
+
+def both_solves(mip):
     sp = ScipyBackend()
-    for solve in (lambda: sp.solve_milp(mip), lambda: sp.solve_lp(mip.lp)):
+    return (lambda: sp.solve_milp(mip), lambda: sp.solve_lp(mip.lp))
+
+
+def capture_milp(monkeypatch):
+    """Record the keyword arguments of every scipy.optimize.milp call."""
+    seen = []
+    original = scipy.optimize.milp
+
+    def capture(*args, **kwargs):
+        seen.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", capture)
+    return seen
+
+
+def test_highs_gets_the_matrix_sparse(monkeypatch):
+    # the rows reach scipy as one csc array equal to lp.a, not a dense copy
+    seen = capture_milp(monkeypatch)
+    mip = small_bandit_dual_milp()
+    for solve in both_solves(mip):
         seen.clear()
         assert solve().status == OPTIMAL
-        (con,) = seen
+        (con,) = (kwargs["constraints"] for kwargs in seen)
         assert scipy.sparse.issparse(con.A) and con.A.format == "csc"
         assert con.A.dtype == np.float64
         np.testing.assert_array_equal(con.A.toarray(), mip.lp.a)
+
+
+def test_highs_gets_one_option_set(monkeypatch):
+    # the relative gap of the reference kernel, and no feasibility jump:
+    # every dual MILP is feasible at any decision
+    seen = capture_milp(monkeypatch)
+    for solve in both_solves(small_bandit_dual_milp()):
+        seen.clear()
+        assert solve().status == OPTIMAL
+        (kwargs,) = seen
+        assert kwargs["options"] == {
+            "mip_rel_gap": tol.VALUE_TOL,
+            "mip_heuristic_run_feasibility_jump": False,
+        }
+
+
+def test_highs_solves_raise_no_warning():
+    mip = small_bandit_dual_milp()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for solve in both_solves(mip):
+            assert solve().status == OPTIMAL
+
+
+def test_only_the_verbatim_forwarding_warning_is_silenced(monkeypatch):
+    # an option this HiGHS build lacks: scipy announces it with its
+    # RuntimeWarning like the feasibility-jump switch, and HiGHS skips it
+    # with an OptimizeWarning, which must reach the caller
+    original = scipy.optimize.milp
+
+    def with_unknown_option(*args, **kwargs):
+        options = {**kwargs.pop("options"), "no_such_option": True}
+        return original(*args, **kwargs, options=options)
+
+    mip = small_bandit_dual_milp()
+    want = [solve() for solve in both_solves(mip)]
+    with warnings.catch_warnings(record=True) as direct:
+        warnings.simplefilter("always")
+        with_unknown_option(c=np.ones(1), options={})
+    assert {w.category for w in direct} == {RuntimeWarning, scipy.optimize.OptimizeWarning}
+
+    monkeypatch.setattr(scipy.optimize, "milp", with_unknown_option)
+    for solve, ref in zip(both_solves(mip), want):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = solve()
+        assert [w.category for w in caught] == [scipy.optimize.OptimizeWarning]
+        assert "no_such_option" in str(caught[0].message)
+        assert res.status == OPTIMAL and res.value == ref.value
 
 
 def test_backends_agree_on_milp():
@@ -200,6 +267,13 @@ def test_backends_agree_on_milp():
             assert sp.solve_lp(mip.lp).value == pytest.approx(relax, abs=1e-6)
             best = brute_force_milp(mip)
             assert r2.value == pytest.approx(best, abs=1e-6)
+
+
+def test_highs_vs_reference_check_passes():
+    # `dro validate`'s check at its default seed and count
+    res = check_highs_vs_reference(10, [0, 9])
+    assert res.passed, res.detail
+    assert res.misses == 0 and res.worst <= 1e-9
 
 
 def test_one_highs_call_per_milp(monkeypatch):

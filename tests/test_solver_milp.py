@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+import cold_bnb
 from cold_bnb import cold_solve_milp
 
 from dro.errors import UnboundedDecisionVariable
@@ -166,29 +167,38 @@ def test_node_and_pivot_limits_have_their_own_statuses():
     assert solve_milp(mip, max_pivots=0).status == ITERLIMIT
 
 
-def test_pivots_include_the_polish_lp(monkeypatch):
+def _check_polish_pivots(monkeypatch, module, solve):
     # min 3x - 2y s.t. y - x <= 1 - 5e-7, y integer in [0, 2]: the root LP
-    # puts y within INT_TOL of 1, and the polish LP at y = 1 needs a dual
-    # simplex pivot to raise x to 5e-7
+    # puts y within INT_TOL of 1, and the polish LP at y = 1 needs a pivot
+    # to raise x to 5e-7
     lp = LinearProgram(
         np.array([3.0, -2.0]), np.array([[-1.0, 1.0]]), (LE,), np.array([1.0 - 5e-7]),
         np.zeros(2), np.array([np.inf, 2.0]),
     )
     mip = MixedIntegerProgram(lp, np.array([False, True]))
     calls = []
-    original = milp_module.solve_lp
+    original = module.solve_lp
 
     def counted(*args, **kwargs):
         res = original(*args, **kwargs)
         calls.append(res.pivots)
         return res
 
-    monkeypatch.setattr(milp_module, "solve_lp", counted)
-    res = solve_milp(mip)
+    monkeypatch.setattr(module, "solve_lp", counted)
+    res = solve(mip)
     assert res.status == OPTIMAL
     np.testing.assert_allclose(res.x, [5e-7, 1.0], rtol=0.0, atol=1e-12)
     assert len(calls) == 2 and calls[-1] > 0  # root LP, then the polish LP
     assert res.pivots == sum(calls)
+
+
+def test_pivots_include_the_polish_lp(monkeypatch):
+    _check_polish_pivots(monkeypatch, milp_module, solve_milp)
+
+
+def test_cold_reference_counts_the_polish_lp(monkeypatch):
+    # so that test_warm_tree_matches_cold_reference compares like with like
+    _check_polish_pivots(monkeypatch, cold_bnb, cold_solve_milp)
 
 
 def _binary_draws():
