@@ -11,13 +11,24 @@ falls back to the cold path when the basis cannot be reused: B is singular
 at the new data, the bounds change which variables are free or capped (the
 standard form then has another layout), or the basis is not dual feasible.
 
-Both paths end in the same primal phase two and the same clean re-solve
-against the final basis.  The primal rule is Dantzig (most negative reduced
-cost); the dual rule takes the most negative basic value as the leaving row.
+Several programs that differ only in bound values can share one rebuild: a
+:class:`ParentTableau` keeps the tableau of a basis at one program's bounds,
+and a solve from it copies that tableau and shifts only its rhs for the new
+bounds, with no factorization and no new :class:`StandardForm`.  Such a
+solve re-solves ``x`` against the final basis but reports no duals; a
+program of another layout falls back to the tableau's basis.
+
+Every path ends in the same primal phase two and a clean re-solve against
+the final basis.  The primal rule is Dantzig (most negative reduced cost);
+the dual rule takes the most negative basic value as the leaving row.
 Ratio-test ties go to the lowest index, and after ``STALL_PIVOTS``
 consecutive non-improving pivots either loop switches to Bland's rule, which
 guarantees termination.  All ties are broken deterministically, so identical
 inputs produce identical pivot sequences and identical results.
+
+The kernel uses numpy alone.  scipy loads an OpenBLAS of its own, and
+alternating calls into the two libraries on the same small matrices costs
+far more than either library alone (see the README's solver notes).
 """
 
 from __future__ import annotations
@@ -164,34 +175,43 @@ class SolveResult:
         return self.status == OPTIMAL
 
 
-class _StandardForm:
+def _layout(lp: LinearProgram) -> bytes:
+    """Which variables are free and which capped, and the row relations: the
+    part of a program that fixes its standard form's shape."""
+    free = ~np.isfinite(lp.lower)
+    capped = np.isfinite(lp.upper)
+    return free.tobytes() + capped.tobytes() + "".join(lp.rel).encode()
+
+
+class StandardForm:
     """``lp`` as  min costs.z  s.t.  a z = b, z >= 0.
 
     Free variables split into z = pos - neg, the ``neg`` columns after the
     others (``n`` columns in all); every variable is shifted by its finite
     lower bound; finite upper bounds become ``<=`` rows after the program's
-    own; one slack column per inequality row follows; and each row is
-    negated where needed so that b >= 0 (``sign``).
+    own; and one slack column per inequality row follows.  ``a`` and
+    ``costs`` depend only on the program's ``c``, ``a``, sense and
+    ``layout``, so one form serves every program that differs from ``lp``
+    in bound values alone; :meth:`rhs` gives the part that depends on them.
+    Rows keep their own sign: the cold start negates the rows whose ``b`` is
+    negative, and B^-1 [A | b] does not depend on those signs.
     """
 
     def __init__(self, lp: LinearProgram):
         self.flip = flip = -1.0 if lp.sense == "max" else 1.0
-        free = ~np.isfinite(lp.lower)
-        capped = np.isfinite(lp.upper)
-        self.layout = free.tobytes() + capped.tobytes() + "".join(lp.rel).encode()
+        self.free = free = ~np.isfinite(lp.lower)
+        self.layout = _layout(lp)
         self.free_idx = free_idx = np.flatnonzero(free)
+        self.fin = fin = np.flatnonzero(np.isfinite(lp.upper))
         n = lp.n + free_idx.size
         self.n = n
         c = np.concatenate([flip * lp.c, -flip * lp.c[free_idx]])
-        self.lo = lo = np.where(free, 0.0, lp.lower)
-        self.shift_const = flip * lp.c0 + float(c[: lp.n] @ lo)
 
         # shifted variables t = z - lo >= 0; a free variable's upper bound
         # constrains pos - neg
-        fin = np.flatnonzero(capped)
         rel = np.array(lp.rel + (LE,) * fin.size, dtype=str)
-        m = rel.size
-        ineq = np.flatnonzero(rel != EQ)
+        self.m = m = rel.size
+        self.ineq = ineq = np.flatnonzero(rel != EQ)
         a = np.zeros((m, n + ineq.size))
         if lp.m:
             a[: lp.m, : lp.n] = lp.a
@@ -200,21 +220,83 @@ class _StandardForm:
         a[bound_rows, fin] = 1.0
         capped_free = free[fin]
         a[bound_rows[capped_free], lp.n + np.searchsorted(free_idx, fin[capped_free])] = -1.0
-        slack_sign = np.where(rel[ineq] == LE, 1.0, -1.0)
-        a[ineq, n + np.arange(ineq.size)] = slack_sign
-        b = np.concatenate([lp.b - lp.a @ lo, lp.upper[fin] - lo[fin]])
-        self.sign = sign = np.where(b < 0, -1.0, 1.0)
-        flipped = sign < 0
-        a[flipped] = -a[flipped]
+        self.slack_sign = np.where(rel[ineq] == LE, 1.0, -1.0)
+        a[ineq, n + np.arange(ineq.size)] = self.slack_sign
         self.a = a
-        self.b = b * sign
-        self.m = m
         self.costs = np.zeros(a.shape[1])
         self.costs[:n] = c
-        # a slack that survived the normalization with +1 starts basic
-        self.slack_basis = np.full(m, -1)
-        usable = slack_sign * sign[ineq] > 0
-        self.slack_basis[ineq[usable]] = n + np.flatnonzero(usable)
+        # the slack column of each capped variable's bound row: the bound
+        # rows come last among the inequalities
+        self.bound_slack = np.full(lp.n, -1)
+        self.bound_slack[fin] = n + ineq.size - fin.size + np.arange(fin.size)
+
+    def rhs(self, lp: LinearProgram):
+        """``(lo, b)`` at ``lp``'s bounds: each variable's shift (0 for a free
+        one) and the right-hand side."""
+        lo = np.where(self.free, 0.0, lp.lower)
+        b = np.concatenate([lp.b - lp.a @ lo, lp.upper[self.fin] - lo[self.fin]])
+        return lo, b
+
+    def shift_const(self, lp: LinearProgram, lo) -> float:
+        """The objective's constant after the shift by ``lo``, in the form's
+        minimization sense."""
+        return self.flip * lp.c0 + float(self.costs[: lp.n] @ lo)
+
+    def tableau(self, lp: LinearProgram, basis: Basis):
+        """``basis``'s tableau at ``lp``'s bounds as a :class:`ParentTableau`,
+        rebuilt with one factorization, or None where it cannot be reused:
+        another layout, a singular basis matrix, or a basis that is not dual
+        feasible."""
+        tab = _warm_start(self, self.rhs(lp)[1], basis)
+        if tab is None:
+            return None
+        nonbasic = _nonbasic(tab.t.shape[1], basis.cols)
+        return ParentTableau(self, lp.lower, lp.upper, basis, tab.t[:, nonbasic])
+
+
+def _nonbasic(width, cols):
+    """Mask of the tableau columns, rhs included, that are not in ``cols``."""
+    nonbasic = np.ones(width, dtype=bool)
+    nonbasic[cols] = False
+    return nonbasic
+
+
+@dataclass(eq=False)
+class ParentTableau:
+    """The tableau T = B^-1 [A | b] of an optimal basis at one program's
+    bounds, kept while programs that differ from it in bound values alone are
+    solved from it (a branch & bound node's children and polish LP).
+
+    Only the nonbasic columns and the rhs are kept (``nonbasic_t``): the
+    basic columns of T are the identity.  A solve from it rebuilds T from
+    them and shifts only the rhs: raising the lower bound of column j by d
+    moves it by -d T[:, j], and moving the upper bound of a capped column j
+    by d moves it by +d T[:, s_j], where s_j is the slack of j's bound row.
+    The basis stays dual feasible, so no factorization is needed before the
+    dual simplex.
+    """
+
+    form: StandardForm
+    lower: np.ndarray
+    upper: np.ndarray
+    basis: Basis
+    nonbasic_t: np.ndarray
+
+    def start(self, lp: LinearProgram) -> _Tableau:
+        """A fresh tableau of the same basis at ``lp``'s bounds, which must
+        have the form's layout."""
+        rows, cols = self.basis.rows, self.basis.cols
+        t = np.zeros((rows.size, self.form.a.shape[1] + 1))
+        t[:, _nonbasic(t.shape[1], cols)] = self.nonbasic_t
+        t[np.arange(rows.size), cols] = 1.0
+        moved = np.flatnonzero(lp.lower != self.lower)
+        if moved.size:
+            t[:, -1] -= t[:, moved] @ (lp.lower[moved] - self.lower[moved])
+        moved = np.flatnonzero(lp.upper != self.upper)
+        if moved.size:
+            slacks = self.form.bound_slack[moved]
+            t[:, -1] += t[:, slacks] @ (lp.upper[moved] - self.upper[moved])
+        return _Tableau(t, cols, rows)
 
 
 class _Stall:
@@ -342,20 +424,25 @@ class _Tableau:
         return z
 
 
-def _cold_start(sf: _StandardForm, max_pivots, infeasible_above):
-    """Phase one of the two-phase simplex: from the slack basis plus one
-    artificial column per row without a usable slack, drive the artificial
-    sum to zero, then pivot the artificials out and drop the rows they leave
-    redundant.  Returns the tableau and ``optimal`` once it is feasible."""
+def _cold_start(sf: StandardForm, b, max_pivots, infeasible_above):
+    """Phase one of the two-phase simplex: negate the rows with b < 0, then
+    from the slack basis plus one artificial column per row without a usable
+    slack, drive the artificial sum to zero, then pivot the artificials out
+    and drop the rows they leave redundant.  Returns the tableau and
+    ``optimal`` once it is feasible."""
     m, n_real = sf.a.shape
-    basis = sf.slack_basis.copy()
+    sign = np.where(b < 0, -1.0, 1.0)
+    # a slack that survives the normalization with +1 starts basic
+    basis = np.full(m, -1)
+    usable = sf.slack_sign * sign[sf.ineq] > 0
+    basis[sf.ineq[usable]] = sf.n + np.flatnonzero(usable)
     art_rows = np.flatnonzero(basis < 0)
     n_art = art_rows.size
     ncols = n_real + n_art
     t = np.zeros((m, ncols + 1))
-    t[:, :n_real] = sf.a
+    t[:, :n_real] = sf.a * sign[:, None]
     t[art_rows, n_real + np.arange(n_art)] = 1.0
-    t[:, -1] = sf.b
+    t[:, -1] = b * sign
     basis[art_rows] = n_real + np.arange(n_art)
     tab = _Tableau(t, basis, range(m))
     if not n_art:
@@ -380,17 +467,16 @@ def _cold_start(sf: _StandardForm, max_pivots, infeasible_above):
     return tab, OPTIMAL
 
 
-def _warm_start(sf: _StandardForm, basis: Basis):
-    """The tableau of ``basis`` at this standard form's data, rebuilt with
-    one factorization, or None when the basis cannot be reused here."""
+def _warm_start(sf: StandardForm, b, basis: Basis):
+    """The tableau of ``basis`` at right-hand side ``b``, rebuilt with one
+    factorization, or None when the basis cannot be reused here."""
     if basis.layout != sf.layout:
         return None
     rows, cols = basis.rows, basis.cols
     t = np.empty((rows.size, sf.a.shape[1] + 1))
     t[:, :-1] = sf.a[rows]
-    t[:, -1] = sf.b[rows]
-    nonbasic = np.ones(t.shape[1], dtype=bool)
-    nonbasic[cols] = False
+    t[:, -1] = b[rows]
+    nonbasic = _nonbasic(t.shape[1], cols)
     try:
         sol = np.linalg.solve(t[:, cols], t[:, nonbasic])
     except np.linalg.LinAlgError:
@@ -407,38 +493,53 @@ def _warm_start(sf: _StandardForm, basis: Basis):
 
 
 def solve_lp(
-    lp: LinearProgram, max_pivots: int | None = None, basis: Basis | None = None
+    lp: LinearProgram,
+    max_pivots: int | None = None,
+    basis: Basis | ParentTableau | None = None,
 ) -> SolveResult:
     """Solve an LP with the reference simplex kernel.
 
     ``basis``, the final basis of an earlier optimal solve of a program with
     the same ``c``, ``a`` and relations, warm-starts the solve (see the
     module docstring); without one, or when it cannot be reused, the solve
-    is cold.  Either path reports ``infeasible`` only past ``FEAS_TOL``
-    times (1 + the largest |rhs|): phase one when the artificial sum exceeds
-    it, the dual simplex when a basic value below minus that has no negative
-    entry in its row.  ``max_pivots`` caps primal and dual pivots together.
-    On an ``optimal`` result ``dual`` holds shadow prices d(value)/d(rhs)
-    per original row and ``dual_objective`` their objective, both from a
-    re-solve against the final basis (zeros and None if that basis is
-    singular); the duality gap is not checked here.
+    is cold.  A :class:`ParentTableau` of such a basis starts the solve from
+    its tableau with the rhs shifted, and falls back to its basis when
+    ``lp`` has another layout.  Every path reports ``infeasible`` only past
+    ``FEAS_TOL`` times (1 + the largest |rhs|): phase one when the
+    artificial sum exceeds it, the dual simplex when a basic value below
+    minus that has no negative entry in its row.  ``max_pivots`` caps primal
+    and dual pivots together.  On an ``optimal`` result ``dual`` holds
+    shadow prices d(value)/d(rhs) per original row and ``dual_objective``
+    their objective, both from a re-solve against the final basis (zeros and
+    None if that basis is singular); the duality gap is not checked here.  A
+    solve from a ``ParentTableau`` re-solves ``x`` alone and reports no
+    duals (both None).
     """
     if max_pivots is None:
         max_pivots = tol.MAX_PIVOTS
-    sf = _StandardForm(lp)
+    parent = None
+    if isinstance(basis, ParentTableau):
+        if basis.form.layout == _layout(lp):
+            parent = basis
+        basis = basis.basis
+    sf = StandardForm(lp) if parent is None else parent.form
+    lo, b = sf.rhs(lp)
     if not sf.m:
         # row-free LP with free upper bounds: solved by inspection
         if np.any(sf.costs < -tol.PIVOT_TOL):
             return SolveResult(UNBOUNDED)
-        value = sf.flip * sf.shift_const
-        return SolveResult(OPTIMAL, value, sf.lo.copy(), np.zeros(0), value)
+        value = sf.flip * sf.shift_const(lp, lo)
+        return SolveResult(OPTIMAL, value, lo, np.zeros(0), value)
 
-    feas_tol = tol.FEAS_TOL * (1.0 + float(np.abs(sf.b).max(initial=0.0)))
-    tab = None if basis is None else _warm_start(sf, basis)
+    feas_tol = tol.FEAS_TOL * (1.0 + float(np.abs(b).max(initial=0.0)))
+    if parent is not None:
+        tab = parent.start(lp)
+    else:
+        tab = None if basis is None else _warm_start(sf, b, basis)
     if tab is not None:
         status = tab.run_dual(sf.costs, max_pivots, -feas_tol)
     else:
-        tab, status = _cold_start(sf, max_pivots, feas_tol)
+        tab, status = _cold_start(sf, b, max_pivots, feas_tol)
     if status == OPTIMAL:
         ncols = tab.t.shape[1] - 1
         n_real = sf.a.shape[1]
@@ -447,38 +548,42 @@ def solve_lp(
         status = tab.run(costs, np.arange(ncols) < n_real, max_pivots)
     if status != OPTIMAL:
         return SolveResult(status, pivots=tab.pivots)
-    return _result_at_basis(lp, sf, tab)
+    return _result_at_basis(lp, sf, lo, b, tab, duals=parent is None)
 
 
-def _result_at_basis(lp: LinearProgram, sf: _StandardForm, tab: _Tableau) -> SolveResult:
+def _result_at_basis(
+    lp: LinearProgram, sf: StandardForm, lo, b, tab: _Tableau, duals: bool
+) -> SolveResult:
     """The optimal result at the tableau's final basis; the clean re-solve
-    against the standard-form data removes pivot drift."""
+    against the standard-form data removes pivot drift.  Without ``duals``
+    only ``x`` is re-solved."""
     kept = np.array(tab.rows, dtype=np.int32)
     cols = np.array(tab.basis, dtype=np.int32)
     n_real = sf.a.shape[1]
     bmat = sf.a[np.ix_(kept, cols)]
     y_kept = None
     try:
-        xb = np.linalg.solve(bmat, sf.b[kept])
+        xb = np.linalg.solve(bmat, b[kept])
         z = np.zeros(n_real)
         z[cols] = xb
-        y_kept = np.linalg.solve(bmat.T, sf.costs[cols])
+        if duals:
+            y_kept = np.linalg.solve(bmat.T, sf.costs[cols])
     except np.linalg.LinAlgError:
         z = tab.solution(n_real)
-    x_ext = z[: sf.n] + np.concatenate([sf.lo, np.zeros(sf.free_idx.size)])
+    x_ext = z[: sf.n] + np.concatenate([lo, np.zeros(sf.free_idx.size)])
     x = x_ext[: lp.n].copy()
     if sf.free_idx.size:
         x[sf.free_idx] = x_ext[sf.free_idx] - x_ext[lp.n :]
     value = float(lp.c @ x) + lp.c0
 
-    dual = np.zeros(lp.m)
-    dual_obj = None
-    if y_kept is not None:
-        y_full = np.zeros(sf.m)
-        y_full[kept] = y_kept
-        y_rows = y_full * sf.sign  # undo the b >= 0 normalization
-        dual = sf.flip * y_rows[: lp.m]
-        dual_obj = sf.flip * (float(y_kept @ sf.b[kept]) + sf.shift_const)
+    dual = dual_obj = None
+    if duals:
+        dual = np.zeros(lp.m)
+        if y_kept is not None:
+            y_full = np.zeros(sf.m)
+            y_full[kept] = y_kept
+            dual = sf.flip * y_full[: lp.m]
+            dual_obj = sf.flip * (float(y_kept @ b[kept]) + sf.shift_const(lp, lo))
     return SolveResult(
         OPTIMAL,
         value,

@@ -7,11 +7,17 @@ deterministic, so identical inputs explore identical trees.
 The root LP is solved cold.  Every other LP differs from its parent's only in
 the bounds of integer columns, so each heap node keeps its LP's final
 :class:`~.lp.Basis` (two small int arrays and a layout key, never a
-tableau), and its children, and the fix-and-polish LP of a mixed program,
-are warm-started from it: ``solve_lp`` re-optimizes by dual simplex and
-falls back to a cold solve when the basis cannot be reused.  Node LPs are
-solved through this module's ``solve_lp`` name, where a tracer can wrap
-them.
+tableau).  The tree builds one :class:`~.lp.StandardForm`.  When a node is
+expanded, its tableau is rebuilt once from its basis, with one
+factorization, as a :class:`~.lp.ParentTableau`; both children and the
+fix-and-polish LP of a mixed program start from it with their rhs shifted,
+re-optimize by dual simplex and re-solve ``x`` alone.  The tableau is
+dropped once the node is expanded.  Where it cannot be rebuilt (a singular
+or not dual feasible basis, or a node of another layout) or a child has
+another layout (the up branch of a column that is free below), the LP is
+warm-started from the node's basis or solved cold, as ``solve_lp`` decides.
+Node LPs are solved through this module's ``solve_lp`` name, where a tracer
+can wrap them.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .lp import (
     UNBOUNDED,
     LinearProgram,
     SolveResult,
+    StandardForm,
     solve_lp,
 )
 
@@ -66,26 +73,37 @@ def _bounded_lp(base: LinearProgram, lower, upper) -> LinearProgram:
     )
 
 
-def _fix_and_polish(mip: MixedIntegerProgram, x_lp, lower, upper, basis, max_pivots):
+def _restart(form: StandardForm, node: LinearProgram, basis):
+    """Where the LPs under ``node`` start: its tableau, rebuilt once, or, where
+    that cannot be reused, its basis, from which ``solve_lp`` warm-starts or
+    falls back to a cold solve."""
+    if basis is None:
+        return None
+    return form.tableau(node, basis) or basis
+
+
+def _fix_and_polish(mip: MixedIntegerProgram, x_lp, node: LinearProgram, form, basis,
+                    max_pivots):
     """Round the integer block and re-solve the continuous block from the
-    node's ``basis``.  Returns ``(polished, pivots)``: the exact completed
-    solution ``(value, x)``, or None if the rounding is infeasible, and the
-    pivots of the polish LP."""
+    node's :func:`_restart`.  Returns ``(polished, pivots)``: the exact
+    completed solution ``(value, x)``, or None if the rounding is
+    infeasible, and the pivots of the polish LP."""
     # + 0.0 turns a rounded -0.0 into 0.0: the sign of a rounding error in
     # the LP point must not reach the written decision
     rounded = np.round(x_lp[mip.integer]) + 0.0
-    lo = lower.copy()
-    hi = upper.copy()
-    lo[mip.integer] = rounded
-    hi[mip.integer] = rounded
     if mip.integer.all():
         x = x_lp.copy()
         x[mip.integer] = rounded
-        if _bounded_lp(mip.lp, lower, upper).max_violation(x) > tol.FEAS_TOL:
+        if node.max_violation(x) > tol.FEAS_TOL:
             return None, 0
         value = float(mip.lp.c @ x) + mip.lp.c0
         return (value, x), 0
-    res = solve_lp(_bounded_lp(mip.lp, lo, hi), max_pivots=max_pivots, basis=basis)
+    lo = node.lower.copy()
+    hi = node.upper.copy()
+    lo[mip.integer] = rounded
+    hi[mip.integer] = rounded
+    start = _restart(form, node, basis)
+    res = solve_lp(_bounded_lp(mip.lp, lo, hi), max_pivots=max_pivots, basis=start)
     if res.status != OPTIMAL:
         return None, res.pivots
     # the fixed columns can come back a rounding error off their bounds
@@ -109,6 +127,7 @@ def solve_milp(mip: MixedIntegerProgram, max_pivots=None, max_nodes=200000) -> S
     if root.status in (INFEASIBLE, UNBOUNDED, ITERLIMIT):
         return SolveResult(root.status, node_count=1, pivots=root.pivots)
 
+    form = StandardForm(base)
     incumbent_val = np.inf  # minimization scale (flip applied)
     incumbent_x = None
     nodes = 1
@@ -126,12 +145,11 @@ def solve_milp(mip: MixedIntegerProgram, max_pivots=None, max_nodes=200000) -> S
         bound, _, lower, upper, x_lp, basis = heapq.heappop(heap)
         if bound >= prune_cut():
             break  # best-first: every remaining node is at least as bad
+        node = _bounded_lp(base, lower, upper)
         frac = np.abs(x_lp - np.round(x_lp))
         frac[~mip.integer] = 0.0
         if frac.max(initial=0.0) <= tol.INT_TOL:
-            polished, polish_pivots = _fix_and_polish(
-                mip, x_lp, lower, upper, basis, max_pivots
-            )
+            polished, polish_pivots = _fix_and_polish(mip, x_lp, node, form, basis, max_pivots)
             pivots += polish_pivots
             if polished is not None:
                 val, x = polished
@@ -144,6 +162,7 @@ def solve_milp(mip: MixedIntegerProgram, max_pivots=None, max_nodes=200000) -> S
         score[~mip.integer] = -1.0
         j = int(np.argmax(score))
         v = x_lp[j]
+        start = _restart(form, node, basis)
         for lo_j, hi_j in ((lower[j], np.floor(v)), (np.ceil(v), upper[j])):
             if nodes >= max_nodes:
                 return SolveResult(NODELIMIT, node_count=nodes, pivots=pivots)
@@ -153,7 +172,7 @@ def solve_milp(mip: MixedIntegerProgram, max_pivots=None, max_nodes=200000) -> S
             hi[j] = min(hi[j], hi_j)
             if lo[j] > hi[j]:
                 continue
-            res = solve_lp(_bounded_lp(base, lo, hi), max_pivots=max_pivots, basis=basis)
+            res = solve_lp(_bounded_lp(base, lo, hi), max_pivots=max_pivots, basis=start)
             nodes += 1
             pivots += res.pivots
             if res.status == ITERLIMIT:
@@ -163,6 +182,7 @@ def solve_milp(mip: MixedIntegerProgram, max_pivots=None, max_nodes=200000) -> S
             if flip * res.value < prune_cut():
                 seq += 1
                 heapq.heappush(heap, (flip * res.value, seq, lo, hi, res.x, res.basis))
+        del start  # no tableau outlives its node's expansion
 
     if incumbent_x is None:
         return SolveResult(INFEASIBLE, node_count=nodes, pivots=pivots)

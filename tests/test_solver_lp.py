@@ -1,5 +1,5 @@
 """LP kernel tests: hand-solved programs, duality, a scipy cross-check, and
-warm starts from an earlier solve's basis."""
+warm starts from an earlier solve's basis or from its tableau."""
 
 import numpy as np
 import pytest
@@ -363,7 +363,7 @@ def test_unusable_basis_falls_back_to_cold():
 
     # the same rows made parallel: the parent's basis matrix is singular there
     parallel = two_rows([1.0, 1.0], 1.5)
-    bmat = kernel._StandardForm(parallel).a[np.ix_(parent.basis.rows, parent.basis.cols)]
+    bmat = kernel.StandardForm(parallel).a[np.ix_(parent.basis.rows, parent.basis.cols)]
     assert np.linalg.matrix_rank(bmat) < bmat.shape[0]
     # a column losing its upper bound: the standard form has one row fewer
     uncapped = with_bounds(lp, upper=[3.0, np.inf])
@@ -371,3 +371,86 @@ def test_unusable_basis_falls_back_to_cold():
     flipped = two_rows([1.0, -1.0], 0.5, sense="max")
     for other in (parallel, uncapped, flipped):
         _same_result(solve_lp(other, basis=parent.basis), solve_lp(other))
+
+
+def _same_start(got, want):
+    # a solve from the parent's tableau against one from its basis
+    assert got.status == want.status
+    if want.status == OPTIMAL:
+        assert abs(got.value - want.value) <= 1e-12 * (1.0 + abs(want.value))
+        np.testing.assert_allclose(got.x, want.x, rtol=0.0, atol=1e-9)
+        assert got.dual is None and got.dual_objective is None
+
+
+def test_parent_tableau_matches_basis_warm_start():
+    # children of random LPs started from the parent's tableau (rhs shifted,
+    # no factorization) agree with the same children started from its basis:
+    # a raised lower bound, a lowered upper bound, and both on many columns
+    rng = np.random.default_rng(1618)
+    kinds = {"lower": 0, "upper": 0, "many": 0}
+    infeasible = 0
+    for _ in range(200):
+        lp = _random_lp(rng)
+        parent = solve_lp(lp)
+        if parent.basis is None:
+            continue  # not optimal, or a row-free LP solved by inspection
+        tableau = kernel.StandardForm(lp).tableau(lp, parent.basis)
+        assert tableau is not None
+        bounded = np.flatnonzero(np.isfinite(lp.lower))
+        capped = np.flatnonzero(np.isfinite(lp.upper))
+        for kind in kinds:
+            lower, upper = lp.lower.copy(), lp.upper.copy()
+            if kind in ("lower", "many") and bounded.size:
+                j = rng.choice(bounded, size=1 if kind == "lower" else bounded.size)
+                lower[j] = parent.x[j] + rng.random(j.size)
+            if kind in ("upper", "many") and capped.size:
+                j = rng.choice(capped, size=1 if kind == "upper" else capped.size)
+                upper[j] = np.maximum(lower[j], parent.x[j] - rng.random(j.size))
+            if np.array_equal(lower, lp.lower) and np.array_equal(upper, lp.upper):
+                continue
+            child = with_bounds(lp, lower, upper)
+            want = solve_lp(child, basis=parent.basis)
+            _same_start(solve_lp(child, basis=tableau), want)
+            kinds[kind] += 1
+            infeasible += want.status == INFEASIBLE
+    assert min(kinds.values()) > 30
+    assert infeasible > 5
+
+
+def test_parent_tableau_child_that_empties_the_lp_is_infeasible(forbid_cold):
+    lp = box_lp([1.0, 1.0], [[1.0, 1.0]], [GE], [1.0], [0.0, 0.0], [1.0, 1.0])
+    tableau = kernel.StandardForm(lp).tableau(lp, solve_lp(lp).basis)
+    forbid_cold()
+    assert solve_lp(with_bounds(lp, upper=[0.4, 0.4]), basis=tableau).status == INFEASIBLE
+
+
+def test_parent_tableau_shifts_a_free_column_upper_bound(forbid_cold):
+    # the bound row of a capped free column is pos - neg + slack = upper
+    lp = box_lp([1.0, 2.0], [[1.0, 1.0]], [GE], [1.0], [-np.inf, 0.0], [1.0, 1.0])
+    parent = solve_lp(lp)
+    tableau = kernel.StandardForm(lp).tableau(lp, parent.basis)
+    forbid_cold()
+    child = with_bounds(lp, upper=[0.25, 1.0])
+    got = solve_lp(child, basis=tableau)
+    _same_start(got, solve_lp(child, basis=parent.basis))
+    assert got.value == pytest.approx(1.75, abs=1e-12)
+    np.testing.assert_allclose(got.x, [0.25, 0.75], rtol=0.0, atol=1e-12)
+
+
+def test_unusable_tableau_falls_back():
+    def two_rows(second_row, second_rhs, sense="min"):
+        return box_lp([1.0, 2.0], [[1.0, 1.0], second_row], [GE, LE], [1.0, second_rhs],
+                      [0.0, 0.0], [3.0, 3.0], sense=sense)
+
+    lp = two_rows([1.0, -1.0], 0.5)
+    parent = solve_lp(lp)
+    # singular at the data, not dual feasible, another layout: no tableau
+    for other in (two_rows([1.0, 1.0], 1.5), two_rows([1.0, -1.0], 0.5, sense="max"),
+                  with_bounds(lp, upper=[3.0, np.inf])):
+        assert kernel.StandardForm(other).tableau(other, parent.basis) is None
+    # a program of another layout solved from the tableau takes the basis path
+    tableau = kernel.StandardForm(lp).tableau(lp, parent.basis)
+    uncapped = with_bounds(lp, upper=[3.0, np.inf])
+    unbounded_below = with_bounds(lp, lower=[-np.inf, 0.0])
+    for other in (uncapped, unbounded_below):
+        _same_result(solve_lp(other, basis=tableau), solve_lp(other, basis=parent.basis))

@@ -1,13 +1,19 @@
 """Branch & bound tests against enumeration oracles and hand values."""
 
+import copy
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import cold_bnb
 from cold_bnb import cold_solve_milp
 
+import dro
 from dro.errors import UnboundedDecisionVariable
+from dro.solver import lp as lp_module
 from dro.solver import milp as milp_module
 from dro.reformulate import build_dro_milp
 from dro.selfcheck import (
@@ -245,3 +251,151 @@ def test_dump_format_stable():
     assert d1.splitlines()[0] == "PROBLEM MILP min vars=2 rows=1"
     assert "VAR 0 lo=0 hi=1 int" in d1
     assert "ROW 0 <= 1 : 0:1 1:1" in d1
+
+
+def _spy_node_lps(monkeypatch):
+    """Every node LP's ``(lp, basis argument, result)``, in order."""
+    calls = []
+    original = milp_module.solve_lp
+
+    def spied(lp, max_pivots=None, basis=None):
+        res = original(lp, max_pivots=max_pivots, basis=basis)
+        calls.append((lp, basis, res))
+        return res
+
+    monkeypatch.setattr(milp_module, "solve_lp", spied)
+    return calls
+
+
+@pytest.mark.parametrize("draws", [_mixed_draws, _dro_draws])
+def test_tableau_starts_match_basis_starts(monkeypatch, draws):
+    # every child and polish LP started from its expanded node's tableau
+    # agrees with the same LP warm-started from the node's basis; the mixed
+    # draws' polish LPs fix every integer column at once
+    calls = _spy_node_lps(monkeypatch)
+    for mip in draws():
+        solve_milp(mip)
+    started = [(lp, start, res) for lp, start, res in calls
+               if isinstance(start, lp_module.ParentTableau)]
+    polish = 0
+    for lp, start, res in started:
+        want = lp_module.solve_lp(lp, basis=start.basis)
+        assert res.status == want.status
+        if want.status == OPTIMAL:
+            assert abs(res.value - want.value) <= 1e-12 * (1.0 + abs(want.value))
+            np.testing.assert_allclose(res.x, want.x, rtol=0.0, atol=1e-9)
+        # a branch moves one bound, a polish LP both bounds of its integers
+        polish += int(np.sum(lp.lower != start.lower) + np.sum(lp.upper != start.upper)) > 1
+    assert len(started) > 100
+    if draws is _mixed_draws:
+        assert polish > 10
+        assert any(res.status != OPTIMAL for _, _, res in started)
+
+
+def _free_integer_mip():
+    # max x + y s.t. 2x + 3y <= 6.5, x integer and free below, y binary: the
+    # root puts x at 3.25, and the up branch x >= 4 changes the layout
+    lp = LinearProgram(
+        np.array([1.0, 1.0]), np.array([[2.0, 3.0]]), (LE,), np.array([6.5]),
+        np.array([-np.inf, 0.0]), np.array([5.0, 1.0]), sense="max",
+    )
+    return MixedIntegerProgram(lp, np.array([True, True]))
+
+
+def _not_dual_feasible(monkeypatch):
+    # the node's basis is optimal for c, so under -c the rebuild generically
+    # has a negative reduced cost
+    original = lp_module._warm_start
+
+    def flipped(sf, b, basis):
+        other = copy.copy(sf)
+        other.costs = -sf.costs
+        return original(other, b, basis)
+
+    monkeypatch.setattr(lp_module, "_warm_start", flipped)
+
+
+def _singular(monkeypatch):
+    # every rebuild's factorization fails; the clean re-solves (one rhs) do not
+    original = np.linalg.solve
+
+    def solve(a, b):
+        if np.ndim(b) == 2:
+            raise np.linalg.LinAlgError("singular")
+        return original(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+
+
+@pytest.mark.parametrize("unusable", [_not_dual_feasible, _singular])
+def test_unusable_rebuild_falls_back_to_the_cold_tree(monkeypatch, unusable):
+    mips = _mixed_draws()[:10] + _dro_draws()[:3] + [_free_integer_mip()]
+    want = [cold_solve_milp(mip) for mip in mips]
+    unusable(monkeypatch)
+    calls = _spy_node_lps(monkeypatch)
+    for mip, cold in zip(mips, want):
+        got = solve_milp(mip)
+        assert (got.status, got.node_count, got.pivots) == (cold.status, cold.node_count,
+                                                           cold.pivots)
+        assert got.value == cold.value
+        np.testing.assert_array_equal(got.x, cold.x)
+    assert calls and not any(isinstance(start, lp_module.ParentTableau)
+                             for _, start, _ in calls)
+
+
+def test_free_branched_column_falls_back(monkeypatch):
+    mip = _free_integer_mip()
+    cold = cold_solve_milp(mip)
+    calls = _spy_node_lps(monkeypatch)
+    got = solve_milp(mip)
+    assert got.status == cold.status == OPTIMAL
+    assert got.value == pytest.approx(cold.value, abs=1e-12)
+    np.testing.assert_array_equal(got.x, cold.x)
+    np.testing.assert_array_equal(got.x, [3.0, 0.0])
+    # the down branch x <= 3 keeps the layout and starts from the tableau;
+    # the up branch x >= 4 does not
+    layouts = [lp_module.StandardForm(lp).layout == start.form.layout
+               for lp, start, _ in calls if isinstance(start, lp_module.ParentTableau)]
+    assert True in layouts and False in layouts
+
+
+def test_one_factorization_per_expanded_node(monkeypatch):
+    # np.linalg.solve runs once per expanded node (its tableau), once per
+    # optimal node or polish LP (the clean re-solve of x), and once more at
+    # the root (its duals)
+    solves = []
+    original = np.linalg.solve
+
+    def counted(a, b):
+        solves.append(np.ndim(b))
+        return original(a, b)
+
+    calls = _spy_node_lps(monkeypatch)
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    res = solve_milp(_mixed_draws()[26])  # four branchings and one polish LP
+    assert res.status == OPTIMAL
+    starts = [start for _, start, _ in calls[1:]]
+    assert all(isinstance(start, lp_module.ParentTableau) for start in starts)
+    expanded = len({id(start) for start in starts})
+    optimal = sum(lp_res.optimal for _, _, lp_res in calls)
+    assert (len(calls), optimal, expanded, len(solves)) == (10, 7, 5, 13)
+    assert len(solves) == 1 + expanded + optimal
+    assert solves.count(2) == expanded
+
+
+def test_reference_kernel_imports_no_scipy():
+    # numpy and scipy each load their own OpenBLAS; the reference kernel must
+    # not pull in the second
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from dro.solver import LinearProgram, MixedIntegerProgram, solve_milp\n"
+        "lp = LinearProgram(np.array([1.0, 1.0]), np.array([[2.0, 3.0]]), ('<=',),\n"
+        "                   np.array([6.5]), np.zeros(2), np.array([5.0, 1.0]), sense='max')\n"
+        "res = solve_milp(MixedIntegerProgram(lp, np.array([True, False])))\n"
+        "assert res.status == 'optimal', res.status\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+    )
+    src = os.path.dirname(os.path.dirname(dro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
