@@ -1,22 +1,15 @@
-"""Reference LP kernel: simplex on a dense tableau, cold or warm-started.
+"""Reference LP kernel: dense-tableau simplex, cold or from a parent's tableau.
 
 A cold solve runs the two-phase primal simplex from a slack and artificial
-basis.  A warm solve starts from the final :class:`Basis` of an earlier
-solve of the same program (same ``c``, ``a`` and relations) under other
-variable bounds, as a branch & bound child does from its parent.  It rebuilds
-the tableau B^-1 [A | b] for the new bounds with one factorization of the
-basis matrix B; a bound change leaves that basis dual feasible, so a dual
-simplex restores primal feasibility, usually in a few pivots.  A warm solve
-falls back to the cold path when the basis cannot be reused: B is singular
-at the new data, the bounds change which variables are free or capped (the
-standard form then has another layout), or the basis is not dual feasible.
-
-Several programs that differ only in bound values can share one rebuild: a
-:class:`ParentTableau` keeps the tableau of a basis at one program's bounds,
-and a solve from it copies that tableau and shifts only its rhs for the new
-bounds, with no factorization and no new :class:`StandardForm`.  Such a
-solve re-solves ``x`` against the final basis but reports no duals; a
-program of another layout falls back to the tableau's basis.
+basis.  A branch & bound child differs from its parent only in variable
+bounds.  :meth:`StandardForm.tableau` rebuilds the parent's final
+:class:`Basis` as the tableau B^-1 [A | b] at the parent's bounds, with one
+factorization, and keeps it as a :class:`ParentTableau`.  A solve from it
+shifts only the rhs for the child's bounds; the basis stays dual feasible,
+so a dual simplex restores primal feasibility, usually in a few pivots, and
+``x`` alone is re-solved.  There is no tableau where the basis cannot be
+reused (a singular B or a basis that is not dual feasible), and a program
+whose standard form has another layout than the tableau's is solved cold.
 
 Every path ends in the same primal phase two and a clean re-solve against
 the final basis.  The primal rule is Dantzig (most negative reduced cost);
@@ -66,7 +59,9 @@ def _as_1d(v, n=None, name="vector"):
 class LinearProgram:
     """min/max  c.x + c0  subject to  A x (<=,=,>=) b  and  lower <= x <= upper.
 
-    Lower bounds must be finite; upper bounds may be ``np.inf``.
+    A lower bound may be ``-np.inf`` (a free column) and an upper bound
+    ``np.inf``; only a lower bound of ``+inf`` or an upper bound of ``-inf``
+    is rejected.
     """
 
     c: np.ndarray
@@ -134,8 +129,9 @@ class LinearProgram:
 
 @dataclass(frozen=True, eq=False)
 class Basis:
-    """The final basis of a reference solve, kept to warm-start a solve of
-    the same program under other variable bounds.
+    """The final basis of a reference solve, kept to rebuild its tableau
+    (:meth:`StandardForm.tableau`) for solves of the same program under
+    other variable bounds; a program of another layout is solved cold.
 
     ``rows`` are the standard-form rows that phase one kept (the others were
     redundant) and ``cols`` the basic column of each; ``layout`` names the
@@ -157,8 +153,9 @@ class SolveResult:
     integers: every backend rounds them once, so callers need not.
     ``pivots`` counts the reference kernel's simplex pivots, primal and dual
     alike (for a MILP, over its branch & bound node LPs).  ``basis`` is the
-    final basis of an optimal reference LP solve, which ``solve_lp`` accepts
-    as a warm start; it is None for any other result and from HiGHS.
+    final basis of an optimal reference LP solve, which
+    :meth:`StandardForm.tableau` reads; it is None for a row-free LP solved
+    by inspection, for any other result and from HiGHS.
     """
 
     status: str
@@ -242,16 +239,29 @@ class StandardForm:
         minimization sense."""
         return self.flip * lp.c0 + float(self.costs[: lp.n] @ lo)
 
-    def tableau(self, lp: LinearProgram, basis: Basis):
+    def tableau(self, lp: LinearProgram, basis: Basis | None):
         """``basis``'s tableau at ``lp``'s bounds as a :class:`ParentTableau`,
-        rebuilt with one factorization, or None where it cannot be reused:
-        another layout, a singular basis matrix, or a basis that is not dual
-        feasible."""
-        tab = _warm_start(self, self.rhs(lp)[1], basis)
-        if tab is None:
+        rebuilt with one factorization, or None where there is none to
+        reuse: no basis, another layout, a singular basis matrix, or a basis
+        that is not dual feasible."""
+        if basis is None or basis.layout != self.layout:
             return None
-        nonbasic = _nonbasic(tab.t.shape[1], basis.cols)
-        return ParentTableau(self, lp.lower, lp.upper, basis, tab.t[:, nonbasic])
+        rows, cols = basis.rows, basis.cols
+        t = np.empty((rows.size, self.a.shape[1] + 1))
+        t[:, :-1] = self.a[rows]
+        t[:, -1] = self.rhs(lp)[1][rows]
+        nonbasic = _nonbasic(t.shape[1], cols)
+        try:
+            sol = np.linalg.solve(t[:, cols], t[:, nonbasic])
+        except np.linalg.LinAlgError:
+            return None
+        if not np.isfinite(sol).all():
+            return None
+        # dual feasible: no reduced cost c_j - c_B B^-1 A_j below -PIVOT_TOL
+        reduced = self.costs[nonbasic[:-1]] - self.costs[cols] @ sol[:, :-1]
+        if np.any(reduced < -tol.PIVOT_TOL):
+            return None
+        return ParentTableau(self, lp.lower, lp.upper, basis, sol)
 
 
 def _nonbasic(width, cols):
@@ -273,7 +283,7 @@ class ParentTableau:
     moves it by -d T[:, j], and moving the upper bound of a capped column j
     by d moves it by +d T[:, s_j], where s_j is the slack of j's bound row.
     The basis stays dual feasible, so no factorization is needed before the
-    dual simplex.
+    dual simplex.  A program of another layout than ``form`` is solved cold.
     """
 
     form: StandardForm
@@ -467,62 +477,32 @@ def _cold_start(sf: StandardForm, b, max_pivots, infeasible_above):
     return tab, OPTIMAL
 
 
-def _warm_start(sf: StandardForm, b, basis: Basis):
-    """The tableau of ``basis`` at right-hand side ``b``, rebuilt with one
-    factorization, or None when the basis cannot be reused here."""
-    if basis.layout != sf.layout:
-        return None
-    rows, cols = basis.rows, basis.cols
-    t = np.empty((rows.size, sf.a.shape[1] + 1))
-    t[:, :-1] = sf.a[rows]
-    t[:, -1] = b[rows]
-    nonbasic = _nonbasic(t.shape[1], cols)
-    try:
-        sol = np.linalg.solve(t[:, cols], t[:, nonbasic])
-    except np.linalg.LinAlgError:
-        return None
-    if not np.isfinite(sol).all():
-        return None
-    t[:, nonbasic] = sol
-    t[:, cols] = 0.0
-    t[np.arange(rows.size), cols] = 1.0
-    tab = _Tableau(t, cols, rows)
-    if np.any(tab.objective_row(sf.costs)[:-1] < -tol.PIVOT_TOL):
-        return None
-    return tab
-
-
 def solve_lp(
     lp: LinearProgram,
     max_pivots: int | None = None,
-    basis: Basis | ParentTableau | None = None,
+    start: ParentTableau | None = None,
 ) -> SolveResult:
     """Solve an LP with the reference simplex kernel.
 
-    ``basis``, the final basis of an earlier optimal solve of a program with
-    the same ``c``, ``a`` and relations, warm-starts the solve (see the
-    module docstring); without one, or when it cannot be reused, the solve
-    is cold.  A :class:`ParentTableau` of such a basis starts the solve from
-    its tableau with the rhs shifted, and falls back to its basis when
-    ``lp`` has another layout.  Every path reports ``infeasible`` only past
-    ``FEAS_TOL`` times (1 + the largest |rhs|): phase one when the
+    From ``start``, the tableau of an optimal basis of a program that differs
+    from ``lp`` in bound values alone, the solve shifts the rhs and runs the
+    dual simplex (see the module docstring); without one, or when ``lp`` has
+    another layout, the solve is cold.  Both paths report ``infeasible``
+    only past ``FEAS_TOL`` times (1 + the largest |rhs|): phase one when the
     artificial sum exceeds it, the dual simplex when a basic value below
     minus that has no negative entry in its row.  ``max_pivots`` caps primal
-    and dual pivots together.  On an ``optimal`` result ``dual`` holds
+    and dual pivots together.  On an optimal cold solve ``dual`` holds
     shadow prices d(value)/d(rhs) per original row and ``dual_objective``
     their objective, both from a re-solve against the final basis (zeros and
     None if that basis is singular); the duality gap is not checked here.  A
-    solve from a ``ParentTableau`` re-solves ``x`` alone and reports no
-    duals (both None).
+    solve from ``start`` re-solves ``x`` alone and reports no duals (both
+    None).
     """
     if max_pivots is None:
         max_pivots = tol.MAX_PIVOTS
-    parent = None
-    if isinstance(basis, ParentTableau):
-        if basis.form.layout == _layout(lp):
-            parent = basis
-        basis = basis.basis
-    sf = StandardForm(lp) if parent is None else parent.form
+    if start is not None and start.form.layout != _layout(lp):
+        start = None
+    sf = StandardForm(lp) if start is None else start.form
     lo, b = sf.rhs(lp)
     if not sf.m:
         # row-free LP with free upper bounds: solved by inspection
@@ -532,11 +512,8 @@ def solve_lp(
         return SolveResult(OPTIMAL, value, lo, np.zeros(0), value)
 
     feas_tol = tol.FEAS_TOL * (1.0 + float(np.abs(b).max(initial=0.0)))
-    if parent is not None:
-        tab = parent.start(lp)
-    else:
-        tab = None if basis is None else _warm_start(sf, b, basis)
-    if tab is not None:
+    if start is not None:
+        tab = start.start(lp)
         status = tab.run_dual(sf.costs, max_pivots, -feas_tol)
     else:
         tab, status = _cold_start(sf, b, max_pivots, feas_tol)
@@ -548,7 +525,7 @@ def solve_lp(
         status = tab.run(costs, np.arange(ncols) < n_real, max_pivots)
     if status != OPTIMAL:
         return SolveResult(status, pivots=tab.pivots)
-    return _result_at_basis(lp, sf, lo, b, tab, duals=parent is None)
+    return _result_at_basis(lp, sf, lo, b, tab, duals=start is None)
 
 
 def _result_at_basis(

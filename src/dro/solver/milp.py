@@ -7,17 +7,13 @@ deterministic, so identical inputs explore identical trees.
 The root LP is solved cold.  Every other LP differs from its parent's only in
 the bounds of integer columns, so each heap node keeps its LP's final
 :class:`~.lp.Basis` (two small int arrays and a layout key, never a
-tableau).  The tree builds one :class:`~.lp.StandardForm`.  When a node is
-expanded, its tableau is rebuilt once from its basis, with one
-factorization, as a :class:`~.lp.ParentTableau`; both children and the
-fix-and-polish LP of a mixed program start from it with their rhs shifted,
-re-optimize by dual simplex and re-solve ``x`` alone.  The tableau is
-dropped once the node is expanded.  Where it cannot be rebuilt (a singular
-or not dual feasible basis, or a node of another layout) or a child has
-another layout (the up branch of a column that is free below), the LP is
-warm-started from the node's basis or solved cold, as ``solve_lp`` decides.
-Node LPs are solved through this module's ``solve_lp`` name, where a tracer
-can wrap them.
+tableau), and the tree builds one :class:`~.lp.StandardForm`.  An expanded
+node's tableau is rebuilt once, with one factorization, as a
+:class:`~.lp.ParentTableau`; both children and the fix-and-polish LP of a
+mixed program start from it and re-optimize by dual simplex.  The tableau is
+dropped once the node is expanded.  An LP whose node tableau cannot be
+rebuilt, or which has another layout, is solved cold.  Node LPs are solved
+through this module's ``solve_lp`` name, where a tracer can wrap them.
 """
 
 from __future__ import annotations
@@ -73,21 +69,12 @@ def _bounded_lp(base: LinearProgram, lower, upper) -> LinearProgram:
     )
 
 
-def _restart(form: StandardForm, node: LinearProgram, basis):
-    """Where the LPs under ``node`` start: its tableau, rebuilt once, or, where
-    that cannot be reused, its basis, from which ``solve_lp`` warm-starts or
-    falls back to a cold solve."""
-    if basis is None:
-        return None
-    return form.tableau(node, basis) or basis
-
-
 def _fix_and_polish(mip: MixedIntegerProgram, x_lp, node: LinearProgram, form, basis,
                     max_pivots):
     """Round the integer block and re-solve the continuous block from the
-    node's :func:`_restart`.  Returns ``(polished, pivots)``: the exact
-    completed solution ``(value, x)``, or None if the rounding is
-    infeasible, and the pivots of the polish LP."""
+    node's tableau.  Returns ``(polished, pivots)``: the exact completed
+    solution ``(value, x)``, or None if the rounding is infeasible, and the
+    pivots of the polish LP."""
     # + 0.0 turns a rounded -0.0 into 0.0: the sign of a rounding error in
     # the LP point must not reach the written decision
     rounded = np.round(x_lp[mip.integer]) + 0.0
@@ -102,8 +89,8 @@ def _fix_and_polish(mip: MixedIntegerProgram, x_lp, node: LinearProgram, form, b
     hi = node.upper.copy()
     lo[mip.integer] = rounded
     hi[mip.integer] = rounded
-    start = _restart(form, node, basis)
-    res = solve_lp(_bounded_lp(mip.lp, lo, hi), max_pivots=max_pivots, basis=start)
+    start = form.tableau(node, basis)
+    res = solve_lp(_bounded_lp(mip.lp, lo, hi), max_pivots=max_pivots, start=start)
     if res.status != OPTIMAL:
         return None, res.pivots
     # the fixed columns can come back a rounding error off their bounds
@@ -162,7 +149,7 @@ def solve_milp(mip: MixedIntegerProgram, max_pivots=None, max_nodes=200000) -> S
         score[~mip.integer] = -1.0
         j = int(np.argmax(score))
         v = x_lp[j]
-        start = _restart(form, node, basis)
+        start = form.tableau(node, basis)
         for lo_j, hi_j in ((lower[j], np.floor(v)), (np.ceil(v), upper[j])):
             if nodes >= max_nodes:
                 return SolveResult(NODELIMIT, node_count=nodes, pivots=pivots)
@@ -172,7 +159,7 @@ def solve_milp(mip: MixedIntegerProgram, max_pivots=None, max_nodes=200000) -> S
             hi[j] = min(hi[j], hi_j)
             if lo[j] > hi[j]:
                 continue
-            res = solve_lp(_bounded_lp(base, lo, hi), max_pivots=max_pivots, basis=start)
+            res = solve_lp(_bounded_lp(base, lo, hi), max_pivots=max_pivots, start=start)
             nodes += 1
             pivots += res.pivots
             if res.status == ITERLIMIT:

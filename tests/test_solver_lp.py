@@ -1,5 +1,5 @@
 """LP kernel tests: hand-solved programs, duality, a scipy cross-check, and
-warm starts from an earlier solve's basis or from its tableau."""
+starts from a parent's tableau."""
 
 import numpy as np
 import pytest
@@ -260,135 +260,19 @@ def pivot_log(monkeypatch):
     return log
 
 
+def _tableau(lp):
+    """``lp``'s optimal tableau, from which its children start."""
+    return kernel.StandardForm(lp).tableau(lp, solve_lp(lp).basis)
+
+
 def test_warm_start_matches_cold_on_bound_changes():
-    # every child of a random LP, warm from the parent's basis, agrees with
-    # its cold solve in status and value, within fewer pivots overall
-    rng = np.random.default_rng(2718)
-    warm_pivots = cold_pivots = solved = 0
-    for _ in range(150):
-        lp = _random_lp(rng)
-        parent = solve_lp(lp)
-        if parent.status != OPTIMAL:
-            continue
-        j = int(rng.integers(lp.n))
-        lower, upper = lp.lower.copy(), lp.upper.copy()
-        if rng.random() < 0.5 and np.isfinite(lower[j]):
-            lower[j] = parent.x[j] + rng.random()
-        else:
-            upper[j] = parent.x[j] - rng.random()
-        if lower[j] > upper[j]:
-            continue
-        child = with_bounds(lp, lower, upper)
-        warm, cold = solve_lp(child, basis=parent.basis), solve_lp(child)
-        assert warm.status == cold.status
-        warm_pivots += warm.pivots
-        cold_pivots += cold.pivots
-        if cold.status == OPTIMAL:
-            solved += 1
-            assert abs(warm.value - cold.value) <= 1e-9 * (1.0 + abs(cold.value))
-            assert child.max_violation(warm.x) <= 1e-7
-    assert solved > 30
-    assert warm_pivots < cold_pivots
-
-
-def test_warm_bound_change_that_empties_the_lp_is_infeasible(forbid_cold):
-    # min x + y s.t. x + y >= 1 on the unit box; capping both at 0.4 empties it
-    lp = box_lp([1.0, 1.0], [[1.0, 1.0]], [GE], [1.0], [0.0, 0.0], [1.0, 1.0])
-    parent = solve_lp(lp)
-    assert parent.status == OPTIMAL
-    child = with_bounds(lp, upper=[0.4, 0.4])
-    assert solve_lp(child).status == INFEASIBLE
-    forbid_cold()
-    assert solve_lp(child, basis=parent.basis).status == INFEASIBLE
-
-
-# x3 <= 1 makes the first dual pivot degenerate: it leaves the objective where
-# it was, and the second leaving row differs between the two rules
-BLAND_LP = dict(
-    c=[-2.0, 0.0, 0.0, -1.0],
-    rows=[[-2.0, 0.0, 2.0, -1.0], [-2.0, 2.0, 0.0, 0.0], [2.0, -1.0, 1.0, 1.0]],
-    rel=[GE, GE, LE],
-    rhs=[2.0, 0.0, 3.0],
-    lo=[0.0] * 4,
-    hi=[2.0] * 4,
-)
-
-
-def test_dual_loop_switches_to_bland_after_stall(monkeypatch, pivot_log, forbid_cold):
-    lp = box_lp(**BLAND_LP)
-    parent = solve_lp(lp)
-    child = with_bounds(lp, upper=[2.0, 2.0, 1.0, 2.0])
-    cold = solve_lp(child)
-    forbid_cold()
-    runs = []
-    for stall in (tol.STALL_PIVOTS, 1):
-        monkeypatch.setattr(tol, "STALL_PIVOTS", stall)
-        pivot_log.clear()
-        res = solve_lp(child, basis=parent.basis)
-        assert res.status == OPTIMAL
-        assert res.value == pytest.approx(cold.value, abs=1e-12)
-        runs.append(list(pivot_log))
-    dantzig, bland = runs
-    assert len(dantzig) == len(bland) == 2
-    assert dantzig[0] == bland[0] and dantzig[1] != bland[1]
-
-
-def test_warm_path_honours_max_pivots(forbid_cold):
-    lp = box_lp(**BLAND_LP)
-    parent = solve_lp(lp)
-    child = with_bounds(lp, upper=[2.0, 2.0, 1.0, 2.0])
-    forbid_cold()
-    warm = solve_lp(child, basis=parent.basis)
-    assert warm.status == OPTIMAL and warm.pivots == 2
-    capped = solve_lp(child, max_pivots=1, basis=parent.basis)
-    assert capped.status == ITERLIMIT
-    assert capped.pivots == 1
-
-
-def _same_result(got, want):
-    assert got.status == want.status
-    assert got.pivots == want.pivots
-    assert got.value == want.value
-    np.testing.assert_array_equal(got.x, want.x)
-
-
-def test_unusable_basis_falls_back_to_cold():
-    def two_rows(second_row, second_rhs, sense="min"):
-        return box_lp([1.0, 2.0], [[1.0, 1.0], second_row], [GE, LE], [1.0, second_rhs],
-                      [0.0, 0.0], [3.0, 3.0], sense=sense)
-
-    lp = two_rows([1.0, -1.0], 0.5)
-    parent = solve_lp(lp)
-    assert parent.status == OPTIMAL
-
-    # the same rows made parallel: the parent's basis matrix is singular there
-    parallel = two_rows([1.0, 1.0], 1.5)
-    bmat = kernel.StandardForm(parallel).a[np.ix_(parent.basis.rows, parent.basis.cols)]
-    assert np.linalg.matrix_rank(bmat) < bmat.shape[0]
-    # a column losing its upper bound: the standard form has one row fewer
-    uncapped = with_bounds(lp, upper=[3.0, np.inf])
-    # the opposite sense: the basis is not dual feasible
-    flipped = two_rows([1.0, -1.0], 0.5, sense="max")
-    for other in (parallel, uncapped, flipped):
-        _same_result(solve_lp(other, basis=parent.basis), solve_lp(other))
-
-
-def _same_start(got, want):
-    # a solve from the parent's tableau against one from its basis
-    assert got.status == want.status
-    if want.status == OPTIMAL:
-        assert abs(got.value - want.value) <= 1e-12 * (1.0 + abs(want.value))
-        np.testing.assert_allclose(got.x, want.x, rtol=0.0, atol=1e-9)
-        assert got.dual is None and got.dual_objective is None
-
-
-def test_parent_tableau_matches_basis_warm_start():
     # children of random LPs started from the parent's tableau (rhs shifted,
-    # no factorization) agree with the same children started from its basis:
-    # a raised lower bound, a lowered upper bound, and both on many columns
+    # no factorization) agree with their cold solve within fewer pivots
+    # overall: a raised lower bound, a lowered upper bound, and both on many
+    # columns
     rng = np.random.default_rng(1618)
     kinds = {"lower": 0, "upper": 0, "many": 0}
-    infeasible = 0
+    infeasible = tableau_pivots = cold_pivots = 0
     for _ in range(200):
         lp = _random_lp(rng)
         parent = solve_lp(lp)
@@ -409,32 +293,90 @@ def test_parent_tableau_matches_basis_warm_start():
             if np.array_equal(lower, lp.lower) and np.array_equal(upper, lp.upper):
                 continue
             child = with_bounds(lp, lower, upper)
-            want = solve_lp(child, basis=parent.basis)
-            _same_start(solve_lp(child, basis=tableau), want)
+            got, cold = solve_lp(child, start=tableau), solve_lp(child)
+            assert got.status == cold.status
+            tableau_pivots += got.pivots
+            cold_pivots += cold.pivots
+            if cold.status == OPTIMAL:
+                assert abs(got.value - cold.value) <= 1e-9 * (1.0 + abs(cold.value))
+                assert child.max_violation(got.x) <= 1e-7
+                assert got.dual is None and got.dual_objective is None
             kinds[kind] += 1
-            infeasible += want.status == INFEASIBLE
+            infeasible += cold.status == INFEASIBLE
     assert min(kinds.values()) > 30
     assert infeasible > 5
+    assert tableau_pivots < cold_pivots
+
+
+# x3 <= 1 makes the first dual pivot degenerate: it leaves the objective where
+# it was, and the second leaving row differs between the two rules
+BLAND_LP = dict(
+    c=[-2.0, 0.0, 0.0, -1.0],
+    rows=[[-2.0, 0.0, 2.0, -1.0], [-2.0, 2.0, 0.0, 0.0], [2.0, -1.0, 1.0, 1.0]],
+    rel=[GE, GE, LE],
+    rhs=[2.0, 0.0, 3.0],
+    lo=[0.0] * 4,
+    hi=[2.0] * 4,
+)
+
+
+def test_dual_loop_switches_to_bland_after_stall(monkeypatch, pivot_log, forbid_cold):
+    lp = box_lp(**BLAND_LP)
+    tableau = _tableau(lp)
+    child = with_bounds(lp, upper=[2.0, 2.0, 1.0, 2.0])
+    cold = solve_lp(child)
+    forbid_cold()
+    runs = []
+    for stall in (tol.STALL_PIVOTS, 1):
+        monkeypatch.setattr(tol, "STALL_PIVOTS", stall)
+        pivot_log.clear()
+        res = solve_lp(child, start=tableau)
+        assert res.status == OPTIMAL
+        assert res.value == pytest.approx(cold.value, abs=1e-12)
+        runs.append(list(pivot_log))
+    dantzig, bland = runs
+    assert len(dantzig) == len(bland) == 2
+    assert dantzig[0] == bland[0] and dantzig[1] != bland[1]
+
+
+def test_warm_path_honours_max_pivots(forbid_cold):
+    lp = box_lp(**BLAND_LP)
+    tableau = _tableau(lp)
+    child = with_bounds(lp, upper=[2.0, 2.0, 1.0, 2.0])
+    forbid_cold()
+    warm = solve_lp(child, start=tableau)
+    assert warm.status == OPTIMAL and warm.pivots == 2
+    capped = solve_lp(child, max_pivots=1, start=tableau)
+    assert capped.status == ITERLIMIT
+    assert capped.pivots == 1
 
 
 def test_parent_tableau_child_that_empties_the_lp_is_infeasible(forbid_cold):
+    # min x + y s.t. x + y >= 1 on the unit box; capping both at 0.4 empties it
     lp = box_lp([1.0, 1.0], [[1.0, 1.0]], [GE], [1.0], [0.0, 0.0], [1.0, 1.0])
-    tableau = kernel.StandardForm(lp).tableau(lp, solve_lp(lp).basis)
+    tableau = _tableau(lp)
+    child = with_bounds(lp, upper=[0.4, 0.4])
+    assert solve_lp(child).status == INFEASIBLE
     forbid_cold()
-    assert solve_lp(with_bounds(lp, upper=[0.4, 0.4]), basis=tableau).status == INFEASIBLE
+    assert solve_lp(child, start=tableau).status == INFEASIBLE
 
 
 def test_parent_tableau_shifts_a_free_column_upper_bound(forbid_cold):
     # the bound row of a capped free column is pos - neg + slack = upper
     lp = box_lp([1.0, 2.0], [[1.0, 1.0]], [GE], [1.0], [-np.inf, 0.0], [1.0, 1.0])
-    parent = solve_lp(lp)
-    tableau = kernel.StandardForm(lp).tableau(lp, parent.basis)
+    tableau = _tableau(lp)
     forbid_cold()
-    child = with_bounds(lp, upper=[0.25, 1.0])
-    got = solve_lp(child, basis=tableau)
-    _same_start(got, solve_lp(child, basis=parent.basis))
+    got = solve_lp(with_bounds(lp, upper=[0.25, 1.0]), start=tableau)
+    assert got.status == OPTIMAL
     assert got.value == pytest.approx(1.75, abs=1e-12)
     np.testing.assert_allclose(got.x, [0.25, 0.75], rtol=0.0, atol=1e-12)
+
+
+def _same_result(got, want):
+    assert got.status == want.status
+    assert got.pivots == want.pivots
+    assert got.value == want.value
+    np.testing.assert_array_equal(got.x, want.x)
 
 
 def test_unusable_tableau_falls_back():
@@ -444,13 +386,19 @@ def test_unusable_tableau_falls_back():
 
     lp = two_rows([1.0, -1.0], 0.5)
     parent = solve_lp(lp)
-    # singular at the data, not dual feasible, another layout: no tableau
-    for other in (two_rows([1.0, 1.0], 1.5), two_rows([1.0, -1.0], 0.5, sense="max"),
-                  with_bounds(lp, upper=[3.0, np.inf])):
-        assert kernel.StandardForm(other).tableau(other, parent.basis) is None
-    # a program of another layout solved from the tableau takes the basis path
-    tableau = kernel.StandardForm(lp).tableau(lp, parent.basis)
+    assert parent.status == OPTIMAL
+
+    # the same rows made parallel: the parent's basis matrix is singular there
+    parallel = two_rows([1.0, 1.0], 1.5)
+    bmat = kernel.StandardForm(parallel).a[np.ix_(parent.basis.rows, parent.basis.cols)]
+    assert np.linalg.matrix_rank(bmat) < bmat.shape[0]
+    # the opposite sense: the basis is not dual feasible
+    flipped = two_rows([1.0, -1.0], 0.5, sense="max")
+    # a column losing its upper bound: the standard form has one row fewer
     uncapped = with_bounds(lp, upper=[3.0, np.inf])
-    unbounded_below = with_bounds(lp, lower=[-np.inf, 0.0])
-    for other in (uncapped, unbounded_below):
-        _same_result(solve_lp(other, basis=tableau), solve_lp(other, basis=parent.basis))
+    for other in (parallel, flipped, uncapped):
+        assert kernel.StandardForm(other).tableau(other, parent.basis) is None
+    # an LP of another layout than the tableau's is solved cold
+    tableau = kernel.StandardForm(lp).tableau(lp, parent.basis)
+    for other in (uncapped, with_bounds(lp, lower=[-np.inf, 0.0])):
+        _same_result(solve_lp(other, start=tableau), solve_lp(other))

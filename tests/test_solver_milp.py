@@ -254,13 +254,13 @@ def test_dump_format_stable():
 
 
 def _spy_node_lps(monkeypatch):
-    """Every node LP's ``(lp, basis argument, result)``, in order."""
+    """Every node LP's ``(lp, start argument, result)``, in order."""
     calls = []
     original = milp_module.solve_lp
 
-    def spied(lp, max_pivots=None, basis=None):
-        res = original(lp, max_pivots=max_pivots, basis=basis)
-        calls.append((lp, basis, res))
+    def spied(lp, max_pivots=None, start=None):
+        res = original(lp, max_pivots=max_pivots, start=start)
+        calls.append((lp, start, res))
         return res
 
     monkeypatch.setattr(milp_module, "solve_lp", spied)
@@ -269,21 +269,24 @@ def _spy_node_lps(monkeypatch):
 
 @pytest.mark.parametrize("draws", [_mixed_draws, _dro_draws])
 def test_tableau_starts_match_basis_starts(monkeypatch, draws):
-    # every child and polish LP started from its expanded node's tableau
-    # agrees with the same LP warm-started from the node's basis; the mixed
-    # draws' polish LPs fix every integer column at once
+    # every LP but the root starts from its expanded node's tableau, of its
+    # own layout, and agrees with its cold solve; the mixed draws' polish
+    # LPs fix every integer column at once
     calls = _spy_node_lps(monkeypatch)
+    started = []
     for mip in draws():
+        calls.clear()
         solve_milp(mip)
-    started = [(lp, start, res) for lp, start, res in calls
-               if isinstance(start, lp_module.ParentTableau)]
+        assert calls[0][1] is None
+        started += calls[1:]
     polish = 0
     for lp, start, res in started:
-        want = lp_module.solve_lp(lp, basis=start.basis)
-        assert res.status == want.status
-        if want.status == OPTIMAL:
-            assert abs(res.value - want.value) <= 1e-12 * (1.0 + abs(want.value))
-            np.testing.assert_allclose(res.x, want.x, rtol=0.0, atol=1e-9)
+        assert isinstance(start, lp_module.ParentTableau)
+        assert start.form.layout == lp_module.StandardForm(lp).layout
+        cold = lp_module.solve_lp(lp)
+        assert res.status == cold.status
+        if cold.status == OPTIMAL:
+            assert abs(res.value - cold.value) <= 1e-9 * (1.0 + abs(cold.value))
         # a branch moves one bound, a polish LP both bounds of its integers
         polish += int(np.sum(lp.lower != start.lower) + np.sum(lp.upper != start.upper)) > 1
     assert len(started) > 100
@@ -305,14 +308,14 @@ def _free_integer_mip():
 def _not_dual_feasible(monkeypatch):
     # the node's basis is optimal for c, so under -c the rebuild generically
     # has a negative reduced cost
-    original = lp_module._warm_start
+    original = lp_module.StandardForm.tableau
 
-    def flipped(sf, b, basis):
-        other = copy.copy(sf)
-        other.costs = -sf.costs
-        return original(other, b, basis)
+    def flipped(form, lp, basis):
+        other = copy.copy(form)
+        other.costs = -form.costs
+        return original(other, lp, basis)
 
-    monkeypatch.setattr(lp_module, "_warm_start", flipped)
+    monkeypatch.setattr(lp_module.StandardForm, "tableau", flipped)
 
 
 def _singular(monkeypatch):
