@@ -3,13 +3,15 @@
 A cold solve runs the two-phase primal simplex from a slack and artificial
 basis.  A branch & bound child differs from its parent only in variable
 bounds.  :meth:`StandardForm.tableau` rebuilds the parent's final
-:class:`Basis` as the tableau B^-1 [A | b] at the parent's bounds, with one
-factorization, and keeps it as a :class:`ParentTableau`.  A solve from it
-shifts only the rhs for the child's bounds; the basis stays dual feasible,
-so a dual simplex restores primal feasibility, usually in a few pivots, and
-``x`` alone is re-solved.  There is no tableau where the basis cannot be
-reused (a singular B or a basis that is not dual feasible), and a program
-whose standard form has another layout than the tableau's is solved cold.
+:class:`Basis` as the tableau B^-1 [A | b] at the parent's bounds and keeps
+it as a :class:`ParentTableau`.  A solve from it shifts only the rhs for the
+child's bounds; the basis stays dual feasible, so a dual simplex restores
+primal feasibility, usually in a few pivots, and ``x`` alone is re-solved.
+There is no tableau where the basis cannot be reused (a singular B or a
+basis that is not dual feasible), and a program whose standard form has
+another layout than the tableau's is solved cold.  A solve against a basis
+factorizes only its structural core (:meth:`StandardForm.basis_solve`): a
+basic slack is a signed unit column, so it and the row it covers drop out.
 
 Every path ends in the same primal phase two and a clean re-solve against
 the final basis.  The primal rule is Dantzig (most negative reduced cost);
@@ -220,6 +222,8 @@ class StandardForm:
         self.slack_sign = np.where(rel[ineq] == LE, 1.0, -1.0)
         a[ineq, n + np.arange(ineq.size)] = self.slack_sign
         self.a = a
+        # the row of each column that is a slack, -1 for a structural one
+        self.slack_row = np.concatenate([np.full(n, -1), ineq])
         self.costs = np.zeros(a.shape[1])
         self.costs[:n] = c
         # the slack column of each capped variable's bound row: the bound
@@ -239,11 +243,48 @@ class StandardForm:
         minimization sense."""
         return self.flip * lp.c0 + float(self.costs[: lp.n] @ lo)
 
+    def basis_solve(self, rows, cols, rhs, transpose=False):
+        """B^-1 rhs, or B^-T rhs with ``transpose``, for the basis matrix
+        B = a[rows][:, cols]; ``rhs`` is a vector or a matrix whose rows
+        follow ``rows`` (``cols`` with ``transpose``).
+
+        A basic slack column is a signed unit vector on its own row, so only
+        the structural core, a[rows without a basic slack][:, basic
+        structural columns], is factorized.  Each basic slack is its row's
+        residual times its sign (±1), and B^T y = rhs sets y on a slack's
+        row to the slack's rhs times its sign.  det B = ±det core, so a singular B
+        raises ``LinAlgError`` here as a dense solve of B does.
+        """
+        srow = self.slack_row[cols]
+        slack = srow >= 0
+        struct = ~slack
+        srow = srow[slack]
+        pos = np.full(self.m, -1)
+        pos[rows] = np.arange(rows.size)
+        ps = pos[srow]  # the position in ``rows`` of each basic slack's row
+        if np.any(ps < 0):
+            raise np.linalg.LinAlgError("a basic slack's row is not in the basis")
+        keep = np.ones(rows.size, dtype=bool)
+        keep[ps] = False
+        a_struct = self.a[:, cols[struct]]
+        core, cross = a_struct[rows[keep]], a_struct[srow]
+        sign = self.a[srow, cols[slack]]
+        if rhs.ndim == 2:
+            sign = sign[:, None]
+        out = np.empty(rhs.shape)
+        if transpose:
+            out[ps] = y_slack = rhs[slack] * sign
+            out[keep] = np.linalg.solve(core.T, rhs[struct] - cross.T @ y_slack)
+        else:
+            out[struct] = z_core = np.linalg.solve(core, rhs[keep])
+            out[slack] = (rhs[ps] - cross @ z_core) * sign
+        return out
+
     def tableau(self, lp: LinearProgram, basis: Basis | None):
         """``basis``'s tableau at ``lp``'s bounds as a :class:`ParentTableau`,
-        rebuilt with one factorization, or None where there is none to
-        reuse: no basis, another layout, a singular basis matrix, or a basis
-        that is not dual feasible."""
+        rebuilt with one factorization of its structural core, or None where
+        there is none to reuse: no basis, another layout, a singular basis
+        matrix, or a basis that is not dual feasible."""
         if basis is None or basis.layout != self.layout:
             return None
         rows, cols = basis.rows, basis.cols
@@ -252,7 +293,7 @@ class StandardForm:
         t[:, -1] = self.rhs(lp)[1][rows]
         nonbasic = _nonbasic(t.shape[1], cols)
         try:
-            sol = np.linalg.solve(t[:, cols], t[:, nonbasic])
+            sol = self.basis_solve(rows, cols, t[:, nonbasic])
         except np.linalg.LinAlgError:
             return None
         if not np.isfinite(sol).all():
@@ -277,11 +318,12 @@ class ParentTableau:
     bounds, kept while programs that differ from it in bound values alone are
     solved from it (a branch & bound node's children and polish LP).
 
-    Only the nonbasic columns and the rhs are kept (``nonbasic_t``): the
-    basic columns of T are the identity.  A solve from it rebuilds T from
-    them and shifts only the rhs: raising the lower bound of column j by d
-    moves it by -d T[:, j], and moving the upper bound of a capped column j
-    by d moves it by +d T[:, s_j], where s_j is the slack of j's bound row.
+    T is solved once, from the basis's structural core; only its nonbasic
+    columns and the rhs are kept (``nonbasic_t``): the basic columns of T
+    are the identity.  A solve from it rebuilds T from them and shifts only
+    the rhs: raising the lower bound of column j by d moves it by -d T[:, j],
+    and moving the upper bound of a capped column j by d moves it by
+    +d T[:, s_j], where s_j is the slack of j's bound row.
     The basis stays dual feasible, so no factorization is needed before the
     dual simplex.  A program of another layout than ``form`` is solved cold.
     """
@@ -336,11 +378,13 @@ class _Tableau:
         self.pivots = 0
 
     def _eliminate(self, row, col):
+        # only the pivot row's nonzero columns change; a row whose multiplier
+        # is zero takes the same values (at most a zero's sign differs)
         mult = self.t[:, col].copy()
         mult[row] = 0.0
-        nz = np.abs(mult) > 0.0
-        if nz.any():
-            self.t[nz] -= np.outer(mult[nz], self.t[row])
+        prow = self.t[row]
+        cz = np.flatnonzero(prow)
+        self.t[:, cz] -= np.outer(mult, prow[cz])
 
     def objective_row(self, costs):
         """Reduced costs of ``costs`` under the current basis; last entry is
@@ -537,14 +581,13 @@ def _result_at_basis(
     kept = np.array(tab.rows, dtype=np.int32)
     cols = np.array(tab.basis, dtype=np.int32)
     n_real = sf.a.shape[1]
-    bmat = sf.a[np.ix_(kept, cols)]
     y_kept = None
     try:
-        xb = np.linalg.solve(bmat, b[kept])
+        xb = sf.basis_solve(kept, cols, b[kept])
         z = np.zeros(n_real)
         z[cols] = xb
         if duals:
-            y_kept = np.linalg.solve(bmat.T, sf.costs[cols])
+            y_kept = sf.basis_solve(kept, cols, sf.costs[cols], transpose=True)
     except np.linalg.LinAlgError:
         z = tab.solution(n_real)
     x_ext = z[: sf.n] + np.concatenate([lo, np.zeros(sf.free_idx.size)])

@@ -8,12 +8,14 @@ The root LP is solved cold.  Every other LP differs from its parent's only in
 the bounds of integer columns, so each heap node keeps its LP's final
 :class:`~.lp.Basis` (two small int arrays and a layout key, never a
 tableau), and the tree builds one :class:`~.lp.StandardForm`.  An expanded
-node's tableau is rebuilt once, with one factorization, as a
-:class:`~.lp.ParentTableau`; both children and the fix-and-polish LP of a
-mixed program start from it and re-optimize by dual simplex.  The tableau is
-dropped once the node is expanded.  An LP whose node tableau cannot be
-rebuilt, or which has another layout, is solved cold.  Node LPs are solved
-through this module's ``solve_lp`` name, where a tracer can wrap them.
+node's tableau is rebuilt once, with one factorization of its basis's
+structural core (the rows without a basic slack by the basic structural
+columns), as a :class:`~.lp.ParentTableau`; both children and the
+fix-and-polish LP of a mixed program start from it and re-optimize by dual
+simplex.  The tableau is dropped once the node is expanded.  An LP whose
+node tableau cannot be rebuilt, or which has another layout, is solved cold.
+Node LPs are solved through this module's ``solve_lp`` name, where a tracer
+can wrap them.
 """
 
 from __future__ import annotations

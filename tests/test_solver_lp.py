@@ -402,3 +402,99 @@ def test_unusable_tableau_falls_back():
     tableau = kernel.StandardForm(lp).tableau(lp, parent.basis)
     for other in (uncapped, with_bounds(lp, lower=[-np.inf, 0.0])):
         _same_result(solve_lp(other, start=tableau), solve_lp(other))
+
+
+def _basis_form():
+    # rows <=, >=, =, <= and the bound rows of x0, x2 (free below) and x5;
+    # x7 appears in row 0 alone, so with row 0's slack it makes B singular
+    rng = np.random.default_rng(2718)
+    a = rng.normal(size=(4, 8))
+    a[1:, 7] = 0.0
+    lower = np.zeros(8)
+    lower[2] = -np.inf
+    upper = np.full(8, np.inf)
+    upper[[0, 2, 5]] = [1.0, 2.0, 3.0]
+    lp = LinearProgram(rng.normal(size=8), a, (LE, GE, EQ, LE), rng.normal(size=4),
+                       lower, upper)
+    return lp, kernel.StandardForm(lp)
+
+
+# (rows, cols) of bases of _basis_form's standard form: structural columns
+# 0-8 (8 is x2's negative part), the slacks of rows 0, 1, 3, 4, 5, 6 are
+# columns 9-14
+BASES = {
+    "all slacks": ([0, 1, 3, 4, 5, 6], [14, 9, 12, 10, 13, 11]),
+    "no slack": (list(range(7)), list(range(7))),
+    "equality row": (list(range(7)), [9, 1, 3, 11, 12, 8, 14]),
+    "bound rows": (list(range(7)), [0, 9, 5, 8, 10, 1, 3]),
+    "kept subset": ([0, 2, 3, 5], [13, 1, 4, 9]),
+}
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_basis_solve_matches_dense_solve(name):
+    # the structural-core solve agrees with a dense solve of the whole basis
+    # matrix, plain and transposed, for vector and matrix right-hand sides
+    _, form = _basis_form()
+    rows, cols = (np.array(v) for v in BASES[name])
+    bmat = form.a[np.ix_(rows, cols)]
+    assert form.a.shape == (7, 15) and np.linalg.matrix_rank(bmat) == rows.size
+    rng = np.random.default_rng(rows.size)
+    for rhs in (rng.normal(size=rows.size), rng.normal(size=(rows.size, 3))):
+        for transpose in (False, True):
+            want = np.linalg.solve(bmat.T if transpose else bmat, rhs)
+            got = form.basis_solve(rows, cols, rhs, transpose=transpose)
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
+def test_singular_core_raises_and_falls_back():
+    # x7 and row 0's slack are both multiples of e_0: B and its core are
+    # singular, so the tableau rebuild gives None and the clean re-solve
+    # falls back to the tableau's own values, without duals
+    lp, form = _basis_form()
+    rows, cols = np.arange(7), np.array([9, 7, 0, 1, 3, 4, 5])
+    rhs = np.ones(7)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(form.a[np.ix_(rows, cols)], rhs)
+    for transpose in (False, True):
+        with pytest.raises(np.linalg.LinAlgError):
+            form.basis_solve(rows, cols, rhs, transpose=transpose)
+    assert form.tableau(lp, kernel.Basis(rows, cols, form.layout)) is None
+    t = np.zeros((7, form.a.shape[1] + 1))
+    t[:, -1] = np.arange(7.0)
+    lo, b = form.rhs(lp)
+    res = kernel._result_at_basis(lp, form, lo, b, kernel._Tableau(t, cols, rows), duals=True)
+    assert res.dual_objective is None and not res.dual.any()
+    want = np.zeros(lp.n)
+    want[[7, 0, 1, 3, 4, 5]] = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    np.testing.assert_array_equal(res.x, want)
+
+
+class _RowGather(kernel._Tableau):
+    """The update the column-restricted one replaced: every row with a
+    nonzero multiplier takes the whole pivot row."""
+
+    def _eliminate(self, row, col):
+        mult = self.t[:, col].copy()
+        mult[row] = 0.0
+        nz = np.abs(mult) > 0.0
+        if nz.any():
+            self.t[nz] -= np.outer(mult[nz], self.t[row])
+
+
+def test_eliminate_matches_the_row_gather_update():
+    # sequences of pivots on random sparse tableaus leave the same tableau
+    # bytes under both updates once every zero is +0.0 (the updates touch
+    # different zero entries, and only the sign of a zero can differ)
+    rng = np.random.default_rng(4242)
+    for _ in range(20):
+        m, width = (int(v) for v in rng.integers(5, 40, size=2))
+        t = np.where(rng.random((m, width + 1)) < 0.15, rng.normal(size=(m, width + 1)), 0.0)
+        got, want = kernel._Tableau(t.copy(), range(m), range(m)), _RowGather(t, range(m), range(m))
+        for row in rng.permutation(m)[:10]:
+            col = int(np.argmax(np.abs(got.t[row, :-1])))
+            if got.t[row, col] == 0.0:
+                continue
+            got.pivot(row, col, np.zeros(width + 1))
+            want.pivot(row, col, np.zeros(width + 1))
+            assert (got.t + 0.0).tobytes() == (want.t + 0.0).tobytes()

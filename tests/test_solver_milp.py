@@ -386,6 +386,40 @@ def test_one_factorization_per_expanded_node(monkeypatch):
     assert solves.count(2) == expanded
 
 
+def test_factorizations_are_structural_cores(monkeypatch):
+    # every np.linalg.solve of a compact dual's tree runs inside
+    # StandardForm.basis_solve and factorizes only its basis's structural
+    # core: the kept rows without a basic slack by the basic structural
+    # columns
+    active, sizes = [], []
+    original_solve = np.linalg.solve
+    original_basis_solve = lp_module.StandardForm.basis_solve
+
+    def basis_solve(form, rows, cols, rhs, transpose=False):
+        active.append((form, rows, cols, transpose))
+        try:
+            return original_basis_solve(form, rows, cols, rhs, transpose=transpose)
+        finally:
+            active.pop()
+
+    def solve(a, b):
+        assert active, "a factorization outside StandardForm.basis_solve"
+        form, rows, cols, transpose = active[-1]
+        slack_rows = [np.flatnonzero(form.a[:, j])[0] for j in cols if j >= form.n]
+        core = form.a[np.ix_([r for r in rows if r not in slack_rows],
+                             [j for j in cols if j < form.n])]
+        np.testing.assert_array_equal(a, core.T if transpose else core)
+        sizes.append((len(rows), core.shape[0]))
+        return original_solve(a, b)
+
+    monkeypatch.setattr(lp_module.StandardForm, "basis_solve", basis_solve)
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    for mip in _dro_draws():
+        assert solve_milp(mip).status == OPTIMAL
+    assert len(sizes) > 100
+    assert sum(core for _, core in sizes) < sum(m for m, _ in sizes) / 2
+
+
 def test_reference_kernel_imports_no_scipy():
     # numpy and scipy each load their own OpenBLAS; the reference kernel must
     # not pull in the second
