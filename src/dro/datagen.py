@@ -11,7 +11,11 @@ derived streams and draw order are documented per routine, so runs replay
 exactly for a fixed seed and numpy version.  The adaptive collectors draw
 their whole (K, n) history of nominal samples in one call before choosing any
 decision; their selection rules consume no randomness, so this is the stream
-of K one-row draws.
+of K one-row draws.  A collector given a batch of histories draws each one's
+samples from its own seed or generator, in batch order, then takes each
+step of all of them at once; every history goes through the same
+element-wise operations in the same order as alone, so its decisions,
+samples and generator state are those of its own collection.
 """
 
 from __future__ import annotations
@@ -168,14 +172,16 @@ def observe(feedback: str, samples, decisions, n: int):
 
 @dataclass(eq=False)
 class CucbState:
-    """Per-component observation counts and running mean costs."""
+    """Observation counts and running mean costs, per component of one
+    history, shape (n,), or of a batch of histories, shape (M, n); every
+    operation acts element by element."""
 
     counts: np.ndarray
     means: np.ndarray
 
     @classmethod
-    def fresh(cls, n: int) -> "CucbState":
-        return cls(np.zeros(n, dtype=int), np.zeros(n))
+    def fresh(cls, shape) -> "CucbState":
+        return cls(np.zeros(shape, dtype=int), np.zeros(shape))
 
     def _bonus(self, step: int) -> np.ndarray:
         """Exploration bonus sqrt(3 ln(step) / (2 count)); infinite for
@@ -193,9 +199,9 @@ class CucbState:
         return np.minimum(self.means + self._bonus(step), 1.0)
 
     def update(self, mask, values):
-        idx = np.flatnonzero(mask > 0.5)
-        self.counts[idx] += 1
-        self.means[idx] += (values[idx] - self.means[idx]) / self.counts[idx]
+        hit = mask > 0.5
+        self.counts[hit] += 1
+        self.means[hit] += (values[hit] - self.means[hit]) / self.counts[hit]
 
 
 @dataclass(eq=False)
@@ -208,65 +214,111 @@ class CollectorRun:
     selections: list | None = None  # coverage runs: chosen subset indices
 
 
-def _collect(n: int, dist: BetaNominal, num_k: int, seed_or_rng, choose):
-    """The CUCB loop: the K nominal samples are drawn first, in one
-    :func:`sample_nominal` call (the only RNG consumption); then per step k
-    (1-based) ``choose(state, k)`` picks the decision and the decision's
-    components of sample k are folded into the running means."""
-    samples = sample_nominal(dist, num_k, seed_or_rng)
-    state = CucbState.fresh(n)
-    decisions = np.zeros((num_k, n))
+def _as_batch(dist, seed_or_rng):
+    """``(dists, seeds, single)``; one law and its seed are a batch of one."""
+    if isinstance(dist, BetaNominal):
+        return [dist], [seed_or_rng], True
+    dists, seeds = list(dist), list(seed_or_rng)
+    if len(dists) != len(seeds):
+        raise DimensionMismatch("one seed or generator per nominal law required")
+    return dists, seeds, False
+
+
+def _collect(dists, num_k: int, seeds, width: int, choose):
+    """The CUCB loop over a batch: each history's K nominal samples are
+    drawn first, in one :func:`sample_nominal` call on its own seed (the
+    only RNG consumption); then per step k (1-based) ``choose(state, k)``
+    picks every history's decision, and each decision's components of its
+    sample k are folded into the running means.  A history narrower than
+    ``width`` is zero-padded, and no decision touches the padding.  Returns
+    one ``(decisions, samples)`` pair per history."""
+    samples = [sample_nominal(d, num_k, _rng(s)) for d, s in zip(dists, seeds)]
+    padded = np.zeros((len(samples), num_k, width))
+    for row, sample in zip(padded, samples):
+        row[:, : sample.shape[1]] = sample
+    state = CucbState.fresh((len(samples), width))
+    decisions = np.zeros(padded.shape)
     for k in range(num_k):
-        decisions[k] = choose(state, k + 1)
-        state.update(decisions[k], samples[k])
-    return decisions, samples
+        decisions[:, k] = choose(state, k + 1)
+        state.update(decisions[:, k], padded[:, k])
+    return [(np.ascontiguousarray(d[:, : s.shape[1]]), s) for d, s in zip(decisions, samples)]
 
 
-def cucb_collect(graph: LayeredGraph, dist: BetaNominal, num_k: int, seed_or_rng) -> CollectorRun:
-    """Adaptive path history: per step, route along the shortest path under
-    the optimistic adjusted costs, then observe the arcs used."""
-    if dist.n != graph.num_arcs:
+def cucb_collect(graph: LayeredGraph, dist, num_k: int, seed_or_rng):
+    """Adaptive path history on ``graph``: per step, route along the
+    shortest path under the optimistic adjusted costs, then observe the arcs
+    used.  With sequences of laws and seeds, one per history, a list of
+    runs comes back, every step of the batch taken in one routing DP."""
+    dists, seeds, single = _as_batch(dist, seed_or_rng)
+    if any(d.n != graph.num_arcs for d in dists):
         raise DimensionMismatch("nominal dimension must equal the arc count")
-    return CollectorRun(*_collect(
-        graph.num_arcs, dist, num_k, seed_or_rng,
+    runs = [CollectorRun(*pair) for pair in _collect(
+        dists, num_k, seeds, graph.num_arcs,
         lambda state, step: shortest_path_dp(graph, state.optimistic_costs(step))[1],
-    ))
+    )]
+    return runs[0] if single else runs
 
 
-def cucb_collect_mcp(system: CoverageSystem, dist: BetaNominal, num_k: int, seed_or_rng) -> CollectorRun:
-    """Adaptive coverage history via greedy optimistic subset selection.
+def cucb_collect_mcp(system, dist, num_k: int, seed_or_rng):
+    """Adaptive coverage histories via greedy optimistic subset selection.
 
     Per step: greedily pick ``budget`` subsets maximizing the marginal sum of
     the optimistic item values (ties to the lowest subset index), then
     observe the covered items.  Decisions and samples live on the item block
     only; ``selections`` records the chosen subsets of each step.
 
+    With sequences of systems, laws and seeds, one per history, a list of
+    runs comes back; the systems may differ in every size, and each greedy
+    pick is taken for the whole batch at once.
+
     A gain sums its subset's uncovered values one by one in member order
     (numpy's ``sum`` over the uncovered values gives the same bits while at
-    most seven remain).
+    most seven remain); the zero-valued padding of shorter subsets and
+    smaller systems adds exact zeros after them.
     """
-    if dist.n != system.n_items:
+    dists, seeds, single = _as_batch(dist, seed_or_rng)
+    systems = [system] if single else list(system)
+    if len(systems) != len(dists) or any(d.n != s.n_items for d, s in zip(dists, systems)):
         raise DimensionMismatch("nominal dimension must equal the item count")
+    if not systems:
+        return []
     # one row of member indices per subset, padded with the index of an
-    # appended item that is never covered and worth zero
-    width = max(len(s) for s in system.subsets)
-    members = np.full((system.n_subsets, width), system.n_items)
-    for i, s in enumerate(system.subsets):
-        members[i, : len(s)] = s
-    selections = []
+    # appended item that is never covered and worth zero; a system with
+    # fewer subsets gets rows of that item alone, never picked
+    n = max(s.n_items for s in systems)
+    width = max(len(m) for s in systems for m in s.subsets)
+    members = np.full((len(systems), max(s.n_subsets for s in systems), width), n)
+    for row, s in zip(members, systems):
+        for i, m in enumerate(s.subsets):
+            row[i, : len(m)] = m
+    absent = members[:, :, 0] == n
+    picks = [max(0, min(s.budget, s.n_subsets)) for s in systems]
+    # the histories still picking at each pick of a step
+    lives = [np.flatnonzero(np.array(picks) > t) for t in range(max(picks))]
+    # member indices into the flattened (batch, n + 1) item arrays
+    members += (n + 1) * np.arange(len(systems))[:, None, None]
+    selections = [[] for _ in systems]
 
     def choose(state, step):
-        values = np.append(state.pessimistic_values(step), 0.0)
-        covered = np.zeros(system.n_items + 1, dtype=bool)
-        chosen = []
-        for _ in range(min(system.budget, system.n_subsets)):
-            terms = np.where(covered[members], 0.0, values[members])
-            gains = np.cumsum(terms, axis=1)[:, -1]
-            gains[chosen] = -np.inf
-            best = int(np.argmax(gains))
-            chosen.append(best)
-            covered[members[best]] = True
-        selections.append(tuple(chosen))
-        return covered[:-1].astype(float)
+        values = np.zeros((len(systems), n + 1))
+        values[:, :n] = state.pessimistic_values(step)
+        values = values.take(members)
+        covered = np.zeros((len(systems), n + 1), dtype=bool)
+        taken = absent.copy()
+        chosen = np.zeros((len(systems), len(lives)), dtype=int)
+        for t, live in enumerate(lives):
+            terms = np.where(covered.take(members), 0.0, values)
+            gains = np.cumsum(terms, axis=2)[:, :, -1]
+            gains[taken] = -np.inf
+            chosen[:, t] = best = gains.argmax(axis=1)
+            taken[live, best[live]] = True
+            covered.put(members[live, best[live]], True)
+        for sel, row, p in zip(selections, chosen.tolist(), picks):
+            sel.append(tuple(row[:p]))
+        return covered[:, :-1]
 
-    return CollectorRun(*_collect(system.n_items, dist, num_k, seed_or_rng, choose), selections)
+    runs = [
+        CollectorRun(*pair, sel)
+        for pair, sel in zip(_collect(dists, num_k, seeds, n, choose), selections)
+    ]
+    return runs[0] if single else runs

@@ -16,16 +16,19 @@ order: structure, nominal means, data/collector, corruption.  Identical
 configs and seeds therefore produce identical CSV bytes (timing columns are
 written as 0 unless explicitly enabled).
 
-A shared sweep draws each instance once and reads every cell off it.  For
-spp and mcp the structure, the nominal law, the collector history at
-``k_max`` steps, the COP handle and the nominal optimum are kept for the
-whole sweep.  Under semibandit feedback the draw also validates and lowers
-the whole history once, and each cell slices its K prefix of boxes off it;
-under bandit feedback each cell observes its K prefix and builds and solves
-its dual MILP.  Sorting keeps its nominal law and samples, and corrupts them
-and builds its cardinality structure per cell.  An instance whose draw
-fails, its lowering included, counts as a failure in every cell.  A
-structural sweep draws per cell.
+A shared sweep draws each instance once and reads every cell off it; a
+structural sweep draws per cell.  For spp and mcp the structure, the nominal
+law, the collector history at ``k_max`` steps, the COP handle and the
+nominal optimum are kept.  Under semibandit feedback the draw also validates
+and lowers the whole history once, and each cell slices its K prefix of
+boxes off it; under bandit feedback each cell observes its K prefix and
+builds and solves its dual MILP.  Sorting keeps its nominal law and samples,
+and corrupts them and builds its cardinality structure per cell.  Instances
+are drawn in batches (a shared sweep's instances, or a structural cell's),
+each from its own streams; one CUCB pass then collects the whole batch a
+step at once, and as the selection rule consumes no randomness each history
+keeps the bits it has alone.  A failed draw, its lowering included, fails
+its instance in every cell and no other.
 ``mean_time_ms`` still times the whole robust solve of each cell: both
 interval candidates, or the dual MILP.
 """
@@ -280,31 +283,47 @@ class SweepRecord:
     n_fail: int
 
 
-class _Draw:
-    """The random instance behind one sweep index.
+class _Batch:
+    """The random instances behind a batch of sweep indices.  Each one's
+    four child streams are consumed in a fixed order: structure, nominal
+    means, data/collector, corruption.  ``keep(build, *args)`` runs
+    ``build(*args, rngs)`` once, ``rngs`` holding each instance's four fresh
+    generators, and keeps each instance's result or failure."""
 
-    Its four child streams are spawned once, when the draw is made, and are
-    consumed in a fixed order: structure, nominal means, data/collector,
-    corruption.  ``keep(build, *args)`` runs ``build(*args, *rngs)`` on
-    first use and gives every later call the same result, or raises the same
-    failure again, so a shared sweep draws the cell-independent part of an
-    instance once and reads every cell off it.  A build reads the cell only
-    for a structural parameter, and a structural sweep draws per cell.
-    """
-
-    def __init__(self, entropy):
-        self.streams = np.random.SeedSequence(entropy).spawn(4)
+    def __init__(self, entropies):
+        self.streams = [np.random.SeedSequence(e).spawn(4) for e in entropies]
         self._kept = None
 
-    def keep(self, build, *args):
+    def keep(self, build, *args) -> list:
         if self._kept is None:
-            try:
-                self._kept = build(*args, *[np.random.default_rng(s) for s in self.streams])
-            except (DroError, RuntimeError) as exc:
-                self._kept = exc
-        if isinstance(self._kept, Exception):
-            raise self._kept
+            rngs = [[np.random.default_rng(s) for s in st] for st in self.streams]
+            kept = _attempt(build, *args, rngs)
+            self._kept = [kept] * len(rngs) if isinstance(kept, Exception) else kept
         return self._kept
+
+
+class _Draw:
+    """One instance of a batch; ``keep`` gives its kept result or raises its
+    failure again.  Nothing refers back to a draw, so a batch is freed as
+    soon as the sweep drops it."""
+
+    def __init__(self, batch: _Batch, index: int):
+        self.batch, self.index = batch, index
+        self.streams = batch.streams[index]
+
+    def keep(self, build, *args):
+        kept = self.batch.keep(build, *args)[self.index]
+        if isinstance(kept, Exception):
+            raise kept
+        return kept
+
+
+def _attempt(fn, *args):
+    """``fn(*args)``, or the sweep failure it raised."""
+    try:
+        return fn(*args)
+    except (DroError, RuntimeError) as exc:
+        return exc
 
 
 def _interval_outcome(feasible, idata, epsilon, cop, sense, dist, optimum=None) -> InstanceOutcome:
@@ -315,11 +334,15 @@ def _interval_outcome(feasible, idata, epsilon, cop, sense, dist, optimum=None) 
     return InstanceOutcome(rho, dt, None, detail.winner == "saa")
 
 
-def _draw_sorting(cfg: SweepConfig, _rng_struct, rng_means, rng_data, _rng_noise):
+def _draw_sorting(cfg: SweepConfig, rngs):
     n = int(cfg.params["n"])
-    dist = BetaNominal.random(n, cfg.sigma, rng_means)
-    p = rng_data.uniform(size=n)  # per-component corruption probability
-    return dist, p, sample_nominal(dist, cfg.k_max, rng_data)
+
+    def draw(_rng_struct, rng_means, rng_data, _rng_noise):
+        dist = BetaNominal.random(n, cfg.sigma, rng_means)
+        p = rng_data.uniform(size=n)  # per-component corruption probability
+        return dist, p, sample_nominal(dist, cfg.k_max, rng_data)
+
+    return [_attempt(draw, *r) for r in rngs]
 
 
 def _run_sorting_instance(cfg: SweepConfig, cell, draw: _Draw, backend) -> InstanceOutcome:
@@ -372,23 +395,43 @@ class _HistoryDraw:
             self.boxes = interval_data_from_instance(skeleton.instance(scen, 0.0))
 
 
-def _draw_spp(cfg: SweepConfig, cell, _rng_struct, rng_means, rng_data, _rng_noise):
+def _draw_histories(cfg: SweepConfig, rngs, draw, collect, radius_scale, n1):
+    """A batch of spp or mcp instances: ``draw(rng_struct, rng_means)``
+    gives each one's ``(skeleton, structure, cop, dist)``, then one
+    ``collect`` pass collects the histories of those whose draw succeeded."""
+    out = [_attempt(draw, *r[:2]) for r in rngs]
+    ok = [i for i, d in enumerate(out) if not isinstance(d, Exception)]
+    runs = collect([out[i][1] for i in ok], [out[i][3] for i in ok], [rngs[i][2] for i in ok])
+    for i, run in zip(ok, runs):
+        skeleton, _, cop, dist = out[i]
+        out[i] = _attempt(_HistoryDraw, skeleton, dist, run, cop, radius_scale, n1, cfg.feedback)
+    return out
+
+
+def _draw_spp(cfg: SweepConfig, cell, rngs):
     h = int(cell) if cfg.sweep == "h" else int(cfg.params["h"])
     skeleton, graph = gen_layered_spp(h, int(cfg.params["r"]))
-    dist = BetaNominal.random(graph.num_arcs, cfg.sigma, rng_means)
-    run = cucb_collect(graph, dist, cfg.k_max, rng_data)
-    return _HistoryDraw(skeleton, dist, run, spp_cop(graph), h, None, cfg.feedback)
+    cop = spp_cop(graph)
+    return _draw_histories(
+        cfg, rngs,
+        lambda _, rng: (skeleton, graph, cop, BetaNominal.random(graph.num_arcs, cfg.sigma, rng)),
+        lambda _, dists, rngs: cucb_collect(graph, dists, cfg.k_max, rngs),
+        h, None,
+    )
 
 
-def _draw_mcp(cfg: SweepConfig, cell, rng_struct, rng_means, rng_data, _rng_noise):
+def _draw_mcp(cfg: SweepConfig, cell, rngs):
     n1 = int(cell) if cfg.sweep == "n1" else int(cfg.params["n1"])
     budget = int(cfg.params["budget"])
-    skeleton, system = gen_mcp(
-        n1, int(cfg.params["n2"]), int(cfg.params["subset_size"]), budget, rng_struct
-    )
-    dist = BetaNominal.random(n1, cfg.sigma, rng_means)
-    run = cucb_collect_mcp(system, dist, cfg.k_max, rng_data)
-    return _HistoryDraw(skeleton, dist, run, mcp_cop(system), budget, n1, cfg.feedback)
+
+    def draw(rng_struct, rng_means):
+        skeleton, system = gen_mcp(
+            n1, int(cfg.params["n2"]), int(cfg.params["subset_size"]), budget, rng_struct
+        )
+        return skeleton, system, mcp_cop(system), BetaNominal.random(n1, cfg.sigma, rng_means)
+
+    collect = lambda systems, dists, rngs: cucb_collect_mcp(systems, dists, cfg.k_max, rngs)
+    return _draw_histories(cfg, rngs, draw, collect, budget, n1)
 
 
 def _history_outcome(cfg: SweepConfig, cell, drawn: _HistoryDraw, backend) -> InstanceOutcome:
@@ -447,13 +490,15 @@ def run_sweep(cfg: SweepConfig, backend=None, on_cell=None) -> list[SweepRecord]
         backend = ScipyBackend()
     runner = _RUNNERS[cfg.family]
     shared = cfg.shares_instances()
-    draws = [_Draw([cfg.seed, i]) for i in range(cfg.instances)] if shared else None
+    draws = None
     records = []
     for ci, cell in enumerate(cfg.grid):
+        if draws is None or not shared:
+            batch = _Batch([cfg.seed, i] if shared else [cfg.seed, ci, i] for i in range(cfg.instances))
+            draws = [_Draw(batch, i) for i in range(cfg.instances)]
         outcomes = []
         failures = 0
-        for i in range(cfg.instances):
-            draw = draws[i] if shared else _Draw([cfg.seed, ci, i])
+        for draw in draws:
             try:
                 outcomes.append(runner(cfg, cell, draw, backend))
             except (DroError, RuntimeError):

@@ -92,6 +92,15 @@ class LayeredGraph:
             return r + (h - 2) * r * r + tail
         return r + (layer - 1) * r * r + tail * r + head
 
+    @functools.cached_property
+    def arc_table(self) -> np.ndarray:
+        """Read-only (h, r, r) table of :meth:`arc_index` over (layer, tail,
+        head); the source layer ignores the tail and the last layer the head."""
+        shape = (self.h, self.r, self.r)
+        table = np.array([self.arc_index(*i) for i in np.ndindex(shape)]).reshape(shape)
+        table.setflags(write=False)
+        return table
+
     def path_arcs(self, nodes) -> list[int]:
         """Arc indices of the path visiting the given intermediate nodes."""
         nodes = list(nodes)
@@ -227,36 +236,41 @@ def gen_mcp(n_items: int, n_subsets: int, subset_size: int, budget: int, seed):
 
 
 def shortest_path_dp(graph: LayeredGraph, arc_costs):
-    """Exact layer-by-layer dynamic program; returns ``(cost, path_vector)``.
+    """Exact layer-by-layer dynamic program over ``(..., num_arcs)`` costs,
+    one shortest path per cost vector; returns ``(cost, path_vectors)``,
+    with ``cost`` a float for a single cost vector.
 
     Cost ties resolve to the lowest-index predecessor, so an all-equal cost
-    vector yields the path through the first node of every layer.
+    vector yields the path through the first node of every layer.  Every
+    cost vector goes through the same additions and comparisons as it would
+    alone, so a batch returns the bits of its rows' separate solves.
     """
     costs = np.asarray(arc_costs, dtype=float)
-    if costs.shape != (graph.num_arcs,):
+    if costs.shape[-1:] != (graph.num_arcs,):
         raise DimensionMismatch("one cost per arc required")
-    h, r = graph.h, graph.r
-    dist = np.array([costs[graph.arc_index(0, 0, head)] for head in range(r)])
-    pred = np.zeros((h - 2, r), dtype=int) if h > 2 else None
-    for layer in range(1, h - 1):
-        new = np.empty(r)
-        for head in range(r):
-            step = dist + np.array(
-                [costs[graph.arc_index(layer, tail, head)] for tail in range(r)]
-            )
-            best = int(np.argmin(step))
-            new[head] = step[best]
-            pred[layer - 1, head] = best
-        dist = new
-    final = dist + np.array(
-        [costs[graph.arc_index(h - 1, tail, 0)] for tail in range(r)]
-    )
-    last = int(np.argmin(final))
-    nodes = [last]
-    for layer in range(h - 2, 0, -1):
-        nodes.append(int(pred[layer - 1, nodes[-1]]))
-    nodes.reverse()
-    return float(final[last]), graph.path_vector(nodes)
+    flat = costs.reshape(-1, graph.num_arcs)
+    arcs, at = graph.arc_table, np.arange(flat.shape[0])[:, None]
+    dist = flat[:, arcs[0, 0]]  # (batch, head) from the source
+    preds = []
+    for layer in range(1, graph.h - 1):
+        step = dist[:, :, None] + flat[:, arcs[layer]]  # (batch, tail, head)
+        best = step.argmin(axis=1)
+        dist = step[at, best, np.arange(graph.r)]
+        preds.append(best)
+    final = dist + flat[:, arcs[-1, :, 0]]
+    node = final.argmin(axis=1)[:, None]
+    cost = final[at, node][:, 0]
+    path = [arcs[-1, node, 0]]
+    for pred, layer in zip(reversed(preds), range(graph.h - 2, 0, -1)):
+        tail = pred[at, node]
+        path.append(arcs[layer, tail, node])
+        node = tail
+    path.append(arcs[0, 0, node])
+    x = np.zeros(flat.shape)
+    x[at, np.hstack(path)] = 1.0
+    if costs.ndim == 1:
+        return float(cost[0]), x[0]
+    return cost.reshape(costs.shape[:-1]), x.reshape(costs.shape)
 
 
 def spp_cop(graph: LayeredGraph):
@@ -265,6 +279,8 @@ def spp_cop(graph: LayeredGraph):
     def solve(costs, sense="min"):
         if sense != "min":
             raise ValueError("the routing DP only minimizes")
+        if np.shape(costs) != (graph.num_arcs,):
+            raise DimensionMismatch("one cost per arc required")
         return shortest_path_dp(graph, costs)
 
     return solve

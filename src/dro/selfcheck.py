@@ -20,6 +20,7 @@ from .closedform import (
     solve_interval,
     worst_case_cost,
 )
+from .datagen import BetaNominal, cucb_collect, cucb_collect_mcp
 from .errors import InvalidInstance
 from .model import (
     Bandit,
@@ -393,6 +394,34 @@ def check_mcp_cop(count: int, seed) -> CheckResult:
     return _result("mcp-cop-vs-enumeration", failures, clean, worst=worst)
 
 
+def check_collectors_batch(count: int, seed) -> CheckResult:
+    """The adaptive collectors over a batch against one collection per
+    history, on ``count`` histories of one random graph and ``count`` of
+    random coverage systems: runs and generator states bit for bit."""
+    rng = np.random.default_rng(seed)
+    num_k = int(rng.integers(1, 26))
+    _, graph = gen_layered_spp(int(rng.integers(2, 6)), int(rng.integers(1, 5)))
+    systems = [random_coverage_costs(rng)[1] for _ in range(count)]
+    failures = []
+    for family, structures, collect in (
+        ("routing", [graph] * count, lambda _, d, r: cucb_collect(graph, d, num_k, r)),
+        ("coverage", systems, lambda s, d, r: cucb_collect_mcp(s, d, num_k, r)),
+    ):
+        n = [graph.num_arcs if family == "routing" else s.n_items for s in structures]
+        dists = [BetaNominal.random(k, 0.125, rng) for k in n]
+        entropy = rng.integers(2**32, size=count).tolist()
+        rngs = [np.random.default_rng(e) for e in entropy]
+        runs = collect(structures, dists, rngs)
+        for t, (s, d, e, r, run) in enumerate(zip(structures, dists, entropy, rngs, runs)):
+            alone = np.random.default_rng(e)
+            one = collect(s, d, alone)
+            same = [(x.decisions.tobytes(), x.samples.tobytes(), x.selections) for x in (run, one)]
+            if same[0] != same[1] or r.bit_generator.state != alone.bit_generator.state:
+                failures.append(f"{family} history {t} differs")
+    clean = f"{count} routing and {count} coverage histories match"
+    return _result("collectors-batch-vs-single", failures, clean)
+
+
 def check_interval_oracle(count: int, seed) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst, failures = 0.0, []
@@ -525,4 +554,5 @@ def run_all(seed=0, scale: float = 1.0) -> list[CheckResult]:
         check_mcp_cop(c(20), [seed, 7]),
         check_box_lowering(c(40), [seed, 8]),
         check_highs_vs_reference(c(10), [seed, 9]),
+        check_collectors_batch(c(10), [seed, 10]),
     ]

@@ -288,12 +288,13 @@ class StandardForm:
         if basis is None or basis.layout != self.layout:
             return None
         rows, cols = basis.rows, basis.cols
-        t = np.empty((rows.size, self.a.shape[1] + 1))
-        t[:, :-1] = self.a[rows]
+        nonbasic = _nonbasic(self.a.shape[1] + 1, cols)
+        # [A_N | b] on the basis rows, gathered without a copy of a[rows]
+        t = np.empty((rows.size, np.count_nonzero(nonbasic)))
+        t[:, :-1] = self.a[np.ix_(rows, np.flatnonzero(nonbasic[:-1]))]
         t[:, -1] = self.rhs(lp)[1][rows]
-        nonbasic = _nonbasic(t.shape[1], cols)
         try:
-            sol = self.basis_solve(rows, cols, t[:, nonbasic])
+            sol = self.basis_solve(rows, cols, t)
         except np.linalg.LinAlgError:
             return None
         if not np.isfinite(sol).all():

@@ -401,4 +401,5 @@ def test_dro_seed_env_override(tmp_path, monkeypatch):
 def test_validate_exit_code(capsys):
     assert main(["validate", "--scale", "0.1", "--seed", "4"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 9
+    assert out.count("PASS") == 10
+    assert "PASS collectors-batch-vs-single" in out

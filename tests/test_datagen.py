@@ -256,26 +256,52 @@ def _list_greedy_collect_mcp(system, dist, num_k, seed):
     return decisions, samples, selections
 
 
+def _random_coverage_case(case):
+    """A coverage system with unequal subset sizes up to seven, a budget of
+    n_subsets or more every third case, and its nominal law; every first
+    step is an all-ties step, since every unobserved item is worth 1."""
+    rng = np.random.default_rng([31, case])
+    n_items = int(rng.integers(4, 16))
+    n_subsets = int(rng.integers(2, 10))
+    sizes = rng.integers(1, min(7, n_items) + 1, size=n_subsets)
+    subsets = [rng.choice(n_items, size=int(z), replace=False) for z in sizes]
+    budget = n_subsets + int(rng.integers(0, 3)) if case % 3 == 0 else int(rng.integers(1, n_subsets + 1))
+    system = CoverageSystem(n_items, subsets, budget)
+    return system, BetaNominal.random(n_items, 0.125, rng), int(rng.integers(1, 25))
+
+
 class TestMcpCollectorMatchesListGreedy:
     @pytest.mark.parametrize("case", range(30))
     def test_bitwise_equal(self, case):
-        rng = np.random.default_rng([31, case])
-        n_items = int(rng.integers(4, 16))
-        n_subsets = int(rng.integers(2, 10))
-        # unequal sizes up to seven, a budget of n_subsets or more every
-        # third case; every first step is an all-ties step, since every
-        # unobserved item is worth 1
-        sizes = rng.integers(1, min(7, n_items) + 1, size=n_subsets)
-        subsets = [rng.choice(n_items, size=int(z), replace=False) for z in sizes]
-        budget = n_subsets + int(rng.integers(0, 3)) if case % 3 == 0 else int(rng.integers(1, n_subsets + 1))
-        system = CoverageSystem(n_items, subsets, budget)
-        dist = BetaNominal.random(n_items, 0.125, rng)
-        num_k = int(rng.integers(1, 25))
+        system, dist, num_k = _random_coverage_case(case)
         run = cucb_collect_mcp(system, dist, num_k, [case])
         decisions, samples, selections = _list_greedy_collect_mcp(system, dist, num_k, [case])
         assert run.selections == selections
         assert run.decisions.tobytes() == decisions.tobytes()
         assert run.samples.tobytes() == samples.tobytes()
+
+    @pytest.mark.parametrize("num_k", [1, 17])
+    def test_batch_bitwise_equal(self, num_k):
+        # the 30 systems above differ in items, subsets, sizes and budgets
+        systems, dists = zip(*[_random_coverage_case(case)[:2] for case in range(30)])
+        rngs = [np.random.default_rng([case]) for case in range(30)]
+        runs = cucb_collect_mcp(systems, dists, num_k, rngs)
+        assert len(runs) == 30
+        for case, (system, dist, rng, run) in enumerate(zip(systems, dists, rngs, runs)):
+            ref_rng = np.random.default_rng([case])
+            decisions, samples, selections = _list_greedy_collect_mcp(system, dist, num_k, ref_rng)
+            assert run.selections == selections
+            assert run.decisions.tobytes() == decisions.tobytes()
+            assert run.samples.tobytes() == samples.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_batch_shape_checks(self):
+        system, dist, _ = _random_coverage_case(0)
+        assert cucb_collect_mcp([], [], 5, []) == []
+        with pytest.raises(DimensionMismatch):
+            cucb_collect_mcp([system, system], [dist, dist], 5, [1])
+        with pytest.raises(DimensionMismatch):
+            cucb_collect_mcp([system], [dist, dist], 5, [1, 2])
 
 
 def _per_step_spp_collect(graph, dist, num_k, rng):
@@ -294,27 +320,50 @@ def _per_step_spp_collect(graph, dist, num_k, rng):
 class TestCollectorsMatchPerStepDraws:
     """Both collectors draw their whole history in one call: the decisions,
     the samples and the generator's final state are those of one draw per
-    step."""
+    step, for one history alone and for each history of a batch."""
 
-    @pytest.mark.parametrize("h,r,num_k", [(3, 2, 1), (3, 3, 25), (4, 4, 25), (5, 3, 40)])
+    @pytest.mark.parametrize(
+        "h,r,num_k", [(2, 3, 5), (3, 1, 4), (3, 2, 1), (3, 3, 25), (4, 4, 25), (5, 3, 40)]
+    )
     def test_spp(self, h, r, num_k):
+        # one history alone, then 12 on the graph in one batch, with integer
+        # seeds and generators mixed
         graph = LayeredGraph(h, r)
         dist = BetaNominal.random(graph.num_arcs, 0.125, [h, r])
-        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-        run = cucb_collect(graph, dist, num_k, rng)
-        decisions, samples = _per_step_spp_collect(graph, dist, num_k, ref_rng)
-        assert run.decisions.tobytes() == decisions.tobytes()
-        assert run.samples.tobytes() == samples.tobytes()
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        dists = [dist] + [BetaNominal.random(graph.num_arcs, 0.125, [h, r, i]) for i in range(1, 12)]
+        rng = np.random.default_rng(11)
+        alone = cucb_collect(graph, dist, num_k, rng)
+        entropy = [[13, i] if i % 2 else i for i in range(12)]
+        seeds = [np.random.default_rng(e) if i % 2 else e for i, e in enumerate(entropy)]
+        batch = cucb_collect(graph, dists, num_k, seeds)
+        cases = [(alone, dist, rng, 11), *zip(batch, dists, seeds, entropy)]
+        for run, law, seed, e in cases:
+            ref_rng = np.random.default_rng(e)
+            decisions, samples = _per_step_spp_collect(graph, law, num_k, ref_rng)
+            assert run.decisions.tobytes() == decisions.tobytes()
+            assert run.samples.tobytes() == samples.tobytes()
+            if isinstance(seed, np.random.Generator):
+                assert seed.bit_generator.state == ref_rng.bit_generator.state
+        assert cucb_collect(graph, [], num_k, []) == []
 
     @pytest.mark.parametrize("n_items,n_subsets,num_k", [(6, 4, 1), (20, 10, 25), (42, 20, 25)])
     def test_mcp(self, n_items, n_subsets, num_k):
+        # one history alone, then 6 systems of one shape in one batch, as a
+        # sweep collects them
         _, system = gen_mcp(n_items, n_subsets, 3, 3, seed=n_items)
         dist = BetaNominal.random(n_items, 0.125, n_subsets)
-        rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
-        run = cucb_collect_mcp(system, dist, num_k, rng)
-        decisions, samples, selections = _list_greedy_collect_mcp(system, dist, num_k, ref_rng)
-        assert run.selections == selections
-        assert run.decisions.tobytes() == decisions.tobytes()
-        assert run.samples.tobytes() == samples.tobytes()
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        systems = [system] + [gen_mcp(n_items, n_subsets, 3, 3, seed=[n_items, i])[1] for i in range(1, 6)]
+        dists = [dist] + [BetaNominal.random(n_items, 0.125, [n_subsets, i]) for i in range(1, 6)]
+        rng = np.random.default_rng(12)
+        alone = cucb_collect_mcp(system, dist, num_k, rng)
+        entropy = [[14, i] for i in range(6)]
+        rngs = [np.random.default_rng(e) for e in entropy]
+        batch = cucb_collect_mcp(systems, dists, num_k, rngs)
+        cases = [(alone, system, dist, rng, 12), *zip(batch, systems, dists, rngs, entropy)]
+        for run, cover, law, gen, e in cases:
+            ref_rng = np.random.default_rng(e)
+            decisions, samples, selections = _list_greedy_collect_mcp(cover, law, num_k, ref_rng)
+            assert run.selections == selections
+            assert run.decisions.tobytes() == decisions.tobytes()
+            assert run.samples.tobytes() == samples.tobytes()
+            assert gen.bit_generator.state == ref_rng.bit_generator.state

@@ -9,7 +9,7 @@ import pytest
 from dro.closedform import IntervalData, solve_interval_detail
 from dro.datagen import BetaNominal, corrupt_interval
 from dro import closedform, harness
-from dro.errors import EmptyInput
+from dro.errors import DegenerateDenominator, EmptyInput
 from dro.harness import (
     CSV_HEADER,
     SweepConfig,
@@ -336,12 +336,14 @@ class TestRunSweep:
         assert all(r.mean_rho is None for r in recs)
 
     def test_shared_sweep_draws_each_instance_once(self, monkeypatch):
-        counts = {"collect": 0, "cop": 0}
+        # one collector pass, over the batch of every instance
+        counts = {"passes": 0, "histories": 0, "cop": 0}
         collect, make_cop = harness.cucb_collect_mcp, harness.mcp_cop
 
-        def counted_collect(*args):
-            counts["collect"] += 1
-            return collect(*args)
+        def counted_collect(systems, dists, *args):
+            counts["passes"] += 1
+            counts["histories"] += len(dists)
+            return collect(systems, dists, *args)
 
         def counted_make_cop(*args):
             cop = make_cop(*args)
@@ -358,7 +360,8 @@ class TestRunSweep:
         recs = run_sweep(cfg)
         assert all(r.n_fail == 0 for r in recs)
         cells = len(cfg.grid)
-        assert counts["collect"] == cfg.instances
+        assert counts["passes"] == 1
+        assert counts["histories"] == cfg.instances
         # two interval candidates per cell, one nominal optimum per instance
         assert counts["cop"] == cfg.instances * (2 * cells + 1)
 
@@ -397,12 +400,13 @@ class TestRunSweep:
         assert model_calls["lowered"] == cfg.instances * cells * cfg.k_samples
 
     def test_structural_sweep_draws_per_cell(self, monkeypatch):
+        # one collector pass per cell, over that cell's batch of instances
         calls = []
         collect = harness.cucb_collect
 
-        def counted_collect(graph, *args):
-            calls.append(graph.h)
-            return collect(graph, *args)
+        def counted_collect(graph, dists, *args):
+            calls.append((graph.h, len(dists)))
+            return collect(graph, dists, *args)
 
         monkeypatch.setattr(harness, "cucb_collect", counted_collect)
         cfg = SweepConfig(
@@ -411,7 +415,57 @@ class TestRunSweep:
         )
         assert not cfg.shares_instances()
         run_sweep(cfg)
-        assert calls == [3, 3, 4, 4, 5, 5]
+        assert calls == [(3, 2), (4, 2), (5, 2)]
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            _small_mcp_k_cfg(instances=4),
+            SweepConfig(
+                "spp", "h", (3, 4), 4, 5, {"r": 2},
+                {"kind": "prop_h", "coef": 0.1}, feedback="semibandit",
+            ),
+            SweepConfig(
+                "spp", "K", (3, 6), 3, 4, {"h": 3, "r": 2},
+                {"kind": "sqrt", "gamma": 1.0}, feedback="bandit",
+            ),
+        ],
+        ids=["mcp-k", "spp-h", "spp-k-bandit"],
+    )
+    def test_failed_draw_in_a_batch_fails_only_its_instance(self, monkeypatch, cfg):
+        # instance 1's nominal optimum raises in every cell's batch; the
+        # other instances of the batch keep their outcomes
+        def record(fail):
+            laws, outcomes = [], {}
+            optimum, runner = harness.nominal_optimum, harness._RUNNERS[cfg.family]
+
+            def nominal_optimum(dist, *args):
+                law = dist.alpha.tobytes()
+                laws.append(law)
+                if law in fail:
+                    raise DegenerateDenominator("planted")
+                return optimum(dist, *args)
+
+            def recording(cfg, cell, draw, backend):
+                out = runner(cfg, cell, draw, backend)
+                outcomes[cell, draw.index] = (out.rho, out.lp_quality, out.f1_win)
+                return out
+
+            with monkeypatch.context() as m:
+                m.setattr(harness, "nominal_optimum", nominal_optimum)
+                m.setitem(harness._RUNNERS, cfg.family, recording)
+                recs = run_sweep(cfg)
+            return laws, outcomes, recs
+
+        laws, clean, recs = record(set())
+        assert all(r.n_fail == 0 for r in recs)
+        batches = 1 if cfg.shares_instances() else len(cfg.grid)
+        assert len(laws) == batches * cfg.instances
+        # each batch draws its instances in order
+        fail = {laws[b * cfg.instances + 1] for b in range(batches)}
+        _, kept, recs = record(fail)
+        assert [r.n_fail for r in recs] == [1] * len(cfg.grid)
+        assert kept == {key: v for key, v in clean.items() if key[1] != 1}
 
     def test_failures_counted_not_fatal(self):
         cfg = small_sorting_cfg()

@@ -105,6 +105,29 @@ class TestLayeredGraph:
             # network rows: the relaxation is already integral
             assert solve_lp(lp).value == pytest.approx(res.value, abs=1e-7)
 
+    @pytest.mark.parametrize("h,r", [(2, 3), (3, 2), (4, 3), (5, 2)])
+    def test_batched_dp_matches_enumeration_and_rows(self, h, r):
+        # costs on a coarse grid tie often (and sum exactly); every row of a
+        # (2, 20, arcs) batch must equal its own solve bit for bit and reach
+        # the enumerated optimum, taking among tied optimal paths the first
+        # by (last node, ..., first node): lowest-index predecessors
+        g = LayeredGraph(h, r)
+        nodes = list(all_paths(g))
+        paths = [g.path_vector(n) for n in nodes]
+        costs = np.random.default_rng([7, h, r]).integers(0, 3, (2, 20, g.num_arcs)) / 2.0
+        c_dp, x_dp = shortest_path_dp(g, costs)
+        assert c_dp.shape == (2, 20) and x_dp.shape == costs.shape
+        for idx in np.ndindex(2, 20):
+            c_one, x_one = shortest_path_dp(g, costs[idx])
+            assert c_dp[idx] == c_one and x_dp[idx].tobytes() == x_one.tobytes()
+            values = [float(costs[idx] @ p) for p in paths]
+            assert c_one == min(values)
+            first = min(n[::-1] for n, v in zip(nodes, values) if v == c_one)[::-1]
+            assert x_one.tobytes() == g.path_vector(first).tobytes()
+        assert np.count_nonzero(costs[0, :, 0] == costs[0, :, 1]) > 0
+        with pytest.raises(DimensionMismatch):
+            shortest_path_dp(g, np.zeros((3, g.num_arcs + 1)))
+
     def test_uniform_costs_follow_first_nodes(self):
         g = LayeredGraph(4, 3)
         cost, x = shortest_path_dp(g, np.full(g.num_arcs, 0.25))
