@@ -117,6 +117,7 @@ def solve_interval_detail(
     epsilon: float,
     nominal_cop=None,
     sense: str = "min",
+    support_bound=None,
 ) -> IntervalSolveDetail:
     """Solve the interval-data problem as the better of two deterministic COPs.
 
@@ -124,22 +125,21 @@ def solve_interval_detail(
     plus the radius, capped by the global upper bounds; maximization is the
     mirror image on the lower bounds with the radius subtracted.  Exact ties
     go to the data-driven candidate rather than the conservative one.
+    ``support_bound`` is the ``(value, x)`` of the radius-free candidate, the
+    COP on ``support_upper`` (min) or ``support_lower`` (max), when the caller
+    has already solved it; otherwise it is solved here.
     """
     cop = nominal_cop or milp_cop(feasible)
     if sense == "min":
-        saa_costs = interval.upper.mean(axis=0)
-        ceiling_costs = interval.support_upper
-        v1, x1 = cop(saa_costs, "min")
+        v1, x1 = cop(interval.upper.mean(axis=0), "min")
         v1 += epsilon
-        v2, x2 = cop(ceiling_costs, "min")
+        v2, x2 = support_bound or cop(interval.support_upper, "min")
         if v1 <= v2 + tol.VALUE_TOL:
             return IntervalSolveDetail(v1, x1, v1, v2, "saa")
         return IntervalSolveDetail(v2, x2, v1, v2, "ceiling")
-    saa_costs = interval.lower.mean(axis=0)
-    floor_costs = interval.support_lower
-    v1, x1 = cop(saa_costs, "max")
+    v1, x1 = cop(interval.lower.mean(axis=0), "max")
     v1 -= epsilon
-    v2, x2 = cop(floor_costs, "max")
+    v2, x2 = support_bound or cop(interval.support_lower, "max")
     if v1 >= v2 - tol.VALUE_TOL:
         return IntervalSolveDetail(v1, x1, v1, v2, "saa")
     return IntervalSolveDetail(v2, x2, v1, v2, "ceiling")

@@ -21,16 +21,19 @@ structural sweep draws per cell.  For spp and mcp the structure, the nominal
 law, the collector history at ``k_max`` steps, the COP handle and the
 nominal optimum are kept.  Under semibandit feedback the draw also validates
 and lowers the whole history once, and each cell slices its K prefix of
-boxes off it; under bandit feedback each cell observes its K prefix and
-builds and solves its dual MILP.  Sorting keeps its nominal law and samples,
-and corrupts them and builds its cardinality structure per cell.  Instances
+boxes off it, and it solves the support-bound interval candidate, whose
+costs no cell changes; under bandit feedback each cell observes its K prefix
+and builds and solves its dual MILP.  Sorting keeps its nominal law and
+samples, and corrupts them and builds its cardinality structure per cell.  Instances
 are drawn in batches (a shared sweep's instances, or a structural cell's),
 each from its own streams; one CUCB pass then collects the whole batch a
 step at once, and as the selection rule consumes no randomness each history
 keeps the bits it has alone.  A failed draw, its lowering included, fails
 its instance in every cell and no other.
-``mean_time_ms`` still times the whole robust solve of each cell: both
-interval candidates, or the dual MILP.
+``mean_time_ms`` times the robust solve of each cell: the dual MILP under
+bandit feedback, else the interval closed form.  A sorting cell times both
+interval candidates; a semibandit spp or mcp cell times its SAA candidate
+and the comparison, as its draw solved the support-bound one.
 """
 
 from __future__ import annotations
@@ -326,9 +329,11 @@ def _attempt(fn, *args):
         return exc
 
 
-def _interval_outcome(feasible, idata, epsilon, cop, sense, dist, optimum=None) -> InstanceOutcome:
+def _interval_outcome(
+    feasible, idata, epsilon, cop, sense, dist, optimum=None, support_bound=None
+) -> InstanceOutcome:
     t0 = time.perf_counter()
-    detail = solve_interval_detail(feasible, idata, epsilon, cop, sense)
+    detail = solve_interval_detail(feasible, idata, epsilon, cop, sense, support_bound)
     dt = (time.perf_counter() - t0) * 1000.0
     rho = nominal_relative_loss(detail.x, dist, feasible, sense, cop, optimum)
     return InstanceOutcome(rho, dt, None, detail.winner == "saa")
@@ -372,7 +377,8 @@ class _HistoryDraw:
     nominal law, its collector history at ``k_max`` steps, the COP handle and
     the nominal optimum the relative loss divides by.  Under semibandit
     feedback it also keeps the history's boxes, validated and lowered once,
-    and a cell reads its K prefix off them."""
+    and a cell reads its K prefix off them, and the ``(value, x)`` of the
+    support-bound candidate, whose costs no cell changes."""
 
     skeleton: ProblemSkeleton
     dist: BetaNominal
@@ -383,16 +389,19 @@ class _HistoryDraw:
     feedback: InitVar[str]
     optimum: float = field(init=False)
     boxes: IntervalData | None = field(init=False)
+    support_bound: tuple | None = field(init=False)
 
     def __post_init__(self, feedback):
         skeleton = self.skeleton
         self.optimum = nominal_optimum(self.dist, skeleton.feasible, skeleton.sense, self.cop)
-        self.boxes = None
+        self.boxes = self.support_bound = None
         if feedback == "semibandit":
             # the radius plays no part in the boxes; SweepConfig has already
             # rejected a negative one
             scen = observe(feedback, self.run.samples, self.run.decisions, skeleton.feasible.n)
             self.boxes = interval_data_from_instance(skeleton.instance(scen, 0.0))
+            bound = self.boxes.support_upper if skeleton.sense == "min" else self.boxes.support_lower
+            self.support_bound = self.cop(bound, skeleton.sense)
 
 
 def _draw_histories(cfg: SweepConfig, rngs, draw, collect, radius_scale, n1):
@@ -446,7 +455,8 @@ def _history_outcome(cfg: SweepConfig, cell, drawn: _HistoryDraw, backend) -> In
             full.lower[:num_k], full.upper[:num_k], full.support_lower, full.support_upper
         )
         return _interval_outcome(
-            skeleton.feasible, idata, eps, drawn.cop, skeleton.sense, drawn.dist, drawn.optimum
+            skeleton.feasible, idata, eps, drawn.cop, skeleton.sense, drawn.dist,
+            drawn.optimum, drawn.support_bound,
         )
     scen = observe(cfg.feedback, run.samples[:num_k], run.decisions[:num_k], skeleton.feasible.n)
     inst = skeleton.instance(scen, eps)

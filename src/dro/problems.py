@@ -176,9 +176,13 @@ class CoverageSystem:
 
     def __post_init__(self):
         self.subsets = tuple(tuple(int(i) for i in s) for s in self.subsets)
+        if self.n_items < 1 or not self.subsets:
+            raise BadCardinality(
+                f"need at least one item and one subset, got {self.n_items} and {len(self.subsets)}"
+            )
         for s in self.subsets:
             if not s:
-                raise ValueError("every subset must be nonempty")
+                raise BadCardinality("every subset must be nonempty")
             if any(i < 0 or i >= self.n_items for i in s):
                 raise DimensionMismatch("subset item out of range")
 
@@ -194,8 +198,8 @@ def gen_mcp(n_items: int, n_subsets: int, subset_size: int, budget: int, seed):
     flags; the random cost vector lives on the item block and the selection
     block is pinned to zero in the support.  Returns ``(skeleton, system)``.
     """
-    if subset_size > n_items:
-        raise BadCardinality("subset_size cannot exceed the number of items")
+    if not 1 <= subset_size <= n_items:
+        raise BadCardinality(f"need 1 <= subset_size <= n_items, got {subset_size} and {n_items}")
     rng = np.random.default_rng(seed)
     subsets = tuple(
         tuple(sorted(rng.choice(n_items, size=subset_size, replace=False).tolist()))
@@ -330,12 +334,22 @@ def mcp_cop(system: CoverageSystem):
     and the selection block must be zero, as a coverage skeleton's support
     pins it.  The optimum selects ``min(budget, n_subsets)`` subsets and flags
     every covered item whose cost is nonnegative, so an item of cost 0 counts
-    as covered.  The search orders subsets heaviest first, starts from the
-    greedy selection, and prunes depth first with the sum of the largest
-    marginal gains still open (coverage is submodular, so no completion gains
-    more).  A node with at most ``_BLOCK`` completions scores all of them at
-    once: each subset is a row of ``uint64`` item masks, and covered weight is
-    summed from one lookup table per mask byte.
+    as covered.  The search ranks subsets heaviest first (equal weights by
+    index), starts from the greedy selection, and prunes depth first with the
+    sum of the largest marginal gains still open (coverage is submodular, so
+    no completion gains more).  A node with at most ``_BLOCK`` completions
+    scores all of them at once: each subset is a row of ``uint64`` item
+    masks, and covered weight is summed from one lookup table per mask byte.
+    A system with at most ``_BLOCK`` selections is finished at the root: the
+    handle ORs the cover of every selection once, and each call only scores
+    those bytes.
+
+    Ties: the greedy selection stands unless another scores strictly more.
+    When C(n_subsets, picks) <= ``_BLOCK``, the answer among the selections
+    of the best score is the first in colex order of their weight ranks
+    (compare the rank of each one's lightest subset first, the heavier
+    first, then its next lightest, and so on); a larger system returns the
+    first best selection its depth-first search meets.
     """
     n1, n2 = system.n_items, system.n_subsets
     if system.budget < 0:
@@ -350,6 +364,14 @@ def mcp_cop(system: CoverageSystem):
             row[a >> 6] |= 1 << (a & 63)
         rows.append(row)
     masks = np.array(rows, dtype="<u8").reshape(n2, words)
+    selections = root_octets = None
+    if math.comb(n2, picks) <= _BLOCK:
+        # every selection, colex over subset indices, and its cover's bytes
+        selections = _colex_combinations(picks)[:, : math.comb(n2, picks)]
+        covers = np.zeros((selections.shape[1], words), dtype="<u8")
+        for row in selections:
+            covers |= masks[row]
+        root_octets = np.ascontiguousarray(covers.view(np.uint8)[:, :nbytes].T)
 
     def solve(costs, sense="max"):
         if sense != "max":
@@ -363,13 +385,16 @@ def mcp_cop(system: CoverageSystem):
         weights[:n1] = np.maximum(costs[:n1], 0.0)
         lut = weights.reshape(nbytes, 8) @ _BYTE_BITS.T  # (byte, byte value)
 
-        def weigh(covers):
-            """Covered weight of each row of item masks, summed byte by byte."""
-            octets = np.ascontiguousarray(covers.view(np.uint8)[:, :nbytes].T)
+        def weigh_octets(octets):
+            """Covered weight of each column of (byte, cover) mask bytes."""
             total = lut[0].take(octets[0])
             for b in range(1, nbytes):
                 total += lut[b].take(octets[b])
             return total
+
+        def weigh(covers):
+            """Covered weight of each row of item masks, summed byte by byte."""
+            return weigh_octets(np.ascontiguousarray(covers.view(np.uint8)[:, :nbytes].T))
 
         order = np.argsort(-weigh(masks), kind="stable")
         ranked = masks[order]
@@ -382,6 +407,23 @@ def mcp_cop(system: CoverageSystem):
             taken[i] = True
             cover |= ranked[i]
         best_value, best_chosen = float(weigh(cover[None])[0]), np.flatnonzero(taken).tolist()
+
+        def score_root(cand):
+            """Best score of the handle's selections with every subset in
+            ``cand``, and the ranks of the selection that has it."""
+            scores = weigh_octets(root_octets)
+            tied = np.flatnonzero(scores == scores.max())
+            kept = np.zeros(n2, dtype=bool)
+            kept[order[cand]] = True
+            if not kept[selections[:, tied]].all():
+                # a best selection has a pruned subset: score only the others
+                scores[~kept[selections].all(axis=0)] = -np.inf
+                tied = np.flatnonzero(scores == scores.max())
+            rank = np.empty(n2, dtype=np.intp)
+            rank[order] = np.arange(n2)
+            # lexsort's last key, the largest rank, decides first: colex order
+            first = tied[np.lexsort(np.sort(rank[selections[:, tied]], axis=0))[0]]
+            return scores[first], rank[selections[:, first]]
 
         def search(cover, value, cand, k, chosen):
             """Improve on the best selection by completing ``chosen`` (covering
@@ -400,14 +442,18 @@ def mcp_cop(system: CoverageSystem):
             if m < k:
                 return
             if math.comb(m, k) <= _BLOCK:
-                table = _colex_combinations(k)[:, : math.comb(m, k)]
-                covers = np.tile(cover, (table.shape[1], 1))
-                for row in table:
-                    covers |= open_[row]
-                scores = weigh(covers)
-                i = int(np.argmax(scores))
-                if scores[i] > best_value:
-                    best_value, best_chosen = float(scores[i]), chosen + cand[table[:, i]].tolist()
+                if chosen or selections is None:
+                    table = _colex_combinations(k)[:, : math.comb(m, k)]
+                    covers = np.tile(cover, (table.shape[1], 1))
+                    for row in table:
+                        covers |= open_[row]
+                    scores = weigh(covers)
+                    i = int(np.argmax(scores))
+                    score, pick = scores[i], cand[table[:, i]]
+                else:
+                    score, pick = score_root(cand)
+                if score > best_value:
+                    best_value, best_chosen = float(score), chosen + pick.tolist()
                 return
             # rest[i]: the k - 1 largest gains among the subsets after i
             rest, top = np.zeros(m), []

@@ -335,35 +335,89 @@ class TestRunSweep:
         assert [r.n_fail for r in recs] == [cfg.instances] * len(cfg.grid)
         assert all(r.mean_rho is None for r in recs)
 
-    def test_shared_sweep_draws_each_instance_once(self, monkeypatch):
-        # one collector pass, over the batch of every instance
-        counts = {"passes": 0, "histories": 0, "cop": 0}
-        collect, make_cop = harness.cucb_collect_mcp, harness.mcp_cop
+    def test_mcp_k_seed_3_tie_keeps_its_selection(self):
+        # desk mcp-k at seed 3, K = 5, instance 3: several selections share
+        # the SAA value 10.341869598956 (zero-cost unobserved items make the
+        # tie), and the CSV bytes rest on which one the COP returns
+        cfg = preset_sweep("mcp-k", seed=3)
+        batch = harness._Batch([cfg.seed, i] for i in range(cfg.instances))
+        drawn = harness._Draw(batch, 3).keep(harness._draw_mcp, cfg, 5)
+        value, x = drawn.cop(drawn.boxes.lower[:5].mean(axis=0), "max")
+        assert value == pytest.approx(10.341869598956, rel=1e-12)
+        n1 = drawn.skeleton.meta["n1"]
+        np.testing.assert_array_equal(np.flatnonzero(x[n1:]), [2, 5, 10, 12, 18])
 
-        def counted_collect(systems, dists, *args):
+    @pytest.mark.parametrize("param", ["n2", "subset_size"])
+    def test_degenerate_mcp_params_fail_every_instance(self, param):
+        # no subsets, or empty ones: gen_mcp raises BadCardinality, which
+        # fails each instance instead of ending the sweep
+        cfg = _small_mcp_k_cfg(params={"n1": 8, "n2": 6, "subset_size": 3, "budget": 2, param: 0})
+        recs = run_sweep(cfg)
+        assert [r.n_fail for r in recs] == [cfg.instances] * len(cfg.grid)
+
+    @staticmethod
+    def _count_draws(monkeypatch, cfg, collector, make_cop):
+        """Run ``cfg`` with ``harness.<collector>`` and the COP handles of
+        ``harness.<make_cop>`` counted; gives the collector passes, the
+        histories they collected and the cost vectors the COPs were given."""
+        counts = {"passes": 0, "histories": 0, "costs": []}
+        collect, make = getattr(harness, collector), getattr(harness, make_cop)
+
+        def counted_collect(structure, dists, *args):
             counts["passes"] += 1
             counts["histories"] += len(dists)
-            return collect(systems, dists, *args)
+            return collect(structure, dists, *args)
 
         def counted_make_cop(*args):
-            cop = make_cop(*args)
+            cop = make(*args)
 
-            def solve(*a):
-                counts["cop"] += 1
-                return cop(*a)
+            def solve(costs, *a):
+                counts["costs"].append(np.array(costs))
+                return cop(costs, *a)
 
             return solve
 
-        monkeypatch.setattr(harness, "cucb_collect_mcp", counted_collect)
-        monkeypatch.setattr(harness, "mcp_cop", counted_make_cop)
-        cfg = _small_mcp_k_cfg()
+        monkeypatch.setattr(harness, collector, counted_collect)
+        monkeypatch.setattr(harness, make_cop, counted_make_cop)
         recs = run_sweep(cfg)
         assert all(r.n_fail == 0 for r in recs)
-        cells = len(cfg.grid)
+        return counts
+
+    def test_shared_sweep_draws_each_instance_once(self, monkeypatch):
+        # one collector pass, over the batch of every instance
+        cfg = _small_mcp_k_cfg()
+        counts = self._count_draws(monkeypatch, cfg, "cucb_collect_mcp", "mcp_cop")
         assert counts["passes"] == 1
         assert counts["histories"] == cfg.instances
-        # two interval candidates per cell, one nominal optimum per instance
-        assert counts["cop"] == cfg.instances * (2 * cells + 1)
+        # one SAA candidate per cell; one nominal optimum and one
+        # support-bound candidate (all-zero costs) per instance
+        assert len(counts["costs"]) == cfg.instances * (len(cfg.grid) + 2)
+        assert sum(not c.any() for c in counts["costs"]) == cfg.instances
+
+    def test_shared_spp_sweep_draws_each_instance_once(self, monkeypatch):
+        cfg = SweepConfig(
+            "spp", "K", (3, 6, 9), 3, 4, {"h": 3, "r": 2},
+            {"kind": "sqrt", "gamma": 1.0}, feedback="semibandit",
+        )
+        counts = self._count_draws(monkeypatch, cfg, "cucb_collect", "spp_cop")
+        assert counts["passes"] == 1
+        assert counts["histories"] == cfg.instances
+        assert len(counts["costs"]) == cfg.instances * (len(cfg.grid) + 2)
+        # the support-bound candidate routes on the unit upper bounds
+        assert sum(bool(np.all(c == 1.0)) for c in counts["costs"]) == cfg.instances
+
+    def test_structural_sweep_solves_support_bound_per_cell(self, monkeypatch):
+        # a structural sweep draws per cell, so each cell's draw solves its
+        # own support-bound candidate, besides its SAA candidate and optimum
+        cfg = SweepConfig(
+            "mcp", "n1", (6, 8), 2, 4, {"n2": 6, "subset_size": 3, "budget": 2},
+            {"kind": "prop_n1", "coef": 0.05}, feedback="semibandit", k_samples=4,
+        )
+        counts = self._count_draws(monkeypatch, cfg, "cucb_collect_mcp", "mcp_cop")
+        cells = len(cfg.grid)
+        assert counts["passes"] == cells
+        assert len(counts["costs"]) == cfg.instances * cells * 3
+        assert sum(not c.any() for c in counts["costs"]) == cfg.instances * cells
 
     @staticmethod
     def _count_validations(monkeypatch):

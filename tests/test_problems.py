@@ -1,5 +1,7 @@
 """Problem family generators and their enumeration/DP oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from dro.closedform import milp_cop
 from dro.errors import BadCardinality, DimensionMismatch
 from dro.model import validate_instance, Exact
 from dro.problems import (
+    _BLOCK,
     CoverageSystem,
     LayeredGraph,
     gen_layered_spp,
@@ -19,6 +22,7 @@ from dro.problems import (
 )
 from dro.selfcheck import brute_force_coverage
 from dro.solver import LE, LinearProgram, MixedIntegerProgram, ScipyBackend, solve_lp, solve_milp
+from coverage_search import reference_mcp_cop
 from enumeration import TooLarge, all_paths, covered_items, enumerate_feasible, num_paths
 
 
@@ -267,6 +271,62 @@ class TestMcpCop:
             costs[:40] = rng.random(40) * (rng.random(40) < 0.8)
             self._check(sk, system, costs)
 
+    @staticmethod
+    def _same_as_reference(system, costs):
+        value, x = mcp_cop(system)(costs)
+        want_value, want_x = reference_mcp_cop(system)(costs)
+        assert (value.hex(), x.tobytes()) == (want_value.hex(), want_x.tobytes())
+
+    def test_matches_reference_bit_for_bit(self):
+        # tied integer costs, zero-cost and negative items, all-zero costs,
+        # and budgets 0 through n2 + 1
+        rng = np.random.default_rng(14)
+        for t in range(240):
+            n1, n2 = int(rng.integers(1, 25)), int(rng.integers(1, 16))
+            size = int(rng.integers(1, min(n1, 5) + 1))
+            _, system = gen_mcp(n1, n2, size, t % (n2 + 2), rng)
+            costs = np.zeros(n1 + n2)
+            if t % 4 == 1:
+                costs[:n1] = rng.integers(0, 3, n1)
+            elif t % 4 == 2:
+                costs[:n1] = rng.integers(-1, 3, n1)
+            elif t % 4 == 3:
+                costs[:n1] = rng.random(n1) * (rng.random(n1) < 0.6)
+            self._same_as_reference(system, costs)
+
+    def test_matches_reference_where_the_root_prunes(self):
+        # greedy takes subset 0 (gain 4), then subset 1 (gain 1); subsets 1
+        # and 2 cover 6.  The root keeps only subsets gaining more than
+        # 5 - 4 = 1, so subset 3 is pruned
+        system = CoverageSystem(7, ((0, 1, 2, 3), (0, 1, 4), (2, 3, 5), (6,)), 2)
+        costs = np.concatenate([np.ones(6), [0.5], np.zeros(4)])
+        value, x = mcp_cop(system)(costs)
+        assert value == 6.0
+        np.testing.assert_array_equal(np.flatnonzero(x[7:]), [1, 2])
+        self._same_as_reference(system, costs)
+        # greedy covers all 4 items with subsets 0 and 1; subset 2 (gain 1)
+        # is pruned, yet {0, 2} ties the best score, so the root masks it
+        # out, and greedy stands
+        system = CoverageSystem(4, ((0, 1, 2), (1, 2, 3), (3,)), 2)
+        costs = np.concatenate([np.ones(4), np.zeros(3)])
+        value, x = mcp_cop(system)(costs)
+        assert value == 4.0
+        np.testing.assert_array_equal(np.flatnonzero(x[4:]), [0, 1])
+        self._same_as_reference(system, costs)
+
+    @pytest.mark.parametrize("n2, picks", [(22, 5), (23, 5), (31, 4), (32, 4)])
+    def test_matches_reference_around_one_pass(self, n2, picks):
+        # C(22, 5) and C(31, 4) selections fit one pass, scored at the root
+        # off the handle's covers; C(23, 5) and C(32, 4) do not, and the
+        # depth-first search decides
+        assert (math.comb(n2, picks) <= _BLOCK) == (n2 in (22, 31))
+        rng = np.random.default_rng(n2)
+        for t in range(3):
+            _, system = gen_mcp(24, n2, 4, picks, rng)
+            costs = np.zeros(24 + n2)
+            costs[:24] = rng.integers(0, 3, 24) if t else rng.random(24)
+            self._same_as_reference(system, costs)
+
     def test_two_mask_words_match_highs(self):
         rng = np.random.default_rng(12)
         sk, system = gen_mcp(70, 30, 5, 4, rng)
@@ -299,3 +359,9 @@ class TestMcpCop:
             cop(costs[:-1])
         with pytest.raises(BadCardinality):
             mcp_cop(CoverageSystem(3, ((0,), (1, 2)), -1))
+        for items, subsets in ((0, ()), (3, ()), (3, ((0,), ()))):
+            with pytest.raises(BadCardinality):
+                CoverageSystem(items, subsets, 1)
+        for n1, n2, size in ((6, 0, 2), (6, 4, 0), (0, 4, 0)):
+            with pytest.raises(BadCardinality):
+                gen_mcp(n1, n2, size, 2, seed=0)
