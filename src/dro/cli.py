@@ -26,10 +26,10 @@ from .closedform import (
 )
 from .datagen import BetaNominal, cucb_collect, cucb_collect_mcp, observe
 from .harness import SweepConfig, preset_sweep, records_to_csv, run_sweep
-from .errors import InvalidInstance
+from .errors import BadCardinality, InvalidInstance
 from .model import load_instance, load_instance_meta, save_instance
 from .problems import CoverageSystem, LayeredGraph, gen_layered_spp, gen_mcp, gen_sorting
-from .reformulate import build_dro_milp, relaxation_value, solve_dro_milp
+from .reformulate import build_dro_milp, solve_dro_milp
 from .selfcheck import run_all
 from .solver import dump_program, get_backend
 
@@ -75,7 +75,7 @@ def _cmd_solve(args) -> int:
             "value": value,
             "x": [float(v) for v in x],
             "node_count": diag.node_count,
-            "root_lp": relaxation_value(inst, mip, backend),
+            "root_lp": diag.relaxation,
             "time_ms": diag.time_ms if args.timings else 0.0,
         },
         args.output,
@@ -116,14 +116,18 @@ def _cmd_closed_form(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.family == "sorting":
-        skeleton = gen_sorting(args.n, args.cardinality)
-    elif args.family == "spp":
-        skeleton, _ = gen_layered_spp(args.cardinality, args.r)
-    else:
-        seed = _seed_override(args.seed)
-        skeleton, _ = gen_mcp(args.n1, args.n2, args.subset_size, args.budget, seed)
-        skeleton.meta["seed"] = seed
+    try:
+        if args.family == "sorting":
+            skeleton = gen_sorting(args.n, args.cardinality)
+        elif args.family == "spp":
+            skeleton, _ = gen_layered_spp(args.cardinality, args.r)
+        else:
+            seed = _seed_override(args.seed)
+            skeleton, _ = gen_mcp(args.n1, args.n2, args.subset_size, args.budget, seed)
+            skeleton.meta["seed"] = seed
+    except BadCardinality as e:
+        print(f"invalid {args.family} parameters: {e}", file=sys.stderr)
+        return 1
     inst = skeleton.instance((), 0.0)
     save_instance(args.output, inst, meta=skeleton.meta)
     return 0

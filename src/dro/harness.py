@@ -73,7 +73,7 @@ from .problems import (
     sorting_cop,
     spp_cop,
 )
-from .reformulate import build_dro_milp, relaxation_value, solve_dro_milp
+from .reformulate import build_dro_milp, solve_dro_milp
 from .solver import ScipyBackend
 
 
@@ -465,7 +465,7 @@ def _history_outcome(cfg: SweepConfig, cell, drawn: _HistoryDraw, backend) -> In
     if value is None:
         raise RuntimeError(f"robust solve failed: {diag.status}")
     rho = nominal_relative_loss(x, drawn.dist, inst.feasible, inst.sense, optimum=drawn.optimum)
-    root = relaxation_value(inst, mip, backend)
+    root = diag.relaxation
     quality = value / root if root is not None and abs(root) > 1e-12 else None
     return InstanceOutcome(rho, diag.time_ms, quality, None)
 

@@ -396,14 +396,18 @@ def mcp_cop(system: CoverageSystem):
             """Covered weight of each row of item masks, summed byte by byte."""
             return weigh_octets(np.ascontiguousarray(covers.view(np.uint8)[:, :nbytes].T))
 
-        order = np.argsort(-weigh(masks), kind="stable")
+        own = weigh(masks)
+        order = np.argsort(-own, kind="stable")
         ranked = masks[order]
+        # each subset's own weight is its gain on an empty cover: the first
+        # greedy step and the root of the search read it
+        ranked_own = own[order]
         # greedy incumbent: the largest marginal gain, ties to the heavier subset
         cover = np.zeros(words, dtype="<u8")
         taken = np.zeros(n2, dtype=bool)
-        for _ in range(picks):
-            gains = np.where(taken, -1.0, weigh(ranked & ~cover))
-            i = int(np.argmax(gains))
+        for step in range(picks):
+            gains = ranked_own if step == 0 else weigh(ranked & ~cover)
+            i = int(np.argmax(np.where(taken, -1.0, gains)))
             taken[i] = True
             cover |= ranked[i]
         best_value, best_chosen = float(weigh(cover[None])[0]), np.flatnonzero(taken).tolist()
@@ -425,13 +429,14 @@ def mcp_cop(system: CoverageSystem):
             first = tied[np.lexsort(np.sort(rank[selections[:, tied]], axis=0))[0]]
             return scores[first], rank[selections[:, first]]
 
-        def search(cover, value, cand, k, chosen):
+        def search(cover, value, cand, k, chosen, gains=None):
             """Improve on the best selection by completing ``chosen`` (covering
             ``cover`` with weight ``value``) with ``k`` of the ranked subsets
-            ``cand``."""
+            ``cand``, whose marginal ``gains`` are weighed here unless given."""
             nonlocal best_value, best_chosen
             open_ = ranked[cand]
-            gains = weigh(open_ & ~cover)
+            if gains is None:
+                gains = weigh(open_ & ~cover)
             desc = -np.sort(-gains)
             if value + desc[:k].sum() <= best_value:
                 return
@@ -467,7 +472,7 @@ def mcp_cop(system: CoverageSystem):
                 if value + gains[i] + rest[i] > best_value:
                     search(cover | open_[i], value + gains[i], cand[i + 1 :], k - 1, chosen + [int(cand[i])])
 
-        search(np.zeros(words, dtype="<u8"), 0.0, np.arange(n2), picks, [])
+        search(np.zeros(words, dtype="<u8"), 0.0, np.arange(n2), picks, [], ranked_own)
         x = np.zeros(n1 + n2)
         chosen = order[best_chosen]
         x[n1 + chosen] = 1.0

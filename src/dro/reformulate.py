@@ -430,6 +430,9 @@ class SolveDiagnostics:
     node_count: int | None
     time_ms: float  # the MILP solve alone
     status: str
+    # the value of the LP relaxation that the MILP solve ran, in the
+    # instance's own sense; None unless that LP was optimal
+    relaxation: float | None = None
 
 
 def solve_dro(inst: ProblemInstance, backend: Backend | None = None):
@@ -443,29 +446,22 @@ def solve_dro_milp(inst: ProblemInstance, mip: MixedIntegerProgram, backend: Bac
     :func:`build_dro_milp`; returns ``(value, x, diagnostics)``.
 
     The decision is extracted from the MILP solution, re-verified against the
-    feasible set, and the value is reported in the instance's own sense.
+    feasible set, and the value is reported in the instance's own sense, as
+    is the LP relaxation value in the diagnostics.
     """
     backend = backend or ReferenceKernel()
     t0 = time.perf_counter()
     res = backend.solve_milp(mip)
     elapsed = (time.perf_counter() - t0) * 1000.0
-    diags = SolveDiagnostics(res.node_count, elapsed, res.status)
+    flip = 1.0 if inst.sense == "min" else -1.0
+    relaxation = None if res.relaxation is None else flip * res.relaxation
+    diags = SolveDiagnostics(res.node_count, elapsed, res.status, relaxation)
     if res.status != OPTIMAL:
         return None, None, diags
     x = res.x[: inst.n].copy()
     if not inst.feasible.contains(x):
         raise RuntimeError("extracted decision failed re-verification")
-    value = res.value if inst.sense == "min" else -res.value
-    return value, x, diags
-
-
-def relaxation_value(inst: ProblemInstance, mip: MixedIntegerProgram, backend: Backend):
-    """LP relaxation value of ``mip``, the instance's MILP from
-    :func:`build_dro_milp`, in the instance's own sense; ``None`` unless optimal."""
-    res = backend.solve_lp(mip.lp)
-    if not res.optimal:
-        return None
-    return res.value if inst.sense == "min" else -res.value
+    return flip * res.value, x, diags
 
 
 def discrete_w1(p: DiscreteDistribution, q: DiscreteDistribution, backend=None) -> float:

@@ -42,11 +42,11 @@ from .reformulate import (
     build_full_dual_milp,
     build_wc_expectation_lp,
     discrete_w1,
-    relaxation_value,
     solve_dro,
     solve_dro_milp,
 )
 from .solver import (
+    OPTIMAL,
     LinearProgram,
     MixedIntegerProgram,
     ReferenceKernel,
@@ -342,10 +342,10 @@ def check_compact_dual(count: int, seed) -> CheckResult:
             failures.append(f"instance {t}: box data built the full dual")
             continue
         full, _, _ = build_full_dual_milp(inst)
-        pairs = (
-            ("milp", solve_dro_milp(inst, mip, kernel)[0], solve_dro_milp(inst, full, kernel)[0]),
-            ("lp", relaxation_value(inst, mip, kernel), relaxation_value(inst, full, kernel)),
+        (v_mip, _, d_mip), (v_full, _, d_full) = (
+            solve_dro_milp(inst, m, kernel) for m in (mip, full)
         )
+        pairs = (("milp", v_mip, v_full), ("lp", d_mip.relaxation, d_full.relaxation))
         for what, got, want in pairs:
             if got is None or want is None:
                 failures.append(f"instance {t}: {what} solve failed ({got} vs {want})")
@@ -491,6 +491,53 @@ def check_highs_vs_reference(count: int, seed) -> CheckResult:
     return _result("highs-vs-reference", failures, clean, worst=worst, misses=misses)
 
 
+def fractional_binary_milp(rng: np.random.Generator) -> MixedIntegerProgram:
+    """A :func:`random_binary_milp` whose LP relaxation on HiGHS is optimal
+    at a fractional point."""
+    while True:
+        mip = random_binary_milp(rng)
+        root = ScipyBackend().solve_lp(mip.lp)
+        if root.optimal and np.abs(root.x - np.round(root.x)).max() > tol.INT_TOL:
+            return mip
+
+
+def check_highs_relaxation_first(count: int, seed) -> CheckResult:
+    """``ScipyBackend.solve_milp``, which stops at an integral LP relaxation,
+    against HiGHS's MIP solve of the same program, on the dual MILPs of one
+    random interval and one bandit instance per draw and on a binary program
+    whose relaxation is fractional: equal statuses, values within
+    ``VALUE_TOL`` relative, and ``relaxation`` bit for bit the value of
+    ``solve_lp``."""
+    rng = np.random.default_rng(seed)
+    highs = ScipyBackend()
+    bits = lambda v: None if v is None else v.hex()
+    worst, misses, failures = 0.0, 0, []
+    for t in range(count):
+        for kind, mip in (
+            ("interval", build_dro_milp(random_interval_instance(rng))[0]),
+            ("bandit", build_dro_milp(random_bandit_instance(rng)[0])[0]),
+            ("binary", fractional_binary_milp(rng)),
+        ):
+            got = highs.solve_milp(mip)
+            status, full = highs._highs(mip.lp, mip.integer)
+            if bits(got.relaxation) != bits(highs.solve_lp(mip.lp).value):
+                failures.append(f"{kind} {t}: relaxation {got.relaxation} is not solve_lp's")
+            if got.status != status:
+                misses += 1
+                failures.append(f"{kind} {t}: status {got.status} vs {status}")
+                continue
+            if status != OPTIMAL:
+                continue
+            flip = -1.0 if mip.lp.sense == "max" else 1.0
+            want = flip * full.fun + mip.lp.c0
+            err = abs(got.value - want) / (1.0 + abs(want))
+            worst = max(worst, err)
+            if err > tol.VALUE_TOL:
+                failures.append(f"{kind} {t}: {got.value} vs {want}")
+    clean = f"{3 * count} programs agree with the full MIP solve (worst rel err {worst:.2e})"
+    return _result("highs-relaxation-first", failures, clean, worst=worst, misses=misses)
+
+
 def check_wc_expectation(count: int, seed) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst, failures = 0.0, []
@@ -555,4 +602,5 @@ def run_all(seed=0, scale: float = 1.0) -> list[CheckResult]:
         check_box_lowering(c(40), [seed, 8]),
         check_highs_vs_reference(c(10), [seed, 9]),
         check_collectors_batch(c(10), [seed, 10]),
+        check_highs_relaxation_first(c(10), [seed, 11]),
     ]

@@ -24,9 +24,10 @@ from .milp import MixedIntegerProgram, solve_milp
 class Backend(Protocol):
     """On ``optimal``, both solves report the value in the program's own
     sense (``c0`` included) and a point ``x``; ``solve_milp`` also reports
-    ``node_count`` and rounds the integer entries of ``x``.  Each call is one
-    solve, so the LP relaxation of a MILP is ``solve_lp(mip.lp)``.  Duals and
-    pivot counts come from the reference kernel only."""
+    ``node_count``, rounds the integer entries of ``x`` and carries the value
+    of the LP relaxation it solved as ``relaxation``, bit for bit the value
+    of ``solve_lp(mip.lp)``, so no caller solves it again.  Duals and pivot
+    counts come from the reference kernel only."""
 
     def solve_lp(self, lp: LinearProgram) -> SolveResult: ...
 
@@ -63,6 +64,12 @@ _VERBATIM_WARNING = r"Unrecognized options detected: .*These will be passed to H
 class ScipyBackend:
     """HiGHS-backed solves through :func:`scipy.optimize.milp` alone; an LP is
     a MILP with no integer columns.
+
+    ``solve_milp`` solves the LP relaxation first.  When its integer columns
+    are within ``INT_TOL`` of integers and the rounded point stays within
+    ``FEAS_TOL`` of every row and bound, that point is optimal and HiGHS's
+    MIP machinery (presolve, probing, cuts) never runs; an infeasible
+    relaxation ends the solve too.  Any other outcome runs the MILP.
 
     Used for desk-scale sweeps whose MILPs are too large for a dense tableau;
     deterministic for fixed inputs (serial HiGHS).
@@ -104,13 +111,28 @@ class ScipyBackend:
     def solve_milp(self, mip: MixedIntegerProgram) -> SolveResult:
         mip.check_integer_bounds()
         lp = mip.lp
+        root = self.solve_lp(lp)
+        if root.status == INFEASIBLE:
+            return SolveResult(INFEASIBLE)
+        if root.optimal:
+            x = root.x
+            rounded = np.round(x[mip.integer])
+            if np.abs(x[mip.integer] - rounded).max(initial=0.0) <= tol.INT_TOL:
+                # + 0.0, here and after the MIP solve: the sign of a rounding
+                # error must not reach the written decision (a -0.0)
+                x[mip.integer] = rounded + 0.0
+                if lp.max_violation(x) <= tol.FEAS_TOL:
+                    value = float(lp.c @ x) + lp.c0
+                    return SolveResult(OPTIMAL, value, x, node_count=1, relaxation=root.value)
         status, res = self._highs(lp, mip.integer)
         if status != OPTIMAL:
-            return SolveResult(status)
+            return SolveResult(status, relaxation=root.value)
         x = np.asarray(res.x)
-        x[mip.integer] = np.round(x[mip.integer])
+        x[mip.integer] = np.round(x[mip.integer]) + 0.0
         nodes = int(getattr(res, "mip_node_count", 0) or 0)
-        return SolveResult(OPTIMAL, float(lp.c @ x) + lp.c0, x, node_count=nodes)
+        return SolveResult(
+            OPTIMAL, float(lp.c @ x) + lp.c0, x, node_count=nodes, relaxation=root.value
+        )
 
 
 _BACKENDS = {"reference": ReferenceKernel, "scipy": ScipyBackend}

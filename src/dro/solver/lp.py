@@ -148,11 +148,13 @@ class Basis:
 
 @dataclass
 class SolveResult:
-    """Outcome of one LP or MILP solve, and of that solve alone: a MILP result
-    carries no LP relaxation value.
+    """Outcome of one LP or MILP solve.
 
     For an optimal MILP solve, the integer entries of ``x`` are exact
-    integers: every backend rounds them once, so callers need not.
+    integers: every backend rounds them once, so callers need not.  A MILP
+    result also carries ``relaxation``, the value of the LP relaxation that
+    the solve ran, bit for bit ``solve_lp(mip.lp).value`` on the same
+    backend (None when that LP was not optimal).
     ``pivots`` counts the reference kernel's simplex pivots, primal and dual
     alike (for a MILP, over its branch & bound node LPs).  ``basis`` is the
     final basis of an optimal reference LP solve, which
@@ -168,6 +170,7 @@ class SolveResult:
     pivots: int = 0
     node_count: int | None = None
     basis: Basis | None = None
+    relaxation: float | None = None
 
     @property
     def optimal(self) -> bool:

@@ -103,8 +103,9 @@ def _fix_and_polish(mip: MixedIntegerProgram, x_lp, node: LinearProgram, form, b
 def solve_milp(mip: MixedIntegerProgram, max_pivots=None, max_nodes=200000) -> SolveResult:
     """Solve a MILP by branch & bound over the reference LP kernel.
 
-    The result records the number of explored nodes and the simplex pivots
-    of every LP it solved, fix-and-polish LPs included.  The search stops
+    The result records the number of explored nodes, the simplex pivots
+    of every LP it solved, fix-and-polish LPs included, and the root LP's
+    value as ``relaxation``.  The search stops
     with ``nodelimit`` once ``max_nodes`` nodes are explored and with
     ``iterlimit`` when a node LP reaches ``max_pivots``.  Integer variables
     must carry finite upper bounds.
@@ -154,7 +155,8 @@ def solve_milp(mip: MixedIntegerProgram, max_pivots=None, max_nodes=200000) -> S
         start = form.tableau(node, basis)
         for lo_j, hi_j in ((lower[j], np.floor(v)), (np.ceil(v), upper[j])):
             if nodes >= max_nodes:
-                return SolveResult(NODELIMIT, node_count=nodes, pivots=pivots)
+                return SolveResult(NODELIMIT, node_count=nodes, pivots=pivots,
+                                   relaxation=root.value)
             lo = lower.copy()
             hi = upper.copy()
             lo[j] = max(lo[j], lo_j)
@@ -165,7 +167,8 @@ def solve_milp(mip: MixedIntegerProgram, max_pivots=None, max_nodes=200000) -> S
             nodes += 1
             pivots += res.pivots
             if res.status == ITERLIMIT:
-                return SolveResult(ITERLIMIT, node_count=nodes, pivots=pivots)
+                return SolveResult(ITERLIMIT, node_count=nodes, pivots=pivots,
+                                   relaxation=root.value)
             if res.status != OPTIMAL:
                 continue
             if flip * res.value < prune_cut():
@@ -174,7 +177,9 @@ def solve_milp(mip: MixedIntegerProgram, max_pivots=None, max_nodes=200000) -> S
         del start  # no tableau outlives its node's expansion
 
     if incumbent_x is None:
-        return SolveResult(INFEASIBLE, node_count=nodes, pivots=pivots)
+        return SolveResult(INFEASIBLE, node_count=nodes, pivots=pivots,
+                           relaxation=root.value)
     return SolveResult(
-        OPTIMAL, flip * incumbent_val, incumbent_x, node_count=nodes, pivots=pivots
+        OPTIMAL, flip * incumbent_val, incumbent_x, node_count=nodes, pivots=pivots,
+        relaxation=root.value,
     )

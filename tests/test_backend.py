@@ -14,7 +14,12 @@ from dro.datagen import BetaNominal, cucb_collect, observe_bandit
 from dro.model import Exact, save_instance
 from dro.problems import gen_layered_spp, gen_sorting
 from dro.reformulate import build_dro_milp, solve_dro
-from dro.selfcheck import brute_force_milp, check_highs_vs_reference, random_binary_milp
+from dro.selfcheck import (
+    brute_force_milp,
+    check_highs_relaxation_first,
+    check_highs_vs_reference,
+    random_binary_milp,
+)
 from dro.solver import (
     ERROR,
     INFEASIBLE,
@@ -134,8 +139,9 @@ def test_lp_through_milp_matches_linprog():
 
 
 def test_dual_milp_relaxation_bits_match_linprog():
-    # reformulate.relaxation_value solves this relaxation for `dro solve`'s
-    # root_lp and the sweep's mean_lp_quality
+    # ScipyBackend.solve_milp solves this relaxation first and reports its
+    # value, which is `dro solve`'s root_lp and the sweep's mean_lp_quality
+    # denominator
     sp = ScipyBackend()
     skeleton, graph = gen_layered_spp(5, 3)
     for seed in (0, 1):
@@ -276,26 +282,107 @@ def test_highs_vs_reference_check_passes():
     assert res.misses == 0 and res.worst <= 1e-9
 
 
+def test_highs_relaxation_first_check_passes():
+    # `dro validate`'s check at its default seed and count
+    res = check_highs_relaxation_first(10, [0, 11])
+    assert res.passed, res.detail
+    assert res.misses == 0 and res.worst <= tol.VALUE_TOL
+
+
 def test_one_highs_call_per_milp(monkeypatch):
-    calls = []
-    original = scipy.optimize.milp
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "milp", counted)
+    # one HiGHS MIP solve at most, after the LP relaxation; a sorting COP's
+    # relaxation is integral, so it takes the relaxation alone
+    seen = capture_milp(monkeypatch)
     sp = ScipyBackend()
     rng = np.random.default_rng(62)
     for _ in range(10):
-        calls.clear()
+        seen.clear()
         sp.solve_milp(random_binary_milp(rng))
-        assert len(calls) == 1
+        integral = [bool(kwargs["integrality"].any()) for kwargs in seen]
+        assert integral in ([False], [False, True])
     cop = milp_cop(gen_sorting(5, 2).feasible, sp)
     for sense in ("min", "max"):
-        calls.clear()
+        seen.clear()
         cop(rng.random(5), sense)
-        assert len(calls) == 1
+        assert len(seen) == 1 and not seen[0]["integrality"].any()
+
+
+def count_highs(monkeypatch):
+    """Record the integrality mask of every ``ScipyBackend._highs`` call."""
+    masks = []
+    original = ScipyBackend._highs
+
+    def counted(lp, integer):
+        masks.append(integer.copy())
+        return original(lp, integer)
+
+    monkeypatch.setattr(ScipyBackend, "_highs", staticmethod(counted))
+    return masks
+
+
+def one_integer_row(coef, rel, rhs, sense="min", c=(1.0, 2.0)):
+    """A two-column integer program with one row over [0, 2]^2."""
+    lp = LinearProgram(
+        np.array(c), np.array([coef]), (rel,), np.array([rhs]), np.zeros(2), np.full(2, 2.0),
+        sense=sense,
+    )
+    return MixedIntegerProgram(lp, np.ones(2, dtype=bool))
+
+
+def test_integral_root_takes_one_highs_call(monkeypatch):
+    masks = count_highs(monkeypatch)
+    # x1 + x2 >= 1: the relaxation's vertex (1, 0) is integral
+    res = ScipyBackend().solve_milp(one_integer_row([1.0, 1.0], GE, 1.0))
+    assert len(masks) == 1 and not masks[0].any()
+    assert res.status == OPTIMAL and res.node_count == 1
+    np.testing.assert_array_equal(res.x, [1.0, 0.0])
+    assert res.value == res.relaxation == 1.0
+
+
+def test_fractional_root_runs_the_milp(monkeypatch):
+    masks = count_highs(monkeypatch)
+    # x1 + x2 >= 1.5: relaxation 1.5 at (1.5, 0), integer optimum 2.0 at (2, 0)
+    res = ScipyBackend().solve_milp(one_integer_row([1.0, 1.0], GE, 1.5))
+    assert [m.any() for m in masks] == [False, True]
+    assert res.status == OPTIMAL
+    np.testing.assert_array_equal(res.x, [2.0, 0.0])
+    assert res.value == 2.0 and res.relaxation == 1.5
+
+
+def test_infeasible_relaxation_ends_the_solve(monkeypatch):
+    masks = count_highs(monkeypatch)
+    res = ScipyBackend().solve_milp(one_integer_row([1.0, 1.0], GE, 5.0))
+    assert len(masks) == 1
+    assert res.status == INFEASIBLE and res.relaxation is None
+
+
+def test_rounding_past_feas_tol_runs_the_milp(monkeypatch):
+    masks = count_highs(monkeypatch)
+    # max x1 s.t. 1000 x1 <= 1000 - 5e-4: the relaxation's x1 = 1 - 5e-7 is
+    # within INT_TOL of 1, but x1 = 1 breaks the row by 5e-4; the MIP's
+    # optimum is x1 = 0
+    mip = one_integer_row([1000.0, 0.0], LE, 1000.0 - 5e-4, sense="max", c=(1.0, 0.0))
+    relaxed = ScipyBackend().solve_lp(mip.lp)
+    assert abs(relaxed.x[0] - 1.0) <= tol.INT_TOL
+    masks.clear()
+    res = ScipyBackend().solve_milp(mip)
+    assert [m.any() for m in masks] == [False, True]
+    assert res.status == OPTIMAL and res.value == 0.0
+    assert res.relaxation == relaxed.value
+    assert mip.lp.max_violation(res.x) <= tol.FEAS_TOL
+
+
+@pytest.mark.parametrize("backend", [ReferenceKernel(), ScipyBackend()], ids=["reference", "scipy"])
+def test_relaxation_is_solve_lp_bit_for_bit(backend):
+    rng = np.random.default_rng(64)
+    mips = [random_binary_milp(rng) for _ in range(30)] + [small_bandit_dual_milp()]
+    for mip in mips:
+        relaxed = backend.solve_lp(mip.lp)
+        res = backend.solve_milp(mip)
+        if relaxed.optimal:
+            assert res.relaxation.hex() == relaxed.value.hex()
+        else:
+            assert res.relaxation is None
 
 
 def test_milp_integer_entries_exact_on_both_backends():

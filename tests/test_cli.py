@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,6 +207,30 @@ def test_gen_collect_solve_pipeline(tmp_path):
     assert json.loads(out.read_text())["value"] > 0.0
 
 
+@pytest.mark.parametrize("args, message", [
+    (["sorting", "-n", "3", "--h", "5"], "need 1 <= h <= n, got h=5, n=3"),
+    (["mcp", "--n1", "5", "--n2", "3", "--subset-size", "6", "--budget", "1"],
+     "need 1 <= subset_size <= n_items, got 6 and 5"),
+    (["mcp", "--n1", "5", "--n2", "0", "--budget", "1"],
+     "need at least one item and one subset, got 5 and 0"),
+], ids=["sorting-h", "mcp-subset-size", "mcp-no-subsets"])
+def test_gen_rejects_bad_cardinality(tmp_path, capsys, args, message):
+    out = tmp_path / "inst.json"
+    assert main(["gen", *args, "-o", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_module_entry_point_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")
+    ]))}
+    res = subprocess.run([sys.executable, "-m", "dro", "--help"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert "usage: dro" in res.stdout
+
+
 def test_collect_bandit_round(tmp_path):
     inst = tmp_path / "mcp.json"
     assert main([
@@ -401,5 +428,6 @@ def test_dro_seed_env_override(tmp_path, monkeypatch):
 def test_validate_exit_code(capsys):
     assert main(["validate", "--scale", "0.1", "--seed", "4"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 10
+    assert out.count("PASS") == 11
     assert "PASS collectors-batch-vs-single" in out
+    assert "PASS highs-relaxation-first" in out
