@@ -111,6 +111,13 @@ class LinearProgram:
     def m(self) -> int:
         return self.a.shape[0]
 
+    def malformed(self) -> bool:
+        """Whether ``c``, ``a`` or ``b`` holds a NaN or an infinity, or a
+        bound is NaN: no solve of such a program means anything, so every
+        backend reports it as ``error``."""
+        finite = np.isfinite(self.c).all() and np.isfinite(self.a).all() and np.isfinite(self.b).all()
+        return not finite or bool(np.isnan(self.lower).any() or np.isnan(self.upper).any())
+
     def residuals(self, x) -> np.ndarray:
         """Signed violation of every row at ``x`` (positive = violated)."""
         ax = self.a @ _as_1d(x, self.n, "point")
@@ -544,12 +551,17 @@ def solve_lp(
     their objective, both from a re-solve against the final basis (zeros and
     None if that basis is singular); the duality gap is not checked here.  A
     solve from ``start`` re-solves ``x`` alone and reports no duals (both
-    None).
+    None).  A cold solve of a :meth:`LinearProgram.malformed` program is
+    status ``error``.
     """
     if max_pivots is None:
         max_pivots = tol.MAX_PIVOTS
     if start is not None and start.form.layout != _layout(lp):
         start = None
+    # a solve from ``start`` changes only bounds of a program already
+    # checked, and the branch & bound sets them to finite values
+    if start is None and lp.malformed():
+        return SolveResult(ERROR)
     sf = StandardForm(lp) if start is None else start.form
     lo, b = sf.rhs(lp)
     if not sf.m:

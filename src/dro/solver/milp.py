@@ -32,7 +32,6 @@ from .lp import (
     ITERLIMIT,
     NODELIMIT,
     OPTIMAL,
-    UNBOUNDED,
     LinearProgram,
     SolveResult,
     StandardForm,
@@ -114,7 +113,7 @@ def solve_milp(mip: MixedIntegerProgram, max_pivots=None, max_nodes=200000) -> S
     base = mip.lp
     flip = -1.0 if base.sense == "max" else 1.0
     root = solve_lp(base, max_pivots=max_pivots)
-    if root.status in (INFEASIBLE, UNBOUNDED, ITERLIMIT):
+    if not root.optimal:
         return SolveResult(root.status, node_count=1, pivots=root.pivots)
 
     form = StandardForm(base)

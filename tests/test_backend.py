@@ -5,24 +5,27 @@ import warnings
 import numpy as np
 import pytest
 import scipy.optimize
-import scipy.sparse
+from milp_highs import STATUS_FROM_SCIPY, MilpBackend
+from scipy.optimize._highspy import _core as highs
 
 from dro import tolerances as tol
 from dro.cli import main
 from dro.closedform import milp_cop
-from dro.datagen import BetaNominal, cucb_collect, observe_bandit
+from dro.datagen import BetaNominal, cucb_collect, cucb_collect_mcp, observe_bandit
 from dro.model import Exact, save_instance
-from dro.problems import gen_layered_spp, gen_sorting
+from dro.problems import gen_layered_spp, gen_mcp, gen_sorting
 from dro.reformulate import build_dro_milp, solve_dro
 from dro.selfcheck import (
     brute_force_milp,
     check_highs_relaxation_first,
     check_highs_vs_reference,
+    fractional_binary_milp,
     random_binary_milp,
 )
 from dro.solver import (
     ERROR,
     INFEASIBLE,
+    ITERLIMIT,
     OPTIMAL,
     UNBOUNDED,
     MixedIntegerProgram,
@@ -31,7 +34,7 @@ from dro.solver import (
     SolveResult,
     get_backend,
 )
-from dro.solver.backend import _STATUS_FROM_SCIPY
+from dro.solver import backend
 from dro.solver.lp import EQ, GE, LE, LinearProgram
 
 
@@ -58,7 +61,7 @@ def reference_linprog(lp):
         bounds=np.column_stack([lp.lower, lp.upper]),
         method="highs",
     )
-    status = _STATUS_FROM_SCIPY[res.status]
+    status = STATUS_FROM_SCIPY[res.status]
     if status != OPTIMAL:
         return SolveResult(status)
     value = flip * (res.fun + flip * lp.c0)
@@ -157,10 +160,12 @@ def test_dual_milp_relaxation_bits_match_linprog():
 
 
 def test_highs_runs_without_linprog(monkeypatch):
+    # nor through milp: the backend drives scipy's HiGHS binding itself
     def refuse(*args, **kwargs):
-        raise AssertionError("linprog called")
+        raise AssertionError("linprog or milp called")
 
     monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+    monkeypatch.setattr(scipy.optimize, "milp", refuse)
     sp = ScipyBackend()
     lp = LinearProgram(
         np.array([1.0, 2.0]), np.array([[1.0, 1.0]]), (GE,), np.array([1.5]),
@@ -185,79 +190,95 @@ def both_solves(mip):
     return (lambda: sp.solve_milp(mip), lambda: sp.solve_lp(mip.lp))
 
 
-def capture_milp(monkeypatch):
-    """Record the keyword arguments of every scipy.optimize.milp call."""
-    seen = []
-    original = scipy.optimize.milp
+def record_highs(monkeypatch, **overrides):
+    """Record every HiGHS instance the backend makes, each with the
+    arguments of its ``passModel`` call as ``passed``; ``overrides`` replace
+    methods of the instances."""
+    made = []
 
-    def capture(*args, **kwargs):
-        seen.append(kwargs)
-        return original(*args, **kwargs)
+    class Recorded(highs._Highs):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
 
-    monkeypatch.setattr(scipy.optimize, "milp", capture)
-    return seen
+        def passModel(self, *args):
+            self.passed = args
+            return super().passModel(*args)
+
+    for name, method in overrides.items():
+        setattr(Recorded, name, method)
+    monkeypatch.setattr(highs, "_Highs", Recorded)
+    return made
 
 
 def test_highs_gets_the_matrix_sparse(monkeypatch):
-    # the rows reach scipy as one csc array equal to lp.a, not a dense copy
-    seen = capture_milp(monkeypatch)
+    # the rows reach HiGHS column-wise, each column's nonzeros in row order,
+    # and equal to lp.a; no dense copy is passed
+    made = record_highs(monkeypatch)
     mip = small_bandit_dual_milp()
+    a = mip.lp.a
     for solve in both_solves(mip):
-        seen.clear()
+        made.clear()
         assert solve().status == OPTIMAL
-        (con,) = (kwargs["constraints"] for kwargs in seen)
-        assert scipy.sparse.issparse(con.A) and con.A.format == "csc"
-        assert con.A.dtype == np.float64
-        np.testing.assert_array_equal(con.A.toarray(), mip.lp.a)
+        (solver,) = made
+        n, m, nnz, fmt, *_, start, index, value, _ = solver.passed
+        assert (n, m, nnz) == (mip.n, a.shape[0], np.count_nonzero(a))
+        assert fmt == int(highs.MatrixFormat.kColwise)
+        assert start.dtype == index.dtype == np.int32 and value.dtype == np.float64
+        assert start[0] == 0 and start[-1] == nnz and np.all(np.diff(start) >= 0)
+        dense = np.zeros_like(a)
+        for j in range(n):
+            rows = index[start[j]:start[j + 1]]
+            assert np.all(np.diff(rows) > 0)
+            dense[rows, j] = value[start[j]:start[j + 1]]
+        np.testing.assert_array_equal(dense, a)
 
 
 def test_highs_gets_one_option_set(monkeypatch):
     # the relative gap of the reference kernel, and no feasibility jump:
-    # every dual MILP is feasible at any decision
-    seen = capture_milp(monkeypatch)
-    for solve in both_solves(small_bandit_dual_milp()):
-        seen.clear()
+    # every dual MILP is feasible at any decision; each HiGHS solve, the MIP
+    # after a fractional relaxation included, runs on a fresh instance
+    made = record_highs(monkeypatch)
+    fractional = one_integer_row([1.0, 1.0], GE, 1.5)
+    for solve, count in zip(both_solves(small_bandit_dual_milp()) + both_solves(fractional), (1, 1, 2, 1)):
+        made.clear()
         assert solve().status == OPTIMAL
-        (kwargs,) = seen
-        assert kwargs["options"] == {
-            "mip_rel_gap": tol.VALUE_TOL,
-            "mip_heuristic_run_feasibility_jump": False,
-        }
+        assert len(made) == count == len(set(map(id, made)))
+        for solver in made:
+            assert solver.getOptionValue("mip_rel_gap") == (highs.HighsStatus.kOk, tol.VALUE_TOL)
+            assert solver.getOptionValue("mip_heuristic_run_feasibility_jump") == (
+                highs.HighsStatus.kOk, False
+            )
+            assert solver.getOptionValue("log_to_console") == (highs.HighsStatus.kOk, False)
 
 
-def test_highs_solves_raise_no_warning():
-    mip = small_bandit_dual_milp()
+def test_highs_solves_raise_no_warning(capfd):
+    mips = (small_bandit_dual_milp(), one_integer_row([1.0, 1.0], GE, 1.5))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for solve in both_solves(mip):
-            assert solve().status == OPTIMAL
+        for mip in mips:
+            for solve in both_solves(mip):
+                assert solve().status == OPTIMAL
+    assert capfd.readouterr() == ("", "")
 
 
-def test_only_the_verbatim_forwarding_warning_is_silenced(monkeypatch):
-    # an option this HiGHS build lacks: scipy announces it with its
-    # RuntimeWarning like the feasibility-jump switch, and HiGHS skips it
-    # with an OptimizeWarning, which must reach the caller
-    original = scipy.optimize.milp
-
-    def with_unknown_option(*args, **kwargs):
-        options = {**kwargs.pop("options"), "no_such_option": True}
-        return original(*args, **kwargs, options=options)
-
+def test_an_option_highs_lacks_warns_and_is_skipped(monkeypatch, capfd):
+    # HiGHS refuses to set an option this build lacks; the backend says so
+    # with a RuntimeWarning per instance and solves without it, and HiGHS
+    # prints nothing of its own
     mip = small_bandit_dual_milp()
     want = [solve() for solve in both_solves(mip)]
-    with warnings.catch_warnings(record=True) as direct:
-        warnings.simplefilter("always")
-        with_unknown_option(c=np.ones(1), options={})
-    assert {w.category for w in direct} == {RuntimeWarning, scipy.optimize.OptimizeWarning}
-
-    monkeypatch.setattr(scipy.optimize, "milp", with_unknown_option)
+    options = {**backend._HIGHS_OPTIONS, "no_such_option": True}
+    monkeypatch.setattr(backend, "_HIGHS_OPTIONS", options)
     for solve, ref in zip(both_solves(mip), want):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             res = solve()
-        assert [w.category for w in caught] == [scipy.optimize.OptimizeWarning]
+        assert [w.category for w in caught] == [RuntimeWarning]
         assert "no_such_option" in str(caught[0].message)
         assert res.status == OPTIMAL and res.value == ref.value
+        np.testing.assert_array_equal(res.x, ref.x)
+    assert capfd.readouterr() == ("", "")
 
 
 def test_backends_agree_on_milp():
@@ -292,19 +313,20 @@ def test_highs_relaxation_first_check_passes():
 def test_one_highs_call_per_milp(monkeypatch):
     # one HiGHS MIP solve at most, after the LP relaxation; a sorting COP's
     # relaxation is integral, so it takes the relaxation alone
-    seen = capture_milp(monkeypatch)
+    made = record_highs(monkeypatch)
+    integrality = lambda solver: solver.passed[-1]
     sp = ScipyBackend()
     rng = np.random.default_rng(62)
     for _ in range(10):
-        seen.clear()
+        made.clear()
         sp.solve_milp(random_binary_milp(rng))
-        integral = [bool(kwargs["integrality"].any()) for kwargs in seen]
+        integral = [bool(integrality(solver).any()) for solver in made]
         assert integral in ([False], [False, True])
     cop = milp_cop(gen_sorting(5, 2).feasible, sp)
     for sense in ("min", "max"):
-        seen.clear()
+        made.clear()
         cop(rng.random(5), sense)
-        assert len(seen) == 1 and not seen[0]["integrality"].any()
+        assert len(made) == 1 and not integrality(made[0]).any()
 
 
 def count_highs(monkeypatch):
@@ -398,12 +420,9 @@ def test_milp_integer_entries_exact_on_both_backends():
                 np.testing.assert_array_equal(ints, np.round(ints))
 
 
-def test_highs_status_4_reported_as_error(monkeypatch, tmp_path, capsys):
-    # scipy status 4: "other" for milp, which covers numerical trouble
-    def gave_up(*args, **kwargs):
-        return scipy.optimize.OptimizeResult(status=4, success=False, x=None, fun=None)
-
-    monkeypatch.setattr(scipy.optimize, "milp", gave_up)
+def test_highs_solve_error_reported_as_error(monkeypatch, tmp_path, capsys):
+    # HiGHS's solve error: numerical trouble, never "infeasible"
+    record_highs(monkeypatch, getModelStatus=lambda self: highs.HighsModelStatus.kSolveError)
     sp = ScipyBackend()
     lp = LinearProgram(np.ones(2), np.ones((1, 2)), (GE,), np.ones(1), np.zeros(2), np.ones(2))
     assert ERROR == "error"
@@ -419,3 +438,124 @@ def test_highs_status_4_reported_as_error(monkeypatch, tmp_path, capsys):
     save_instance(path, inst)
     assert main(["solve", str(path), "--backend", "scipy"]) == 1
     assert "solve failed: error" in capsys.readouterr().err
+
+
+def malformed(where, bad):
+    """The program of ``one_integer_row`` with its first column continuous
+    (an integer column needs a finite upper bound) and the first entry of
+    ``where`` ('a', 'b', 'c', 'lower' or 'upper') set to ``bad``."""
+    lp = one_integer_row([1.0, 1.0], GE, 1.5).lp
+    getattr(lp, where).flat[0] = bad
+    return MixedIntegerProgram(lp, np.array([False, True]))
+
+
+@pytest.mark.parametrize(
+    "where, bad",
+    [("a", np.nan), ("a", np.inf), ("b", np.nan), ("b", -np.inf), ("c", np.nan), ("c", np.inf),
+     ("lower", np.nan), ("upper", np.nan)],
+)
+def test_malformed_program_is_an_error(monkeypatch, where, bad):
+    # HiGHS would call a NaN in the matrix optimal and refuse the others at
+    # load, which scipy's milp reported as infeasible, and the reference
+    # kernel answered optimal, infeasible or a ValueError; none reaches
+    # HiGHS
+    mip = malformed(where, bad)
+    assert mip.lp.malformed()
+    made = record_highs(monkeypatch)
+    for backend in (ReferenceKernel(), ScipyBackend()):
+        assert backend.solve_lp(mip.lp).status == ERROR
+        res = backend.solve_milp(mip)
+        assert res.status == ERROR and res.relaxation is None
+    assert made == []
+
+
+def test_infinite_bounds_are_well_formed():
+    # a free column or an open upper bound is no malformation
+    mip = malformed("lower", -np.inf)
+    mip.lp.upper[0] = np.inf
+    assert not mip.lp.malformed()
+    for backend in (ReferenceKernel(), ScipyBackend()):
+        res = backend.solve_milp(mip)
+        assert res.status == OPTIMAL and res.value == 1.5
+
+
+def test_highs_refusing_a_model_is_an_error(monkeypatch):
+    # a model passModel refuses is an error, whatever a run would report:
+    # here the model loads all the same, and would solve to optimal
+    load = highs._Highs.passModel
+    refused = lambda self, *args: (load(self, *args), highs.HighsStatus.kError)[1]
+    record_highs(monkeypatch, passModel=refused)
+    mip = one_integer_row([1.0, 1.0], GE, 1.5)
+    assert ScipyBackend().solve_lp(mip.lp).status == ERROR
+    assert ScipyBackend().solve_milp(mip).status == ERROR
+
+
+def test_empty_bound_range_stays_infeasible():
+    # lower > upper is a well-formed empty program: HiGHS says infeasible
+    mip = malformed("upper", -1.0)
+    assert not mip.lp.malformed()
+    for backend in (ReferenceKernel(), ScipyBackend()):
+        assert backend.solve_lp(mip.lp).status == INFEASIBLE
+        assert backend.solve_milp(mip).status == INFEASIBLE
+
+
+@pytest.mark.parametrize(
+    "model_status, status",
+    [("kOptimal", OPTIMAL), ("kInfeasible", INFEASIBLE), ("kUnbounded", UNBOUNDED),
+     ("kTimeLimit", ITERLIMIT), ("kIterationLimit", ITERLIMIT),
+     ("kUnboundedOrInfeasible", ERROR), ("kSolveError", ERROR), ("kModelError", ERROR),
+     ("kPresolveError", ERROR), ("kNotset", ERROR), ("kObjectiveBound", ERROR),
+     ("kSolutionLimit", ERROR), ("kInterrupt", ERROR), ("kMemoryLimit", ERROR)],
+)
+def test_highs_model_status_table(monkeypatch, model_status, status):
+    reported = getattr(highs.HighsModelStatus, model_status)
+    record_highs(monkeypatch, getModelStatus=lambda self: reported)
+    lp = one_integer_row([1.0, 1.0], GE, 1.0).lp
+    assert ScipyBackend().solve_lp(lp).status == status
+
+
+def milp_reference_programs():
+    """Dual MILPs of spp (5, 3) bandit histories at K = 5..25 and of one
+    (6, 3, 40) history, of mcp (12, 8, 3, 3) bandit histories at K = 5, 10
+    and 15, random and fractional binary programs, and infeasible ones."""
+    mips = []
+    for h, r, ks in ((5, 3, (5, 10, 15, 20, 25)), (6, 3, (40,))):
+        rng = np.random.default_rng([65, h, r])
+        skeleton, graph = gen_layered_spp(h, r)
+        dist = BetaNominal.random(graph.num_arcs, 0.125, rng)
+        run = cucb_collect(graph, dist, max(ks), rng)
+        for k in ks:
+            scen = observe_bandit(run.samples[:k], run.decisions[:k])
+            mips.append(build_dro_milp(skeleton.instance(scen, h / 11.0))[0])
+    for i in range(2):
+        skeleton, system = gen_mcp(12, 8, 3, 3, [66, i])
+        rng = np.random.default_rng([66, i])
+        run = cucb_collect_mcp(system, BetaNominal.random(12, 0.125, rng), 15, rng)
+        for k in (5, 10, 15):
+            pad = np.zeros((k, 8))
+            scen = observe_bandit(np.hstack([run.samples[:k], pad]), np.hstack([run.decisions[:k], pad]))
+            mips.append(build_dro_milp(skeleton.instance(scen, 0.4))[0])
+    rng = np.random.default_rng(67)
+    mips += [random_binary_milp(rng) for _ in range(30)]
+    mips += [fractional_binary_milp(rng) for _ in range(15)]
+    mips += [one_integer_row([1.0, 1.0], GE, 5.0), malformed("upper", -1.0)]
+    return mips
+
+
+def test_binding_matches_milp_bit_for_bit():
+    # the backend's own HiGHS calls against scipy's milp on the same
+    # programs: the same statuses, value and point bits, relaxation bits and
+    # node counts, on the relaxation-only path and the MIP path alike
+    bits = lambda v: None if v is None else v.hex()
+    key = lambda r: (
+        r.status, bits(r.value), None if r.x is None else r.x.tobytes(), bits(r.relaxation), r.node_count
+    )
+    mine, ref = ScipyBackend(), MilpBackend()
+    seen, nodes = set(), 0
+    for mip in milp_reference_programs():
+        got, want = mine.solve_milp(mip), ref.solve_milp(mip)
+        assert key(got) == key(want)
+        assert key(mine.solve_lp(mip.lp)) == key(ref.solve_lp(mip.lp))
+        seen.add(got.status)
+        nodes += got.status == OPTIMAL and got.node_count > 1
+    assert seen == {OPTIMAL, INFEASIBLE} and nodes > 0

@@ -420,19 +420,38 @@ def test_factorizations_are_structural_cores(monkeypatch):
     assert sum(core for _, core in sizes) < sum(m for m, _ in sizes) / 2
 
 
+def assert_imports_no_scipy(code):
+    """Run ``code`` in a fresh interpreter on this checkout's ``dro``, then
+    check that no ``scipy`` module was loaded."""
+    code += "\nassert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+    src = os.path.dirname(os.path.dirname(dro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", "import sys\n" + code], env=env, check=True)
+
+
 def test_reference_kernel_imports_no_scipy():
     # numpy and scipy each load their own OpenBLAS; the reference kernel must
     # not pull in the second
-    code = (
-        "import sys\n"
+    assert_imports_no_scipy(
         "import numpy as np\n"
         "from dro.solver import LinearProgram, MixedIntegerProgram, solve_milp\n"
         "lp = LinearProgram(np.array([1.0, 1.0]), np.array([[2.0, 3.0]]), ('<=',),\n"
         "                   np.array([6.5]), np.zeros(2), np.array([5.0, 1.0]), sense='max')\n"
         "res = solve_milp(MixedIntegerProgram(lp, np.array([True, False])))\n"
         "assert res.status == 'optimal', res.status\n"
-        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
     )
-    src = os.path.dirname(os.path.dirname(dro.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_semibandit_sweep_imports_no_scipy():
+    # the HiGHS backend imports scipy's binding on its first solve only: a
+    # desk semibandit sweep, which runs the closed forms and the built-in
+    # COPs on a default ScipyBackend, loads no scipy module
+    assert_imports_no_scipy(
+        "from dro.harness import preset_sweep, records_to_csv, run_sweep\n"
+        "from dro.solver import ScipyBackend, get_backend\n"
+        "ScipyBackend(), get_backend('scipy')\n"
+        "for name in ('spp-k', 'mcp-k'):\n"
+        "    records = run_sweep(preset_sweep(name, feedback='semibandit'))\n"
+        "    assert all(r.n_fail == 0 for r in records)\n"
+        "    records_to_csv(records)\n"
+    )
