@@ -58,7 +58,7 @@ def _cmd_solve(args) -> int:
     if args.epsilon is not None:
         inst = replace(inst, epsilon=args.epsilon)
     try:
-        mip, _, _ = build_dro_milp(inst)
+        mip, _ = build_dro_milp(inst)
     except InvalidInstance as e:
         _print_findings(e)
         return 1

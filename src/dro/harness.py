@@ -12,24 +12,28 @@ Reproducibility: every instance derives its streams from
 shared data (delta, gamma, K, and the sorting cardinality), and from
 ``SeedSequence([seed, cell, instance])`` when it changes the problem
 structure.  Four child streams are spawned per instance, consumed in a fixed
-order: structure, nominal means, data/collector, corruption.  Identical
-configs and seeds therefore produce identical CSV bytes (timing columns are
-written as 0 unless explicitly enabled).
+order: structure, nominal means, data/collector, corruption; the corruption
+stream is kept as its ``SeedSequence``, so every sorting cell restarts it.
+Identical configs and seeds therefore produce identical CSV bytes (timing
+columns are written as 0 unless explicitly enabled).
 
-A shared sweep draws each instance once and reads every cell off it; a
-structural sweep draws per cell.  For spp and mcp the structure, the nominal
-law, the collector history at ``k_max`` steps, the COP handle and the
-nominal optimum are kept.  Under semibandit feedback the draw also validates
-and lowers the whole history once, and each cell slices its K prefix of
-boxes off it, and it solves the support-bound interval candidate, whose
-costs no cell changes; under bandit feedback each cell observes its K prefix
-and builds and solves its dual MILP.  Sorting keeps its nominal law and
-samples, and corrupts them and builds its cardinality structure per cell.  Instances
-are drawn in batches (a shared sweep's instances, or a structural cell's),
-each from its own streams; one CUCB pass then collects the whole batch a
-step at once, and as the selection rule consumes no randomness each history
-keeps the bits it has alone.  A failed draw, its lowering included, fails
-its instance in every cell and no other.
+Instances are drawn in batches before any instance of a cell runs: a shared
+sweep draws every instance at its first cell and reads every cell off them;
+a structural sweep draws the instances of each cell at that cell.  For spp
+and mcp the structure, the nominal law, the collector history at ``k_max``
+steps, the COP handle and the nominal optimum are kept.  Under semibandit
+feedback the draw also validates and lowers the whole history once, and
+each cell slices its K prefix of boxes off it, and it solves the
+support-bound interval candidate, whose costs no cell changes; under bandit
+feedback each cell observes its K prefix and builds and solves its dual
+MILP.  Sorting keeps its nominal law and samples, and corrupts them and
+builds its cardinality structure per cell.  Each instance draws from its own
+streams; one CUCB pass then collects the whole batch a step at once, and as
+the selection rule consumes no randomness each history keeps the bits it has
+alone.  A failed draw, its lowering included, is kept as the instance's
+failure and its runner raises it in every cell, so it fails that instance
+and no other; a failure of the batch's shared part (an spp graph) fails
+every instance of the batch.
 ``mean_time_ms`` times the robust solve of each cell: the dual MILP under
 bandit feedback, else the interval closed form.  A sorting cell times both
 interval candidates; a semibandit spp or mcp cell times its SAA candidate
@@ -286,41 +290,6 @@ class SweepRecord:
     n_fail: int
 
 
-class _Batch:
-    """The random instances behind a batch of sweep indices.  Each one's
-    four child streams are consumed in a fixed order: structure, nominal
-    means, data/collector, corruption.  ``keep(build, *args)`` runs
-    ``build(*args, rngs)`` once, ``rngs`` holding each instance's four fresh
-    generators, and keeps each instance's result or failure."""
-
-    def __init__(self, entropies):
-        self.streams = [np.random.SeedSequence(e).spawn(4) for e in entropies]
-        self._kept = None
-
-    def keep(self, build, *args) -> list:
-        if self._kept is None:
-            rngs = [[np.random.default_rng(s) for s in st] for st in self.streams]
-            kept = _attempt(build, *args, rngs)
-            self._kept = [kept] * len(rngs) if isinstance(kept, Exception) else kept
-        return self._kept
-
-
-class _Draw:
-    """One instance of a batch; ``keep`` gives its kept result or raises its
-    failure again.  Nothing refers back to a draw, so a batch is freed as
-    soon as the sweep drops it."""
-
-    def __init__(self, batch: _Batch, index: int):
-        self.batch, self.index = batch, index
-        self.streams = batch.streams[index]
-
-    def keep(self, build, *args):
-        kept = self.batch.keep(build, *args)[self.index]
-        if isinstance(kept, Exception):
-            raise kept
-        return kept
-
-
 def _attempt(fn, *args):
     """``fn(*args)``, or the sweep failure it raised."""
     try:
@@ -339,19 +308,21 @@ def _interval_outcome(
     return InstanceOutcome(rho, dt, None, detail.winner == "saa")
 
 
-def _draw_sorting(cfg: SweepConfig, rngs):
+def _draw_sorting(cfg: SweepConfig, cell, rngs):
     n = int(cfg.params["n"])
 
-    def draw(_rng_struct, rng_means, rng_data, _rng_noise):
+    def draw(_rng_struct, rng_means, rng_data, noise):
         dist = BetaNominal.random(n, cfg.sigma, rng_means)
         p = rng_data.uniform(size=n)  # per-component corruption probability
-        return dist, p, sample_nominal(dist, cfg.k_max, rng_data)
+        return dist, p, sample_nominal(dist, cfg.k_max, rng_data), noise
 
     return [_attempt(draw, *r) for r in rngs]
 
 
-def _run_sorting_instance(cfg: SweepConfig, cell, draw: _Draw, backend) -> InstanceOutcome:
-    dist, p, samples = draw.keep(_draw_sorting, cfg)
+def _run_sorting_instance(cfg: SweepConfig, cell, drawn, backend) -> InstanceOutcome:
+    if isinstance(drawn, Exception):
+        raise drawn
+    dist, p, samples, noise = drawn
     n = dist.n
     h = int(cell) if cfg.sweep == "h" else int(cfg.params["h"])
     num_k = cfg.cell_k(cell)
@@ -360,8 +331,7 @@ def _run_sorting_instance(cfg: SweepConfig, cell, draw: _Draw, backend) -> Insta
     else:
         delta = float(cell) if cfg.sweep == "delta" else cfg.delta
     # the corruption stream restarts in every cell, as a fresh draw would
-    rng_noise = np.random.default_rng(draw.streams[3])
-    scen = corrupt_interval(samples, delta, p, rng_noise)[:num_k]
+    scen = corrupt_interval(samples, delta, p, np.random.default_rng(noise))[:num_k]
     lowers = np.array([s.lower for s in scen])
     uppers = np.array([s.upper for s in scen])
     idata = IntervalData(lowers, uppers, np.zeros(n), np.ones(n))
@@ -443,9 +413,11 @@ def _draw_mcp(cfg: SweepConfig, cell, rngs):
     return _draw_histories(cfg, rngs, draw, collect, budget, n1)
 
 
-def _history_outcome(cfg: SweepConfig, cell, drawn: _HistoryDraw, backend) -> InstanceOutcome:
+def _history_outcome(cfg: SweepConfig, cell, drawn: _HistoryDraw | Exception, backend) -> InstanceOutcome:
     """Solve on the history's first K steps: thm2 on the semi-bandit boxes
     lowered at draw time, the dual MILP on bandit totals observed here."""
+    if isinstance(drawn, Exception):
+        raise drawn
     num_k = cfg.cell_k(cell)
     eps = cfg.cell_epsilon(cell, num_k, drawn.radius_scale, n1=drawn.n1)
     run, skeleton = drawn.run, drawn.skeleton
@@ -460,7 +432,7 @@ def _history_outcome(cfg: SweepConfig, cell, drawn: _HistoryDraw, backend) -> In
         )
     scen = observe(cfg.feedback, run.samples[:num_k], run.decisions[:num_k], skeleton.feasible.n)
     inst = skeleton.instance(scen, eps)
-    mip, _, _ = build_dro_milp(inst)
+    mip, _ = build_dro_milp(inst)
     value, x, diag = solve_dro_milp(inst, mip, backend)
     if value is None:
         raise RuntimeError(f"robust solve failed: {diag.status}")
@@ -470,47 +442,49 @@ def _history_outcome(cfg: SweepConfig, cell, drawn: _HistoryDraw, backend) -> In
     return InstanceOutcome(rho, diag.time_ms, quality, None)
 
 
-def _run_spp_instance(cfg: SweepConfig, cell, draw: _Draw, backend) -> InstanceOutcome:
-    return _history_outcome(cfg, cell, draw.keep(_draw_spp, cfg, cell), backend)
-
-
-def _run_mcp_instance(cfg: SweepConfig, cell, draw: _Draw, backend) -> InstanceOutcome:
-    return _history_outcome(cfg, cell, draw.keep(_draw_mcp, cfg, cell), backend)
-
-
-# family -> runner(cfg, cell, draw, backend): one instance's outcome in one cell
-_RUNNERS = {
-    "sorting": _run_sorting_instance,
-    "spp": _run_spp_instance,
-    "mcp": _run_mcp_instance,
-}
+# family -> draw(cfg, cell, rngs): each instance of a batch drawn, or the
+# failure its draw raised; ``rngs`` holds each instance's structure, means and
+# data generators and its corruption SeedSequence
+_DRAWS = {"sorting": _draw_sorting, "spp": _draw_spp, "mcp": _draw_mcp}
+# family -> runner(cfg, cell, drawn, backend): one instance's outcome in one
+# cell; it raises the failure its instance's draw kept
+_RUNNERS = {"sorting": _run_sorting_instance, "spp": _history_outcome, "mcp": _history_outcome}
 
 
 def run_sweep(cfg: SweepConfig, backend=None, on_cell=None) -> list[SweepRecord]:
     """Execute every cell of the sweep and aggregate per-cell records.
 
-    Failed instances are counted in ``n_fail`` and excluded from the
-    aggregates rather than imputed.  A failure is a
-    :class:`~dro.errors.DroError` (bad data) or a ``RuntimeError`` (a solve
-    that did not reach optimality); any other exception is a bug and
-    propagates.  ``on_cell(record)`` is invoked after each cell for progress
-    reporting.
+    A batch of instances is drawn before the first instance of a cell runs:
+    once, at the first cell, for a shared sweep, and at every cell for a
+    structural one.  Each instance's runner raises the failure its draw
+    kept, so a failed draw counts in every cell.  Failed instances are
+    counted in ``n_fail`` and excluded from the aggregates rather than
+    imputed.  A failure is a :class:`~dro.errors.DroError` (bad data) or a
+    ``RuntimeError`` (a solve that did not reach optimality); any other
+    exception, in a draw or a runner, is a bug and propagates.
+    ``on_cell(record)`` is invoked after each cell for progress reporting.
     """
     if backend is None:
         backend = ScipyBackend()
     runner = _RUNNERS[cfg.family]
     shared = cfg.shares_instances()
-    draws = None
     records = []
     for ci, cell in enumerate(cfg.grid):
-        if draws is None or not shared:
-            batch = _Batch([cfg.seed, i] if shared else [cfg.seed, ci, i] for i in range(cfg.instances))
-            draws = [_Draw(batch, i) for i in range(cfg.instances)]
+        if ci == 0 or not shared:
+            batch = None  # free the last cell's batch before drawing this one
+            rngs = []
+            for i in range(cfg.instances):
+                seq = np.random.SeedSequence([cfg.seed, i] if shared else [cfg.seed, ci, i])
+                *streams, noise = seq.spawn(4)
+                rngs.append([*map(np.random.default_rng, streams), noise])
+            batch = _attempt(_DRAWS[cfg.family], cfg, cell, rngs)
+            if isinstance(batch, Exception):
+                batch = [batch] * cfg.instances
         outcomes = []
         failures = 0
-        for draw in draws:
+        for drawn in batch:
             try:
-                outcomes.append(runner(cfg, cell, draw, backend))
+                outcomes.append(runner(cfg, cell, drawn, backend))
             except (DroError, RuntimeError):
                 failures += 1
         if outcomes:

@@ -182,8 +182,8 @@ class BiaffineLoss:
     def n(self) -> int:
         return self.t_x.shape[0]
 
-    def is_symmetric(self, atol: float = 1e-9) -> bool:
-        return bool(np.allclose(self.t_xx, self.t_xx.T, atol=atol, rtol=0.0))
+    def is_symmetric(self) -> bool:
+        return bool(np.allclose(self.t_xx, self.t_xx.T, atol=tol.VALUE_TOL, rtol=0.0))
 
     def evaluate(self, x, c) -> float:
         x = np.asarray(x, dtype=float)
@@ -244,18 +244,18 @@ class FeasibleSet:
         mask[self.n_cont :] = True
         return mask
 
-    def contains(self, x, feas_tol: float = tol.FEAS_TOL, int_tol: float = tol.INT_TOL) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise DimensionMismatch("decision dimension mismatch")
-        if np.any(x < -feas_tol) or np.any(x > self.upper + feas_tol):
+        if np.any(x < -tol.FEAS_TOL) or np.any(x > self.upper + tol.FEAS_TOL):
             return False
         ints = x[self.n_cont :]
-        if np.any(np.abs(ints - np.round(ints)) > int_tol):
+        if np.any(np.abs(ints - np.round(ints)) > tol.INT_TOL):
             return False
         if self.num_rows == 0:
             return True
-        return bool(np.all(self.matrix() @ x <= self.rhs + feas_tol))
+        return bool(np.all(self.matrix() @ x <= self.rhs + tol.FEAS_TOL))
 
 
 # the DimensionMismatch reasons a scenario gives, on either lowering path

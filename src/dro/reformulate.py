@@ -121,7 +121,7 @@ class DiscreteDistribution:
             raise DimensionMismatch("one weight per support point required")
         if np.any(self.weights < -tol.VALUE_TOL):
             raise ValueError("weights must be nonnegative")
-        if abs(self.weights.sum() - 1.0) > 1e-9:
+        if abs(self.weights.sum() - 1.0) > tol.VALUE_TOL:
             raise ValueError("weights must sum to one")
 
     @classmethod
@@ -209,17 +209,15 @@ def build_dro_milp(inst: ProblemInstance):
     """The single-level MILP: the compact form on box data, else the full dual.
 
     Maximize-sense instances are negated to minimization here; callers undo
-    the sign on the reported value.  Returns ``(mip, layout, lowered)`` where
-    ``layout`` is a :class:`CompactVars` or :class:`ReformulationVars` and
-    ``lowered`` is what :func:`~dro.model.validate_instance` returned: the
-    :class:`~dro.model.SampleBoxes` of box data, else each sample's combined
-    constraint polytope.  Raises :class:`~dro.errors.InvalidInstance` when
-    the instance fails validation.
+    the sign on the reported value.  Returns ``(mip, layout)`` where
+    ``layout`` is a :class:`CompactVars` on box data, else a
+    :class:`ReformulationVars`.  Raises :class:`~dro.errors.InvalidInstance`
+    when the instance fails validation.
     """
     lowered = validate_instance(inst)
     if isinstance(lowered, SampleBoxes):
-        return (*_compact_dual(inst, lowered), lowered)
-    return (*_full_dual(inst, lowered), lowered)
+        return _compact_dual(inst, lowered)
+    return _full_dual(inst, lowered)
 
 
 def build_full_dual_milp(inst: ProblemInstance):
@@ -231,7 +229,7 @@ def build_full_dual_milp(inst: ProblemInstance):
     lowered = validate_instance(inst)
     if isinstance(lowered, SampleBoxes):
         lowered = tuple(lower_scenario(s, inst.support) for s in inst.scenarios)
-    return (*_full_dual(inst, lowered), lowered)
+    return _full_dual(inst, lowered)
 
 
 def _epigraph_columns(lo, hi, free):
@@ -437,7 +435,7 @@ class SolveDiagnostics:
 
 def solve_dro(inst: ProblemInstance, backend: Backend | None = None):
     """Solve the full three-level problem; returns ``(value, x, diagnostics)``."""
-    mip, _, _ = build_dro_milp(inst)
+    mip, _ = build_dro_milp(inst)
     return solve_dro_milp(inst, mip, backend)
 
 

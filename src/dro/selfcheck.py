@@ -337,11 +337,11 @@ def check_compact_dual(count: int, seed) -> CheckResult:
     worst, failures = 0.0, []
     for t in range(count):
         inst = random_box_instance(rng)
-        mip, layout, _ = build_dro_milp(inst)
+        mip, layout = build_dro_milp(inst)
         if not isinstance(layout, CompactVars):
             failures.append(f"instance {t}: box data built the full dual")
             continue
-        full, _, _ = build_full_dual_milp(inst)
+        full, _ = build_full_dual_milp(inst)
         (v_mip, _, d_mip), (v_full, _, d_full) = (
             solve_dro_milp(inst, m, kernel) for m in (mip, full)
         )

@@ -1,6 +1,7 @@
 """Harness helpers, sweep behavior, determinism, and CSV emission."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from dro.closedform import IntervalData, solve_interval_detail
 from dro.datagen import BetaNominal, corrupt_interval
 from dro import closedform, harness
-from dro.errors import DegenerateDenominator, EmptyInput
+from dro.errors import BadCardinality, DegenerateDenominator, EmptyInput
 from dro.harness import (
     CSV_HEADER,
     SweepConfig,
@@ -335,13 +336,21 @@ class TestRunSweep:
         assert [r.n_fail for r in recs] == [cfg.instances] * len(cfg.grid)
         assert all(r.mean_rho is None for r in recs)
 
-    def test_mcp_k_seed_3_tie_keeps_its_selection(self):
+    def test_mcp_k_seed_3_tie_keeps_its_selection(self, monkeypatch):
         # desk mcp-k at seed 3, K = 5, instance 3: several selections share
         # the SAA value 10.341869598956 (zero-cost unobserved items make the
         # tie), and the CSV bytes rest on which one the COP returns
         cfg = preset_sweep("mcp-k", seed=3)
-        batch = harness._Batch([cfg.seed, i] for i in range(cfg.instances))
-        drawn = harness._Draw(batch, 3).keep(harness._draw_mcp, cfg, 5)
+        assert cfg.grid[0] == 5
+        seen, runner = [], harness._RUNNERS["mcp"]
+
+        def recording(cfg, cell, drawn, backend):
+            seen.append(drawn)
+            return runner(cfg, cell, drawn, backend)
+
+        monkeypatch.setitem(harness._RUNNERS, "mcp", recording)
+        run_sweep(cfg)
+        drawn = seen[3]  # the first cell calls the runner in instance order
         value, x = drawn.cop(drawn.boxes.lower[:5].mean(axis=0), "max")
         assert value == pytest.approx(10.341869598956, rel=1e-12)
         n1 = drawn.skeleton.meta["n1"]
@@ -471,6 +480,40 @@ class TestRunSweep:
         run_sweep(cfg)
         assert calls == [(3, 2), (4, 2), (5, 2)]
 
+    @staticmethod
+    def _wrapped_calls(monkeypatch, cfg, planted=None):
+        """Run ``cfg`` with ``harness._RUNNERS[cfg.family]`` wrapped, as a
+        benchmark that records each failure's cause wraps it.  ``planted``
+        maps a nominal law's ``alpha`` bytes to the message of a planted
+        nominal-optimum failure.  Gives the records; per cell, what each
+        call of the wrapper saw, in call order: the outcome's ``(rho,
+        lp_quality, f1_win)``, or the type and message of what the runner
+        raised; and the law of every nominal optimum, in draw order."""
+        calls, laws = {}, []
+        runner, optimum = harness._RUNNERS[cfg.family], harness.nominal_optimum
+
+        def wrapper(cfg, cell, drawn, backend):
+            seen = calls.setdefault(cell, [])
+            try:
+                out = runner(cfg, cell, drawn, backend)
+            except Exception as exc:
+                seen.append((type(exc), str(exc)))
+                raise
+            seen.append((out.rho, out.lp_quality, out.f1_win))
+            return out
+
+        def nominal_optimum(dist, *args):
+            laws.append(dist.alpha.tobytes())
+            if laws[-1] in (planted or {}):
+                raise DegenerateDenominator(planted[laws[-1]])
+            return optimum(dist, *args)
+
+        with monkeypatch.context() as m:
+            m.setitem(harness._RUNNERS, cfg.family, wrapper)
+            m.setattr(harness, "nominal_optimum", nominal_optimum)
+            recs = run_sweep(cfg)
+        return recs, calls, laws
+
     @pytest.mark.parametrize(
         "cfg",
         [
@@ -488,38 +531,47 @@ class TestRunSweep:
     )
     def test_failed_draw_in_a_batch_fails_only_its_instance(self, monkeypatch, cfg):
         # instance 1's nominal optimum raises in every cell's batch; the
-        # other instances of the batch keep their outcomes
-        def record(fail):
-            laws, outcomes = [], {}
-            optimum, runner = harness.nominal_optimum, harness._RUNNERS[cfg.family]
-
-            def nominal_optimum(dist, *args):
-                law = dist.alpha.tobytes()
-                laws.append(law)
-                if law in fail:
-                    raise DegenerateDenominator("planted")
-                return optimum(dist, *args)
-
-            def recording(cfg, cell, draw, backend):
-                out = runner(cfg, cell, draw, backend)
-                outcomes[cell, draw.index] = (out.rho, out.lp_quality, out.f1_win)
-                return out
-
-            with monkeypatch.context() as m:
-                m.setattr(harness, "nominal_optimum", nominal_optimum)
-                m.setitem(harness._RUNNERS, cfg.family, recording)
-                recs = run_sweep(cfg)
-            return laws, outcomes, recs
-
-        laws, clean, recs = record(set())
+        # wrapped runner sees that failure once per cell, in its instance's
+        # turn, and the other instances of the batch keep their outcomes
+        recs, clean, laws = self._wrapped_calls(monkeypatch, cfg)
         assert all(r.n_fail == 0 for r in recs)
         batches = 1 if cfg.shares_instances() else len(cfg.grid)
         assert len(laws) == batches * cfg.instances
         # each batch draws its instances in order
-        fail = {laws[b * cfg.instances + 1] for b in range(batches)}
-        _, kept, recs = record(fail)
+        planted = {laws[b * cfg.instances + 1]: f"planted in batch {b}" for b in range(batches)}
+        recs, calls, _ = self._wrapped_calls(monkeypatch, cfg, planted)
         assert [r.n_fail for r in recs] == [1] * len(cfg.grid)
-        assert kept == {key: v for key, v in clean.items() if key[1] != 1}
+        for c, cell in enumerate(cfg.grid):
+            expected = list(clean[cell])
+            expected[1] = (DegenerateDenominator, f"planted in batch {0 if batches == 1 else c}")
+            assert calls[cell] == expected
+
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            # subset_size > n1: every instance's gen_mcp raises
+            (
+                _small_mcp_k_cfg(params={"n1": 3, "n2": 6, "subset_size": 4, "budget": 2}),
+                "need 1 <= subset_size <= n_items, got 4 and 3",
+            ),
+            # r = 0: the graph every instance of a cell shares cannot be built
+            (
+                SweepConfig(
+                    "spp", "h", (3, 4), 2, 4, {"r": 0},
+                    {"kind": "prop_h", "coef": 0.1}, feedback="semibandit",
+                ),
+                "need h >= 2 and r >= 1",
+            ),
+        ],
+        ids=["mcp-k-gen", "spp-h-graph"],
+    )
+    def test_failed_batch_fails_each_instance_in_each_cell(self, monkeypatch, cfg, message):
+        # the wrapped runner is called once per instance per cell and sees
+        # the failure each instance raises
+        recs, calls, _ = self._wrapped_calls(monkeypatch, cfg)
+        assert [r.n_fail for r in recs] == [cfg.instances] * len(cfg.grid)
+        failure = (BadCardinality, message)
+        assert calls == {cell: [failure] * cfg.instances for cell in cfg.grid}
 
     def test_failures_counted_not_fatal(self):
         cfg = small_sorting_cfg()
@@ -563,3 +615,29 @@ class TestPresets:
         assert cfg.sweep == "K"
         assert cfg.epsilon_rule["kind"] == "sqrt"
         assert cfg.epsilon_rule["gamma"] == pytest.approx(math.sqrt(max(cfg.grid)))
+
+
+# sha256 of records_to_csv at seed 0; computed with numpy 2.4.6
+_DESK_CSV_SHA256 = {
+    ("sorting-delta", "interval"): "c13618301914bf35e198023c1bfcb6124729c91fe4991d7f18ff3624118d5cd2",
+    ("sorting-h", "interval"): "296032ae1ba21fa8e7758b40a166c50f7a62ef4fd1421ea77fe8ed2f0a0d0fd2",
+    ("sorting-gamma", "interval"): "0036bc16c740f283911539b3776275d1dc0ae68ca4fe809d7d6ffb6620022777",
+    ("sorting-k", "interval"): "c71fed6a408c055d7787ba23a465e749ba1cfe5f2ecc33c4dbb40ae98e890081",
+    ("spp-k", "semibandit"): "88ef4ef05508f9770f2468308303a30ba9bd3633a27618164416476be23e63d9",
+    ("mcp-k", "semibandit"): "61f2200867c8a3d47e3e2b74efc4c8e9d148a2e039b6a1511b66b754d2d3f68f",
+    ("spp-h", "semibandit"): "e8be6302b257a43db3396a4aff17fafa14ad17b08d9447425fb512c4fecf8aca",
+    ("mcp-n1", "semibandit"): "3b482f85eff26982801825853bafa0e64c118c3ee2a52332f036b4c87571d704",
+}
+
+
+@pytest.mark.parametrize("name, feedback", list(_DESK_CSV_SHA256), ids=lambda v: v)
+def test_desk_csv_bytes_are_pinned(name, feedback):
+    """The desk presets that run no HiGHS keep their CSV bytes at seed 0.
+
+    The digests were computed with numpy 2.4.6; a numpy release that
+    changes a generator's output or a reduction's rounding changes them,
+    and then they are recomputed, not the code changed to match.
+    """
+    cfg = preset_sweep(name, seed=0, feedback=feedback)
+    text = records_to_csv(run_sweep(cfg))
+    assert hashlib.sha256(text.encode()).hexdigest() == _DESK_CSV_SHA256[name, feedback]

@@ -320,7 +320,7 @@ def _close(got, want):
 
 @pytest.mark.parametrize("inst", _reference_cases())
 def test_block_builder_matches_row_builder(inst):
-    mip, layout, _ = build_dro_milp(inst)
+    mip, layout = build_dro_milp(inst)
     ref = reference_dro_milp(inst)
     if isinstance(layout, CompactVars):
         # box data: the compact form reaches the full dual's MILP and LP
@@ -342,7 +342,7 @@ def test_block_builder_matches_row_builder(inst):
         assert mip.lp.rel == loop.rel
         np.testing.assert_allclose(mip.lp.c, loop.c, rtol=0.0, atol=1e-12)
         assert mip.lp.c0 == pytest.approx(loop.c0, rel=0.0, abs=1e-12)
-        mip, _, _ = build_full_dual_milp(inst)
+        mip, _ = build_full_dual_milp(inst)
     else:
         assert not inst.support.is_box()
     assert dump_program(mip) == dump_program(ref)
@@ -363,7 +363,7 @@ def test_compact_bandit_build_runs_no_lp(model_calls):
     # every lowered bandit sample is the unit box plus one equality: the
     # emptiness checks are structural and the compact form needs no bounds LP
     inst = _spp_history(5, 3, 25, observe_bandit, 0)
-    mip, layout, _ = build_dro_milp(inst)
+    mip, layout = build_dro_milp(inst)
     assert isinstance(layout, CompactVars)
     assert len(layout.eq) == inst.num_samples
     assert model_calls == {"lowered": inst.num_samples, "solve_lp": 0}
@@ -386,7 +386,7 @@ def test_paper_scale_bandit_program_is_merged():
     # one column per sample and coordinate would make a 94,104 x 23,936
     # dense matrix of about 18 GB
     inst = _spp_history(11, 5, 100, observe_bandit, 0)
-    mip, layout, _ = build_dro_milp(inst)
+    mip, layout = build_dro_milp(inst)
     assert isinstance(layout, CompactVars)
     observed = np.array([s.mask != 0 for s in inst.scenarios])
     unobserved = int((~observed).any(axis=0).sum())
@@ -399,8 +399,8 @@ def test_paper_scale_bandit_program_is_merged():
 @pytest.mark.parametrize("backend", [ReferenceKernel(), ScipyBackend()], ids=["reference", "scipy"])
 def test_merged_bandit_history_matches_full_dual(backend):
     inst = _spp_history(3, 2, 6, observe_bandit, 2)
-    mip, layout, _ = build_dro_milp(inst)
-    full, _, _ = build_full_dual_milp(inst)
+    mip, layout = build_dro_milp(inst)
+    full, _ = build_full_dual_milp(inst)
     assert layout.num_sigma < inst.num_samples * inst.n
     got, _, got_diag = solve_dro_milp(inst, mip, backend)
     want, _, want_diag = solve_dro_milp(inst, full, backend)
