@@ -31,9 +31,9 @@ builds its cardinality structure per cell.  Each instance draws from its own
 streams; one CUCB pass then collects the whole batch a step at once, and as
 the selection rule consumes no randomness each history keeps the bits it has
 alone.  A failed draw, its lowering included, is kept as the instance's
-failure and its runner raises it in every cell, so it fails that instance
-and no other; a failure of the batch's shared part (an spp graph) fails
-every instance of the batch.
+failure and its runner raises it in every cell, on the traceback the draw
+left it, so it fails that instance and no other; a failure of the batch's
+shared part (an spp graph) fails every instance of the batch.
 ``mean_time_ms`` times the robust solve of each cell: the dual MILP under
 bandit feedback, else the interval closed form.  A sorting cell times both
 interval candidates; a semibandit spp or mcp cell times its SAA candidate
@@ -47,6 +47,7 @@ import numbers
 import time
 from collections.abc import Callable
 from dataclasses import InitVar, dataclass, field
+from types import TracebackType
 
 import numpy as np
 
@@ -290,12 +291,26 @@ class SweepRecord:
     n_fail: int
 
 
+@dataclass(frozen=True)
+class _Failure:
+    """A draw's sweep failure, kept with the traceback the draw left it.
+    Each cell raises the exception afresh on that traceback: a bare
+    ``raise`` of the kept object would prepend every cell's frames to the
+    one traceback all later cells share."""
+
+    exc: DroError | RuntimeError
+    tb: TracebackType | None
+
+    def raise_(self):
+        raise self.exc.with_traceback(self.tb)
+
+
 def _attempt(fn, *args):
-    """``fn(*args)``, or the sweep failure it raised."""
+    """``fn(*args)``, or the sweep failure it raised as a :class:`_Failure`."""
     try:
         return fn(*args)
     except (DroError, RuntimeError) as exc:
-        return exc
+        return _Failure(exc, exc.__traceback__)
 
 
 def _interval_outcome(
@@ -320,8 +335,8 @@ def _draw_sorting(cfg: SweepConfig, cell, rngs):
 
 
 def _run_sorting_instance(cfg: SweepConfig, cell, drawn, backend) -> InstanceOutcome:
-    if isinstance(drawn, Exception):
-        raise drawn
+    if isinstance(drawn, _Failure):
+        drawn.raise_()
     dist, p, samples, noise = drawn
     n = dist.n
     h = int(cell) if cfg.sweep == "h" else int(cfg.params["h"])
@@ -379,7 +394,7 @@ def _draw_histories(cfg: SweepConfig, rngs, draw, collect, radius_scale, n1):
     gives each one's ``(skeleton, structure, cop, dist)``, then one
     ``collect`` pass collects the histories of those whose draw succeeded."""
     out = [_attempt(draw, *r[:2]) for r in rngs]
-    ok = [i for i, d in enumerate(out) if not isinstance(d, Exception)]
+    ok = [i for i, d in enumerate(out) if not isinstance(d, _Failure)]
     runs = collect([out[i][1] for i in ok], [out[i][3] for i in ok], [rngs[i][2] for i in ok])
     for i, run in zip(ok, runs):
         skeleton, _, cop, dist = out[i]
@@ -413,11 +428,11 @@ def _draw_mcp(cfg: SweepConfig, cell, rngs):
     return _draw_histories(cfg, rngs, draw, collect, budget, n1)
 
 
-def _history_outcome(cfg: SweepConfig, cell, drawn: _HistoryDraw | Exception, backend) -> InstanceOutcome:
+def _history_outcome(cfg: SweepConfig, cell, drawn: _HistoryDraw | _Failure, backend) -> InstanceOutcome:
     """Solve on the history's first K steps: thm2 on the semi-bandit boxes
     lowered at draw time, the dual MILP on bandit totals observed here."""
-    if isinstance(drawn, Exception):
-        raise drawn
+    if isinstance(drawn, _Failure):
+        drawn.raise_()
     num_k = cfg.cell_k(cell)
     eps = cfg.cell_epsilon(cell, num_k, drawn.radius_scale, n1=drawn.n1)
     run, skeleton = drawn.run, drawn.skeleton
@@ -478,7 +493,7 @@ def run_sweep(cfg: SweepConfig, backend=None, on_cell=None) -> list[SweepRecord]
                 *streams, noise = seq.spawn(4)
                 rngs.append([*map(np.random.default_rng, streams), noise])
             batch = _attempt(_DRAWS[cfg.family], cfg, cell, rngs)
-            if isinstance(batch, Exception):
+            if isinstance(batch, _Failure):
                 batch = [batch] * cfg.instances
         outcomes = []
         failures = 0

@@ -3,13 +3,20 @@
 Every backend honours one contract: ``solve_lp(LinearProgram)`` and
 ``solve_milp(MixedIntegerProgram)`` both return a :class:`SolveResult`.  The
 reference kernel is always available and is the default everywhere; the scipy
-backend runs HiGHS through the binding that scipy bundles, imported on its
-first solve, and is useful for the larger experiment sweeps.
+backend runs HiGHS through the binding that scipy bundles, and is useful for
+the larger experiment sweeps.  Its first HiGHS solve loads that binding's
+extension file by itself (:func:`_highs_core`): importing it through the
+``scipy.optimize`` package would load 321 scipy modules, scipy.linalg,
+scipy.sparse and scipy's own OpenBLAS among them, for this one module.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 import warnings
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -70,12 +77,53 @@ _HIGHS_OPTIONS = {
 }
 
 
+# scipy's HiGHS binding, the module scipy.optimize.milp calls
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+
+
+def _highs_core():
+    """The module ``scipy.optimize._highspy._core``: the one in
+    ``sys.modules`` if anything imported it, else its extension file
+    ``<scipy>/optimize/_highspy/_core<suffix>`` loaded by itself and
+    registered under that name.  No parent package is imported, so a later
+    ``import scipy.optimize`` finds and reuses this module.  Raises
+    ``ImportError`` naming the path when scipy or the file is missing."""
+    module = sys.modules.get(_HIGHS_CORE)
+    if module is not None:
+        return module
+    relative = os.path.join("optimize", "_highspy", "_core")
+    scipy = importlib.util.find_spec("scipy")  # locates scipy, imports nothing
+    if scipy is None:
+        raise ImportError(
+            f"the HiGHS backend needs scipy: found no {os.path.join('scipy', relative)}<suffix>",
+            name=_HIGHS_CORE,
+        )
+    base = os.path.join(scipy.submodule_search_locations[0], relative)
+    path = next((base + s for s in EXTENSION_SUFFIXES if os.path.isfile(base + s)), None)
+    if path is None:
+        raise ImportError(
+            f"the HiGHS backend found no scipy HiGHS binding at {base}<suffix>, "
+            f"suffix one of {EXTENSION_SUFFIXES}",
+            name=_HIGHS_CORE, path=base,
+        )
+    loader = ExtensionFileLoader(_HIGHS_CORE, path)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(_HIGHS_CORE, path, loader=loader)
+    )
+    loader.exec_module(module)
+    sys.modules[_HIGHS_CORE] = module
+    return module
+
+
 class ScipyBackend:
     """HiGHS-backed solves through the HiGHS binding that scipy bundles
     (``scipy.optimize._highspy._core``, the one ``scipy.optimize.milp``
     calls); an LP is a MILP with no integer columns.  Each HiGHS solve
     passes the whole model to a fresh HiGHS instance in one call and runs
-    it.
+    it.  The first HiGHS solve loads the binding's extension file alone
+    (:func:`_highs_core`), not the ``scipy.optimize`` package; constructing
+    the backend loads nothing, so a missing scipy surfaces as an
+    ``ImportError`` on that first solve.
 
     ``solve_milp`` solves the LP relaxation first.  When its integer columns
     are within ``INT_TOL`` of integers and the rounded point stays within
@@ -104,7 +152,7 @@ class ScipyBackend:
         otherwise ``(status, None, None, 0)``."""
         if lp.malformed():
             return ERROR, None, None, 0
-        from scipy.optimize._highspy import _core as highs
+        highs = _highs_core()
 
         # HiGHS takes the matrix column-wise: each column's nonzeros in row
         # order

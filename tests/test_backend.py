@@ -1,5 +1,11 @@
 """Backend contract: the scipy wrapper matches the reference kernel."""
 
+import dataclasses
+import importlib.machinery
+import importlib.util
+import os
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -12,6 +18,7 @@ from dro import tolerances as tol
 from dro.cli import main
 from dro.closedform import milp_cop
 from dro.datagen import BetaNominal, cucb_collect, cucb_collect_mcp, observe_bandit
+from dro.harness import preset_sweep, run_sweep
 from dro.model import Exact, save_instance
 from dro.problems import gen_layered_spp, gen_mcp, gen_sorting
 from dro.reformulate import build_dro_milp, solve_dro
@@ -174,6 +181,36 @@ def test_highs_runs_without_linprog(monkeypatch):
     mip = MixedIntegerProgram(lp, np.ones(2, dtype=bool))
     assert sp.solve_milp(mip).value == pytest.approx(2.0)
     assert sp.solve_lp(mip.lp).value == pytest.approx(1.5)
+
+
+@pytest.mark.parametrize("found", [False, True], ids=["no-scipy", "no-binding-file"])
+def test_a_missing_binding_fails_the_first_highs_solve(monkeypatch, tmp_path, found):
+    # with no scipy to find, or no binding file where it is found, the
+    # backend still constructs and a semibandit sweep, which calls no HiGHS,
+    # runs and loads nothing; the first HiGHS solve raises an ImportError
+    # that names the path looked at
+    relative = os.path.join("optimize", "_highspy", "_core")
+    if found:
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations = [str(tmp_path / "scipy")]
+        where = os.path.join(str(tmp_path / "scipy"), relative)
+    else:
+        spec, where = None, os.path.join("scipy", relative)
+    find_spec = importlib.util.find_spec
+    monkeypatch.setattr(
+        importlib.util, "find_spec", lambda name, *args: spec if name == "scipy" else find_spec(name, *args)
+    )
+    monkeypatch.delitem(sys.modules, backend._HIGHS_CORE)
+    sp = ScipyBackend()
+    cfg = preset_sweep("mcp-k", feedback="semibandit")
+    records = run_sweep(dataclasses.replace(cfg, grid=cfg.grid[:2]), backend=sp)
+    assert all(r.n_fail == 0 for r in records)
+    assert backend._HIGHS_CORE not in sys.modules
+    lp = one_integer_row([1.0, 1.0], GE, 1.5).lp
+    for _ in range(2):
+        with pytest.raises(ImportError, match=re.escape(where)):
+            sp.solve_lp(lp)
+    assert backend._HIGHS_CORE not in sys.modules
 
 
 def small_bandit_dual_milp():

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -572,6 +573,42 @@ class TestRunSweep:
         assert [r.n_fail for r in recs] == [cfg.instances] * len(cfg.grid)
         failure = (BadCardinality, message)
         assert calls == {cell: [failure] * cfg.instances for cell in cfg.grid}
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            # subset_size > n1: each instance keeps its own gen_mcp failure
+            _small_mcp_k_cfg(
+                grid=tuple(range(1, 21)),
+                params={"n1": 3, "n2": 6, "subset_size": 4, "budget": 2},
+            ),
+            # r = 0: one graph failure, drawn once, is every instance's
+            SweepConfig(
+                "spp", "K", tuple(range(1, 21)), 3, 4, {"h": 3, "r": 0},
+                {"kind": "sqrt", "gamma": 1.0}, feedback="semibandit",
+            ),
+        ],
+        ids=["mcp-k-gen", "spp-k-graph"],
+    )
+    def test_kept_failure_traceback_does_not_grow(self, monkeypatch, cfg):
+        # every cell raises the kept failure afresh on its draw's traceback:
+        # the frames a cell's raise adds do not reach the next cell
+        depths = {}
+        runner = harness._RUNNERS[cfg.family]
+
+        def wrapper(cfg, cell, drawn, backend):
+            try:
+                return runner(cfg, cell, drawn, backend)
+            except BadCardinality as exc:
+                depths.setdefault(cell, []).append(len(traceback.extract_tb(exc.__traceback__)))
+                raise
+
+        monkeypatch.setitem(harness._RUNNERS, cfg.family, wrapper)
+        recs = run_sweep(cfg)
+        assert [r.n_fail for r in recs] == [cfg.instances] * len(cfg.grid)
+        first = depths[cfg.grid[0]]
+        assert len(set(first)) == 1
+        assert depths == {cell: first for cell in cfg.grid}
 
     def test_failures_counted_not_fatal(self):
         cfg = small_sorting_cfg()

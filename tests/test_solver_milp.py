@@ -420,10 +420,15 @@ def test_factorizations_are_structural_cores(monkeypatch):
     assert sum(core for _, core in sizes) < sum(m for m, _ in sizes) / 2
 
 
-def assert_imports_no_scipy(code):
+def assert_scipy_modules(code, allowed=()):
     """Run ``code`` in a fresh interpreter on this checkout's ``dro``, then
-    check that no ``scipy`` module was loaded."""
-    code += "\nassert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+    check that it loaded no ``scipy`` module but the ``allowed`` ones, each
+    with its submodules."""
+    code += (
+        "\nloaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        f"                and not any(m == a or m.startswith(a + '.') for a in {tuple(allowed)!r}))\n"
+        "assert not loaded, loaded\n"
+    )
     src = os.path.dirname(os.path.dirname(dro.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     subprocess.run([sys.executable, "-c", "import sys\n" + code], env=env, check=True)
@@ -432,7 +437,7 @@ def assert_imports_no_scipy(code):
 def test_reference_kernel_imports_no_scipy():
     # numpy and scipy each load their own OpenBLAS; the reference kernel must
     # not pull in the second
-    assert_imports_no_scipy(
+    assert_scipy_modules(
         "import numpy as np\n"
         "from dro.solver import LinearProgram, MixedIntegerProgram, solve_milp\n"
         "lp = LinearProgram(np.array([1.0, 1.0]), np.array([[2.0, 3.0]]), ('<=',),\n"
@@ -443,10 +448,10 @@ def test_reference_kernel_imports_no_scipy():
 
 
 def test_semibandit_sweep_imports_no_scipy():
-    # the HiGHS backend imports scipy's binding on its first solve only: a
+    # the HiGHS backend loads scipy's binding on its first solve only: a
     # desk semibandit sweep, which runs the closed forms and the built-in
     # COPs on a default ScipyBackend, loads no scipy module
-    assert_imports_no_scipy(
+    assert_scipy_modules(
         "from dro.harness import preset_sweep, records_to_csv, run_sweep\n"
         "from dro.solver import ScipyBackend, get_backend\n"
         "ScipyBackend(), get_backend('scipy')\n"
@@ -454,4 +459,66 @@ def test_semibandit_sweep_imports_no_scipy():
         "    records = run_sweep(preset_sweep(name, feedback='semibandit'))\n"
         "    assert all(r.n_fail == 0 for r in records)\n"
         "    records_to_csv(records)\n"
+    )
+
+
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+
+# a HiGHS solve_milp whose relaxation (1.5) is fractional, so both the LP
+# call and the MIP call run: min x0 + x1, x0 + x1 >= 1.5, binary
+_FRACTIONAL_HIGHS_SOLVE = (
+    "import numpy as np\n"
+    "from dro.solver import LinearProgram, MixedIntegerProgram, ScipyBackend\n"
+    "lp = LinearProgram(np.array([1.0, 1.0]), np.array([[1.0, 1.0]]), ('>=',),\n"
+    "                   np.array([1.5]), np.zeros(2), np.ones(2))\n"
+    "res = ScipyBackend().solve_milp(MixedIntegerProgram(lp, np.ones(2, dtype=bool)))\n"
+    "assert (res.status, res.value, res.relaxation) == ('optimal', 2.0, 1.5), res\n"
+)
+
+
+def test_highs_solves_load_only_the_binding():
+    # the binding's extension file is loaded by itself: no scipy.optimize
+    # package, so no scipy.linalg, scipy.sparse or scipy's OpenBLAS
+    assert_scipy_modules(
+        _FRACTIONAL_HIGHS_SOLVE
+        + "import dataclasses\n"
+        "from dro.harness import preset_sweep, run_sweep\n"
+        "cfg = preset_sweep('spp-k', feedback='bandit')\n"
+        "cfg = dataclasses.replace(cfg, grid=cfg.grid[:1], instances=2)\n"
+        "(record,) = run_sweep(cfg)\n"
+        "assert record.n_fail == 0 and record.mean_lp_quality is not None, record\n",
+        allowed=(_HIGHS_CORE,),
+    )
+
+
+def test_scipy_optimize_reuses_the_backends_binding():
+    # scipy.optimize imported after a backend solve finds the binding in
+    # sys.modules and solves with it
+    assert_scipy_modules(
+        _FRACTIONAL_HIGHS_SOLVE
+        + f"core = sys.modules[{_HIGHS_CORE!r}]\n"
+        "from scipy.optimize import Bounds, LinearConstraint, linprog, milp\n"
+        "from scipy.optimize._highspy import _core\n"
+        f"assert _core is core is sys.modules[{_HIGHS_CORE!r}]\n"
+        "row = LinearConstraint(np.ones((1, 2)), 1.5, np.inf)\n"
+        "res = milp(np.ones(2), integrality=np.ones(2), bounds=Bounds(0, 1), constraints=row)\n"
+        "assert res.status == 0 and res.fun == 2.0, res\n"
+        "res = linprog(np.ones(2), A_ub=-np.ones((1, 2)), b_ub=[-1.5], bounds=(0, 1), method='highs')\n"
+        "assert res.status == 0 and res.fun == 1.5, res\n",
+        allowed=("scipy",),
+    )
+
+
+def test_backend_reuses_the_binding_scipy_optimize_loaded():
+    # with scipy.optimize imported first, the backend loads no second copy
+    assert_scipy_modules(
+        "import scipy.optimize\n"
+        "from scipy.optimize._highspy import _core\n"
+        "from dro.solver import backend\n"
+        "def refuse(*args):\n"
+        "    raise AssertionError('a second load of the binding')\n"
+        "backend.ExtensionFileLoader = refuse\n"
+        + _FRACTIONAL_HIGHS_SOLVE
+        + f"assert backend._highs_core() is _core is sys.modules[{_HIGHS_CORE!r}]\n",
+        allowed=("scipy",),
     )
