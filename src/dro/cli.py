@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import MISSING, fields, replace
 
 import numpy as np
@@ -26,7 +27,7 @@ from .closedform import (
 )
 from .datagen import BetaNominal, cucb_collect, cucb_collect_mcp, observe
 from .harness import SweepConfig, preset_sweep, records_to_csv, run_sweep
-from .errors import BadCardinality, InvalidInstance
+from .errors import BadCardinality, DroError, InvalidInstance
 from .model import load_instance, load_instance_meta, save_instance
 from .problems import CoverageSystem, LayeredGraph, gen_layered_spp, gen_mcp, gen_sorting
 from .reformulate import build_dro_milp, solve_dro_milp
@@ -53,8 +54,30 @@ def _print_findings(err: InvalidInstance):
         print(d, file=sys.stderr)
 
 
+class _BadInput(Exception):
+    """An input file the command cannot read; ``main`` prints its one-line
+    message and exits 1."""
+
+
+@contextmanager
+def _reading(what: str):
+    """Turn what reading or parsing an input raises (a missing file, bad
+    JSON, a missing field, a value the model rejects) into ``_BadInput``
+    with the message ``<what>: <reason>``."""
+    try:
+        yield
+    except (OSError, LookupError, TypeError, AttributeError, ValueError, DroError) as e:
+        reason = f"missing field {e}" if isinstance(e, KeyError) else str(e)
+        raise _BadInput(f"{what}: {reason}") from e
+
+
+def _load(path):
+    with _reading(f"invalid instance {path}"):
+        return load_instance(path)
+
+
 def _cmd_solve(args) -> int:
-    inst = load_instance(args.instance)
+    inst = _load(args.instance)
     if args.epsilon is not None:
         inst = replace(inst, epsilon=args.epsilon)
     try:
@@ -84,7 +107,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_closed_form(args) -> int:
-    inst = load_instance(args.instance)
+    inst = _load(args.instance)
     try:
         idata = interval_data_from_instance(inst)
     except InvalidInstance as e:
@@ -134,7 +157,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_collect(args) -> int:
-    inst = load_instance(args.instance)
+    inst = _load(args.instance)
     meta = load_instance_meta(args.instance)
     seed = _seed_override(args.seed)
     ss = np.random.SeedSequence([seed])
@@ -173,9 +196,9 @@ def _cmd_collect(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    with open(args.config) as fh:
-        raw = json.load(fh)
-    try:
+    with _reading("invalid sweep config"):
+        with open(args.config) as fh:
+            raw = json.load(fh)
         if "preset" in raw:
             unknown = sorted(set(raw) - {"preset", "seed", "paper_scale", "feedback"})
             if unknown:
@@ -195,9 +218,6 @@ def _cmd_sweep(args) -> int:
                 raise ValueError(f"unknown fields {unknown}, missing fields {missing}")
             raw["seed"] = _seed_override(raw["seed"])
             cfg = SweepConfig(**raw)
-    except ValueError as e:
-        print(f"invalid sweep config: {e}", file=sys.stderr)
-        return 1
     backend = get_backend(args.backend) if args.backend else None
     records = run_sweep(cfg, backend=backend)
     csv_text = records_to_csv(records, include_timings=args.timings)
@@ -288,7 +308,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_validate)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _BadInput as e:
+        print(e, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -95,11 +95,6 @@ class BetaNominal:
     def mean(self) -> np.ndarray:
         return self.alpha / (self.alpha + self.beta)
 
-    @property
-    def std(self) -> np.ndarray:
-        s = self.alpha + self.beta
-        return np.sqrt(self.alpha * self.beta / (s * s * (s + 1.0)))
-
 
 def sample_nominal(dist: BetaNominal, num_samples: int, seed_or_rng) -> np.ndarray:
     """(K, n) i.i.d. draws; a single vectorized beta draw in (K, n) order."""

@@ -65,13 +65,13 @@ class Polytope:
     def num_rows(self) -> int:
         return self.rows_a.shape[0]
 
-    def contains(self, c, slack: float = tol.FEAS_TOL) -> bool:
+    def contains(self, c) -> bool:
         c = np.asarray(c, dtype=float)
         if c.shape != (self.num_vars,):
             raise DimensionMismatch("point dimension mismatch")
         if self.num_rows == 0:
             return True
-        return bool(np.all(self.rows_a @ c <= self.rows_b + slack))
+        return bool(np.all(self.rows_a @ c <= self.rows_b + tol.FEAS_TOL))
 
     def is_box(self) -> bool:
         """True when every row constrains a single coordinate."""

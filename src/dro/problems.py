@@ -101,22 +101,6 @@ class LayeredGraph:
         table.setflags(write=False)
         return table
 
-    def path_arcs(self, nodes) -> list[int]:
-        """Arc indices of the path visiting the given intermediate nodes."""
-        nodes = list(nodes)
-        if len(nodes) != self.h - 1:
-            raise DimensionMismatch("one node per intermediate layer required")
-        arcs = [self.arc_index(0, 0, nodes[0])]
-        for layer in range(1, self.h - 1):
-            arcs.append(self.arc_index(layer, nodes[layer - 1], nodes[layer]))
-        arcs.append(self.arc_index(self.h - 1, nodes[-1], 0))
-        return arcs
-
-    def path_vector(self, nodes) -> np.ndarray:
-        x = np.zeros(self.num_arcs)
-        x[self.path_arcs(nodes)] = 1.0
-        return x
-
 
 def gen_layered_spp(h: int, r: int):
     """Routing skeleton on the layered graph; flow conservation as row pairs.

@@ -98,9 +98,13 @@ class CompactVars:
     def lam(self) -> int:
         return self.n
 
-    def mu(self, k: int) -> int:
-        """Column of mu+ for sample ``k``; mu- follows it."""
-        return self.n + 1 + self.num_sigma + 2 * self.eq.index(k)
+    @property
+    def mu(self) -> np.ndarray:
+        """(K,) int: the column of mu+ of each sample with an equality (mu-
+        follows it), -1 for the others."""
+        col = np.full(self.sigma.shape[0], -1)
+        col[list(self.eq)] = self.n + 1 + self.num_sigma + 2 * np.arange(len(self.eq))
+        return col
 
     @property
     def total(self) -> int:
@@ -334,8 +338,7 @@ def _compact_dual(inst: ProblemInstance, boxes: SampleBoxes):
     a[:nr, :n] = dx[:, None] * t_xx[ii]
     a[rows, layout.lam] = lam_coef
     a[rows, layout.sigma[kk, ii]] = -1.0
-    mu_col = np.full(num_k, -1)
-    mu_col[has_eq] = n + 1 + num_sigma + 2 * np.arange(len(layout.eq))
+    mu_col = layout.mu
     on_eq = has_eq[kk]
     a[rows[on_eq], mu_col[kk[on_eq]]] = mu_coef[on_eq]
     a[rows[on_eq], mu_col[kk[on_eq]] + 1] = -mu_coef[on_eq]

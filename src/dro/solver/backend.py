@@ -33,8 +33,8 @@ class Backend(Protocol):
     sense (``c0`` included) and a point ``x``; ``solve_milp`` also reports
     ``node_count``, rounds the integer entries of ``x`` and carries the value
     of the LP relaxation it solved as ``relaxation``, bit for bit the value
-    of ``solve_lp(mip.lp)``, so no caller solves it again.  Duals and pivot
-    counts come from the reference kernel only."""
+    of ``solve_lp(mip.lp)``, so no caller solves it again.  Pivot counts
+    come from the reference kernel only."""
 
     def solve_lp(self, lp: LinearProgram) -> SolveResult: ...
 

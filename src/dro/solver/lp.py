@@ -6,16 +6,16 @@ bounds.  :meth:`StandardForm.tableau` rebuilds the parent's final
 :class:`Basis` as the tableau B^-1 [A | b] at the parent's bounds and keeps
 it as a :class:`ParentTableau`.  A solve from it shifts only the rhs for the
 child's bounds; the basis stays dual feasible, so a dual simplex restores
-primal feasibility, usually in a few pivots, and ``x`` alone is re-solved.
+primal feasibility, usually in a few pivots.
 There is no tableau where the basis cannot be reused (a singular B or a
 basis that is not dual feasible), and a program whose standard form has
 another layout than the tableau's is solved cold.  A solve against a basis
 factorizes only its structural core (:meth:`StandardForm.basis_solve`): a
 basic slack is a signed unit column, so it and the row it covers drop out.
 
-Every path ends in the same primal phase two and a clean re-solve against
-the final basis.  The primal rule is Dantzig (most negative reduced cost);
-the dual rule takes the most negative basic value as the leaving row.
+Every path ends in the same primal phase two and a clean re-solve of ``x``
+against the final basis.  The primal rule is Dantzig (most negative reduced
+cost); the dual rule takes the most negative basic value as the leaving row.
 Ratio-test ties go to the lowest index, and after ``STALL_PIVOTS``
 consecutive non-improving pivots either loop switches to Bland's rule, which
 guarantees termination.  All ties are broken deterministically, so identical
@@ -172,8 +172,6 @@ class SolveResult:
     status: str
     value: float | None = None
     x: np.ndarray | None = None
-    dual: np.ndarray | None = None
-    dual_objective: float | None = None
     pivots: int = 0
     node_count: int | None = None
     basis: Basis | None = None
@@ -253,16 +251,14 @@ class StandardForm:
         minimization sense."""
         return self.flip * lp.c0 + float(self.costs[: lp.n] @ lo)
 
-    def basis_solve(self, rows, cols, rhs, transpose=False):
-        """B^-1 rhs, or B^-T rhs with ``transpose``, for the basis matrix
-        B = a[rows][:, cols]; ``rhs`` is a vector or a matrix whose rows
-        follow ``rows`` (``cols`` with ``transpose``).
+    def basis_solve(self, rows, cols, rhs):
+        """B^-1 rhs for the basis matrix B = a[rows][:, cols]; ``rhs`` is a
+        vector or a matrix whose rows follow ``rows``.
 
         A basic slack column is a signed unit vector on its own row, so only
         the structural core, a[rows without a basic slack][:, basic
         structural columns], is factorized.  Each basic slack is its row's
-        residual times its sign (±1), and B^T y = rhs sets y on a slack's
-        row to the slack's rhs times its sign.  det B = ±det core, so a singular B
+        residual times its sign (±1).  det B = ±det core, so a singular B
         raises ``LinAlgError`` here as a dense solve of B does.
         """
         srow = self.slack_row[cols]
@@ -282,12 +278,8 @@ class StandardForm:
         if rhs.ndim == 2:
             sign = sign[:, None]
         out = np.empty(rhs.shape)
-        if transpose:
-            out[ps] = y_slack = rhs[slack] * sign
-            out[keep] = np.linalg.solve(core.T, rhs[struct] - cross.T @ y_slack)
-        else:
-            out[struct] = z_core = np.linalg.solve(core, rhs[keep])
-            out[slack] = (rhs[ps] - cross @ z_core) * sign
+        out[struct] = z_core = np.linalg.solve(core, rhs[keep])
+        out[slack] = (rhs[ps] - cross @ z_core) * sign
         return out
 
     def tableau(self, lp: LinearProgram, basis: Basis | None):
@@ -546,13 +538,9 @@ def solve_lp(
     only past ``FEAS_TOL`` times (1 + the largest |rhs|): phase one when the
     artificial sum exceeds it, the dual simplex when a basic value below
     minus that has no negative entry in its row.  ``max_pivots`` caps primal
-    and dual pivots together.  On an optimal cold solve ``dual`` holds
-    shadow prices d(value)/d(rhs) per original row and ``dual_objective``
-    their objective, both from a re-solve against the final basis (zeros and
-    None if that basis is singular); the duality gap is not checked here.  A
-    solve from ``start`` re-solves ``x`` alone and reports no duals (both
-    None).  A cold solve of a :meth:`LinearProgram.malformed` program is
-    status ``error``.
+    and dual pivots together.  An optimal solve re-solves ``x`` against its
+    final basis.  A cold solve of a :meth:`LinearProgram.malformed` program
+    is status ``error``.
     """
     if max_pivots is None:
         max_pivots = tol.MAX_PIVOTS
@@ -569,7 +557,7 @@ def solve_lp(
         if np.any(sf.costs < -tol.PIVOT_TOL):
             return SolveResult(UNBOUNDED)
         value = sf.flip * sf.shift_const(lp, lo)
-        return SolveResult(OPTIMAL, value, lo, np.zeros(0), value)
+        return SolveResult(OPTIMAL, value, lo)
 
     feas_tol = tol.FEAS_TOL * (1.0 + float(np.abs(b).max(initial=0.0)))
     if start is not None:
@@ -585,25 +573,18 @@ def solve_lp(
         status = tab.run(costs, np.arange(ncols) < n_real, max_pivots)
     if status != OPTIMAL:
         return SolveResult(status, pivots=tab.pivots)
-    return _result_at_basis(lp, sf, lo, b, tab, duals=start is None)
+    return _result_at_basis(lp, sf, lo, b, tab)
 
 
-def _result_at_basis(
-    lp: LinearProgram, sf: StandardForm, lo, b, tab: _Tableau, duals: bool
-) -> SolveResult:
+def _result_at_basis(lp: LinearProgram, sf: StandardForm, lo, b, tab: _Tableau) -> SolveResult:
     """The optimal result at the tableau's final basis; the clean re-solve
-    against the standard-form data removes pivot drift.  Without ``duals``
-    only ``x`` is re-solved."""
+    of ``x`` against the standard-form data removes pivot drift."""
     kept = np.array(tab.rows, dtype=np.int32)
     cols = np.array(tab.basis, dtype=np.int32)
     n_real = sf.a.shape[1]
-    y_kept = None
     try:
-        xb = sf.basis_solve(kept, cols, b[kept])
         z = np.zeros(n_real)
-        z[cols] = xb
-        if duals:
-            y_kept = sf.basis_solve(kept, cols, sf.costs[cols], transpose=True)
+        z[cols] = sf.basis_solve(kept, cols, b[kept])
     except np.linalg.LinAlgError:
         z = tab.solution(n_real)
     x_ext = z[: sf.n] + np.concatenate([lo, np.zeros(sf.free_idx.size)])
@@ -611,21 +592,4 @@ def _result_at_basis(
     if sf.free_idx.size:
         x[sf.free_idx] = x_ext[sf.free_idx] - x_ext[lp.n :]
     value = float(lp.c @ x) + lp.c0
-
-    dual = dual_obj = None
-    if duals:
-        dual = np.zeros(lp.m)
-        if y_kept is not None:
-            y_full = np.zeros(sf.m)
-            y_full[kept] = y_kept
-            dual = sf.flip * y_full[: lp.m]
-            dual_obj = sf.flip * (float(y_kept @ b[kept]) + sf.shift_const(lp, lo))
-    return SolveResult(
-        OPTIMAL,
-        value,
-        x,
-        dual,
-        dual_objective=dual_obj,
-        pivots=tab.pivots,
-        basis=Basis(kept, cols, sf.layout),
-    )
+    return SolveResult(OPTIMAL, value, x, pivots=tab.pivots, basis=Basis(kept, cols, sf.layout))

@@ -40,6 +40,21 @@ def all_paths(graph):
     return itertools.product(range(graph.r), repeat=graph.h - 1)
 
 
+def path_arcs(graph, nodes) -> list[int]:
+    """Arc indices, source to destination, of the ``LayeredGraph`` path
+    through the given intermediate nodes."""
+    stops = [0, *nodes, 0]  # arc_index ignores the source's tail and the last head
+    assert len(stops) == graph.h + 1, "one node per intermediate layer"
+    return [graph.arc_index(layer, stops[layer], stops[layer + 1]) for layer in range(graph.h)]
+
+
+def path_vector(graph, nodes) -> np.ndarray:
+    """The 0/1 arc vector of :func:`path_arcs`."""
+    x = np.zeros(graph.num_arcs)
+    x[path_arcs(graph, nodes)] = 1.0
+    return x
+
+
 def covered_items(system, chosen) -> np.ndarray:
     """Item-coverage flags of the chosen subsets of a ``CoverageSystem``."""
     x = np.zeros(system.n_items)

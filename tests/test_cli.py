@@ -221,6 +221,46 @@ def test_gen_rejects_bad_cardinality(tmp_path, capsys, args, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    lambda path: ["solve", path],
+    lambda path: ["closed-form", path],
+    lambda path: ["collect", "spp", path, "--k", "2"],
+], ids=["solve", "closed-form", "collect"])
+def test_unreadable_instance_is_one_line(interval_instance, tmp_path, capsys, command):
+    blob = json.loads(Path(interval_instance).read_text())
+    cases = [
+        ({**blob, "n1": blob["n1"] + 1}, "n1 + n2 must equal n"),
+        ({**blob, "scenarios": [{**blob["scenarios"][0], "kind": "exakt"}]},
+         "unknown scenario kind 'exakt'"),
+        ({**blob, "sense": "maximize"}, "sense must be 'min' or 'max'"),
+        ({k: v for k, v in blob.items() if k != "loss"}, "missing field 'loss'"),
+        ("{not json", "Expecting property name"),
+        (None, "No such file or directory"),
+    ]
+    for i, (data, message) in enumerate(cases):
+        path = tmp_path / f"bad{i}.json"
+        if data is not None:
+            path.write_text(data if isinstance(data, str) else json.dumps(data))
+        assert main(command(str(path))) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid instance {path}: ")
+        assert message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_unreadable_sweep_config_is_one_line(tmp_path, capsys):
+    bad = tmp_path / "cfg.json"
+    bad.write_text("{not json")
+    for path, message in ((bad, "Expecting property name"),
+                          (tmp_path / "none.json", "No such file or directory")):
+        assert main(["sweep", str(path), "-o", str(tmp_path / "out.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid sweep config: ")
+        assert message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_module_entry_point_runs_the_cli():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
         str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")

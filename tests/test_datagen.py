@@ -20,7 +20,7 @@ from dro.datagen import (
 from dro.errors import DimensionMismatch, MeanOutOfRange
 from dro.model import lower_scenario, Polytope
 from dro.problems import CoverageSystem, LayeredGraph, gen_layered_spp, gen_mcp, shortest_path_dp
-from enumeration import all_paths, covered_items
+from enumeration import all_paths, covered_items, path_arcs, path_vector
 
 
 class TestBetaParams:
@@ -48,7 +48,9 @@ class TestBetaParams:
             m = float(rng.uniform(lo + 1e-6, hi - 1e-6))
             dist = BetaNominal.from_mean_std([m], 0.125)
             assert dist.mean[0] == pytest.approx(m, abs=1e-9)
-            assert dist.std[0] == pytest.approx(0.125, abs=1e-9)
+            s = dist.alpha[0] + dist.beta[0]
+            std = np.sqrt(dist.alpha[0] * dist.beta[0] / (s * s * (s + 1.0)))
+            assert std == pytest.approx(0.125, abs=1e-9)
 
 
 class TestSampling:
@@ -151,7 +153,7 @@ class TestCucb:
         g = LayeredGraph(3, 2)
         dist = BetaNominal.random(g.num_arcs, 0.125, 1)
         run = cucb_collect(g, dist, 1, 2)
-        np.testing.assert_array_equal(np.flatnonzero(run.decisions[0]), g.path_arcs([0, 0]))
+        np.testing.assert_array_equal(np.flatnonzero(run.decisions[0]), path_arcs(g, [0, 0]))
 
     def test_costs_never_negative(self):
         state = CucbState.fresh(2)
@@ -167,7 +169,7 @@ class TestCucb:
         run = cucb_collect(g, dist, 500, 99)
         run2 = cucb_collect(g, dist, 500, 99)
         np.testing.assert_array_equal(run.decisions, run2.decisions)
-        paths = [g.path_vector(nodes) for nodes in all_paths(g)]
+        paths = [path_vector(g, nodes) for nodes in all_paths(g)]
         true_best = min(range(len(paths)), key=lambda i: float(dist.mean @ paths[i]))
         freq = [sum(np.array_equal(d, p) for d in run.decisions) for p in paths]
         assert int(np.argmax(freq)) == true_best

@@ -2,18 +2,27 @@
 
 ``perfbench/run.py --trace 1`` wraps each layer's entry points at the names
 their callers look them up under.  A refactor that removes or renames one of
-those names breaks the traced benchmark run; this test finds that first.
-``perfbench/`` is imported read-only and every patch is put back.
+those names, or a field that a span's counts read, breaks the traced
+benchmark run; this test finds that first.  ``perfbench/`` is imported
+read-only and every patch is put back.
 """
 
 import dataclasses
 import importlib.util
+import json
 import pathlib
 import sys
 
-from dro import harness
+import numpy as np
 
-SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+from dro import harness, reformulate, selfcheck
+from dro.solver import ReferenceKernel, ScipyBackend
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+# the per-layer metrics that perfbench/run.py's run_traced adds to
+# layer_metrics' own
+RUN_TRACED_METRICS = {"solver.highs.first_call_s", "cli.import_s", "trace.overhead_pct"}
 
 
 def _load_spans(monkeypatch):
@@ -35,8 +44,22 @@ def test_every_patch_target_exists_and_is_restored(monkeypatch):
         tracer.op = "one cell"
         cfg = harness.preset_sweep("mcp-k", seed=0, feedback="semibandit")
         harness.run_sweep(dataclasses.replace(cfg, grid=cfg.grid[:1], instances=2))
+        # a sweep runs no dual MILP: one solve on each backend builds one and
+        # fills the pivot and node counts
+        rng = np.random.default_rng(3)
+        for backend in (ReferenceKernel(), ScipyBackend()):
+            tracer.op = backend.name
+            value, _, diag = reformulate.solve_dro(selfcheck.random_interval_instance(rng), backend)
+            assert value is not None, diag.status
         names = {s.name for s in tracer.spans}
-        assert {"harness.run_sweep", "datagen.cucb_collect_mcp"} <= names
+        assert {"harness.run_sweep", "datagen.cucb_collect_mcp", "reformulate.build_dro_milp",
+                "solver.ref.solve_milp", "solver.highs.solve_milp"} <= names
+        assert [s.error for s in tracer.spans if s.error] == []
+        metrics = spans.layer_metrics(tracer)
+        per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+        assert set(metrics) == {m["name"] for m in per_layer} - RUN_TRACED_METRICS
+        assert metrics["solver.ref.pivots"] > 0
+        assert metrics["solver.highs.calls"] > 0
     finally:
         tracer.set_traced(False)
     for owner, attr, original in patched:

@@ -23,7 +23,15 @@ from dro.problems import (
 from dro.selfcheck import brute_force_coverage
 from dro.solver import LE, LinearProgram, MixedIntegerProgram, ScipyBackend, solve_lp, solve_milp
 from coverage_search import reference_mcp_cop
-from enumeration import TooLarge, all_paths, covered_items, enumerate_feasible, num_paths
+from enumeration import (
+    TooLarge,
+    all_paths,
+    covered_items,
+    enumerate_feasible,
+    num_paths,
+    path_arcs,
+    path_vector,
+)
 
 
 class TestSorting:
@@ -79,18 +87,18 @@ class TestLayeredGraph:
         for h, r in ((2, 3), (3, 2), (4, 2)):
             g = LayeredGraph(h, r)
             for nodes in all_paths(g):
-                assert g.path_vector(nodes).sum() == h
+                assert path_vector(g, nodes).sum() == h
 
     def test_flow_encoding_enumeration(self):
         sk, g = gen_layered_spp(3, 2)
         pts = enumerate_feasible(sk.feasible)
         assert len(pts) == 4
-        expected = {tuple(g.path_vector(nodes)) for nodes in all_paths(g)}
+        expected = {tuple(path_vector(g, nodes)) for nodes in all_paths(g)}
         assert {tuple(p) for p in pts} == expected
 
     def test_dp_matches_enumeration_and_milp(self):
         sk, g = gen_layered_spp(3, 2)
-        paths = [g.path_vector(nodes) for nodes in all_paths(g)]
+        paths = [path_vector(g, nodes) for nodes in all_paths(g)]
         rng = np.random.default_rng(6)
         fs = sk.feasible
         for _ in range(50):
@@ -117,7 +125,7 @@ class TestLayeredGraph:
         # by (last node, ..., first node): lowest-index predecessors
         g = LayeredGraph(h, r)
         nodes = list(all_paths(g))
-        paths = [g.path_vector(n) for n in nodes]
+        paths = [path_vector(g, n) for n in nodes]
         costs = np.random.default_rng([7, h, r]).integers(0, 3, (2, 20, g.num_arcs)) / 2.0
         c_dp, x_dp = shortest_path_dp(g, costs)
         assert c_dp.shape == (2, 20) and x_dp.shape == costs.shape
@@ -127,7 +135,7 @@ class TestLayeredGraph:
             values = [float(costs[idx] @ p) for p in paths]
             assert c_one == min(values)
             first = min(n[::-1] for n, v in zip(nodes, values) if v == c_one)[::-1]
-            assert x_one.tobytes() == g.path_vector(first).tobytes()
+            assert x_one.tobytes() == path_vector(g, first).tobytes()
         assert np.count_nonzero(costs[0, :, 0] == costs[0, :, 1]) > 0
         with pytest.raises(DimensionMismatch):
             shortest_path_dp(g, np.zeros((3, g.num_arcs + 1)))
@@ -136,12 +144,12 @@ class TestLayeredGraph:
         g = LayeredGraph(4, 3)
         cost, x = shortest_path_dp(g, np.full(g.num_arcs, 0.25))
         assert cost == pytest.approx(1.0)
-        np.testing.assert_array_equal(np.flatnonzero(x), g.path_arcs([0, 0, 0]))
+        np.testing.assert_array_equal(np.flatnonzero(x), path_arcs(g, [0, 0, 0]))
 
     def test_hand_set_costs_select_planted_path(self):
         g = LayeredGraph(3, 2)
         costs = np.ones(g.num_arcs)
-        planted = g.path_arcs([1, 0])
+        planted = path_arcs(g, [1, 0])
         costs[planted] = 0.01
         _, x = shortest_path_dp(g, costs)
         np.testing.assert_array_equal(np.flatnonzero(x), sorted(planted))

@@ -53,7 +53,7 @@ from dro.solver import (
     dump_program,
     solve_lp,
 )
-from enumeration import all_paths
+from enumeration import all_paths, path_vector
 
 
 def unit_box(n):
@@ -194,8 +194,8 @@ def reference_compact_milp(inst):
                 row[layout.lam] = -abs(c - c_hat)
                 b = -(c - big_l) * loss.t_c[i]
                 if m is not None:
-                    row[layout.mu(k)] = -mi * (c_hat - big_l)
-                    row[layout.mu(k) + 1] = mi * (c_hat - big_l)
+                    row[layout.mu[k]] = -mi * (c_hat - big_l)
+                    row[layout.mu[k] + 1] = mi * (c_hat - big_l)
                 if np.any(row != 0) or b != 0:  # else only -sigma <= 0
                     row[sigma[k, i]] = -1.0
                     rows.append(row)
@@ -217,8 +217,8 @@ def reference_compact_milp(inst):
         c[:n] += loss.t_xx.T @ lo / num_k
         c0 += lo @ loss.t_c / num_k
         if m is not None:
-            c[layout.mu(k)] = (t - m @ lo) / num_k
-            c[layout.mu(k) + 1] = -(t - m @ lo) / num_k
+            c[layout.mu[k]] = (t - m @ lo) / num_k
+            c[layout.mu[k] + 1] = -(t - m @ lo) / num_k
     up = np.full(nvar, np.inf)
     up[:n] = fs.upper
     int_mask = np.zeros(nvar, dtype=bool)
@@ -310,7 +310,7 @@ class TestVariableLayout:
         assert layout.lam == 3
         assert layout.num_sigma == 8
         assert sorted(set(sigma.ravel().tolist())) == list(range(4, 12))
-        assert (layout.mu(1), layout.mu(3)) == (12, 14)
+        assert layout.mu.tolist() == [-1, 12, -1, 14]
         assert layout.total == 16
 
 
@@ -523,7 +523,7 @@ class TestSolveDro:
         rng = np.random.default_rng(55)
         skeleton, graph = gen_layered_spp(h, r)
         n = graph.num_arcs
-        paths = [graph.path_vector(nodes) for nodes in all_paths(graph)]
+        paths = [path_vector(graph, nodes) for nodes in all_paths(graph)]
         hidden = rng.random((2, n))
         decisions = [paths[0], paths[1]]  # overlap in the fan-in/fan-out arcs
         scen = tuple(Bandit(d, float(c @ d)) for d, c in zip(decisions, hidden))
