@@ -164,24 +164,31 @@ def _cmd_collect(args) -> int:
     rng_means, rng_run = [np.random.default_rng(s) for s in ss.spawn(2)]
     n = inst.feasible.n
     misfit = "structure does not fit the instance: {}, but the instance has dimension {}"
+    # meta is free-form JSON that the instance schema ignores: a field that
+    # cannot be read, or a structure it cannot describe, is a bad instance
+    what = f"invalid instance {args.instance}"
     if args.family == "spp":
-        h = args.cardinality or meta.get("h")
-        r = args.r or meta.get("r")
-        if not (h and r):
+        with _reading(what):
+            h = args.cardinality or meta.get("h")
+            r = args.r or meta.get("r")
+            graph = LayeredGraph(int(h), int(r)) if h and r else None
+        if graph is None:
             print("graph shape unknown: pass --h and -r or generate with `dro gen spp`", file=sys.stderr)
             return 1
-        graph = LayeredGraph(int(h), int(r))
         if graph.num_arcs != n:
             print(misfit.format(f"a ({h}, {r}) graph has {graph.num_arcs} arcs", n), file=sys.stderr)
             return 1
         dist = BetaNominal.random(graph.num_arcs, args.sigma, rng_means)
         run = cucb_collect(graph, dist, args.k, rng_run)
     else:
-        subsets = meta.get("subsets")
-        if not subsets:
+        with _reading(what):
+            subsets = meta.get("subsets")
+            system = None
+            if subsets:
+                system = CoverageSystem(int(meta["n1"]), tuple(tuple(s) for s in subsets), int(meta["budget"]))
+        if system is None:
             print("subset system unknown: generate the instance with `dro gen mcp`", file=sys.stderr)
             return 1
-        system = CoverageSystem(int(meta["n1"]), tuple(tuple(s) for s in subsets), int(meta["budget"]))
         if system.n_items + system.n_subsets != n:
             print(misfit.format(f"{system.n_items} items plus {system.n_subsets} subsets", n), file=sys.stderr)
             return 1

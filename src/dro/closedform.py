@@ -111,6 +111,12 @@ class IntervalSolveDetail:
     winner: str  # "saa" or "ceiling"
 
 
+def ceiling_costs(support_lower, support_upper, sense: str):
+    """The costs of the radius-free candidate: the support's upper bounds
+    for minimization, its lower bounds for maximization."""
+    return support_upper if sense == "min" else support_lower
+
+
 def solve_interval_detail(
     feasible: FeasibleSet,
     interval: IntervalData,
@@ -126,21 +132,19 @@ def solve_interval_detail(
     mirror image on the lower bounds with the radius subtracted.  Exact ties
     go to the data-driven candidate rather than the conservative one.
     ``support_bound`` is the ``(value, x)`` of the radius-free candidate, the
-    COP on ``support_upper`` (min) or ``support_lower`` (max), when the caller
-    has already solved it; otherwise it is solved here.
+    COP on :func:`ceiling_costs`, when the caller has already solved it;
+    otherwise it is solved here.
     """
     cop = nominal_cop or milp_cop(feasible)
-    if sense == "min":
-        v1, x1 = cop(interval.upper.mean(axis=0), "min")
-        v1 += epsilon
-        v2, x2 = support_bound or cop(interval.support_upper, "min")
-        if v1 <= v2 + tol.VALUE_TOL:
-            return IntervalSolveDetail(v1, x1, v1, v2, "saa")
-        return IntervalSolveDetail(v2, x2, v1, v2, "ceiling")
-    v1, x1 = cop(interval.lower.mean(axis=0), "max")
-    v1 -= epsilon
-    v2, x2 = support_bound or cop(interval.support_lower, "max")
-    if v1 >= v2 - tol.VALUE_TOL:
+    # sign * value is a cost to minimize; negation is exact, so the max
+    # branch computes v1 - eps and v1 >= v2 - tol bit for bit
+    sign = 1.0 if sense == "min" else -1.0
+    v1, x1 = cop((interval.upper if sense == "min" else interval.lower).mean(axis=0), sense)
+    v1 += sign * epsilon
+    v2, x2 = support_bound or cop(
+        ceiling_costs(interval.support_lower, interval.support_upper, sense), sense
+    )
+    if sign * v1 <= sign * v2 + tol.VALUE_TOL:
         return IntervalSolveDetail(v1, x1, v1, v2, "saa")
     return IntervalSolveDetail(v2, x2, v1, v2, "ceiling")
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, MeanOutOfRange
 from .model import Bandit, Interval, SemiBandit
-from .problems import CoverageSystem, LayeredGraph, shortest_path_dp
+from .problems import LayeredGraph, shortest_path_dp
 
 
 def _rng(seed_or_rng) -> np.random.Generator:

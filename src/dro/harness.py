@@ -20,20 +20,23 @@ columns are written as 0 unless explicitly enabled).
 Instances are drawn in batches before any instance of a cell runs: a shared
 sweep draws every instance at its first cell and reads every cell off them;
 a structural sweep draws the instances of each cell at that cell.  For spp
-and mcp the structure, the nominal law, the collector history at ``k_max``
-steps, the COP handle and the nominal optimum are kept.  Under semibandit
-feedback the draw also validates and lowers the whole history once, and
-each cell slices its K prefix of boxes off it, and it solves the
-support-bound interval candidate, whose costs no cell changes; under bandit
-feedback each cell observes its K prefix and builds and solves its dual
-MILP.  Sorting keeps its nominal law and samples, and corrupts them and
-builds its cardinality structure per cell.  Each instance draws from its own
-streams; one CUCB pass then collects the whole batch a step at once, and as
-the selection rule consumes no randomness each history keeps the bits it has
-alone.  A failed draw, its lowering included, is kept as the instance's
-failure and its runner raises it in every cell, on the traceback the draw
-left it, so it fails that instance and no other; a failure of the batch's
-shared part (an spp graph) fails every instance of the batch.
+and mcp the draw keeps the structure, the nominal law, the COP handle and
+the nominal optimum, and under either feedback it observes, validates and
+lowers the collector history at ``k_max`` steps once.  Each cell slices the
+boxes of its K prefix off that lowering; every sample lowers on its own, so
+the slice equals a lowering of the prefix alone.  A bandit cell builds and
+solves its dual MILP on the slice; a semibandit cell solves the interval
+candidates on it, the support-bound one solved once by the draw, as no cell
+changes its costs.  Sorting keeps its nominal law and samples, and corrupts
+them and builds its cardinality structure per cell.  Each instance draws
+from its own streams; one CUCB pass then collects the whole batch a step at
+once, and as the selection rule consumes no randomness each history keeps
+the bits it has alone.  A failed draw, its lowering included, is kept as the
+instance's failure and its runner raises it in every cell, on the traceback
+the draw left it, so it fails that instance and no other; a history whose
+lowering fails (no CUCB history does) thus fails every cell under either
+feedback.  A failure of the batch's shared part (an spp graph) fails every
+instance of the batch.
 ``mean_time_ms`` times the robust solve of each cell: the dual MILP under
 bandit feedback, else the interval closed form.  A sorting cell times both
 interval candidates; a semibandit spp or mcp cell times its SAA candidate
@@ -51,12 +54,7 @@ from types import TracebackType
 
 import numpy as np
 
-from .closedform import (
-    IntervalData,
-    interval_data_from_instance,
-    milp_cop,
-    solve_interval_detail,
-)
+from .closedform import IntervalData, ceiling_costs, milp_cop, solve_interval_detail
 from .datagen import (
     BetaNominal,
     CollectorRun,
@@ -68,7 +66,7 @@ from .datagen import (
     sample_nominal,
 )
 from .errors import DegenerateDenominator, DimensionMismatch, DroError, EmptyInput
-from .model import FeasibleSet
+from .model import FeasibleSet, SampleBoxes, validate_instance
 from .problems import (
     ProblemSkeleton,
     gen_layered_spp,
@@ -78,7 +76,7 @@ from .problems import (
     sorting_cop,
     spp_cop,
 )
-from .reformulate import build_dro_milp, solve_dro_milp
+from .reformulate import dro_milp, solve_dro_milp
 from .solver import ScipyBackend
 
 
@@ -359,34 +357,40 @@ def _run_sorting_instance(cfg: SweepConfig, cell, drawn, backend) -> InstanceOut
 @dataclass(eq=False)
 class _HistoryDraw:
     """The cell-independent part of an spp or mcp instance: the skeleton, the
-    nominal law, its collector history at ``k_max`` steps, the COP handle and
-    the nominal optimum the relative loss divides by.  Under semibandit
-    feedback it also keeps the history's boxes, validated and lowered once,
-    and a cell reads its K prefix off them, and the ``(value, x)`` of the
-    support-bound candidate, whose costs no cell changes."""
+    nominal law, the COP handle, the nominal optimum the relative loss
+    divides by, and the boxes of its collector history at ``k_max`` steps,
+    observed, validated and lowered once, which a cell reads its K prefix
+    off.  Under bandit feedback it also keeps the observed scenarios, which
+    a cell's instance holds; under semibandit feedback the ``(value, x)`` of
+    the support-bound candidate, whose costs no cell changes."""
 
     skeleton: ProblemSkeleton
     dist: BetaNominal
-    run: CollectorRun
+    run: InitVar[CollectorRun]
     cop: Callable
     radius_scale: int  # what prop_h scales: path length or budget
     n1: int | None  # what prop_n1 scales, None to read it from params
     feedback: InitVar[str]
     optimum: float = field(init=False)
-    boxes: IntervalData | None = field(init=False)
+    boxes: SampleBoxes = field(init=False)
+    scenarios: tuple | None = field(init=False)
     support_bound: tuple | None = field(init=False)
 
-    def __post_init__(self, feedback):
+    def __post_init__(self, run, feedback):
         skeleton = self.skeleton
         self.optimum = nominal_optimum(self.dist, skeleton.feasible, skeleton.sense, self.cop)
-        self.boxes = self.support_bound = None
-        if feedback == "semibandit":
-            # the radius plays no part in the boxes; SweepConfig has already
-            # rejected a negative one
-            scen = observe(feedback, self.run.samples, self.run.decisions, skeleton.feasible.n)
-            self.boxes = interval_data_from_instance(skeleton.instance(scen, 0.0))
-            bound = self.boxes.support_upper if skeleton.sense == "min" else self.boxes.support_lower
-            self.support_bound = self.cop(bound, skeleton.sense)
+        scen = observe(feedback, run.samples, run.decisions, skeleton.feasible.n)
+        inst = skeleton.instance(scen, 0.0)
+        # the radius plays no part in the boxes; SweepConfig has already
+        # rejected a negative one.  On the box supports of spp and mcp the
+        # validation returns SampleBoxes.
+        self.boxes = validate_instance(inst)
+        self.scenarios = self.support_bound = None
+        if feedback == "bandit":
+            self.scenarios = inst.scenarios
+        else:
+            costs = ceiling_costs(*skeleton.support.box_bounds(), skeleton.sense)
+            self.support_bound = self.cop(costs, skeleton.sense)
 
 
 def _draw_histories(cfg: SweepConfig, rngs, draw, collect, radius_scale, n1):
@@ -429,25 +433,22 @@ def _draw_mcp(cfg: SweepConfig, cell, rngs):
 
 
 def _history_outcome(cfg: SweepConfig, cell, drawn: _HistoryDraw | _Failure, backend) -> InstanceOutcome:
-    """Solve on the history's first K steps: thm2 on the semi-bandit boxes
-    lowered at draw time, the dual MILP on bandit totals observed here."""
+    """Solve on the history's first K steps, sliced off the boxes lowered at
+    draw time: thm2 on semi-bandit boxes, the dual MILP on bandit ones."""
     if isinstance(drawn, _Failure):
         drawn.raise_()
     num_k = cfg.cell_k(cell)
     eps = cfg.cell_epsilon(cell, num_k, drawn.radius_scale, n1=drawn.n1)
-    run, skeleton = drawn.run, drawn.skeleton
+    skeleton = drawn.skeleton
+    boxes = drawn.boxes.head(num_k)
     if cfg.feedback == "semibandit":
-        full = drawn.boxes
-        idata = IntervalData(
-            full.lower[:num_k], full.upper[:num_k], full.support_lower, full.support_upper
-        )
+        idata = IntervalData(boxes.lo, boxes.hi, *skeleton.support.box_bounds())
         return _interval_outcome(
             skeleton.feasible, idata, eps, drawn.cop, skeleton.sense, drawn.dist,
             drawn.optimum, drawn.support_bound,
         )
-    scen = observe(cfg.feedback, run.samples[:num_k], run.decisions[:num_k], skeleton.feasible.n)
-    inst = skeleton.instance(scen, eps)
-    mip, _ = build_dro_milp(inst)
+    inst = skeleton.instance(drawn.scenarios[:num_k], eps)
+    mip, _ = dro_milp(inst, boxes)
     value, x, diag = solve_dro_milp(inst, mip, backend)
     if value is None:
         raise RuntimeError(f"robust solve failed: {diag.status}")
@@ -558,39 +559,57 @@ def records_to_csv(records, include_timings: bool = False) -> str:
 
 # -- ready-made configurations ----------------------------------------------
 
+# name -> family, swept parameter, default feedback, the epsilon rule as a
+# function of the grid's largest K and the params, and the desk and paper
+# scales; a scale holds SweepConfig fields and the family params, the swept
+# one excepted, which takes the grid's first cell
 _PRESETS = {
     # sorting with interval noise
-    "sorting-delta": dict(
-        desk=dict(n=20, K=30, h=5, M=30, grid=(0.0, 0.2, 0.4, 0.6, 0.8)),
-        paper=dict(n=50, K=50, h=5, M=100, grid=tuple(np.round(np.arange(0, 1.0, 0.1), 2))),
+    "sorting-delta": (
+        "sorting", "delta", "interval", lambda k_max, p: {"kind": "fixed", "value": 1.0},
+        dict(n=20, k_samples=30, h=5, instances=30, grid=(0.0, 0.2, 0.4, 0.6, 0.8)),
+        dict(n=50, k_samples=50, h=5, instances=100, grid=tuple(np.round(np.arange(0, 1.0, 0.1), 2))),
     ),
-    "sorting-h": dict(
-        desk=dict(n=20, K=30, M=30, grid=tuple(range(1, 9)), delta=0.2),
-        paper=dict(n=50, K=50, M=100, grid=tuple(range(1, 11)), delta=0.2),
+    "sorting-h": (
+        "sorting", "h", "interval", lambda k_max, p: {"kind": "fixed", "value": 1.0},
+        dict(n=20, k_samples=30, instances=30, grid=tuple(range(1, 9)), delta=0.2),
+        dict(n=50, k_samples=50, instances=100, grid=tuple(range(1, 11)), delta=0.2),
     ),
-    "sorting-gamma": dict(
-        desk=dict(n=20, K=30, h=5, M=30, grid=(5, 10, 15, 20, 25, 30, 35, 40)),
-        paper=dict(n=50, K=50, h=5, M=100, grid=(5, 10, 15, 20, 25, 30, 35, 40, 45, 50)),
+    "sorting-gamma": (
+        "sorting", "gamma", "interval", lambda k_max, p: {"kind": "sqrt", "gamma": 0.0},
+        dict(n=20, k_samples=30, h=5, instances=30, grid=(5, 10, 15, 20, 25, 30, 35, 40)),
+        dict(n=50, k_samples=50, h=5, instances=100, grid=(5, 10, 15, 20, 25, 30, 35, 40, 45, 50)),
     ),
-    "sorting-k": dict(
-        desk=dict(n=20, h=5, M=30, grid=(5, 10, 15, 20, 25, 30)),
-        paper=dict(n=50, h=5, M=100, grid=tuple(range(5, 55, 5))),
+    "sorting-k": (
+        "sorting", "K", "interval", lambda k_max, p: {"kind": "sqrt", "gamma": math.sqrt(k_max)},
+        dict(n=20, h=5, instances=30, grid=(5, 10, 15, 20, 25, 30), delta_schedule="growing"),
+        dict(n=50, h=5, instances=100, grid=tuple(range(5, 55, 5)), delta_schedule="growing"),
     ),
-    "spp-k": dict(
-        desk=dict(h=5, r=3, M=30, grid=(5, 10, 15, 20, 25)),
-        paper=dict(h=11, r=5, M=100, grid=tuple(range(10, 110, 10))),
+    # radius kept proportional to the path length: matches the published
+    # epsilon = sqrt(k_max / K) at the h = 11 configuration
+    "spp-k": (
+        "spp", "K", "semibandit",
+        lambda k_max, p: {"kind": "sqrt", "gamma": math.sqrt(k_max) * p["h"] / 11.0},
+        dict(h=5, r=3, instances=30, grid=(5, 10, 15, 20, 25)),
+        dict(h=11, r=5, instances=100, grid=tuple(range(10, 110, 10))),
     ),
-    "mcp-k": dict(
-        desk=dict(n1=20, n2=20, subset_size=5, budget=5, M=30, grid=(5, 10, 15, 20, 25)),
-        paper=dict(n1=50, n2=50, subset_size=5, budget=5, M=100, grid=tuple(range(5, 55, 5))),
+    "mcp-k": (
+        "mcp", "K", "semibandit", lambda k_max, p: {"kind": "sqrt", "gamma": math.sqrt(k_max)},
+        dict(n1=20, n2=20, subset_size=5, budget=5, instances=30, grid=(5, 10, 15, 20, 25)),
+        dict(n1=50, n2=50, subset_size=5, budget=5, instances=100, grid=tuple(range(5, 55, 5))),
     ),
-    "spp-h": dict(
-        desk=dict(r=3, K=15, M=30, grid=(2, 3, 4, 5)),
-        paper=dict(r=5, K=50, M=100, grid=(5, 7, 9, 11, 13, 15, 17)),
+    "spp-h": (
+        "spp", "h", "bandit", lambda k_max, p: {"kind": "prop_h", "coef": math.sqrt(2.0) / 11.0},
+        dict(r=3, k_samples=15, instances=30, grid=(2, 3, 4, 5)),
+        dict(r=5, k_samples=50, instances=100, grid=(5, 7, 9, 11, 13, 15, 17)),
     ),
-    "mcp-n1": dict(
-        desk=dict(n2=15, subset_size=4, budget=3, K=10, M=30, grid=(12, 16, 20, 24)),
-        paper=dict(n2=50, subset_size=5, budget=5, K=25, M=100, grid=(35, 40, 45, 50, 55, 60, 65)),
+    "mcp-n1": (
+        "mcp", "n1", "bandit", lambda k_max, p: {"kind": "prop_n1", "coef": math.sqrt(2.0) / 50.0},
+        dict(n2=15, subset_size=4, budget=3, k_samples=10, instances=30, grid=(12, 16, 20, 24)),
+        dict(
+            n2=50, subset_size=5, budget=5, k_samples=25, instances=100,
+            grid=(35, 40, 45, 50, 55, 60, 65),
+        ),
     ),
 }
 
@@ -601,61 +620,13 @@ def preset_sweep(name: str, seed: int = 0, paper_scale: bool = False, feedback: 
     preset supports both; one the family does not run is rejected."""
     if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(_PRESETS)}")
-    p = _PRESETS[name]["paper" if paper_scale else "desk"]
-    if name == "sorting-delta":
-        return SweepConfig(
-            "sorting", "delta", p["grid"], p["M"], seed,
-            {"n": p["n"], "h": p["h"]}, {"kind": "fixed", "value": 1.0},
-            feedback=feedback or "interval", k_samples=p["K"],
-        )
-    if name == "sorting-h":
-        return SweepConfig(
-            "sorting", "h", p["grid"], p["M"], seed,
-            {"n": p["n"], "h": p["grid"][0]}, {"kind": "fixed", "value": 1.0},
-            feedback=feedback or "interval", k_samples=p["K"], delta=p["delta"],
-        )
-    if name == "sorting-gamma":
-        return SweepConfig(
-            "sorting", "gamma", p["grid"], p["M"], seed,
-            {"n": p["n"], "h": p["h"]}, {"kind": "sqrt", "gamma": 0.0},
-            feedback=feedback or "interval", k_samples=p["K"],
-        )
-    if name == "sorting-k":
-        k_max = max(p["grid"])
-        return SweepConfig(
-            "sorting", "K", p["grid"], p["M"], seed,
-            {"n": p["n"], "h": p["h"]},
-            {"kind": "sqrt", "gamma": math.sqrt(k_max)},
-            feedback=feedback or "interval", delta_schedule="growing",
-        )
-    if name == "spp-k":
-        k_max = max(p["grid"])
-        # radius kept proportional to the path length: matches the published
-        # epsilon = sqrt(k_max / K) at the h = 11 configuration
-        return SweepConfig(
-            "spp", "K", p["grid"], p["M"], seed,
-            {"h": p["h"], "r": p["r"]},
-            {"kind": "sqrt", "gamma": math.sqrt(k_max) * p["h"] / 11.0},
-            feedback=feedback or "semibandit",
-        )
-    if name == "mcp-k":
-        k_max = max(p["grid"])
-        return SweepConfig(
-            "mcp", "K", p["grid"], p["M"], seed,
-            {"n1": p["n1"], "n2": p["n2"], "subset_size": p["subset_size"], "budget": p["budget"]},
-            {"kind": "sqrt", "gamma": math.sqrt(k_max)},
-            feedback=feedback or "semibandit",
-        )
-    if name == "spp-h":
-        return SweepConfig(
-            "spp", "h", p["grid"], p["M"], seed,
-            {"h": p["grid"][0], "r": p["r"]},
-            {"kind": "prop_h", "coef": math.sqrt(2.0) / 11.0},
-            feedback=feedback or "bandit", k_samples=p["K"],
-        )
+    family, sweep, default_feedback, rule, desk, paper = _PRESETS[name]
+    scale = paper if paper_scale else desk
+    params = {k: v for k, v in scale.items() if k in _FAMILY_PARAMS[family]}
+    if sweep in _FAMILY_PARAMS[family]:
+        params[sweep] = scale["grid"][0]
     return SweepConfig(
-        "mcp", "n1", p["grid"], p["M"], seed,
-        {"n1": p["grid"][0], "n2": p["n2"], "subset_size": p["subset_size"], "budget": p["budget"]},
-        {"kind": "prop_n1", "coef": math.sqrt(2.0) / 50.0},
-        feedback=feedback or "bandit", k_samples=p["K"],
+        family, sweep, seed=seed, params=params, epsilon_rule=rule(max(scale["grid"]), params),
+        feedback=feedback or default_feedback,
+        **{k: v for k, v in scale.items() if k not in params},
     )

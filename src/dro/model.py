@@ -450,6 +450,11 @@ class SampleBoxes:
     m: np.ndarray
     t: np.ndarray
 
+    def head(self, k: int) -> SampleBoxes:
+        """The boxes of the first ``k`` samples.  Each sample lowers on its
+        own, so they equal the lowering of the first ``k`` scenarios."""
+        return SampleBoxes(self.lo[:k], self.hi[:k], self.m[:k], self.t[:k])
+
 
 _BOX_KINDS = (Exact, Interval, SemiBandit, Bandit)
 

@@ -34,7 +34,6 @@ from .solver import (
     LinearProgram,
     MixedIntegerProgram,
     ReferenceKernel,
-    solve_lp,
 )
 
 
@@ -210,15 +209,23 @@ def _negated_loss(loss: BiaffineLoss) -> BiaffineLoss:
 
 
 def build_dro_milp(inst: ProblemInstance):
+    """The single-level MILP of :func:`dro_milp` on the instance's own
+    validation.  Raises :class:`~dro.errors.InvalidInstance` when the
+    instance fails validation.
+    """
+    return dro_milp(inst, validate_instance(inst))
+
+
+def dro_milp(inst: ProblemInstance, lowered):
     """The single-level MILP: the compact form on box data, else the full dual.
 
-    Maximize-sense instances are negated to minimization here; callers undo
-    the sign on the reported value.  Returns ``(mip, layout)`` where
-    ``layout`` is a :class:`CompactVars` on box data, else a
-    :class:`ReformulationVars`.  Raises :class:`~dro.errors.InvalidInstance`
-    when the instance fails validation.
+    ``lowered`` is what :func:`~dro.model.validate_instance` returns for
+    ``inst``: :class:`~dro.model.SampleBoxes` on box data, else one polytope
+    per scenario.  Maximize-sense instances are negated to minimization
+    here; callers undo the sign on the reported value.  Returns
+    ``(mip, layout)`` where ``layout`` is a :class:`CompactVars` on box
+    data, else a :class:`ReformulationVars`.
     """
-    lowered = validate_instance(inst)
     if isinstance(lowered, SampleBoxes):
         return _compact_dual(inst, lowered)
     return _full_dual(inst, lowered)

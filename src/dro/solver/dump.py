@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lp import LinearProgram
 from .milp import MixedIntegerProgram
 
 

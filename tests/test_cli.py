@@ -306,6 +306,33 @@ def test_collect_rejects_structure_of_wrong_size(tmp_path, capsys):
         assert path.read_bytes() == before
 
 
+@pytest.mark.parametrize("family, edit, message", [
+    ("spp", lambda meta: [1], "'list' object has no attribute 'get'"),
+    ("spp", lambda meta: {**meta, "h": "x"}, "invalid literal for int()"),
+    ("mcp", lambda meta: {**meta, "subsets": [[0, 6], *meta["subsets"][1:]]}, "out of range"),
+    ("mcp", lambda meta: {**meta, "subsets": 5}, "not iterable"),
+    ("mcp", lambda meta: {k: v for k, v in meta.items() if k != "budget"}, "missing field 'budget'"),
+], ids=["spp-meta-list", "spp-h-text", "mcp-item-out-of-range", "mcp-subsets-number",
+        "mcp-no-budget"])
+def test_collect_malformed_meta_is_one_line(tmp_path, capsys, family, edit, message):
+    path = tmp_path / f"{family}.json"
+    gen = {
+        "spp": ["--h", "3", "-r", "2"],
+        "mcp": ["--n1", "6", "--n2", "4", "--subset-size", "2", "--budget", "2", "--seed", "3"],
+    }[family]
+    assert main(["gen", family, *gen, "-o", str(path)]) == 0
+    raw = json.loads(path.read_text())
+    raw["meta"] = edit(raw["meta"])
+    path.write_text(json.dumps(raw))
+    before = path.read_bytes()
+    assert main(["collect", family, str(path), "--k", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid instance {path}: ")
+    assert message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert path.read_bytes() == before
+
+
 def test_collect_determinism(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import math
 import traceback
 
@@ -10,7 +11,7 @@ import pytest
 
 from dro.closedform import IntervalData, solve_interval_detail
 from dro.datagen import BetaNominal, corrupt_interval
-from dro import closedform, harness
+from dro import harness
 from dro.errors import BadCardinality, DegenerateDenominator, EmptyInput
 from dro.harness import (
     CSV_HEADER,
@@ -298,10 +299,11 @@ class TestRunSweep:
         ],
     )
     def test_one_cell_k_sweep_matches_full_sweep_row(self, cfg):
-        # a shared sweep reads every cell off one draw of each instance (a
-        # semibandit K sweep slices its boxes off one lowering of the whole
-        # history), so a fresh draw for a one-cell sweep, which lowers only
-        # its own K steps, gives the same record, timing aside
+        # a shared sweep reads every cell off one draw of each instance (an
+        # spp or mcp K sweep, under either feedback, slices its boxes off one
+        # lowering of the whole history), so a fresh draw for a one-cell
+        # sweep, which lowers only its own K steps, gives the same record,
+        # timing aside
         def untimed(rec):
             return dataclasses.replace(rec, mean_time_ms=None)
 
@@ -352,7 +354,7 @@ class TestRunSweep:
         monkeypatch.setitem(harness._RUNNERS, "mcp", recording)
         run_sweep(cfg)
         drawn = seen[3]  # the first cell calls the runner in instance order
-        value, x = drawn.cop(drawn.boxes.lower[:5].mean(axis=0), "max")
+        value, x = drawn.cop(drawn.boxes.lo[:5].mean(axis=0), "max")
         assert value == pytest.approx(10.341869598956, rel=1e-12)
         n1 = drawn.skeleton.meta["n1"]
         np.testing.assert_array_equal(np.flatnonzero(x[n1:]), [2, 5, 10, 12, 18])
@@ -432,18 +434,19 @@ class TestRunSweep:
     @staticmethod
     def _count_validations(monkeypatch):
         calls = []
-        validate = closedform.validate_instance
+        validate = harness.validate_instance
 
         def counted_validate(inst):
             calls.append(inst.num_samples)
             return validate(inst)
 
-        monkeypatch.setattr(closedform, "validate_instance", counted_validate)
+        monkeypatch.setattr(harness, "validate_instance", counted_validate)
         return calls
 
-    def test_shared_semibandit_sweep_lowers_each_history_once(self, monkeypatch, model_calls):
+    @pytest.mark.parametrize("feedback", ["semibandit", "bandit"])
+    def test_shared_sweep_lowers_each_history_once(self, monkeypatch, model_calls, feedback):
         validations = self._count_validations(monkeypatch)
-        cfg = _small_mcp_k_cfg()
+        cfg = _small_mcp_k_cfg(feedback=feedback)
         recs = run_sweep(cfg)
         assert all(r.n_fail == 0 for r in recs)
         # one validation of the whole history per instance, none per cell
@@ -652,6 +655,35 @@ class TestPresets:
         assert cfg.sweep == "K"
         assert cfg.epsilon_rule["kind"] == "sqrt"
         assert cfg.epsilon_rule["gamma"] == pytest.approx(math.sqrt(max(cfg.grid)))
+
+
+# sha256 of json.dumps(dataclasses.asdict(preset_sweep(name, seed=0,
+# paper_scale=...)), sort_keys=True): every field of every preset, both scales
+_PRESET_SHA256 = {
+    ("sorting-delta", False): "7859bd9beccbab47c769e4ed59a447042ce24a5cd7e5354a80e9d65fc95b2485",
+    ("sorting-delta", True): "1af0ffb0bf56768511fdbac3712d1cbe5757b9b9fa7c2a8d94a70aa56eeb769a",
+    ("sorting-h", False): "23922eafcff356225ac5098853dd288a2a29a9166aa2136ed892fe4c0c49da2e",
+    ("sorting-h", True): "653d056adfc55e6ec15f50c587d35884480ac2d50d840a4ad61f05dd91e137ac",
+    ("sorting-gamma", False): "4cfbaf7e07a7c33aaa1709d3a44c6a1cfca2172fae9d4650d976891f5494a490",
+    ("sorting-gamma", True): "430a2ef4a502c0fd6fc69ebc628ae4badb789a41bdb826af7c6c967a2809cf5e",
+    ("sorting-k", False): "c2974afd88ed3d7bf4e759c2225d969345e66507ed5b65edf7cfc31b83362f9f",
+    ("sorting-k", True): "c48a3edf647987621c49f5a8c9a5cd81c8f6f356bf4d0b28c2363bbfa016cb26",
+    ("spp-k", False): "2af56630a4c3485b89d4bad5cb49da812839c33a5557a81408d66c18b4e6c41b",
+    ("spp-k", True): "eaf719f2f23bd0e77102e96329766b6e0f8dd1b5e3a66d706b0e30b083a1f4ea",
+    ("mcp-k", False): "318b9b1701832ef33ed9404236229837f24a16bc2853afc983fc8c9a9c79edde",
+    ("mcp-k", True): "1ce5653f704b6d0a12abca8115a3037e398c8e1d3ee9533504a5493d9edf0f3a",
+    ("spp-h", False): "9f3f2f56122b9233954916a1434546e4b1f874ab23d3c40fe42f164bb58cb292",
+    ("spp-h", True): "6876518173c11452fcc13bb70dafd92d7ae52097a3a5c18e6af21b9ed12d291e",
+    ("mcp-n1", False): "cfeb68a6865f805006bef840a07adf84efd5f9d85659dae94b4099492ab88e24",
+    ("mcp-n1", True): "f625dd69abdb5bf243f93df6e423db6c2bb34704419923c3b8febfd667d46de1",
+}
+
+
+@pytest.mark.parametrize("name, paper_scale", list(_PRESET_SHA256), ids=lambda v: str(v))
+def test_preset_configs_are_pinned(name, paper_scale):
+    cfg = preset_sweep(name, seed=0, paper_scale=paper_scale)
+    text = json.dumps(dataclasses.asdict(cfg), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == _PRESET_SHA256[name, paper_scale]
 
 
 # sha256 of records_to_csv at seed 0; computed with numpy 2.4.6
