@@ -134,7 +134,7 @@ def _cmd_closed_form(args) -> int:
         )
         _emit({"value": value, "x_or_group": [float(v) for v in x], "method": "thm2"}, args.output)
         return 0
-    print("instance fits neither closed form (need every scenario to lower to a box, or non-overlapping total-cost histories on the unit box)", file=sys.stderr)
+    print("instance fits neither closed form (need the loss c.x, and every scenario lowering to a box or non-overlapping total-cost histories on the unit box)", file=sys.stderr)
     return 1
 
 

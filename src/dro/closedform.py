@@ -4,6 +4,9 @@ Three special structures admit direct solutions: a fixed binary decision on a
 box support (a capped robust sample mean), componentwise interval data (two
 deterministic combinatorial problems), and total-cost histories whose
 decisions never overlap (a one-dimensional enumeration over history groups).
+The last two model the loss ``c.x`` alone.  Interval data are the validated
+:class:`~dro.model.SampleBoxes` of an instance whose samples carry no
+equality; the boxes hold the support's box as well.
 """
 
 from __future__ import annotations
@@ -32,46 +35,6 @@ def worst_case_cost(x, data, upper, epsilon: float) -> float:
     if data.shape[1] != x.shape[0] or upper.shape != x.shape:
         raise DimensionMismatch("decision, data and ceiling dimensions must agree")
     return float(min(data.mean(axis=0) @ x + epsilon, upper @ x))
-
-
-@dataclass(eq=False)
-class IntervalData:
-    """Per-sample boxes nested inside a global box.
-
-    ``lower``/``upper`` are (K, n); ``support_lower``/``support_upper`` are
-    the global bounds, and the nesting
-    support_lower <= lower_k <= upper_k <= support_upper must hold.
-    """
-
-    lower: np.ndarray
-    upper: np.ndarray
-    support_lower: np.ndarray
-    support_upper: np.ndarray
-
-    def __post_init__(self):
-        self.lower = np.atleast_2d(np.asarray(self.lower, dtype=float))
-        self.upper = np.atleast_2d(np.asarray(self.upper, dtype=float))
-        self.support_lower = np.asarray(self.support_lower, dtype=float)
-        self.support_upper = np.asarray(self.support_upper, dtype=float)
-        if self.lower.shape != self.upper.shape:
-            raise DimensionMismatch("per-sample bounds must match")
-        if self.support_lower.shape != (self.n,) or self.support_upper.shape != (self.n,):
-            raise DimensionMismatch("global bounds must match the sample dimension")
-        slack = tol.VALUE_TOL
-        if (
-            np.any(self.lower < self.support_lower - slack)
-            or np.any(self.upper > self.support_upper + slack)
-            or np.any(self.lower > self.upper + slack)
-        ):
-            raise ValueError("sample boxes must nest inside the global box")
-
-    @property
-    def num_samples(self) -> int:
-        return self.lower.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.lower.shape[1]
 
 
 def milp_cop(feasible: FeasibleSet, backend=None):
@@ -119,7 +82,7 @@ def ceiling_costs(support_lower, support_upper, sense: str):
 
 def solve_interval_detail(
     feasible: FeasibleSet,
-    interval: IntervalData,
+    boxes: SampleBoxes,
     epsilon: float,
     nominal_cop=None,
     sense: str = "min",
@@ -127,31 +90,33 @@ def solve_interval_detail(
 ) -> IntervalSolveDetail:
     """Solve the interval-data problem as the better of two deterministic COPs.
 
+    ``boxes`` are the per-sample boxes ``lo``/``hi`` and the support's box
+    ``l``/``u``; a sample that carries an equality raises ``ValueError``.
     Minimization scores decisions by the mean of the per-sample upper bounds
-    plus the radius, capped by the global upper bounds; maximization is the
-    mirror image on the lower bounds with the radius subtracted.  Exact ties
-    go to the data-driven candidate rather than the conservative one.
+    plus the radius, capped by the support's upper bounds; maximization is
+    the mirror image on the lower bounds with the radius subtracted.  Exact
+    ties go to the data-driven candidate rather than the conservative one.
     ``support_bound`` is the ``(value, x)`` of the radius-free candidate, the
     COP on :func:`ceiling_costs`, when the caller has already solved it;
     otherwise it is solved here.
     """
+    if not np.isnan(boxes.t).all():
+        raise ValueError("interval data must carry no equalities")
     cop = nominal_cop or milp_cop(feasible)
     # sign * value is a cost to minimize; negation is exact, so the max
     # branch computes v1 - eps and v1 >= v2 - tol bit for bit
     sign = 1.0 if sense == "min" else -1.0
-    v1, x1 = cop((interval.upper if sense == "min" else interval.lower).mean(axis=0), sense)
+    v1, x1 = cop((boxes.hi if sense == "min" else boxes.lo).mean(axis=0), sense)
     v1 += sign * epsilon
-    v2, x2 = support_bound or cop(
-        ceiling_costs(interval.support_lower, interval.support_upper, sense), sense
-    )
+    v2, x2 = support_bound or cop(ceiling_costs(boxes.l, boxes.u, sense), sense)
     if sign * v1 <= sign * v2 + tol.VALUE_TOL:
         return IntervalSolveDetail(v1, x1, v1, v2, "saa")
     return IntervalSolveDetail(v2, x2, v1, v2, "ceiling")
 
 
-def solve_interval(feasible, interval, epsilon, nominal_cop=None, sense="min"):
+def solve_interval(feasible, boxes, epsilon, nominal_cop=None, sense="min"):
     """Like :func:`solve_interval_detail` but returns only ``(value, x)``."""
-    det = solve_interval_detail(feasible, interval, epsilon, nominal_cop, sense)
+    det = solve_interval_detail(feasible, boxes, epsilon, nominal_cop, sense)
     return det.value, det.x
 
 
@@ -231,45 +196,50 @@ class BanditHistory:
     def num_samples(self) -> int:
         return self.totals.shape[0]
 
+    @property
+    def scores(self) -> np.ndarray:
+        """Each group's observed totals plus a full-cost penalty ``h`` for
+        every sample outside the group, (V,)."""
+        counts = self.grouping.counts
+        return counts * self.group_means + (self.num_samples - counts) * self.h
+
 
 def solve_disjoint_bandit(hist: BanditHistory, epsilon: float):
     """Optimal value and group index for non-overlapping total-cost histories.
 
-    Scores each group by its observed totals plus a full-cost penalty for
-    every sample outside the group, takes the best group, adds the radius and
-    caps at the decision cardinality.  Ties resolve to the lowest group index.
+    Takes the group of least :attr:`BanditHistory.scores`, adds the radius
+    to its mean score and caps at the decision cardinality.  Ties resolve to
+    the lowest group index.
     """
-    kk = hist.num_samples
-    h = hist.h
-    scores = hist.grouping.counts * hist.group_means + (kk - hist.grouping.counts) * h
+    scores = hist.scores
     v_star = int(np.argmin(scores))
-    value = min(scores[v_star] / kk + epsilon, float(h))
+    value = min(scores[v_star] / hist.num_samples + epsilon, float(hist.h))
     return float(value), v_star
 
 
 # -- adapters from a full problem instance ----------------------------------
 
 
-def interval_data_from_instance(inst: ProblemInstance) -> IntervalData | None:
-    """Express the instance's scenarios as interval data, or None if they
-    don't fit.
+def interval_data_from_instance(inst: ProblemInstance) -> SampleBoxes | None:
+    """The instance's validated per-sample boxes, or None if the interval
+    closed form does not fit.
 
     Runs :func:`~dro.model.validate_instance` (raising
-    :class:`~dro.errors.InvalidInstance` on bad data) and reads the
-    :class:`~dro.model.SampleBoxes` it returns on a box support; the data
-    fit exactly when no sample carries an equality.
+    :class:`~dro.errors.InvalidInstance` on bad data); the data fit exactly
+    when the loss is ``c.x``, the support is a box and no sample carries an
+    equality.
     """
     boxes = validate_instance(inst)
-    if not isinstance(boxes, SampleBoxes) or not np.all(np.isnan(boxes.t)):
+    if not inst.loss.is_bilinear() or not isinstance(boxes, SampleBoxes):
         return None
-    return IntervalData(boxes.lo, boxes.hi, *inst.support.box_bounds())
+    return boxes if np.isnan(boxes.t).all() else None
 
 
 def bandit_history_from_instance(inst: ProblemInstance) -> BanditHistory | None:
     """Express the instance's scenarios as a grouped total-cost history, or
-    None if they don't fit (non-unit-box support, non-bandit scenarios,
-    unequal cardinalities, or overlapping decisions)."""
-    if not inst.support.is_box():
+    None if they don't fit (a loss other than ``c.x``, non-unit-box support,
+    non-bandit scenarios, unequal cardinalities, or overlapping decisions)."""
+    if not inst.loss.is_bilinear() or not inst.support.is_box():
         return None
     lo, hi = inst.support.box_bounds()
     if np.any(np.abs(lo) > tol.VALUE_TOL) or np.any(np.abs(hi - 1.0) > tol.VALUE_TOL):

@@ -24,18 +24,20 @@ and mcp the draw keeps the structure, the nominal law, the COP handle and
 the nominal optimum, and under either feedback it observes, validates and
 lowers the collector history at ``k_max`` steps once.  Each cell slices the
 boxes of its K prefix off that lowering; every sample lowers on its own, so
-the slice equals a lowering of the prefix alone.  A bandit cell builds and
-solves its dual MILP on the slice; a semibandit cell solves the interval
-candidates on it, the support-bound one solved once by the draw, as no cell
-changes its costs.  Sorting keeps its nominal law and samples, and corrupts
-them and builds its cardinality structure per cell.  Each instance draws
-from its own streams; one CUCB pass then collects the whole batch a step at
-once, and as the selection rule consumes no randomness each history keeps
-the bits it has alone.  A failed draw, its lowering included, is kept as the
-instance's failure and its runner raises it in every cell, on the traceback
-the draw left it, so it fails that instance and no other; a history whose
-lowering fails (no CUCB history does) thus fails every cell under either
-feedback.  A failure of the batch's shared part (an spp graph) fails every
+the slice equals a lowering of the prefix alone, support box included.  A
+bandit cell builds and solves its dual MILP on the slice; a semibandit cell
+passes the slice to the interval closed form, whose support-bound candidate
+the draw solved once, as no cell changes its costs.  Sorting keeps its
+nominal law and samples, and corrupts them and builds its cardinality
+structure per cell; its boxes are the corrupted intervals on the unit box,
+which the corruption never leaves, so no sorting cell validates.  Each
+instance draws from its own streams; one CUCB pass then collects the whole
+batch a step at once, and as the selection rule consumes no randomness each
+history keeps the bits it has alone.  A failed draw, its lowering
+included, is kept as the instance's failure and its runner raises it in
+every cell, on the traceback the draw left it, so it fails that instance
+and no other; a history whose lowering fails (no CUCB history does) thus
+fails every cell under either feedback.  A failure of the batch's shared part (an spp graph) fails every
 instance of the batch.
 ``mean_time_ms`` times the robust solve of each cell: the dual MILP under
 bandit feedback, else the interval closed form.  A sorting cell times both
@@ -54,7 +56,7 @@ from types import TracebackType
 
 import numpy as np
 
-from .closedform import IntervalData, ceiling_costs, milp_cop, solve_interval_detail
+from .closedform import ceiling_costs, milp_cop, solve_interval_detail
 from .datagen import (
     BetaNominal,
     CollectorRun,
@@ -87,14 +89,6 @@ def wasserstein_radius(num_samples: int, gamma: float) -> float:
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     return gamma / math.sqrt(num_samples)
-
-
-def hoeffding_bound(num_samples: int, epsilon: float, hmax: float) -> float:
-    """One-sided tail bound exp(-2 K eps^2 / hmax^2) on the probability that
-    the true expected cost exceeds the robust value at a fixed decision."""
-    if num_samples < 0 or epsilon < 0 or hmax <= 0:
-        raise ValueError("arguments must be nonnegative (hmax positive)")
-    return math.exp(-2.0 * num_samples * epsilon**2 / hmax**2)
 
 
 def mad(values) -> float:
@@ -312,10 +306,10 @@ def _attempt(fn, *args):
 
 
 def _interval_outcome(
-    feasible, idata, epsilon, cop, sense, dist, optimum=None, support_bound=None
+    feasible, boxes, epsilon, cop, sense, dist, optimum=None, support_bound=None
 ) -> InstanceOutcome:
     t0 = time.perf_counter()
-    detail = solve_interval_detail(feasible, idata, epsilon, cop, sense, support_bound)
+    detail = solve_interval_detail(feasible, boxes, epsilon, cop, sense, support_bound)
     dt = (time.perf_counter() - t0) * 1000.0
     rho = nominal_relative_loss(detail.x, dist, feasible, sense, cop, optimum)
     return InstanceOutcome(rho, dt, None, detail.winner == "saa")
@@ -345,13 +339,15 @@ def _run_sorting_instance(cfg: SweepConfig, cell, drawn, backend) -> InstanceOut
         delta = float(cell) if cfg.sweep == "delta" else cfg.delta
     # the corruption stream restarts in every cell, as a fresh draw would
     scen = corrupt_interval(samples, delta, p, np.random.default_rng(noise))[:num_k]
-    lowers = np.array([s.lower for s in scen])
-    uppers = np.array([s.upper for s in scen])
-    idata = IntervalData(lowers, uppers, np.zeros(n), np.ones(n))
+    # corruption keeps every interval in the unit box: nothing to validate
+    boxes = SampleBoxes(
+        np.array([s.lower for s in scen]), np.array([s.upper for s in scen]),
+        np.zeros((num_k, n)), np.full(num_k, np.nan), np.zeros(n), np.ones(n),
+    )
     eps = cfg.cell_epsilon(cell, num_k, h)
     feasible = gen_sorting(n, h).feasible
     cop = sorting_cop(n, h)
-    return _interval_outcome(feasible, idata, eps, cop, "min", dist)
+    return _interval_outcome(feasible, boxes, eps, cop, "min", dist)
 
 
 @dataclass(eq=False)
@@ -389,7 +385,7 @@ class _HistoryDraw:
         if feedback == "bandit":
             self.scenarios = inst.scenarios
         else:
-            costs = ceiling_costs(*skeleton.support.box_bounds(), skeleton.sense)
+            costs = ceiling_costs(self.boxes.l, self.boxes.u, skeleton.sense)
             self.support_bound = self.cop(costs, skeleton.sense)
 
 
@@ -442,9 +438,8 @@ def _history_outcome(cfg: SweepConfig, cell, drawn: _HistoryDraw | _Failure, bac
     skeleton = drawn.skeleton
     boxes = drawn.boxes.head(num_k)
     if cfg.feedback == "semibandit":
-        idata = IntervalData(boxes.lo, boxes.hi, *skeleton.support.box_bounds())
         return _interval_outcome(
-            skeleton.feasible, idata, eps, drawn.cop, skeleton.sense, drawn.dist,
+            skeleton.feasible, boxes, eps, drawn.cop, skeleton.sense, drawn.dist,
             drawn.optimum, drawn.support_bound,
         )
     inst = skeleton.instance(drawn.scenarios[:num_k], eps)

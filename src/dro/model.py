@@ -185,12 +185,15 @@ class BiaffineLoss:
     def is_symmetric(self) -> bool:
         return bool(np.allclose(self.t_xx, self.t_xx.T, atol=tol.VALUE_TOL, rtol=0.0))
 
-    def evaluate(self, x, c) -> float:
-        x = np.asarray(x, dtype=float)
-        c = np.asarray(c, dtype=float)
-        if x.shape != (self.n,) or c.shape != (self.n,):
-            raise DimensionMismatch("loss arguments must have the loss dimension")
-        return float(c @ self.t_xx @ x + self.t_x @ x + self.t_c @ c + self.t_const)
+    def is_bilinear(self) -> bool:
+        """Whether the loss is exactly the plain cost form c.x of
+        :meth:`bilinear`, the only loss the closed forms model."""
+        return bool(
+            np.array_equal(self.t_xx, np.eye(self.n))
+            and not self.t_x.any()
+            and not self.t_c.any()
+            and self.t_const == 0.0
+        )
 
 
 @dataclass(eq=False)
@@ -435,25 +438,27 @@ class Diagnostic:
 @dataclass(eq=False)
 class SampleBoxes:
     """Every sample of a box-support instance as a box plus at most one
-    equality, stacked over samples.
+    equality, stacked over samples, with the support's box.
 
     ``lo``/``hi`` (K, n) are each sample's box clipped into the support's
-    box; a point validated within ``FEAS_TOL`` outside the support lowers to
-    a slightly inverted box, and clipping projects it onto the support.  Row
-    k of ``m`` (K, n) and ``t[k]`` hold sample k's equality ``m @ c = t``
-    (a bandit total over two or more components), with a zero row and
-    ``t[k]`` NaN when it has none.
+    box ``l``/``u`` (n,); a point validated within ``FEAS_TOL`` outside the
+    support lowers to a slightly inverted box, and clipping projects it onto
+    the support.  Row k of ``m`` (K, n) and ``t[k]`` hold sample k's
+    equality ``m @ c = t`` (a bandit total over two or more components),
+    with a zero row and ``t[k]`` NaN when it has none.
     """
 
     lo: np.ndarray
     hi: np.ndarray
     m: np.ndarray
     t: np.ndarray
+    l: np.ndarray
+    u: np.ndarray
 
     def head(self, k: int) -> SampleBoxes:
         """The boxes of the first ``k`` samples.  Each sample lowers on its
         own, so they equal the lowering of the first ``k`` scenarios."""
-        return SampleBoxes(self.lo[:k], self.hi[:k], self.m[:k], self.t[:k])
+        return SampleBoxes(self.lo[:k], self.hi[:k], self.m[:k], self.t[:k], self.l, self.u)
 
 
 _BOX_KINDS = (Exact, Interval, SemiBandit, Bandit)
@@ -583,7 +588,7 @@ def lower_box_scenarios(scenarios, support: Polytope):
     for k in np.flatnonzero(residual > tol.FEAS_TOL).tolist():
         found.setdefault(k, Diagnostic("EmptyIntersection", f"scenario {k} is incompatible with the support"))
 
-    boxes = SampleBoxes(np.clip(lo, l, u), np.clip(hi, l, u), m, t)
+    boxes = SampleBoxes(np.clip(lo, l, u), np.clip(hi, l, u), m, t, l, u)
     return boxes, [found[k] for k in sorted(found)]
 
 

@@ -308,7 +308,7 @@ def _compact_dual(inst: ProblemInstance, boxes: SampleBoxes):
     layout = CompactVars(n, tuple(np.flatnonzero(has_eq).tolist()), n + 1 + col)
     num_sigma = count.shape[0]
     nvar = layout.total
-    l, u = (np.broadcast_to(b, lo.shape) for b in inst.support.box_bounds())
+    l, u = (np.broadcast_to(b, lo.shape) for b in (boxes.l, boxes.u))
 
     # candidate points (c_hat, c), shape (K, n, 6): the anchor (L, L), then
     # the points that can attain the sup, each dropped where it repeats an
@@ -368,7 +368,7 @@ def _compact_dual(inst: ProblemInstance, boxes: SampleBoxes):
     int_mask[:n] = fs.integer_mask()
     up = np.full(nvar, np.inf)
     up[:n] = fs.upper
-    rel = (LE,) * (nr + fs.num_rows)
+    rel = np.full(nr + fs.num_rows, LE)
     lp = LinearProgram(c, a, rel, rhs, np.zeros(nvar), up, sense="min", c0=c0)
     return MixedIntegerProgram(lp, int_mask), layout
 

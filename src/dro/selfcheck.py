@@ -195,8 +195,7 @@ def random_bandit_instance(rng: np.random.Generator):
     decisions = reps[groups]
     totals = rng.random(num_k) * 0.95 * h
     hist = BanditHistory.from_observations(decisions, totals)
-    scores = hist.grouping.counts * hist.group_means + (num_k - hist.grouping.counts) * h
-    gap = h - scores.min() / num_k
+    gap = h - hist.scores.min() / num_k
     eps = float(rng.random() * 0.8 * max(gap, 0.01))
     scen = tuple(Bandit(decisions[k], float(totals[k])) for k in range(num_k))
     inst = gen_sorting(n, h).instance(scen, eps)
@@ -449,10 +448,7 @@ def check_bandit_oracle(count: int, seed) -> CheckResult:
         worst = max(worst, err)
         if err > 1e-6:
             failures.append(f"instance {t}: {v_milp} vs {v_cf}")
-        scores = (
-            hist.grouping.counts * hist.group_means
-            + (hist.num_samples - hist.grouping.counts) * hist.h
-        )
+        scores = hist.scores
         argmin = np.flatnonzero(scores <= scores.min() + 1e-9)
         if not any(
             np.array_equal(np.round(x_milp), hist.grouping.decisions[v]) for v in argmin

@@ -162,7 +162,6 @@ class ScipyBackend:
         index, col = rows[order], cols[order]
         value = lp.a[index, col]
         flip = -1.0 if lp.sense == "max" else 1.0
-        rel = np.array(lp.rel, dtype=str)
         solver = highs._Highs()
         for key, val in _HIGHS_OPTIONS.items():
             if solver.setOptionValue(key, val) == highs.HighsStatus.kError:
@@ -173,7 +172,7 @@ class ScipyBackend:
             lp.n, lp.m, value.size,
             int(highs.MatrixFormat.kColwise), int(highs.ObjSense.kMinimize), 0.0,
             flip * lp.c, lp.lower, lp.upper,
-            np.where(rel == LE, -np.inf, lp.b), np.where(rel == GE, np.inf, lp.b),
+            np.where(lp.rel == LE, -np.inf, lp.b), np.where(lp.rel == GE, np.inf, lp.b),
             np.searchsorted(col, np.arange(lp.n + 1)).astype(np.int32),
             index.astype(np.int32), value, integer.astype(np.int32),
         )

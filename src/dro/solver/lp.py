@@ -43,7 +43,6 @@ NODELIMIT = "nodelimit"  # branch & bound stopped at its node cap (max_nodes)
 ERROR = "error"  # the solver gave up for numerical or other reasons
 
 LE, EQ, GE = "<=", "=", ">="
-_RELATIONS = (LE, EQ, GE)
 
 
 def _as_1d(v, n=None, name="vector"):
@@ -61,14 +60,15 @@ def _as_1d(v, n=None, name="vector"):
 class LinearProgram:
     """min/max  c.x + c0  subject to  A x (<=,=,>=) b  and  lower <= x <= upper.
 
-    A lower bound may be ``-np.inf`` (a free column) and an upper bound
-    ``np.inf``; only a lower bound of ``+inf`` or an upper bound of ``-inf``
-    is rejected.
+    ``rel`` is given as any sequence of relations and kept as one read-only
+    array of strings.  A lower bound may be ``-np.inf`` (a free column) and
+    an upper bound ``np.inf``; only a lower bound of ``+inf`` or an upper
+    bound of ``-inf`` is rejected.
     """
 
     c: np.ndarray
     a: np.ndarray
-    rel: tuple
+    rel: np.ndarray
     b: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
@@ -89,12 +89,16 @@ class LinearProgram:
                 f"constraint matrix has {self.a.shape[1]} columns, expected {n}"
             )
         self.b = _as_1d(self.b, self.a.shape[0], "rhs")
-        self.rel = tuple(self.rel)
-        if len(self.rel) != self.a.shape[0]:
+        # a copy at the width of the longest relation, so equal relations
+        # give equal layout bytes and no caller's array is frozen
+        rel = np.asarray(self.rel, dtype=str)
+        if rel.shape != (self.a.shape[0],):
             raise DimensionMismatch("one relation per constraint row required")
-        for r in self.rel:
-            if r not in _RELATIONS:
-                raise ValueError(f"unknown relation {r!r}")
+        known = (rel == LE) | (rel == EQ) | (rel == GE)
+        if not known.all():
+            raise ValueError(f"unknown relation {str(rel[~known][0])!r}")
+        self.rel = rel.astype("<U2")
+        self.rel.flags.writeable = False
         self.lower = _as_1d(self.lower, n, "lower bounds")
         self.upper = _as_1d(self.upper, n, "upper bounds")
         if np.any(self.lower == np.inf) or np.any(self.upper == -np.inf):
@@ -121,7 +125,7 @@ class LinearProgram:
     def residuals(self, x) -> np.ndarray:
         """Signed violation of every row at ``x`` (positive = violated)."""
         ax = self.a @ _as_1d(x, self.n, "point")
-        rel = np.array(self.rel, dtype=str)
+        rel = self.rel
         return np.select([rel == LE, rel == GE], [ax - self.b, self.b - ax], np.abs(ax - self.b))
 
     def max_violation(self, x) -> float:
@@ -187,7 +191,7 @@ def _layout(lp: LinearProgram) -> bytes:
     part of a program that fixes its standard form's shape."""
     free = ~np.isfinite(lp.lower)
     capped = np.isfinite(lp.upper)
-    return free.tobytes() + capped.tobytes() + "".join(lp.rel).encode()
+    return free.tobytes() + capped.tobytes() + lp.rel.tobytes()
 
 
 class StandardForm:
@@ -216,7 +220,7 @@ class StandardForm:
 
         # shifted variables t = z - lo >= 0; a free variable's upper bound
         # constrains pos - neg
-        rel = np.array(lp.rel + (LE,) * fin.size, dtype=str)
+        rel = np.concatenate([lp.rel, np.full(fin.size, LE)])
         self.m = m = rel.size
         self.ineq = ineq = np.flatnonzero(rel != EQ)
         a = np.zeros((m, n + ineq.size))

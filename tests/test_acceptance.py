@@ -9,12 +9,13 @@ import math
 import time
 
 import numpy as np
+import pytest
 from scipy.stats import spearmanr
 
 from dro.cli import main
 from dro.closedform import worst_case_cost
 from dro.datagen import BetaNominal, sample_nominal
-from dro.harness import SweepConfig, hoeffding_bound, run_sweep
+from dro.harness import SweepConfig, run_sweep
 from dro.problems import sorting_cop
 from dro.selfcheck import (
     check_bandit_oracle,
@@ -83,6 +84,21 @@ def test_05_transport_metric_axioms():
         res.passed,
         "300 triples clean" if res.passed else res.detail,
     )
+
+
+def hoeffding_bound(num_samples: int, epsilon: float, hmax: float) -> float:
+    """One-sided tail bound exp(-2 K eps^2 / hmax^2) on the probability that
+    the true expected cost exceeds the robust value at a fixed decision."""
+    if num_samples < 0 or epsilon < 0 or hmax <= 0:
+        raise ValueError("arguments must be nonnegative (hmax positive)")
+    return math.exp(-2.0 * num_samples * epsilon**2 / hmax**2)
+
+
+def test_hoeffding_bound():
+    assert hoeffding_bound(10, 0.0, 5.0) == 1.0
+    assert hoeffding_bound(50, 1.0, 5.0) == pytest.approx(math.exp(-4.0))
+    # doubling the cardinality with a proportional radius keeps the bound
+    assert hoeffding_bound(50, 2.0, 10.0) == pytest.approx(hoeffding_bound(50, 1.0, 5.0))
 
 
 def test_06_hoeffding_coverage():

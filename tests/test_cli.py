@@ -13,8 +13,10 @@ from dro.cli import main
 from dro.datagen import BetaNominal, cucb_collect_mcp, observe_bandit
 from dro.model import (
     Bandit,
+    BiaffineLoss,
     Exact,
     Interval,
+    ProblemInstance,
     SemiBandit,
     instance_to_dict,
     load_instance,
@@ -194,6 +196,28 @@ def test_closed_form_refuses_overlapping_bandit(tmp_path, capsys):
     save_instance(path, sk.instance(scen, 0.1))
     assert main(["closed-form", str(path)]) == 1
     assert "neither closed form" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "scenarios",
+    [
+        (
+            Interval(np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.3, 0.4, 0.5, 0.6])),
+            Interval(np.array([0.0, 0.5, 0.1, 0.2]), np.array([0.2, 0.7, 0.3, 0.4])),
+        ),
+        (Bandit(np.array([1.0, 1, 0, 0]), 0.8), Bandit(np.array([0.0, 0, 1, 1]), 1.1)),
+    ],
+    ids=["interval", "bandit"],
+)
+def test_closed_form_refuses_a_loss_other_than_cost(tmp_path, capsys, scenarios):
+    # both closed forms model the loss c.x alone; the MILP takes any loss
+    sk = gen_sorting(4, 2)
+    loss = BiaffineLoss(2.0 * np.eye(4), np.array([0.5, 0.0, 0.0, 0.0]), np.zeros(4), 1.0)
+    path = tmp_path / "affine.json"
+    save_instance(path, ProblemInstance(sk.feasible, loss, sk.support, scenarios, 0.1))
+    assert main(["closed-form", str(path)]) == 1
+    assert "neither closed form" in capsys.readouterr().err
+    assert main(["solve", str(path), "-o", str(tmp_path / "full.json")]) == 0
 
 
 def test_gen_collect_solve_pipeline(tmp_path):

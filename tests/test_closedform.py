@@ -6,7 +6,6 @@ import pytest
 from dro.closedform import (
     BanditHistory,
     DecisionGrouping,
-    IntervalData,
     bandit_history_from_instance,
     group_decisions,
     interval_data_from_instance,
@@ -17,11 +16,21 @@ from dro.closedform import (
 )
 from dro.datagen import BetaNominal, cucb_collect, cucb_collect_mcp, observe_semibandit
 from dro.errors import InvalidInstance, OverlappingDecisions
-from dro.model import Bandit, Exact, Interval, ProblemInstance, SemiBandit
+from dro.model import Bandit, Exact, Interval, ProblemInstance, SampleBoxes, SemiBandit
 from dro.problems import gen_layered_spp, gen_mcp, gen_sorting, sorting_cop
 from dro.reformulate import solve_dro
 from dro.selfcheck import random_interval_instance
 from enumeration import enumerate_feasible
+
+
+def interval_boxes(lowers, uppers, support_lower, support_upper) -> SampleBoxes:
+    """(K, n) per-sample boxes without equalities on the support's box
+    [support_lower, support_upper], as the interval closed form reads them."""
+    lowers = np.asarray(lowers, dtype=float)
+    return SampleBoxes(
+        lowers, np.asarray(uppers, dtype=float), np.zeros_like(lowers),
+        np.full(lowers.shape[0], np.nan), support_lower, support_upper,
+    )
 
 
 class TestWorstCaseCost:
@@ -46,7 +55,7 @@ class TestWorstCaseCost:
 class TestSolveInterval:
     def test_zero_width_zero_radius_is_plain_saa(self):
         data = np.array([[0.3, 0.8, 0.1], [0.5, 0.2, 0.7]])
-        idata = IntervalData(data, data, np.zeros(3), np.ones(3))
+        idata = interval_boxes(data, data, np.zeros(3), np.ones(3))
         fs = gen_sorting(3, 1).feasible
         value, x = solve_interval(fs, idata, 0.0, sorting_cop(3, 1))
         means = data.mean(axis=0)
@@ -57,7 +66,7 @@ class TestSolveInterval:
         # four items, sample upper-bound averages .3/.6/.8/.9, radius .5:
         # data-driven candidate .3+.5 = .8 beats the ceiling candidate 1.0
         uppers = np.array([[0.3, 0.6, 0.8, 0.9]])
-        idata = IntervalData(np.zeros((1, 4)), uppers, np.zeros(4), np.ones(4))
+        idata = interval_boxes(np.zeros((1, 4)), uppers, np.zeros(4), np.ones(4))
         fs = gen_sorting(4, 1).feasible
         value, x = solve_interval(fs, idata, 0.5, sorting_cop(4, 1))
         assert value == pytest.approx(0.8)
@@ -65,7 +74,7 @@ class TestSolveInterval:
 
     def test_big_radius_goes_conservative(self):
         uppers = np.array([[0.3, 0.6, 0.8, 0.9]])
-        idata = IntervalData(np.zeros((1, 4)), uppers, np.zeros(4), np.ones(4))
+        idata = interval_boxes(np.zeros((1, 4)), uppers, np.zeros(4), np.ones(4))
         fs = gen_sorting(4, 1).feasible
         det = solve_interval_detail(fs, idata, 1.2, sorting_cop(4, 1))
         assert det.value == pytest.approx(1.0)
@@ -83,7 +92,7 @@ class TestSolveInterval:
             lowers = np.maximum(data - width, 0)
             uppers = np.minimum(data + width, 1)
             eps = float(rng.random())
-            idata = IntervalData(lowers, uppers, np.zeros(n), np.ones(n))
+            idata = interval_boxes(lowers, uppers, np.zeros(n), np.ones(n))
             fs = gen_sorting(n, h).feasible
             value, _ = solve_interval(fs, idata, eps, sorting_cop(n, h))
             best = min(
@@ -95,7 +104,7 @@ class TestSolveInterval:
     def test_maximization_mirrors_on_lower_bounds(self):
         lowers = np.array([[0.6, 0.1], [0.4, 0.3]])
         uppers = np.ones((2, 2))
-        idata = IntervalData(lowers, uppers, np.zeros(2), np.ones(2))
+        idata = interval_boxes(lowers, uppers, np.zeros(2), np.ones(2))
         fs = gen_sorting(2, 1).feasible
         det = solve_interval_detail(fs, idata, 0.2, sorting_cop(2, 1), sense="max")
         # data-driven: best mean lower bound .5 - .2 = .3; floor candidate 0
@@ -103,9 +112,15 @@ class TestSolveInterval:
         assert det.winner == "saa"
         np.testing.assert_allclose(det.x, [1, 0])
 
-    def test_nesting_enforced(self):
-        with pytest.raises(ValueError):
-            IntervalData(np.array([[-0.2]]), np.array([[0.5]]), np.zeros(1), np.ones(1))
+    def test_rejects_boxes_with_an_equality(self):
+        boxes = interval_boxes(np.zeros((2, 3)), np.ones((2, 3)), np.zeros(3), np.ones(3))
+        boxes.m[1] = [1.0, 1.0, 0.0]
+        boxes.t[1] = 0.8
+        fs = gen_sorting(3, 1).feasible
+        with pytest.raises(ValueError, match="no equalities"):
+            solve_interval_detail(fs, boxes, 0.1, sorting_cop(3, 1))
+        with pytest.raises(ValueError, match="no equalities"):
+            solve_interval(fs, boxes, 0.1, sorting_cop(3, 1))
 
 
 class TestGrouping:
@@ -241,7 +256,7 @@ def reference_interval_data(inst):
             uppers.append(u)
         else:
             return None
-    return IntervalData(np.array(lowers), np.array(uppers), lo, hi)
+    return interval_boxes(np.array(lowers), np.array(uppers), lo, hi)
 
 
 def adapter_inputs():
@@ -284,7 +299,7 @@ class TestInstanceAdapters:
         for inst in inputs:
             got = interval_data_from_instance(inst)
             want = reference_interval_data(inst)
-            for name in ("lower", "upper", "support_lower", "support_upper"):
+            for name in ("lo", "hi", "l", "u"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes(), name

@@ -9,14 +9,13 @@ import traceback
 import numpy as np
 import pytest
 
-from dro.closedform import IntervalData, solve_interval_detail
+from dro.closedform import solve_interval_detail
 from dro.datagen import BetaNominal, corrupt_interval
 from dro import harness
 from dro.errors import BadCardinality, DegenerateDenominator, EmptyInput
 from dro.harness import (
     CSV_HEADER,
     SweepConfig,
-    hoeffding_bound,
     mad,
     nominal_relative_loss,
     preset_sweep,
@@ -28,6 +27,7 @@ from dro.model import Exact
 from dro.problems import gen_mcp, gen_sorting, sorting_cop
 from dro.reformulate import solve_dro
 from dro.solver import ScipyBackend
+from test_closedform import interval_boxes
 
 
 class TestScalars:
@@ -36,12 +36,6 @@ class TestScalars:
         assert wasserstein_radius(4, 1.0) == pytest.approx(0.5)
         assert wasserstein_radius(16, 1.0) == pytest.approx(0.25)  # 4x samples halve it
         assert wasserstein_radius(10, 0.0) == 0.0
-
-    def test_hoeffding(self):
-        assert hoeffding_bound(10, 0.0, 5.0) == 1.0
-        assert hoeffding_bound(50, 1.0, 5.0) == pytest.approx(math.exp(-4.0))
-        # doubling the cardinality with a proportional radius keeps the bound
-        assert hoeffding_bound(50, 2.0, 10.0) == pytest.approx(hoeffding_bound(50, 1.0, 5.0))
 
     def test_mad(self):
         assert mad([2.0, 2.0, 2.0]) == 0.0
@@ -162,7 +156,7 @@ class TestRunSweep:
 
         samples = sample_nominal(dist, 8, rng_data)
         scen = corrupt_interval(samples, np.full((8, n), 0.5), p, rng_noise)
-        idata = IntervalData(
+        idata = interval_boxes(
             np.array([s.lower for s in scen]), np.array([s.upper for s in scen]),
             np.zeros(n), np.ones(n),
         )

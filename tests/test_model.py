@@ -209,13 +209,16 @@ class TestPolytope:
 
 
 class TestBiaffineLoss:
-    def test_evaluate_exact(self):
-        t_xx = np.array([[1.0, 0.5], [0.5, 2.0]])
-        loss = BiaffineLoss(t_xx, np.array([1.0, 0.0]), np.array([0.0, 3.0]), 4.0)
-        x = np.array([1.0, 2.0])
-        c = np.array([0.5, 0.25])
-        want = c @ t_xx @ x + 1.0 * 1.0 + 3.0 * 0.25 + 4.0
-        assert loss.evaluate(x, c) == want
+    def test_only_the_cost_form_is_bilinear(self):
+        assert BiaffineLoss.bilinear(3).is_bilinear()
+        eye, zero = np.eye(3), np.zeros(3)
+        for loss in (
+            BiaffineLoss(2.0 * eye, zero, zero),
+            BiaffineLoss(eye, np.array([0.5, 0.0, 0.0]), zero),
+            BiaffineLoss(eye, zero, np.array([0.0, 0.0, 1e-12])),
+            BiaffineLoss(eye, zero, zero, 1.0),
+        ):
+            assert not loss.is_bilinear()
 
     def test_symmetry_flagged(self):
         loss = BiaffineLoss(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2), np.zeros(2))
@@ -299,6 +302,22 @@ class TestValidate:
         boxes = validate_instance(sorting_instance())
         assert boxes.lo.tolist() == boxes.hi.tolist() == [[0.5] * 3]
         assert boxes.m.tolist() == [[0.0] * 3] and np.isnan(boxes.t).all()
+
+    def test_head_is_the_prefix_lowering(self):
+        lo, hi = np.array([-0.5, 0.0, 0.25]), np.array([0.5, 1.0, 0.75])
+        scen = (
+            Exact(np.array([0.1, 0.5, 0.5])),
+            Bandit(np.array([1.0, 1.0, 0.0]), 0.5),
+            Interval(np.zeros(3), np.ones(3)),
+        )
+        fs, loss = gen_sorting(3, 1).feasible, BiaffineLoss.bilinear(3)
+        boxes = validate_instance(ProblemInstance(fs, loss, Polytope.box(lo, hi), scen, 0.1))
+        for k in (1, 2, 3):
+            head = boxes.head(k)
+            want = validate_instance(ProblemInstance(fs, loss, Polytope.box(lo, hi), scen[:k], 0.1))
+            for name in ("lo", "hi", "m", "t", "l", "u"):
+                assert getattr(head, name).tobytes() == getattr(want, name).tobytes(), name
+            assert head.l.tobytes() == lo.tobytes() and head.u.tobytes() == hi.tobytes()
 
     def test_unbounded_support(self):
         inst = sorting_instance()

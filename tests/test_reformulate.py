@@ -1,6 +1,8 @@
 """Reformulation builders versus a row-by-row reference, closed forms,
 enumeration, and metric axioms."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -41,7 +43,12 @@ from dro.reformulate import (
     solve_dro,
     solve_dro_milp,
 )
-from dro.selfcheck import random_bandit_instance, random_interval_instance, read_lowered_rows
+from dro.selfcheck import (
+    random_bandit_instance,
+    random_box_instance,
+    random_interval_instance,
+    read_lowered_rows,
+)
 from dro.solver import (
     EQ,
     LE,
@@ -339,7 +346,7 @@ def test_block_builder_matches_row_builder(inst):
         assert layout.eq == loop_layout.eq
         for got, want in ((mip.lp.a, loop.a), (mip.lp.b, loop.b), (mip.lp.upper, loop.upper)):
             assert got.tobytes() == want.tobytes()
-        assert mip.lp.rel == loop.rel
+        assert np.array_equal(mip.lp.rel, loop.rel)
         np.testing.assert_allclose(mip.lp.c, loop.c, rtol=0.0, atol=1e-12)
         assert mip.lp.c0 == pytest.approx(loop.c0, rel=0.0, abs=1e-12)
         mip, _ = build_full_dual_milp(inst)
@@ -354,9 +361,25 @@ def test_block_builder_matches_row_builder(inst):
         assert np.array_equal(got, want)
         # bit for bit, signed zeros included
         assert got.tobytes() == want.tobytes()
-    assert lp.rel == rlp.rel
+    assert np.array_equal(lp.rel, rlp.rel)
     assert lp.c0 == rlp.c0 and lp.sense == rlp.sense
     assert np.array_equal(mip.integer, ref.integer)
+
+
+def test_compact_dual_bits_are_pinned():
+    """The compact MILP of random box instances keeps its bits now that it
+    reads the support's box off the validated boxes: ``a``, ``b``, ``c``,
+    ``c0`` and the bounds hash to the digest recorded when it read the box
+    off the support.  The digest was computed with numpy 2.4.6; a numpy
+    release that changes a generator's output changes it, and then it is
+    recomputed, not the code changed to match."""
+    rng = np.random.default_rng(29)
+    digest = hashlib.sha256()
+    for _ in range(40):
+        lp = build_dro_milp(random_box_instance(rng))[0].lp
+        for arr in (lp.a, lp.b, lp.c, np.float64(lp.c0), lp.lower, lp.upper):
+            digest.update(arr.tobytes())
+    assert digest.hexdigest() == "da8b74aec2911d6439187e1d0dd774b22ef3cfbca33afb6c5034e3e49f7c29b4"
 
 
 def test_compact_bandit_build_runs_no_lp(model_calls):
