@@ -20,17 +20,22 @@ import numpy as np
 
 from .closedform import (
     bandit_history_from_instance,
-    interval_data_from_instance,
-    milp_cop,
+    endpoint_data_from_instance,
     solve_disjoint_bandit,
-    solve_interval,
+    solve_endpoints,
 )
 from .datagen import BetaNominal, cucb_collect, cucb_collect_mcp, observe
 from .harness import SweepConfig, preset_sweep, records_to_csv, run_sweep
-from .errors import BadCardinality, DroError, InvalidInstance
-from .model import load_instance, load_instance_meta, save_instance
+from .errors import BadCardinality, DroError, InvalidInstance, SolveFailed
+from .model import load_instance, load_instance_meta, save_instance, validate_instance
 from .problems import CoverageSystem, LayeredGraph, gen_layered_spp, gen_mcp, gen_sorting
-from .reformulate import build_dro_milp, solve_dro_milp
+from .reformulate import (
+    build_dro_milp,
+    dual_relaxation,
+    endpoint_form_applies,
+    solve_dro_endpoint,
+    solve_dro_milp,
+)
 from .selfcheck import run_all
 from .solver import dump_program, get_backend
 
@@ -81,15 +86,23 @@ def _cmd_solve(args) -> int:
     if args.epsilon is not None:
         inst = replace(inst, epsilon=args.epsilon)
     try:
-        mip, _ = build_dro_milp(inst)
+        lowered = validate_instance(inst)
     except InvalidInstance as e:
         _print_findings(e)
         return 1
+    # the dual MILP is what --dump-milp writes and whose LP relaxation
+    # root_lp reports, whichever form solves the instance
+    mip, layout = build_dro_milp(inst, lowered)
     if args.dump_milp:
         with open(args.dump_milp, "w") as fh:
             fh.write(dump_program(mip))
     backend = get_backend(args.backend)
-    value, x, diag = solve_dro_milp(inst, mip, backend)
+    if endpoint_form_applies(inst, lowered):
+        value, x, diag = solve_dro_endpoint(inst, lowered, backend)
+        root_lp = None if value is None else dual_relaxation(inst, mip, backend)
+    else:
+        value, x, diag = solve_dro_milp(inst, mip, backend, layout.form)
+        root_lp = diag.relaxation
     if value is None:
         print(f"solve failed: {diag.status}", file=sys.stderr)
         return 1
@@ -98,7 +111,7 @@ def _cmd_solve(args) -> int:
             "value": value,
             "x": [float(v) for v in x],
             "node_count": diag.node_count,
-            "root_lp": diag.relaxation,
+            "root_lp": root_lp,
             "time_ms": diag.time_ms if args.timings else 0.0,
         },
         args.output,
@@ -109,7 +122,7 @@ def _cmd_solve(args) -> int:
 def _cmd_closed_form(args) -> int:
     inst = _load(args.instance)
     try:
-        idata = interval_data_from_instance(inst)
+        boxes = endpoint_data_from_instance(inst)
     except InvalidInstance as e:
         _print_findings(e)
         return 1
@@ -128,13 +141,19 @@ def _cmd_closed_form(args) -> int:
             args.output,
         )
         return 0
-    if idata is not None:
-        value, x = solve_interval(
-            inst.feasible, idata, inst.epsilon, milp_cop(inst.feasible, get_backend(args.backend)), inst.sense
-        )
-        _emit({"value": value, "x_or_group": [float(v) for v in x], "method": "thm2"}, args.output)
+    if boxes is not None:
+        # with no equality both candidates are COPs: the interval closed form
+        method = "thm2" if np.isnan(boxes.t).all() else "endpoint"
+        try:
+            det = solve_endpoints(
+                inst.feasible, boxes, inst.epsilon, sense=inst.sense, backend=get_backend(args.backend)
+            )
+        except SolveFailed as e:
+            print(e, file=sys.stderr)
+            return 1
+        _emit({"value": det.value, "x_or_group": [float(v) for v in det.x], "method": method}, args.output)
         return 0
-    print("instance fits neither closed form (need the loss c.x, and every scenario lowering to a box or non-overlapping total-cost histories on the unit box)", file=sys.stderr)
+    print("instance fits neither closed form (need the loss c.x and every scenario lowering to a box plus at most one total, over a 0/1 mask of binary decisions)", file=sys.stderr)
     return 1
 
 

@@ -1,12 +1,14 @@
-"""Polynomial fast paths that bypass the general MILP.
+"""Fast paths that bypass the general dual MILP.
 
 Three special structures admit direct solutions: a fixed binary decision on a
-box support (a capped robust sample mean), componentwise interval data (two
-deterministic combinatorial problems), and total-cost histories whose
-decisions never overlap (a one-dimensional enumeration over history groups).
-The last two model the loss ``c.x`` alone.  Interval data are the validated
-:class:`~dro.model.SampleBoxes` of an instance whose samples carry no
-equality; the boxes hold the support's box as well.
+box support (a capped robust sample mean), box data under the loss ``c.x``
+(the endpoint solver: the better of a ceiling COP and a sample-average
+program), and total-cost histories whose decisions never overlap (a
+one-dimensional enumeration over history groups).  Box data are the
+validated :class:`~dro.model.SampleBoxes` of an instance, which hold the
+support's box as well; without equalities (interval data) the sample-average
+program is one more COP, and with bandit totals over binary decisions it is
+a small MILP.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DimensionMismatch, OverlappingDecisions
+from .errors import DimensionMismatch, OverlappingDecisions, SolveFailed
 from .model import Bandit, FeasibleSet, ProblemInstance, SampleBoxes, validate_instance
-from .solver import OPTIMAL, LinearProgram, MixedIntegerProgram, ReferenceKernel
+from .solver import LE, OPTIMAL, LinearProgram, MixedIntegerProgram, ReferenceKernel
 
 
 def worst_case_cost(x, data, upper, epsilon: float) -> float:
@@ -40,7 +42,8 @@ def worst_case_cost(x, data, upper, epsilon: float) -> float:
 def milp_cop(feasible: FeasibleSet, backend=None):
     """Universal combinatorial solver: min/max costs.x over the feasible set.
 
-    The rows and bounds are built once per handle; a call swaps in its costs.
+    The rows and bounds are built once per handle; a call swaps in its costs
+    and raises :class:`~dro.errors.SolveFailed` unless the solve is optimal.
     """
     backend = backend or ReferenceKernel()
     template = LinearProgram(
@@ -57,27 +60,142 @@ def milp_cop(feasible: FeasibleSet, backend=None):
         lp = dataclasses.replace(template, c=costs, sense=sense)
         res = backend.solve_milp(MixedIntegerProgram(lp, integer))
         if res.status != OPTIMAL:
-            raise RuntimeError(f"combinatorial solve failed: {res.status}")
+            raise SolveFailed("combinatorial solve", res.status)
         return float(res.value), res.x
 
     return solve
 
 
 @dataclass
-class IntervalSolveDetail:
-    """Both candidate values behind an interval-data solve."""
+class EndpointDetail:
+    """Both candidate values behind an endpoint solve."""
 
     value: float
     x: np.ndarray
-    robust_saa_value: float  # sample-bound costs plus the radius
+    robust_saa_value: float  # the sample-average program plus the radius
     ceiling_value: float  # global-bound costs, radius-free
     winner: str  # "saa" or "ceiling"
+    node_count: int | None = None  # the sample-average MILP's, None for a COP
 
 
 def ceiling_costs(support_lower, support_upper, sense: str):
     """The costs of the radius-free candidate: the support's upper bounds
     for minimization, its lower bounds for maximization."""
     return support_upper if sense == "min" else support_lower
+
+
+def endpoint_fits(inst: ProblemInstance, lowered) -> bool:
+    """Whether :func:`solve_endpoints` solves ``inst`` from ``lowered``, what
+    :func:`~dro.model.validate_instance` returns for it: the loss is
+    ``c.x``, validation returned :class:`~dro.model.SampleBoxes`, and every
+    equality is a 0/1 mask over binary decisions, which the McCormick rows
+    of the sample-average MILP need."""
+    if not inst.loss.is_bilinear() or not isinstance(lowered, SampleBoxes):
+        return False
+    eq = ~np.isnan(lowered.t)
+    if not eq.any():
+        return True
+    fs, m = inst.feasible, lowered.m[eq]
+    return fs.n_cont == 0 and bool(np.all(fs.upper <= 1.0) and np.all((m == 0) | (m == 1)))
+
+
+def solve_endpoints(
+    feasible: FeasibleSet,
+    boxes: SampleBoxes,
+    epsilon: float,
+    nominal_cop=None,
+    sense: str = "min",
+    support_bound=None,
+    backend=None,
+) -> EndpointDetail:
+    """Solve a box-data instance with the loss ``c.x`` at its two transport
+    endpoints, lambda = 0 and lambda = 1.
+
+    For binary x the inner supremum of ``x_i c_i - lambda |c_i - c_hat_i|``
+    over the support's box puts ``c_i`` at the support's bound when
+    ``x_i = 1`` and ``lambda < 1``, and at ``c_hat_i`` otherwise, so the dual
+    objective is affine in lambda on [0, 1] and increasing beyond.  The
+    value is the better of the radius-free ceiling candidate, the COP on
+    :func:`ceiling_costs`, and the sample-average candidate: the mean over
+    samples of each sample's worst case ``sup`` (``inf`` for maximization)
+    of ``c_hat . x`` over its set, plus the radius (minus, for
+    maximization).  Exact ties go to the sample-average candidate.
+
+    Without equalities the sample-average candidate is the COP on the mean
+    per-sample upper bounds (lower, for maximization), solved by
+    ``nominal_cop`` (a :func:`milp_cop` on ``backend`` when None).  With
+    0/1-mask equalities (:func:`endpoint_fits`) it is a MILP on
+    ``backend`` (see :func:`_saa_milp`).  ``support_bound`` is the
+    ``(value, x)`` of the ceiling candidate when the caller has already
+    solved it.  A solve that ends without an optimum raises
+    :class:`~dro.errors.SolveFailed` (or what ``nominal_cop`` raises).
+    """
+    cop = nominal_cop or milp_cop(feasible, backend)
+    # sign * value is a cost to minimize; negation is exact, so the max
+    # branch computes v1 - eps and v1 >= v2 - tol bit for bit
+    sign = 1.0 if sense == "min" else -1.0
+    v2, x2 = support_bound or cop(ceiling_costs(boxes.l, boxes.u, sense), sense)
+    nodes = None
+    if np.isnan(boxes.t).all():
+        v1, x1 = cop((boxes.hi if sense == "min" else boxes.lo).mean(axis=0), sense)
+    else:
+        v1, x1, nodes = _saa_milp(feasible, boxes, sense, backend)
+    v1 += sign * epsilon
+    if sign * v1 <= sign * v2 + tol.VALUE_TOL:
+        return EndpointDetail(v1, x1, v1, v2, "saa", nodes)
+    return EndpointDetail(v2, x2, v1, v2, "ceiling", nodes)
+
+
+def _saa_milp(feasible: FeasibleSet, boxes: SampleBoxes, sense: str, backend):
+    """The sample-average candidate, radius left out, on box data whose
+    equalities are 0/1 masks over binary decisions; returns
+    ``(value, x, node_count)``.
+
+    Take sample k's box [L, U], width D = U - L, mask m and total t, and
+    write s = t - m . L.  Over its set, ``c_hat . x`` reaches at most
+    ``sum_{i not in m} U_i x_i + sum_{i in m} L_i x_i + min(s, sum_{i in m}
+    D_i x_i)`` and at least ``L . x + max(0, s - sum_{i in m} D_i (1 -
+    x_i))``.  A binary b_k picks the branch of the min (max), and
+    w_ki >= 0, one per masked coordinate of positive width, carries the
+    product with it (McCormick):
+
+    * min: ``s b_k + sum_i D_i w_ki`` with ``w_ki >= x_i - b_k``;
+    * max: ``s b_k - sum_i D_i w_ki`` with ``w_ki >= b_k - x_i``.
+
+    Columns are x, then b per sample with an equality, then w, sample-major;
+    the objective is the mean over all K samples.
+    """
+    lo, hi, m, t = boxes.lo, boxes.hi, boxes.m, boxes.t
+    num_k, n = lo.shape
+    sign = 1.0 if sense == "min" else -1.0
+    eq = np.flatnonzero(~np.isnan(t))
+    width = (hi - lo)[eq]
+    kk, ii = np.nonzero((m[eq] != 0) & (width > 0))
+    nb, nw = eq.size, kk.size
+    nvar = n + nb + nw
+    rows = np.arange(nw)
+
+    c = np.zeros(nvar)
+    c[:n] = (np.where(m != 0, lo, hi) if sense == "min" else lo).mean(axis=0)
+    c[n : n + nb] = (t[eq] - (m[eq] * lo[eq]).sum(axis=1)) / num_k
+    c[n + nb :] = sign * width[kk, ii] / num_k
+    a = np.zeros((nw + feasible.num_rows, nvar))
+    a[rows, ii] = sign
+    a[rows, n + kk] = -sign
+    a[rows, n + nb + rows] = -1.0
+    a[nw:, :n] = feasible.matrix()
+    rhs = np.zeros(nw + feasible.num_rows)
+    rhs[nw:] = feasible.rhs
+    upper = np.full(nvar, np.inf)
+    upper[:n] = feasible.upper
+    upper[n : n + nb] = 1.0
+    integer = np.zeros(nvar, dtype=bool)
+    integer[: n + nb] = True
+    lp = LinearProgram(c, a, np.full(a.shape[0], LE), rhs, np.zeros(nvar), upper, sense=sense)
+    res = (backend or ReferenceKernel()).solve_milp(MixedIntegerProgram(lp, integer))
+    if res.status != OPTIMAL:
+        raise SolveFailed("sample-average MILP", res.status)
+    return float(res.value), res.x[:n].copy(), res.node_count
 
 
 def solve_interval_detail(
@@ -87,31 +205,18 @@ def solve_interval_detail(
     nominal_cop=None,
     sense: str = "min",
     support_bound=None,
-) -> IntervalSolveDetail:
-    """Solve the interval-data problem as the better of two deterministic COPs.
-
-    ``boxes`` are the per-sample boxes ``lo``/``hi`` and the support's box
-    ``l``/``u``; a sample that carries an equality raises ``ValueError``.
-    Minimization scores decisions by the mean of the per-sample upper bounds
-    plus the radius, capped by the support's upper bounds; maximization is
-    the mirror image on the lower bounds with the radius subtracted.  Exact
-    ties go to the data-driven candidate rather than the conservative one.
-    ``support_bound`` is the ``(value, x)`` of the radius-free candidate, the
-    COP on :func:`ceiling_costs`, when the caller has already solved it;
-    otherwise it is solved here.
+) -> EndpointDetail:
+    """:func:`solve_endpoints` on interval data, whose two candidates are
+    both COPs on ``nominal_cop``: boxes ``lo``/``hi`` per sample and the
+    support's box ``l``/``u``; a sample that carries an equality raises
+    ``ValueError``.  Minimization scores decisions by the mean of the
+    per-sample upper bounds plus the radius, capped by the support's upper
+    bounds; maximization is the mirror image on the lower bounds with the
+    radius subtracted.
     """
     if not np.isnan(boxes.t).all():
         raise ValueError("interval data must carry no equalities")
-    cop = nominal_cop or milp_cop(feasible)
-    # sign * value is a cost to minimize; negation is exact, so the max
-    # branch computes v1 - eps and v1 >= v2 - tol bit for bit
-    sign = 1.0 if sense == "min" else -1.0
-    v1, x1 = cop((boxes.hi if sense == "min" else boxes.lo).mean(axis=0), sense)
-    v1 += sign * epsilon
-    v2, x2 = support_bound or cop(ceiling_costs(boxes.l, boxes.u, sense), sense)
-    if sign * v1 <= sign * v2 + tol.VALUE_TOL:
-        return IntervalSolveDetail(v1, x1, v1, v2, "saa")
-    return IntervalSolveDetail(v2, x2, v1, v2, "ceiling")
+    return solve_endpoints(feasible, boxes, epsilon, nominal_cop, sense, support_bound)
 
 
 def solve_interval(feasible, boxes, epsilon, nominal_cop=None, sense="min"):
@@ -220,19 +325,25 @@ def solve_disjoint_bandit(hist: BanditHistory, epsilon: float):
 # -- adapters from a full problem instance ----------------------------------
 
 
-def interval_data_from_instance(inst: ProblemInstance) -> SampleBoxes | None:
-    """The instance's validated per-sample boxes, or None if the interval
-    closed form does not fit.
+def endpoint_data_from_instance(inst: ProblemInstance) -> SampleBoxes | None:
+    """The instance's validated per-sample boxes, or None if the endpoint
+    solver does not fit (:func:`endpoint_fits`).
 
     Runs :func:`~dro.model.validate_instance` (raising
-    :class:`~dro.errors.InvalidInstance` on bad data); the data fit exactly
-    when the loss is ``c.x``, the support is a box and no sample carries an
-    equality.
+    :class:`~dro.errors.InvalidInstance` on bad data).
     """
     boxes = validate_instance(inst)
-    if not inst.loss.is_bilinear() or not isinstance(boxes, SampleBoxes):
-        return None
-    return boxes if np.isnan(boxes.t).all() else None
+    return boxes if endpoint_fits(inst, boxes) else None
+
+
+def interval_data_from_instance(inst: ProblemInstance) -> SampleBoxes | None:
+    """The instance's validated per-sample boxes, or None if the interval
+    closed form does not fit: the data fit exactly when the loss is
+    ``c.x``, the support is a box and no sample carries an equality.
+    Validates as :func:`endpoint_data_from_instance` does.
+    """
+    boxes = endpoint_data_from_instance(inst)
+    return boxes if boxes is not None and np.isnan(boxes.t).all() else None
 
 
 def bandit_history_from_instance(inst: ProblemInstance) -> BanditHistory | None:

@@ -37,6 +37,15 @@ class UnboundedDecisionVariable(DroError):
     """An integer decision variable lacks a finite upper bound."""
 
 
+class SolveFailed(RuntimeError):
+    """A solve whose optimum the caller needs ended with another status;
+    ``status`` holds it."""
+
+    def __init__(self, what: str, status: str):
+        self.status = status
+        super().__init__(f"{what} failed: {status}")
+
+
 class InvalidInstance(DroError, ValueError):
     """A problem instance failed validation; ``diagnostics`` lists every finding."""
 

@@ -22,12 +22,16 @@ sweep draws every instance at its first cell and reads every cell off them;
 a structural sweep draws the instances of each cell at that cell.  For spp
 and mcp the draw keeps the structure, the nominal law, the COP handle and
 the nominal optimum, and under either feedback it observes, validates and
-lowers the collector history at ``k_max`` steps once.  Each cell slices the
-boxes of its K prefix off that lowering; every sample lowers on its own, so
-the slice equals a lowering of the prefix alone, support box included.  A
-bandit cell builds and solves its dual MILP on the slice; a semibandit cell
-passes the slice to the interval closed form, whose support-bound candidate
-the draw solved once, as no cell changes its costs.  Sorting keeps its
+lowers the collector history at ``k_max`` steps once and solves the
+support-bound (ceiling) candidate, whose costs no cell changes.  Each cell
+slices the boxes of its K prefix off that lowering; every sample lowers on
+its own, so the slice equals a lowering of the prefix alone, support box
+included.  A cell passes the slice to the endpoint solver
+(``closedform.solve_endpoints``) with the draw's ceiling candidate: a
+semibandit cell through the interval closed form, whose sample-average side
+is one COP, and a bandit cell with its sample-average MILP on the backend;
+a bandit cell also builds its compact dual MILP and solves that program's
+LP relaxation for ``mean_lp_quality``.  Sorting keeps its
 nominal law and samples, and corrupts them and builds its cardinality
 structure per cell; its boxes are the corrupted intervals on the unit box,
 which the corruption never leaves, so no sorting cell validates.  Each
@@ -39,10 +43,11 @@ every cell, on the traceback the draw left it, so it fails that instance
 and no other; a history whose lowering fails (no CUCB history does) thus
 fails every cell under either feedback.  A failure of the batch's shared part (an spp graph) fails every
 instance of the batch.
-``mean_time_ms`` times the robust solve of each cell: the dual MILP under
-bandit feedback, else the interval closed form.  A sorting cell times both
-interval candidates; a semibandit spp or mcp cell times its SAA candidate
-and the comparison, as its draw solved the support-bound one.
+``mean_time_ms`` times the robust solve of each cell.  A sorting cell times
+both interval candidates; an spp or mcp cell times its sample-average
+candidate and the comparison, as its draw solved the support-bound one.
+``mean_lp_quality`` is the robust value over the value of the compact dual
+MILP's LP relaxation, on bandit cells only.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ from types import TracebackType
 
 import numpy as np
 
-from .closedform import ceiling_costs, milp_cop, solve_interval_detail
+from .closedform import ceiling_costs, milp_cop, solve_endpoints, solve_interval_detail
 from .datagen import (
     BetaNominal,
     CollectorRun,
@@ -78,7 +83,7 @@ from .problems import (
     sorting_cop,
     spp_cop,
 )
-from .reformulate import dro_milp, solve_dro_milp
+from .reformulate import build_dro_milp, dual_relaxation
 from .solver import ScipyBackend
 
 
@@ -356,9 +361,9 @@ class _HistoryDraw:
     nominal law, the COP handle, the nominal optimum the relative loss
     divides by, and the boxes of its collector history at ``k_max`` steps,
     observed, validated and lowered once, which a cell reads its K prefix
-    off.  Under bandit feedback it also keeps the observed scenarios, which
-    a cell's instance holds; under semibandit feedback the ``(value, x)`` of
-    the support-bound candidate, whose costs no cell changes."""
+    off, and the ``(value, x)`` of the support-bound candidate, whose costs
+    no cell changes.  Under bandit feedback it also keeps the observed
+    scenarios, which a cell's instance holds."""
 
     skeleton: ProblemSkeleton
     dist: BetaNominal
@@ -370,7 +375,7 @@ class _HistoryDraw:
     optimum: float = field(init=False)
     boxes: SampleBoxes = field(init=False)
     scenarios: tuple | None = field(init=False)
-    support_bound: tuple | None = field(init=False)
+    support_bound: tuple = field(init=False)
 
     def __post_init__(self, run, feedback):
         skeleton = self.skeleton
@@ -381,12 +386,9 @@ class _HistoryDraw:
         # rejected a negative one.  On the box supports of spp and mcp the
         # validation returns SampleBoxes.
         self.boxes = validate_instance(inst)
-        self.scenarios = self.support_bound = None
-        if feedback == "bandit":
-            self.scenarios = inst.scenarios
-        else:
-            costs = ceiling_costs(self.boxes.l, self.boxes.u, skeleton.sense)
-            self.support_bound = self.cop(costs, skeleton.sense)
+        self.scenarios = inst.scenarios if feedback == "bandit" else None
+        costs = ceiling_costs(self.boxes.l, self.boxes.u, skeleton.sense)
+        self.support_bound = self.cop(costs, skeleton.sense)
 
 
 def _draw_histories(cfg: SweepConfig, rngs, draw, collect, radius_scale, n1):
@@ -430,7 +432,8 @@ def _draw_mcp(cfg: SweepConfig, cell, rngs):
 
 def _history_outcome(cfg: SweepConfig, cell, drawn: _HistoryDraw | _Failure, backend) -> InstanceOutcome:
     """Solve on the history's first K steps, sliced off the boxes lowered at
-    draw time: thm2 on semi-bandit boxes, the dual MILP on bandit ones."""
+    draw time: thm2 on semi-bandit boxes, the endpoint solver's
+    sample-average MILP on bandit ones."""
     if isinstance(drawn, _Failure):
         drawn.raise_()
     num_k = cfg.cell_k(cell)
@@ -442,15 +445,18 @@ def _history_outcome(cfg: SweepConfig, cell, drawn: _HistoryDraw | _Failure, bac
             skeleton.feasible, boxes, eps, drawn.cop, skeleton.sense, drawn.dist,
             drawn.optimum, drawn.support_bound,
         )
+    t0 = time.perf_counter()
+    detail = solve_endpoints(
+        skeleton.feasible, boxes, eps, drawn.cop, skeleton.sense, drawn.support_bound, backend
+    )
+    dt = (time.perf_counter() - t0) * 1000.0
+    rho = nominal_relative_loss(
+        detail.x, drawn.dist, skeleton.feasible, skeleton.sense, optimum=drawn.optimum
+    )
     inst = skeleton.instance(drawn.scenarios[:num_k], eps)
-    mip, _ = dro_milp(inst, boxes)
-    value, x, diag = solve_dro_milp(inst, mip, backend)
-    if value is None:
-        raise RuntimeError(f"robust solve failed: {diag.status}")
-    rho = nominal_relative_loss(x, drawn.dist, inst.feasible, inst.sense, optimum=drawn.optimum)
-    root = diag.relaxation
-    quality = value / root if root is not None and abs(root) > 1e-12 else None
-    return InstanceOutcome(rho, diag.time_ms, quality, None)
+    root = dual_relaxation(inst, build_dro_milp(inst, boxes)[0], backend)
+    quality = detail.value / root if root is not None and abs(root) > 1e-12 else None
+    return InstanceOutcome(rho, dt, quality, None)
 
 
 # family -> draw(cfg, cell, rngs): each instance of a batch drawn, or the

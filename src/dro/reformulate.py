@@ -5,19 +5,23 @@ worst-case expectation over the Wasserstein ball, and the single-level MILP in
 which the per-sample data uncertainty is dualized as well.  The MILP comes in
 two forms with the same optimal value: a compact per-coordinate form when the
 support is a box and every sample lowers to a box plus at most one equality,
-and the full dual of every support and scenario row otherwise.  A discrete
-Wasserstein-1 routine is included for validating ball membership.
+and the full dual of every support and scenario row otherwise.
+:func:`solve_dro` solves bandit data under the loss ``c.x`` without either,
+by the endpoint solver of :mod:`dro.closedform`.  A discrete Wasserstein-1
+routine is included for validating ball membership.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DimensionMismatch
+from .closedform import endpoint_fits, milp_cop, solve_endpoints
+from .errors import DimensionMismatch, SolveFailed
 from .model import (
     BiaffineLoss,
     Polytope,
@@ -46,6 +50,8 @@ class ReformulationVars:
     sample for that sample's own constraint rows (w_k each).  All dual blocks
     are nonnegative via variable lower bounds.
     """
+
+    form: ClassVar[str] = "full"
 
     n: int
     w0: int
@@ -84,6 +90,8 @@ class CompactVars:
     own, and the columns are numbered in order of first occurrence,
     sample-major.  Every column but x is nonnegative.
     """
+
+    form: ClassVar[str] = "compact"
 
     n: int
     eq: tuple  # samples with an equality, ascending
@@ -208,24 +216,20 @@ def _negated_loss(loss: BiaffineLoss) -> BiaffineLoss:
     return BiaffineLoss(-loss.t_xx, -loss.t_x, -loss.t_c, -loss.t_const)
 
 
-def build_dro_milp(inst: ProblemInstance):
-    """The single-level MILP of :func:`dro_milp` on the instance's own
-    validation.  Raises :class:`~dro.errors.InvalidInstance` when the
-    instance fails validation.
-    """
-    return dro_milp(inst, validate_instance(inst))
-
-
-def dro_milp(inst: ProblemInstance, lowered):
+def build_dro_milp(inst: ProblemInstance, lowered=None):
     """The single-level MILP: the compact form on box data, else the full dual.
 
     ``lowered`` is what :func:`~dro.model.validate_instance` returns for
-    ``inst``: :class:`~dro.model.SampleBoxes` on box data, else one polytope
-    per scenario.  Maximize-sense instances are negated to minimization
-    here; callers undo the sign on the reported value.  Returns
-    ``(mip, layout)`` where ``layout`` is a :class:`CompactVars` on box
-    data, else a :class:`ReformulationVars`.
+    ``inst`` (:class:`~dro.model.SampleBoxes` on box data, else one polytope
+    per scenario); when None, the instance is validated here, raising
+    :class:`~dro.errors.InvalidInstance` when it fails.  Maximize-sense
+    instances are negated to minimization here; callers undo the sign on
+    the reported value.  Returns ``(mip, layout)`` where ``layout`` is a
+    :class:`CompactVars` on box data, else a :class:`ReformulationVars`;
+    its ``form`` names the form.
     """
+    if lowered is None:
+        lowered = validate_instance(inst)
     if isinstance(lowered, SampleBoxes):
         return _compact_dual(inst, lowered)
     return _full_dual(inst, lowered)
@@ -233,10 +237,10 @@ def dro_milp(inst: ProblemInstance, lowered):
 
 def build_full_dual_milp(inst: ProblemInstance):
     """The full dual of every support and scenario row, whatever their shape;
-    same contract as :func:`build_dro_milp`, which uses it only when the
-    compact form does not apply.  On box data, where validation builds no
-    polytopes, it lowers each scenario into its own polytope after
-    validating."""
+    same contract as :func:`build_dro_milp` without ``lowered``, which uses
+    it only when the compact form does not apply.  On box data, where
+    validation builds no polytopes, it lowers each scenario into its own
+    polytope after validating."""
     lowered = validate_instance(inst)
     if isinstance(lowered, SampleBoxes):
         lowered = tuple(lower_scenario(s, inst.support) for s in inst.scenarios)
@@ -435,23 +439,78 @@ def _full_dual(inst: ProblemInstance, lowered):
 
 @dataclass
 class SolveDiagnostics:
+    form: str  # "endpoint", "compact" or "full": the program that ran
     node_count: int | None
-    time_ms: float  # the MILP solve alone
+    time_ms: float  # the solve alone
     status: str
     # the value of the LP relaxation that the MILP solve ran, in the
-    # instance's own sense; None unless that LP was optimal
+    # instance's own sense; None unless that LP was optimal, and on the
+    # endpoint form, which solves no dual MILP
     relaxation: float | None = None
 
 
+def endpoint_form_applies(inst: ProblemInstance, lowered) -> bool:
+    """Whether :func:`solve_dro` takes the endpoint form on ``inst``, given
+    ``lowered``, what :func:`~dro.model.validate_instance` returns for it:
+    :func:`~dro.closedform.endpoint_fits` holds and at least one sample
+    carries an equality.  Pure interval data stay on the compact dual, so
+    that the interval closed form remains an independent check of it."""
+    return endpoint_fits(inst, lowered) and not np.isnan(lowered.t).all()
+
+
 def solve_dro(inst: ProblemInstance, backend: Backend | None = None):
-    """Solve the full three-level problem; returns ``(value, x, diagnostics)``."""
-    mip, _ = build_dro_milp(inst)
-    return solve_dro_milp(inst, mip, backend)
+    """Solve the full three-level problem; returns ``(value, x, diagnostics)``.
+
+    Bandit data under the loss ``c.x`` (:func:`endpoint_form_applies`) take
+    the endpoint form (:func:`solve_dro_endpoint`); every other instance
+    solves its dual MILP (:func:`build_dro_milp`, :func:`solve_dro_milp`).
+    """
+    lowered = validate_instance(inst)
+    if endpoint_form_applies(inst, lowered):
+        return solve_dro_endpoint(inst, lowered, backend)
+    mip, layout = build_dro_milp(inst, lowered)
+    return solve_dro_milp(inst, mip, backend, layout.form)
 
 
-def solve_dro_milp(inst: ProblemInstance, mip: MixedIntegerProgram, backend: Backend | None = None):
+def _verified(inst: ProblemInstance, x) -> np.ndarray:
+    if not inst.feasible.contains(x):
+        raise RuntimeError("extracted decision failed re-verification")
+    return x
+
+
+def solve_dro_endpoint(inst: ProblemInstance, boxes: SampleBoxes, backend: Backend | None = None):
+    """Solve ``inst`` by :func:`~dro.closedform.solve_endpoints` on its
+    validated ``boxes``: the ceiling COP and the sample-average program,
+    both on ``backend``.  Returns ``(value, x, diagnostics)`` as
+    :func:`solve_dro_milp` does, with ``(None, None, diagnostics)`` and the
+    failed solve's status when either solve ends without an optimum; the
+    node count is the sample-average MILP's."""
+    backend = backend or ReferenceKernel()
+    t0 = time.perf_counter()
+    try:
+        det = solve_endpoints(
+            inst.feasible, boxes, inst.epsilon, milp_cop(inst.feasible, backend), inst.sense,
+            backend=backend,
+        )
+    except SolveFailed as e:
+        return None, None, SolveDiagnostics("endpoint", None, _ms_since(t0), e.status)
+    diags = SolveDiagnostics("endpoint", det.node_count, _ms_since(t0), OPTIMAL)
+    return det.value, _verified(inst, det.x), diags
+
+
+def _ms_since(t0: float) -> float:
+    return (time.perf_counter() - t0) * 1000.0
+
+
+def solve_dro_milp(
+    inst: ProblemInstance,
+    mip: MixedIntegerProgram,
+    backend: Backend | None = None,
+    form: str = "compact",
+):
     """Solve ``mip``, the instance's single-level MILP from
-    :func:`build_dro_milp`; returns ``(value, x, diagnostics)``.
+    :func:`build_dro_milp` in the given ``form`` (its layout's ``form``);
+    returns ``(value, x, diagnostics)``.
 
     The decision is extracted from the MILP solution, re-verified against the
     feasible set, and the value is reported in the instance's own sense, as
@@ -460,16 +519,24 @@ def solve_dro_milp(inst: ProblemInstance, mip: MixedIntegerProgram, backend: Bac
     backend = backend or ReferenceKernel()
     t0 = time.perf_counter()
     res = backend.solve_milp(mip)
-    elapsed = (time.perf_counter() - t0) * 1000.0
+    elapsed = _ms_since(t0)
     flip = 1.0 if inst.sense == "min" else -1.0
     relaxation = None if res.relaxation is None else flip * res.relaxation
-    diags = SolveDiagnostics(res.node_count, elapsed, res.status, relaxation)
+    diags = SolveDiagnostics(form, res.node_count, elapsed, res.status, relaxation)
     if res.status != OPTIMAL:
         return None, None, diags
-    x = res.x[: inst.n].copy()
-    if not inst.feasible.contains(x):
-        raise RuntimeError("extracted decision failed re-verification")
-    return flip * res.value, x, diags
+    return flip * res.value, _verified(inst, res.x[: inst.n].copy()), diags
+
+
+def dual_relaxation(inst: ProblemInstance, mip: MixedIntegerProgram, backend: Backend | None = None):
+    """The value of the LP relaxation of ``mip``, the instance's dual MILP,
+    in the instance's own sense: one LP solve, bit for bit the
+    ``relaxation`` that :func:`solve_dro_milp` reports.  None unless the LP
+    is optimal."""
+    res = (backend or ReferenceKernel()).solve_lp(mip.lp)
+    if res.status != OPTIMAL:
+        return None
+    return res.value if inst.sense == "min" else -res.value
 
 
 def discrete_w1(p: DiscreteDistribution, q: DiscreteDistribution, backend=None) -> float:

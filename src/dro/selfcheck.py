@@ -237,6 +237,42 @@ def random_box_instance(rng: np.random.Generator) -> ProblemInstance:
     )
 
 
+def random_endpoint_instance(rng: np.random.Generator) -> ProblemInstance:
+    """Selection instance that takes the endpoint form: the loss ``c.x`` on
+    the unit box or a random box, either sense, and one to six samples in
+    random order.  One is a bandit total over two or more components; the
+    others are bandit totals over random masks, which may overlap, or
+    intervals, exact points and semi-bandit observations."""
+    n = int(rng.integers(2, 9))
+    skeleton = gen_sorting(n, int(rng.integers(1, n + 1)))
+    lo, hi = np.zeros(n), np.ones(n)
+    if rng.random() < 0.5:
+        lo = rng.uniform(-0.5, 0.5, n)
+        hi = lo + rng.uniform(0.2, 1.5, n)
+    scen = []
+    for t in range(int(rng.integers(1, 7))):
+        kind = 3 if t == 0 else int(rng.integers(0, 5))
+        point = rng.uniform(lo, hi)
+        if kind == 0:
+            scen.append(Exact(point))
+        elif kind == 1:
+            width = rng.random(n) * (hi - lo) / 2
+            scen.append(Interval(point - width, point + width))
+        elif kind == 2:
+            seen = np.flatnonzero(rng.random(n) < 0.5)
+            scen.append(SemiBandit(tuple((int(i), float(point[i])) for i in seen)))
+        else:
+            mask = np.zeros(n)
+            mask[rng.choice(n, int(rng.integers(2, n + 1)), replace=False)] = 1.0
+            scen.append(Bandit(mask, float(mask @ point)))
+    order = rng.permutation(len(scen))
+    sense = "min" if rng.random() < 0.5 else "max"
+    return ProblemInstance(
+        skeleton.feasible, BiaffineLoss.bilinear(n), Polytope.box(lo, hi),
+        tuple(scen[i] for i in order), float(rng.random()), sense,
+    )
+
+
 def random_mixed_box_instance(rng: np.random.Generator) -> ProblemInstance:
     """Selection instance on a random box support with a mix of Exact,
     Interval, SemiBandit and Bandit samples at the edges of the lowering:
@@ -355,6 +391,28 @@ def check_compact_dual(count: int, seed) -> CheckResult:
                 failures.append(f"instance {t}: {what} {got} vs {want}")
     clean = f"{count} box instances agree (worst rel err {worst:.2e})"
     return _result("compact-vs-full-dual", failures, clean, worst=worst)
+
+
+def check_endpoint_vs_compact(count: int, seed) -> CheckResult:
+    """``solve_dro``'s endpoint form against the compact dual MILP on the
+    reference kernel: values within 1e-9 relative on bandit and mixed
+    instances of both senses (decisions may differ at tied optima)."""
+    rng = np.random.default_rng(seed)
+    kernel = ReferenceKernel()
+    worst, failures = 0.0, []
+    for t in range(count):
+        inst = random_endpoint_instance(rng)
+        got, _, diag = solve_dro(inst, kernel)
+        want, _, _ = solve_dro_milp(inst, build_dro_milp(inst)[0], kernel)
+        if diag.form != "endpoint" or got is None or want is None:
+            failures.append(f"instance {t}: {diag.form} form, {got} vs {want}")
+            continue
+        err = abs(got - want) / max(1.0, abs(want))
+        worst = max(worst, err)
+        if err > 1e-9:
+            failures.append(f"instance {t}: {got} vs {want}")
+    clean = f"{count} bandit and mixed instances agree (worst rel err {worst:.2e})"
+    return _result("endpoint-vs-compact", failures, clean, worst=worst)
 
 
 def check_kernel_enumeration(count: int, seed) -> CheckResult:
@@ -599,4 +657,5 @@ def run_all(seed=0, scale: float = 1.0) -> list[CheckResult]:
         check_highs_vs_reference(c(10), [seed, 9]),
         check_collectors_batch(c(10), [seed, 10]),
         check_highs_relaxation_first(c(10), [seed, 11]),
+        check_endpoint_vs_compact(c(20), [seed, 12]),
     ]

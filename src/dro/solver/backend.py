@@ -150,17 +150,17 @@ class ScipyBackend:
         on ``optimal`` the point, HiGHS's minimised objective (``c0`` left
         out, negated for a max program) and its MIP node count, and
         otherwise ``(status, None, None, 0)``."""
-        if lp.malformed():
-            return ERROR, None, None, 0
-        highs = _highs_core()
-
         # HiGHS takes the matrix column-wise: each column's nonzeros in row
-        # order
+        # order, gathered in the one pass over the dense matrix; a NaN or an
+        # infinity is nonzero, so the gathered entries show a malformed one
         flat = np.flatnonzero(lp.a != 0)
         rows, cols = np.divmod(flat, lp.n)
         order = np.argsort(cols, kind="stable")
         index, col = rows[order], cols[order]
         value = lp.a[index, col]
+        if lp.malformed(value):
+            return ERROR, None, None, 0
+        highs = _highs_core()
         flip = -1.0 if lp.sense == "max" else 1.0
         solver = highs._Highs()
         for key, val in _HIGHS_OPTIONS.items():

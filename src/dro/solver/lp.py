@@ -28,6 +28,7 @@ far more than either library alone (see the README's solver notes).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,12 +116,26 @@ class LinearProgram:
     def m(self) -> int:
         return self.a.shape[0]
 
-    def malformed(self) -> bool:
+    def malformed(self, entries=None) -> bool:
         """Whether ``c``, ``a`` or ``b`` holds a NaN or an infinity, or a
         bound is NaN: no solve of such a program means anything, so every
-        backend reports it as ``error``."""
-        finite = np.isfinite(self.c).all() and np.isfinite(self.a).all() and np.isfinite(self.b).all()
+        backend reports it as ``error``.  ``entries`` are the nonzero
+        entries of ``a`` when the caller has gathered them; NaN and
+        infinities are nonzero, so they stand in for ``a``."""
+        a = self.a if entries is None else entries
+        finite = np.isfinite(self.c).all() and np.isfinite(a).all() and np.isfinite(self.b).all()
         return not finite or bool(np.isnan(self.lower).any() or np.isnan(self.upper).any())
+
+    def with_bounds(self, lower, upper) -> LinearProgram:
+        """This program with other variable bounds.  Only the bounds are
+        checked; the other fields are this program's own, already checked
+        arrays, shared."""
+        out = copy.copy(self)
+        out.lower = _as_1d(lower, self.n, "lower bounds")
+        out.upper = _as_1d(upper, self.n, "upper bounds")
+        if np.any(out.lower == np.inf) or np.any(out.upper == -np.inf):
+            raise ValueError("empty variable bound")
+        return out
 
     def residuals(self, x) -> np.ndarray:
         """Signed violation of every row at ``x`` (positive = violated)."""

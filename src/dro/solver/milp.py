@@ -64,12 +64,6 @@ class MixedIntegerProgram:
             )
 
 
-def _bounded_lp(base: LinearProgram, lower, upper) -> LinearProgram:
-    return LinearProgram(
-        base.c, base.a, base.rel, base.b, lower, upper, sense=base.sense, c0=base.c0
-    )
-
-
 def _fix_and_polish(mip: MixedIntegerProgram, x_lp, node: LinearProgram, form, basis,
                     max_pivots):
     """Round the integer block and re-solve the continuous block from the
@@ -91,7 +85,7 @@ def _fix_and_polish(mip: MixedIntegerProgram, x_lp, node: LinearProgram, form, b
     lo[mip.integer] = rounded
     hi[mip.integer] = rounded
     start = form.tableau(node, basis)
-    res = solve_lp(_bounded_lp(mip.lp, lo, hi), max_pivots=max_pivots, start=start)
+    res = solve_lp(mip.lp.with_bounds(lo, hi), max_pivots=max_pivots, start=start)
     if res.status != OPTIMAL:
         return None, res.pivots
     # the fixed columns can come back a rounding error off their bounds
@@ -134,7 +128,7 @@ def solve_milp(mip: MixedIntegerProgram, max_pivots=None, max_nodes=200000) -> S
         bound, _, lower, upper, x_lp, basis = heapq.heappop(heap)
         if bound >= prune_cut():
             break  # best-first: every remaining node is at least as bad
-        node = _bounded_lp(base, lower, upper)
+        node = base.with_bounds(lower, upper)
         frac = np.abs(x_lp - np.round(x_lp))
         frac[~mip.integer] = 0.0
         if frac.max(initial=0.0) <= tol.INT_TOL:
@@ -162,7 +156,7 @@ def solve_milp(mip: MixedIntegerProgram, max_pivots=None, max_nodes=200000) -> S
             hi[j] = min(hi[j], hi_j)
             if lo[j] > hi[j]:
                 continue
-            res = solve_lp(_bounded_lp(base, lo, hi), max_pivots=max_pivots, start=start)
+            res = solve_lp(base.with_bounds(lo, hi), max_pivots=max_pivots, start=start)
             nodes += 1
             pivots += res.pivots
             if res.status == ITERLIMIT:

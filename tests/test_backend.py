@@ -590,3 +590,13 @@ def test_binding_matches_milp_bit_for_bit():
         seen.add(got.status)
         nodes += got.status == OPTIMAL and got.node_count > 1
     assert seen == {OPTIMAL, INFEASIBLE} and nodes > 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gathered_entries_show_a_malformed_matrix(bad):
+    # HiGHS checks the nonzeros it gathers instead of a second pass over a:
+    # NaN and infinities are nonzero, so the verdict is the same
+    lp = one_integer_row([1.0, 0.0], GE, 1.5).lp
+    assert not lp.malformed(lp.a[lp.a != 0])
+    lp.a[0, 1] = bad
+    assert lp.malformed() and lp.malformed(lp.a[lp.a != 0])

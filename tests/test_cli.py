@@ -15,6 +15,7 @@ from dro.model import (
     Bandit,
     BiaffineLoss,
     Exact,
+    FeasibleSet,
     Interval,
     ProblemInstance,
     SemiBandit,
@@ -23,7 +24,7 @@ from dro.model import (
     save_instance,
 )
 from dro.problems import gen_mcp, gen_sorting
-from dro.reformulate import build_dro_milp
+from dro.reformulate import build_dro_milp, solve_dro_milp
 from test_solver_milp import lp_relaxation_value
 
 
@@ -186,16 +187,37 @@ def test_closed_form_bandit_route(bandit_instance, tmp_path):
     assert payload["value"] == pytest.approx(json.loads(solved.read_text())["value"], abs=1e-6)
 
 
-def test_closed_form_refuses_overlapping_bandit(tmp_path, capsys):
+@pytest.mark.parametrize("sense", ["min", "max"])
+def test_closed_form_answers_overlapping_bandit(tmp_path, sense):
+    # overlapping totals, or a maximization, fit no grouped history: the
+    # endpoint solver answers, with the value the dual MILP reaches
     sk = gen_sorting(3, 2)
     scen = (
         Bandit(np.array([1.0, 1, 0]), 0.8),
         Bandit(np.array([0.0, 1, 1]), 0.9),
     )
     path = tmp_path / "overlap.json"
-    save_instance(path, sk.instance(scen, 0.1))
+    save_instance(path, ProblemInstance(sk.feasible, sk.loss, sk.support, scen, 0.1, sense))
+    out = tmp_path / "cf.json"
+    assert main(["closed-form", str(path), "-o", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["method"] == "endpoint"
+    inst = load_instance(path)
+    want, _, _ = solve_dro_milp(inst, build_dro_milp(inst)[0])
+    assert payload["value"] == pytest.approx(want, abs=1e-9)
+    assert inst.feasible.contains(np.array(payload["x_or_group"]))
+
+
+def test_closed_form_names_a_failed_solve(tmp_path, capsys):
+    # an empty decision set: the COP's status, on one line
+    sk = gen_sorting(3, 2)
+    fs = FeasibleSet(0, 3, [], np.ones((1, 3)), [-1.0], np.ones(3))
+    scen = (Bandit(np.array([1.0, 1, 0]), 0.8), Bandit(np.array([0.0, 1, 1]), 0.9))
+    path = tmp_path / "empty.json"
+    save_instance(path, ProblemInstance(fs, sk.loss, sk.support, scen, 0.1))
     assert main(["closed-form", str(path)]) == 1
-    assert "neither closed form" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == "combinatorial solve failed: infeasible\n"
 
 
 @pytest.mark.parametrize(
@@ -519,6 +541,7 @@ def test_dro_seed_env_override(tmp_path, monkeypatch):
 def test_validate_exit_code(capsys):
     assert main(["validate", "--scale", "0.1", "--seed", "4"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 11
+    assert out.count("PASS") == 12
+    assert "PASS endpoint-vs-compact" in out
     assert "PASS collectors-batch-vs-single" in out
     assert "PASS highs-relaxation-first" in out

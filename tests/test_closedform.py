@@ -7,19 +7,40 @@ from dro.closedform import (
     BanditHistory,
     DecisionGrouping,
     bandit_history_from_instance,
+    endpoint_data_from_instance,
     group_decisions,
     interval_data_from_instance,
+    milp_cop,
     solve_disjoint_bandit,
+    solve_endpoints,
     solve_interval,
     solve_interval_detail,
     worst_case_cost,
 )
-from dro.datagen import BetaNominal, cucb_collect, cucb_collect_mcp, observe_semibandit
+from dro.datagen import (
+    BetaNominal,
+    cucb_collect,
+    cucb_collect_mcp,
+    observe_bandit,
+    observe_semibandit,
+)
 from dro.errors import InvalidInstance, OverlappingDecisions
-from dro.model import Bandit, Exact, Interval, ProblemInstance, SampleBoxes, SemiBandit
-from dro.problems import gen_layered_spp, gen_mcp, gen_sorting, sorting_cop
-from dro.reformulate import solve_dro
-from dro.selfcheck import random_interval_instance
+from dro.model import (
+    Bandit,
+    BiaffineLoss,
+    Exact,
+    FeasibleSet,
+    Interval,
+    Polytope,
+    ProblemInstance,
+    SampleBoxes,
+    SemiBandit,
+    validate_instance,
+)
+from dro.problems import gen_layered_spp, gen_mcp, gen_sorting, mcp_cop, sorting_cop, spp_cop
+from dro.reformulate import build_dro_milp, solve_dro, solve_dro_milp
+from dro.selfcheck import random_endpoint_instance, random_interval_instance
+from dro.solver import ReferenceKernel, ScipyBackend
 from enumeration import enumerate_feasible
 
 
@@ -121,6 +142,130 @@ class TestSolveInterval:
             solve_interval_detail(fs, boxes, 0.1, sorting_cop(3, 1))
         with pytest.raises(ValueError, match="no equalities"):
             solve_interval(fs, boxes, 0.1, sorting_cop(3, 1))
+
+
+BACKENDS = [pytest.param(ReferenceKernel(), id="reference"), pytest.param(ScipyBackend(), id="scipy")]
+
+
+def _rel_err(got, want):
+    return abs(got - want) / max(1.0, abs(want))
+
+
+def _endpoints(inst, backend, cop=None):
+    boxes = validate_instance(inst)
+    cop = cop or milp_cop(inst.feasible, backend)
+    return solve_endpoints(inst.feasible, boxes, inst.epsilon, cop, inst.sense, backend=backend)
+
+
+def _compact(inst, backend):
+    value, _, diag = solve_dro_milp(inst, build_dro_milp(inst)[0], backend)
+    assert value is not None, diag.status
+    return value
+
+
+def _bandit_histories():
+    """Routing and coverage bandit histories, whose masks overlap: spp
+    minimizes on the unit box, mcp maximizes."""
+    out = []
+    for seed, (h, r, k) in enumerate([(3, 2, 6), (4, 3, 12), (5, 3, 20)]):
+        rng = np.random.default_rng([71, seed])
+        sk, graph = gen_layered_spp(h, r)
+        run = cucb_collect(graph, BetaNominal.random(graph.num_arcs, 0.125, rng), k, rng)
+        out.append((sk.instance(observe_bandit(run.samples, run.decisions), h / 11.0), spp_cop(graph)))
+    for seed in range(3):
+        rng = np.random.default_rng([72, seed])
+        sk, system = gen_mcp(10, 8, 3, 2, seed)
+        k = 4 + 3 * seed
+        run = cucb_collect_mcp(system, BetaNominal.random(10, 0.125, rng), k, rng)
+        pad = np.zeros((k, 8))
+        scen = observe_bandit(np.hstack([run.samples, pad]), np.hstack([run.decisions, pad]))
+        out.append((sk.instance(scen, 0.4 * seed), mcp_cop(system)))
+    return out
+
+
+class TestEndpoints:
+    """The endpoint solver against the compact dual MILP, which solves the
+    same problem over (x, lambda) without fixing lambda at 0 or 1."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_matches_compact_dual_on_random_instances(self, backend):
+        # overlapping masks, both senses, unit and random boxes, and bandit
+        # totals mixed with interval, exact and semi-bandit samples
+        rng = np.random.default_rng(83)
+        seen = set()
+        for _ in range(80):
+            inst = random_endpoint_instance(rng)
+            det = _endpoints(inst, backend)
+            assert _rel_err(det.value, _compact(inst, backend)) <= 1e-9
+            assert inst.feasible.contains(det.x)
+            boxes = validate_instance(inst)
+            unit = not boxes.l.any() and bool((boxes.u == 1.0).all())
+            seen.add((inst.sense, det.winner, unit))
+        assert len(seen) == 8  # every sense, winner and box kind came up
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_matches_compact_dual_on_collected_histories(self, backend):
+        for inst, cop in _bandit_histories():
+            det = _endpoints(inst, backend, cop)
+            assert det.node_count is not None
+            assert _rel_err(det.value, _compact(inst, backend)) <= 1e-9
+
+    def test_hand_instance(self):
+        # pick one of three items on the unit box; one total 0.4 over items
+        # 0 and 1.  Item 0 or 1 may cost as little as the total allows,
+        # min(0.4, 1), and item 2 is unobserved, so its worst case is 1:
+        # the sample-average candidate is 0.4 + 0.1, the ceiling one 1
+        inst = gen_sorting(3, 1).instance((Bandit(np.array([1.0, 1, 0]), 0.4),), 0.1)
+        det = _endpoints(inst, ReferenceKernel())
+        assert det.winner == "saa"
+        assert det.value == pytest.approx(0.5, abs=1e-12)
+        assert det.ceiling_value == pytest.approx(1.0, abs=1e-12)
+        assert det.x[2] == 0.0
+
+    def test_hand_instance_on_a_wider_box(self):
+        # the same total on the box [0.5, 2]^3: item 0 or 1 costs at most
+        # 0.5 + min(s, 1.5) with s = 1.4 - 2 * 0.5 = 0.4, so 0.9, plus the
+        # radius 0.1; the ceiling candidate costs 2.  Maximizing, the least
+        # item 2 can cost is 0.5, and item 0 or 1 reaches 0.5 + max(0, s -
+        # 1.5) = 0.5 as well: 0.5 - 0.1 against the floor 0.5
+        sk = gen_sorting(3, 1)
+        support = Polytope.box(np.full(3, 0.5), np.full(3, 2.0))
+        scen = (Bandit(np.array([1.0, 1, 0]), 1.4),)
+        low = ProblemInstance(sk.feasible, sk.loss, support, scen, 0.1, "min")
+        det = _endpoints(low, ReferenceKernel())
+        assert det.value == pytest.approx(1.0, abs=1e-12) and det.winner == "saa"
+        high = ProblemInstance(sk.feasible, sk.loss, support, scen, 0.1, "max")
+        det = _endpoints(high, ReferenceKernel())
+        assert det.value == pytest.approx(0.5, abs=1e-12) and det.winner == "ceiling"
+
+    def test_interval_data_take_the_cop_path(self):
+        # no equality: both candidates on the COP, no MILP, the values of
+        # the interval closed form bit for bit
+        rng = np.random.default_rng(84)
+        for _ in range(10):
+            inst = random_interval_instance(rng)
+            boxes = interval_data_from_instance(inst)
+            det = solve_endpoints(inst.feasible, boxes, inst.epsilon, sense=inst.sense)
+            assert det.node_count is None
+            value, x = solve_interval(inst.feasible, boxes, inst.epsilon, sense=inst.sense)
+            assert det.value == value and np.array_equal(det.x, x)
+
+    def test_adapter_needs_binary_decisions_under_totals(self):
+        scen = (Bandit(np.array([1.0, 1, 0]), 0.4), Interval(np.zeros(3), np.ones(3)))
+        sk = gen_sorting(3, 1)
+        assert endpoint_data_from_instance(sk.instance(scen, 0.1)) is not None
+        wide = FeasibleSet(0, 3, [], sk.feasible.g2, sk.feasible.rhs, np.full(3, 2.0))
+        inst = ProblemInstance(wide, sk.loss, sk.support, scen, 0.1)
+        assert endpoint_data_from_instance(inst) is None
+        # intervals alone need no binary decisions
+        inst = ProblemInstance(wide, sk.loss, sk.support, scen[1:], 0.1)
+        assert endpoint_data_from_instance(inst) is not None
+        # nor does a total over a mask other than 0/1
+        inst = sk.instance((Bandit(np.array([2.0, 1, 0]), 0.4),), 0.1)
+        assert endpoint_data_from_instance(inst) is None
+        loss = BiaffineLoss(np.eye(3), np.ones(3), np.zeros(3))
+        inst = ProblemInstance(sk.feasible, loss, sk.support, scen, 0.1)
+        assert endpoint_data_from_instance(inst) is None
 
 
 class TestGrouping:

@@ -23,6 +23,7 @@ from dro.model import (
     Bandit,
     BiaffineLoss,
     Exact,
+    FeasibleSet,
     Interval,
     Polytope,
     ProblemInstance,
@@ -46,17 +47,21 @@ from dro.reformulate import (
 from dro.selfcheck import (
     random_bandit_instance,
     random_box_instance,
+    random_endpoint_instance,
     random_interval_instance,
     read_lowered_rows,
 )
 from dro.solver import (
     EQ,
+    INFEASIBLE,
+    ITERLIMIT,
     LE,
     OPTIMAL,
     LinearProgram,
     MixedIntegerProgram,
     ReferenceKernel,
     ScipyBackend,
+    SolveResult,
     dump_program,
     solve_lp,
 )
@@ -581,6 +586,75 @@ class TestSolveDro:
         value, x, _ = solve_dro(inst)
         assert value == pytest.approx(0.8, abs=1e-8)
         np.testing.assert_allclose(x, [0, 1], atol=1e-8)
+
+
+class TestSolveDroForms:
+    """Which program ``solve_dro`` runs, and the statuses it reports."""
+
+    def test_pure_interval_data_stay_compact(self):
+        rng = np.random.default_rng(91)
+        for _ in range(5):
+            value, _, diag = solve_dro(random_interval_instance(rng))
+            assert value is not None
+            assert diag.form == "compact" and diag.relaxation is not None
+
+    @pytest.mark.parametrize("backend", [ReferenceKernel(), ScipyBackend()], ids=["reference", "scipy"])
+    def test_bandit_data_take_the_endpoint_form(self, backend):
+        rng = np.random.default_rng(92)
+        for inst in [random_endpoint_instance(rng) for _ in range(10)] + [_mcp_bandit(3)]:
+            value, x, diag = solve_dro(inst, backend)
+            assert diag.form == "endpoint" and diag.relaxation is None
+            want, _, _ = solve_dro_milp(inst, build_dro_milp(inst)[0], backend)
+            assert _close(value, want)
+            assert inst.feasible.contains(x)
+
+    def test_a_general_support_takes_the_full_dual(self):
+        value, _, diag = solve_dro(_non_box_intervals(9))
+        assert value is not None and diag.form == "full"
+
+    @pytest.mark.parametrize("backend", [ReferenceKernel(), ScipyBackend()], ids=["reference", "scipy"])
+    def test_empty_decision_set_is_infeasible(self, backend):
+        # no decision satisfies x_0 + x_1 + x_2 <= -1: the ceiling COP is
+        # infeasible, and solve_dro reports it as the compact dual does
+        sk = gen_sorting(3, 1)
+        fs = FeasibleSet(0, 3, [], np.ones((1, 3)), [-1.0], np.ones(3))
+        scen = (Bandit(np.array([1.0, 1, 0]), 0.4), Interval(np.zeros(3), np.ones(3)))
+        inst = ProblemInstance(fs, sk.loss, sk.support, scen, 0.1)
+        value, x, diag = solve_dro(inst, backend)
+        assert (value, x, diag.form, diag.status) == (None, None, "endpoint", INFEASIBLE)
+        _, _, diag = solve_dro(ProblemInstance(fs, sk.loss, sk.support, scen[1:], 0.1), backend)
+        assert (diag.form, diag.status) == ("compact", INFEASIBLE)
+
+    def test_failed_sample_average_milp_reports_its_status(self):
+        # the ceiling COP is the first MILP and optimal; the second, the
+        # sample-average MILP, ends without an optimum
+        calls = []
+
+        class SecondFails(ReferenceKernel):
+            def solve_milp(self, mip):
+                calls.append(mip)
+                return SolveResult(ITERLIMIT) if len(calls) == 2 else super().solve_milp(mip)
+
+        inst = gen_sorting(3, 1).instance((Bandit(np.array([1.0, 1, 0]), 0.4),), 0.1)
+        value, x, diag = solve_dro(inst, SecondFails())
+        assert (value, x, diag.form, diag.status) == (None, None, "endpoint", ITERLIMIT)
+        assert len(calls) == 2
+
+    def test_compact_dual_keeps_its_bandit_oracle(self):
+        # solve_dro no longer runs the compact dual on bandit data: it is
+        # checked here against the grouped closed form on criterion 2's
+        # generator, values and argmin groups
+        rng = np.random.default_rng(1002)
+        for _ in range(40):
+            inst, hist = random_bandit_instance(rng)
+            mip, layout = build_dro_milp(inst)
+            value, x, diag = solve_dro_milp(inst, mip, form=layout.form)
+            assert diag.form == "compact"
+            want, _ = solve_disjoint_bandit(hist, inst.epsilon)
+            assert abs(value - want) <= 1e-6
+            scores = hist.scores
+            argmin = np.flatnonzero(scores <= scores.min() + 1e-9)
+            assert any(np.array_equal(np.round(x), hist.grouping.decisions[v]) for v in argmin)
 
 
 class TestBallCertificate:

@@ -561,3 +561,31 @@ def test_backend_reuses_the_binding_scipy_optimize_loaded():
         + f"assert backend._highs_core() is _core is sys.modules[{_HIGHS_CORE!r}]\n",
         allowed=("scipy",),
     )
+
+
+def test_node_programs_share_the_checked_arrays():
+    lp = random_binary_milp(np.random.default_rng(5)).lp
+    lower, upper = np.zeros(lp.n), np.ones(lp.n)
+    upper[0] = 0.0
+    node = lp.with_bounds(lower, upper)
+    assert all(getattr(node, f) is getattr(lp, f) for f in ("c", "a", "rel", "b"))
+    assert (node.sense, node.c0) == (lp.sense, lp.c0)
+    np.testing.assert_array_equal(node.upper, upper)
+    assert lp.upper[0] == 1.0  # the base keeps its own bounds
+    with pytest.raises(ValueError, match="empty variable bound"):
+        lp.with_bounds(np.full(lp.n, np.inf), upper)
+    with pytest.raises(dro.errors.DimensionMismatch):
+        lp.with_bounds(lower[1:], upper)
+
+
+def test_branch_and_bound_builds_no_checked_program(monkeypatch):
+    # every node program comes from with_bounds, which re-checks only the
+    # bounds: no LinearProgram is constructed during the search
+    rng = np.random.default_rng(8)
+    mip = next(m for m in (random_binary_milp(rng) for _ in range(200))
+               if solve_milp(m).node_count > 3)
+    built = []
+    post_init = LinearProgram.__post_init__
+    monkeypatch.setattr(LinearProgram, "__post_init__", lambda self: built.append(post_init(self)))
+    res = solve_milp(mip)
+    assert res.node_count > 3 and built == []
