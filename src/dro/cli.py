@@ -18,15 +18,10 @@ from dataclasses import MISSING, fields, replace
 
 import numpy as np
 
-from .closedform import (
-    bandit_history_from_instance,
-    endpoint_data_from_instance,
-    solve_disjoint_bandit,
-    solve_endpoints,
-)
+from .closedform import endpoint_data_from_instance
 from .datagen import BetaNominal, cucb_collect, cucb_collect_mcp, observe
 from .harness import SweepConfig, preset_sweep, records_to_csv, run_sweep
-from .errors import BadCardinality, DroError, InvalidInstance, SolveFailed
+from .errors import BadCardinality, DroError, InvalidInstance
 from .model import load_instance, load_instance_meta, save_instance, validate_instance
 from .problems import CoverageSystem, LayeredGraph, gen_layered_spp, gen_mcp, gen_sorting
 from .reformulate import (
@@ -126,35 +121,17 @@ def _cmd_closed_form(args) -> int:
     except InvalidInstance as e:
         _print_findings(e)
         return 1
-    hist = bandit_history_from_instance(inst)
-    if hist is not None and inst.sense == "min":
-        value, v_star = solve_disjoint_bandit(hist, inst.epsilon)
-        _emit(
-            {
-                "value": value,
-                "x_or_group": {
-                    "group": v_star,
-                    "decision": hist.grouping.decisions[v_star].tolist(),
-                },
-                "method": "thm3",
-            },
-            args.output,
-        )
-        return 0
-    if boxes is not None:
-        # with no equality both candidates are COPs: the interval closed form
-        method = "thm2" if np.isnan(boxes.t).all() else "endpoint"
-        try:
-            det = solve_endpoints(
-                inst.feasible, boxes, inst.epsilon, sense=inst.sense, backend=get_backend(args.backend)
-            )
-        except SolveFailed as e:
-            print(e, file=sys.stderr)
-            return 1
-        _emit({"value": det.value, "x_or_group": [float(v) for v in det.x], "method": method}, args.output)
-        return 0
-    print("instance fits neither closed form (need the loss c.x and every scenario lowering to a box plus at most one total, over a 0/1 mask of binary decisions)", file=sys.stderr)
-    return 1
+    if boxes is None:
+        print("instance fits neither closed form (need the loss c.x and every scenario lowering to a box plus at most one total, over a 0/1 mask of binary decisions)", file=sys.stderr)
+        return 1
+    value, x, diag = solve_dro_endpoint(inst, boxes, get_backend(args.backend))
+    if value is None:
+        print(f"solve failed: {diag.status}", file=sys.stderr)
+        return 1
+    # with no equality both candidates are COPs: the interval closed form
+    method = "thm2" if np.isnan(boxes.t).all() else "endpoint"
+    _emit({"value": value, "x_or_group": [float(v) for v in x], "method": method}, args.output)
+    return 0
 
 
 def _cmd_gen(args) -> int:
@@ -272,7 +249,7 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="solve an instance via the single-level MILP")
+    p = sub.add_parser("solve", help="solve an instance: the endpoint form on bandit data under the loss c.x, else the dual MILP")
     p.add_argument("instance")
     p.add_argument("--epsilon", type=float, default=None, help="override the radius")
     p.add_argument("--dump-milp", default=None, help="write the MILP in the text dump format")
@@ -281,7 +258,7 @@ def main(argv=None) -> int:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("closed-form", help="solve via a polynomial special case")
+    p = sub.add_parser("closed-form", help="solve box data under the loss c.x at the transport endpoints: two COPs, or a COP and a sample-average MILP on bandit totals")
     p.add_argument("instance")
     p.add_argument("--backend", default=None, choices=["reference", "scipy"])
     p.add_argument("-o", "--output", default=None)

@@ -8,8 +8,10 @@ one-dimensional enumeration over history groups).  Box data are the
 validated :class:`~dro.model.SampleBoxes` of an instance, which hold the
 support's box as well; without equalities (interval data) the sample-average
 program is one more COP, and with bandit totals over binary decisions it is
-a small MILP.
-"""
+a small MILP.  The grouped form is no solve route of the CLI or of
+:func:`~dro.reformulate.solve_dro`: it never reads the decision set, and it
+is kept as an independent reference for the endpoint form (criterion 2,
+``dro validate``'s grouped-bandit check and the benchmark's oracle)."""
 
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import DimensionMismatch, OverlappingDecisions, SolveFailed
-from .model import Bandit, FeasibleSet, ProblemInstance, SampleBoxes, validate_instance
+from .model import FeasibleSet, ProblemInstance, SampleBoxes, validate_instance
 from .solver import LE, OPTIMAL, LinearProgram, MixedIntegerProgram, ReferenceKernel
 
 
@@ -68,12 +70,10 @@ def milp_cop(feasible: FeasibleSet, backend=None):
 
 @dataclass
 class EndpointDetail:
-    """Both candidate values behind an endpoint solve."""
+    """The winning candidate of an endpoint solve."""
 
     value: float
     x: np.ndarray
-    robust_saa_value: float  # the sample-average program plus the radius
-    ceiling_value: float  # global-bound costs, radius-free
     winner: str  # "saa" or "ceiling"
     node_count: int | None = None  # the sample-average MILP's, None for a COP
 
@@ -142,8 +142,8 @@ def solve_endpoints(
         v1, x1, nodes = _saa_milp(feasible, boxes, sense, backend)
     v1 += sign * epsilon
     if sign * v1 <= sign * v2 + tol.VALUE_TOL:
-        return EndpointDetail(v1, x1, v1, v2, "saa", nodes)
-    return EndpointDetail(v2, x2, v1, v2, "ceiling", nodes)
+        return EndpointDetail(v1, x1, "saa", nodes)
+    return EndpointDetail(v2, x2, "ceiling", nodes)
 
 
 def _saa_milp(feasible: FeasibleSet, boxes: SampleBoxes, sense: str, backend):
@@ -344,24 +344,3 @@ def interval_data_from_instance(inst: ProblemInstance) -> SampleBoxes | None:
     """
     boxes = endpoint_data_from_instance(inst)
     return boxes if boxes is not None and np.isnan(boxes.t).all() else None
-
-
-def bandit_history_from_instance(inst: ProblemInstance) -> BanditHistory | None:
-    """Express the instance's scenarios as a grouped total-cost history, or
-    None if they don't fit (a loss other than ``c.x``, non-unit-box support,
-    non-bandit scenarios, unequal cardinalities, or overlapping decisions)."""
-    if not inst.loss.is_bilinear() or not inst.support.is_box():
-        return None
-    lo, hi = inst.support.box_bounds()
-    if np.any(np.abs(lo) > tol.VALUE_TOL) or np.any(np.abs(hi - 1.0) > tol.VALUE_TOL):
-        return None
-    masks, totals = [], []
-    for s in inst.scenarios:
-        if not isinstance(s, Bandit):
-            return None
-        masks.append(s.mask)
-        totals.append(s.total)
-    try:
-        return BanditHistory.from_observations(np.array(masks), np.array(totals))
-    except (OverlappingDecisions, ValueError):
-        return None

@@ -539,9 +539,9 @@ def dual_relaxation(inst: ProblemInstance, mip: MixedIntegerProgram, backend: Ba
     return res.value if inst.sense == "min" else -res.value
 
 
-def discrete_w1(p: DiscreteDistribution, q: DiscreteDistribution, backend=None) -> float:
+def discrete_w1(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """Type-1 Wasserstein distance between two discrete distributions under
-    the l1 ground metric, via the transportation LP.
+    the l1 ground metric, via the transportation LP on the reference kernel.
 
     Arguments are put in a canonical order first, so the function is exactly
     symmetric in floating point.
@@ -572,7 +572,7 @@ def discrete_w1(p: DiscreteDistribution, q: DiscreteDistribution, backend=None) 
         np.full(nvar, np.inf),
         sense="min",
     )
-    res = (backend or ReferenceKernel()).solve_lp(lp)
+    res = ReferenceKernel().solve_lp(lp)
     if res.status != OPTIMAL:
         raise RuntimeError(f"transportation LP failed: {res.status}")
     return max(0.0, res.value)

@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dro.cli import main
+from dro.closedform import solve_disjoint_bandit
 from dro.datagen import BetaNominal, cucb_collect_mcp, observe_bandit
 from dro.model import (
     Bandit,
@@ -25,6 +27,7 @@ from dro.model import (
 )
 from dro.problems import gen_mcp, gen_sorting
 from dro.reformulate import build_dro_milp, solve_dro_milp
+from dro.selfcheck import random_bandit_instance
 from test_solver_milp import lp_relaxation_value
 
 
@@ -61,6 +64,16 @@ def mcp_bandit_instance(tmp_path):
     scen = observe_bandit(np.hstack([run.samples, pad]), np.hstack([run.decisions, pad]))
     path = tmp_path / "mcp_bandit.json"
     save_instance(path, sk.instance(scen, 0.4))
+    return str(path)
+
+
+@pytest.fixture()
+def overlap_instance(tmp_path):
+    # totals over decisions that share item 1: no grouped history fits
+    sk = gen_sorting(3, 2)
+    scen = (Bandit(np.array([1.0, 1, 0]), 0.8), Bandit(np.array([0.0, 1, 1]), 0.9))
+    path = tmp_path / "overlap.json"
+    save_instance(path, sk.instance(scen, 0.1))
     return str(path)
 
 
@@ -180,24 +193,61 @@ def test_closed_form_bandit_route(bandit_instance, tmp_path):
     out = tmp_path / "cf.json"
     assert main(["closed-form", bandit_instance, "-o", str(out)]) == 0
     payload = json.loads(out.read_text())
-    assert payload["method"] == "thm3"
-    assert payload["x_or_group"]["group"] in (0, 1)
+    assert payload["method"] == "endpoint"
+    assert load_instance(bandit_instance).feasible.contains(np.array(payload["x_or_group"]))
     solved = tmp_path / "full.json"
     assert main(["solve", bandit_instance, "-o", str(solved)]) == 0
     assert payload["value"] == pytest.approx(json.loads(solved.read_text())["value"], abs=1e-6)
 
 
-@pytest.mark.parametrize("sense", ["min", "max"])
-def test_closed_form_answers_overlapping_bandit(tmp_path, sense):
-    # overlapping totals, or a maximization, fit no grouped history: the
-    # endpoint solver answers, with the value the dual MILP reaches
-    sk = gen_sorting(3, 2)
-    scen = (
-        Bandit(np.array([1.0, 1, 0]), 0.8),
-        Bandit(np.array([0.0, 1, 1]), 0.9),
+def test_closed_form_keeps_to_the_decision_set(tmp_path):
+    # pick one of three items; both totals cover items 0 and 1, so no
+    # allowed decision was ever observed: the ceiling candidate 1 wins
+    # over the grouped history's 1.8 at the two-item decision [1, 1, 0]
+    inst = gen_sorting(3, 1).instance(
+        (Bandit(np.array([1.0, 1, 0]), 1.8), Bandit(np.array([1.0, 1, 0]), 1.6)), 0.1
     )
-    path = tmp_path / "overlap.json"
-    save_instance(path, ProblemInstance(sk.feasible, sk.loss, sk.support, scen, 0.1, sense))
+    path = tmp_path / "one_of_three.json"
+    save_instance(path, inst)
+    cf, solved = tmp_path / "cf.json", tmp_path / "full.json"
+    assert main(["closed-form", str(path), "-o", str(cf)]) == 0
+    assert main(["solve", str(path), "-o", str(solved)]) == 0
+    payload, full = json.loads(cf.read_text()), json.loads(solved.read_text())
+    assert payload["value"] == pytest.approx(1.0, abs=1e-12)
+    assert inst.feasible.contains(np.array(payload["x_or_group"]))
+    assert (payload["value"], payload["x_or_group"]) == (full["value"], full["x"])
+
+
+@pytest.mark.parametrize("backend", ["reference", "scipy"])
+@pytest.mark.parametrize("fixture", ["bandit_instance", "mcp_bandit_instance", "overlap_instance"])
+def test_closed_form_matches_solve_on_the_endpoint_form(request, tmp_path, fixture, backend):
+    path = request.getfixturevalue(fixture)
+    cf, solved = tmp_path / "cf.json", tmp_path / "full.json"
+    assert main(["closed-form", path, "--backend", backend, "-o", str(cf)]) == 0
+    assert main(["solve", path, "--backend", backend, "-o", str(solved)]) == 0
+    payload, full = json.loads(cf.read_text()), json.loads(solved.read_text())
+    assert payload["method"] == "endpoint"
+    assert payload["value"] == full["value"]
+    assert payload["x_or_group"] == full["x"]
+
+
+def test_closed_form_matches_the_grouped_bandit_reference(tmp_path):
+    rng = np.random.default_rng(29)
+    path, out = tmp_path / "grouped.json", tmp_path / "cf.json"
+    for _ in range(20):
+        inst, hist = random_bandit_instance(rng)
+        save_instance(path, inst)
+        assert main(["closed-form", str(path), "-o", str(out)]) == 0
+        want, _ = solve_disjoint_bandit(hist, inst.epsilon)
+        assert abs(json.loads(out.read_text())["value"] - want) <= 1e-9
+
+
+@pytest.mark.parametrize("sense", ["min", "max"])
+def test_closed_form_answers_overlapping_bandit(overlap_instance, tmp_path, sense):
+    # the endpoint solver answers overlapping totals of either sense with
+    # the value the dual MILP reaches
+    path = tmp_path / "sensed.json"
+    save_instance(path, replace(load_instance(overlap_instance), sense=sense))
     out = tmp_path / "cf.json"
     assert main(["closed-form", str(path), "-o", str(out)]) == 0
     payload = json.loads(out.read_text())
@@ -217,7 +267,7 @@ def test_closed_form_names_a_failed_solve(tmp_path, capsys):
     save_instance(path, ProblemInstance(fs, sk.loss, sk.support, scen, 0.1))
     assert main(["closed-form", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err == "combinatorial solve failed: infeasible\n"
+    assert err == "solve failed: infeasible\n"
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,6 @@ import pytest
 from dro.closedform import (
     BanditHistory,
     DecisionGrouping,
-    bandit_history_from_instance,
     endpoint_data_from_instance,
     group_decisions,
     interval_data_from_instance,
@@ -97,10 +96,13 @@ class TestSolveInterval:
         uppers = np.array([[0.3, 0.6, 0.8, 0.9]])
         idata = interval_boxes(np.zeros((1, 4)), uppers, np.zeros(4), np.ones(4))
         fs = gen_sorting(4, 1).feasible
-        det = solve_interval_detail(fs, idata, 1.2, sorting_cop(4, 1))
+        cop = sorting_cop(4, 1)
+        det = solve_interval_detail(fs, idata, 1.2, cop)
         assert det.value == pytest.approx(1.0)
         assert det.winner == "ceiling"
-        assert det.robust_saa_value == pytest.approx(1.5)
+        # the losing sample-average candidate: .3 plus the radius 1.2
+        assert cop(uppers.mean(axis=0))[0] + 1.2 == pytest.approx(1.5)
+        assert cop(np.ones(4))[0] == pytest.approx(det.value)
 
     def test_matches_enumeration_over_feasible_set(self):
         rng = np.random.default_rng(17)
@@ -219,7 +221,7 @@ class TestEndpoints:
         det = _endpoints(inst, ReferenceKernel())
         assert det.winner == "saa"
         assert det.value == pytest.approx(0.5, abs=1e-12)
-        assert det.ceiling_value == pytest.approx(1.0, abs=1e-12)
+        assert milp_cop(inst.feasible)(validate_instance(inst).u)[0] == pytest.approx(1.0, abs=1e-12)
         assert det.x[2] == 0.0
 
     def test_hand_instance_on_a_wider_box(self):
@@ -476,10 +478,3 @@ class TestInstanceAdapters:
     def test_interval_adapter_rejects_bandit(self):
         inst = gen_sorting(3, 1).instance((Bandit(np.array([1.0, 1, 0]), 0.5),), 0.1)
         assert interval_data_from_instance(inst) is None
-        assert bandit_history_from_instance(inst) is not None
-
-    def test_bandit_adapter_rejects_overlap(self):
-        inst = gen_sorting(3, 2).instance(
-            (Bandit(np.array([1.0, 1, 0]), 0.5), Bandit(np.array([0.0, 1, 1]), 0.7)), 0.1
-        )
-        assert bandit_history_from_instance(inst) is None

@@ -160,8 +160,10 @@ class TestRunSweep:
             np.array([s.lower for s in scen]), np.array([s.upper for s in scen]),
             np.zeros(n), np.ones(n),
         )
-        det = solve_interval_detail(gen_sorting(n, h).feasible, idata, 1.0, sorting_cop(n, h))
-        assert det.value == pytest.approx(min(det.robust_saa_value, det.ceiling_value))
+        cop = sorting_cop(n, h)
+        det = solve_interval_detail(gen_sorting(n, h).feasible, idata, 1.0, cop)
+        robust_saa = cop(idata.hi.mean(axis=0))[0] + 1.0
+        assert det.value == pytest.approx(min(robust_saa, cop(idata.u)[0]))
 
     def test_spp_bandit_lp_quality_band(self):
         cfg = SweepConfig(
