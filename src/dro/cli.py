@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: ``solve``, ``closed-form``, ``gen``, ``collect``, ``sweep``,
-``validate``.  Every command exits 0 only on full success.  The environment
+``validate``.  Every command exits 0 only on full success.  ``solve`` and
+``closed-form`` validate once and print each finding on stderr.  The environment
 variable ``DRO_SEED`` overrides configured seeds.  File outputs are
 byte-identical across reruns with the same seed; wall-clock fields are
 written as 0 unless ``--timings`` is given.
@@ -18,8 +19,8 @@ from dataclasses import MISSING, fields, replace
 
 import numpy as np
 
-from .closedform import endpoint_data_from_instance
-from .datagen import BetaNominal, cucb_collect, cucb_collect_mcp, observe
+from .closedform import endpoint_fits
+from .datagen import BetaNominal, cucb_collect, cucb_collect_mcp, mean_interval, observe
 from .harness import SweepConfig, preset_sweep, records_to_csv, run_sweep
 from .errors import BadCardinality, DroError, InvalidInstance
 from .model import load_instance, load_instance_meta, save_instance, validate_instance
@@ -49,9 +50,15 @@ def _emit(payload: dict, path: str | None):
         sys.stdout.write(text)
 
 
-def _print_findings(err: InvalidInstance):
-    for d in err.diagnostics:
-        print(d, file=sys.stderr)
+def _validated(inst):
+    """What :func:`~dro.model.validate_instance` returns for ``inst``, or
+    None after printing each of its findings."""
+    try:
+        return validate_instance(inst)
+    except InvalidInstance as e:
+        for d in e.diagnostics:
+            print(d, file=sys.stderr)
+        return None
 
 
 class _BadInput(Exception):
@@ -80,10 +87,8 @@ def _cmd_solve(args) -> int:
     inst = _load(args.instance)
     if args.epsilon is not None:
         inst = replace(inst, epsilon=args.epsilon)
-    try:
-        lowered = validate_instance(inst)
-    except InvalidInstance as e:
-        _print_findings(e)
+    lowered = _validated(inst)
+    if lowered is None:
         return 1
     # the dual MILP is what --dump-milp writes and whose LP relaxation
     # root_lp reports, whichever form solves the instance
@@ -96,7 +101,7 @@ def _cmd_solve(args) -> int:
         value, x, diag = solve_dro_endpoint(inst, lowered, backend)
         root_lp = None if value is None else dual_relaxation(inst, mip, backend)
     else:
-        value, x, diag = solve_dro_milp(inst, mip, backend, layout.form)
+        value, x, diag = solve_dro_milp(inst, mip, layout, backend)
         root_lp = diag.relaxation
     if value is None:
         print(f"solve failed: {diag.status}", file=sys.stderr)
@@ -116,12 +121,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_closed_form(args) -> int:
     inst = _load(args.instance)
-    try:
-        boxes = endpoint_data_from_instance(inst)
-    except InvalidInstance as e:
-        _print_findings(e)
-        return 1
+    boxes = _validated(inst)
     if boxes is None:
+        return 1
+    if not endpoint_fits(inst, boxes):
         print("instance fits neither closed form (need the loss c.x and every scenario lowering to a box plus at most one total, over a 0/1 mask of binary decisions)", file=sys.stderr)
         return 1
     value, x, diag = solve_dro_endpoint(inst, boxes, get_backend(args.backend))
@@ -153,6 +156,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_collect(args) -> int:
+    with _reading("invalid --sigma"):
+        mean_interval(args.sigma)
     inst = _load(args.instance)
     meta = load_instance_meta(args.instance)
     seed = _seed_override(args.seed)

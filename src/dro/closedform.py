@@ -11,7 +11,10 @@ program is one more COP, and with bandit totals over binary decisions it is
 a small MILP.  The grouped form is no solve route of the CLI or of
 :func:`~dro.reformulate.solve_dro`: it never reads the decision set, and it
 is kept as an independent reference for the endpoint form (criterion 2,
-``dro validate``'s grouped-bandit check and the benchmark's oracle)."""
+``dro validate``'s grouped-bandit check and the benchmark's oracle).
+Callers of the endpoint form validate an instance and ask
+:func:`endpoint_fits` of what validation returned;
+:func:`interval_data_from_instance` does both for interval data."""
 
 from __future__ import annotations
 
@@ -322,25 +325,15 @@ def solve_disjoint_bandit(hist: BanditHistory, epsilon: float):
     return float(value), v_star
 
 
-# -- adapters from a full problem instance ----------------------------------
-
-
-def endpoint_data_from_instance(inst: ProblemInstance) -> SampleBoxes | None:
-    """The instance's validated per-sample boxes, or None if the endpoint
-    solver does not fit (:func:`endpoint_fits`).
-
-    Runs :func:`~dro.model.validate_instance` (raising
-    :class:`~dro.errors.InvalidInstance` on bad data).
-    """
-    boxes = validate_instance(inst)
-    return boxes if endpoint_fits(inst, boxes) else None
+# -- adapter from a full problem instance -----------------------------------
 
 
 def interval_data_from_instance(inst: ProblemInstance) -> SampleBoxes | None:
     """The instance's validated per-sample boxes, or None if the interval
-    closed form does not fit: the data fit exactly when the loss is
-    ``c.x``, the support is a box and no sample carries an equality.
-    Validates as :func:`endpoint_data_from_instance` does.
+    closed form does not fit: the data fit exactly when
+    :func:`endpoint_fits` holds and no sample carries an equality.  Runs
+    :func:`~dro.model.validate_instance` (raising
+    :class:`~dro.errors.InvalidInstance` on bad data).
     """
-    boxes = endpoint_data_from_instance(inst)
-    return boxes if boxes is not None and np.isnan(boxes.t).all() else None
+    boxes = validate_instance(inst)
+    return boxes if endpoint_fits(inst, boxes) and np.isnan(boxes.t).all() else None

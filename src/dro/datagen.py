@@ -36,11 +36,11 @@ def _rng(seed_or_rng) -> np.random.Generator:
 
 
 def mean_interval(sigma: float):
-    """Open interval of means compatible with a beta law of the given std."""
-    disc = 1.0 - 4.0 * sigma * sigma
-    if disc <= 0:
-        raise MeanOutOfRange(f"no beta distribution has std {sigma}")
-    half = np.sqrt(disc) / 2.0
+    """Open interval of means compatible with a beta law of the given std;
+    raises :class:`~dro.errors.MeanOutOfRange` unless 0 < sigma < 1/2."""
+    if not 0.0 < sigma < 0.5:  # NaN included
+        raise MeanOutOfRange(f"no beta distribution has std {sigma}; need 0 < sigma < 1/2")
+    half = np.sqrt(1.0 - 4.0 * sigma * sigma) / 2.0
     return 0.5 - half, 0.5 + half
 
 

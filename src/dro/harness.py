@@ -155,8 +155,11 @@ class SweepConfig:
 
     ``epsilon_rule`` is one of ``{"kind": "fixed", "value": v}``,
     ``{"kind": "sqrt", "gamma": g}`` (radius g/sqrt(K)),
-    ``{"kind": "prop_h", "coef": c}`` (radius c*h), or
-    ``{"kind": "prop_n1", "coef": c}`` (radius c*n1).  ``feedback`` must be
+    ``{"kind": "prop_h", "coef": c}`` (radius c*h on sorting and spp, c
+    times the budget on mcp), or ``{"kind": "prop_n1", "coef": c}`` (radius
+    c*n1); a rule reads its scale from the cell when the sweep runs over it.
+    ``sigma``, the standard deviation of every nominal beta law, lies in
+    (0, 1/2), the stds a beta law on [0, 1] can have.  ``feedback`` must be
     one the family runs: ``interval`` for sorting, ``semibandit`` or
     ``bandit`` for spp and mcp.  K grid cells and ``k_samples`` are at least
     1.  ``k_max`` is the largest K of the grid: the history length a K sweep
@@ -203,6 +206,8 @@ class SweepConfig:
                     raise ValueError(f"{name} must be {what}, got {v!r}")
         if self.instances < 1:
             raise ValueError("need at least one instance per cell")
+        if not 0 < self.sigma < 0.5:
+            raise ValueError(f"sigma must lie in (0, 1/2), got {self.sigma!r}")
         if self.family not in ("sorting", "spp", "mcp"):
             raise ValueError(f"unknown family {self.family!r}")
         if self.sweep not in ("delta", "h", "gamma", "K", "n1"):
@@ -246,7 +251,11 @@ class SweepConfig:
     def cell_k(self, cell) -> int:
         return int(cell) if self.sweep == "K" else int(self.k_samples)
 
-    def cell_epsilon(self, cell, num_samples: int, h: int, n1: int | None = None) -> float:
+    def cell_param(self, name: str, cell) -> int:
+        """``params[name]``, or the cell when the sweep runs over ``name``."""
+        return int(cell) if self.sweep == name else int(self.params[name])
+
+    def cell_epsilon(self, cell, num_samples: int) -> float:
         rule = self.epsilon_rule
         kind = rule["kind"]
         if kind == "fixed":
@@ -254,10 +263,12 @@ class SweepConfig:
         if kind == "sqrt":
             gamma = float(cell) if self.sweep == "gamma" else float(rule["gamma"])
             return wasserstein_radius(num_samples, gamma)
-        if kind == "prop_h":
-            return float(rule["coef"]) * h
-        # prop_n1, the last kind __post_init__ admits
-        return float(rule["coef"]) * (n1 if n1 is not None else self.params["n1"])
+        mcp = self.family == "mcp"
+        if kind == "prop_h":  # an mcp budget, else the cardinality h
+            scale = int(self.params["budget"]) if mcp else self.cell_param("h", cell)
+        else:  # prop_n1, the last kind __post_init__ admits; only mcp reads n1
+            scale = self.cell_param("n1", cell) if mcp else self.params["n1"]
+        return float(rule["coef"]) * scale
 
     def shares_instances(self) -> bool:
         """True when cells reweight the same instance data; structural sweeps
@@ -336,7 +347,7 @@ def _run_sorting_instance(cfg: SweepConfig, cell, drawn, backend) -> InstanceOut
         drawn.raise_()
     dist, p, samples, noise = drawn
     n = dist.n
-    h = int(cell) if cfg.sweep == "h" else int(cfg.params["h"])
+    h = cfg.cell_param("h", cell)
     num_k = cfg.cell_k(cell)
     if cfg.delta_schedule == "growing":
         delta = growing_delta(cfg.k_max, n, cfg.k_max)
@@ -349,7 +360,7 @@ def _run_sorting_instance(cfg: SweepConfig, cell, drawn, backend) -> InstanceOut
         np.array([s.lower for s in scen]), np.array([s.upper for s in scen]),
         np.zeros((num_k, n)), np.full(num_k, np.nan), np.zeros(n), np.ones(n),
     )
-    eps = cfg.cell_epsilon(cell, num_k, h)
+    eps = cfg.cell_epsilon(cell, num_k)
     feasible = gen_sorting(n, h).feasible
     cop = sorting_cop(n, h)
     return _interval_outcome(feasible, boxes, eps, cop, "min", dist)
@@ -369,8 +380,6 @@ class _HistoryDraw:
     dist: BetaNominal
     run: InitVar[CollectorRun]
     cop: Callable
-    radius_scale: int  # what prop_h scales: path length or budget
-    n1: int | None  # what prop_n1 scales, None to read it from params
     feedback: InitVar[str]
     optimum: float = field(init=False)
     boxes: SampleBoxes = field(init=False)
@@ -391,7 +400,7 @@ class _HistoryDraw:
         self.support_bound = self.cop(costs, skeleton.sense)
 
 
-def _draw_histories(cfg: SweepConfig, rngs, draw, collect, radius_scale, n1):
+def _draw_histories(cfg: SweepConfig, rngs, draw, collect):
     """A batch of spp or mcp instances: ``draw(rng_struct, rng_means)``
     gives each one's ``(skeleton, structure, cop, dist)``, then one
     ``collect`` pass collects the histories of those whose draw succeeded."""
@@ -400,34 +409,31 @@ def _draw_histories(cfg: SweepConfig, rngs, draw, collect, radius_scale, n1):
     runs = collect([out[i][1] for i in ok], [out[i][3] for i in ok], [rngs[i][2] for i in ok])
     for i, run in zip(ok, runs):
         skeleton, _, cop, dist = out[i]
-        out[i] = _attempt(_HistoryDraw, skeleton, dist, run, cop, radius_scale, n1, cfg.feedback)
+        out[i] = _attempt(_HistoryDraw, skeleton, dist, run, cop, cfg.feedback)
     return out
 
 
 def _draw_spp(cfg: SweepConfig, cell, rngs):
-    h = int(cell) if cfg.sweep == "h" else int(cfg.params["h"])
-    skeleton, graph = gen_layered_spp(h, int(cfg.params["r"]))
+    skeleton, graph = gen_layered_spp(cfg.cell_param("h", cell), int(cfg.params["r"]))
     cop = spp_cop(graph)
     return _draw_histories(
         cfg, rngs,
         lambda _, rng: (skeleton, graph, cop, BetaNominal.random(graph.num_arcs, cfg.sigma, rng)),
         lambda _, dists, rngs: cucb_collect(graph, dists, cfg.k_max, rngs),
-        h, None,
     )
 
 
 def _draw_mcp(cfg: SweepConfig, cell, rngs):
-    n1 = int(cell) if cfg.sweep == "n1" else int(cfg.params["n1"])
-    budget = int(cfg.params["budget"])
+    n1 = cfg.cell_param("n1", cell)
 
     def draw(rng_struct, rng_means):
         skeleton, system = gen_mcp(
-            n1, int(cfg.params["n2"]), int(cfg.params["subset_size"]), budget, rng_struct
+            n1, *(int(cfg.params[k]) for k in ("n2", "subset_size", "budget")), rng_struct
         )
         return skeleton, system, mcp_cop(system), BetaNominal.random(n1, cfg.sigma, rng_means)
 
     collect = lambda systems, dists, rngs: cucb_collect_mcp(systems, dists, cfg.k_max, rngs)
-    return _draw_histories(cfg, rngs, draw, collect, budget, n1)
+    return _draw_histories(cfg, rngs, draw, collect)
 
 
 def _history_outcome(cfg: SweepConfig, cell, drawn: _HistoryDraw | _Failure, backend) -> InstanceOutcome:
@@ -437,7 +443,7 @@ def _history_outcome(cfg: SweepConfig, cell, drawn: _HistoryDraw | _Failure, bac
     if isinstance(drawn, _Failure):
         drawn.raise_()
     num_k = cfg.cell_k(cell)
-    eps = cfg.cell_epsilon(cell, num_k, drawn.radius_scale, n1=drawn.n1)
+    eps = cfg.cell_epsilon(cell, num_k)
     skeleton = drawn.skeleton
     boxes = drawn.boxes.head(num_k)
     if cfg.feedback == "semibandit":

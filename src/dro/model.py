@@ -624,13 +624,14 @@ def validate_instance(inst: ProblemInstance):
     if inst.epsilon < 0:
         err("NegativeRadius", f"epsilon must be nonnegative, got {inst.epsilon}")
 
+    # emptiness first: box_bounds reads the failed LPs of an empty support as unbounded
+    if inst.support.feasible_point() is None:
+        err("EmptySupport", "support polytope is empty")
+        raise InvalidInstance(out)
     lo, hi = inst.support.box_bounds()
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi)))
         err("UnboundedSupport", f"support unbounded in coordinates {bad.tolist()}")
-        raise InvalidInstance(out)
-    if inst.support.feasible_point() is None:
-        err("EmptySupport", "support polytope is empty")
         raise InvalidInstance(out)
 
     if inst.support.is_box() and all(type(s) in _BOX_KINDS for s in inst.scenarios):

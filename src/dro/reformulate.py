@@ -5,7 +5,8 @@ worst-case expectation over the Wasserstein ball, and the single-level MILP in
 which the per-sample data uncertainty is dualized as well.  The MILP comes in
 two forms with the same optimal value: a compact per-coordinate form when the
 support is a box and every sample lowers to a box plus at most one equality,
-and the full dual of every support and scenario row otherwise.
+and the full dual of every support and scenario row otherwise; each builder
+returns its column layout, whose ``form`` :func:`solve_dro_milp` reports.
 :func:`solve_dro` solves bandit data under the loss ``c.x`` without either,
 by the endpoint solver of :mod:`dro.closedform`.  A discrete Wasserstein-1
 routine is included for validating ball membership.
@@ -20,7 +21,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import tolerances as tol
-from .closedform import endpoint_fits, milp_cop, solve_endpoints
+from .closedform import endpoint_fits, solve_endpoints
 from .errors import DimensionMismatch, SolveFailed
 from .model import (
     BiaffineLoss,
@@ -469,7 +470,7 @@ def solve_dro(inst: ProblemInstance, backend: Backend | None = None):
     if endpoint_form_applies(inst, lowered):
         return solve_dro_endpoint(inst, lowered, backend)
     mip, layout = build_dro_milp(inst, lowered)
-    return solve_dro_milp(inst, mip, backend, layout.form)
+    return solve_dro_milp(inst, mip, layout, backend)
 
 
 def _verified(inst: ProblemInstance, x) -> np.ndarray:
@@ -485,13 +486,9 @@ def solve_dro_endpoint(inst: ProblemInstance, boxes: SampleBoxes, backend: Backe
     :func:`solve_dro_milp` does, with ``(None, None, diagnostics)`` and the
     failed solve's status when either solve ends without an optimum; the
     node count is the sample-average MILP's."""
-    backend = backend or ReferenceKernel()
     t0 = time.perf_counter()
     try:
-        det = solve_endpoints(
-            inst.feasible, boxes, inst.epsilon, milp_cop(inst.feasible, backend), inst.sense,
-            backend=backend,
-        )
+        det = solve_endpoints(inst.feasible, boxes, inst.epsilon, sense=inst.sense, backend=backend)
     except SolveFailed as e:
         return None, None, SolveDiagnostics("endpoint", None, _ms_since(t0), e.status)
     diags = SolveDiagnostics("endpoint", det.node_count, _ms_since(t0), OPTIMAL)
@@ -503,13 +500,12 @@ def _ms_since(t0: float) -> float:
 
 
 def solve_dro_milp(
-    inst: ProblemInstance,
-    mip: MixedIntegerProgram,
+    inst: ProblemInstance, mip: MixedIntegerProgram, layout: CompactVars | ReformulationVars,
     backend: Backend | None = None,
-    form: str = "compact",
 ):
-    """Solve ``mip``, the instance's single-level MILP from
-    :func:`build_dro_milp` in the given ``form`` (its layout's ``form``);
+    """Solve ``mip``, the instance's single-level MILP, with the ``layout``
+    its builder returned (:func:`build_dro_milp` or
+    :func:`build_full_dual_milp`), whose ``form`` the diagnostics report;
     returns ``(value, x, diagnostics)``.
 
     The decision is extracted from the MILP solution, re-verified against the
@@ -522,7 +518,7 @@ def solve_dro_milp(
     elapsed = _ms_since(t0)
     flip = 1.0 if inst.sense == "min" else -1.0
     relaxation = None if res.relaxation is None else flip * res.relaxation
-    diags = SolveDiagnostics(form, res.node_count, elapsed, res.status, relaxation)
+    diags = SolveDiagnostics(layout.form, res.node_count, elapsed, res.status, relaxation)
     if res.status != OPTIMAL:
         return None, None, diags
     return flip * res.value, _verified(inst, res.x[: inst.n].copy()), diags

@@ -376,9 +376,9 @@ def check_compact_dual(count: int, seed) -> CheckResult:
         if not isinstance(layout, CompactVars):
             failures.append(f"instance {t}: box data built the full dual")
             continue
-        full, _ = build_full_dual_milp(inst)
         (v_mip, _, d_mip), (v_full, _, d_full) = (
-            solve_dro_milp(inst, m, kernel) for m in (mip, full)
+            solve_dro_milp(inst, *built, kernel)
+            for built in ((mip, layout), build_full_dual_milp(inst))
         )
         pairs = (("milp", v_mip, v_full), ("lp", d_mip.relaxation, d_full.relaxation))
         for what, got, want in pairs:
@@ -403,7 +403,7 @@ def check_endpoint_vs_compact(count: int, seed) -> CheckResult:
     for t in range(count):
         inst = random_endpoint_instance(rng)
         got, _, diag = solve_dro(inst, kernel)
-        want, _, _ = solve_dro_milp(inst, build_dro_milp(inst)[0], kernel)
+        want, _, _ = solve_dro_milp(inst, *build_dro_milp(inst), kernel)
         if diag.form != "endpoint" or got is None or want is None:
             failures.append(f"instance {t}: {diag.form} form, {got} vs {want}")
             continue

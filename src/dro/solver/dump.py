@@ -1,8 +1,8 @@
-"""Plain-text dump of an LP or MILP for external diffing.
+"""Plain-text dump of a MILP for external diffing.
 
 Format (stable ordering, one record per line, floats as ``%.12g``):
 
-    PROBLEM {LP|MILP} {min|max} vars=<n> rows=<m>
+    PROBLEM MILP {min|max} vars=<n> rows=<m>
     CONST <c0>
     OBJ <c_0> <c_1> ... <c_{n-1}>
     VAR <j> lo=<lo> hi=<hi|inf> <cont|int>
@@ -23,13 +23,10 @@ def _f(v: float) -> str:
     return f"{float(v):.12g}"
 
 
-def dump_program(prog) -> str:
-    """Render a :class:`LinearProgram` or :class:`MixedIntegerProgram`."""
-    if isinstance(prog, MixedIntegerProgram):
-        lp, integer, kind = prog.lp, prog.integer, "MILP"
-    else:
-        lp, integer, kind = prog, np.zeros(prog.n, dtype=bool), "LP"
-    lines = [f"PROBLEM {kind} {lp.sense} vars={lp.n} rows={lp.m}"]
+def dump_program(mip: MixedIntegerProgram) -> str:
+    """Render a :class:`MixedIntegerProgram`."""
+    lp, integer = mip.lp, mip.integer
+    lines = [f"PROBLEM MILP {lp.sense} vars={lp.n} rows={lp.m}"]
     lines.append(f"CONST {_f(lp.c0)}")
     lines.append("OBJ " + " ".join(_f(v) for v in lp.c))
     for j in range(lp.n):

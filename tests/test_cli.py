@@ -253,7 +253,7 @@ def test_closed_form_answers_overlapping_bandit(overlap_instance, tmp_path, sens
     payload = json.loads(out.read_text())
     assert payload["method"] == "endpoint"
     inst = load_instance(path)
-    want, _, _ = solve_dro_milp(inst, build_dro_milp(inst)[0])
+    want, _, _ = solve_dro_milp(inst, *build_dro_milp(inst))
     assert payload["value"] == pytest.approx(want, abs=1e-9)
     assert inst.feasible.contains(np.array(payload["x_or_group"]))
 
@@ -429,6 +429,31 @@ def test_collect_malformed_meta_is_one_line(tmp_path, capsys, family, edit, mess
     assert path.read_bytes() == before
 
 
+@pytest.mark.parametrize("family, message", [
+    ("spp", "graph shape unknown: pass --h and -r or generate with `dro gen spp`\n"),
+    ("mcp", "subset system unknown: generate the instance with `dro gen mcp`\n"),
+])
+def test_collect_needs_the_family_structure(tmp_path, capsys, family, message):
+    path = tmp_path / "sorting.json"
+    assert main(["gen", "sorting", "-n", "4", "--h", "2", "-o", str(path)]) == 0
+    before = path.read_bytes()
+    assert main(["collect", family, str(path), "--k", "3"]) == 1
+    assert capsys.readouterr().err == message
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("sigma", ["0", "0.7", "nan"])
+def test_collect_rejects_sigma_outside_open_half(tmp_path, capsys, sigma):
+    # sigma = 0 would write NaN observations, 0.7 has no mean interval
+    path = tmp_path / "spp.json"
+    assert main(["gen", "spp", "--h", "3", "-r", "2", "-o", str(path)]) == 0
+    before = path.read_bytes()
+    assert main(["collect", "spp", str(path), "--k", "3", "--sigma", sigma]) == 1
+    err = capsys.readouterr().err
+    assert err == f"invalid --sigma: no beta distribution has std {float(sigma)}; need 0 < sigma < 1/2\n"
+    assert path.read_bytes() == before
+
+
 def test_collect_determinism(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -458,6 +483,26 @@ def test_sweep_from_config_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     header = out1.read_text().splitlines()[0]
     assert header == "param,mean_rho,mad_rho,mean_time_ms,mean_lp_quality,n_f1_wins,n_fail"
+
+
+def test_sweep_with_every_solve_failed_writes_its_csv(tmp_path, capsys):
+    # subsets of 4 items out of 3: every draw fails, in every cell
+    cfg = {
+        "family": "mcp",
+        "sweep": "K",
+        "grid": [2, 3],
+        "instances": 2,
+        "seed": 0,
+        "params": {"n1": 3, "n2": 4, "subset_size": 4, "budget": 2},
+        "epsilon_rule": {"kind": "fixed", "value": 0.1},
+        "feedback": "semibandit",
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out.csv"
+    assert main(["sweep", str(cfg_path), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == "4 instance solves failed; see n_fail column\n"
+    assert out.read_text().splitlines()[1:] == ["2,,,,,,2", "3,,,,,,2"]
 
 
 def test_sweep_rejects_unknown_epsilon_rule(tmp_path, capsys):
@@ -503,6 +548,9 @@ _FULL_ONLY = dict.fromkeys(("family", "sweep", "grid", "instances", "params", "e
         ({"instances": "2"}, "instances must be an integer, got '2'"),
         ({"seed": 3.5}, "seed must be an integer, got 3.5"),
         ({"sigma": [0.1]}, "sigma must be a number, got [0.1]"),
+        ({"sigma": 0.0}, "sigma must lie in (0, 1/2), got 0.0"),
+        ({"sigma": 0.6}, "sigma must lie in (0, 1/2), got 0.6"),
+        ({"sigma": float("nan")}, "sigma must lie in (0, 1/2), got nan"),
         ({"grid": [0.0, "0.4"]}, "grid cells must be a number, got '0.4'"),
         ({**_FULL_ONLY, "preset": "sorting-delta", "seed": "1"}, "seed must be an integer, got '1'"),
         ({"epsilon_rule": 1.0}, "epsilon_rule must be an object, got 1.0"),
@@ -531,7 +579,8 @@ _FULL_ONLY = dict.fromkeys(("family", "sweep", "grid", "instances", "params", "e
         "missing-value", "spp-interval", "sorting-preset-bandit",
         "negative-gamma-grid", "unknown-field", "missing-seed",
         "preset-stray-key", "zero-k-cell", "zero-k-samples", "derived-k-max",
-        "string-instances", "float-seed", "list-sigma", "string-grid-cell",
+        "string-instances", "float-seed", "list-sigma", "zero-sigma", "sigma-above-half",
+        "nan-sigma", "string-grid-cell",
         "preset-string-seed", "scalar-epsilon-rule", "list-params", "string-param",
         "sorting-no-h", "sorting-h-sweep-no-n", "spp-no-r", "mcp-n1-sweep-no-budget",
         "mcp-no-n1", "prop-n1-no-n1",

@@ -6,7 +6,7 @@ import pytest
 from dro.closedform import (
     BanditHistory,
     DecisionGrouping,
-    endpoint_data_from_instance,
+    endpoint_fits,
     group_decisions,
     interval_data_from_instance,
     milp_cop,
@@ -160,7 +160,7 @@ def _endpoints(inst, backend, cop=None):
 
 
 def _compact(inst, backend):
-    value, _, diag = solve_dro_milp(inst, build_dro_milp(inst)[0], backend)
+    value, _, diag = solve_dro_milp(inst, *build_dro_milp(inst), backend)
     assert value is not None, diag.status
     return value
 
@@ -252,22 +252,21 @@ class TestEndpoints:
             value, x = solve_interval(inst.feasible, boxes, inst.epsilon, sense=inst.sense)
             assert det.value == value and np.array_equal(det.x, x)
 
-    def test_adapter_needs_binary_decisions_under_totals(self):
+    def test_endpoint_fits_needs_binary_decisions_under_totals(self):
+        def fits(inst):
+            return endpoint_fits(inst, validate_instance(inst))
+
         scen = (Bandit(np.array([1.0, 1, 0]), 0.4), Interval(np.zeros(3), np.ones(3)))
         sk = gen_sorting(3, 1)
-        assert endpoint_data_from_instance(sk.instance(scen, 0.1)) is not None
+        assert fits(sk.instance(scen, 0.1))
         wide = FeasibleSet(0, 3, [], sk.feasible.g2, sk.feasible.rhs, np.full(3, 2.0))
-        inst = ProblemInstance(wide, sk.loss, sk.support, scen, 0.1)
-        assert endpoint_data_from_instance(inst) is None
+        assert not fits(ProblemInstance(wide, sk.loss, sk.support, scen, 0.1))
         # intervals alone need no binary decisions
-        inst = ProblemInstance(wide, sk.loss, sk.support, scen[1:], 0.1)
-        assert endpoint_data_from_instance(inst) is not None
+        assert fits(ProblemInstance(wide, sk.loss, sk.support, scen[1:], 0.1))
         # nor does a total over a mask other than 0/1
-        inst = sk.instance((Bandit(np.array([2.0, 1, 0]), 0.4),), 0.1)
-        assert endpoint_data_from_instance(inst) is None
+        assert not fits(sk.instance((Bandit(np.array([2.0, 1, 0]), 0.4),), 0.1))
         loss = BiaffineLoss(np.eye(3), np.ones(3), np.zeros(3))
-        inst = ProblemInstance(sk.feasible, loss, sk.support, scen, 0.1)
-        assert endpoint_data_from_instance(inst) is None
+        assert not fits(ProblemInstance(sk.feasible, loss, sk.support, scen, 0.1))
 
 
 class TestGrouping:

@@ -41,6 +41,15 @@ class TestBetaParams:
         with pytest.raises(MeanOutOfRange):
             beta_params(0.999, 0.125)
 
+    @pytest.mark.parametrize("sigma", [0.0, -0.1, 0.5, 0.7, np.nan])
+    def test_std_outside_open_half_rejected(self, sigma):
+        # a beta law on [0, 1] has a std in (0, 1/2); sigma = 0 would give
+        # infinite shape parameters
+        with pytest.raises(MeanOutOfRange, match="need 0 < sigma < 1/2"):
+            mean_interval(sigma)
+        with pytest.raises(MeanOutOfRange):
+            BetaNominal.random(3, sigma, 0)
+
     def test_round_trip_moments(self):
         rng = np.random.default_rng(0)
         lo, hi = mean_interval(0.125)

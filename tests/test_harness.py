@@ -310,7 +310,7 @@ class TestRunSweep:
 
     def test_gamma_sweep_takes_gamma_from_cell(self):
         cfg = small_sorting_cfg(sweep="gamma", grid=(1.0, 2.0), epsilon_rule={"kind": "sqrt"})
-        assert cfg.cell_epsilon(2.0, 4, 2) == pytest.approx(1.0)
+        assert cfg.cell_epsilon(2.0, 4) == pytest.approx(1.0)
 
     def test_bug_in_runner_propagates(self, monkeypatch):
         def broken(*args):

@@ -30,6 +30,12 @@ def unit_box(n):
     return Polytope.box(np.zeros(n), np.ones(n))
 
 
+def cut_unit_box(rhs):
+    """The unit box in three coordinates cut by ``sum(c) <= rhs``."""
+    box = unit_box(3)
+    return Polytope(3, np.vstack([box.rows_a, np.ones((1, 3))]), np.append(box.rows_b, rhs))
+
+
 def is_bounded(poly):
     lo, hi = poly.box_bounds()
     return bool(np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)))
@@ -325,6 +331,43 @@ class TestValidate:
             inst.feasible, inst.loss, Polytope(3, -np.eye(3), np.zeros(3)), inst.scenarios, 0.0
         )
         assert "UnboundedSupport" in finding_codes(bad)
+
+    @pytest.mark.parametrize("support, code", [
+        (Polytope.box(np.ones(3), np.zeros(3)), "EmptySupport"),
+        (cut_unit_box(-1.0), "EmptySupport"),
+        (Polytope(3, np.ones((1, 3)), [1.0]), "UnboundedSupport"),
+        (Polytope.box(np.zeros(3), np.array([1.0, np.inf, 1.0])), "UnboundedSupport"),
+    ], ids=["inverted-box", "cut-box", "half-space", "open-box"])
+    def test_empty_support_is_not_unbounded(self, support, code):
+        # every bound LP of an empty polytope fails, which reads as unbounded
+        # unless emptiness is tested first
+        inst = sorting_instance()
+        bad = ProblemInstance(inst.feasible, inst.loss, support, inst.scenarios, 0.0)
+        assert finding_codes(bad) == [code]
+
+    def test_polytope_support_findings_match_the_box(self):
+        # the per-scenario lowering of a general support reports what the
+        # box pass reports on the same data, in the same order
+        scen = (
+            Interval(np.array([0.8, 0.2, 0.2]), np.array([0.4, 0.9, 0.9])),
+            Exact(np.array([1.5, 0.2, 0.3])),
+            Exact(np.zeros(2)),
+            Exact(np.array([0.0, np.nan, 0.5])),
+            SemiBandit(((5, 0.1),)),
+            Bandit(np.ones(2), 1.0),
+            Exact(np.full(3, 0.5)),
+        )
+        inst = sorting_instance(scenarios=scen)
+        cut = ProblemInstance(inst.feasible, inst.loss, cut_unit_box(2.5), scen, 0.0)
+        assert not cut.support.is_box()
+        assert findings(cut) == findings(inst) == [
+            ("InvertedInterval", "scenario 0 has lower > upper"),
+            ("EmptyIntersection", "scenario 1 is incompatible with the support"),
+            ("DimensionMismatch", "scenario 2: scenario dimension mismatch"),
+            ("DimensionMismatch", "scenario 3: scenario data holds NaN"),
+            ("DimensionMismatch", "scenario 4: observed index out of range"),
+            ("DimensionMismatch", "scenario 5: scenario dimension mismatch"),
+        ]
 
     def test_inverted_interval(self):
         inst = sorting_instance(

@@ -146,7 +146,7 @@ def reference_dro_milp(inst):
         c, np.array(rows), tuple(rels), np.array(rhs), np.zeros(nvar), up,
         sense="min", c0=loss.t_const,
     )
-    return MixedIntegerProgram(lp, int_mask)
+    return MixedIntegerProgram(lp, int_mask), layout
 
 
 def reference_compact_milp(inst):
@@ -333,14 +333,15 @@ def _close(got, want):
 @pytest.mark.parametrize("inst", _reference_cases())
 def test_block_builder_matches_row_builder(inst):
     mip, layout = build_dro_milp(inst)
-    ref = reference_dro_milp(inst)
+    ref, ref_layout = reference_dro_milp(inst)
     if isinstance(layout, CompactVars):
         # box data: the compact form reaches the full dual's MILP and LP
         # relaxation values
         assert inst.support.is_box()
         sp = ScipyBackend()
-        got, _, got_diag = solve_dro_milp(inst, mip, sp)
-        want, _, want_diag = solve_dro_milp(inst, ref, sp)
+        got, _, got_diag = solve_dro_milp(inst, mip, layout, sp)
+        want, _, want_diag = solve_dro_milp(inst, ref, ref_layout, sp)
+        assert (got_diag.form, want_diag.form) == ("compact", "full")
         assert _close(got, want)
         assert _close(got_diag.relaxation, want_diag.relaxation)
         # the vectorized assembly against the loop: the same rows, bit for
@@ -428,10 +429,11 @@ def test_paper_scale_bandit_program_is_merged():
 def test_merged_bandit_history_matches_full_dual(backend):
     inst = _spp_history(3, 2, 6, observe_bandit, 2)
     mip, layout = build_dro_milp(inst)
-    full, _ = build_full_dual_milp(inst)
+    full = build_full_dual_milp(inst)
     assert layout.num_sigma < inst.num_samples * inst.n
-    got, _, got_diag = solve_dro_milp(inst, mip, backend)
-    want, _, want_diag = solve_dro_milp(inst, full, backend)
+    got, _, got_diag = solve_dro_milp(inst, mip, layout, backend)
+    want, _, want_diag = solve_dro_milp(inst, *full, backend)
+    assert (got_diag.form, want_diag.form) == ("compact", "full")
     assert _close(got, want)
     assert _close(got_diag.relaxation, want_diag.relaxation)
 
@@ -604,7 +606,7 @@ class TestSolveDroForms:
         for inst in [random_endpoint_instance(rng) for _ in range(10)] + [_mcp_bandit(3)]:
             value, x, diag = solve_dro(inst, backend)
             assert diag.form == "endpoint" and diag.relaxation is None
-            want, _, _ = solve_dro_milp(inst, build_dro_milp(inst)[0], backend)
+            want, _, _ = solve_dro_milp(inst, *build_dro_milp(inst), backend)
             assert _close(value, want)
             assert inst.feasible.contains(x)
 
@@ -647,8 +649,7 @@ class TestSolveDroForms:
         rng = np.random.default_rng(1002)
         for _ in range(40):
             inst, hist = random_bandit_instance(rng)
-            mip, layout = build_dro_milp(inst)
-            value, x, diag = solve_dro_milp(inst, mip, form=layout.form)
+            value, x, diag = solve_dro_milp(inst, *build_dro_milp(inst))
             assert diag.form == "compact"
             want, _ = solve_disjoint_bandit(hist, inst.epsilon)
             assert abs(value - want) <= 1e-6

@@ -24,13 +24,16 @@ from dro.selfcheck import (
     random_interval_instance,
 )
 from dro.solver import (
+    EQ,
     GE,
+    INFEASIBLE,
     ITERLIMIT,
     LE,
     NODELIMIT,
     OPTIMAL,
     LinearProgram,
     MixedIntegerProgram,
+    ScipyBackend,
     dump_program,
     solve_lp,
     solve_milp,
@@ -100,6 +103,15 @@ def test_relaxation_half_rounds_up():
     mip = binary_mip([1.0], [[2.0]], [GE], [1.0])
     assert lp_relaxation_value(mip) == pytest.approx(0.5, abs=1e-9)
     assert solve_milp(mip).value == pytest.approx(1.0, abs=1e-9)
+
+
+def test_branching_can_end_infeasible():
+    # 2x = 1, x binary: the root LP is optimal at x = 0.5, and both of its
+    # branches are infeasible
+    mip = binary_mip([1.0], [[2.0]], [EQ], [1.0])
+    res = solve_milp(mip)
+    assert (res.status, res.node_count, res.relaxation) == (INFEASIBLE, 3, 0.5)
+    assert ScipyBackend().solve_milp(mip).status == INFEASIBLE
 
 
 def test_relaxation_tight_on_network_rows():
