@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, MeanOutOfRange
-from .model import Bandit, Interval, SemiBandit
+from .model import Bandit, Interval, Polytope, SemiBandit, lower_box_arrays
 from .problems import LayeredGraph, shortest_path_dp
 
 
@@ -153,16 +153,55 @@ def observe_bandit(data, decisions):
 _OBSERVERS = {"semibandit": observe_semibandit, "bandit": observe_bandit}
 
 
-def observe(feedback: str, samples, decisions, n: int):
-    """Scenarios of a collector history under ``feedback`` (``semibandit`` or
-    ``bandit``), zero-padded up to the instance dimension ``n`` (the
-    selection block of a coverage instance)."""
+def _padded(samples, decisions, n: int):
+    """A history's samples and decisions zero-padded up to the instance
+    dimension ``n`` (the selection block of a coverage instance)."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     decisions = np.atleast_2d(np.asarray(decisions, dtype=float))
     if samples.shape[1] > n:
         raise DimensionMismatch(f"history has {samples.shape[1]} components, the instance {n}")
     pad = np.zeros((samples.shape[0], n - samples.shape[1]))
-    return _OBSERVERS[feedback](np.hstack([samples, pad]), np.hstack([decisions, pad]))
+    return np.hstack([samples, pad]), np.hstack([decisions, pad])
+
+
+def observe(feedback: str, samples, decisions, n: int):
+    """Scenarios of a collector history under ``feedback`` (``semibandit`` or
+    ``bandit``), zero-padded up to the instance dimension ``n``.  The
+    scenario objects are what an instance file holds (``dro collect``); a
+    sweep lowers the same history with :func:`lower_history`, which builds
+    none."""
+    return _OBSERVERS[feedback](*_padded(samples, decisions, n))
+
+
+def lower_history(feedback: str, samples, decisions, support: Polytope):
+    """``model.lower_box_scenarios(observe(feedback, samples, decisions, n),
+    support)``, bit for bit, with ``n`` the support's dimension, filled
+    straight from the arrays into :func:`~dro.model.lower_box_arrays`.
+
+    Under semi-bandit feedback sample k pins the coordinates where decision
+    k is above 1/2.  Under bandit feedback the rounded decision is the mask
+    and the total is the index-order left-to-right sum of those values that
+    :func:`observe_bandit` writes: a running sum over every coordinate,
+    where a zero term leaves every sum but -0.0 as it is and the final
+    ``+ 0.0`` turns -0.0 into the 0.0 that Python's ``sum`` gives (numpy's
+    ``sum`` adds more than eight terms pairwise, in other bits).
+    """
+    samples, decisions = _padded(samples, decisions, support.num_vars)
+    if samples.shape != decisions.shape:
+        raise DimensionMismatch("data and decisions must align")
+    seen = decisions > 0.5
+    if feedback == "semibandit":
+        up, low = np.where(seen, samples, np.inf), np.where(seen, samples, -np.inf)
+        band, masks, totals = np.zeros(0, dtype=np.intp), np.zeros((0, samples.shape[1])), np.zeros(0)
+    elif feedback == "bandit":
+        up = np.full(samples.shape, np.inf)
+        low = np.full(samples.shape, -np.inf)
+        band = np.arange(samples.shape[0])
+        masks = np.round(decisions)
+        totals = np.cumsum(np.where(seen, samples, 0.0), axis=1)[:, -1] + 0.0
+    else:
+        raise KeyError(feedback)
+    return lower_box_arrays(up, low, band, masks, totals, support, {})
 
 
 @dataclass(eq=False)
@@ -202,7 +241,8 @@ class CucbState:
 @dataclass(eq=False)
 class CollectorRun:
     """Decisions and the hidden samples behind them, one row per step;
-    :func:`observe` turns them into scenarios."""
+    :func:`observe` turns them into scenarios and :func:`lower_history`
+    into the boxes those scenarios lower to."""
 
     decisions: np.ndarray  # (K, n) binary
     samples: np.ndarray  # (K, n) hidden full samples

@@ -21,9 +21,11 @@ Instances are drawn in batches before any instance of a cell runs: a shared
 sweep draws every instance at its first cell and reads every cell off them;
 a structural sweep draws the instances of each cell at that cell.  For spp
 and mcp the draw keeps the structure, the nominal law, the COP handle and
-the nominal optimum, and under either feedback it observes, validates and
-lowers the collector history at ``k_max`` steps once and solves the
-support-bound (ceiling) candidate, whose costs no cell changes.  Each cell
+the nominal optimum, and under either feedback it lowers the collector
+history at ``k_max`` steps once, straight from the collector's arrays
+(``datagen.lower_history``, after checking each distinct skeleton once with
+``model.problem_findings``), and solves the support-bound (ceiling)
+candidate, whose costs no cell changes.  Each cell
 slices the boxes of its K prefix off that lowering; every sample lowers on
 its own, so the slice equals a lowering of the prefix alone, support box
 included.  A cell passes the slice to the endpoint solver
@@ -69,11 +71,11 @@ from .datagen import (
     cucb_collect,
     cucb_collect_mcp,
     growing_delta,
-    observe,
+    lower_history,
     sample_nominal,
 )
-from .errors import DegenerateDenominator, DimensionMismatch, DroError, EmptyInput
-from .model import FeasibleSet, SampleBoxes, validate_instance
+from .errors import DegenerateDenominator, DimensionMismatch, DroError, EmptyInput, InvalidInstance
+from .model import FeasibleSet, SampleBoxes, problem_findings
 from .problems import (
     ProblemSkeleton,
     gen_layered_spp,
@@ -166,7 +168,10 @@ class SweepConfig:
     collects and reads every cell off, and the growing schedule's divisor.
     ``params`` holds every key the family reads, the swept one excepted:
     ``n`` and ``h`` for sorting, ``r`` and ``h`` for spp, and ``n1``,
-    ``n2``, ``subset_size`` and ``budget`` for mcp.
+    ``n2``, ``subset_size`` and ``budget`` for mcp.  The swept parameter
+    must be one the run reads: ``n1`` only on mcp, ``h`` only on sorting
+    and spp, ``gamma`` only under the ``sqrt`` rule, and ``delta`` only on
+    sorting with the ``const`` schedule.
     """
 
     family: str  # sorting | spp | mcp
@@ -243,6 +248,21 @@ class SweepConfig:
                 f"params lack {missing}, which family {self.family!r} reads when "
                 f"sweeping {self.sweep!r} with the {kind!r} rule"
             )
+        # a sweep over a value the run never reads labels redrawn or equal
+        # rows with it, so it would read as a curve
+        unread = None
+        if self.sweep == "n1" and self.family != "mcp":
+            unread = f"family {self.family!r} has no n1"
+        elif self.sweep == "h" and self.family == "mcp":
+            unread = "family 'mcp' has no h"
+        elif self.sweep == "gamma" and kind != "sqrt":
+            unread = f"the {kind!r} epsilon rule has no gamma"
+        elif self.sweep == "delta" and self.family != "sorting":
+            unread = f"family {self.family!r} applies no corruption"
+        elif self.sweep == "delta" and self.delta_schedule == "growing":
+            unread = "the growing delta schedule sets every delta"
+        if unread:
+            raise ValueError(f"no run reads the swept {self.sweep!r}: {unread}")
 
     @property
     def k_max(self) -> int:
@@ -371,31 +391,28 @@ class _HistoryDraw:
     """The cell-independent part of an spp or mcp instance: the skeleton, the
     nominal law, the COP handle, the nominal optimum the relative loss
     divides by, and the boxes of its collector history at ``k_max`` steps,
-    observed, validated and lowered once, which a cell reads its K prefix
-    off, and the ``(value, x)`` of the support-bound candidate, whose costs
-    no cell changes.  Under bandit feedback it also keeps the observed
-    scenarios, which a cell's instance holds."""
+    lowered once straight from the run's arrays (``datagen.lower_history``,
+    no scenario objects), which a cell reads its K prefix off, and the
+    ``(value, x)`` of the support-bound candidate, whose costs no cell
+    changes.  ``findings`` are the skeleton's own, from
+    ``model.problem_findings``, which its draw ran once per skeleton."""
 
     skeleton: ProblemSkeleton
     dist: BetaNominal
     run: InitVar[CollectorRun]
     cop: Callable
     feedback: InitVar[str]
+    findings: InitVar[list]
     optimum: float = field(init=False)
     boxes: SampleBoxes = field(init=False)
-    scenarios: tuple | None = field(init=False)
     support_bound: tuple = field(init=False)
 
-    def __post_init__(self, run, feedback):
+    def __post_init__(self, run, feedback, findings):
         skeleton = self.skeleton
         self.optimum = nominal_optimum(self.dist, skeleton.feasible, skeleton.sense, self.cop)
-        scen = observe(feedback, run.samples, run.decisions, skeleton.feasible.n)
-        inst = skeleton.instance(scen, 0.0)
-        # the radius plays no part in the boxes; SweepConfig has already
-        # rejected a negative one.  On the box supports of spp and mcp the
-        # validation returns SampleBoxes.
-        self.boxes = validate_instance(inst)
-        self.scenarios = inst.scenarios if feedback == "bandit" else None
+        self.boxes, more = lower_history(feedback, run.samples, run.decisions, skeleton.support)
+        if findings or more:
+            raise InvalidInstance(findings + more)
         costs = ceiling_costs(self.boxes.l, self.boxes.u, skeleton.sense)
         self.support_bound = self.cop(costs, skeleton.sense)
 
@@ -403,13 +420,26 @@ class _HistoryDraw:
 def _draw_histories(cfg: SweepConfig, rngs, draw, collect):
     """A batch of spp or mcp instances: ``draw(rng_struct, rng_means)``
     gives each one's ``(skeleton, structure, cop, dist)``, then one
-    ``collect`` pass collects the histories of those whose draw succeeded."""
+    ``collect`` pass collects the histories of those whose draw succeeded.
+    Each distinct skeleton is checked once, at the sweep's history length
+    and a zero radius (the radius plays no part in the boxes, and
+    ``SweepConfig`` has already rejected a negative one); an instance whose
+    skeleton fails that check keeps its failure."""
     out = [_attempt(draw, *r[:2]) for r in rngs]
     ok = [i for i, d in enumerate(out) if not isinstance(d, _Failure)]
     runs = collect([out[i][1] for i in ok], [out[i][3] for i in ok], [rngs[i][2] for i in ok])
+    checked = {}
     for i, run in zip(ok, runs):
         skeleton, _, cop, dist = out[i]
-        out[i] = _attempt(_HistoryDraw, skeleton, dist, run, cop, cfg.feedback)
+        if id(skeleton) not in checked:
+            checked[id(skeleton)] = _attempt(
+                problem_findings, skeleton.feasible, skeleton.loss, skeleton.support, cfg.k_max, 0.0
+            )
+        findings = checked[id(skeleton)]
+        if isinstance(findings, _Failure):
+            out[i] = findings
+        else:
+            out[i] = _attempt(_HistoryDraw, skeleton, dist, run, cop, cfg.feedback, findings)
     return out
 
 
@@ -459,7 +489,8 @@ def _history_outcome(cfg: SweepConfig, cell, drawn: _HistoryDraw | _Failure, bac
     rho = nominal_relative_loss(
         detail.x, drawn.dist, skeleton.feasible, skeleton.sense, optimum=drawn.optimum
     )
-    inst = skeleton.instance(drawn.scenarios[:num_k], eps)
+    # the compact dual reads the samples off the boxes alone
+    inst = skeleton.instance((), eps)
     root = dual_relaxation(inst, build_dro_milp(inst, boxes)[0], backend)
     quality = detail.value / root if root is not None and abs(root) > 1e-12 else None
     return InstanceOutcome(rho, dt, quality, None)

@@ -465,22 +465,18 @@ _BOX_KINDS = (Exact, Interval, SemiBandit, Bandit)
 
 
 def lower_box_scenarios(scenarios, support: Polytope):
-    """Lower every scenario against a box support in one vectorized pass per
-    scenario kind, building no per-scenario :class:`Polytope`.
+    """Lower every scenario against a box support, building no per-scenario
+    :class:`Polytope`: gather each scenario kind's data into arrays in one
+    pass per kind, then lower them with :func:`lower_box_arrays`.
 
     Returns ``(boxes, findings)``: the :class:`SampleBoxes` of the systems
     that :func:`lower_scenario` builds, and a :class:`Diagnostic` for each
-    scenario that fails, in scenario order.  Each sample's own rows are
-    ``c_i <= up[k, i]`` and ``-c_i <= -low[k, i]`` (exact points and
-    semi-bandit observations pin their coordinates, intervals are clipped
-    against the support's box, a bandit total over one component pins it),
-    or one row pair ``m @ c = t`` (a bandit total over two or more).  Bounds
-    merge as :meth:`Polytope.box_bounds` reads the sample's rows and then the
-    support's, first of equal bounds kept, and emptiness is the
-    ``FEAS_TOL`` residual of those rows at the candidate point that
-    :meth:`Polytope.feasible_point` uses for a box: the origin clipped into
-    the box, or, on a row pair, the point where the segment between the box
-    corners that minimise and maximise ``m @ c`` meets the equality.
+    scenario that fails, in scenario order.  Exact points and semi-bandit
+    observations pin their coordinates and intervals are clipped against
+    the support's box; a bandit scenario is passed on as its mask and total.
+    An inverted interval, a wrong-length point, bound pair or mask, and a
+    semi-bandit index out of range or repeated are found here and leave the
+    scenario unconstrained in the arrays.
     """
     n = support.num_vars
     num_k = len(scenarios)
@@ -534,15 +530,43 @@ def lower_box_scenarios(scenarios, support: Polytope):
         rows, idx = rows[ok], idx[ok].astype(np.intp)
         up[rows, idx] = low[rows, idx] = vals[ok]
 
+    band = np.array(well_sized(Bandit, "mask"), dtype=np.intp)
+    masks = np.array([scenarios[k].mask for k in band]).reshape(band.size, n)
+    totals = np.array([scenarios[k].total for k in band], dtype=float)
+    return lower_box_arrays(up, low, band, masks, totals, support, found)
+
+
+def lower_box_arrays(up, low, band, masks, totals, support: Polytope, found: dict):
+    """The array core of box lowering, shared by the scenario gather
+    :func:`lower_box_scenarios` and the collector-history front end
+    :func:`dro.datagen.lower_history`.
+
+    ``up``/``low`` (K, n) are each sample's own bounds, ``+-inf`` where it
+    has none; the samples ``band`` are bandit totals instead, with
+    ``masks`` (len(band), n) and ``totals`` (len(band),).  ``found`` maps a
+    sample to the finding its gather already made, which is kept ahead of
+    the core's own.  Returns ``(boxes, findings)`` as
+    :func:`lower_box_scenarios` does.
+
+    A bandit total over one component pins it at ``total / mask[j]``; one
+    over two or more is the sample's row pair ``m @ c = t``.  Bounds merge
+    as :meth:`Polytope.box_bounds` reads the sample's rows and then the
+    support's, first of equal bounds kept, and emptiness is the
+    ``FEAS_TOL`` residual of those rows at the candidate point that
+    :meth:`Polytope.feasible_point` uses for a box: the origin clipped into
+    the box, or, on a row pair, the point where the segment between the box
+    corners that minimise and maximise ``m @ c`` meets the equality.  A
+    sample holding NaN is rejected on its own, as NaN passes every residual
+    check.
+    """
+    num_k, n = up.shape
+    l, u = support.box_bounds()
     # bounds add the one-component bandit totals, which stay off the box rows
     # because their rows are mask[j] c_j = t, not c_j = t / mask[j]
     bound_up, bound_low = up, low
     m = np.zeros((num_k, n))
     t = np.full(num_k, np.nan)
-    band = np.array(well_sized(Bandit, "mask"), dtype=np.intp)
     if band.size:
-        masks = np.array([scenarios[k].mask for k in band])
-        totals = np.array([scenarios[k].total for k in band])
         nnz = np.count_nonzero(masks, axis=1)
         pair = nnz > 1
         m[band[pair]] = masks[pair]
@@ -571,8 +595,7 @@ def lower_box_scenarios(scenarios, support: Polytope):
         theta = np.minimum(np.maximum(theta, 0.0), 1.0)
         x[eq] = down + theta[:, None] * (top - down)
 
-    # NaN passes every residual check, so it is rejected on its own; a NaN
-    # interval bound survives the clipping into up/low
+    # a NaN interval bound survives the clipping into up/low
     nan = np.isnan(up).any(axis=1) | np.isnan(low).any(axis=1)
     if band.size:
         nan[band] |= np.isnan(masks).any(axis=1) | np.isnan(totals)
@@ -592,47 +615,62 @@ def lower_box_scenarios(scenarios, support: Polytope):
     return boxes, [found[k] for k in sorted(found)]
 
 
-def validate_instance(inst: ProblemInstance):
-    """Check every structural invariant and lower each scenario exactly once.
+def problem_findings(
+    feasible: FeasibleSet, loss: BiaffineLoss, support: Polytope, num_samples: int, epsilon: float
+):
+    """The checks of :func:`validate_instance` that read no scenario, so a
+    sweep can run them once per problem structure: dimensions, loss
+    symmetry, finite upper bounds on integer decisions, the sample count,
+    the radius, and a nonempty, bounded support.
 
-    On a box support whose scenarios are all of the four built-in kinds,
-    returns the :class:`SampleBoxes` of :func:`lower_box_scenarios`;
-    otherwise each sample's lowered polytope from :func:`lower_scenario`, in
-    scenario order.  Raises :class:`InvalidInstance` listing every finding
-    when the instance is not sound.  Boundedness of the support and emptiness
-    of each system are established through LP solves, or structurally on a
-    box support.
+    Returns the findings after which validation goes on to the scenarios;
+    raises :class:`InvalidInstance` at a finding that stops it (a dimension
+    mismatch, an empty or unbounded support), listing those found before it.
     """
     out = []
     err = lambda code, msg: out.append(Diagnostic(code, msg))
 
-    n = inst.support.num_vars
-    if inst.loss.n != n:
-        err("DimensionMismatch", f"loss dimension {inst.loss.n} != support dimension {n}")
+    n = support.num_vars
+    if loss.n != n:
+        err("DimensionMismatch", f"loss dimension {loss.n} != support dimension {n}")
         raise InvalidInstance(out)
-    fs = inst.feasible
-    if fs.n != n:
-        err("DimensionMismatch", f"decision dimension {fs.n} != support dimension {n}")
+    if feasible.n != n:
+        err("DimensionMismatch", f"decision dimension {feasible.n} != support dimension {n}")
         raise InvalidInstance(out)
-    if not inst.loss.is_symmetric():
+    if not loss.is_symmetric():
         err("AsymmetricLoss", "the bilinear block must equal its transpose")
-    bad = np.flatnonzero(fs.integer_mask() & ~np.isfinite(fs.upper))
+    bad = np.flatnonzero(feasible.integer_mask() & ~np.isfinite(feasible.upper))
     if bad.size:
         err("UnboundedDecisionVariable", f"integer decisions {bad.tolist()} need upper bounds")
-    if inst.num_samples < 1:
+    if num_samples < 1:
         err("NoScenarios", "at least one training scenario is required")
-    if inst.epsilon < 0:
-        err("NegativeRadius", f"epsilon must be nonnegative, got {inst.epsilon}")
+    if epsilon < 0:
+        err("NegativeRadius", f"epsilon must be nonnegative, got {epsilon}")
 
     # emptiness first: box_bounds reads the failed LPs of an empty support as unbounded
-    if inst.support.feasible_point() is None:
+    if support.feasible_point() is None:
         err("EmptySupport", "support polytope is empty")
         raise InvalidInstance(out)
-    lo, hi = inst.support.box_bounds()
+    lo, hi = support.box_bounds()
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi)))
         err("UnboundedSupport", f"support unbounded in coordinates {bad.tolist()}")
         raise InvalidInstance(out)
+    return out
+
+
+def validate_instance(inst: ProblemInstance):
+    """Check every structural invariant and lower each scenario exactly once.
+
+    Runs :func:`problem_findings`, then, on a box support whose scenarios
+    are all of the four built-in kinds, returns the :class:`SampleBoxes` of
+    :func:`lower_box_scenarios`; otherwise each sample's lowered polytope
+    from :func:`lower_scenario`, in scenario order.  Raises
+    :class:`InvalidInstance` listing every finding when the instance is not
+    sound.  Boundedness of the support and emptiness of each system are
+    established through LP solves, or structurally on a box support.
+    """
+    out = problem_findings(inst.feasible, inst.loss, inst.support, inst.num_samples, inst.epsilon)
 
     if inst.support.is_box() and all(type(s) in _BOX_KINDS for s in inst.scenarios):
         boxes, findings = lower_box_scenarios(inst.scenarios, inst.support)
@@ -644,14 +682,14 @@ def validate_instance(inst: ProblemInstance):
     lowered = []
     for k, s in enumerate(inst.scenarios):
         if isinstance(s, Interval) and np.any(s.lower > s.upper + tol.VALUE_TOL):
-            err("InvertedInterval", f"scenario {k} has lower > upper")
+            out.append(Diagnostic("InvertedInterval", f"scenario {k} has lower > upper"))
             continue
         try:
             lowered.append(lower_scenario(s, inst.support))
         except EmptyIntersection:
-            err("EmptyIntersection", f"scenario {k} is incompatible with the support")
+            out.append(Diagnostic("EmptyIntersection", f"scenario {k} is incompatible with the support"))
         except DimensionMismatch as e:
-            err("DimensionMismatch", f"scenario {k}: {e}")
+            out.append(Diagnostic("DimensionMismatch", f"scenario {k}: {e}"))
     if out:
         raise InvalidInstance(out)
     return tuple(lowered)

@@ -20,7 +20,7 @@ from .closedform import (
     solve_interval,
     worst_case_cost,
 )
-from .datagen import BetaNominal, cucb_collect, cucb_collect_mcp
+from .datagen import BetaNominal, cucb_collect, cucb_collect_mcp, lower_history, observe
 from .errors import InvalidInstance
 from .model import (
     Bandit,
@@ -31,6 +31,7 @@ from .model import (
     ProblemInstance,
     SampleBoxes,
     SemiBandit,
+    lower_box_scenarios,
     lower_scenario,
     validate_instance,
 )
@@ -364,6 +365,56 @@ def check_box_lowering(count: int, seed) -> CheckResult:
     return _result("box-lowering-vs-rows", failures, clean)
 
 
+def random_history(rng: np.random.Generator, t: int):
+    """``(skeleton, run)``: a CUCB history of 1-25 steps, cycling over four
+    kinds by ``t``: a random routing graph, a random coverage system, a
+    coverage system of one-item subsets and budget 1 (every bandit total
+    covers one component), and either of the first two with one observed
+    sample value replaced by NaN or by a value outside the support."""
+    num_k = int(rng.integers(1, 26))
+    if t % 4 == 0 or (t % 4 == 3 and rng.random() < 0.5):
+        skeleton, graph = gen_layered_spp(int(rng.integers(2, 6)), int(rng.integers(1, 5)))
+        run = cucb_collect(graph, BetaNominal.random(graph.num_arcs, 0.125, rng), num_k, rng)
+    else:
+        if t % 4 == 2:
+            n1 = int(rng.integers(1, 13))
+            skeleton, system = gen_mcp(n1, int(rng.integers(1, 9)), 1, 1, rng)
+        else:
+            skeleton, system, _ = random_coverage_costs(rng)
+        dist = BetaNominal.random(system.n_items, 0.125, rng)
+        run = cucb_collect_mcp(system, dist, num_k, rng)
+    if t % 4 == 3:
+        k, j = np.argwhere(run.decisions > 0.5)[int(rng.integers(0, int(np.sum(run.decisions > 0.5))))]
+        run.samples[k, j] = rng.choice([np.nan, 1.5, -0.5])
+    return skeleton, run
+
+
+def check_history_lowering(count: int, seed) -> CheckResult:
+    """The collector-history front end of the box lowering
+    (:func:`~dro.datagen.lower_history`) against the scenario objects of
+    :func:`~dro.datagen.observe` lowered by
+    :func:`~dro.model.lower_box_scenarios`, under both feedbacks: every
+    array bit for bit and the same findings."""
+    rng = np.random.default_rng(seed)
+    failures, found = [], 0
+    for t in range(count):
+        skeleton, run = random_history(rng, t)
+        support = skeleton.support
+        for feedback in ("semibandit", "bandit"):
+            got, got_findings = lower_history(feedback, run.samples, run.decisions, support)
+            scen = observe(feedback, run.samples, run.decisions, support.num_vars)
+            want, want_findings = lower_box_scenarios(scen, support)
+            found += bool(want_findings)
+            if list(map(str, got_findings)) != list(map(str, want_findings)):
+                failures.append(f"history {t} {feedback}: findings differ")
+            for name in ("lo", "hi", "m", "t", "l", "u"):
+                g, w = getattr(got, name), getattr(want, name)
+                if g.shape != w.shape or g.tobytes() != w.tobytes():
+                    failures.append(f"history {t} {feedback}: {name} differs")
+    clean = f"{count} histories under both feedbacks lower bit for bit ({found} lowerings with findings)"
+    return _result("history-lowering-vs-scenarios", failures, clean)
+
+
 def check_compact_dual(count: int, seed) -> CheckResult:
     """The compact MILP for box data against the full dual of every row:
     MILP and LP relaxation values on the reference kernel."""
@@ -658,4 +709,5 @@ def run_all(seed=0, scale: float = 1.0) -> list[CheckResult]:
         check_collectors_batch(c(10), [seed, 10]),
         check_highs_relaxation_first(c(10), [seed, 11]),
         check_endpoint_vs_compact(c(20), [seed, 12]),
+        check_history_lowering(c(40), [seed, 13]),
     ]

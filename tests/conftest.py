@@ -3,7 +3,7 @@ and count calls into the model layer."""
 
 import pytest
 
-from dro import model
+from dro import datagen, model
 
 ACCEPTANCE_LINES = []
 
@@ -19,21 +19,24 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def model_calls(monkeypatch):
     """Live counts of scenarios lowered and of calls to ``model.solve_lp``.
 
-    A ``model.lower_scenario`` call lowers one scenario and a
-    ``model.lower_box_scenarios`` call lowers every scenario it is given.
+    A ``model.lower_scenario`` call lowers one scenario and a call of the
+    box lowering's array core, ``lower_box_arrays``, lowers every sample
+    it is given, whichever front end (scenario objects or a collector
+    history) gathered them.
     """
     calls = {"lowered": 0, "solve_lp": 0}
 
-    def count(name, key, weight):
-        original = getattr(model, name)
+    def count(owner, name, key, weight):
+        original = getattr(owner, name)
 
         def counted(*args, **kwargs):
             calls[key] += weight(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(model, name, counted)
+        monkeypatch.setattr(owner, name, counted)
 
-    count("lower_scenario", "lowered", lambda args: 1)
-    count("lower_box_scenarios", "lowered", lambda args: len(args[0]))
-    count("solve_lp", "solve_lp", lambda args: 1)
+    count(model, "lower_scenario", "lowered", lambda args: 1)
+    for owner in (model, datagen):
+        count(owner, "lower_box_arrays", "lowered", lambda args: len(args[0]))
+    count(model, "solve_lp", "solve_lp", lambda args: 1)
     return calls

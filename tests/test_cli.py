@@ -522,6 +522,8 @@ def test_sweep_rejects_unknown_epsilon_rule(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+# every param an mcp run reads
+_MCP_PARAMS = {"n1": 6, "n2": 6, "subset_size": 3, "budget": 2}
 # drops every key of the full config but the seed, leaving a preset config
 _FULL_ONLY = dict.fromkeys(("family", "sweep", "grid", "instances", "params", "epsilon_rule"))
 
@@ -574,6 +576,28 @@ _FULL_ONLY = dict.fromkeys(("family", "sweep", "grid", "instances", "params", "e
             {"epsilon_rule": {"kind": "prop_n1", "coef": 0.1}},
             "params lack ['n1'], which family 'sorting' reads when sweeping 'delta' with the 'prop_n1' rule",
         ),
+        ({"sweep": "n1", "grid": [3, 9]}, "no run reads the swept 'n1': family 'sorting' has no n1"),
+        (
+            {"family": "spp", "feedback": "semibandit", "sweep": "n1", "grid": [3], "params": {"h": 3, "r": 2}},
+            "no run reads the swept 'n1': family 'spp' has no n1",
+        ),
+        (
+            {"family": "mcp", "feedback": "semibandit", "sweep": "h", "grid": [2], "params": _MCP_PARAMS},
+            "no run reads the swept 'h': family 'mcp' has no h",
+        ),
+        ({"sweep": "gamma", "grid": [1.0]}, "no run reads the swept 'gamma': the 'fixed' epsilon rule has no gamma"),
+        (
+            {"family": "spp", "feedback": "semibandit", "grid": [0.1, 0.5], "params": {"h": 3, "r": 2}},
+            "no run reads the swept 'delta': family 'spp' applies no corruption",
+        ),
+        (
+            {"family": "mcp", "feedback": "bandit", "params": _MCP_PARAMS},
+            "no run reads the swept 'delta': family 'mcp' applies no corruption",
+        ),
+        (
+            {"delta_schedule": "growing"},
+            "no run reads the swept 'delta': the growing delta schedule sets every delta",
+        ),
     ],
     ids=[
         "missing-value", "spp-interval", "sorting-preset-bandit",
@@ -583,7 +607,8 @@ _FULL_ONLY = dict.fromkeys(("family", "sweep", "grid", "instances", "params", "e
         "nan-sigma", "string-grid-cell",
         "preset-string-seed", "scalar-epsilon-rule", "list-params", "string-param",
         "sorting-no-h", "sorting-h-sweep-no-n", "spp-no-r", "mcp-n1-sweep-no-budget",
-        "mcp-no-n1", "prop-n1-no-n1",
+        "mcp-no-n1", "prop-n1-no-n1", "sorting-n1-sweep", "spp-n1-sweep", "mcp-h-sweep",
+        "fixed-gamma-sweep", "spp-delta-sweep", "mcp-delta-sweep", "growing-delta-sweep",
     ],
 )
 def test_sweep_rejects_misread_config(tmp_path, capsys, override, message):
@@ -640,7 +665,8 @@ def test_dro_seed_env_override(tmp_path, monkeypatch):
 def test_validate_exit_code(capsys):
     assert main(["validate", "--scale", "0.1", "--seed", "4"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 12
+    assert out.count("PASS") == 13
+    assert "PASS history-lowering-vs-scenarios" in out
     assert "PASS endpoint-vs-compact" in out
     assert "PASS collectors-batch-vs-single" in out
     assert "PASS highs-relaxation-first" in out

@@ -11,14 +11,16 @@ from dro.datagen import (
     cucb_collect,
     cucb_collect_mcp,
     growing_delta,
+    lower_history,
     mean_interval,
     observe,
     observe_bandit,
     observe_semibandit,
     sample_nominal,
 )
-from dro.errors import DimensionMismatch, MeanOutOfRange
-from dro.model import lower_scenario, Polytope
+from dro.errors import DimensionMismatch, InvalidInstance, MeanOutOfRange
+from dro.model import lower_scenario, Polytope, validate_instance
+from dro.selfcheck import random_history
 from dro.problems import CoverageSystem, LayeredGraph, gen_layered_spp, gen_mcp, shortest_path_dp
 from enumeration import all_paths, covered_items, path_arcs, path_vector
 
@@ -220,6 +222,41 @@ class TestObserve:
         assert scen.total == 0.2 + 0.5
         with pytest.raises(DimensionMismatch):
             observe("semibandit", data, np.ones((1, 2)), 1)
+
+
+class TestLowerHistory:
+    """The collector-history front end of the box lowering against the
+    validation of the instance its observed scenarios make."""
+
+    @pytest.mark.parametrize("feedback", ["semibandit", "bandit"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_validated_observation(self, feedback, seed):
+        rng = np.random.default_rng(seed)
+        for t in range(12):
+            skeleton, run = random_history(rng, t)
+            support = skeleton.support
+            got, findings = lower_history(feedback, run.samples, run.decisions, support)
+            inst = skeleton.instance(observe(feedback, run.samples, run.decisions, support.num_vars), 0.0)
+            try:
+                want = validate_instance(inst)
+            except InvalidInstance as e:
+                assert t % 4 == 3  # only the histories with an injected value fail
+                assert list(map(str, findings)) == list(map(str, e.diagnostics))
+                continue
+            assert findings == []
+            for name in ("lo", "hi", "m", "t", "l", "u"):
+                g, w = getattr(got, name), getattr(want, name)
+                assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
+
+    def test_one_item_bandit_total_pins_its_component(self):
+        skeleton, system = gen_mcp(6, 4, 1, 1, seed=2)
+        run = cucb_collect_mcp(system, BetaNominal.random(6, 0.125, 3), 5, 4)
+        boxes, findings = lower_history("bandit", run.samples, run.decisions, skeleton.support)
+        assert findings == []
+        assert np.isnan(boxes.t).all() and not boxes.m.any()
+        seen = run.decisions > 0.5
+        np.testing.assert_array_equal(boxes.lo[:, :6][seen], run.samples[seen])
+        np.testing.assert_array_equal(boxes.hi[:, :6][seen], run.samples[seen])
 
 
 class TestMcpCollector:

@@ -23,6 +23,7 @@ from dro.harness import (
     run_sweep,
     wasserstein_radius,
 )
+from dro import model
 from dro.model import Exact
 from dro.problems import gen_mcp, gen_sorting, sorting_cop
 from dro.reformulate import solve_dro
@@ -429,14 +430,21 @@ class TestRunSweep:
 
     @staticmethod
     def _count_validations(monkeypatch):
-        calls = []
-        validate = harness.validate_instance
+        """Rows of each history lowered, and the sample count of each
+        skeleton check."""
+        calls = {"lowered": [], "checked": []}
+        lower, check = harness.lower_history, harness.problem_findings
 
-        def counted_validate(inst):
-            calls.append(inst.num_samples)
-            return validate(inst)
+        def counted_lower(feedback, samples, *args):
+            calls["lowered"].append(len(samples))
+            return lower(feedback, samples, *args)
 
-        monkeypatch.setattr(harness, "validate_instance", counted_validate)
+        def counted_check(feasible, loss, support, num_samples, epsilon):
+            calls["checked"].append(num_samples)
+            return check(feasible, loss, support, num_samples, epsilon)
+
+        monkeypatch.setattr(harness, "lower_history", counted_lower)
+        monkeypatch.setattr(harness, "problem_findings", counted_check)
         return calls
 
     @pytest.mark.parametrize("feedback", ["semibandit", "bandit"])
@@ -445,9 +453,22 @@ class TestRunSweep:
         cfg = _small_mcp_k_cfg(feedback=feedback)
         recs = run_sweep(cfg)
         assert all(r.n_fail == 0 for r in recs)
-        # one validation of the whole history per instance, none per cell
-        assert validations == [cfg.k_max] * cfg.instances
+        # one lowering of the whole history per instance, none per cell; every
+        # mcp instance has its own skeleton
+        assert validations["lowered"] == [cfg.k_max] * cfg.instances
+        assert validations["checked"] == [cfg.k_max] * cfg.instances
         assert model_calls["lowered"] == cfg.instances * cfg.k_max
+
+    def test_spp_sweep_checks_its_shared_skeleton_once(self, monkeypatch):
+        # every instance of an spp batch routes on the one graph
+        validations = self._count_validations(monkeypatch)
+        cfg = SweepConfig(
+            "spp", "K", (3, 6), 4, 4, {"h": 3, "r": 2},
+            {"kind": "sqrt", "gamma": 1.0}, feedback="semibandit",
+        )
+        assert all(r.n_fail == 0 for r in run_sweep(cfg))
+        assert validations["lowered"] == [cfg.k_max] * cfg.instances
+        assert validations["checked"] == [cfg.k_max]
 
     def test_structural_semibandit_sweep_validates_per_cell(self, monkeypatch, model_calls):
         validations = self._count_validations(monkeypatch)
@@ -459,7 +480,8 @@ class TestRunSweep:
         recs = run_sweep(cfg)
         assert all(r.n_fail == 0 for r in recs)
         cells = len(cfg.grid)
-        assert validations == [cfg.k_samples] * (cfg.instances * cells)
+        assert validations["lowered"] == [cfg.k_samples] * (cfg.instances * cells)
+        assert validations["checked"] == [cfg.k_samples] * (cfg.instances * cells)
         assert model_calls["lowered"] == cfg.instances * cells * cfg.k_samples
 
     def test_structural_sweep_draws_per_cell(self, monkeypatch):
@@ -706,3 +728,35 @@ def test_desk_csv_bytes_are_pinned(name, feedback):
     cfg = preset_sweep(name, seed=0, feedback=feedback)
     text = records_to_csv(run_sweep(cfg))
     assert hashlib.sha256(text.encode()).hexdigest() == _DESK_CSV_SHA256[name, feedback]
+
+
+@pytest.mark.parametrize("name, feedback", [("mcp-k", "semibandit"), ("spp-k", "bandit")])
+def test_desk_sweep_builds_no_scenario_objects(monkeypatch, name, feedback):
+    # a sweep lowers its histories straight from the collector arrays
+    built = []
+    for kind in (model.SemiBandit, model.Bandit):
+        post_init = kind.__post_init__
+
+        def counted(self, post_init=post_init):
+            built.append(type(self).__name__)
+            post_init(self)
+
+        monkeypatch.setattr(kind, "__post_init__", counted)
+    recs = run_sweep(preset_sweep(name, seed=0, feedback=feedback))
+    assert all(r.n_fail == 0 for r in recs)
+    assert built == []
+
+
+@pytest.mark.parametrize("feedback", ["semibandit", "bandit"])
+def test_history_lowering_finding_fails_its_instance_in_every_cell(monkeypatch, feedback):
+    collect = harness.cucb_collect_mcp
+
+    def nan_first(systems, dists, num_k, rngs):
+        runs = collect(systems, dists, num_k, rngs)
+        k, j = np.argwhere(runs[0].decisions > 0.5)[0]
+        runs[0].samples[k, j] = np.nan
+        return runs
+
+    monkeypatch.setattr(harness, "cucb_collect_mcp", nan_first)
+    cfg = _small_mcp_k_cfg(feedback=feedback)
+    assert [r.n_fail for r in run_sweep(cfg)] == [1] * len(cfg.grid)
