@@ -156,6 +156,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_collect(args) -> int:
+    if args.k < 1:
+        raise _BadInput(f"invalid --k: need at least one sample, got {args.k}")
     with _reading("invalid --sigma"):
         mean_interval(args.sigma)
     inst = _load(args.instance)

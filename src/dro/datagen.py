@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, MeanOutOfRange
-from .model import Bandit, Interval, Polytope, SemiBandit, lower_box_arrays
+from .model import Bandit, Polytope, SemiBandit, lower_box_arrays
 from .problems import LayeredGraph, shortest_path_dp
 
 
@@ -105,7 +105,8 @@ def sample_nominal(dist: BetaNominal, num_samples: int, seed_or_rng) -> np.ndarr
 
 
 def corrupt_interval(data, delta, p, seed_or_rng):
-    """Interval scenarios from exact samples.
+    """The (K, n) ``(lower, upper)`` bounds of interval data corrupted from
+    exact samples.
 
     Each entry (k, a) is widened to [max(c-delta, 0), min(c+delta, 1)] with
     probability ``p[a]`` and kept zero-width otherwise.  ``delta`` may be a
@@ -121,7 +122,7 @@ def corrupt_interval(data, delta, p, seed_or_rng):
     width = np.where(hit, delta, 0.0)
     lower = np.maximum(data - width, 0.0)
     upper = np.minimum(data + width, 1.0)
-    return [Interval(lower[k], upper[k]) for k in range(num_k)]
+    return lower, upper
 
 
 def growing_delta(num_k: int, n: int, k_max: int) -> np.ndarray:

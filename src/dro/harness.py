@@ -35,8 +35,9 @@ is one COP, and a bandit cell with its sample-average MILP on the backend;
 a bandit cell also builds its compact dual MILP and solves that program's
 LP relaxation for ``mean_lp_quality``.  Sorting keeps its
 nominal law and samples, and corrupts them and builds its cardinality
-structure per cell; its boxes are the corrupted intervals on the unit box,
-which the corruption never leaves, so no sorting cell validates.  Each
+structure per cell; it lowers the corrupted bounds of its K prefix with
+``model.lower_box_arrays`` on the unit-box support, and a finding fails
+the instance in that cell.  Each
 instance draws from its own streams; one CUCB pass then collects the whole
 batch a step at once, and as the selection rule consumes no randomness each
 history keeps the bits it has alone.  A failed draw, its lowering
@@ -63,6 +64,7 @@ from types import TracebackType
 
 import numpy as np
 
+from . import tolerances as tol
 from .closedform import ceiling_costs, milp_cop, solve_endpoints, solve_interval_detail
 from .datagen import (
     BetaNominal,
@@ -75,7 +77,7 @@ from .datagen import (
     sample_nominal,
 )
 from .errors import DegenerateDenominator, DimensionMismatch, DroError, EmptyInput, InvalidInstance
-from .model import FeasibleSet, SampleBoxes, problem_findings
+from .model import FeasibleSet, SampleBoxes, lower_box_arrays, problem_findings
 from .problems import (
     ProblemSkeleton,
     gen_layered_spp,
@@ -121,7 +123,7 @@ def nominal_optimum(dist: BetaNominal, feasible: FeasibleSet, sense="min", cop=N
     """
     cop = cop or milp_cop(feasible)
     denom, _ = cop(_padded_mean(dist, feasible.n), sense)
-    if abs(denom) < 1e-12:
+    if abs(denom) < tol.ZERO_VALUE_TOL:
         raise DegenerateDenominator("nominal optimum is zero")
     return denom
 
@@ -145,10 +147,31 @@ def nominal_relative_loss(
     return float(_padded_mean(dist, feasible.n) @ x_tilde) / optimum
 
 
-_FEEDBACK_RUN = {"sorting": ("interval",), "spp": ("semibandit", "bandit"), "mcp": ("semibandit", "bandit")}
 _EPSILON_PARAM = {"fixed": "value", "sqrt": "gamma", "prop_h": "coef", "prop_n1": "coef"}
-# params each family's runner reads; a sweep over one of them takes it from the cell
-_FAMILY_PARAMS = {"sorting": ("n", "h"), "spp": ("r", "h"), "mcp": ("n2", "subset_size", "budget", "n1")}
+
+
+@dataclass(frozen=True)
+class _Family:
+    """What the runs of one sweep family read.  A sweep over one of its
+    params takes it from the cell, and its cells share instances unless
+    the draw reads the swept value."""
+
+    feedbacks: tuple  # the feedbacks it runs
+    draw_reads: tuple  # the params its draw reads
+    runner_reads: tuple  # the params only its runner reads
+    prop_h: str  # the param a prop_h radius scales by
+    corrupts: bool  # whether it corrupts its samples, so reads delta
+
+    @property
+    def params(self) -> tuple:
+        return self.draw_reads + self.runner_reads
+
+
+_FAMILIES = {
+    "sorting": _Family(("interval",), ("n",), ("h",), "h", True),
+    "spp": _Family(("semibandit", "bandit"), ("r", "h"), (), "h", False),
+    "mcp": _Family(("semibandit", "bandit"), ("n1", "n2", "subset_size", "budget"), (), "budget", False),
+}
 
 
 @dataclass
@@ -162,16 +185,20 @@ class SweepConfig:
     c*n1); a rule reads its scale from the cell when the sweep runs over it.
     ``sigma``, the standard deviation of every nominal beta law, lies in
     (0, 1/2), the stds a beta law on [0, 1] can have.  ``feedback`` must be
-    one the family runs: ``interval`` for sorting, ``semibandit`` or
-    ``bandit`` for spp and mcp.  K grid cells and ``k_samples`` are at least
-    1.  ``k_max`` is the largest K of the grid: the history length a K sweep
-    collects and reads every cell off, and the growing schedule's divisor.
-    ``params`` holds every key the family reads, the swept one excepted:
-    ``n`` and ``h`` for sorting, ``r`` and ``h`` for spp, and ``n1``,
-    ``n2``, ``subset_size`` and ``budget`` for mcp.  The swept parameter
-    must be one the run reads: ``n1`` only on mcp, ``h`` only on sorting
-    and spp, ``gamma`` only under the ``sqrt`` rule, and ``delta`` only on
-    sorting with the ``const`` schedule.
+    one the family runs (``_FAMILIES``).  K grid cells and ``k_samples``
+    are at least 1.  ``k_max`` is the largest K of the grid: the history
+    length a K sweep collects and reads every cell off, and the growing
+    schedule's divisor.  ``params`` holds every param the family reads, and
+    ``n1`` under ``prop_n1``; a swept one may be left out.
+
+    Every given value must be one a run reads: the swept parameter (``n1``
+    or ``h`` where the family reads it, ``gamma`` under ``sqrt``, ``delta``
+    where the family corrupts under the ``const`` schedule), every
+    ``params`` key, every rule key (``kind`` and its parameter), a nonzero
+    ``delta`` (on a corrupting family, under ``const``, not swept) and the
+    ``growing`` schedule (on a corrupting family).  The swept value may
+    also appear in ``params`` or the rule; a K sweep's ``k_samples`` is
+    accepted, as nothing tells its default from a given 10.
     """
 
     family: str  # sorting | spp | mcp
@@ -213,15 +240,15 @@ class SweepConfig:
             raise ValueError("need at least one instance per cell")
         if not 0 < self.sigma < 0.5:
             raise ValueError(f"sigma must lie in (0, 1/2), got {self.sigma!r}")
-        if self.family not in ("sorting", "spp", "mcp"):
+        if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.sweep not in ("delta", "h", "gamma", "K", "n1"):
             raise ValueError(f"unknown sweep parameter {self.sweep!r}")
-        runs = _FEEDBACK_RUN[self.family]
-        if self.feedback not in runs:
+        fam = _FAMILIES[self.family]
+        if self.feedback not in fam.feedbacks:
             raise ValueError(
                 f"unknown feedback {self.feedback!r} for family {self.family!r}; "
-                f"it runs {' or '.join(runs)}"
+                f"it runs {' or '.join(fam.feedbacks)}"
             )
         if self.delta_schedule not in ("const", "growing"):
             raise ValueError(f"unknown delta schedule {self.delta_schedule!r}")
@@ -239,30 +266,45 @@ class SweepConfig:
             raise ValueError(f"k_samples must be >= 1, got {self.k_samples!r}")
         if self.sweep == "K" and min(self.cell_k(v) for v in self.grid) < 1:
             raise ValueError(f"K grid cells must be >= 1, got {list(self.grid)}")
-        reads = {k for k in _FAMILY_PARAMS[self.family] if k != self.sweep}
-        if kind == "prop_n1" and self.family != "mcp":  # mcp passes its own n1
-            reads.add("n1")
-        missing = sorted(reads - self.params.keys())
+        reads = set(fam.params) | ({self._radius_param()} - {None})
+        missing = sorted(reads - self.params.keys() - ({self.sweep} & set(fam.params)))
         if missing:
             raise ValueError(
                 f"params lack {missing}, which family {self.family!r} reads when "
                 f"sweeping {self.sweep!r} with the {kind!r} rule"
             )
-        # a sweep over a value the run never reads labels redrawn or equal
-        # rows with it, so it would read as a curve
-        unread = None
-        if self.sweep == "n1" and self.family != "mcp":
-            unread = f"family {self.family!r} has no n1"
-        elif self.sweep == "h" and self.family == "mcp":
-            unread = "family 'mcp' has no h"
-        elif self.sweep == "gamma" and kind != "sqrt":
-            unread = f"the {kind!r} epsilon rule has no gamma"
-        elif self.sweep == "delta" and self.family != "sorting":
-            unread = f"family {self.family!r} applies no corruption"
-        elif self.sweep == "delta" and self.delta_schedule == "growing":
-            unread = "the growing delta schedule sets every delta"
-        if unread:
-            raise ValueError(f"no run reads the swept {self.sweep!r}: {unread}")
+        # every given value must be one a run reads: rows labelled with a
+        # value no run reads are redrawn or equal, so they would read as a curve
+        no_corruption = not fam.corrupts and f"family {self.family!r} applies no corruption"
+        growing = self.delta_schedule == "growing"
+        no_delta = no_corruption or growing and "the growing delta schedule sets every delta"
+        swept = {
+            "K": None,
+            "gamma": kind != "sqrt" and f"the {kind!r} epsilon rule has no gamma",
+            "delta": no_delta,
+        }.get(self.sweep, self.sweep not in fam.params and f"family {self.family!r} has no {self.sweep}")
+        extra_params = sorted(self.params.keys() - reads)
+        extra_rule = sorted(self.epsilon_rule.keys() - {"kind", param})
+        for what, why in (
+            (f"the swept {self.sweep!r}", swept),
+            (
+                f"delta {self.delta!r}",
+                self.delta != 0 and (no_delta or self.sweep == "delta" and "the delta sweep sets every delta"),
+            ),
+            ("the 'growing' delta schedule", growing and no_corruption),
+            (
+                f"params {extra_params}",
+                extra_params and f"family {self.family!r} with the {kind!r} rule reads {sorted(reads)}",
+            ),
+            (f"epsilon rule keys {extra_rule}", extra_rule and f"the {kind!r} rule reads {param!r}"),
+        ):
+            if why:
+                raise ValueError(f"no run reads {what}: {why}")
+
+    def _radius_param(self) -> str | None:
+        """The param a proportional epsilon rule scales the radius by."""
+        kind = self.epsilon_rule["kind"]
+        return {"prop_h": _FAMILIES[self.family].prop_h, "prop_n1": "n1"}.get(kind)
 
     @property
     def k_max(self) -> int:
@@ -283,19 +325,13 @@ class SweepConfig:
         if kind == "sqrt":
             gamma = float(cell) if self.sweep == "gamma" else float(rule["gamma"])
             return wasserstein_radius(num_samples, gamma)
-        mcp = self.family == "mcp"
-        if kind == "prop_h":  # an mcp budget, else the cardinality h
-            scale = int(self.params["budget"]) if mcp else self.cell_param("h", cell)
-        else:  # prop_n1, the last kind __post_init__ admits; only mcp reads n1
-            scale = self.cell_param("n1", cell) if mcp else self.params["n1"]
-        return float(rule["coef"]) * scale
+        return float(rule["coef"]) * self.cell_param(self._radius_param(), cell)
 
     def shares_instances(self) -> bool:
-        """True when cells reweight the same instance data; structural sweeps
-        redraw per cell."""
-        if self.sweep in ("delta", "gamma", "K"):
-            return True
-        return self.sweep == "h" and self.family == "sorting"
+        """True when the draw does not read the swept value, so every cell
+        reweights the same instance data; a structural sweep redraws per
+        cell."""
+        return self.sweep not in _FAMILIES[self.family].draw_reads
 
 
 @dataclass
@@ -374,16 +410,14 @@ def _run_sorting_instance(cfg: SweepConfig, cell, drawn, backend) -> InstanceOut
     else:
         delta = float(cell) if cfg.sweep == "delta" else cfg.delta
     # the corruption stream restarts in every cell, as a fresh draw would
-    scen = corrupt_interval(samples, delta, p, np.random.default_rng(noise))[:num_k]
-    # corruption keeps every interval in the unit box: nothing to validate
-    boxes = SampleBoxes(
-        np.array([s.lower for s in scen]), np.array([s.upper for s in scen]),
-        np.zeros((num_k, n)), np.full(num_k, np.nan), np.zeros(n), np.ones(n),
-    )
+    lower, upper = corrupt_interval(samples, delta, p, np.random.default_rng(noise))
+    skeleton = gen_sorting(n, h)
+    no_totals = np.zeros(0, dtype=np.intp), np.zeros((0, n)), np.zeros(0)
+    boxes, findings = lower_box_arrays(upper[:num_k], lower[:num_k], *no_totals, skeleton.support, {})
+    if findings:
+        raise InvalidInstance(findings)
     eps = cfg.cell_epsilon(cell, num_k)
-    feasible = gen_sorting(n, h).feasible
-    cop = sorting_cop(n, h)
-    return _interval_outcome(feasible, boxes, eps, cop, "min", dist)
+    return _interval_outcome(skeleton.feasible, boxes, eps, sorting_cop(n, h), "min", dist)
 
 
 @dataclass(eq=False)
@@ -492,7 +526,7 @@ def _history_outcome(cfg: SweepConfig, cell, drawn: _HistoryDraw | _Failure, bac
     # the compact dual reads the samples off the boxes alone
     inst = skeleton.instance((), eps)
     root = dual_relaxation(inst, build_dro_milp(inst, boxes)[0], backend)
-    quality = detail.value / root if root is not None and abs(root) > 1e-12 else None
+    quality = detail.value / root if root is not None and abs(root) > tol.ZERO_VALUE_TOL else None
     return InstanceOutcome(rho, dt, quality, None)
 
 
@@ -660,8 +694,9 @@ def preset_sweep(name: str, seed: int = 0, paper_scale: bool = False, feedback: 
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(_PRESETS)}")
     family, sweep, default_feedback, rule, desk, paper = _PRESETS[name]
     scale = paper if paper_scale else desk
-    params = {k: v for k, v in scale.items() if k in _FAMILY_PARAMS[family]}
-    if sweep in _FAMILY_PARAMS[family]:
+    reads = _FAMILIES[family].params
+    params = {k: v for k, v in scale.items() if k in reads}
+    if sweep in reads:
         params[sweep] = scale["grid"][0]
     return SweepConfig(
         family, sweep, seed=seed, params=params, epsilon_rule=rule(max(scale["grid"]), params),

@@ -646,6 +646,8 @@ def problem_findings(
         err("NoScenarios", "at least one training scenario is required")
     if epsilon < 0:
         err("NegativeRadius", f"epsilon must be nonnegative, got {epsilon}")
+    elif not np.isfinite(epsilon):
+        err("NonFiniteRadius", f"epsilon must be finite, got {epsilon}")
 
     # emptiness first: box_bounds reads the failed LPs of an empty support as unbounded
     if support.feasible_point() is None:

@@ -382,7 +382,7 @@ class _Stall:
         self.bland = False
 
     def record(self, gain):
-        if gain > 1e-12:
+        if gain > tol.STALL_GAIN:
             self.count = 0
         else:
             self.count += 1
@@ -535,7 +535,7 @@ def _cold_start(sf: StandardForm, b, max_pivots, infeasible_above):
     for i in reversed(range(m)):
         if tab.basis[i] < n_real:
             continue
-        cand = np.flatnonzero(np.abs(tab.t[i, :n_real]) > 1e-8)
+        cand = np.flatnonzero(np.abs(tab.t[i, :n_real]) > tol.ARTIFICIAL_PIVOT_TOL)
         if cand.size:
             tab.pivot(i, int(cand[0]), np.zeros(ncols + 1))
         else:

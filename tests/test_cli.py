@@ -4,15 +4,17 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dro import cli, harness
 from dro.cli import main
 from dro.closedform import solve_disjoint_bandit
 from dro.datagen import BetaNominal, cucb_collect_mcp, observe_bandit
+from dro.harness import preset_sweep
 from dro.model import (
     Bandit,
     BiaffineLoss,
@@ -187,6 +189,18 @@ def test_closed_form_rejects_invalid_instance(tmp_path, capsys, scenarios, epsil
     err = capsys.readouterr().err
     assert f"{code}: " in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_non_finite_radius_is_a_finding(interval_instance, tmp_path, capsys, epsilon):
+    # bad input, not a solver failure: the finding, and no solve
+    assert main(["solve", interval_instance, "--epsilon", epsilon]) == 1
+    path = tmp_path / "bad.json"
+    save_instance(path, replace(load_instance(interval_instance), epsilon=float(epsilon)))
+    for command in ("solve", "closed-form"):
+        assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"NonFiniteRadius: epsilon must be finite, got {float(epsilon)}\n" * 3
 
 
 def test_closed_form_bandit_route(bandit_instance, tmp_path):
@@ -454,6 +468,17 @@ def test_collect_rejects_sigma_outside_open_half(tmp_path, capsys, sigma):
     assert path.read_bytes() == before
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_collect_rejects_k_below_one(tmp_path, capsys, k):
+    # -1 would end in a numpy traceback, 0 rewrite the file with nothing added
+    path = tmp_path / "spp.json"
+    assert main(["gen", "spp", "--h", "3", "-r", "2", "-o", str(path)]) == 0
+    before = path.read_bytes()
+    assert main(["collect", "spp", str(path), "--k", k]) == 1
+    assert capsys.readouterr().err == f"invalid --k: need at least one sample, got {k}\n"
+    assert path.read_bytes() == before
+
+
 def test_collect_determinism(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -524,6 +549,11 @@ def test_sweep_rejects_unknown_epsilon_rule(tmp_path, capsys):
 
 # every param an mcp run reads
 _MCP_PARAMS = {"n1": 6, "n2": 6, "subset_size": 3, "budget": 2}
+# an spp K sweep that reads every value it is given
+_SPP_K = {
+    "family": "spp", "sweep": "K", "grid": [3, 6], "feedback": "semibandit",
+    "params": {"h": 3, "r": 2}, "epsilon_rule": {"kind": "sqrt", "gamma": 1.0},
+}
 # drops every key of the full config but the seed, leaving a preset config
 _FULL_ONLY = dict.fromkeys(("family", "sweep", "grid", "instances", "params", "epsilon_rule"))
 
@@ -598,6 +628,24 @@ _FULL_ONLY = dict.fromkeys(("family", "sweep", "grid", "instances", "params", "e
             {"delta_schedule": "growing"},
             "no run reads the swept 'delta': the growing delta schedule sets every delta",
         ),
+        ({**_SPP_K, "delta": 0.5}, "no run reads delta 0.5: family 'spp' applies no corruption"),
+        (
+            {**_SPP_K, "delta_schedule": "growing"},
+            "no run reads the 'growing' delta schedule: family 'spp' applies no corruption",
+        ),
+        (
+            {**_SPP_K, "params": {"h": 3, "r": 2, "n1": 4}},
+            "no run reads params ['n1']: family 'spp' with the 'sqrt' rule reads ['h', 'r']",
+        ),
+        (
+            {"epsilon_rule": {"kind": "fixed", "value": 1.0, "gamma": 2.0}},
+            "no run reads epsilon rule keys ['gamma']: the 'fixed' rule reads 'value'",
+        ),
+        (
+            {"sweep": "h", "grid": [1, 2], "delta": 0.3, "delta_schedule": "growing"},
+            "no run reads delta 0.3: the growing delta schedule sets every delta",
+        ),
+        ({"delta": 0.3}, "no run reads delta 0.3: the delta sweep sets every delta"),
     ],
     ids=[
         "missing-value", "spp-interval", "sorting-preset-bandit",
@@ -609,6 +657,8 @@ _FULL_ONLY = dict.fromkeys(("family", "sweep", "grid", "instances", "params", "e
         "sorting-no-h", "sorting-h-sweep-no-n", "spp-no-r", "mcp-n1-sweep-no-budget",
         "mcp-no-n1", "prop-n1-no-n1", "sorting-n1-sweep", "spp-n1-sweep", "mcp-h-sweep",
         "fixed-gamma-sweep", "spp-delta-sweep", "mcp-delta-sweep", "growing-delta-sweep",
+        "spp-delta", "spp-growing", "spp-params-n1", "fixed-rule-gamma",
+        "sorting-delta-growing", "sorting-delta-delta-sweep",
     ],
 )
 def test_sweep_rejects_misread_config(tmp_path, capsys, override, message):
@@ -630,6 +680,23 @@ def test_sweep_rejects_misread_config(tmp_path, capsys, override, message):
     assert err.startswith("invalid sweep config: ")
     assert message in err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("paper_scale", [False, True], ids=["desk", "paper"])
+@pytest.mark.parametrize("name", sorted(harness._PRESETS))
+def test_every_preset_reads_back_as_full_config(tmp_path, monkeypatch, name, paper_scale):
+    # a preset written out field by field is a full config that dro sweep
+    # accepts, under each feedback its family runs
+    ran = []
+    monkeypatch.delenv("DRO_SEED", raising=False)
+    monkeypatch.setattr(cli, "run_sweep", lambda cfg, backend=None: ran.append(cfg) or [])
+    family = preset_sweep(name, paper_scale=paper_scale).family
+    for feedback in harness._FAMILIES[family].feedbacks:
+        cfg = preset_sweep(name, seed=5, paper_scale=paper_scale, feedback=feedback)
+        cfg_path = tmp_path / f"{feedback}.json"
+        cfg_path.write_text(json.dumps(asdict(cfg)))
+        assert main(["sweep", str(cfg_path), "-o", str(tmp_path / "out.csv")]) == 0
+        assert ran.pop() == cfg
 
 
 def test_sweep_preset_config(tmp_path):

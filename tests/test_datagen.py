@@ -19,7 +19,7 @@ from dro.datagen import (
     sample_nominal,
 )
 from dro.errors import DimensionMismatch, InvalidInstance, MeanOutOfRange
-from dro.model import lower_scenario, Polytope, validate_instance
+from dro.model import Interval, lower_scenario, Polytope, validate_instance
 from dro.selfcheck import random_history
 from dro.problems import CoverageSystem, LayeredGraph, gen_layered_spp, gen_mcp, shortest_path_dp
 from enumeration import all_paths, covered_items, path_arcs, path_vector
@@ -85,24 +85,25 @@ class TestSampling:
 class TestCorruptInterval:
     def test_zero_noise_keeps_points(self):
         data = np.array([[0.2, 0.9], [0.5, 0.1]])
-        for scen in corrupt_interval(data, 0.0, np.ones(2), 0):
-            np.testing.assert_array_equal(scen.lower, scen.upper)
+        lower, upper = corrupt_interval(data, 0.0, np.ones(2), 0)
+        np.testing.assert_array_equal(lower, data)
+        np.testing.assert_array_equal(upper, data)
 
     def test_full_noise_full_box(self):
         data = np.array([[0.2, 0.9]])
-        scen = corrupt_interval(data, 1.0, np.ones(2), 0)[0]
-        np.testing.assert_array_equal(scen.lower, [0.0, 0.0])
-        np.testing.assert_array_equal(scen.upper, [1.0, 1.0])
+        lower, upper = corrupt_interval(data, 1.0, np.ones(2), 0)
+        np.testing.assert_array_equal(lower, [[0.0, 0.0]])
+        np.testing.assert_array_equal(upper, [[1.0, 1.0]])
 
     def test_upper_clip(self):
-        scen = corrupt_interval(np.array([[0.9]]), 0.2, np.ones(1), 0)[0]
-        assert scen.lower[0] == pytest.approx(0.7)
-        assert scen.upper[0] == pytest.approx(1.0)
+        lower, upper = corrupt_interval(np.array([[0.9]]), 0.2, np.ones(1), 0)
+        assert lower[0, 0] == pytest.approx(0.7)
+        assert upper[0, 0] == pytest.approx(1.0)
 
     def test_probability_zero_never_widens(self):
         data = np.random.default_rng(1).random((10, 4))
-        for scen in corrupt_interval(data, 0.7, np.zeros(4), 5):
-            np.testing.assert_array_equal(scen.lower, scen.upper)
+        lower, upper = corrupt_interval(data, 0.7, np.zeros(4), 5)
+        np.testing.assert_array_equal(lower, upper)
 
     def test_growing_schedule_shape(self):
         d = growing_delta(5, 3, 10)
@@ -113,9 +114,9 @@ class TestCorruptInterval:
         rng = np.random.default_rng(8)
         data = rng.random((6, 5))
         support = Polytope.box(np.zeros(5), np.ones(5))
-        scens = corrupt_interval(data, rng.random((6, 5)), rng.random(5), 9)
-        for k, scen in enumerate(scens):
-            assert lower_scenario(scen, support).contains(data[k])
+        lower, upper = corrupt_interval(data, rng.random((6, 5)), rng.random(5), 9)
+        for k in range(6):
+            assert lower_scenario(Interval(lower[k], upper[k]), support).contains(data[k])
 
 
 class TestObservation:

@@ -24,7 +24,7 @@ from dro.harness import (
     wasserstein_radius,
 )
 from dro import model
-from dro.model import Exact
+from dro.model import Exact, Interval
 from dro.problems import gen_mcp, gen_sorting, sorting_cop
 from dro.reformulate import solve_dro
 from dro.solver import ScipyBackend
@@ -93,6 +93,13 @@ def small_sorting_cfg(seed=11, **overrides):
     return SweepConfig(**base)
 
 
+# an spp K sweep that reads every value it is given
+_SPP_K = dict(
+    family="spp", sweep="K", grid=(3, 6), feedback="semibandit",
+    params={"h": 3, "r": 2}, epsilon_rule={"kind": "sqrt", "gamma": 1.0},
+)
+
+
 def _small_mcp_k_cfg(**overrides):
     base = dict(
         family="mcp",
@@ -156,11 +163,8 @@ class TestRunSweep:
         from dro.datagen import sample_nominal
 
         samples = sample_nominal(dist, 8, rng_data)
-        scen = corrupt_interval(samples, np.full((8, n), 0.5), p, rng_noise)
-        idata = interval_boxes(
-            np.array([s.lower for s in scen]), np.array([s.upper for s in scen]),
-            np.zeros(n), np.ones(n),
-        )
+        lower, upper = corrupt_interval(samples, np.full((8, n), 0.5), p, rng_noise)
+        idata = interval_boxes(lower, upper, np.zeros(n), np.ones(n))
         cop = sorting_cop(n, h)
         det = solve_interval_detail(gen_sorting(n, h).feasible, idata, 1.0, cop)
         robust_saa = cop(idata.hi.mean(axis=0))[0] + 1.0
@@ -228,12 +232,28 @@ class TestRunSweep:
                 r"params lack \['n1'\], which family 'sorting' reads when sweeping 'delta' "
                 "with the 'prop_n1' rule",
             ),
+            ({**_SPP_K, "delta": 0.5}, "no run reads delta 0.5: family 'spp' applies no corruption"),
+            (
+                {**_SPP_K, "delta_schedule": "growing"},
+                "no run reads the 'growing' delta schedule: family 'spp' applies no corruption",
+            ),
+            ({**_SPP_K, "params": {"h": 3, "r": 2, "n1": 4}}, r"no run reads params \['n1'\]"),
+            (
+                {"epsilon_rule": {"kind": "fixed", "value": 1.0, "gamma": 2.0}},
+                r"no run reads epsilon rule keys \['gamma'\]: the 'fixed' rule reads 'value'",
+            ),
+            (
+                {"sweep": "h", "grid": (1, 2), "delta": 0.3, "delta_schedule": "growing"},
+                "no run reads delta 0.3: the growing delta schedule sets every delta",
+            ),
+            ({"delta": 0.3}, "no run reads delta 0.3: the delta sweep sets every delta"),
         ],
         ids=[
             "fixed", "sqrt", "prop_h", "prop_n1", "negative", "string",
             "sorting-bandit", "spp-default", "mcp-interval", "negative-gamma-grid",
             "zero-k-cell", "zero-k-samples", "sorting-no-h", "mcp-no-n2",
-            "prop-n1-no-n1",
+            "prop-n1-no-n1", "spp-delta", "spp-growing", "spp-params-n1",
+            "fixed-rule-gamma", "sorting-delta-growing", "sorting-delta-delta-sweep",
         ],
     )
     def test_misread_config_rejected(self, override, message):
@@ -646,8 +666,8 @@ class TestCompleteDataDegeneration:
         rng = np.random.default_rng(13)
         sk = gen_sorting(6, 2)
         data = rng.random((4, 6))
-        scen_interval = corrupt_interval(data, 0.0, np.ones(6), 1)
-        v1, _, _ = solve_dro(sk.instance(tuple(scen_interval), 0.3))
+        lower, upper = corrupt_interval(data, 0.0, np.ones(6), 1)
+        v1, _, _ = solve_dro(sk.instance(tuple(map(Interval, lower, upper)), 0.3))
         v2, _, _ = solve_dro(sk.instance(tuple(Exact(d) for d in data), 0.3))
         assert v1 == pytest.approx(v2, abs=1e-6)
 
@@ -730,11 +750,13 @@ def test_desk_csv_bytes_are_pinned(name, feedback):
     assert hashlib.sha256(text.encode()).hexdigest() == _DESK_CSV_SHA256[name, feedback]
 
 
-@pytest.mark.parametrize("name, feedback", [("mcp-k", "semibandit"), ("spp-k", "bandit")])
+@pytest.mark.parametrize(
+    "name, feedback", [("mcp-k", "semibandit"), ("spp-k", "bandit"), ("sorting-delta", "interval")]
+)
 def test_desk_sweep_builds_no_scenario_objects(monkeypatch, name, feedback):
-    # a sweep lowers its histories straight from the collector arrays
+    # a sweep lowers its histories and corrupted intervals straight from arrays
     built = []
-    for kind in (model.SemiBandit, model.Bandit):
+    for kind in (model.SemiBandit, model.Bandit, model.Interval):
         post_init = kind.__post_init__
 
         def counted(self, post_init=post_init):
