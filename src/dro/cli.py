@@ -50,20 +50,9 @@ def _emit(payload: dict, path: str | None):
         sys.stdout.write(text)
 
 
-def _validated(inst):
-    """What :func:`~dro.model.validate_instance` returns for ``inst``, or
-    None after printing each of its findings."""
-    try:
-        return validate_instance(inst)
-    except InvalidInstance as e:
-        for d in e.diagnostics:
-            print(d, file=sys.stderr)
-        return None
-
-
 class _BadInput(Exception):
-    """An input file the command cannot read; ``main`` prints its one-line
-    message and exits 1."""
+    """Input the command refuses, or a solve it cannot finish; ``main``
+    prints its one-line message and exits 1."""
 
 
 @contextmanager
@@ -87,9 +76,7 @@ def _cmd_solve(args) -> int:
     inst = _load(args.instance)
     if args.epsilon is not None:
         inst = replace(inst, epsilon=args.epsilon)
-    lowered = _validated(inst)
-    if lowered is None:
-        return 1
+    lowered = validate_instance(inst)
     # the dual MILP is what --dump-milp writes and whose LP relaxation
     # root_lp reports, whichever form solves the instance
     mip, layout = build_dro_milp(inst, lowered)
@@ -104,8 +91,7 @@ def _cmd_solve(args) -> int:
         value, x, diag = solve_dro_milp(inst, mip, layout, backend)
         root_lp = diag.relaxation
     if value is None:
-        print(f"solve failed: {diag.status}", file=sys.stderr)
-        return 1
+        raise _BadInput(f"solve failed: {diag.status}")
     _emit(
         {
             "value": value,
@@ -121,16 +107,12 @@ def _cmd_solve(args) -> int:
 
 def _cmd_closed_form(args) -> int:
     inst = _load(args.instance)
-    boxes = _validated(inst)
-    if boxes is None:
-        return 1
+    boxes = validate_instance(inst)
     if not endpoint_fits(inst, boxes):
-        print("instance fits neither closed form (need the loss c.x and every scenario lowering to a box plus at most one total, over a 0/1 mask of binary decisions)", file=sys.stderr)
-        return 1
+        raise _BadInput("instance fits neither closed form (need the loss c.x and every scenario lowering to a box plus at most one total, over a 0/1 mask of binary decisions)")
     value, x, diag = solve_dro_endpoint(inst, boxes, get_backend(args.backend))
     if value is None:
-        print(f"solve failed: {diag.status}", file=sys.stderr)
-        return 1
+        raise _BadInput(f"solve failed: {diag.status}")
     # with no equality both candidates are COPs: the interval closed form
     method = "thm2" if np.isnan(boxes.t).all() else "endpoint"
     _emit({"value": value, "x_or_group": [float(v) for v in x], "method": method}, args.output)
@@ -148,8 +130,7 @@ def _cmd_gen(args) -> int:
             skeleton, _ = gen_mcp(args.n1, args.n2, args.subset_size, args.budget, seed)
             skeleton.meta["seed"] = seed
     except BadCardinality as e:
-        print(f"invalid {args.family} parameters: {e}", file=sys.stderr)
-        return 1
+        raise _BadInput(f"invalid {args.family} parameters: {e}") from e
     inst = skeleton.instance((), 0.0)
     save_instance(args.output, inst, meta=skeleton.meta)
     return 0
@@ -176,11 +157,9 @@ def _cmd_collect(args) -> int:
             r = args.r or meta.get("r")
             graph = LayeredGraph(int(h), int(r)) if h and r else None
         if graph is None:
-            print("graph shape unknown: pass --h and -r or generate with `dro gen spp`", file=sys.stderr)
-            return 1
+            raise _BadInput("graph shape unknown: pass --h and -r or generate with `dro gen spp`")
         if graph.num_arcs != n:
-            print(misfit.format(f"a ({h}, {r}) graph has {graph.num_arcs} arcs", n), file=sys.stderr)
-            return 1
+            raise _BadInput(misfit.format(f"a ({h}, {r}) graph has {graph.num_arcs} arcs", n))
         dist = BetaNominal.random(graph.num_arcs, args.sigma, rng_means)
         run = cucb_collect(graph, dist, args.k, rng_run)
     else:
@@ -190,11 +169,9 @@ def _cmd_collect(args) -> int:
             if subsets:
                 system = CoverageSystem(int(meta["n1"]), tuple(tuple(s) for s in subsets), int(meta["budget"]))
         if system is None:
-            print("subset system unknown: generate the instance with `dro gen mcp`", file=sys.stderr)
-            return 1
+            raise _BadInput("subset system unknown: generate the instance with `dro gen mcp`")
         if system.n_items + system.n_subsets != n:
-            print(misfit.format(f"{system.n_items} items plus {system.n_subsets} subsets", n), file=sys.stderr)
-            return 1
+            raise _BadInput(misfit.format(f"{system.n_items} items plus {system.n_subsets} subsets", n))
         dist = BetaNominal.random(system.n_items, args.sigma, rng_means)
         run = cucb_collect_mcp(system, dist, args.k, rng_run)
     new = observe(args.feedback, run.samples, run.decisions, n)
@@ -322,6 +299,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except _BadInput as e:
         print(e, file=sys.stderr)
+        return 1
+    except InvalidInstance as e:
+        for d in e.diagnostics:
+            print(d, file=sys.stderr)
         return 1
 
 

@@ -185,8 +185,10 @@ class SweepConfig:
     c*n1); a rule reads its scale from the cell when the sweep runs over it.
     ``sigma``, the standard deviation of every nominal beta law, lies in
     (0, 1/2), the stds a beta law on [0, 1] can have.  ``feedback`` must be
-    one the family runs (``_FAMILIES``).  K grid cells and ``k_samples``
-    are at least 1.  ``k_max`` is the largest K of the grid: the history
+    one the family runs (``_FAMILIES``).  ``params`` values and the cells of
+    a K, h or n1 sweep are integers, and K grid cells and ``k_samples`` are
+    at least 1; ``delta`` and the cells of a delta sweep are finite and at
+    least 0.  ``k_max`` is the largest K of the grid: the history
     length a K sweep collects and reads every cell off, and the growing
     schedule's divisor.  ``params`` holds every param the family reads, and
     ``n1`` under ``prop_n1``; a swept one may be left out.
@@ -231,6 +233,9 @@ class SweepConfig:
             ("sigma", numbers.Real, (self.sigma,)),
             ("grid cells", numbers.Real, self.grid),
             ("params values", numbers.Real, tuple(self.params.values())),
+            # the draws and runners read these as counts
+            (f"{self.sweep} grid cells", numbers.Integral, self.grid if self.sweep in ("K", "h", "n1") else ()),
+            ("params values", numbers.Integral, tuple(self.params.values())),
         ):
             for v in values:
                 if isinstance(v, bool) or not isinstance(v, kind):
@@ -262,7 +267,7 @@ class SweepConfig:
             if not (isinstance(value, (int, float)) and value >= 0):
                 what = "grid cells" if gamma_cells else repr(param)
                 raise ValueError(f"epsilon rule {kind!r} needs {what} >= 0, got {value!r}")
-        if int(self.k_samples) < 1:
+        if self.k_samples < 1:
             raise ValueError(f"k_samples must be >= 1, got {self.k_samples!r}")
         if self.sweep == "K" and min(self.cell_k(v) for v in self.grid) < 1:
             raise ValueError(f"K grid cells must be >= 1, got {list(self.grid)}")
@@ -300,6 +305,10 @@ class SweepConfig:
         ):
             if why:
                 raise ValueError(f"no run reads {what}: {why}")
+        for value in self.grid if self.sweep == "delta" else (self.delta,):
+            if not (math.isfinite(value) and value >= 0):
+                what = "delta grid cells" if self.sweep == "delta" else "delta"
+                raise ValueError(f"{what} must be finite and >= 0, got {value!r}")
 
     def _radius_param(self) -> str | None:
         """The param a proportional epsilon rule scales the radius by."""
@@ -311,11 +320,11 @@ class SweepConfig:
         return max(self.cell_k(v) for v in self.grid)
 
     def cell_k(self, cell) -> int:
-        return int(cell) if self.sweep == "K" else int(self.k_samples)
+        return cell if self.sweep == "K" else self.k_samples
 
     def cell_param(self, name: str, cell) -> int:
         """``params[name]``, or the cell when the sweep runs over ``name``."""
-        return int(cell) if self.sweep == name else int(self.params[name])
+        return cell if self.sweep == name else self.params[name]
 
     def cell_epsilon(self, cell, num_samples: int) -> float:
         rule = self.epsilon_rule
@@ -388,7 +397,7 @@ def _interval_outcome(
 
 
 def _draw_sorting(cfg: SweepConfig, cell, rngs):
-    n = int(cfg.params["n"])
+    n = cfg.params["n"]
 
     def draw(_rng_struct, rng_means, rng_data, noise):
         dist = BetaNominal.random(n, cfg.sigma, rng_means)
@@ -478,7 +487,7 @@ def _draw_histories(cfg: SweepConfig, rngs, draw, collect):
 
 
 def _draw_spp(cfg: SweepConfig, cell, rngs):
-    skeleton, graph = gen_layered_spp(cfg.cell_param("h", cell), int(cfg.params["r"]))
+    skeleton, graph = gen_layered_spp(cfg.cell_param("h", cell), cfg.params["r"])
     cop = spp_cop(graph)
     return _draw_histories(
         cfg, rngs,
@@ -492,7 +501,7 @@ def _draw_mcp(cfg: SweepConfig, cell, rngs):
 
     def draw(rng_struct, rng_means):
         skeleton, system = gen_mcp(
-            n1, *(int(cfg.params[k]) for k in ("n2", "subset_size", "budget")), rng_struct
+            n1, *(cfg.params[k] for k in ("n2", "subset_size", "budget")), rng_struct
         )
         return skeleton, system, mcp_cop(system), BetaNominal.random(n1, cfg.sigma, rng_means)
 

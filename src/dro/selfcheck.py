@@ -2,13 +2,14 @@
 
 Each check pits one solve path against an independent oracle (exhaustive
 enumeration, a closed form, or a metric axiom) on freshly drawn random
-instances.  Acceptance criteria 1-5 run the same checks at larger counts.
+instances.  Acceptance criteria 1-5 run the same checks at larger counts,
+and the tests that need a check's draws call the check.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,9 +75,32 @@ class CheckResult:
         return f"{tag} {self.name}: {self.detail}"
 
 
-def _result(name, failures, clean_detail, **metrics) -> CheckResult:
-    detail = "; ".join(failures[:3]) if failures else clean_detail
-    return CheckResult(name, not failures, detail, **metrics)
+@dataclass
+class _Tally:
+    """What one check has seen so far: the largest error, the misses and the
+    failure messages, one per failed draw or comparison."""
+
+    worst: float = 0.0
+    misses: int = 0
+    failures: list = field(default_factory=list)
+
+    def fail(self, message: str, miss: bool = False):
+        """Record a failure; a ``miss`` is a wrong status or decision."""
+        self.misses += miss
+        self.failures.append(message)
+
+    def compare(self, err: float, bound: float, message: str, ok: bool = True):
+        """Count ``err`` toward the worst error, and fail with ``message``
+        when it exceeds ``bound`` or the draw is not ``ok``."""
+        self.worst = max(self.worst, err)
+        if err > bound or not ok:
+            self.fail(message)
+
+    def result(self, name: str, clean_detail: str) -> CheckResult:
+        """The check's result: a failed detail joins the first three
+        failures with ``"; "``, a passed one is ``clean_detail``."""
+        detail = "; ".join(self.failures[:3]) if self.failures else clean_detail
+        return CheckResult(name, not self.failures, detail, self.worst, self.misses)
 
 
 def random_binary_milp(rng: np.random.Generator):
@@ -335,20 +359,20 @@ def check_box_lowering(count: int, seed) -> CheckResult:
     each scenario's :func:`~dro.model.lower_scenario` system, clipped into
     the support's box: every array bit for bit."""
     rng = np.random.default_rng(seed)
-    failures = []
+    tally = _Tally()
     for t in range(count):
         inst = random_mixed_box_instance(rng)
         try:
             boxes = validate_instance(inst)
         except InvalidInstance as e:
-            failures.append(f"instance {t}: {e}")
+            tally.fail(f"instance {t}: {e}")
             continue
         if not isinstance(boxes, SampleBoxes):
-            failures.append(f"instance {t}: box data lowered to polytopes")
+            tally.fail(f"instance {t}: box data lowered to polytopes")
             continue
         reads = [read_lowered_rows(lower_scenario(s, inst.support)) for s in inst.scenarios]
         if any(r is None for r in reads):
-            failures.append(f"instance {t}: a lowered system is not a box plus one equality")
+            tally.fail(f"instance {t}: a lowered system is not a box plus one equality")
             continue
         l, u = inst.support.box_bounds()
         want = (
@@ -360,9 +384,8 @@ def check_box_lowering(count: int, seed) -> CheckResult:
         got = (boxes.lo, boxes.hi, boxes.m, boxes.t)
         for name, g, w in zip(("lo", "hi", "m", "t"), got, want):
             if g.shape != w.shape or g.tobytes() != w.tobytes():
-                failures.append(f"instance {t}: {name} differs")
-    clean = f"{count} mixed box instances lower bit for bit"
-    return _result("box-lowering-vs-rows", failures, clean)
+                tally.fail(f"instance {t}: {name} differs")
+    return tally.result("box-lowering-vs-rows", f"{count} mixed box instances lower bit for bit")
 
 
 def random_history(rng: np.random.Generator, t: int):
@@ -396,7 +419,7 @@ def check_history_lowering(count: int, seed) -> CheckResult:
     :func:`~dro.model.lower_box_scenarios`, under both feedbacks: every
     array bit for bit and the same findings."""
     rng = np.random.default_rng(seed)
-    failures, found = [], 0
+    tally, found = _Tally(), 0
     for t in range(count):
         skeleton, run = random_history(rng, t)
         support = skeleton.support
@@ -406,13 +429,13 @@ def check_history_lowering(count: int, seed) -> CheckResult:
             want, want_findings = lower_box_scenarios(scen, support)
             found += bool(want_findings)
             if list(map(str, got_findings)) != list(map(str, want_findings)):
-                failures.append(f"history {t} {feedback}: findings differ")
+                tally.fail(f"history {t} {feedback}: findings differ")
             for name in ("lo", "hi", "m", "t", "l", "u"):
                 g, w = getattr(got, name), getattr(want, name)
                 if g.shape != w.shape or g.tobytes() != w.tobytes():
-                    failures.append(f"history {t} {feedback}: {name} differs")
+                    tally.fail(f"history {t} {feedback}: {name} differs")
     clean = f"{count} histories under both feedbacks lower bit for bit ({found} lowerings with findings)"
-    return _result("history-lowering-vs-scenarios", failures, clean)
+    return tally.result("history-lowering-vs-scenarios", clean)
 
 
 def check_compact_dual(count: int, seed) -> CheckResult:
@@ -420,12 +443,12 @@ def check_compact_dual(count: int, seed) -> CheckResult:
     MILP and LP relaxation values on the reference kernel."""
     rng = np.random.default_rng(seed)
     kernel = ReferenceKernel()
-    worst, failures = 0.0, []
+    tally = _Tally()
     for t in range(count):
         inst = random_box_instance(rng)
         mip, layout = build_dro_milp(inst)
         if not isinstance(layout, CompactVars):
-            failures.append(f"instance {t}: box data built the full dual")
+            tally.fail(f"instance {t}: box data built the full dual")
             continue
         (v_mip, _, d_mip), (v_full, _, d_full) = (
             solve_dro_milp(inst, *built, kernel)
@@ -434,14 +457,12 @@ def check_compact_dual(count: int, seed) -> CheckResult:
         pairs = (("milp", v_mip, v_full), ("lp", d_mip.relaxation, d_full.relaxation))
         for what, got, want in pairs:
             if got is None or want is None:
-                failures.append(f"instance {t}: {what} solve failed ({got} vs {want})")
+                tally.fail(f"instance {t}: {what} solve failed ({got} vs {want})")
                 continue
             err = abs(got - want) / max(1.0, abs(want))
-            worst = max(worst, err)
-            if err > 1e-9:
-                failures.append(f"instance {t}: {what} {got} vs {want}")
-    clean = f"{count} box instances agree (worst rel err {worst:.2e})"
-    return _result("compact-vs-full-dual", failures, clean, worst=worst)
+            tally.compare(err, 1e-9, f"instance {t}: {what} {got} vs {want}")
+    clean = f"{count} box instances agree (worst rel err {tally.worst:.2e})"
+    return tally.result("compact-vs-full-dual", clean)
 
 
 def check_endpoint_vs_compact(count: int, seed) -> CheckResult:
@@ -450,56 +471,47 @@ def check_endpoint_vs_compact(count: int, seed) -> CheckResult:
     instances of both senses (decisions may differ at tied optima)."""
     rng = np.random.default_rng(seed)
     kernel = ReferenceKernel()
-    worst, failures = 0.0, []
+    tally = _Tally()
     for t in range(count):
         inst = random_endpoint_instance(rng)
         got, _, diag = solve_dro(inst, kernel)
         want, _, _ = solve_dro_milp(inst, *build_dro_milp(inst), kernel)
         if diag.form != "endpoint" or got is None or want is None:
-            failures.append(f"instance {t}: {diag.form} form, {got} vs {want}")
+            tally.fail(f"instance {t}: {diag.form} form, {got} vs {want}")
             continue
         err = abs(got - want) / max(1.0, abs(want))
-        worst = max(worst, err)
-        if err > 1e-9:
-            failures.append(f"instance {t}: {got} vs {want}")
-    clean = f"{count} bandit and mixed instances agree (worst rel err {worst:.2e})"
-    return _result("endpoint-vs-compact", failures, clean, worst=worst)
+        tally.compare(err, 1e-9, f"instance {t}: {got} vs {want}")
+    clean = f"{count} bandit and mixed instances agree (worst rel err {tally.worst:.2e})"
+    return tally.result("endpoint-vs-compact", clean)
 
 
 def check_kernel_enumeration(count: int, seed) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst, misses, failures = 0.0, 0, []
+    tally = _Tally()
     for t in range(count):
         mip = random_binary_milp(rng)
         res = solve_milp(mip)
         best = brute_force_milp(mip)
         want = "infeasible" if best is None else "optimal"
         if res.status != want:
-            misses += 1
-            failures.append(f"instance {t}: status {res.status}, expected {want}")
+            tally.fail(f"instance {t}: status {res.status}, expected {want}", miss=True)
         elif best is not None:
-            err = abs(res.value - best)
-            worst = max(worst, err)
-            if err > 1e-6:
-                failures.append(f"instance {t}: {res.value} vs {best}")
-    clean = f"{count} random binary programs match"
-    return _result("kernel-vs-enumeration", failures, clean, worst=worst, misses=misses)
+            tally.compare(abs(res.value - best), 1e-6, f"instance {t}: {res.value} vs {best}")
+    return tally.result("kernel-vs-enumeration", f"{count} random binary programs match")
 
 
 def check_mcp_cop(count: int, seed) -> CheckResult:
     """The coverage search against enumeration of every selection."""
     rng = np.random.default_rng(seed)
-    worst, failures = 0.0, []
+    tally = _Tally()
     for t in range(count):
         skeleton, system, costs = random_coverage_costs(rng)
         got, x = mcp_cop(system)(costs)
         want = brute_force_coverage(system, costs)
         err = abs(got - want) / (1.0 + abs(want))
-        worst = max(worst, err)
-        if err > 1e-12 or not skeleton.feasible.contains(x):
-            failures.append(f"system {t}: {got} vs {want}")
-    clean = f"{count} coverage systems match (worst rel err {worst:.2e})"
-    return _result("mcp-cop-vs-enumeration", failures, clean, worst=worst)
+        tally.compare(err, 1e-12, f"system {t}: {got} vs {want}", ok=skeleton.feasible.contains(x))
+    clean = f"{count} coverage systems match (worst rel err {tally.worst:.2e})"
+    return tally.result("mcp-cop-vs-enumeration", clean)
 
 
 def check_collectors_batch(count: int, seed) -> CheckResult:
@@ -510,7 +522,7 @@ def check_collectors_batch(count: int, seed) -> CheckResult:
     num_k = int(rng.integers(1, 26))
     _, graph = gen_layered_spp(int(rng.integers(2, 6)), int(rng.integers(1, 5)))
     systems = [random_coverage_costs(rng)[1] for _ in range(count)]
-    failures = []
+    tally = _Tally()
     for family, structures, collect in (
         ("routing", [graph] * count, lambda _, d, r: cucb_collect(graph, d, num_k, r)),
         ("coverage", systems, lambda s, d, r: cucb_collect_mcp(s, d, num_k, r)),
@@ -525,47 +537,39 @@ def check_collectors_batch(count: int, seed) -> CheckResult:
             one = collect(s, d, alone)
             same = [(x.decisions.tobytes(), x.samples.tobytes(), x.selections) for x in (run, one)]
             if same[0] != same[1] or r.bit_generator.state != alone.bit_generator.state:
-                failures.append(f"{family} history {t} differs")
-    clean = f"{count} routing and {count} coverage histories match"
-    return _result("collectors-batch-vs-single", failures, clean)
+                tally.fail(f"{family} history {t} differs")
+    return tally.result("collectors-batch-vs-single", f"{count} routing and {count} coverage histories match")
 
 
 def check_interval_oracle(count: int, seed) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst, failures = 0.0, []
+    tally = _Tally()
     for t in range(count):
         inst = random_interval_instance(rng)
         v_milp, _, _ = solve_dro(inst)
         idata = interval_data_from_instance(inst)
         v_cf, _ = solve_interval(inst.feasible, idata, inst.epsilon)
         err = abs(v_milp - v_cf) / (1.0 + abs(v_cf))
-        worst = max(worst, err)
-        if err > 1e-6:
-            failures.append(f"instance {t}: {v_milp} vs {v_cf}")
-    clean = f"{count} instances agree (worst rel err {worst:.2e})"
-    return _result("interval-closed-form", failures, clean, worst=worst)
+        tally.compare(err, 1e-6, f"instance {t}: {v_milp} vs {v_cf}")
+    clean = f"{count} instances agree (worst rel err {tally.worst:.2e})"
+    return tally.result("interval-closed-form", clean)
 
 
 def check_bandit_oracle(count: int, seed) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst, misses, failures = 0.0, 0, []
+    tally = _Tally()
     for t in range(count):
         inst, hist = random_bandit_instance(rng)
         v_milp, x_milp, _ = solve_dro(inst)
         v_cf, _ = solve_disjoint_bandit(hist, inst.epsilon)
-        err = abs(v_milp - v_cf)
-        worst = max(worst, err)
-        if err > 1e-6:
-            failures.append(f"instance {t}: {v_milp} vs {v_cf}")
+        tally.compare(abs(v_milp - v_cf), 1e-6, f"instance {t}: {v_milp} vs {v_cf}")
         scores = hist.scores
         argmin = np.flatnonzero(scores <= scores.min() + 1e-9)
         if not any(
             np.array_equal(np.round(x_milp), hist.grouping.decisions[v]) for v in argmin
         ):
-            misses += 1
-            failures.append(f"instance {t}: decision outside argmin group")
-    clean = f"{count} instances agree incl. argmin groups"
-    return _result("grouped-bandit-closed-form", failures, clean, worst=worst, misses=misses)
+            tally.fail(f"instance {t}: decision outside argmin group", miss=True)
+    return tally.result("grouped-bandit-closed-form", f"{count} instances agree incl. argmin groups")
 
 
 def check_highs_vs_reference(count: int, seed) -> CheckResult:
@@ -574,7 +578,7 @@ def check_highs_vs_reference(count: int, seed) -> CheckResult:
     relative (decisions may differ at tied optima)."""
     rng = np.random.default_rng(seed)
     ref, highs = ReferenceKernel(), ScipyBackend()
-    worst, misses, failures = 0.0, 0, []
+    tally = _Tally()
     for t in range(count):
         for kind, inst in (
             ("interval", random_interval_instance(rng)),
@@ -583,17 +587,14 @@ def check_highs_vs_reference(count: int, seed) -> CheckResult:
             v_ref, _, d_ref = solve_dro(inst, ref)
             v_highs, _, d_highs = solve_dro(inst, highs)
             if d_ref.status != d_highs.status:
-                misses += 1
-                failures.append(f"{kind} {t}: status {d_highs.status} vs {d_ref.status}")
+                tally.fail(f"{kind} {t}: status {d_highs.status} vs {d_ref.status}", miss=True)
                 continue
             if v_ref is None:
                 continue
             err = abs(v_highs - v_ref) / max(1.0, abs(v_ref))
-            worst = max(worst, err)
-            if err > 1e-9:
-                failures.append(f"{kind} {t}: {v_highs} vs {v_ref}")
-    clean = f"{2 * count} instances agree (worst rel err {worst:.2e})"
-    return _result("highs-vs-reference", failures, clean, worst=worst, misses=misses)
+            tally.compare(err, 1e-9, f"{kind} {t}: {v_highs} vs {v_ref}")
+    clean = f"{2 * count} instances agree (worst rel err {tally.worst:.2e})"
+    return tally.result("highs-vs-reference", clean)
 
 
 def fractional_binary_milp(rng: np.random.Generator) -> MixedIntegerProgram:
@@ -616,7 +617,7 @@ def check_highs_relaxation_first(count: int, seed) -> CheckResult:
     rng = np.random.default_rng(seed)
     highs = ScipyBackend()
     bits = lambda v: None if v is None else v.hex()
-    worst, misses, failures = 0.0, 0, []
+    tally = _Tally()
     for t in range(count):
         for kind, mip in (
             ("interval", build_dro_milp(random_interval_instance(rng))[0]),
@@ -626,26 +627,23 @@ def check_highs_relaxation_first(count: int, seed) -> CheckResult:
             got = highs.solve_milp(mip)
             status, _, objective, _ = highs._highs(mip.lp, mip.integer)
             if bits(got.relaxation) != bits(highs.solve_lp(mip.lp).value):
-                failures.append(f"{kind} {t}: relaxation {got.relaxation} is not solve_lp's")
+                tally.fail(f"{kind} {t}: relaxation {got.relaxation} is not solve_lp's")
             if got.status != status:
-                misses += 1
-                failures.append(f"{kind} {t}: status {got.status} vs {status}")
+                tally.fail(f"{kind} {t}: status {got.status} vs {status}", miss=True)
                 continue
             if status != OPTIMAL:
                 continue
             flip = -1.0 if mip.lp.sense == "max" else 1.0
             want = flip * objective + mip.lp.c0
             err = abs(got.value - want) / (1.0 + abs(want))
-            worst = max(worst, err)
-            if err > tol.VALUE_TOL:
-                failures.append(f"{kind} {t}: {got.value} vs {want}")
-    clean = f"{3 * count} programs agree with the full MIP solve (worst rel err {worst:.2e})"
-    return _result("highs-relaxation-first", failures, clean, worst=worst, misses=misses)
+            tally.compare(err, tol.VALUE_TOL, f"{kind} {t}: {got.value} vs {want}")
+    clean = f"{3 * count} programs agree with the full MIP solve (worst rel err {tally.worst:.2e})"
+    return tally.result("highs-relaxation-first", clean)
 
 
 def check_wc_expectation(count: int, seed) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst, failures = 0.0, []
+    tally = _Tally()
     for t in range(count):
         n = int(rng.integers(1, 11))
         num_k = int(rng.integers(1, 6))
@@ -656,11 +654,8 @@ def check_wc_expectation(count: int, seed) -> CheckResult:
         lp = build_wc_expectation_lp(x, data, support, BiaffineLoss.bilinear(n), eps)
         got = solve_lp(lp).value
         want = worst_case_cost(x, data, np.ones(n), eps)
-        err = abs(got - want)
-        worst = max(worst, err)
-        if err > 1e-6:
-            failures.append(f"triple {t}: {got} vs {want}")
-    return _result("capped-mean-identity", failures, f"{count} random triples agree", worst=worst)
+        tally.compare(abs(got - want), 1e-6, f"triple {t}: {got} vs {want}")
+    return tally.result("capped-mean-identity", f"{count} random triples agree")
 
 
 def check_w1_axioms(count: int, seed) -> CheckResult:
@@ -671,26 +666,26 @@ def check_w1_axioms(count: int, seed) -> CheckResult:
         w = rng.random(k) + 0.1
         return DiscreteDistribution(rng.random((k, n)) * 2 - 0.5, w / w.sum())
 
-    failures = []
+    tally = _Tally()
     for t in range(count):
         n = int(rng.integers(1, 4))
         p, q, r = (random_dist(n) for _ in range(3))
         dpq = discrete_w1(p, q)
         if dpq != discrete_w1(q, p):
-            failures.append(f"triple {t}: asymmetry")
+            tally.fail(f"triple {t}: asymmetry")
         if dpq < 0.0:
-            failures.append(f"triple {t}: negative")
+            tally.fail(f"triple {t}: negative")
         if discrete_w1(p, p) != 0.0:
-            failures.append(f"triple {t}: self-distance")
+            tally.fail(f"triple {t}: self-distance")
         dpr, dqr = discrete_w1(p, r), discrete_w1(q, r)
         if dpq > dpr + dqr + 1e-6 or dpr > dpq + dqr + 1e-6:
-            failures.append(f"triple {t}: triangle")
+            tally.fail(f"triple {t}: triangle")
         a, b = rng.random(n), rng.random(n)
         if discrete_w1(
             DiscreteDistribution.empirical([a]), DiscreteDistribution.empirical([b])
         ) != float(np.abs(a - b).sum()):
-            failures.append(f"triple {t}: dirac-dirac")
-    return _result("transport-metric", failures, f"{count} random triples satisfy all axioms")
+            tally.fail(f"triple {t}: dirac-dirac")
+    return tally.result("transport-metric", f"{count} random triples satisfy all axioms")
 
 
 def run_all(seed=0, scale: float = 1.0) -> list[CheckResult]:

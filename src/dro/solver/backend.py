@@ -17,7 +17,7 @@ import os
 import sys
 import warnings
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .lp import LinearProgram, SolveResult, solve_lp
 from .milp import MixedIntegerProgram, solve_milp
 
 
-@runtime_checkable
 class Backend(Protocol):
     """On ``optimal``, both solves report the value in the program's own
     sense (``c0`` included) and a point ``x``; ``solve_milp`` also reports

@@ -39,8 +39,8 @@ from ..errors import DimensionMismatch
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-ITERLIMIT = "iterlimit"  # a pivot cap (max_pivots) stopped the solve
-NODELIMIT = "nodelimit"  # branch & bound stopped at its node cap (max_nodes)
+ITERLIMIT = "iterlimit"  # the pivot cap (tolerances.MAX_PIVOTS) stopped the solve
+NODELIMIT = "nodelimit"  # branch & bound stopped at its node cap (tolerances.MAX_NODES)
 ERROR = "error"  # the solver gave up for numerical or other reasons
 
 LE, EQ, GE = "<=", "=", ">="
@@ -423,7 +423,7 @@ class _Tableau:
         self.basis[row] = col
         self.pivots += 1
 
-    def run(self, costs, allowed, max_pivots):
+    def run(self, costs, allowed):
         """Minimize ``costs`` over the allowed columns from the current,
         primal feasible basis (primal simplex)."""
         obj = self.objective_row(costs)
@@ -440,7 +440,7 @@ class _Tableau:
                 col = int(np.argmin(rc))
                 if rc[col] >= -tol.PIVOT_TOL:
                     return OPTIMAL
-            if self.pivots >= max_pivots:
+            if self.pivots >= tol.MAX_PIVOTS:
                 return ITERLIMIT
             column = self.t[:, col]
             rhs = self.t[:, -1]
@@ -457,7 +457,7 @@ class _Tableau:
             self.pivot(row, col, obj)
             stall.record(obj[-1] - before)
 
-    def run_dual(self, costs, max_pivots, infeasible_below):
+    def run_dual(self, costs, infeasible_below):
         """Restore primal feasibility from a dual feasible basis (dual
         simplex) until every basic value is at least ``-PIVOT_TOL``.
 
@@ -481,7 +481,7 @@ class _Tableau:
                     return INFEASIBLE
             else:
                 return OPTIMAL
-            if self.pivots >= max_pivots:
+            if self.pivots >= tol.MAX_PIVOTS:
                 return ITERLIMIT
             ratios = np.maximum(obj[entering], 0.0) / -self.t[row, entering]
             col = int(entering[np.flatnonzero(ratios <= ratios.min() + tol.PIVOT_TOL)[0]])
@@ -500,7 +500,7 @@ class _Tableau:
         return z
 
 
-def _cold_start(sf: StandardForm, b, max_pivots, infeasible_above):
+def _cold_start(sf: StandardForm, b, infeasible_above):
     """Phase one of the two-phase simplex: negate the rows with b < 0, then
     from the slack basis plus one artificial column per row without a usable
     slack, drive the artificial sum to zero, then pivot the artificials out
@@ -525,7 +525,7 @@ def _cold_start(sf: StandardForm, b, max_pivots, infeasible_above):
         return tab, OPTIMAL
     phase1 = np.zeros(ncols)
     phase1[n_real:] = 1.0
-    status = tab.run(phase1, np.ones(ncols, dtype=bool), max_pivots)
+    status = tab.run(phase1, np.ones(ncols, dtype=bool))
     if status == ITERLIMIT:
         return tab, ITERLIMIT
     art_sum = float(phase1[tab.basis] @ tab.t[:, -1])
@@ -543,11 +543,7 @@ def _cold_start(sf: StandardForm, b, max_pivots, infeasible_above):
     return tab, OPTIMAL
 
 
-def solve_lp(
-    lp: LinearProgram,
-    max_pivots: int | None = None,
-    start: ParentTableau | None = None,
-) -> SolveResult:
+def solve_lp(lp: LinearProgram, start: ParentTableau | None = None) -> SolveResult:
     """Solve an LP with the reference simplex kernel.
 
     From ``start``, the tableau of an optimal basis of a program that differs
@@ -556,13 +552,11 @@ def solve_lp(
     another layout, the solve is cold.  Both paths report ``infeasible``
     only past ``FEAS_TOL`` times (1 + the largest |rhs|): phase one when the
     artificial sum exceeds it, the dual simplex when a basic value below
-    minus that has no negative entry in its row.  ``max_pivots`` caps primal
-    and dual pivots together.  An optimal solve re-solves ``x`` against its
-    final basis.  A cold solve of a :meth:`LinearProgram.malformed` program
-    is status ``error``.
+    minus that has no negative entry in its row.  ``tolerances.MAX_PIVOTS``,
+    read at each pivot, caps primal and dual pivots together.  An optimal
+    solve re-solves ``x`` against its final basis.  A cold solve of a
+    :meth:`LinearProgram.malformed` program is status ``error``.
     """
-    if max_pivots is None:
-        max_pivots = tol.MAX_PIVOTS
     if start is not None and start.form.layout != _layout(lp):
         start = None
     # a solve from ``start`` changes only bounds of a program already
@@ -581,15 +575,15 @@ def solve_lp(
     feas_tol = tol.FEAS_TOL * (1.0 + float(np.abs(b).max(initial=0.0)))
     if start is not None:
         tab = start.start(lp)
-        status = tab.run_dual(sf.costs, max_pivots, -feas_tol)
+        status = tab.run_dual(sf.costs, -feas_tol)
     else:
-        tab, status = _cold_start(sf, b, max_pivots, feas_tol)
+        tab, status = _cold_start(sf, b, feas_tol)
     if status == OPTIMAL:
         ncols = tab.t.shape[1] - 1
         n_real = sf.a.shape[1]
         costs = np.zeros(ncols)
         costs[:n_real] = sf.costs
-        status = tab.run(costs, np.arange(ncols) < n_real, max_pivots)
+        status = tab.run(costs, np.arange(ncols) < n_real)
     if status != OPTIMAL:
         return SolveResult(status, pivots=tab.pivots)
     return _result_at_basis(lp, sf, lo, b, tab)

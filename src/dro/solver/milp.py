@@ -64,8 +64,7 @@ class MixedIntegerProgram:
             )
 
 
-def _fix_and_polish(mip: MixedIntegerProgram, x_lp, node: LinearProgram, form, basis,
-                    max_pivots):
+def _fix_and_polish(mip: MixedIntegerProgram, x_lp, node: LinearProgram, form, basis):
     """Round the integer block and re-solve the continuous block from the
     node's tableau.  Returns ``(polished, pivots)``: the exact completed
     solution ``(value, x)``, or None if the rounding is infeasible, and the
@@ -85,7 +84,7 @@ def _fix_and_polish(mip: MixedIntegerProgram, x_lp, node: LinearProgram, form, b
     lo[mip.integer] = rounded
     hi[mip.integer] = rounded
     start = form.tableau(node, basis)
-    res = solve_lp(mip.lp.with_bounds(lo, hi), max_pivots=max_pivots, start=start)
+    res = solve_lp(mip.lp.with_bounds(lo, hi), start=start)
     if res.status != OPTIMAL:
         return None, res.pivots
     # the fixed columns can come back a rounding error off their bounds
@@ -93,20 +92,20 @@ def _fix_and_polish(mip: MixedIntegerProgram, x_lp, node: LinearProgram, form, b
     return (res.value, res.x), res.pivots
 
 
-def solve_milp(mip: MixedIntegerProgram, max_pivots=None, max_nodes=200000) -> SolveResult:
+def solve_milp(mip: MixedIntegerProgram) -> SolveResult:
     """Solve a MILP by branch & bound over the reference LP kernel.
 
     The result records the number of explored nodes, the simplex pivots
     of every LP it solved, fix-and-polish LPs included, and the root LP's
-    value as ``relaxation``.  The search stops
-    with ``nodelimit`` once ``max_nodes`` nodes are explored and with
-    ``iterlimit`` when a node LP reaches ``max_pivots``.  Integer variables
-    must carry finite upper bounds.
+    value as ``relaxation``.  The search stops with ``nodelimit`` once
+    ``tolerances.MAX_NODES`` nodes are explored and with ``iterlimit`` when a
+    node LP reaches ``tolerances.MAX_PIVOTS``.  Integer variables must carry
+    finite upper bounds.
     """
     mip.check_integer_bounds()
     base = mip.lp
     flip = -1.0 if base.sense == "max" else 1.0
-    root = solve_lp(base, max_pivots=max_pivots)
+    root = solve_lp(base)
     if not root.optimal:
         return SolveResult(root.status, node_count=1, pivots=root.pivots)
 
@@ -132,7 +131,7 @@ def solve_milp(mip: MixedIntegerProgram, max_pivots=None, max_nodes=200000) -> S
         frac = np.abs(x_lp - np.round(x_lp))
         frac[~mip.integer] = 0.0
         if frac.max(initial=0.0) <= tol.INT_TOL:
-            polished, polish_pivots = _fix_and_polish(mip, x_lp, node, form, basis, max_pivots)
+            polished, polish_pivots = _fix_and_polish(mip, x_lp, node, form, basis)
             pivots += polish_pivots
             if polished is not None:
                 val, x = polished
@@ -147,7 +146,7 @@ def solve_milp(mip: MixedIntegerProgram, max_pivots=None, max_nodes=200000) -> S
         v = x_lp[j]
         start = form.tableau(node, basis)
         for lo_j, hi_j in ((lower[j], np.floor(v)), (np.ceil(v), upper[j])):
-            if nodes >= max_nodes:
+            if nodes >= tol.MAX_NODES:
                 return SolveResult(NODELIMIT, node_count=nodes, pivots=pivots,
                                    relaxation=root.value)
             lo = lower.copy()
@@ -156,7 +155,7 @@ def solve_milp(mip: MixedIntegerProgram, max_pivots=None, max_nodes=200000) -> S
             hi[j] = min(hi[j], hi_j)
             if lo[j] > hi[j]:
                 continue
-            res = solve_lp(base.with_bounds(lo, hi), max_pivots=max_pivots, start=start)
+            res = solve_lp(base.with_bounds(lo, hi), start=start)
             nodes += 1
             pivots += res.pivots
             if res.status == ITERLIMIT:

@@ -23,8 +23,11 @@ STALL_PIVOTS = 5000
 # basis after phase 1; a row with none is redundant.
 ARTIFICIAL_PIVOT_TOL = 1e-8
 
-# Default simplex iteration limit.
+# The reference kernel's caps, read while a solve runs (so a test can
+# monkeypatch them): simplex pivots per LP solve (``iterlimit``) and branch
+# & bound nodes per MILP solve (``nodelimit``).
 MAX_PIVOTS = 10**6
+MAX_NODES = 200_000
 
 # Two LP optima count as equal (idempotence, bound comparisons) below this;
 # also the relative MIP gap of both branch & bound kernels.

@@ -26,7 +26,7 @@ def _bounded_lp(base, lower, upper):
     )
 
 
-def _fix_and_polish(mip, x_lp, lower, upper, max_pivots):
+def _fix_and_polish(mip, x_lp, lower, upper):
     """``(polished, pivots)`` as in ``dro.solver.milp``."""
     rounded = np.round(x_lp[mip.integer])
     lo = lower.copy()
@@ -39,19 +39,19 @@ def _fix_and_polish(mip, x_lp, lower, upper, max_pivots):
         if _bounded_lp(mip.lp, lower, upper).max_violation(x) > tol.FEAS_TOL:
             return None, 0
         return (float(mip.lp.c @ x) + mip.lp.c0, x), 0
-    res = solve_lp(_bounded_lp(mip.lp, lo, hi), max_pivots=max_pivots)
+    res = solve_lp(_bounded_lp(mip.lp, lo, hi))
     if res.status != OPTIMAL:
         return None, res.pivots
     res.x[mip.integer] = rounded
     return (res.value, res.x), res.pivots
 
 
-def cold_solve_milp(mip, max_pivots=None, max_nodes=200000) -> SolveResult:
+def cold_solve_milp(mip) -> SolveResult:
     """``dro.solver.solve_milp`` with every node LP solved from scratch."""
     mip.check_integer_bounds()
     base = mip.lp
     flip = -1.0 if base.sense == "max" else 1.0
-    root = solve_lp(base, max_pivots=max_pivots)
+    root = solve_lp(base)
     if root.status in (INFEASIBLE, UNBOUNDED, ITERLIMIT):
         return SolveResult(root.status, node_count=1, pivots=root.pivots)
 
@@ -74,7 +74,7 @@ def cold_solve_milp(mip, max_pivots=None, max_nodes=200000) -> SolveResult:
         frac = np.abs(x_lp - np.round(x_lp))
         frac[~mip.integer] = 0.0
         if frac.max(initial=0.0) <= tol.INT_TOL:
-            polished, polish_pivots = _fix_and_polish(mip, x_lp, lower, upper, max_pivots)
+            polished, polish_pivots = _fix_and_polish(mip, x_lp, lower, upper)
             pivots += polish_pivots
             if polished is not None:
                 val, x = polished
@@ -87,7 +87,7 @@ def cold_solve_milp(mip, max_pivots=None, max_nodes=200000) -> SolveResult:
         j = int(np.argmax(score))
         v = x_lp[j]
         for lo_j, hi_j in ((lower[j], np.floor(v)), (np.ceil(v), upper[j])):
-            if nodes >= max_nodes:
+            if nodes >= tol.MAX_NODES:
                 return SolveResult(NODELIMIT, node_count=nodes, pivots=pivots)
             lo = lower.copy()
             hi = upper.copy()
@@ -95,7 +95,7 @@ def cold_solve_milp(mip, max_pivots=None, max_nodes=200000) -> SolveResult:
             hi[j] = min(hi[j], hi_j)
             if lo[j] > hi[j]:
                 continue
-            res = solve_lp(_bounded_lp(base, lo, hi), max_pivots=max_pivots)
+            res = solve_lp(_bounded_lp(base, lo, hi))
             nodes += 1
             pivots += res.pivots
             if res.status == ITERLIMIT:

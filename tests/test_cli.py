@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict, replace
@@ -554,6 +555,8 @@ _SPP_K = {
     "family": "spp", "sweep": "K", "grid": [3, 6], "feedback": "semibandit",
     "params": {"h": 3, "r": 2}, "epsilon_rule": {"kind": "sqrt", "gamma": 1.0},
 }
+# a sorting h sweep, which reads a given delta
+_SORTING_H = {"sweep": "h", "grid": [2], "params": {"n": 6}}
 # drops every key of the full config but the seed, leaving a preset config
 _FULL_ONLY = dict.fromkeys(("family", "sweep", "grid", "instances", "params", "epsilon_rule"))
 
@@ -646,6 +649,20 @@ _FULL_ONLY = dict.fromkeys(("family", "sweep", "grid", "instances", "params", "e
             "no run reads delta 0.3: the growing delta schedule sets every delta",
         ),
         ({"delta": 0.3}, "no run reads delta 0.3: the delta sweep sets every delta"),
+        ({**_SORTING_H, "delta": -0.2}, "delta must be finite and >= 0, got -0.2"),
+        ({**_SORTING_H, "delta": float("nan")}, "delta must be finite and >= 0, got nan"),
+        ({**_SORTING_H, "delta": float("inf")}, "delta must be finite and >= 0, got inf"),
+        ({"grid": [0.2, -0.1]}, "delta grid cells must be finite and >= 0, got -0.1"),
+        ({"params": {"n": 6, "h": 2.5}}, "params values must be an integer, got 2.5"),
+        ({**_SPP_K, "grid": [5.7, 10]}, "K grid cells must be an integer, got 5.7"),
+        ({**_SPP_K, "sweep": "h", "grid": [2, 3.5], "params": {"r": 2}}, "h grid cells must be an integer, got 3.5"),
+        (
+            {
+                "family": "mcp", "feedback": "semibandit", "sweep": "n1", "grid": [12.5],
+                "params": {k: v for k, v in _MCP_PARAMS.items() if k != "n1"},
+            },
+            "n1 grid cells must be an integer, got 12.5",
+        ),
     ],
     ids=[
         "missing-value", "spp-interval", "sorting-preset-bandit",
@@ -659,6 +676,8 @@ _FULL_ONLY = dict.fromkeys(("family", "sweep", "grid", "instances", "params", "e
         "fixed-gamma-sweep", "spp-delta-sweep", "mcp-delta-sweep", "growing-delta-sweep",
         "spp-delta", "spp-growing", "spp-params-n1", "fixed-rule-gamma",
         "sorting-delta-growing", "sorting-delta-delta-sweep",
+        "negative-delta", "nan-delta", "inf-delta", "negative-delta-cell",
+        "float-param", "float-k-cell", "float-h-cell", "float-n1-cell",
     ],
 )
 def test_sweep_rejects_misread_config(tmp_path, capsys, override, message):
@@ -677,7 +696,7 @@ def test_sweep_rejects_misread_config(tmp_path, capsys, override, message):
     cfg_path.write_text(json.dumps(cfg))
     assert main(["sweep", str(cfg_path), "-o", str(tmp_path / "out.csv")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("invalid sweep config: ")
+    assert err.startswith("invalid sweep config: ") and err.count("\n") == 1
     assert message in err
     assert not (tmp_path / "out.csv").exists()
 
@@ -737,3 +756,28 @@ def test_validate_exit_code(capsys):
     assert "PASS endpoint-vs-compact" in out
     assert "PASS collectors-batch-vs-single" in out
     assert "PASS highs-relaxation-first" in out
+
+
+# ``dro validate --seed 0``, worst errors masked as ``W``: each check's name
+# and clean detail, in run order
+_VALIDATE_SEED_0 = """\
+PASS kernel-vs-enumeration: 25 random binary programs match
+PASS capped-mean-identity: 50 random triples agree
+PASS interval-closed-form: 15 instances agree (worst rel err W)
+PASS grouped-bandit-closed-form: 15 instances agree incl. argmin groups
+PASS transport-metric: 40 random triples satisfy all axioms
+PASS compact-vs-full-dual: 20 box instances agree (worst rel err W)
+PASS mcp-cop-vs-enumeration: 20 coverage systems match (worst rel err W)
+PASS box-lowering-vs-rows: 40 mixed box instances lower bit for bit
+PASS highs-vs-reference: 20 instances agree (worst rel err W)
+PASS collectors-batch-vs-single: 10 routing and 10 coverage histories match
+PASS highs-relaxation-first: 30 programs agree with the full MIP solve (worst rel err W)
+PASS endpoint-vs-compact: 20 bandit and mixed instances agree (worst rel err W)
+PASS history-lowering-vs-scenarios: 40 histories under both feedbacks lower bit for bit (11 lowerings with findings)
+"""
+
+
+def test_validate_prints_every_check_in_order(capsys):
+    assert main(["validate", "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert re.sub(r"\(worst rel err \d\.\d\de[-+]\d\d\)", "(worst rel err W)", out) == _VALIDATE_SEED_0

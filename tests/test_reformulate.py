@@ -6,12 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from dro.closedform import (
-    interval_data_from_instance,
-    solve_disjoint_bandit,
-    solve_interval,
-    worst_case_cost,
-)
+from dro.closedform import solve_disjoint_bandit, worst_case_cost
 from dro.datagen import (
     BetaNominal,
     cucb_collect,
@@ -45,6 +40,8 @@ from dro.reformulate import (
     solve_dro_milp,
 )
 from dro.selfcheck import (
+    check_bandit_oracle,
+    check_interval_oracle,
     random_bandit_instance,
     random_box_instance,
     random_endpoint_instance,
@@ -530,21 +527,12 @@ class TestSolveDro:
             assert v1 == pytest.approx(v2, abs=1e-6)
 
     def test_interval_scenarios_match_two_cop_solution(self):
-        rng = np.random.default_rng(33)
-        for _ in range(10):
-            inst = random_interval_instance(rng)
-            v_milp, _, _ = solve_dro(inst)
-            idata = interval_data_from_instance(inst)
-            v_cf, _ = solve_interval(inst.feasible, idata, inst.epsilon)
-            assert v_milp == pytest.approx(v_cf, abs=1e-6 * (1 + abs(v_cf)))
+        res = check_interval_oracle(10, 33)
+        assert res.passed, res.detail
 
     def test_bandit_scenarios_match_grouped_solution(self):
-        rng = np.random.default_rng(34)
-        for _ in range(10):
-            inst, hist = random_bandit_instance(rng)
-            v_milp, _, _ = solve_dro(inst)
-            v_cf, _ = solve_disjoint_bandit(hist, inst.epsilon)
-            assert v_milp == pytest.approx(v_cf, abs=1e-6)
+        res = check_bandit_oracle(10, 34)
+        assert res.passed, res.detail
 
     @pytest.mark.parametrize("h,r", [(3, 2), (3, 3)])
     def test_overlapping_bandit_matches_per_path_inner_lp(self, h, r):

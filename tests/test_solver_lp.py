@@ -184,14 +184,16 @@ def test_random_cross_check_against_scipy():
     assert solved > 50
 
 
-def test_iteration_limit_reported():
+def test_iteration_limit_reported(monkeypatch):
     rng = np.random.default_rng(5)
     a = rng.normal(size=(8, 8))
     b = a @ rng.random(8) + 1.0
     lp = box_lp(rng.normal(size=8), a, [LE] * 8, b, [0] * 8, [np.inf] * 8)
-    res = solve_lp(lp, max_pivots=1)
+    monkeypatch.setattr(tol, "MAX_PIVOTS", 1)
+    res = solve_lp(lp)
     assert res.status in ("iterlimit", OPTIMAL)  # tiny LPs may finish in one pivot
-    res0 = solve_lp(lp, max_pivots=0)
+    monkeypatch.setattr(tol, "MAX_PIVOTS", 0)
+    res0 = solve_lp(lp)
     assert res0.status == "iterlimit"
 
 
@@ -306,14 +308,15 @@ def test_dual_loop_switches_to_bland_after_stall(monkeypatch, pivot_log, forbid_
     assert dantzig[0] == bland[0] and dantzig[1] != bland[1]
 
 
-def test_warm_path_honours_max_pivots(forbid_cold):
+def test_warm_path_honours_max_pivots(monkeypatch, forbid_cold):
     lp = box_lp(**BLAND_LP)
     tableau = _tableau(lp)
     child = with_bounds(lp, upper=[2.0, 2.0, 1.0, 2.0])
     forbid_cold()
     warm = solve_lp(child, start=tableau)
     assert warm.status == OPTIMAL and warm.pivots == 2
-    capped = solve_lp(child, max_pivots=1, start=tableau)
+    monkeypatch.setattr(tol, "MAX_PIVOTS", 1)
+    capped = solve_lp(child, start=tableau)
     assert capped.status == ITERLIMIT
     assert capped.pivots == 1
 

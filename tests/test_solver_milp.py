@@ -13,12 +13,13 @@ import cold_bnb
 from cold_bnb import cold_solve_milp
 
 import dro
+from dro import tolerances as tol
 from dro.errors import UnboundedDecisionVariable
 from dro.solver import lp as lp_module
 from dro.solver import milp as milp_module
 from dro.reformulate import build_dro_milp
 from dro.selfcheck import (
-    brute_force_milp,
+    check_kernel_enumeration,
     random_bandit_instance,
     random_binary_milp,
     random_interval_instance,
@@ -129,16 +130,8 @@ def test_relaxation_tight_on_network_rows():
 
 
 def test_random_suite_matches_brute_force():
-    rng = np.random.default_rng(31337)
-    for _ in range(60):
-        mip = random_binary_milp(rng)
-        res = solve_milp(mip)
-        best = brute_force_milp(mip)
-        if best is None:
-            assert res.status == "infeasible"
-        else:
-            assert res.status == OPTIMAL
-            assert res.value == pytest.approx(best, abs=1e-6)
+    res = check_kernel_enumeration(60, 31337)
+    assert res.passed, res.detail
 
 
 def test_mixed_continuous_integer():
@@ -177,13 +170,40 @@ def test_determinism_same_tree():
     np.testing.assert_array_equal(r1.x, r2.x)
 
 
-def test_node_and_pivot_limits_have_their_own_statuses():
+def _check_caps(monkeypatch, solve):
     # min x s.t. 2x >= 1, x binary: the root relaxation is fractional
     mip = binary_mip([1.0], [[2.0]], [GE], [1.0])
-    capped = solve_milp(mip, max_nodes=1)
+    with monkeypatch.context() as m:
+        m.setattr(tol, "MAX_NODES", 1)
+        capped = solve(mip)
     assert capped.status == NODELIMIT
     assert capped.node_count == 1
-    assert solve_milp(mip, max_pivots=0).status == ITERLIMIT
+    with monkeypatch.context() as m:
+        m.setattr(tol, "MAX_PIVOTS", 0)
+        assert solve(mip).status == ITERLIMIT
+    assert solve(mip).status == OPTIMAL
+
+
+def test_node_and_pivot_limits_have_their_own_statuses(monkeypatch):
+    _check_caps(monkeypatch, solve_milp)
+
+
+def test_cold_reference_reads_the_same_caps(monkeypatch):
+    _check_caps(monkeypatch, cold_solve_milp)
+
+
+def test_node_lp_at_the_pivot_cap_stops_the_search(monkeypatch):
+    # the root LP runs uncapped, then every node LP, started from its
+    # parent's tableau, may take no pivot
+    original, uncapped = milp_module.solve_lp, tol.MAX_PIVOTS
+
+    def capped_after_root(lp, start=None):
+        monkeypatch.setattr(tol, "MAX_PIVOTS", uncapped if start is None else 0)
+        return original(lp, start=start)
+
+    monkeypatch.setattr(milp_module, "solve_lp", capped_after_root)
+    capped = [solve_milp(mip) for mip in _binary_draws()]
+    assert any(res.status == ITERLIMIT and res.node_count > 1 for res in capped)
 
 
 def _check_polish_pivots(monkeypatch, module, solve):
@@ -310,8 +330,8 @@ def _spy_node_lps(monkeypatch):
     calls = []
     original = milp_module.solve_lp
 
-    def spied(lp, max_pivots=None, start=None):
-        res = original(lp, max_pivots=max_pivots, start=start)
+    def spied(lp, start=None):
+        res = original(lp, start=start)
         calls.append((lp, start, res))
         return res
 
