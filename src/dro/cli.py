@@ -139,6 +139,9 @@ def _cmd_gen(args) -> int:
 def _cmd_collect(args) -> int:
     if args.k < 1:
         raise _BadInput(f"invalid --k: need at least one sample, got {args.k}")
+    for flag, value, least in (("--h", args.cardinality, 2), ("-r", args.r, 1)):
+        if args.family == "spp" and value is not None and value < least:
+            raise _BadInput(f"invalid {flag}: need {flag.strip('-')} >= {least}, got {value}")
     with _reading("invalid --sigma"):
         mean_interval(args.sigma)
     inst = _load(args.instance)
@@ -153,8 +156,8 @@ def _cmd_collect(args) -> int:
     what = f"invalid instance {args.instance}"
     if args.family == "spp":
         with _reading(what):
-            h = args.cardinality or meta.get("h")
-            r = args.r or meta.get("r")
+            h = meta.get("h") if args.cardinality is None else args.cardinality
+            r = meta.get("r") if args.r is None else args.r
             graph = LayeredGraph(int(h), int(r)) if h and r else None
         if graph is None:
             raise _BadInput("graph shape unknown: pass --h and -r or generate with `dro gen spp`")
@@ -236,7 +239,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("solve", help="solve an instance: the endpoint form on bandit data under the loss c.x, else the dual MILP")
     p.add_argument("instance")
     p.add_argument("--epsilon", type=float, default=None, help="override the radius")
-    p.add_argument("--dump-milp", default=None, help="write the MILP in the text dump format")
+    p.add_argument("--dump-milp", default=None, help="write the dual MILP, whose LP relaxation root_lp reports, in the text dump format; on bandit data under the loss c.x the endpoint programs solve the instance instead")
     p.add_argument("--backend", default=None, choices=["reference", "scipy"])
     p.add_argument("--timings", action="store_true", help="write real wall times (breaks byte-reproducibility)")
     p.add_argument("-o", "--output", default=None)
@@ -276,8 +279,8 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--feedback", choices=["semibandit", "bandit"], default="semibandit")
     p.add_argument("--sigma", type=float, default=0.125)
-    p.add_argument("--h", dest="cardinality", type=int, default=None)
-    p.add_argument("-r", type=int, default=None)
+    p.add_argument("--h", dest="cardinality", type=int, default=None, help="spp arcs per path; defaults to the instance's")
+    p.add_argument("-r", type=int, default=None, help="spp nodes per intermediate layer; defaults to the instance's")
     p.add_argument("-o", "--output", default=None, help="defaults to rewriting the instance")
     p.set_defaults(func=_cmd_collect)
 

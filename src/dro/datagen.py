@@ -125,9 +125,9 @@ def corrupt_interval(data, delta, p, seed_or_rng):
     return lower, upper
 
 
-def growing_delta(num_k: int, n: int, k_max: int) -> np.ndarray:
-    """Noise schedule that scales with the sample index: (k-1)/k_max."""
-    return np.repeat((np.arange(num_k) / float(k_max)).reshape(-1, 1), n, axis=1)
+def growing_delta(k_max: int, n: int) -> np.ndarray:
+    """Noise schedule over samples k = 1..k_max: (k-1)/k_max, ``n`` per row."""
+    return np.repeat((np.arange(k_max) / float(k_max)).reshape(-1, 1), n, axis=1)
 
 
 def observe_semibandit(data, decisions):

@@ -25,32 +25,31 @@ the nominal optimum, and under either feedback it lowers the collector
 history at ``k_max`` steps once, straight from the collector's arrays
 (``datagen.lower_history``, after checking each distinct skeleton once with
 ``model.problem_findings``), and solves the support-bound (ceiling)
-candidate, whose costs no cell changes.  Each cell
-slices the boxes of its K prefix off that lowering; every sample lowers on
-its own, so the slice equals a lowering of the prefix alone, support box
-included.  A cell passes the slice to the endpoint solver
-(``closedform.solve_endpoints``) with the draw's ceiling candidate: a
-semibandit cell through the interval closed form, whose sample-average side
-is one COP, and a bandit cell with its sample-average MILP on the backend;
-a bandit cell also builds its compact dual MILP and solves that program's
-LP relaxation for ``mean_lp_quality``.  Sorting keeps its
-nominal law and samples, and corrupts them and builds its cardinality
-structure per cell; it lowers the corrupted bounds of its K prefix with
-``model.lower_box_arrays`` on the unit-box support, and a finding fails
-the instance in that cell.  Each
-instance draws from its own streams; one CUCB pass then collects the whole
-batch a step at once, and as the selection rule consumes no randomness each
-history keeps the bits it has alone.  A failed draw, its lowering
-included, is kept as the instance's failure and its runner raises it in
-every cell, on the traceback the draw left it, so it fails that instance
-and no other; a history whose lowering fails (no CUCB history does) thus
-fails every cell under either feedback.  A failure of the batch's shared part (an spp graph) fails every
-instance of the batch.
-``mean_time_ms`` times the robust solve of each cell.  A sorting cell times
-both interval candidates; an spp or mcp cell times its sample-average
-candidate and the comparison, as its draw solved the support-bound one.
-``mean_lp_quality`` is the robust value over the value of the compact dual
-MILP's LP relaxation, on bandit cells only.
+candidate, whose costs no cell changes.  Each cell slices the boxes of its
+K prefix off that lowering; every sample lowers on its own, so the slice
+equals a lowering of the prefix alone, support box included.  Sorting keeps
+its nominal law and samples; per cell it corrupts them, builds its
+cardinality structure and lowers the corrupted bounds of its K prefix with
+``model.lower_box_arrays`` on the unit-box support (a finding fails the
+instance in that cell), then solves its nominal optimum.  Each instance
+draws from its own streams; one CUCB pass then collects the whole batch a
+step at once, and as the selection rule consumes no randomness each history
+keeps the bits it has alone.  A failed draw, its lowering included, is kept
+as the instance's failure and its runner raises it in every cell, on the
+traceback the draw left it, so it fails that instance and no other; a
+history whose lowering fails (no CUCB history does) thus fails every cell
+under either feedback.  A failure of the batch's shared part (an spp graph)
+fails every instance of the batch.
+
+Every instance of every cell is solved and scored by one function,
+``_outcome``, which times the robust solve for ``mean_time_ms``: interval
+and semi-bandit boxes go to the interval closed form, whose sample-average
+candidate is one COP, and bandit boxes to the endpoint solver
+(``closedform.solve_endpoints``) with its sample-average MILP on the
+backend; ``mean_lp_quality`` is the robust value over the value of the
+compact dual MILP's LP relaxation, on bandit cells only.  A sorting cell
+times both candidates; an spp or mcp cell times its sample-average
+candidate and the comparison, as its draw solved the ceiling one.
 """
 
 from __future__ import annotations
@@ -128,23 +127,21 @@ def nominal_optimum(dist: BetaNominal, feasible: FeasibleSet, sense="min", cop=N
     return denom
 
 
-def nominal_relative_loss(
-    x_tilde, dist: BetaNominal, feasible: FeasibleSet, sense="min", cop=None, optimum=None
-) -> float:
-    """Expected cost of the decision over the best achievable expected cost.
-
-    ``optimum`` is that best cost when already known (a sweep solves it once
-    per instance); otherwise :func:`nominal_optimum` solves it with ``cop``.
-    At least 1 for minimization, at most 1 for maximization.
-    """
+def nominal_relative_loss(x_tilde, dist: BetaNominal, feasible: FeasibleSet, optimum: float) -> float:
+    """Expected cost of the decision over ``optimum``, the best achievable
+    expected cost (:func:`nominal_optimum`, which a caller solves once per
+    instance).  At least 1 for minimization, at most 1 for maximization."""
     x_tilde = np.asarray(x_tilde, dtype=float)
     if x_tilde.shape != (feasible.n,):
         raise DimensionMismatch("decision must match the feasible set")
     if not feasible.contains(x_tilde):
         raise ValueError("decision is not feasible")
-    if optimum is None:
-        optimum = nominal_optimum(dist, feasible, sense, cop)
     return float(_padded_mean(dist, feasible.n) @ x_tilde) / optimum
+
+
+def _finite_nonnegative(value) -> bool:
+    """A real number, not a bool, finite and >= 0: a delta or a radius parameter."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value) and value >= 0
 
 
 _EPSILON_PARAM = {"fixed": "value", "sqrt": "gamma", "prop_h": "coef", "prop_n1": "coef"}
@@ -187,11 +184,12 @@ class SweepConfig:
     (0, 1/2), the stds a beta law on [0, 1] can have.  ``feedback`` must be
     one the family runs (``_FAMILIES``).  ``params`` values and the cells of
     a K, h or n1 sweep are integers, and K grid cells and ``k_samples`` are
-    at least 1; ``delta`` and the cells of a delta sweep are finite and at
-    least 0.  ``k_max`` is the largest K of the grid: the history
-    length a K sweep collects and reads every cell off, and the growing
-    schedule's divisor.  ``params`` holds every param the family reads, and
-    ``n1`` under ``prop_n1``; a swept one may be left out.
+    at least 1; ``delta``, the rule's parameter and the cells of a delta
+    or gamma sweep are finite, non-boolean and at least 0.  ``k_max`` is
+    the largest K of the grid: the history length a K sweep collects and
+    reads every cell off, and the growing schedule's divisor.  ``params``
+    holds every param the family reads, and ``n1`` under ``prop_n1``; a
+    swept one may be left out.
 
     Every given value must be one a run reads: the swept parameter (``n1``
     or ``h`` where the family reads it, ``gamma`` under ``sqrt``, ``delta``
@@ -264,9 +262,11 @@ class SweepConfig:
         param = _EPSILON_PARAM[kind]
         gamma_cells = kind == "sqrt" and self.sweep == "gamma"
         for value in self.grid if gamma_cells else (self.epsilon_rule.get(param),):
-            if not (isinstance(value, (int, float)) and value >= 0):
+            if not _finite_nonnegative(value):
                 what = "grid cells" if gamma_cells else repr(param)
-                raise ValueError(f"epsilon rule {kind!r} needs {what} >= 0, got {value!r}")
+                # JSON's true and Infinity pass a comparison with 0
+                need = "finite and not a bool" if isinstance(value, bool) or value == math.inf else ">= 0"
+                raise ValueError(f"epsilon rule {kind!r} needs {what} {need}, got {value!r}")
         if self.k_samples < 1:
             raise ValueError(f"k_samples must be >= 1, got {self.k_samples!r}")
         if self.sweep == "K" and min(self.cell_k(v) for v in self.grid) < 1:
@@ -306,7 +306,7 @@ class SweepConfig:
             if why:
                 raise ValueError(f"no run reads {what}: {why}")
         for value in self.grid if self.sweep == "delta" else (self.delta,):
-            if not (math.isfinite(value) and value >= 0):
+            if not _finite_nonnegative(value):
                 what = "delta grid cells" if self.sweep == "delta" else "delta"
                 raise ValueError(f"{what} must be finite and >= 0, got {value!r}")
 
@@ -386,14 +386,27 @@ def _attempt(fn, *args):
         return _Failure(exc, exc.__traceback__)
 
 
-def _interval_outcome(
-    feasible, boxes, epsilon, cop, sense, dist, optimum=None, support_bound=None
-) -> InstanceOutcome:
+def _outcome(cfg, cell, skeleton: ProblemSkeleton, boxes: SampleBoxes, cop, dist, optimum, support_bound, backend):
+    """One instance in one cell: the robust solve on ``boxes`` at the cell's
+    radius, timed, and its decision's nominal relative loss.  Interval and
+    semi-bandit boxes go to the interval closed form, which times the
+    ceiling candidate unless the draw solved it (``support_bound``);
+    bandit boxes go to the endpoint solver with its sample-average MILP on
+    ``backend``, and add the compact dual's relaxation quality."""
+    eps = cfg.cell_epsilon(cell, len(boxes.lo))
+    bandit = cfg.feedback == "bandit"
+    args = skeleton.feasible, boxes, eps, cop, skeleton.sense, support_bound
     t0 = time.perf_counter()
-    detail = solve_interval_detail(feasible, boxes, epsilon, cop, sense, support_bound)
+    detail = solve_endpoints(*args, backend) if bandit else solve_interval_detail(*args)
     dt = (time.perf_counter() - t0) * 1000.0
-    rho = nominal_relative_loss(detail.x, dist, feasible, sense, cop, optimum)
-    return InstanceOutcome(rho, dt, None, detail.winner == "saa")
+    rho = nominal_relative_loss(detail.x, dist, skeleton.feasible, optimum)
+    if not bandit:
+        return InstanceOutcome(rho, dt, None, detail.winner == "saa")
+    # the compact dual reads the samples off the boxes alone
+    inst = skeleton.instance((), eps)
+    root = dual_relaxation(inst, build_dro_milp(inst, boxes)[0], backend)
+    quality = detail.value / root if root is not None and abs(root) > tol.ZERO_VALUE_TOL else None
+    return InstanceOutcome(rho, dt, quality, None)
 
 
 def _draw_sorting(cfg: SweepConfig, cell, rngs):
@@ -415,7 +428,7 @@ def _run_sorting_instance(cfg: SweepConfig, cell, drawn, backend) -> InstanceOut
     h = cfg.cell_param("h", cell)
     num_k = cfg.cell_k(cell)
     if cfg.delta_schedule == "growing":
-        delta = growing_delta(cfg.k_max, n, cfg.k_max)
+        delta = growing_delta(cfg.k_max, n)
     else:
         delta = float(cell) if cfg.sweep == "delta" else cfg.delta
     # the corruption stream restarts in every cell, as a fresh draw would
@@ -425,8 +438,9 @@ def _run_sorting_instance(cfg: SweepConfig, cell, drawn, backend) -> InstanceOut
     boxes, findings = lower_box_arrays(upper[:num_k], lower[:num_k], *no_totals, skeleton.support, {})
     if findings:
         raise InvalidInstance(findings)
-    eps = cfg.cell_epsilon(cell, num_k)
-    return _interval_outcome(skeleton.feasible, boxes, eps, sorting_cop(n, h), "min", dist)
+    cop = sorting_cop(n, h)
+    optimum = nominal_optimum(dist, skeleton.feasible, "min", cop)
+    return _outcome(cfg, cell, skeleton, boxes, cop, dist, optimum, None, backend)
 
 
 @dataclass(eq=False)
@@ -510,33 +524,13 @@ def _draw_mcp(cfg: SweepConfig, cell, rngs):
 
 
 def _history_outcome(cfg: SweepConfig, cell, drawn: _HistoryDraw | _Failure, backend) -> InstanceOutcome:
-    """Solve on the history's first K steps, sliced off the boxes lowered at
-    draw time: thm2 on semi-bandit boxes, the endpoint solver's
-    sample-average MILP on bandit ones."""
+    """Solve on the history's first K steps, sliced off the draw's boxes."""
     if isinstance(drawn, _Failure):
         drawn.raise_()
-    num_k = cfg.cell_k(cell)
-    eps = cfg.cell_epsilon(cell, num_k)
-    skeleton = drawn.skeleton
-    boxes = drawn.boxes.head(num_k)
-    if cfg.feedback == "semibandit":
-        return _interval_outcome(
-            skeleton.feasible, boxes, eps, drawn.cop, skeleton.sense, drawn.dist,
-            drawn.optimum, drawn.support_bound,
-        )
-    t0 = time.perf_counter()
-    detail = solve_endpoints(
-        skeleton.feasible, boxes, eps, drawn.cop, skeleton.sense, drawn.support_bound, backend
+    return _outcome(
+        cfg, cell, drawn.skeleton, drawn.boxes.head(cfg.cell_k(cell)), drawn.cop, drawn.dist,
+        drawn.optimum, drawn.support_bound, backend,
     )
-    dt = (time.perf_counter() - t0) * 1000.0
-    rho = nominal_relative_loss(
-        detail.x, drawn.dist, skeleton.feasible, skeleton.sense, optimum=drawn.optimum
-    )
-    # the compact dual reads the samples off the boxes alone
-    inst = skeleton.instance((), eps)
-    root = dual_relaxation(inst, build_dro_milp(inst, boxes)[0], backend)
-    quality = detail.value / root if root is not None and abs(root) > tol.ZERO_VALUE_TOL else None
-    return InstanceOutcome(rho, dt, quality, None)
 
 
 # family -> draw(cfg, cell, rngs): each instance of a batch drawn, or the

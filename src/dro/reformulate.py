@@ -8,8 +8,8 @@ support is a box and every sample lowers to a box plus at most one equality,
 and the full dual of every support and scenario row otherwise; each builder
 returns its column layout, whose ``form`` :func:`solve_dro_milp` reports.
 :func:`solve_dro` solves bandit data under the loss ``c.x`` without either,
-by the endpoint solver of :mod:`dro.closedform`.  A discrete Wasserstein-1
-routine is included for validating ball membership.
+by the endpoint solver of :mod:`dro.closedform`.  No solve reads the discrete
+Wasserstein-1 distance :func:`discrete_w1`; :mod:`dro.selfcheck` checks its axioms.
 """
 
 from __future__ import annotations

@@ -480,6 +480,22 @@ def test_collect_rejects_k_below_one(tmp_path, capsys, k):
     assert path.read_bytes() == before
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--h", "0", "-r", "0"], "invalid --h: need h >= 2, got 0"),
+    (["--h", "1"], "invalid --h: need h >= 2, got 1"),
+    (["-r", "0"], "invalid -r: need r >= 1, got 0"),
+], ids=["zero-h-and-r", "h-one", "zero-r"])
+def test_collect_blames_a_bad_graph_flag(tmp_path, capsys, flags, message):
+    # a flag given as 0 is a bad flag, not a missing one, and a bad flag is
+    # reported as the flag, not as a bad instance file
+    path = tmp_path / "spp.json"
+    assert main(["gen", "spp", "--h", "3", "-r", "2", "-o", str(path)]) == 0
+    before = path.read_bytes()
+    assert main(["collect", "spp", str(path), "--k", "2", *flags]) == 1
+    assert capsys.readouterr().err == message + "\n"
+    assert path.read_bytes() == before
+
+
 def test_collect_determinism(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -574,6 +590,14 @@ _FULL_ONLY = dict.fromkeys(("family", "sweep", "grid", "instances", "params", "e
             {"sweep": "gamma", "grid": [-1.0], "epsilon_rule": {"kind": "sqrt"}},
             "epsilon rule 'sqrt' needs grid cells >= 0, got -1.0",
         ),
+        (
+            {"sweep": "gamma", "grid": [1.0, float("inf")], "epsilon_rule": {"kind": "sqrt"}},
+            "epsilon rule 'sqrt' needs grid cells finite and not a bool, got inf",
+        ),
+        ({"epsilon_rule": {"kind": "fixed", "value": float("inf")}}, "epsilon rule 'fixed' needs 'value' finite and not a bool, got inf"),
+        ({"epsilon_rule": {"kind": "sqrt", "gamma": float("inf")}}, "epsilon rule 'sqrt' needs 'gamma' finite and not a bool, got inf"),
+        ({"epsilon_rule": {"kind": "prop_h", "coef": float("inf")}}, "epsilon rule 'prop_h' needs 'coef' finite and not a bool, got inf"),
+        ({"epsilon_rule": {"kind": "fixed", "value": True}}, "epsilon rule 'fixed' needs 'value' finite and not a bool, got True"),
         ({"instance": 1}, "unknown fields ['instance']"),
         ({"seed": None}, "missing fields ['seed']"),
         ({**_FULL_ONLY, "preset": "spp-k", "feedbak": "bandit"}, "unknown fields ['feedbak']"),
@@ -666,7 +690,8 @@ _FULL_ONLY = dict.fromkeys(("family", "sweep", "grid", "instances", "params", "e
     ],
     ids=[
         "missing-value", "spp-interval", "sorting-preset-bandit",
-        "negative-gamma-grid", "unknown-field", "missing-seed",
+        "negative-gamma-grid", "inf-gamma-grid", "inf-value", "inf-gamma", "inf-coef", "bool-value",
+        "unknown-field", "missing-seed",
         "preset-stray-key", "zero-k-cell", "zero-k-samples", "derived-k-max",
         "string-instances", "float-seed", "list-sigma", "zero-sigma", "sigma-above-half",
         "nan-sigma", "string-grid-cell",

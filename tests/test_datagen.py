@@ -106,7 +106,7 @@ class TestCorruptInterval:
         np.testing.assert_array_equal(lower, upper)
 
     def test_growing_schedule_shape(self):
-        d = growing_delta(5, 3, 10)
+        d = growing_delta(10, 3)[:5]  # the first 5 rows of a 10-sample schedule
         assert d.shape == (5, 3)
         np.testing.assert_allclose(d[:, 0], [0.0, 0.1, 0.2, 0.3, 0.4])
 

@@ -17,6 +17,7 @@ from dro.harness import (
     CSV_HEADER,
     SweepConfig,
     mad,
+    nominal_optimum,
     nominal_relative_loss,
     preset_sweep,
     records_to_csv,
@@ -51,13 +52,15 @@ class TestNominalRelativeLoss:
         dist = BetaNominal.from_mean_std([0.2, 0.5, 0.9], 0.125)
         fs = gen_sorting(3, 1).feasible
         assert nominal_relative_loss(
-            np.array([1.0, 0, 0]), dist, fs, cop=sorting_cop(3, 1)
+            np.array([1.0, 0, 0]), dist, fs, nominal_optimum(dist, fs, "min", sorting_cop(3, 1))
         ) == pytest.approx(1.0)
 
     def test_hand_ratio(self):
         dist = BetaNominal.from_mean_std([0.2, 0.5, 0.9], 0.125)
         fs = gen_sorting(3, 1).feasible
-        rho = nominal_relative_loss(np.array([0.0, 1.0, 0]), dist, fs, cop=sorting_cop(3, 1))
+        rho = nominal_relative_loss(
+            np.array([0.0, 1.0, 0]), dist, fs, nominal_optimum(dist, fs, "min", sorting_cop(3, 1))
+        )
         assert rho == pytest.approx(2.5)
 
     def test_mcp_suboptimal_below_one(self):
@@ -68,14 +71,16 @@ class TestNominalRelativeLoss:
         x = np.zeros(10)
         x[list(system.subsets[worst_idx])] = 1.0
         x[6 + worst_idx] = 1.0
-        rho = nominal_relative_loss(x, dist, sk.feasible, sense="max")
+        rho = nominal_relative_loss(x, dist, sk.feasible, nominal_optimum(dist, sk.feasible, "max"))
         assert 0.0 < rho <= 1.0
 
     def test_infeasible_decision_rejected(self):
         dist = BetaNominal.from_mean_std([0.2, 0.5, 0.9], 0.125)
         fs = gen_sorting(3, 1).feasible
         with pytest.raises(ValueError):
-            nominal_relative_loss(np.array([1.0, 1.0, 0]), dist, fs, cop=sorting_cop(3, 1))
+            nominal_relative_loss(
+                np.array([1.0, 1.0, 0]), dist, fs, nominal_optimum(dist, fs, "min", sorting_cop(3, 1))
+            )
 
 
 def small_sorting_cfg(seed=11, **overrides):
@@ -213,12 +218,20 @@ class TestRunSweep:
             ({"epsilon_rule": {"kind": "prop_n1"}}, "'prop_n1' needs 'coef'"),
             ({"epsilon_rule": {"kind": "fixed", "value": -1.0}}, "'value' >= 0, got -1.0"),
             ({"epsilon_rule": {"kind": "sqrt", "gamma": "1"}}, "'gamma' >= 0, got '1'"),
+            ({"epsilon_rule": {"kind": "fixed", "value": math.inf}}, "'value' finite and not a bool, got inf"),
+            ({"epsilon_rule": {"kind": "sqrt", "gamma": math.inf}}, "'gamma' finite and not a bool, got inf"),
+            ({"epsilon_rule": {"kind": "prop_h", "coef": math.inf}}, "'coef' finite and not a bool, got inf"),
+            ({"epsilon_rule": {"kind": "fixed", "value": True}}, "'value' finite and not a bool, got True"),
             ({"feedback": "bandit"}, "'bandit' for family 'sorting'; it runs interval"),
             ({"family": "spp", "params": {"h": 3, "r": 2}}, "'interval' for family 'spp'"),
             ({"family": "mcp", "feedback": "interval"}, "semibandit or bandit"),
             (
                 {"sweep": "gamma", "grid": (-1.0,), "epsilon_rule": {"kind": "sqrt"}},
                 "'sqrt' needs grid cells >= 0, got -1.0",
+            ),
+            (
+                {"sweep": "gamma", "grid": (1.0, math.inf), "epsilon_rule": {"kind": "sqrt"}},
+                "'sqrt' needs grid cells finite and not a bool, got inf",
             ),
             ({"sweep": "K", "grid": (0, 5)}, r"K grid cells must be >= 1, got \[0, 5\]"),
             ({"k_samples": 0}, "k_samples must be >= 1, got 0"),
@@ -250,7 +263,8 @@ class TestRunSweep:
         ],
         ids=[
             "fixed", "sqrt", "prop_h", "prop_n1", "negative", "string",
-            "sorting-bandit", "spp-default", "mcp-interval", "negative-gamma-grid",
+            "inf-value", "inf-gamma", "inf-coef", "bool-value",
+            "sorting-bandit", "spp-default", "mcp-interval", "negative-gamma-grid", "inf-gamma-grid",
             "zero-k-cell", "zero-k-samples", "sorting-no-h", "mcp-no-n2",
             "prop-n1-no-n1", "spp-delta", "spp-growing", "spp-params-n1",
             "fixed-rule-gamma", "sorting-delta-growing", "sorting-delta-delta-sweep",

@@ -1,10 +1,11 @@
-"""The library names that ``perfbench/spans.py`` patches for a traced run.
+"""The library names that ``perfbench/`` patches and calls.
 
 ``perfbench/run.py --trace 1`` wraps each layer's entry points at the names
-their callers look them up under.  A refactor that removes or renames one of
-those names, or a field that a span's counts read, breaks the traced
-benchmark run; this test finds that first.  ``perfbench/`` is imported
-read-only and every patch is put back.
+their callers look them up under, and each workload in
+``perfbench/workloads.py`` calls library names of its own.  A refactor that
+removes or renames one of those names, or a field that a span's counts
+read, breaks the benchmark run; these tests find that first.
+``perfbench/`` is imported read-only and every patch is put back.
 """
 
 import dataclasses
@@ -14,19 +15,21 @@ import pathlib
 import sys
 
 import numpy as np
+import pytest
 
 from dro import harness, reformulate, selfcheck
 from dro.solver import ReferenceKernel, ScipyBackend
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 # the per-layer metrics that perfbench/run.py's run_traced adds to
 # layer_metrics' own
 RUN_TRACED_METRICS = {"solver.highs.first_call_s", "cli.import_s", "trace.overhead_pct"}
 
 
-def _load_spans(monkeypatch):
-    spec = importlib.util.spec_from_file_location("_perfbench_spans", SPANS)
+def _load(monkeypatch, path):
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
     spec.loader.exec_module(module)
@@ -34,7 +37,7 @@ def _load_spans(monkeypatch):
 
 
 def test_every_patch_target_exists_and_is_restored(monkeypatch):
-    spans = _load_spans(monkeypatch)
+    spans = _load(monkeypatch, SPANS)
     tracer = spans.Tracer()
     try:
         spans.instrument(tracer)  # AttributeError on a missing name
@@ -64,3 +67,18 @@ def test_every_patch_target_exists_and_is_restored(monkeypatch):
         tracer.set_traced(False)
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original
+
+
+@pytest.mark.parametrize("name", [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]])
+def test_workload_pass_runs_clean(monkeypatch, name):
+    # one untraced pass at seed 11, as the benchmark runs it after its warmup
+    workloads = _load(monkeypatch, WORKLOADS)
+    # the semibandit sweep wraps each runner in place to record its failures
+    for family, runner in list(harness._RUNNERS.items()):
+        monkeypatch.setitem(harness._RUNNERS, family, runner)
+    wl = workloads.WORKLOADS[name](11)
+    wl.setup()
+    wl.warmup()
+    results = wl.run_pass()
+    assert len(results) == wl.ops_per_pass
+    assert [(r.label, r.error) for r in results if r.error is not None] == []

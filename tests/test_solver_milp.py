@@ -19,6 +19,7 @@ from dro.solver import lp as lp_module
 from dro.solver import milp as milp_module
 from dro.reformulate import build_dro_milp
 from dro.selfcheck import (
+    brute_force_milp,
     check_kernel_enumeration,
     random_bandit_instance,
     random_binary_milp,
@@ -132,6 +133,25 @@ def test_relaxation_tight_on_network_rows():
 def test_random_suite_matches_brute_force():
     res = check_kernel_enumeration(60, 31337)
     assert res.passed, res.detail
+
+
+def test_brute_force_matches_one_assignment_at_a_time():
+    # the oracle's array pass against scoring each assignment with the
+    # program's own max_violation: the same verdicts and values, bit for bit
+    rng = np.random.default_rng(7)
+    infeasible = 0
+    for _ in range(40):
+        mip = random_binary_milp(rng)
+        lp = mip.lp
+        values = [
+            float(lp.c @ x) + lp.c0
+            for x in map(np.array, itertools.product((0.0, 1.0), repeat=lp.n))
+            if lp.max_violation(x) <= 1e-9
+        ]
+        want = (min if lp.sense == "min" else max)(values) if values else None
+        assert brute_force_milp(mip) == want
+        infeasible += want is None
+    assert infeasible > 0
 
 
 def test_mixed_continuous_integer():
