@@ -140,7 +140,9 @@ def _cmd_collect(args) -> int:
     if args.k < 1:
         raise _BadInput(f"invalid --k: need at least one sample, got {args.k}")
     for flag, value, least in (("--h", args.cardinality, 2), ("-r", args.r, 1)):
-        if args.family == "spp" and value is not None and value < least:
+        if value is not None and args.family != "spp":
+            raise _BadInput(f"invalid {flag}: applies to spp only")
+        if value is not None and value < least:
             raise _BadInput(f"invalid {flag}: need {flag.strip('-')} >= {least}, got {value}")
     with _reading("invalid --sigma"):
         mean_interval(args.sigma)

@@ -124,11 +124,14 @@ def solve_endpoints(
     of ``c_hat . x`` over its set, plus the radius (minus, for
     maximization).  Exact ties go to the sample-average candidate.
 
-    Without equalities the sample-average candidate is the COP on the mean
-    per-sample upper bounds (lower, for maximization), solved by
-    ``nominal_cop`` (a :func:`milp_cop` on ``backend`` when None).  With
-    0/1-mask equalities (:func:`endpoint_fits`) it is a MILP on
-    ``backend`` (see :func:`_saa_milp`).  ``support_bound`` is the
+    ``nominal_cop`` solves the COPs (a :func:`milp_cop` on ``backend`` when
+    None).  It must be an exact solver over ``feasible``, such as the handle
+    a generated instance carries: a handle built for another feasible set
+    answers for that set.  Without equalities the
+    sample-average candidate is the COP on the mean per-sample upper bounds
+    (lower, for maximization).  With 0/1-mask equalities
+    (:func:`endpoint_fits`) it is a MILP on ``backend`` (see
+    :func:`_saa_milp`).  ``support_bound`` is the
     ``(value, x)`` of the ceiling candidate when the caller has already
     solved it.  A solve that ends without an optimum raises
     :class:`~dro.errors.SolveFailed` (or what ``nominal_cop`` raises).

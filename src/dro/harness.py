@@ -77,15 +77,10 @@ from .datagen import (
 )
 from .errors import DegenerateDenominator, DimensionMismatch, DroError, EmptyInput, InvalidInstance
 from .model import FeasibleSet, SampleBoxes, lower_box_arrays, problem_findings
-from .problems import (
-    ProblemSkeleton,
-    gen_layered_spp,
-    gen_mcp,
-    gen_sorting,
-    mcp_cop,
-    sorting_cop,
-    spp_cop,
-)
+# the sorting and spp draws build their COPs through these two names, not
+# from ``skeleton.cop``, because perfbench/spans.py wraps them here; the mcp
+# draw reads ``skeleton.cop``
+from .problems import ProblemSkeleton, gen_layered_spp, gen_mcp, gen_sorting, sorting_cop, spp_cop
 from .reformulate import build_dro_milp, dual_relaxation
 from .solver import ScipyBackend
 
@@ -517,7 +512,7 @@ def _draw_mcp(cfg: SweepConfig, cell, rngs):
         skeleton, system = gen_mcp(
             n1, *(cfg.params[k] for k in ("n2", "subset_size", "budget")), rng_struct
         )
-        return skeleton, system, mcp_cop(system), BetaNominal.random(n1, cfg.sigma, rng_means)
+        return skeleton, system, skeleton.cop, BetaNominal.random(n1, cfg.sigma, rng_means)
 
     collect = lambda systems, dists, rngs: cucb_collect_mcp(systems, dists, cfg.k_max, rngs)
     return _draw_histories(cfg, rngs, draw, collect)

@@ -13,6 +13,7 @@ All types are immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -384,7 +385,15 @@ class Bandit(DataScenario):
 
 @dataclass(eq=False)
 class ProblemInstance:
-    """One full problem: decisions, loss, support, per-sample scenarios, radius."""
+    """One full problem: decisions, loss, support, per-sample scenarios, radius.
+
+    ``cop``, when given, is an exact combinatorial solver over ``feasible``,
+    ``cop(costs, sense) -> (value, x)``: a generated instance carries its
+    family's (:class:`~dro.problems.ProblemSkeleton`), and the endpoint form
+    solves its COPs with it.  None, as on an instance read from JSON, leaves
+    those solves to a MILP on ``feasible``.  It is not saved, and code that
+    swaps ``feasible`` must drop it.
+    """
 
     feasible: FeasibleSet
     loss: BiaffineLoss
@@ -392,6 +401,7 @@ class ProblemInstance:
     scenarios: tuple
     epsilon: float
     sense: str = "min"
+    cop: Callable | None = None
 
     def __post_init__(self):
         self.scenarios = tuple(self.scenarios)

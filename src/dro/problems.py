@@ -3,9 +3,9 @@ maximum coverage, plus exact combinatorial solvers (routing DP, stable
 selection, budgeted coverage search).
 
 Each generator returns a :class:`ProblemSkeleton` (feasible set, loss,
-support) that becomes a full instance once scenarios and a radius are
-attached.  Structural indices are deterministic and documented so that
-observation masks align across runs.
+support, and the family's exact combinatorial solver) that becomes a full
+instance once scenarios and a radius are attached.  Structural indices are
+deterministic and documented so that observation masks align across runs.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import functools
 import heapq
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,17 +25,24 @@ from .model import BiaffineLoss, FeasibleSet, Polytope, ProblemInstance
 
 @dataclass(eq=False)
 class ProblemSkeleton:
-    """A problem minus its data: attach scenarios and a radius to solve."""
+    """A problem minus its data: attach scenarios and a radius to solve.
+
+    ``cop`` is the family's exact combinatorial solver over ``feasible``,
+    ``cop(costs, sense) -> (value, x)``, which :meth:`instance` passes on;
+    None leaves an instance's COPs to a MILP on ``feasible``.  A skeleton or
+    instance whose feasible set is swapped must drop it.
+    """
 
     feasible: FeasibleSet
     loss: BiaffineLoss
     support: Polytope
     sense: str = "min"
     meta: dict = field(default_factory=dict)
+    cop: Callable | None = None
 
     def instance(self, scenarios, epsilon: float) -> ProblemInstance:
         return ProblemInstance(
-            self.feasible, self.loss, self.support, tuple(scenarios), epsilon, self.sense
+            self.feasible, self.loss, self.support, tuple(scenarios), epsilon, self.sense, self.cop
         )
 
 
@@ -55,6 +63,7 @@ def gen_sorting(n: int, h: int) -> ProblemSkeleton:
         Polytope.box(np.zeros(n), np.ones(n)),
         "min",
         {"family": "sorting", "n": n, "h": h},
+        sorting_cop(n, h),
     )
 
 
@@ -146,6 +155,7 @@ def gen_layered_spp(h: int, r: int):
         Polytope.box(np.zeros(n), np.ones(n)),
         "min",
         {"family": "spp", "h": h, "r": r},
+        spp_cop(graph),
     )
     return skeleton, graph
 
@@ -219,6 +229,7 @@ def gen_mcp(n_items: int, n_subsets: int, subset_size: int, budget: int, seed):
             "budget": budget,
             "subsets": [list(s) for s in subsets],
         },
+        mcp_cop(system),
     )
     return skeleton, system
 

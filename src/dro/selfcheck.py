@@ -17,6 +17,7 @@ from . import tolerances as tol
 from .closedform import (
     BanditHistory,
     interval_data_from_instance,
+    milp_cop,
     solve_disjoint_bandit,
     solve_interval,
     worst_case_cost,
@@ -36,7 +37,7 @@ from .model import (
     lower_scenario,
     validate_instance,
 )
-from .problems import gen_layered_spp, gen_mcp, gen_sorting, mcp_cop
+from .problems import gen_layered_spp, gen_mcp, gen_sorting
 from .reformulate import (
     CompactVars,
     DiscreteDistribution,
@@ -508,12 +509,55 @@ def check_mcp_cop(count: int, seed) -> CheckResult:
     tally = _Tally()
     for t in range(count):
         skeleton, system, costs = random_coverage_costs(rng)
-        got, x = mcp_cop(system)(costs)
+        got, x = skeleton.cop(costs)
         want = brute_force_coverage(system, costs)
         err = abs(got - want) / (1.0 + abs(want))
         tally.compare(err, 1e-12, f"system {t}: {got} vs {want}", ok=skeleton.feasible.contains(x))
     clean = f"{count} coverage systems match (worst rel err {tally.worst:.2e})"
     return tally.result("mcp-cop-vs-enumeration", clean)
+
+
+def random_skeleton(rng: np.random.Generator, t: int):
+    """``(skeleton, senses, costs)``: a small sorting, routing or coverage
+    skeleton, cycling over the three with ``t``, the senses its COP handle
+    serves, and random costs, zero on a coverage skeleton's selection block."""
+    family = t % 3
+    if family == 0:
+        n = int(rng.integers(1, 13))
+        skeleton, senses = gen_sorting(n, int(rng.integers(1, n + 1))), ("min", "max")
+    elif family == 1:
+        skeleton, _ = gen_layered_spp(int(rng.integers(2, 5)), int(rng.integers(1, 4)))
+        senses = ("min",)
+    else:
+        n1, n2 = int(rng.integers(1, 13)), int(rng.integers(1, 9))
+        size = int(rng.integers(1, min(n1, 4) + 1))
+        skeleton, _ = gen_mcp(n1, n2, size, int(rng.integers(1, n2 + 2)), rng)
+        senses = ("max",)
+    costs = rng.uniform(-0.5, 1.0, skeleton.feasible.n)
+    if family == 2:
+        costs[skeleton.meta["n1"] :] = 0.0
+    return skeleton, senses, costs
+
+
+def check_skeleton_cop(count: int, seed) -> CheckResult:
+    """Each generator's ``skeleton.cop`` against :func:`milp_cop` on the
+    skeleton's feasible set, on the reference kernel, in every sense the
+    handle serves: values within 1e-9 relative, and the handle's decision
+    feasible with its value."""
+    rng = np.random.default_rng(seed)
+    kernel = ReferenceKernel()
+    tally = _Tally()
+    for t in range(count):
+        skeleton, senses, costs = random_skeleton(rng, t)
+        milp = milp_cop(skeleton.feasible, kernel)
+        for sense in senses:
+            got, x = skeleton.cop(costs, sense)
+            want, _ = milp(costs, sense)
+            scale = max(1.0, abs(want))
+            ok = skeleton.feasible.contains(x) and abs(float(costs @ x) - got) <= 1e-9 * scale
+            tally.compare(abs(got - want) / scale, 1e-9, f"skeleton {t} ({sense}): {got} vs {want}", ok=ok)
+    clean = f"{count} sorting, routing and coverage skeletons agree (worst rel err {tally.worst:.2e})"
+    return tally.result("skeleton-cop-vs-milp", clean)
 
 
 def check_collectors_batch(count: int, seed) -> CheckResult:
@@ -707,4 +751,5 @@ def run_all(seed=0, scale: float = 1.0) -> list[CheckResult]:
         check_highs_relaxation_first(c(10), [seed, 11]),
         check_endpoint_vs_compact(c(20), [seed, 12]),
         check_history_lowering(c(40), [seed, 13]),
+        check_skeleton_cop(c(30), [seed, 14]),
     ]

@@ -1,5 +1,6 @@
 """CLI behavior: every subcommand, plus byte-level reproducibility."""
 
+import hashlib
 import json
 import os
 import re
@@ -246,6 +247,29 @@ def test_closed_form_matches_solve_on_the_endpoint_form(request, tmp_path, fixtu
     assert payload["x_or_group"] == full["x"]
 
 
+# sha256 of the `dro solve -o` and then the `dro closed-form -o` bytes on the
+# interval, bandit, mcp_bandit and overlap fixtures, in that order; computed
+# with numpy 2.4.6 and scipy 1.17.1
+_SOLVE_OUTPUT_SHA256 = {
+    "reference": "ee3ebd60697254401dd0d6defd2866e1344b2b359a2b6d437944b1096d124c11",
+    "scipy": "2f147fd1a391d796b1b504b06a7c7ab775b5846b78384fcf42d426ec5b326e1b",
+}
+
+
+@pytest.mark.parametrize("backend", ["reference", "scipy"])
+def test_solve_outputs_are_pinned(interval_instance, bandit_instance, mcp_bandit_instance,
+                                  overlap_instance, tmp_path, backend):
+    """An instance read from JSON carries no COP handle, so its endpoint
+    solves route the ceiling candidate by a MILP; this pins what both
+    commands write on the fixtures."""
+    digest, out = hashlib.sha256(), tmp_path / "out.json"
+    for command in ("solve", "closed-form"):
+        for path in (interval_instance, bandit_instance, mcp_bandit_instance, overlap_instance):
+            assert main([command, path, "--backend", backend, "-o", str(out)]) == 0
+            digest.update(out.read_bytes())
+    assert digest.hexdigest() == _SOLVE_OUTPUT_SHA256[backend]
+
+
 def test_closed_form_matches_the_grouped_bandit_reference(tmp_path):
     rng = np.random.default_rng(29)
     path, out = tmp_path / "grouped.json", tmp_path / "cf.json"
@@ -324,7 +348,8 @@ def test_gen_collect_solve_pipeline(tmp_path):
      "need 1 <= subset_size <= n_items, got 6 and 5"),
     (["mcp", "--n1", "5", "--n2", "0", "--budget", "1"],
      "need at least one item and one subset, got 5 and 0"),
-], ids=["sorting-h", "mcp-subset-size", "mcp-no-subsets"])
+    (["mcp", "--n1", "5", "--n2", "3", "--budget", "-1"], "need a nonnegative budget, got -1"),
+], ids=["sorting-h", "mcp-subset-size", "mcp-no-subsets", "mcp-negative-budget"])
 def test_gen_rejects_bad_cardinality(tmp_path, capsys, args, message):
     out = tmp_path / "inst.json"
     assert main(["gen", *args, "-o", str(out)]) == 1
@@ -492,6 +517,25 @@ def test_collect_blames_a_bad_graph_flag(tmp_path, capsys, flags, message):
     assert main(["gen", "spp", "--h", "3", "-r", "2", "-o", str(path)]) == 0
     before = path.read_bytes()
     assert main(["collect", "spp", str(path), "--k", "2", *flags]) == 1
+    assert capsys.readouterr().err == message + "\n"
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--h", "0", "-r", "7"], "invalid --h: applies to spp only"),
+    (["--h", "3"], "invalid --h: applies to spp only"),
+    (["-r", "2"], "invalid -r: applies to spp only"),
+], ids=["h-and-r", "h", "r"])
+def test_collect_mcp_refuses_the_graph_flags(tmp_path, capsys, flags, message):
+    # the graph flags describe a routing graph: on a coverage instance they
+    # would be ignored, so they are refused
+    path = tmp_path / "mcp.json"
+    assert main([
+        "gen", "mcp", "--n1", "6", "--n2", "4", "--subset-size", "2", "--budget", "2",
+        "--seed", "3", "-o", str(path),
+    ]) == 0
+    before = path.read_bytes()
+    assert main(["collect", "mcp", str(path), "--k", "2", *flags]) == 1
     assert capsys.readouterr().err == message + "\n"
     assert path.read_bytes() == before
 
@@ -776,11 +820,12 @@ def test_dro_seed_env_override(tmp_path, monkeypatch):
 def test_validate_exit_code(capsys):
     assert main(["validate", "--scale", "0.1", "--seed", "4"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 13
+    assert out.count("PASS") == 14
     assert "PASS history-lowering-vs-scenarios" in out
     assert "PASS endpoint-vs-compact" in out
     assert "PASS collectors-batch-vs-single" in out
     assert "PASS highs-relaxation-first" in out
+    assert "PASS skeleton-cop-vs-milp" in out
 
 
 # ``dro validate --seed 0``, worst errors masked as ``W``: each check's name
@@ -799,6 +844,7 @@ PASS collectors-batch-vs-single: 10 routing and 10 coverage histories match
 PASS highs-relaxation-first: 30 programs agree with the full MIP solve (worst rel err W)
 PASS endpoint-vs-compact: 20 bandit and mixed instances agree (worst rel err W)
 PASS history-lowering-vs-scenarios: 40 histories under both feedbacks lower bit for bit (11 lowerings with findings)
+PASS skeleton-cop-vs-milp: 30 sorting, routing and coverage skeletons agree (worst rel err W)
 """
 
 

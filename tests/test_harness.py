@@ -24,7 +24,7 @@ from dro.harness import (
     run_sweep,
     wasserstein_radius,
 )
-from dro import model
+from dro import model, problems
 from dro.model import Exact, Interval
 from dro.problems import gen_mcp, gen_sorting, sorting_cop
 from dro.reformulate import solve_dro
@@ -399,12 +399,12 @@ class TestRunSweep:
         assert [r.n_fail for r in recs] == [cfg.instances] * len(cfg.grid)
 
     @staticmethod
-    def _count_draws(monkeypatch, cfg, collector, make_cop):
+    def _count_draws(monkeypatch, cfg, collector, make_cop, cop_owner=harness):
         """Run ``cfg`` with ``harness.<collector>`` and the COP handles of
-        ``harness.<make_cop>`` counted; gives the collector passes, the
+        ``<cop_owner>.<make_cop>`` counted; gives the collector passes, the
         histories they collected and the cost vectors the COPs were given."""
         counts = {"passes": 0, "histories": 0, "costs": []}
-        collect, make = getattr(harness, collector), getattr(harness, make_cop)
+        collect, make = getattr(harness, collector), getattr(cop_owner, make_cop)
 
         def counted_collect(structure, dists, *args):
             counts["passes"] += 1
@@ -421,7 +421,7 @@ class TestRunSweep:
             return solve
 
         monkeypatch.setattr(harness, collector, counted_collect)
-        monkeypatch.setattr(harness, make_cop, counted_make_cop)
+        monkeypatch.setattr(cop_owner, make_cop, counted_make_cop)
         recs = run_sweep(cfg)
         assert all(r.n_fail == 0 for r in recs)
         return counts
@@ -429,7 +429,8 @@ class TestRunSweep:
     def test_shared_sweep_draws_each_instance_once(self, monkeypatch):
         # one collector pass, over the batch of every instance
         cfg = _small_mcp_k_cfg()
-        counts = self._count_draws(monkeypatch, cfg, "cucb_collect_mcp", "mcp_cop")
+        # the mcp draw reads the handle that gen_mcp attaches to the skeleton
+        counts = self._count_draws(monkeypatch, cfg, "cucb_collect_mcp", "mcp_cop", problems)
         assert counts["passes"] == 1
         assert counts["histories"] == cfg.instances
         # one SAA candidate per cell; one nominal optimum and one
@@ -456,7 +457,8 @@ class TestRunSweep:
             "mcp", "n1", (6, 8), 2, 4, {"n2": 6, "subset_size": 3, "budget": 2},
             {"kind": "prop_n1", "coef": 0.05}, feedback="semibandit", k_samples=4,
         )
-        counts = self._count_draws(monkeypatch, cfg, "cucb_collect_mcp", "mcp_cop")
+        # the mcp draw reads the handle that gen_mcp attaches to the skeleton
+        counts = self._count_draws(monkeypatch, cfg, "cucb_collect_mcp", "mcp_cop", problems)
         cells = len(cfg.grid)
         assert counts["passes"] == cells
         assert len(counts["costs"]) == cfg.instances * cells * 3

@@ -18,10 +18,12 @@ from dro.model import (
     SemiBandit,
     instance_from_dict,
     instance_to_dict,
+    load_instance,
     lower_scenario,
+    save_instance,
     validate_instance,
 )
-from dro.problems import gen_sorting
+from dro.problems import gen_layered_spp, gen_mcp, gen_sorting
 from dro.selfcheck import read_lowered_rows
 from dro.solver import LE, OPTIMAL, LinearProgram, solve_lp
 
@@ -540,6 +542,15 @@ class TestJson:
         assert back.scenarios[2].observed == inst.scenarios[2].observed
         np.testing.assert_array_equal(back.feasible.g2, inst.feasible.g2)
         np.testing.assert_array_equal(back.support.rows_b, inst.support.rows_b)
+
+    def test_saved_instance_drops_its_cop(self, tmp_path):
+        # a COP handle is code, not data: a loaded instance routes by a MILP
+        path = tmp_path / "inst.json"
+        for sk in (gen_sorting(4, 2), gen_layered_spp(3, 2)[0], gen_mcp(5, 3, 2, 1, 0)[0]):
+            inst = sk.instance((Bandit(np.ones(sk.feasible.n), 0.5),), 0.25)
+            assert inst.cop is sk.cop is not None
+            save_instance(path, inst)
+            assert load_instance(path).cop is None
 
     def test_dimension_mismatch_rejected(self):
         inst = sorting_instance()

@@ -1,12 +1,13 @@
 """Reformulation builders versus a row-by-row reference, closed forms,
 enumeration, and metric axioms."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
-from dro.closedform import solve_disjoint_bandit, worst_case_cost
+from dro.closedform import solve_disjoint_bandit, solve_endpoints, worst_case_cost
 from dro.datagen import (
     BetaNominal,
     cucb_collect,
@@ -615,20 +616,62 @@ class TestSolveDroForms:
         _, _, diag = solve_dro(ProblemInstance(fs, sk.loss, sk.support, scen[1:], 0.1), backend)
         assert (diag.form, diag.status) == ("compact", INFEASIBLE)
 
-    def test_failed_sample_average_milp_reports_its_status(self):
-        # the ceiling COP is the first MILP and optimal; the second, the
-        # sample-average MILP, ends without an optimum
+    @pytest.mark.parametrize("backend", [ReferenceKernel, ScipyBackend], ids=["reference", "scipy"])
+    def test_generated_instances_route_the_ceiling_by_their_cop(self, backend):
+        # a generated bandit instance solves its ceiling candidate by its
+        # family's COP: the sample-average MILP is the one backend MILP, and
+        # the value is the one a MILP on the ceiling costs gives
         calls = []
 
-        class SecondFails(ReferenceKernel):
+        class Counted(backend):
             def solve_milp(self, mip):
                 calls.append(mip)
-                return SolveResult(ITERLIMIT) if len(calls) == 2 else super().solve_milp(mip)
+                return super().solve_milp(mip)
+
+        rng = np.random.default_rng(93)
+        spp = []
+        for h, r in ((3, 2), (4, 3), (5, 3)):
+            skeleton, graph = gen_layered_spp(h, r)
+            run = cucb_collect(graph, BetaNominal.random(graph.num_arcs, 0.125, rng), 8, rng)
+            spp.append(skeleton.instance(observe_bandit(run.samples, run.decisions), 0.0))
+        families = {
+            "sorting": [random_bandit_instance(rng)[0] for _ in range(3)],
+            "spp": spp,
+            "mcp": [_mcp_bandit(seed) for seed in (3, 4, 5)],
+        }
+        for family, instances in families.items():
+            winners = set()
+            for inst in instances:
+                # a small radius lets the sample average win, a large one the ceiling
+                for eps in (0.1 * rng.random(), 5.0 + 5.0 * rng.random()):
+                    inst = dataclasses.replace(inst, epsilon=eps)
+                    assert inst.cop is not None
+                    calls.clear()
+                    value, x, diag = solve_dro(inst, Counted())
+                    assert diag.form == "endpoint" and len(calls) == 1
+                    assert inst.feasible.contains(x)
+                    want, _, _ = solve_dro(dataclasses.replace(inst, cop=None), backend())
+                    assert _close(value, want)
+                    lowered = validate_instance(inst)
+                    winners.add(solve_endpoints(inst.feasible, lowered, eps, inst.cop, inst.sense,
+                                                backend=backend()).winner)
+            assert winners == {"saa", "ceiling"}, family
+
+    def test_failed_sample_average_milp_reports_its_status(self):
+        # a generated instance solves its ceiling COP by its own handle, so
+        # the sample-average MILP is the only backend MILP; it ends without
+        # an optimum
+        calls = []
+
+        class MilpFails(ReferenceKernel):
+            def solve_milp(self, mip):
+                calls.append(mip)
+                return SolveResult(ITERLIMIT)
 
         inst = gen_sorting(3, 1).instance((Bandit(np.array([1.0, 1, 0]), 0.4),), 0.1)
-        value, x, diag = solve_dro(inst, SecondFails())
+        value, x, diag = solve_dro(inst, MilpFails())
         assert (value, x, diag.form, diag.status) == (None, None, "endpoint", ITERLIMIT)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_compact_dual_keeps_its_bandit_oracle(self):
         # solve_dro no longer runs the compact dual on bandit data: it is

@@ -1,9 +1,12 @@
 """A ``dro validate`` check that fails: its detail names the first three
 failed draws, and it counts its worst error and misses."""
 
+import dataclasses
+
 import numpy as np
 
 from dro import selfcheck
+from dro.problems import sorting_cop
 
 
 def test_failed_decisions_count_as_misses(monkeypatch):
@@ -33,3 +36,19 @@ def test_failed_values_set_the_worst_error(monkeypatch):
     assert abs(res.worst - 1.0) <= 1e-6
     failed = res.detail.split("; ")
     assert [f.split(":")[0] for f in failed] == ["triple 0", "triple 1", "triple 2"]
+
+
+def test_a_wrong_skeleton_cop_fails(monkeypatch):
+    # every sorting handle picks one item too few: an infeasible decision of
+    # the wrong value, in both senses
+    gen_sorting = selfcheck.gen_sorting
+
+    def short(n, h):
+        return dataclasses.replace(gen_sorting(n, h), cop=sorting_cop(n, h - 1))
+
+    monkeypatch.setattr(selfcheck, "gen_sorting", short)
+    res = selfcheck.check_skeleton_cop(9, 14)
+    assert not res.passed
+    assert res.misses == 0
+    failed = [f.split(":")[0] for f in res.detail.split("; ")]
+    assert failed == ["skeleton 0 (min)", "skeleton 0 (max)", "skeleton 3 (min)"]
