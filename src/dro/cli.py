@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -23,7 +24,7 @@ from .closedform import endpoint_fits
 from .datagen import BetaNominal, cucb_collect, cucb_collect_mcp, mean_interval, observe
 from .harness import SweepConfig, preset_sweep, records_to_csv, run_sweep
 from .errors import BadCardinality, DroError, InvalidInstance
-from .model import load_instance, load_instance_meta, save_instance, validate_instance
+from .model import load_instance, save_instance, validate_instance
 from .problems import CoverageSystem, LayeredGraph, gen_layered_spp, gen_mcp, gen_sorting
 from .reformulate import (
     build_dro_milp,
@@ -37,8 +38,18 @@ from .solver import dump_program, get_backend
 
 
 def _seed_override(seed: int) -> int:
+    """``DRO_SEED`` when set (digits only, which int() reads), else ``seed``."""
     env = os.environ.get("DRO_SEED")
+    if env and not env.strip().isdecimal():
+        raise _BadInput(f"invalid DRO_SEED: need a non-negative integer, got {env!r}")
     return int(env) if env else seed
+
+
+def _seed(args) -> int:
+    """The command's ``--seed``, or ``DRO_SEED`` when set."""
+    if args.seed < 0:
+        raise _BadInput(f"invalid --seed: need a non-negative integer, got {args.seed}")
+    return _seed_override(args.seed)
 
 
 def _emit(payload: dict, path: str | None):
@@ -122,17 +133,16 @@ def _cmd_closed_form(args) -> int:
 def _cmd_gen(args) -> int:
     try:
         if args.family == "sorting":
-            skeleton = gen_sorting(args.n, args.cardinality)
+            problem = gen_sorting(args.n, args.cardinality)
         elif args.family == "spp":
-            skeleton, _ = gen_layered_spp(args.cardinality, args.r)
+            problem, _ = gen_layered_spp(args.cardinality, args.r)
         else:
-            seed = _seed_override(args.seed)
-            skeleton, _ = gen_mcp(args.n1, args.n2, args.subset_size, args.budget, seed)
-            skeleton.meta["seed"] = seed
+            seed = _seed(args)
+            problem, _ = gen_mcp(args.n1, args.n2, args.subset_size, args.budget, seed)
+            problem.meta["seed"] = seed
     except BadCardinality as e:
         raise _BadInput(f"invalid {args.family} parameters: {e}") from e
-    inst = skeleton.instance((), 0.0)
-    save_instance(args.output, inst, meta=skeleton.meta)
+    save_instance(args.output, problem)
     return 0
 
 
@@ -147,19 +157,18 @@ def _cmd_collect(args) -> int:
     with _reading("invalid --sigma"):
         mean_interval(args.sigma)
     inst = _load(args.instance)
-    meta = load_instance_meta(args.instance)
-    seed = _seed_override(args.seed)
+    seed = _seed(args)
     ss = np.random.SeedSequence([seed])
     rng_means, rng_run = [np.random.default_rng(s) for s in ss.spawn(2)]
     n = inst.feasible.n
     misfit = "structure does not fit the instance: {}, but the instance has dimension {}"
-    # meta is free-form JSON that the instance schema ignores: a field that
-    # cannot be read, or a structure it cannot describe, is a bad instance
+    # meta is free-form JSON that no solve reads: a field that cannot be
+    # read, or a structure it cannot describe, is a bad instance
     what = f"invalid instance {args.instance}"
     if args.family == "spp":
         with _reading(what):
-            h = meta.get("h") if args.cardinality is None else args.cardinality
-            r = meta.get("r") if args.r is None else args.r
+            h = inst.meta.get("h") if args.cardinality is None else args.cardinality
+            r = inst.meta.get("r") if args.r is None else args.r
             graph = LayeredGraph(int(h), int(r)) if h and r else None
         if graph is None:
             raise _BadInput("graph shape unknown: pass --h and -r or generate with `dro gen spp`")
@@ -169,10 +178,10 @@ def _cmd_collect(args) -> int:
         run = cucb_collect(graph, dist, args.k, rng_run)
     else:
         with _reading(what):
-            subsets = meta.get("subsets")
+            subsets = inst.meta.get("subsets")
             system = None
             if subsets:
-                system = CoverageSystem(int(meta["n1"]), tuple(tuple(s) for s in subsets), int(meta["budget"]))
+                system = CoverageSystem(int(inst.meta["n1"]), tuple(tuple(s) for s in subsets), int(inst.meta["budget"]))
         if system is None:
             raise _BadInput("subset system unknown: generate the instance with `dro gen mcp`")
         if system.n_items + system.n_subsets != n:
@@ -180,10 +189,7 @@ def _cmd_collect(args) -> int:
         dist = BetaNominal.random(system.n_items, args.sigma, rng_means)
         run = cucb_collect_mcp(system, dist, args.k, rng_run)
     new = observe(args.feedback, run.samples, run.decisions, n)
-    inst = type(inst)(
-        inst.feasible, inst.loss, inst.support, inst.scenarios + tuple(new), inst.epsilon, inst.sense
-    )
-    save_instance(args.output or args.instance, inst, meta=meta)
+    save_instance(args.output or args.instance, replace(inst, scenarios=inst.scenarios + tuple(new)))
     return 0
 
 
@@ -223,7 +229,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    results = run_all(seed=_seed_override(args.seed), scale=args.scale)
+    if not (math.isfinite(args.scale) and args.scale > 0):
+        raise _BadInput(f"invalid --scale: need a finite multiplier > 0, got {args.scale}")
+    results = run_all(seed=_seed(args), scale=args.scale)
     ok = True
     for r in results:
         print(r.line())

@@ -19,10 +19,12 @@ columns are written as 0 unless explicitly enabled).
 
 Instances are drawn in batches before any instance of a cell runs: a shared
 sweep draws every instance at its first cell and reads every cell off them;
-a structural sweep draws the instances of each cell at that cell.  For spp
-and mcp the draw keeps the structure, the nominal law, the COP handle and
-the nominal optimum, and under either feedback it lowers the collector
-history at ``k_max`` steps once, straight from the collector's arrays
+a structural sweep draws the instances of each cell at that cell.  A
+generator's problem, the instance ``dro gen`` writes with no scenarios at
+radius 0, is called a skeleton here.  For spp and mcp the draw keeps the
+skeleton, its structure, the nominal law, the COP handle and the nominal
+optimum, and under either feedback it lowers the collector history at
+``k_max`` steps once, straight from the collector's arrays
 (``datagen.lower_history``, after checking each distinct skeleton once with
 ``model.problem_findings``), and solves the support-bound (ceiling)
 candidate, whose costs no cell changes.  Each cell slices the boxes of its
@@ -76,11 +78,11 @@ from .datagen import (
     sample_nominal,
 )
 from .errors import DegenerateDenominator, DimensionMismatch, DroError, EmptyInput, InvalidInstance
-from .model import FeasibleSet, SampleBoxes, lower_box_arrays, problem_findings
+from .model import FeasibleSet, ProblemInstance, SampleBoxes, lower_box_arrays, problem_findings
 # the sorting and spp draws build their COPs through these two names, not
 # from ``skeleton.cop``, because perfbench/spans.py wraps them here; the mcp
 # draw reads ``skeleton.cop``
-from .problems import ProblemSkeleton, gen_layered_spp, gen_mcp, gen_sorting, sorting_cop, spp_cop
+from .problems import gen_layered_spp, gen_mcp, gen_sorting, sorting_cop, spp_cop
 from .reformulate import build_dro_milp, dual_relaxation
 from .solver import ScipyBackend
 
@@ -236,6 +238,8 @@ class SweepConfig:
                     raise ValueError(f"{name} must be {what}, got {v!r}")
         if self.instances < 1:
             raise ValueError("need at least one instance per cell")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if not 0 < self.sigma < 0.5:
             raise ValueError(f"sigma must lie in (0, 1/2), got {self.sigma!r}")
         if self.family not in _FAMILIES:
@@ -381,7 +385,7 @@ def _attempt(fn, *args):
         return _Failure(exc, exc.__traceback__)
 
 
-def _outcome(cfg, cell, skeleton: ProblemSkeleton, boxes: SampleBoxes, cop, dist, optimum, support_bound, backend):
+def _outcome(cfg, cell, skeleton: ProblemInstance, boxes: SampleBoxes, cop, dist, optimum, support_bound, backend):
     """One instance in one cell: the robust solve on ``boxes`` at the cell's
     radius, timed, and its decision's nominal relative loss.  Interval and
     semi-bandit boxes go to the interval closed form, which times the
@@ -449,7 +453,7 @@ class _HistoryDraw:
     changes.  ``findings`` are the skeleton's own, from
     ``model.problem_findings``, which its draw ran once per skeleton."""
 
-    skeleton: ProblemSkeleton
+    skeleton: ProblemInstance
     dist: BetaNominal
     run: InitVar[CollectorRun]
     cop: Callable
@@ -474,7 +478,7 @@ def _draw_histories(cfg: SweepConfig, rngs, draw, collect):
     gives each one's ``(skeleton, structure, cop, dist)``, then one
     ``collect`` pass collects the histories of those whose draw succeeded.
     Each distinct skeleton is checked once, at the sweep's history length
-    and a zero radius (the radius plays no part in the boxes, and
+    and its zero radius (the radius plays no part in the boxes, and
     ``SweepConfig`` has already rejected a negative one); an instance whose
     skeleton fails that check keeps its failure."""
     out = [_attempt(draw, *r[:2]) for r in rngs]
@@ -484,9 +488,7 @@ def _draw_histories(cfg: SweepConfig, rngs, draw, collect):
     for i, run in zip(ok, runs):
         skeleton, _, cop, dist = out[i]
         if id(skeleton) not in checked:
-            checked[id(skeleton)] = _attempt(
-                problem_findings, skeleton.feasible, skeleton.loss, skeleton.support, cfg.k_max, 0.0
-            )
+            checked[id(skeleton)] = _attempt(problem_findings, skeleton, cfg.k_max)
         findings = checked[id(skeleton)]
         if isinstance(findings, _Failure):
             out[i] = findings

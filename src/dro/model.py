@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -387,12 +387,15 @@ class Bandit(DataScenario):
 class ProblemInstance:
     """One full problem: decisions, loss, support, per-sample scenarios, radius.
 
-    ``cop``, when given, is an exact combinatorial solver over ``feasible``,
-    ``cop(costs, sense) -> (value, x)``: a generated instance carries its
-    family's (:class:`~dro.problems.ProblemSkeleton`), and the endpoint form
-    solves its COPs with it.  None, as on an instance read from JSON, leaves
-    those solves to a MILP on ``feasible``.  It is not saved, and code that
-    swaps ``feasible`` must drop it.
+    A generator in :mod:`dro.problems` returns the problem with no scenarios
+    at radius 0, the record ``dro gen`` writes; :meth:`instance` attaches
+    data to it.  ``cop``, when given, is an exact combinatorial solver over
+    ``feasible``, ``cop(costs, sense) -> (value, x)``: a generated problem
+    carries its family's, and the endpoint form solves its COPs with it.
+    None, as on an instance read from JSON, leaves those solves to a MILP on
+    ``feasible``.  It is not saved, and code that swaps ``feasible`` must
+    drop it.  ``meta`` is free-form JSON, a generator's family parameters:
+    saved and loaded, but read by no solve.
     """
 
     feasible: FeasibleSet
@@ -402,6 +405,7 @@ class ProblemInstance:
     epsilon: float
     sense: str = "min"
     cop: Callable | None = None
+    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.scenarios = tuple(self.scenarios)
@@ -416,6 +420,10 @@ class ProblemInstance:
     @property
     def num_samples(self) -> int:
         return len(self.scenarios)
+
+    def instance(self, scenarios, epsilon: float) -> ProblemInstance:
+        """This problem on other data; ``cop`` and ``meta`` are kept."""
+        return replace(self, scenarios=scenarios, epsilon=epsilon)
 
 
 def lower_scenario(scenario: DataScenario, support: Polytope) -> Polytope:
@@ -625,13 +633,12 @@ def lower_box_arrays(up, low, band, masks, totals, support: Polytope, found: dic
     return boxes, [found[k] for k in sorted(found)]
 
 
-def problem_findings(
-    feasible: FeasibleSet, loss: BiaffineLoss, support: Polytope, num_samples: int, epsilon: float
-):
+def problem_findings(problem: ProblemInstance, num_samples: int):
     """The checks of :func:`validate_instance` that read no scenario, so a
     sweep can run them once per problem structure: dimensions, loss
-    symmetry, finite upper bounds on integer decisions, the sample count,
-    the radius, and a nonempty, bounded support.
+    symmetry, finite upper bounds on integer decisions, the sample count
+    ``num_samples`` (given, as a sweep checks its problem before attaching
+    samples), the radius, and a nonempty, bounded support.
 
     Returns the findings after which validation goes on to the scenarios;
     raises :class:`InvalidInstance` at a finding that stops it (a dimension
@@ -640,6 +647,8 @@ def problem_findings(
     out = []
     err = lambda code, msg: out.append(Diagnostic(code, msg))
 
+    feasible, loss, support = problem.feasible, problem.loss, problem.support
+    epsilon = problem.epsilon
     n = support.num_vars
     if loss.n != n:
         err("DimensionMismatch", f"loss dimension {loss.n} != support dimension {n}")
@@ -682,7 +691,7 @@ def validate_instance(inst: ProblemInstance):
     sound.  Boundedness of the support and emptiness of each system are
     established through LP solves, or structurally on a box support.
     """
-    out = problem_findings(inst.feasible, inst.loss, inst.support, inst.num_samples, inst.epsilon)
+    out = problem_findings(inst, inst.num_samples)
 
     if inst.support.is_box() and all(type(s) in _BOX_KINDS for s in inst.scenarios):
         boxes, findings = lower_box_scenarios(inst.scenarios, inst.support)
@@ -710,8 +719,8 @@ def validate_instance(inst: ProblemInstance):
 # ---------------------------------------------------------------------------
 # instance JSON schema:
 # {n, n1, n2, feasible:{G1,G2,g,bounds}, loss:{T,t1,t2,t0}, support:{rows},
-#  scenarios:[{kind,...}], epsilon, sense} with matrices as row-major arrays.
-# An optional "meta" object carries generator parameters and is ignored here.
+#  scenarios:[{kind,...}], epsilon, sense, meta} with matrices as row-major
+# arrays.  "meta", written only when nonempty, is ProblemInstance.meta.
 # ---------------------------------------------------------------------------
 
 
@@ -740,7 +749,7 @@ def _scenario_from_dict(d: dict) -> DataScenario:
     raise ValueError(f"unknown scenario kind {kind!r}")
 
 
-def instance_to_dict(inst: ProblemInstance, meta: dict | None = None) -> dict:
+def instance_to_dict(inst: ProblemInstance) -> dict:
     fs = inst.feasible
     bounds = [None if not np.isfinite(u) else u for u in fs.upper]
     out = {
@@ -769,8 +778,8 @@ def instance_to_dict(inst: ProblemInstance, meta: dict | None = None) -> dict:
         "epsilon": inst.epsilon,
         "sense": inst.sense,
     }
-    if meta:
-        out["meta"] = meta
+    if inst.meta:
+        out["meta"] = inst.meta
     return out
 
 
@@ -799,12 +808,14 @@ def instance_from_dict(d: dict) -> ProblemInstance:
         np.array([r["rhs"] for r in rows], dtype=float),
     )
     scenarios = tuple(_scenario_from_dict(s) for s in d["scenarios"])
-    return ProblemInstance(feasible, loss, support, scenarios, float(d["epsilon"]), d.get("sense", "min"))
+    return ProblemInstance(
+        feasible, loss, support, scenarios, float(d["epsilon"]), d.get("sense", "min"), meta=d.get("meta", {})
+    )
 
 
-def save_instance(path, inst: ProblemInstance, meta: dict | None = None):
+def save_instance(path, inst: ProblemInstance):
     with open(path, "w") as fh:
-        json.dump(instance_to_dict(inst, meta), fh, indent=1, sort_keys=True)
+        json.dump(instance_to_dict(inst), fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
@@ -812,7 +823,3 @@ def load_instance(path) -> ProblemInstance:
     with open(path) as fh:
         return instance_from_dict(json.load(fh))
 
-
-def load_instance_meta(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh).get("meta", {})

@@ -2,10 +2,12 @@
 maximum coverage, plus exact combinatorial solvers (routing DP, stable
 selection, budgeted coverage search).
 
-Each generator returns a :class:`ProblemSkeleton` (feasible set, loss,
-support, and the family's exact combinatorial solver) that becomes a full
-instance once scenarios and a radius are attached.  Structural indices are
-deterministic and documented so that observation masks align across runs.
+Each generator returns the :class:`~dro.model.ProblemInstance` that ``dro
+gen`` writes: feasible set, loss, support, the family's exact combinatorial
+solver as ``cop`` and its parameters as ``meta``, with no scenarios at
+radius 0; :meth:`~dro.model.ProblemInstance.instance` attaches data.
+Structural indices are deterministic and documented so that observation
+masks align across runs.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ import functools
 import heapq
 import itertools
 import math
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,48 +24,19 @@ from .errors import BadCardinality, DimensionMismatch
 from .model import BiaffineLoss, FeasibleSet, Polytope, ProblemInstance
 
 
-@dataclass(eq=False)
-class ProblemSkeleton:
-    """A problem minus its data: attach scenarios and a radius to solve.
-
-    ``cop`` is the family's exact combinatorial solver over ``feasible``,
-    ``cop(costs, sense) -> (value, x)``, which :meth:`instance` passes on;
-    None leaves an instance's COPs to a MILP on ``feasible``.  A skeleton or
-    instance whose feasible set is swapped must drop it.
-    """
-
-    feasible: FeasibleSet
-    loss: BiaffineLoss
-    support: Polytope
-    sense: str = "min"
-    meta: dict = field(default_factory=dict)
-    cop: Callable | None = None
-
-    def instance(self, scenarios, epsilon: float) -> ProblemInstance:
-        return ProblemInstance(
-            self.feasible, self.loss, self.support, tuple(scenarios), epsilon, self.sense, self.cop
-        )
-
-
 def _cardinality_rows(n: int, h: int):
     """sum(x) = h as a <= / >= pair."""
     return np.vstack([np.ones(n), -np.ones(n)]), np.array([float(h), -float(h)])
 
 
-def gen_sorting(n: int, h: int) -> ProblemSkeleton:
+def gen_sorting(n: int, h: int) -> ProblemInstance:
     """Pick ``h`` of ``n`` items at minimal total cost; unit-box cost support."""
     if not (1 <= h <= n):
         raise BadCardinality(f"need 1 <= h <= n, got h={h}, n={n}")
     g2, rhs = _cardinality_rows(n, h)
     feasible = FeasibleSet(0, n, [], g2, rhs, np.ones(n))
-    return ProblemSkeleton(
-        feasible,
-        BiaffineLoss.bilinear(n),
-        Polytope.box(np.zeros(n), np.ones(n)),
-        "min",
-        {"family": "sorting", "n": n, "h": h},
-        sorting_cop(n, h),
-    )
+    support, meta = Polytope.box(np.zeros(n), np.ones(n)), {"family": "sorting", "n": n, "h": h}
+    return ProblemInstance(feasible, BiaffineLoss.bilinear(n), support, (), 0.0, "min", sorting_cop(n, h), meta)
 
 
 @dataclass(eq=False)
@@ -112,9 +84,9 @@ class LayeredGraph:
 
 
 def gen_layered_spp(h: int, r: int):
-    """Routing skeleton on the layered graph; flow conservation as row pairs.
+    """Routing problem on the layered graph; flow conservation as row pairs.
 
-    Returns ``(skeleton, graph)``.
+    Returns ``(problem, graph)``.
     """
     graph = LayeredGraph(h, r)
     n = graph.num_arcs
@@ -149,15 +121,9 @@ def gen_layered_spp(h: int, r: int):
                     bal[graph.arc_index(layer, node, head)] -= 1.0
             add_eq(bal, 0.0)
     feasible = FeasibleSet(0, n, [], np.array(rows), np.array(rhs), np.ones(n))
-    skeleton = ProblemSkeleton(
-        feasible,
-        BiaffineLoss.bilinear(n),
-        Polytope.box(np.zeros(n), np.ones(n)),
-        "min",
-        {"family": "spp", "h": h, "r": r},
-        spp_cop(graph),
-    )
-    return skeleton, graph
+    support, meta = Polytope.box(np.zeros(n), np.ones(n)), {"family": "spp", "h": h, "r": r}
+    problem = ProblemInstance(feasible, BiaffineLoss.bilinear(n), support, (), 0.0, "min", spp_cop(graph), meta)
+    return problem, graph
 
 
 @dataclass(eq=False)
@@ -186,11 +152,11 @@ class CoverageSystem:
 
 
 def gen_mcp(n_items: int, n_subsets: int, subset_size: int, budget: int, seed):
-    """Maximum-coverage skeleton with uniformly random fixed-size subsets.
+    """Maximum-coverage problem with uniformly random fixed-size subsets.
 
     Decision variables are item-coverage flags followed by subset-selection
     flags; the random cost vector lives on the item block and the selection
-    block is pinned to zero in the support.  Returns ``(skeleton, system)``.
+    block is pinned to zero in the support.  Returns ``(problem, system)``.
     """
     if not 1 <= subset_size <= n_items:
         raise BadCardinality(f"need 1 <= subset_size <= n_items, got {subset_size} and {n_items}")
@@ -216,22 +182,16 @@ def gen_mcp(n_items: int, n_subsets: int, subset_size: int, budget: int, seed):
         rhs.append(0.0)
     feasible = FeasibleSet(0, n, [], np.array(rows), np.array(rhs), np.ones(n))
     support = Polytope.box(np.zeros(n), np.concatenate([np.ones(n_items), np.zeros(n_subsets)]))
-    skeleton = ProblemSkeleton(
-        feasible,
-        BiaffineLoss.bilinear(n),
-        support,
-        "max",
-        {
-            "family": "mcp",
-            "n1": n_items,
-            "n2": n_subsets,
-            "subset_size": subset_size,
-            "budget": budget,
-            "subsets": [list(s) for s in subsets],
-        },
-        mcp_cop(system),
-    )
-    return skeleton, system
+    meta = {
+        "family": "mcp",
+        "n1": n_items,
+        "n2": n_subsets,
+        "subset_size": subset_size,
+        "budget": budget,
+        "subsets": [list(s) for s in subsets],
+    }
+    problem = ProblemInstance(feasible, BiaffineLoss.bilinear(n), support, (), 0.0, "max", mcp_cop(system), meta)
+    return problem, system
 
 
 def shortest_path_dp(graph: LayeredGraph, arc_costs):
@@ -326,7 +286,7 @@ def mcp_cop(system: CoverageSystem):
     """Combinatorial-solver handle: exact budgeted maximum coverage (max only).
 
     Costs follow the :func:`gen_mcp` layout, item flags then selection flags,
-    and the selection block must be zero, as a coverage skeleton's support
+    and the selection block must be zero, as a coverage problem's support
     pins it.  The optimum selects ``min(budget, n_subsets)`` subsets and flags
     every covered item whose cost is nonnegative, so an item of cost 0 counts
     as covered.  The search ranks subsets heaviest first (equal weights by

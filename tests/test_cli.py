@@ -29,7 +29,7 @@ from dro.model import (
     load_instance,
     save_instance,
 )
-from dro.problems import gen_mcp, gen_sorting
+from dro.problems import gen_layered_spp, gen_mcp, gen_sorting
 from dro.reformulate import build_dro_milp, solve_dro_milp
 from dro.selfcheck import random_bandit_instance
 from test_solver_milp import lp_relaxation_value
@@ -549,6 +549,98 @@ def test_collect_determinism(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+_GEN_ARGS = {
+    "sorting": ["-n", "5", "--h", "2"],
+    "spp": ["--h", "3", "-r", "2"],
+    "mcp": ["--n1", "6", "--n2", "4", "--subset-size", "2", "--budget", "2", "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("family", sorted(_GEN_ARGS))
+def test_gen_file_loads_as_the_generated_problem(tmp_path, monkeypatch, family):
+    monkeypatch.delenv("DRO_SEED", raising=False)
+    path = tmp_path / f"{family}.json"
+    assert main(["gen", family, *_GEN_ARGS[family], "-o", str(path)]) == 0
+    problem = {
+        "sorting": lambda: gen_sorting(5, 2),
+        "spp": lambda: gen_layered_spp(3, 2)[0],
+        "mcp": lambda: gen_mcp(6, 4, 2, 2, 3)[0],
+    }[family]()
+    loaded = load_instance(path)
+    for name in ("n_cont", "n_int", "g1", "g2", "rhs", "upper"):
+        np.testing.assert_array_equal(getattr(loaded.feasible, name), getattr(problem.feasible, name))
+    for name in ("t_xx", "t_x", "t_c", "t_const"):
+        np.testing.assert_array_equal(getattr(loaded.loss, name), getattr(problem.loss, name))
+    for name in ("num_vars", "rows_a", "rows_b"):
+        np.testing.assert_array_equal(getattr(loaded.support, name), getattr(problem.support, name))
+    assert loaded.scenarios == () and loaded.epsilon == 0.0
+    assert loaded.sense == problem.sense
+    assert loaded.meta == ({**problem.meta, "seed": 3} if family == "mcp" else problem.meta)
+    assert loaded.cop is None and problem.cop is not None
+
+
+@pytest.mark.parametrize("feedback", ["semibandit", "bandit"])
+@pytest.mark.parametrize("family", ["spp", "mcp"])
+def test_collect_keeps_meta_byte_for_byte(tmp_path, family, feedback):
+    # meta is free-form: a field no command reads is kept as it was written
+    path = tmp_path / f"{family}.json"
+    assert main(["gen", family, *_GEN_ARGS[family], "-o", str(path)]) == 0
+    raw = json.loads(path.read_text())
+    raw["meta"]["note"] = {"by": "hand", "values": [1, 2.5, None, "é"]}
+    path.write_text(json.dumps(raw, indent=1, sort_keys=True))
+    block = json.dumps({"meta": raw["meta"]}, indent=1, sort_keys=True)[2:-2]
+    assert block in path.read_text()
+    out = tmp_path / "collected.json"
+    assert main(["collect", family, str(path), "--k", "3", "--feedback", feedback, "-o", str(out)]) == 0
+    assert block in out.read_text()
+    assert load_instance(out).meta == raw["meta"]
+
+
+def _seeded_command(tmp_path, command):
+    """Arguments of ``command`` on inputs in ``tmp_path``, where it reads a
+    seed; a file it writes goes to ``tmp_path``."""
+    path = tmp_path / "spp.json"
+    assert main(["gen", "spp", *_GEN_ARGS["spp"], "-o", str(path)]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"preset": "sorting-delta"}))
+    return {
+        "gen": ["gen", "mcp", *_GEN_ARGS["mcp"], "-o", str(tmp_path / "mcp.json")],
+        "collect": ["collect", "spp", str(path), "--k", "2"],
+        "sweep": ["sweep", str(cfg), "-o", str(tmp_path / "out.csv")],
+        "validate": ["validate"],
+    }[command]
+
+
+def _refused(tmp_path, capsys, args, message):
+    """``args`` exit 1 with ``message`` as their one line, print nothing
+    else, and leave every file in ``tmp_path`` as it was."""
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main(args) == 1
+    assert capsys.readouterr() == ("", message + "\n")
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("command", ["gen", "collect", "validate"])
+def test_negative_seed_is_one_line(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.delenv("DRO_SEED", raising=False)
+    args = _seeded_command(tmp_path, command)
+    _refused(tmp_path, capsys, [*args, "--seed=-5"], "invalid --seed: need a non-negative integer, got -5")
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5", " "])
+@pytest.mark.parametrize("command", ["gen", "collect", "sweep", "validate"])
+def test_bad_dro_seed_is_one_line(tmp_path, monkeypatch, capsys, command, value):
+    args = _seeded_command(tmp_path, command)
+    monkeypatch.setenv("DRO_SEED", value)
+    _refused(tmp_path, capsys, args, f"invalid DRO_SEED: need a non-negative integer, got {value!r}")
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "0", "-1"])
+def test_validate_refuses_a_bad_scale(tmp_path, capsys, scale):
+    message = f"invalid --scale: need a finite multiplier > 0, got {float(scale)}"
+    _refused(tmp_path, capsys, ["validate", f"--scale={scale}"], message)
+
+
 def test_sweep_from_config_deterministic(tmp_path):
     cfg = {
         "family": "sorting",
@@ -731,6 +823,8 @@ _FULL_ONLY = dict.fromkeys(("family", "sweep", "grid", "instances", "params", "e
             },
             "n1 grid cells must be an integer, got 12.5",
         ),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({**_FULL_ONLY, "preset": "sorting-delta", "seed": -1}, "seed must be >= 0, got -1"),
     ],
     ids=[
         "missing-value", "spp-interval", "sorting-preset-bandit",
@@ -747,6 +841,7 @@ _FULL_ONLY = dict.fromkeys(("family", "sweep", "grid", "instances", "params", "e
         "sorting-delta-growing", "sorting-delta-delta-sweep",
         "negative-delta", "nan-delta", "inf-delta", "negative-delta-cell",
         "float-param", "float-k-cell", "float-h-cell", "float-n1-cell",
+        "negative-seed", "preset-negative-seed",
     ],
 )
 def test_sweep_rejects_misread_config(tmp_path, capsys, override, message):

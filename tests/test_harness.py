@@ -475,9 +475,9 @@ class TestRunSweep:
             calls["lowered"].append(len(samples))
             return lower(feedback, samples, *args)
 
-        def counted_check(feasible, loss, support, num_samples, epsilon):
+        def counted_check(problem, num_samples):
             calls["checked"].append(num_samples)
-            return check(feasible, loss, support, num_samples, epsilon)
+            return check(problem, num_samples)
 
         monkeypatch.setattr(harness, "lower_history", counted_lower)
         monkeypatch.setattr(harness, "problem_findings", counted_check)

@@ -1,6 +1,7 @@
 """Domain-type invariants, scenario lowering, validation, and JSON round trips."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -532,8 +533,9 @@ class TestJson:
             ),
             epsilon=0.25,
         )
-        blob = json.dumps(instance_to_dict(inst, meta={"family": "sorting"}))
+        blob = json.dumps(instance_to_dict(replace(inst, meta={"family": "sorting"})))
         back = instance_from_dict(json.loads(blob))
+        assert back.meta == {"family": "sorting"}
         assert back.n == inst.n
         assert back.epsilon == inst.epsilon
         assert back.sense == inst.sense
@@ -551,6 +553,16 @@ class TestJson:
             assert inst.cop is sk.cop is not None
             save_instance(path, inst)
             assert load_instance(path).cop is None
+
+    def test_instance_keeps_the_problems_cop_and_meta(self):
+        for problem in (gen_sorting(4, 2), gen_layered_spp(3, 2)[0], gen_mcp(5, 3, 2, 1, 0)[0]):
+            assert problem.scenarios == () and problem.epsilon == 0.0
+            scen = (Bandit(np.ones(problem.n), 0.5),)
+            inst = problem.instance(scen, 0.25)
+            assert inst.scenarios == scen and inst.epsilon == 0.25
+            assert inst.cop is problem.cop is not None
+            assert inst.meta == problem.meta and inst.meta["family"]
+            assert problem.scenarios == () and problem.epsilon == 0.0
 
     def test_dimension_mismatch_rejected(self):
         inst = sorting_instance()
