@@ -33,7 +33,7 @@ from .reformulate import (
     solve_dro_endpoint,
     solve_dro_milp,
 )
-from .selfcheck import run_all
+from .selfcheck import SUITE, run_all
 from .solver import dump_program, get_backend
 
 
@@ -125,7 +125,7 @@ def _cmd_closed_form(args) -> int:
     if value is None:
         raise _BadInput(f"solve failed: {diag.status}")
     # with no equality both candidates are COPs: the interval closed form
-    method = "thm2" if np.isnan(boxes.t).all() else "endpoint"
+    method = "endpoint" if boxes.eq.any() else "thm2"
     _emit({"value": value, "x_or_group": [float(v) for v in x], "method": method}, args.output)
     return 0
 
@@ -231,6 +231,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_validate(args) -> int:
     if not (math.isfinite(args.scale) and args.scale > 0):
         raise _BadInput(f"invalid --scale: need a finite multiplier > 0, got {args.scale}")
+    top = max(base for _, base in SUITE)
+    if not math.isfinite(top * args.scale):
+        raise _BadInput(f"invalid --scale: suite count {top} * {args.scale} is not finite")
     results = run_all(seed=_seed(args), scale=args.scale)
     ok = True
     for r in results:

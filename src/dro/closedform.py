@@ -95,7 +95,7 @@ def endpoint_fits(inst: ProblemInstance, lowered) -> bool:
     of the sample-average MILP need."""
     if not inst.loss.is_bilinear() or not isinstance(lowered, SampleBoxes):
         return False
-    eq = ~np.isnan(lowered.t)
+    eq = lowered.eq
     if not eq.any():
         return True
     fs, m = inst.feasible, lowered.m[eq]
@@ -142,7 +142,7 @@ def solve_endpoints(
     sign = 1.0 if sense == "min" else -1.0
     v2, x2 = support_bound or cop(ceiling_costs(boxes.l, boxes.u, sense), sense)
     nodes = None
-    if np.isnan(boxes.t).all():
+    if not boxes.eq.any():
         v1, x1 = cop((boxes.hi if sense == "min" else boxes.lo).mean(axis=0), sense)
     else:
         v1, x1, nodes = _saa_milp(feasible, boxes, sense, backend)
@@ -174,7 +174,7 @@ def _saa_milp(feasible: FeasibleSet, boxes: SampleBoxes, sense: str, backend):
     lo, hi, m, t = boxes.lo, boxes.hi, boxes.m, boxes.t
     num_k, n = lo.shape
     sign = 1.0 if sense == "min" else -1.0
-    eq = np.flatnonzero(~np.isnan(t))
+    eq = np.flatnonzero(boxes.eq)
     width = (hi - lo)[eq]
     kk, ii = np.nonzero((m[eq] != 0) & (width > 0))
     nb, nw = eq.size, kk.size
@@ -220,7 +220,7 @@ def solve_interval_detail(
     bounds; maximization is the mirror image on the lower bounds with the
     radius subtracted.
     """
-    if not np.isnan(boxes.t).all():
+    if boxes.eq.any():
         raise ValueError("interval data must carry no equalities")
     return solve_endpoints(feasible, boxes, epsilon, nominal_cop, sense, support_bound)
 
@@ -339,4 +339,4 @@ def interval_data_from_instance(inst: ProblemInstance) -> SampleBoxes | None:
     :class:`~dro.errors.InvalidInstance` on bad data).
     """
     boxes = validate_instance(inst)
-    return boxes if endpoint_fits(inst, boxes) and np.isnan(boxes.t).all() else None
+    return boxes if endpoint_fits(inst, boxes) and not boxes.eq.any() else None

@@ -3,7 +3,10 @@
 The nominal distribution is a product of per-component beta laws on [0, 1].
 Corruption turns exact samples into interval boxes, partial observations, or
 total-cost records; the adaptive collector replays an optimism-driven
-selection rule to produce realistic decision histories.
+selection rule to produce realistic decision histories.  One array step
+observes a history, and both :func:`observe` (scenario objects) and
+:func:`lower_history` (boxes) read it, so their bandit totals are the same
+left-to-right sums on every Python version.
 
 PRNG contract: every randomized routine consumes a ``numpy.random.Generator``
 (PCG64).  Integer seeds are accepted and expanded with ``default_rng``;
@@ -27,12 +30,6 @@ import numpy as np
 from .errors import DimensionMismatch, MeanOutOfRange
 from .model import Bandit, Polytope, SemiBandit, lower_box_arrays
 from .problems import LayeredGraph, shortest_path_dp
-
-
-def _rng(seed_or_rng) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
 
 
 def mean_interval(sigma: float):
@@ -83,7 +80,7 @@ class BetaNominal:
     def random(cls, n: int, sigma: float, seed_or_rng) -> "BetaNominal":
         """Means drawn uniformly from the feasible interval (one draw per
         component, in component order)."""
-        rng = _rng(seed_or_rng)
+        rng = np.random.default_rng(seed_or_rng)
         lo, hi = mean_interval(sigma)
         return cls.from_mean_std(rng.uniform(lo, hi, size=n), sigma)
 
@@ -100,7 +97,7 @@ def sample_nominal(dist: BetaNominal, num_samples: int, seed_or_rng) -> np.ndarr
     """(K, n) i.i.d. draws; a single vectorized beta draw in (K, n) order."""
     if num_samples == 0:
         return np.zeros((0, dist.n))
-    rng = _rng(seed_or_rng)
+    rng = np.random.default_rng(seed_or_rng)
     return rng.beta(dist.alpha, dist.beta, size=(num_samples, dist.n))
 
 
@@ -117,7 +114,7 @@ def corrupt_interval(data, delta, p, seed_or_rng):
     num_k, n = data.shape
     p = np.broadcast_to(np.asarray(p, dtype=float), (n,))
     delta = np.broadcast_to(np.asarray(delta, dtype=float), (num_k, n))
-    rng = _rng(seed_or_rng)
+    rng = np.random.default_rng(seed_or_rng)
     hit = rng.random((num_k, n)) < p
     width = np.where(hit, delta, 0.0)
     lower = np.maximum(data - width, 0.0)
@@ -130,79 +127,67 @@ def growing_delta(k_max: int, n: int) -> np.ndarray:
     return np.repeat((np.arange(k_max) / float(k_max)).reshape(-1, 1), n, axis=1)
 
 
+def _observed(feedback: str, samples, decisions, n: int):
+    """A collector history zero-padded up to the instance dimension ``n``
+    (the selection block of a coverage instance) and observed under
+    ``feedback``: the arrays ``(up, low, band, masks, totals)`` that
+    :func:`~dro.model.lower_box_arrays` reads, and ``seen``, the decisions
+    above 1/2.  A semi-bandit sample pins its seen coordinates; a bandit
+    sample's mask is its rounded decision and its total the left-to-right
+    sum of its seen values from 0.0, a running sum in which each unseen
+    coordinate adds 0.0 to a partial sum that is never -0.0."""
+    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    decisions = np.atleast_2d(np.asarray(decisions, dtype=float))
+    if samples.shape != decisions.shape:
+        raise DimensionMismatch("data and decisions must align")
+    if samples.shape[1] > n:
+        raise DimensionMismatch(f"history has {samples.shape[1]} components, the instance {n}")
+    pad = np.zeros((samples.shape[0], n - samples.shape[1]))
+    samples, decisions = np.hstack([samples, pad]), np.hstack([decisions, pad])
+    seen = decisions > 0.5
+    if feedback == "semibandit":
+        up, low = np.where(seen, samples, np.inf), np.where(seen, samples, -np.inf)
+        band, masks, totals = np.zeros(0, dtype=np.intp), np.zeros((0, n)), np.zeros(0)
+    elif feedback == "bandit":
+        up, low = np.full(samples.shape, np.inf), np.full(samples.shape, -np.inf)
+        band = np.arange(samples.shape[0])
+        masks = np.round(decisions)
+        terms = np.hstack([np.zeros((samples.shape[0], 1)), np.where(seen, samples, 0.0)])
+        totals = np.cumsum(terms, axis=1)[:, -1]
+    else:
+        raise KeyError(feedback)
+    return (up, low, band, masks, totals), seen
+
+
+def observe(feedback: str, samples, decisions, n: int):
+    """The scenarios that :func:`_observed` makes of a collector history
+    under ``feedback`` (``semibandit`` or ``bandit``), what an instance file
+    holds (``dro collect``); a semi-bandit one keeps a seen value even when
+    it is NaN.  A sweep lowers the same arrays with :func:`lower_history`."""
+    (up, _, _, masks, totals), seen = _observed(feedback, samples, decisions, n)
+    if feedback == "semibandit":
+        return [SemiBandit(tuple(zip(np.flatnonzero(s).tolist(), u[s].tolist()))) for u, s in zip(up, seen)]
+    return [Bandit(m, t) for m, t in zip(masks, totals.tolist())]
+
+
 def observe_semibandit(data, decisions):
     """Scenario k exposes the exact sample values on decision k's support."""
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    decisions = np.atleast_2d(np.asarray(decisions, dtype=float))
-    if data.shape != decisions.shape:
-        raise DimensionMismatch("data and decisions must align")
-    out = []
-    for c, x in zip(data, decisions):
-        idx = np.flatnonzero(x > 0.5)
-        out.append(SemiBandit(tuple((int(a), float(c[a])) for a in idx)))
-    return out
+    return observe("semibandit", data, decisions, np.atleast_2d(data).shape[1])
 
 
 def observe_bandit(data, decisions):
     """Scenario k records only decision k's total cost: the index-order sum
     of the values :func:`observe_semibandit` records for sample k."""
-    semi = observe_semibandit(data, decisions)
-    decisions = np.atleast_2d(np.asarray(decisions, dtype=float))
-    return [Bandit(x, float(sum(v for _, v in s.observed))) for x, s in zip(decisions, semi)]
-
-
-_OBSERVERS = {"semibandit": observe_semibandit, "bandit": observe_bandit}
-
-
-def _padded(samples, decisions, n: int):
-    """A history's samples and decisions zero-padded up to the instance
-    dimension ``n`` (the selection block of a coverage instance)."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    decisions = np.atleast_2d(np.asarray(decisions, dtype=float))
-    if samples.shape[1] > n:
-        raise DimensionMismatch(f"history has {samples.shape[1]} components, the instance {n}")
-    pad = np.zeros((samples.shape[0], n - samples.shape[1]))
-    return np.hstack([samples, pad]), np.hstack([decisions, pad])
-
-
-def observe(feedback: str, samples, decisions, n: int):
-    """Scenarios of a collector history under ``feedback`` (``semibandit`` or
-    ``bandit``), zero-padded up to the instance dimension ``n``.  The
-    scenario objects are what an instance file holds (``dro collect``); a
-    sweep lowers the same history with :func:`lower_history`, which builds
-    none."""
-    return _OBSERVERS[feedback](*_padded(samples, decisions, n))
+    return observe("bandit", data, decisions, np.atleast_2d(data).shape[1])
 
 
 def lower_history(feedback: str, samples, decisions, support: Polytope):
     """``model.lower_box_scenarios(observe(feedback, samples, decisions, n),
-    support)``, bit for bit, with ``n`` the support's dimension, filled
-    straight from the arrays into :func:`~dro.model.lower_box_arrays`.
-
-    Under semi-bandit feedback sample k pins the coordinates where decision
-    k is above 1/2.  Under bandit feedback the rounded decision is the mask
-    and the total is the index-order left-to-right sum of those values that
-    :func:`observe_bandit` writes: a running sum over every coordinate,
-    where a zero term leaves every sum but -0.0 as it is and the final
-    ``+ 0.0`` turns -0.0 into the 0.0 that Python's ``sum`` gives (numpy's
-    ``sum`` adds more than eight terms pairwise, in other bits).
-    """
-    samples, decisions = _padded(samples, decisions, support.num_vars)
-    if samples.shape != decisions.shape:
-        raise DimensionMismatch("data and decisions must align")
-    seen = decisions > 0.5
-    if feedback == "semibandit":
-        up, low = np.where(seen, samples, np.inf), np.where(seen, samples, -np.inf)
-        band, masks, totals = np.zeros(0, dtype=np.intp), np.zeros((0, samples.shape[1])), np.zeros(0)
-    elif feedback == "bandit":
-        up = np.full(samples.shape, np.inf)
-        low = np.full(samples.shape, -np.inf)
-        band = np.arange(samples.shape[0])
-        masks = np.round(decisions)
-        totals = np.cumsum(np.where(seen, samples, 0.0), axis=1)[:, -1] + 0.0
-    else:
-        raise KeyError(feedback)
-    return lower_box_arrays(up, low, band, masks, totals, support, {})
+    support)``, bit for bit, with ``n`` the support's dimension: the arrays
+    of the same observation step go straight into
+    :func:`~dro.model.lower_box_arrays`."""
+    arrays, _ = _observed(feedback, samples, decisions, support.num_vars)
+    return lower_box_arrays(*arrays, support, {})
 
 
 @dataclass(eq=False)
@@ -268,7 +253,7 @@ def _collect(dists, num_k: int, seeds, width: int, choose):
     sample k are folded into the running means.  A history narrower than
     ``width`` is zero-padded, and no decision touches the padding.  Returns
     one ``(decisions, samples)`` pair per history."""
-    samples = [sample_nominal(d, num_k, _rng(s)) for d, s in zip(dists, seeds)]
+    samples = [sample_nominal(d, num_k, s) for d, s in zip(dists, seeds)]
     padded = np.zeros((len(samples), num_k, width))
     for row, sample in zip(padded, samples):
         row[:, : sample.shape[1]] = sample

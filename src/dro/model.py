@@ -463,7 +463,8 @@ class SampleBoxes:
     support lowers to a slightly inverted box, and clipping projects it onto
     the support.  Row k of ``m`` (K, n) and ``t[k]`` hold sample k's
     equality ``m @ c = t`` (a bandit total over two or more components),
-    with a zero row and ``t[k]`` NaN when it has none.
+    with a zero row and ``t[k]`` NaN when it has none; :attr:`eq` says
+    which samples carry one.
     """
 
     lo: np.ndarray
@@ -472,6 +473,11 @@ class SampleBoxes:
     t: np.ndarray
     l: np.ndarray
     u: np.ndarray
+
+    @property
+    def eq(self) -> np.ndarray:
+        """(K,) bool: whether sample k carries an equality."""
+        return ~np.isnan(self.t)
 
     def head(self, k: int) -> SampleBoxes:
         """The boxes of the first ``k`` samples.  Each sample lowers on its

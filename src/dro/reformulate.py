@@ -307,7 +307,7 @@ def _compact_dual(inst: ProblemInstance, boxes: SampleBoxes):
     fs = inst.feasible
     lo, hi, m, t = boxes.lo, boxes.hi, boxes.m, boxes.t
     num_k = lo.shape[0]
-    has_eq = ~np.isnan(t)
+    has_eq = boxes.eq
     free = m == 0
     col, first, count = _epigraph_columns(lo, hi, free)
     layout = CompactVars(n, tuple(np.flatnonzero(has_eq).tolist()), n + 1 + col)
@@ -456,7 +456,7 @@ def endpoint_form_applies(inst: ProblemInstance, lowered) -> bool:
     :func:`~dro.closedform.endpoint_fits` holds and at least one sample
     carries an equality.  Pure interval data stay on the compact dual, so
     that the interval closed form remains an independent check of it."""
-    return endpoint_fits(inst, lowered) and not np.isnan(lowered.t).all()
+    return endpoint_fits(inst, lowered) and lowered.eq.any()
 
 
 def solve_dro(inst: ProblemInstance, backend: Backend | None = None):

@@ -734,22 +734,26 @@ def check_w1_axioms(count: int, seed) -> CheckResult:
     return tally.result("transport-metric", f"{count} random triples satisfy all axioms")
 
 
+# each check with its count at scale 1, in the order ``dro validate`` runs
+# them; the i-th (from 1) draws from the seed ``[seed, i]``
+SUITE = (
+    (check_kernel_enumeration, 25),
+    (check_wc_expectation, 50),
+    (check_interval_oracle, 15),
+    (check_bandit_oracle, 15),
+    (check_w1_axioms, 40),
+    (check_compact_dual, 20),
+    (check_mcp_cop, 20),
+    (check_box_lowering, 40),
+    (check_highs_vs_reference, 10),
+    (check_collectors_batch, 10),
+    (check_highs_relaxation_first, 10),
+    (check_endpoint_vs_compact, 20),
+    (check_history_lowering, 40),
+    (check_skeleton_cop, 30),
+)
+
+
 def run_all(seed=0, scale: float = 1.0) -> list[CheckResult]:
     """The validation bundle; counts scale linearly with ``scale``."""
-    c = lambda base: max(1, int(base * scale))
-    return [
-        check_kernel_enumeration(c(25), [seed, 1]),
-        check_wc_expectation(c(50), [seed, 2]),
-        check_interval_oracle(c(15), [seed, 3]),
-        check_bandit_oracle(c(15), [seed, 4]),
-        check_w1_axioms(c(40), [seed, 5]),
-        check_compact_dual(c(20), [seed, 6]),
-        check_mcp_cop(c(20), [seed, 7]),
-        check_box_lowering(c(40), [seed, 8]),
-        check_highs_vs_reference(c(10), [seed, 9]),
-        check_collectors_batch(c(10), [seed, 10]),
-        check_highs_relaxation_first(c(10), [seed, 11]),
-        check_endpoint_vs_compact(c(20), [seed, 12]),
-        check_history_lowering(c(40), [seed, 13]),
-        check_skeleton_cop(c(30), [seed, 14]),
-    ]
+    return [check(max(1, int(base * scale)), [seed, i]) for i, (check, base) in enumerate(SUITE, 1)]

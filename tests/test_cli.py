@@ -549,6 +549,30 @@ def test_collect_determinism(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+# sha256 of the file `dro collect <family> <file> --k 12 --seed 7 --feedback
+# <feedback>` writes on the `dro gen` files below; computed with numpy 2.4.6
+_COLLECT_GEN_ARGS = {
+    "spp": ["--h", "4", "-r", "3"],
+    "mcp": ["--n1", "12", "--n2", "8", "--subset-size", "3", "--budget", "2", "--seed", "5"],
+}
+_COLLECT_SHA256 = {
+    ("spp", "bandit"): "425d7531fed0a8ee66e5349642ed9820c8890a174e7b5748e7488340317bda6d",
+    ("spp", "semibandit"): "66f6b65d1cfd3a3be86358bf7762e645db94d00b184f1b3fcefb2962b2d9e096",
+    ("mcp", "bandit"): "b6690f8e763d9994df35286f7fd28bdb3c25030dc74bf6a1e34f70545669e752",
+    ("mcp", "semibandit"): "65b185e9eb0a9c0cbd152e8bf3a88bf2956de280dd5ec34434fd2633ffe09846",
+}
+
+
+@pytest.mark.parametrize("family, feedback", sorted(_COLLECT_SHA256))
+def test_collect_output_is_pinned(tmp_path, monkeypatch, family, feedback):
+    monkeypatch.delenv("DRO_SEED", raising=False)
+    path = tmp_path / f"{family}.json"
+    assert main(["gen", family, *_COLLECT_GEN_ARGS[family], "-o", str(path)]) == 0
+    args = ["collect", family, str(path), "--k", "12", "--seed", "7", "--feedback", feedback]
+    assert main(args) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _COLLECT_SHA256[family, feedback]
+
+
 _GEN_ARGS = {
     "sorting": ["-n", "5", "--h", "2"],
     "spp": ["--h", "3", "-r", "2"],
@@ -635,9 +659,11 @@ def test_bad_dro_seed_is_one_line(tmp_path, monkeypatch, capsys, command, value)
     _refused(tmp_path, capsys, args, f"invalid DRO_SEED: need a non-negative integer, got {value!r}")
 
 
-@pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "0", "-1", "1e308"])
 def test_validate_refuses_a_bad_scale(tmp_path, capsys, scale):
     message = f"invalid --scale: need a finite multiplier > 0, got {float(scale)}"
+    if scale == "1e308":  # finite, but the largest suite count is not
+        message = "invalid --scale: suite count 50 * 1e+308 is not finite"
     _refused(tmp_path, capsys, ["validate", f"--scale={scale}"], message)
 
 

@@ -1,8 +1,13 @@
 """Nominal model, corruption channels, and the adaptive collector."""
 
+import functools
+import math
+import operator
+
 import numpy as np
 import pytest
 
+from dro import datagen
 from dro.datagen import (
     BetaNominal,
     CucbState,
@@ -20,9 +25,14 @@ from dro.datagen import (
 )
 from dro.errors import DimensionMismatch, InvalidInstance, MeanOutOfRange
 from dro.model import Interval, lower_scenario, Polytope, validate_instance
-from dro.selfcheck import random_history
+from dro.selfcheck import check_history_lowering, random_history
 from dro.problems import CoverageSystem, LayeredGraph, gen_layered_spp, gen_mcp, shortest_path_dp
 from enumeration import all_paths, covered_items, path_arcs, path_vector
+
+
+def left_to_right_sum(values):
+    """The README's bandit total: the sum of ``values`` added left to right."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 class TestBetaParams:
@@ -140,6 +150,12 @@ class TestObservation:
         scen = observe_bandit(np.array([[0.2, 0.5, 0.9]]), np.array([[1.0, 1.0, 0]]))[0]
         assert scen.total == pytest.approx(0.7)
 
+    def test_bandit_total_starts_at_positive_zero(self):
+        (scen,) = observe_bandit(np.array([[-0.0, 0.5]]), np.array([[1.0, 0.0]]))
+        assert scen.total == 0.0 and math.copysign(1.0, scen.total) == 1.0
+        (scen,) = observe_bandit(np.zeros((1, 0)), np.zeros((1, 0)))
+        assert scen.total == 0.0 and scen.mask.shape == (0,)
+
     def test_weight_one_mask_observes_single_component(self):
         scen = observe_bandit(np.array([[0.2, 0.5]]), np.array([[0.0, 1.0]]))[0]
         assert scen.total == pytest.approx(0.5)
@@ -196,7 +212,7 @@ class TestCucb:
             for a, v in semi[k].observed:
                 assert run.decisions[k][a] == 1.0
                 assert v == run.samples[k][a]
-            assert bandit[k].total == sum(v for _, v in semi[k].observed)
+            assert bandit[k].total == left_to_right_sum(v for _, v in semi[k].observed)
 
 
 class TestObserve:
@@ -214,7 +230,7 @@ class TestObserve:
         bandit = observe("bandit", run.samples, run.decisions, n)
         assert len(semi) == len(bandit) == 50
         for s, b in zip(semi, bandit):
-            assert b.total == sum(v for _, v in s.observed)
+            assert b.total == left_to_right_sum(v for _, v in s.observed)
 
     def test_pads_to_instance_dimension(self):
         data = np.array([[0.2, 0.5]])
@@ -225,6 +241,27 @@ class TestObserve:
             observe("semibandit", data, np.ones((1, 2)), 1)
 
 
+def assert_matches_validated_observation(feedback, seed):
+    """:func:`lower_history` on a dozen random histories against the
+    validation of the instance their observed scenarios make."""
+    rng = np.random.default_rng(seed)
+    for t in range(12):
+        skeleton, run = random_history(rng, t)
+        support = skeleton.support
+        got, findings = lower_history(feedback, run.samples, run.decisions, support)
+        inst = skeleton.instance(observe(feedback, run.samples, run.decisions, support.num_vars), 0.0)
+        try:
+            want = validate_instance(inst)
+        except InvalidInstance as e:
+            assert t % 4 == 3  # only the histories with an injected value fail
+            assert list(map(str, findings)) == list(map(str, e.diagnostics))
+            continue
+        assert findings == []
+        for name in ("lo", "hi", "m", "t", "l", "u"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
+
+
 class TestLowerHistory:
     """The collector-history front end of the box lowering against the
     validation of the instance its observed scenarios make."""
@@ -232,29 +269,26 @@ class TestLowerHistory:
     @pytest.mark.parametrize("feedback", ["semibandit", "bandit"])
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_validated_observation(self, feedback, seed):
-        rng = np.random.default_rng(seed)
-        for t in range(12):
-            skeleton, run = random_history(rng, t)
-            support = skeleton.support
-            got, findings = lower_history(feedback, run.samples, run.decisions, support)
-            inst = skeleton.instance(observe(feedback, run.samples, run.decisions, support.num_vars), 0.0)
-            try:
-                want = validate_instance(inst)
-            except InvalidInstance as e:
-                assert t % 4 == 3  # only the histories with an injected value fail
-                assert list(map(str, findings)) == list(map(str, e.diagnostics))
-                continue
-            assert findings == []
-            for name in ("lo", "hi", "m", "t", "l", "u"):
-                g, w = getattr(got, name), getattr(want, name)
-                assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
+        assert_matches_validated_observation(feedback, seed)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bandit_totals_ignore_a_compensated_builtin_sum(self, monkeypatch, seed):
+        # CPython 3.12 made the builtin float sum compensated; a bandit
+        # total is the left-to-right sum on every version
+        monkeypatch.setattr(datagen, "sum", math.fsum, raising=False)
+        assert_matches_validated_observation("bandit", seed)
+
+    def test_history_check_passes_under_a_compensated_builtin_sum(self, monkeypatch):
+        monkeypatch.setattr(datagen, "sum", math.fsum, raising=False)
+        result = check_history_lowering(40, [0, 13])
+        assert result.passed, result.line()
 
     def test_one_item_bandit_total_pins_its_component(self):
         skeleton, system = gen_mcp(6, 4, 1, 1, seed=2)
         run = cucb_collect_mcp(system, BetaNominal.random(6, 0.125, 3), 5, 4)
         boxes, findings = lower_history("bandit", run.samples, run.decisions, skeleton.support)
         assert findings == []
-        assert np.isnan(boxes.t).all() and not boxes.m.any()
+        assert not boxes.eq.any() and not boxes.m.any()
         seen = run.decisions > 0.5
         np.testing.assert_array_equal(boxes.lo[:, :6][seen], run.samples[seen])
         np.testing.assert_array_equal(boxes.hi[:, :6][seen], run.samples[seen])
