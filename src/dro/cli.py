@@ -90,7 +90,7 @@ def _cmd_solve(args) -> int:
     lowered = validate_instance(inst)
     # the dual MILP is what --dump-milp writes and whose LP relaxation
     # root_lp reports, whichever form solves the instance
-    mip, layout = build_dro_milp(inst, lowered)
+    mip, form = build_dro_milp(inst, lowered)
     if args.dump_milp:
         with open(args.dump_milp, "w") as fh:
             fh.write(dump_program(mip))
@@ -99,7 +99,7 @@ def _cmd_solve(args) -> int:
         value, x, diag = solve_dro_endpoint(inst, lowered, backend)
         root_lp = None if value is None else dual_relaxation(inst, mip, backend)
     else:
-        value, x, diag = solve_dro_milp(inst, mip, layout, backend)
+        value, x, diag = solve_dro_milp(inst, mip, form, backend)
         root_lp = diag.relaxation
     if value is None:
         raise _BadInput(f"solve failed: {diag.status}")
@@ -201,10 +201,13 @@ def _cmd_sweep(args) -> int:
             unknown = sorted(set(raw) - {"preset", "seed", "paper_scale", "feedback"})
             if unknown:
                 raise ValueError(f"unknown fields {unknown}")
+            paper_scale = raw.get("paper_scale", False)
+            if not isinstance(paper_scale, bool):
+                raise ValueError(f"paper_scale must be true or false, got {paper_scale!r}")
             cfg = preset_sweep(
                 raw["preset"],
                 seed=_seed_override(raw.get("seed", 0)),
-                paper_scale=bool(raw.get("paper_scale", False)) or args.paper_scale,
+                paper_scale=paper_scale or args.paper_scale,
                 feedback=raw.get("feedback"),
             )
         else:

@@ -689,7 +689,8 @@ _PRESETS = {
 def preset_sweep(name: str, seed: int = 0, paper_scale: bool = False, feedback: str | None = None) -> SweepConfig:
     """Canned sweep configurations at desk scale, or at the published sizes
     with ``paper_scale``.  ``feedback`` selects semibandit or bandit where the
-    preset supports both; one the family does not run is rejected."""
+    preset supports both, None its default; one the family does not run is
+    rejected."""
     if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(_PRESETS)}")
     family, sweep, default_feedback, rule, desk, paper = _PRESETS[name]
@@ -700,6 +701,6 @@ def preset_sweep(name: str, seed: int = 0, paper_scale: bool = False, feedback: 
         params[sweep] = scale["grid"][0]
     return SweepConfig(
         family, sweep, seed=seed, params=params, epsilon_rule=rule(max(scale["grid"]), params),
-        feedback=feedback or default_feedback,
+        feedback=default_feedback if feedback is None else feedback,
         **{k: v for k, v in scale.items() if k not in params},
     )

@@ -486,78 +486,57 @@ class SampleBoxes:
 
 
 _BOX_KINDS = (Exact, Interval, SemiBandit, Bandit)
+_SIZED = {Exact: "point", Interval: "lower", Bandit: "mask"}  # the field that must have length n
 
 
 def lower_box_scenarios(scenarios, support: Polytope):
     """Lower every scenario against a box support, building no per-scenario
-    :class:`Polytope`: gather each scenario kind's data into arrays in one
-    pass per kind, then lower them with :func:`lower_box_arrays`.
+    :class:`Polytope`: gather each scenario's data into the arrays of
+    :func:`lower_box_arrays` in one pass over the scenarios, then lower them.
 
     Returns ``(boxes, findings)``: the :class:`SampleBoxes` of the systems
     that :func:`lower_scenario` builds, and a :class:`Diagnostic` for each
     scenario that fails, in scenario order.  Exact points and semi-bandit
     observations pin their coordinates and intervals are clipped against
     the support's box; a bandit scenario is passed on as its mask and total.
-    An inverted interval, a wrong-length point, bound pair or mask, and a
-    semi-bandit index out of range or repeated are found here and leave the
-    scenario unconstrained in the arrays.
+    An inverted interval (checked before its length), a wrong-length point,
+    bound pair or mask, and a semi-bandit index out of range (checked before
+    a repeated one) or repeated are found here and leave the scenario
+    unconstrained in the arrays.
     """
     n = support.num_vars
     num_k = len(scenarios)
     l, u = support.box_bounds()
     found = {}
-    of_kind = {kind: [] for kind in _BOX_KINDS}
-    for k, s in enumerate(scenarios):
-        of_kind[type(s)].append(k)
-
-    def well_sized(kind, field):
-        keep = []
-        for k in of_kind[kind]:
-            s = scenarios[k]
-            if kind is Interval and np.any(s.lower > s.upper + tol.VALUE_TOL):
-                found[k] = Diagnostic("InvertedInterval", f"scenario {k} has lower > upper")
-            elif getattr(s, field).shape != (n,):
-                found[k] = Diagnostic("DimensionMismatch", f"scenario {k}: {_WRONG_LENGTH}")
-            else:
-                keep.append(k)
-        return keep
-
+    mismatch = lambda k, reason: Diagnostic("DimensionMismatch", f"scenario {k}: {reason}")
     up = np.full((num_k, n), np.inf)
     low = np.full((num_k, n), -np.inf)
-
-    ks = well_sized(Exact, "point")
-    if ks:
-        up[ks] = low[ks] = np.array([scenarios[k].point for k in ks])
-
-    ks = well_sized(Interval, "lower")
-    if ks:
-        up[ks] = np.minimum([scenarios[k].upper for k in ks], u)
-        low[ks] = np.maximum([scenarios[k].lower for k in ks], l)
-
-    ks = of_kind[SemiBandit]
-    if ks:
-        observed = [scenarios[k].observed for k in ks]
-        rows = np.repeat(ks, [len(o) for o in observed])
-        pairs = np.array([p for o in observed for p in o], dtype=float).reshape(-1, 2)
-        idx, vals = pairs[:, 0], pairs[:, 1]
-        outside = (idx < 0) | (idx >= n)
-        key = rows[~outside] * n + idx[~outside].astype(np.intp)
-        keys, counts = np.unique(key, return_counts=True)
-        out_of_range = set(rows[outside].tolist())
-        repeated = set((keys[counts > 1] // n).tolist())
-        for k in ks:
-            if k in out_of_range:
-                found[k] = Diagnostic("DimensionMismatch", f"scenario {k}: {_OUT_OF_RANGE}")
-            elif k in repeated:
-                found[k] = Diagnostic("DimensionMismatch", f"scenario {k}: {_REPEATED}")
-        ok = ~np.isin(rows, list(out_of_range | repeated))
-        rows, idx = rows[ok], idx[ok].astype(np.intp)
-        up[rows, idx] = low[rows, idx] = vals[ok]
-
-    band = np.array(well_sized(Bandit, "mask"), dtype=np.intp)
-    masks = np.array([scenarios[k].mask for k in band]).reshape(band.size, n)
-    totals = np.array([scenarios[k].total for k in band], dtype=float)
-    return lower_box_arrays(up, low, band, masks, totals, support, found)
+    band, masks, totals = [], [], []
+    for k, s in enumerate(scenarios):
+        if isinstance(s, Interval) and np.any(s.lower > s.upper + tol.VALUE_TOL):
+            found[k] = Diagnostic("InvertedInterval", f"scenario {k} has lower > upper")
+        elif isinstance(s, SemiBandit):
+            idx = [i for i, _ in s.observed]
+            if any(i < 0 or i >= n for i in idx):
+                found[k] = mismatch(k, _OUT_OF_RANGE)
+            elif len(set(idx)) < len(idx):
+                found[k] = mismatch(k, _REPEATED)
+            else:
+                up[k, idx] = low[k, idx] = [v for _, v in s.observed]
+        elif getattr(s, _SIZED[type(s)]).shape != (n,):
+            found[k] = mismatch(k, _WRONG_LENGTH)
+        elif isinstance(s, Exact):
+            up[k] = low[k] = s.point
+        elif isinstance(s, Interval):
+            up[k] = np.minimum(s.upper, u)
+            low[k] = np.maximum(s.lower, l)
+        else:
+            band.append(k)
+            masks.append(s.mask)
+            totals.append(s.total)
+    band = np.array(band, dtype=np.intp)
+    masks = np.array(masks).reshape(band.size, n)
+    return lower_box_arrays(up, low, band, masks, np.array(totals, dtype=float), support, found)
 
 
 def lower_box_arrays(up, low, band, masks, totals, support: Polytope, found: dict):

@@ -6,7 +6,7 @@ which the per-sample data uncertainty is dualized as well.  The MILP comes in
 two forms with the same optimal value: a compact per-coordinate form when the
 support is a box and every sample lowers to a box plus at most one equality,
 and the full dual of every support and scenario row otherwise; each builder
-returns its column layout, whose ``form`` :func:`solve_dro_milp` reports.
+returns the program with its form's name, which :func:`solve_dro_milp` reports.
 :func:`solve_dro` solves bandit data under the loss ``c.x`` without either,
 by the endpoint solver of :mod:`dro.closedform`.  No solve reads the discrete
 Wasserstein-1 distance :func:`discrete_w1`; :mod:`dro.selfcheck` checks its axioms.
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -40,83 +39,6 @@ from .solver import (
     MixedIntegerProgram,
     ReferenceKernel,
 )
-
-
-@dataclass(eq=False)
-class ReformulationVars:
-    """Column layout of the full dual MILP.
-
-    Order: decision block x (n), the transport multiplier lam (1), one dual
-    block per sample for the support rows (w0 each), then one dual block per
-    sample for that sample's own constraint rows (w_k each).  All dual blocks
-    are nonnegative via variable lower bounds.
-    """
-
-    form: ClassVar[str] = "full"
-
-    n: int
-    w0: int
-    wk: tuple
-
-    @property
-    def num_samples(self) -> int:
-        return len(self.wk)
-
-    @property
-    def lam(self) -> int:
-        return self.n
-
-    def nu(self, k: int) -> slice:
-        start = self.n + 1 + k * self.w0
-        return slice(start, start + self.w0)
-
-    def gamma(self, k: int) -> slice:
-        start = self.n + 1 + self.num_samples * self.w0 + sum(self.wk[:k])
-        return slice(start, start + self.wk[k])
-
-    @property
-    def total(self) -> int:
-        return self.n + 1 + self.num_samples * self.w0 + sum(self.wk)
-
-
-@dataclass(eq=False)
-class CompactVars:
-    """Column layout of the compact MILP for box supports.
-
-    Order: decision block x (n), the transport multiplier lam (1), the
-    epigraph columns, then one pair (mu+, mu-) per sample with an equality,
-    in sample order.  ``sigma[k, i]`` is the epigraph column of sample k's
-    coordinate i: the coordinates that no equality covers share one column
-    per coordinate i and clipped box [L, U], every other coordinate has its
-    own, and the columns are numbered in order of first occurrence,
-    sample-major.  Every column but x is nonnegative.
-    """
-
-    form: ClassVar[str] = "compact"
-
-    n: int
-    eq: tuple  # samples with an equality, ascending
-    sigma: np.ndarray  # (K, n) int, the epigraph column of each coordinate
-
-    @property
-    def num_sigma(self) -> int:
-        return int(self.sigma.max()) - self.n
-
-    @property
-    def lam(self) -> int:
-        return self.n
-
-    @property
-    def mu(self) -> np.ndarray:
-        """(K,) int: the column of mu+ of each sample with an equality (mu-
-        follows it), -1 for the others."""
-        col = np.full(self.sigma.shape[0], -1)
-        col[list(self.eq)] = self.n + 1 + self.num_sigma + 2 * np.arange(len(self.eq))
-        return col
-
-    @property
-    def total(self) -> int:
-        return self.n + 1 + self.num_sigma + 2 * len(self.eq)
 
 
 @dataclass(eq=False)
@@ -225,9 +147,8 @@ def build_dro_milp(inst: ProblemInstance, lowered=None):
     per scenario); when None, the instance is validated here, raising
     :class:`~dro.errors.InvalidInstance` when it fails.  Maximize-sense
     instances are negated to minimization here; callers undo the sign on
-    the reported value.  Returns ``(mip, layout)`` where ``layout`` is a
-    :class:`CompactVars` on box data, else a :class:`ReformulationVars`;
-    its ``form`` names the form.
+    the reported value.  Returns ``(mip, form)``, with ``form``
+    ``"compact"`` on box data and ``"full"`` otherwise.
     """
     if lowered is None:
         lowered = validate_instance(inst)
@@ -239,9 +160,9 @@ def build_dro_milp(inst: ProblemInstance, lowered=None):
 def build_full_dual_milp(inst: ProblemInstance):
     """The full dual of every support and scenario row, whatever their shape;
     same contract as :func:`build_dro_milp` without ``lowered``, which uses
-    it only when the compact form does not apply.  On box data, where
-    validation builds no polytopes, it lowers each scenario into its own
-    polytope after validating."""
+    it only when the compact form does not apply, and ``form`` is always
+    ``"full"``.  On box data, where validation builds no polytopes, it
+    lowers each scenario into its own polytope after validating."""
     lowered = validate_instance(inst)
     if isinstance(lowered, SampleBoxes):
         lowered = tuple(lower_scenario(s, inst.support) for s in inst.scenarios)
@@ -281,7 +202,10 @@ _EARLIER = np.tri(6, k=-1, dtype=bool)  # [j, q]: candidate q precedes j
 
 
 def _compact_dual(inst: ProblemInstance, boxes: SampleBoxes):
-    """The compact MILP over (x, lam, sigma, mu+, mu-) for box data.
+    """The compact MILP for box data; its columns are x (n), lam, the
+    epigraph columns sigma in order of first occurrence, sample-major, and
+    one pair (mu+, mu-) per sample with an equality, in sample order, every
+    column but x nonnegative.
 
     With d = t_xx x + t_c, sample k's inner sup separates by coordinate once
     its equality m_k @ c_hat = t_k carries a free multiplier mu_k: its value
@@ -310,9 +234,8 @@ def _compact_dual(inst: ProblemInstance, boxes: SampleBoxes):
     has_eq = boxes.eq
     free = m == 0
     col, first, count = _epigraph_columns(lo, hi, free)
-    layout = CompactVars(n, tuple(np.flatnonzero(has_eq).tolist()), n + 1 + col)
-    num_sigma = count.shape[0]
-    nvar = layout.total
+    num_sigma, num_eq = count.shape[0], int(has_eq.sum())
+    nvar = n + 1 + num_sigma + 2 * num_eq
     l, u = (np.broadcast_to(b, lo.shape) for b in (boxes.l, boxes.u))
 
     # candidate points (c_hat, c), shape (K, n, 6): the anchor (L, L), then
@@ -348,9 +271,11 @@ def _compact_dual(inst: ProblemInstance, boxes: SampleBoxes):
     a = np.zeros((nr + fs.num_rows, nvar))
     rhs = np.empty(nr + fs.num_rows)
     a[:nr, :n] = dx[:, None] * t_xx[ii]
-    a[rows, layout.lam] = lam_coef
-    a[rows, layout.sigma[kk, ii]] = -1.0
-    mu_col = layout.mu
+    a[rows, n] = lam_coef
+    a[rows, n + 1 + col[kk, ii]] = -1.0
+    # the column of mu+ of each sample with an equality (mu- follows it)
+    mu_col = np.full(num_k, -1)
+    mu_col[has_eq] = n + 1 + num_sigma + 2 * np.arange(num_eq)
     on_eq = has_eq[kk]
     a[rows[on_eq], mu_col[kk[on_eq]]] = mu_coef[on_eq]
     a[rows[on_eq], mu_col[kk[on_eq]] + 1] = -mu_coef[on_eq]
@@ -362,7 +287,7 @@ def _compact_dual(inst: ProblemInstance, boxes: SampleBoxes):
     # with sum_i f_ki(L, L) = L_k @ d - mu_k m_k @ L_k moved onto x, mu and c0
     c = np.zeros(nvar)
     c[:n] = loss.t_x + lo.sum(axis=0) @ t_xx / num_k
-    c[layout.lam] = inst.epsilon
+    c[n] = inst.epsilon
     c[n + 1 : n + 1 + num_sigma] = count / num_k
     mu_obj = (t[has_eq] - (m * lo).sum(axis=1)[has_eq]) / num_k
     c[mu_col[has_eq]] = mu_obj
@@ -375,30 +300,34 @@ def _compact_dual(inst: ProblemInstance, boxes: SampleBoxes):
     up[:n] = fs.upper
     rel = np.full(nr + fs.num_rows, LE)
     lp = LinearProgram(c, a, rel, rhs, np.zeros(nvar), up, sense="min", c0=c0)
-    return MixedIntegerProgram(lp, int_mask), layout
+    return MixedIntegerProgram(lp, int_mask), "compact"
 
 
 def _full_dual(inst: ProblemInstance, lowered):
-    """The MILP over (x, lam, nu, gamma) that dualizes every support and
-    scenario row; returns ``(mip, layout)``."""
+    """The MILP that dualizes every support and scenario row; its columns
+    are x (n), lam, one block nu_k of support multipliers per sample, then
+    one block gamma_k of multipliers for sample k's own rows per sample,
+    every column but x nonnegative."""
     loss = inst.loss if inst.sense == "min" else _negated_loss(inst.loss)
     n = inst.n
     fs = inst.feasible
     support = inst.support
     num_k = len(lowered)
-    w0 = support.num_rows
-    layout = ReformulationVars(n, w0, tuple(p.num_rows for p in lowered))
-    nvar = layout.total
+    widths = (n + 1,) + (support.num_rows,) * num_k + tuple(p.num_rows for p in lowered)
+    ends = np.cumsum(widths).tolist()
+    nvar = ends[-1]
+    blocks = [slice(a, b) for a, b in zip(ends, ends[1:])]
+    nu, gamma = blocks[:num_k], blocks[num_k:]
 
     int_mask = np.zeros(nvar, dtype=bool)
     int_mask[:n] = fs.integer_mask()
 
     c = np.zeros(nvar)
     c[:n] = loss.t_x
-    c[layout.lam] = inst.epsilon
+    c[n] = inst.epsilon
     for k in range(num_k):
-        c[layout.nu(k)] = support.rows_b / num_k
-        c[layout.gamma(k)] = lowered[k].rows_b
+        c[nu[k]] = support.rows_b / num_k
+        c[gamma[k]] = lowered[k].rows_b
 
     # per sample: n coupling rows, then 2n band rows as interleaved pairs;
     # the decision feasibility rows close the matrix
@@ -413,7 +342,7 @@ def _full_dual(inst: ProblemInstance, lowered):
         band = slice(start + n, start + 3 * n)
         top = slice(start + n, start + 3 * n, 2)
         bot = slice(start + n + 1, start + 3 * n, 2)
-        nu_sl, ga_sl = layout.nu(k), layout.gamma(k)
+        nu_sl, ga_sl = nu[k], gamma[k]
         # coupling: (1/K)(t_xx x - B0.T nu_k) - Bk.T gamma_k = -(1/K) t_c
         a[couple, :n] = t_xx / num_k
         a[couple, nu_sl] = -b0t / num_k
@@ -426,7 +355,7 @@ def _full_dual(inst: ProblemInstance, lowered):
         a[bot, :n] = -t_xx
         a[bot, nu_sl] = b0t
         rhs[bot] = t_c
-        a[band, layout.lam] = -1.0
+        a[band, n] = -1.0
     a[nb:, :n] = fs.matrix()
     rhs[nb:] = fs.rhs
     rel = ((EQ,) * n + (LE,) * (2 * n)) * num_k + (LE,) * fs.num_rows
@@ -435,7 +364,7 @@ def _full_dual(inst: ProblemInstance, lowered):
     up = np.full(nvar, np.inf)
     up[:n] = fs.upper
     lp = LinearProgram(c, a, rel, rhs, lower, up, sense="min", c0=loss.t_const)
-    return MixedIntegerProgram(lp, int_mask), layout
+    return MixedIntegerProgram(lp, int_mask), "full"
 
 
 @dataclass
@@ -469,8 +398,8 @@ def solve_dro(inst: ProblemInstance, backend: Backend | None = None):
     lowered = validate_instance(inst)
     if endpoint_form_applies(inst, lowered):
         return solve_dro_endpoint(inst, lowered, backend)
-    mip, layout = build_dro_milp(inst, lowered)
-    return solve_dro_milp(inst, mip, layout, backend)
+    mip, form = build_dro_milp(inst, lowered)
+    return solve_dro_milp(inst, mip, form, backend)
 
 
 def _verified(inst: ProblemInstance, x) -> np.ndarray:
@@ -501,14 +430,11 @@ def _ms_since(t0: float) -> float:
     return (time.perf_counter() - t0) * 1000.0
 
 
-def solve_dro_milp(
-    inst: ProblemInstance, mip: MixedIntegerProgram, layout: CompactVars | ReformulationVars,
-    backend: Backend | None = None,
-):
-    """Solve ``mip``, the instance's single-level MILP, with the ``layout``
-    its builder returned (:func:`build_dro_milp` or
-    :func:`build_full_dual_milp`), whose ``form`` the diagnostics report;
-    returns ``(value, x, diagnostics)``.
+def solve_dro_milp(inst: ProblemInstance, mip: MixedIntegerProgram, form: str, backend: Backend | None = None):
+    """Solve ``mip``, the instance's single-level MILP, with the name of
+    its ``form`` that its builder returned (:func:`build_dro_milp` or
+    :func:`build_full_dual_milp`), which the diagnostics report; returns
+    ``(value, x, diagnostics)``.
 
     The decision is extracted from the MILP solution, re-verified against the
     feasible set, and the value is reported in the instance's own sense, as
@@ -520,7 +446,7 @@ def solve_dro_milp(
     elapsed = _ms_since(t0)
     flip = 1.0 if inst.sense == "min" else -1.0
     relaxation = None if res.relaxation is None else flip * res.relaxation
-    diags = SolveDiagnostics(layout.form, res.node_count, elapsed, res.status, relaxation)
+    diags = SolveDiagnostics(form, res.node_count, elapsed, res.status, relaxation)
     if res.status != OPTIMAL:
         return None, None, diags
     return flip * res.value, _verified(inst, res.x[: inst.n].copy()), diags

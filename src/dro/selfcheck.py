@@ -39,7 +39,6 @@ from .model import (
 )
 from .problems import gen_layered_spp, gen_mcp, gen_sorting
 from .reformulate import (
-    CompactVars,
     DiscreteDistribution,
     build_dro_milp,
     build_full_dual_milp,
@@ -449,13 +448,13 @@ def check_compact_dual(count: int, seed) -> CheckResult:
     tally = _Tally()
     for t in range(count):
         inst = random_box_instance(rng)
-        mip, layout = build_dro_milp(inst)
-        if not isinstance(layout, CompactVars):
+        mip, form = build_dro_milp(inst)
+        if form != "compact":
             tally.fail(f"instance {t}: box data built the full dual")
             continue
         (v_mip, _, d_mip), (v_full, _, d_full) = (
             solve_dro_milp(inst, *built, kernel)
-            for built in ((mip, layout), build_full_dual_milp(inst))
+            for built in ((mip, form), build_full_dual_milp(inst))
         )
         pairs = (("milp", v_mip, v_full), ("lp", d_mip.relaxation, d_full.relaxation))
         for what, got, want in pairs:

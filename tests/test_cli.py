@@ -851,6 +851,13 @@ _FULL_ONLY = dict.fromkeys(("family", "sweep", "grid", "instances", "params", "e
         ),
         ({"seed": -1}, "seed must be >= 0, got -1"),
         ({**_FULL_ONLY, "preset": "sorting-delta", "seed": -1}, "seed must be >= 0, got -1"),
+        (
+            {**_FULL_ONLY, "preset": "spp-k", "paper_scale": "false"},
+            "paper_scale must be true or false, got 'false'",
+        ),
+        ({**_FULL_ONLY, "preset": "spp-k", "paper_scale": [0]}, "paper_scale must be true or false, got [0]"),
+        ({**_FULL_ONLY, "preset": "spp-k", "paper_scale": 1}, "paper_scale must be true or false, got 1"),
+        ({**_FULL_ONLY, "preset": "spp-k", "feedback": ""}, "unknown feedback '' for family 'spp'"),
     ],
     ids=[
         "missing-value", "spp-interval", "sorting-preset-bandit",
@@ -868,9 +875,13 @@ _FULL_ONLY = dict.fromkeys(("family", "sweep", "grid", "instances", "params", "e
         "negative-delta", "nan-delta", "inf-delta", "negative-delta-cell",
         "float-param", "float-k-cell", "float-h-cell", "float-n1-cell",
         "negative-seed", "preset-negative-seed",
+        "preset-string-paper-scale", "preset-list-paper-scale", "preset-int-paper-scale",
+        "preset-empty-feedback",
     ],
 )
-def test_sweep_rejects_misread_config(tmp_path, capsys, override, message):
+def test_sweep_rejects_misread_config(tmp_path, capsys, monkeypatch, override, message):
+    # a misread config must be refused before any sweep runs
+    monkeypatch.setattr(cli, "run_sweep", lambda cfg, backend=None: pytest.fail(f"ran {cfg}"))
     cfg = {
         "family": "sorting",
         "sweep": "delta",

@@ -29,9 +29,7 @@ from dro.model import (
 )
 from dro.problems import gen_layered_spp, gen_mcp, gen_sorting
 from dro.reformulate import (
-    CompactVars,
     DiscreteDistribution,
-    ReformulationVars,
     _negated_loss,
     build_dro_milp,
     build_full_dual_milp,
@@ -70,20 +68,12 @@ def unit_box(n):
     return Polytope.box(np.zeros(n), np.ones(n))
 
 
-def column_names(layout):
-    out = [f"x[{j}]" for j in range(layout.n)]
-    out.append("lam")
-    for k in range(layout.num_samples):
-        out.extend(f"nu[{k}][{i}]" for i in range(layout.w0))
-    for k in range(layout.num_samples):
-        out.extend(f"gamma[{k}][{i}]" for i in range(layout.wk[k]))
-    return out
-
-
 def reference_dro_milp(inst):
     """The full dual MILP assembled one dense row at a time: the builder the
     block assembly in ``build_full_dual_milp`` must reproduce bit for bit,
-    and whose values the compact form must reach."""
+    and whose values the compact form must reach.  Its columns are x, lam,
+    every sample's support multipliers nu, then every sample's scenario
+    multipliers gamma."""
     validate_instance(inst)
     loss = inst.loss if inst.sense == "min" else _negated_loss(inst.loss)
     n = inst.n
@@ -91,17 +81,23 @@ def reference_dro_milp(inst):
     support = inst.support
     lowered = [lower_scenario(s, support) for s in inst.scenarios]
     num_k = len(lowered)
-    layout = ReformulationVars(n, support.num_rows, tuple(p.num_rows for p in lowered))
-    nvar = layout.total
+    w0 = support.num_rows
+    lam = n
+    nu, gamma, start = [], [], n + 1 + num_k * w0
+    for k, p in enumerate(lowered):
+        nu.append(slice(n + 1 + k * w0, n + 1 + (k + 1) * w0))
+        gamma.append(slice(start, start + p.num_rows))
+        start += p.num_rows
+    nvar = start
     int_mask = np.zeros(nvar, dtype=bool)
     int_mask[:n] = fs.integer_mask()
 
     c = np.zeros(nvar)
     c[:n] = loss.t_x
-    c[layout.lam] = inst.epsilon
+    c[lam] = inst.epsilon
     for k in range(num_k):
-        c[layout.nu(k)] = support.rows_b / num_k
-        c[layout.gamma(k)] = lowered[k].rows_b
+        c[nu[k]] = support.rows_b / num_k
+        c[gamma[k]] = lowered[k].rows_b
 
     rows, rels, rhs = [], [], []
 
@@ -114,7 +110,7 @@ def reference_dro_milp(inst):
     b0t = support.rows_a.T
     for k in range(num_k):
         bkt = lowered[k].rows_a.T
-        nu_sl, ga_sl = layout.nu(k), layout.gamma(k)
+        nu_sl, ga_sl = nu[k], gamma[k]
         for i in range(n):
             row = np.zeros(nvar)
             row[:n] = t_xx[i] / num_k
@@ -125,12 +121,12 @@ def reference_dro_milp(inst):
             row = np.zeros(nvar)
             row[:n] = t_xx[i]
             row[nu_sl] = -b0t[i]
-            row[layout.lam] = -1.0
+            row[lam] = -1.0
             add(row, LE, -t_c[i])
             row2 = np.zeros(nvar)
             row2[:n] = -t_xx[i]
             row2[nu_sl] = b0t[i]
-            row2[layout.lam] = -1.0
+            row2[lam] = -1.0
             add(row2, LE, t_c[i])
     gmat = fs.matrix()
     for i in range(fs.num_rows):
@@ -144,7 +140,7 @@ def reference_dro_milp(inst):
         c, np.array(rows), tuple(rels), np.array(rhs), np.zeros(nvar), up,
         sense="min", c0=loss.t_const,
     )
-    return MixedIntegerProgram(lp, int_mask), layout
+    return MixedIntegerProgram(lp, int_mask), "full"
 
 
 def reference_compact_milp(inst):
@@ -152,7 +148,9 @@ def reference_compact_milp(inst):
     over samples, coordinates and candidate points (c_hat, c), from each
     scenario's lowered polytope read row by row.  Coordinates outside the
     sample's equality share a column per (i, L, U), in order of first
-    occurrence, and only the first of them emits rows."""
+    occurrence, and only the first of them emits rows.  Its columns are x,
+    lam, the epigraph columns, then (mu+, mu-) per sample with an
+    equality."""
     validate_instance(inst)
     loss = inst.loss if inst.sense == "min" else _negated_loss(inst.loss)
     n, fs = inst.n, inst.feasible
@@ -180,9 +178,9 @@ def reference_compact_milp(inst):
             sigma[k, i] = n + 1 + len(count)
             count.append(1)
             emits.add((k, i))
-    layout = CompactVars(n, eq, sigma)
-    nvar = layout.total
-    assert nvar == n + 1 + len(count) + 2 * len(eq)
+    lam = n
+    mu = {k: n + 1 + len(count) + 2 * j for j, k in enumerate(eq)}
+    nvar = n + 1 + len(count) + 2 * len(eq)
 
     rows, rhs = [], []
     for k, (lo, hi, m, t) in enumerate(samples):
@@ -201,11 +199,11 @@ def reference_compact_milp(inst):
                 seen.add((c_hat, c))
                 row = np.zeros(nvar)
                 row[:n] = (c - big_l) * loss.t_xx[i]
-                row[layout.lam] = -abs(c - c_hat)
+                row[lam] = -abs(c - c_hat)
                 b = -(c - big_l) * loss.t_c[i]
                 if m is not None:
-                    row[layout.mu[k]] = -mi * (c_hat - big_l)
-                    row[layout.mu[k] + 1] = mi * (c_hat - big_l)
+                    row[mu[k]] = -mi * (c_hat - big_l)
+                    row[mu[k] + 1] = mi * (c_hat - big_l)
                 if np.any(row != 0) or b != 0:  # else only -sigma <= 0
                     row[sigma[k, i]] = -1.0
                     rows.append(row)
@@ -220,15 +218,15 @@ def reference_compact_milp(inst):
     c = np.zeros(nvar)
     c[:n] = loss.t_x
     c0 = loss.t_const
-    c[layout.lam] = inst.epsilon
+    c[lam] = inst.epsilon
     for j, size in enumerate(count):
         c[n + 1 + j] = size / num_k
     for k, (lo, hi, m, t) in enumerate(samples):
         c[:n] += loss.t_xx.T @ lo / num_k
         c0 += lo @ loss.t_c / num_k
         if m is not None:
-            c[layout.mu[k]] = (t - m @ lo) / num_k
-            c[layout.mu[k] + 1] = -(t - m @ lo) / num_k
+            c[mu[k]] = (t - m @ lo) / num_k
+            c[mu[k] + 1] = -(t - m @ lo) / num_k
     up = np.full(nvar, np.inf)
     up[:n] = fs.upper
     int_mask = np.zeros(nvar, dtype=bool)
@@ -237,7 +235,7 @@ def reference_compact_milp(inst):
         c, np.array(rows), (LE,) * len(rows), np.array(rhs), np.zeros(nvar), up,
         sense="min", c0=c0,
     )
-    return MixedIntegerProgram(lp, int_mask), layout
+    return MixedIntegerProgram(lp, int_mask), "compact"
 
 
 def _spp_history(h, r, num_k, feedback, seed):
@@ -300,62 +298,38 @@ def _reference_cases():
     return cases
 
 
-class TestVariableLayout:
-    def test_offsets_cover_all_columns(self):
-        layout = ReformulationVars(3, 6, (8, 7))
-        assert layout.lam == 3
-        assert layout.nu(0) == slice(4, 10)
-        assert layout.nu(1) == slice(10, 16)
-        assert layout.gamma(0) == slice(16, 24)
-        assert layout.gamma(1) == slice(24, 31)
-        assert layout.total == 31
-        assert len(column_names(layout)) == 31
-        assert column_names(layout)[3] == "lam"
-
-    def test_compact_offsets_cover_all_columns(self):
-        # samples 0 and 2 share columns 5 and 6, and sample 3 shares
-        # column 4 with sample 0; every column in 4..11 is someone's
-        sigma = np.array([[4, 5, 6], [7, 8, 9], [10, 5, 6], [4, 11, 6]])
-        layout = CompactVars(3, (1, 3), sigma)
-        assert layout.lam == 3
-        assert layout.num_sigma == 8
-        assert sorted(set(sigma.ravel().tolist())) == list(range(4, 12))
-        assert layout.mu.tolist() == [-1, 12, -1, 14]
-        assert layout.total == 16
-
-
 def _close(got, want):
     return abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
 @pytest.mark.parametrize("inst", _reference_cases())
 def test_block_builder_matches_row_builder(inst):
-    mip, layout = build_dro_milp(inst)
-    ref, ref_layout = reference_dro_milp(inst)
-    if isinstance(layout, CompactVars):
+    mip, form = build_dro_milp(inst)
+    ref, ref_form = reference_dro_milp(inst)
+    if form == "compact":
         # box data: the compact form reaches the full dual's MILP and LP
         # relaxation values
         assert inst.support.is_box()
         sp = ScipyBackend()
-        got, _, got_diag = solve_dro_milp(inst, mip, layout, sp)
-        want, _, want_diag = solve_dro_milp(inst, ref, ref_layout, sp)
+        got, _, got_diag = solve_dro_milp(inst, mip, form, sp)
+        want, _, want_diag = solve_dro_milp(inst, ref, ref_form, sp)
         assert (got_diag.form, want_diag.form) == ("compact", "full")
         assert _close(got, want)
         assert _close(got_diag.relaxation, want_diag.relaxation)
-        # the vectorized assembly against the loop: the same rows, bit for
-        # bit; the objective sums over samples in another order
-        loop, loop_layout = reference_compact_milp(inst)
-        loop = loop.lp
-        np.testing.assert_array_equal(layout.sigma, loop_layout.sigma)
-        assert layout.eq == loop_layout.eq
+        # the vectorized assembly against the loop: the same rows in the
+        # same columns, bit for bit; the objective sums over samples in
+        # another order
+        loop = reference_compact_milp(inst)[0].lp
+        assert mip.lp.a.shape == loop.a.shape
         for got, want in ((mip.lp.a, loop.a), (mip.lp.b, loop.b), (mip.lp.upper, loop.upper)):
             assert got.tobytes() == want.tobytes()
         assert np.array_equal(mip.lp.rel, loop.rel)
         np.testing.assert_allclose(mip.lp.c, loop.c, rtol=0.0, atol=1e-12)
         assert mip.lp.c0 == pytest.approx(loop.c0, rel=0.0, abs=1e-12)
-        mip, _ = build_full_dual_milp(inst)
+        mip, form = build_full_dual_milp(inst)
     else:
         assert not inst.support.is_box()
+    assert form == "full"
     assert dump_program(mip) == dump_program(ref)
     lp, rlp = mip.lp, ref.lp
     for got, want in (
@@ -370,32 +344,40 @@ def test_block_builder_matches_row_builder(inst):
     assert np.array_equal(mip.integer, ref.integer)
 
 
-def test_compact_dual_bits_are_pinned():
-    """The compact MILP of random box instances keeps its bits now that it
-    reads the support's box off the validated boxes: ``a``, ``b``, ``c``,
-    ``c0`` and the bounds hash to the digest recorded when it read the box
-    off the support.  The digest was computed with numpy 2.4.6; a numpy
-    release that changes a generator's output changes it, and then it is
-    recomputed, not the code changed to match."""
+@pytest.mark.parametrize(
+    "build, want",
+    [
+        (build_dro_milp, "da8b74aec2911d6439187e1d0dd774b22ef3cfbca33afb6c5034e3e49f7c29b4"),
+        (build_full_dual_milp, "9f5ac4f06abeb8aec040c1bd45b7460fddff9f1514e026ce79b4d6e2289e9f18"),
+    ],
+    ids=["build_dro_milp", "build_full_dual_milp"],
+)
+def test_dual_milp_bits_are_pinned(build, want):
+    """Each builder's MILP of random box instances keeps its bits, column
+    placement included: ``a``, ``b``, ``c``, ``c0`` and the bounds hash to
+    the digest recorded before the builders computed their own column
+    offsets (for the compact form, before it read the support's box off the
+    validated boxes).  The digests were computed with numpy 2.4.6; a numpy
+    release that changes a generator's output changes them, and then they
+    are recomputed, not the code changed to match."""
     rng = np.random.default_rng(29)
     digest = hashlib.sha256()
     for _ in range(40):
-        lp = build_dro_milp(random_box_instance(rng))[0].lp
+        lp = build(random_box_instance(rng))[0].lp
         for arr in (lp.a, lp.b, lp.c, np.float64(lp.c0), lp.lower, lp.upper):
             digest.update(arr.tobytes())
-    assert digest.hexdigest() == "da8b74aec2911d6439187e1d0dd774b22ef3cfbca33afb6c5034e3e49f7c29b4"
+    assert digest.hexdigest() == want
 
 
 def test_compact_bandit_build_runs_no_lp(model_calls):
     # every lowered bandit sample is the unit box plus one equality: the
     # emptiness checks are structural and the compact form needs no bounds LP
     inst = _spp_history(5, 3, 25, observe_bandit, 0)
-    mip, layout = build_dro_milp(inst)
-    assert isinstance(layout, CompactVars)
-    assert len(layout.eq) == inst.num_samples
+    mip, form = build_dro_milp(inst)
+    assert form == "compact"
     assert model_calls == {"lowered": inst.num_samples, "solve_lp": 0}
-    assert mip.lp.n == layout.total == _bandit_columns(inst)
-    assert layout.num_sigma < inst.num_samples * inst.n
+    assert mip.lp.n == _bandit_columns(inst)
+    assert _epigraph_columns(inst, mip) < inst.num_samples * inst.n
 
 
 def _bandit_columns(inst):
@@ -408,13 +390,19 @@ def _bandit_columns(inst):
     return inst.n + 1 + int(observed.sum()) + shared + 2 * inst.num_samples
 
 
+def _epigraph_columns(inst, mip):
+    """The epigraph columns of the compact MILP of a bandit history whose
+    samples all carry an equality: all but x, lam and (mu+, mu-) per sample."""
+    return mip.lp.n - inst.n - 1 - 2 * inst.num_samples
+
+
 def test_paper_scale_bandit_program_is_merged():
     # the paper-scale (11, 5, 100) spp-k bandit cell, built but not solved:
     # one column per sample and coordinate would make a 94,104 x 23,936
     # dense matrix of about 18 GB
     inst = _spp_history(11, 5, 100, observe_bandit, 0)
-    mip, layout = build_dro_milp(inst)
-    assert isinstance(layout, CompactVars)
+    mip, form = build_dro_milp(inst)
+    assert form == "compact"
     observed = np.array([s.mask != 0 for s in inst.scenarios])
     unobserved = int((~observed).any(axis=0).sum())
     # unit box: three rows per observed coordinate, one per shared column
@@ -426,10 +414,11 @@ def test_paper_scale_bandit_program_is_merged():
 @pytest.mark.parametrize("backend", [ReferenceKernel(), ScipyBackend()], ids=["reference", "scipy"])
 def test_merged_bandit_history_matches_full_dual(backend):
     inst = _spp_history(3, 2, 6, observe_bandit, 2)
-    mip, layout = build_dro_milp(inst)
+    mip, form = build_dro_milp(inst)
     full = build_full_dual_milp(inst)
-    assert layout.num_sigma < inst.num_samples * inst.n
-    got, _, got_diag = solve_dro_milp(inst, mip, layout, backend)
+    assert mip.lp.n == _bandit_columns(inst)
+    assert _epigraph_columns(inst, mip) < inst.num_samples * inst.n
+    got, _, got_diag = solve_dro_milp(inst, mip, form, backend)
     want, _, want_diag = solve_dro_milp(inst, *full, backend)
     assert (got_diag.form, want_diag.form) == ("compact", "full")
     assert _close(got, want)
