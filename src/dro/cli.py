@@ -55,7 +55,7 @@ def _seed(args) -> int:
 def _emit(payload: dict, path: str | None):
     text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
     if path:
-        with open(path, "w") as fh:
+        with _writing(path), open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -64,6 +64,17 @@ def _emit(payload: dict, path: str | None):
 class _BadInput(Exception):
     """Input the command refuses, or a solve it cannot finish; ``main``
     prints its one-line message and exits 1."""
+
+
+@contextmanager
+def _writing(path: str):
+    """Turn what opening or writing the output ``path`` raises (a missing
+    directory, a directory in its place, no permission) into ``_BadInput``
+    with the message ``cannot write <path>: <reason>``."""
+    try:
+        yield
+    except OSError as e:
+        raise _BadInput(f"cannot write {path}: {e.strerror or e}") from e
 
 
 @contextmanager
@@ -92,7 +103,7 @@ def _cmd_solve(args) -> int:
     # root_lp reports, whichever form solves the instance
     mip, form = build_dro_milp(inst, lowered)
     if args.dump_milp:
-        with open(args.dump_milp, "w") as fh:
+        with _writing(args.dump_milp), open(args.dump_milp, "w") as fh:
             fh.write(dump_program(mip))
     backend = get_backend(args.backend)
     if endpoint_form_applies(inst, lowered):
@@ -142,7 +153,8 @@ def _cmd_gen(args) -> int:
             problem.meta["seed"] = seed
     except BadCardinality as e:
         raise _BadInput(f"invalid {args.family} parameters: {e}") from e
-    save_instance(args.output, problem)
+    with _writing(args.output):
+        save_instance(args.output, problem)
     return 0
 
 
@@ -189,7 +201,9 @@ def _cmd_collect(args) -> int:
         dist = BetaNominal.random(system.n_items, args.sigma, rng_means)
         run = cucb_collect_mcp(system, dist, args.k, rng_run)
     new = observe(args.feedback, run.samples, run.decisions, n)
-    save_instance(args.output or args.instance, replace(inst, scenarios=inst.scenarios + tuple(new)))
+    path = args.output or args.instance
+    with _writing(path):
+        save_instance(path, replace(inst, scenarios=inst.scenarios + tuple(new)))
     return 0
 
 
@@ -220,10 +234,13 @@ def _cmd_sweep(args) -> int:
             raw["seed"] = _seed_override(raw["seed"])
             cfg = SweepConfig(**raw)
     backend = get_backend(args.backend) if args.backend else None
-    records = run_sweep(cfg, backend=backend)
-    csv_text = records_to_csv(records, include_timings=args.timings)
-    with open(args.output, "w") as fh:
-        fh.write(csv_text)
+    # opened before the first cell, so that an unwritable path costs no run
+    with _writing(args.output):
+        out = open(args.output, "w")
+    with out:
+        records = run_sweep(cfg, backend=backend)
+        with _writing(args.output):
+            out.write(records_to_csv(records, include_timings=args.timings))
     failed = sum(r.n_fail for r in records)
     if failed:
         print(f"{failed} instance solves failed; see n_fail column", file=sys.stderr)
@@ -261,7 +278,7 @@ def main(argv=None) -> int:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("closed-form", help="solve box data under the loss c.x at the transport endpoints: two COPs, or a COP and a sample-average MILP on bandit totals")
+    p = sub.add_parser("closed-form", help="solve box data under the loss c.x at the transport endpoints: two COPs, or on bandit totals a COP and the sample-average MILP (an instance file carries no decision table)")
     p.add_argument("instance")
     p.add_argument("--backend", default=None, choices=["reference", "scipy"])
     p.add_argument("-o", "--output", default=None)

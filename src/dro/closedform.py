@@ -78,7 +78,9 @@ class EndpointDetail:
     value: float
     x: np.ndarray
     winner: str  # "saa" or "ceiling"
-    node_count: int | None = None  # the sample-average MILP's, None for a COP
+    # the sample-average MILP's; None when a COP or a decision table gave
+    # the sample-average candidate
+    node_count: int | None = None
 
 
 def ceiling_costs(support_lower, support_upper, sense: str):
@@ -110,6 +112,7 @@ def solve_endpoints(
     sense: str = "min",
     support_bound=None,
     backend=None,
+    saa_oracle=None,
 ) -> EndpointDetail:
     """Solve a box-data instance with the loss ``c.x`` at its two transport
     endpoints, lambda = 0 and lambda = 1.
@@ -130,8 +133,11 @@ def solve_endpoints(
     answers for that set.  Without equalities the
     sample-average candidate is the COP on the mean per-sample upper bounds
     (lower, for maximization).  With 0/1-mask equalities
-    (:func:`endpoint_fits`) it is a MILP on ``backend`` (see
-    :func:`_saa_milp`).  ``support_bound`` is the
+    (:func:`endpoint_fits`) it is ``saa_oracle(boxes, sense)``, the table
+    of decisions a generated instance carries as
+    :attr:`~dro.model.ProblemInstance.saa`, and without one a MILP on
+    ``backend`` (see :func:`_saa_milp`).  Like ``nominal_cop``, the oracle
+    must answer for ``feasible``.  ``support_bound`` is the
     ``(value, x)`` of the ceiling candidate when the caller has already
     solved it.  A solve that ends without an optimum raises
     :class:`~dro.errors.SolveFailed` (or what ``nominal_cop`` raises).
@@ -144,6 +150,8 @@ def solve_endpoints(
     nodes = None
     if not boxes.eq.any():
         v1, x1 = cop((boxes.hi if sense == "min" else boxes.lo).mean(axis=0), sense)
+    elif saa_oracle is not None:
+        v1, x1 = saa_oracle(boxes, sense)
     else:
         v1, x1, nodes = _saa_milp(feasible, boxes, sense, backend)
     v1 += sign * epsilon

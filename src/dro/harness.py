@@ -47,9 +47,11 @@ Every instance of every cell is solved and scored by one function,
 ``_outcome``, which times the robust solve for ``mean_time_ms``: interval
 and semi-bandit boxes go to the interval closed form, whose sample-average
 candidate is one COP, and bandit boxes to the endpoint solver
-(``closedform.solve_endpoints``) with its sample-average MILP on the
-backend; ``mean_lp_quality`` is the robust value over the value of the
-compact dual MILP's LP relaxation, on bandit cells only.  A sorting cell
+(``closedform.solve_endpoints``), whose sample-average candidate is the
+skeleton's decision table (``ProblemInstance.saa``) up to
+``problems._BLOCK`` decisions and a MILP on the backend beyond;
+``mean_lp_quality`` is the robust value over the value of the compact dual
+MILP's LP relaxation, on bandit cells only.  A sorting cell
 times both candidates; an spp or mcp cell times its sample-average
 candidate and the comparison, as its draw solved the ceiling one.
 """
@@ -390,13 +392,15 @@ def _outcome(cfg, cell, skeleton: ProblemInstance, boxes: SampleBoxes, cop, dist
     radius, timed, and its decision's nominal relative loss.  Interval and
     semi-bandit boxes go to the interval closed form, which times the
     ceiling candidate unless the draw solved it (``support_bound``);
-    bandit boxes go to the endpoint solver with its sample-average MILP on
-    ``backend``, and add the compact dual's relaxation quality."""
+    bandit boxes go to the endpoint solver, whose sample-average candidate
+    is the skeleton's decision table (``skeleton.saa``) or, on a skeleton
+    without one, a MILP on ``backend``, and add the compact dual's
+    relaxation quality."""
     eps = cfg.cell_epsilon(cell, len(boxes.lo))
     bandit = cfg.feedback == "bandit"
     args = skeleton.feasible, boxes, eps, cop, skeleton.sense, support_bound
     t0 = time.perf_counter()
-    detail = solve_endpoints(*args, backend) if bandit else solve_interval_detail(*args)
+    detail = solve_endpoints(*args, backend, skeleton.saa) if bandit else solve_interval_detail(*args)
     dt = (time.perf_counter() - t0) * 1000.0
     rho = nominal_relative_loss(detail.x, dist, skeleton.feasible, optimum)
     if not bandit:

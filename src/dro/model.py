@@ -392,10 +392,14 @@ class ProblemInstance:
     data to it.  ``cop``, when given, is an exact combinatorial solver over
     ``feasible``, ``cop(costs, sense) -> (value, x)``: a generated problem
     carries its family's, and the endpoint form solves its COPs with it.
-    None, as on an instance read from JSON, leaves those solves to a MILP on
-    ``feasible``.  It is not saved, and code that swaps ``feasible`` must
-    drop it.  ``meta`` is free-form JSON, a generator's family parameters:
-    saved and loaded, but read by no solve.
+    ``saa``, when given, scores every decision of ``feasible`` for the
+    endpoint form's sample-average candidate on bandit data, ``saa(boxes,
+    sense) -> (value, x)`` with the radius left out: a generated problem of
+    at most ``problems._BLOCK`` decisions carries its family's table.  None,
+    as on an instance read from JSON, leaves those solves to a MILP on
+    ``feasible``.  Neither handle is saved, and code that swaps ``feasible``
+    must drop both.  ``meta`` is free-form JSON, a generator's family
+    parameters: saved and loaded, but read by no solve.
     """
 
     feasible: FeasibleSet
@@ -405,6 +409,7 @@ class ProblemInstance:
     epsilon: float
     sense: str = "min"
     cop: Callable | None = None
+    saa: Callable | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -422,7 +427,7 @@ class ProblemInstance:
         return len(self.scenarios)
 
     def instance(self, scenarios, epsilon: float) -> ProblemInstance:
-        """This problem on other data; ``cop`` and ``meta`` are kept."""
+        """This problem on other data; ``cop``, ``saa`` and ``meta`` are kept."""
         return replace(self, scenarios=scenarios, epsilon=epsilon)
 
 

@@ -1,11 +1,13 @@
 """Benchmark problem families: item selection, layered-graph routing, and
 maximum coverage, plus exact combinatorial solvers (routing DP, stable
-selection, budgeted coverage search).
+selection, budgeted coverage search) and sample-average decision tables.
 
 Each generator returns the :class:`~dro.model.ProblemInstance` that ``dro
 gen`` writes: feasible set, loss, support, the family's exact combinatorial
-solver as ``cop`` and its parameters as ``meta``, with no scenarios at
-radius 0; :meth:`~dro.model.ProblemInstance.instance` attaches data.
+solver as ``cop``, its sample-average table as ``saa`` (None for a family of
+more than ``_BLOCK`` decisions) and its parameters as ``meta``, with no
+scenarios at radius 0; :meth:`~dro.model.ProblemInstance.instance` attaches
+data.
 Structural indices are deterministic and documented so that observation
 masks align across runs.
 """
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadCardinality, DimensionMismatch
-from .model import BiaffineLoss, FeasibleSet, Polytope, ProblemInstance
+from .model import BiaffineLoss, FeasibleSet, Polytope, ProblemInstance, SampleBoxes
 
 
 def _cardinality_rows(n: int, h: int):
@@ -36,7 +38,9 @@ def gen_sorting(n: int, h: int) -> ProblemInstance:
     g2, rhs = _cardinality_rows(n, h)
     feasible = FeasibleSet(0, n, [], g2, rhs, np.ones(n))
     support, meta = Polytope.box(np.zeros(n), np.ones(n)), {"family": "sorting", "n": n, "h": h}
-    return ProblemInstance(feasible, BiaffineLoss.bilinear(n), support, (), 0.0, "min", sorting_cop(n, h), meta)
+    return ProblemInstance(
+        feasible, BiaffineLoss.bilinear(n), support, (), 0.0, "min", sorting_cop(n, h), sorting_saa(n, h), meta
+    )
 
 
 @dataclass(eq=False)
@@ -122,7 +126,9 @@ def gen_layered_spp(h: int, r: int):
             add_eq(bal, 0.0)
     feasible = FeasibleSet(0, n, [], np.array(rows), np.array(rhs), np.ones(n))
     support, meta = Polytope.box(np.zeros(n), np.ones(n)), {"family": "spp", "h": h, "r": r}
-    problem = ProblemInstance(feasible, BiaffineLoss.bilinear(n), support, (), 0.0, "min", spp_cop(graph), meta)
+    problem = ProblemInstance(
+        feasible, BiaffineLoss.bilinear(n), support, (), 0.0, "min", spp_cop(graph), spp_saa(graph), meta
+    )
     return problem, graph
 
 
@@ -190,7 +196,9 @@ def gen_mcp(n_items: int, n_subsets: int, subset_size: int, budget: int, seed):
         "budget": budget,
         "subsets": [list(s) for s in subsets],
     }
-    problem = ProblemInstance(feasible, BiaffineLoss.bilinear(n), support, (), 0.0, "max", mcp_cop(system), meta)
+    problem = ProblemInstance(
+        feasible, BiaffineLoss.bilinear(n), support, (), 0.0, "max", mcp_cop(system), mcp_saa(system), meta
+    )
     return problem, system
 
 
@@ -276,10 +284,41 @@ def _colex_combinations(k: int) -> np.ndarray:
     m = k
     while k and math.comb(m + 1, k) <= _BLOCK:
         m += 1
-    rows = sorted(itertools.combinations(range(m), k), key=lambda c: c[::-1])
-    table = np.array(rows, dtype=np.intp).reshape(len(rows), k).T.copy()
+    table = _colex(m, k)
     table.setflags(write=False)
     return table
+
+
+def _colex(m: int, k: int) -> np.ndarray:
+    """(k, C(m, k)) table, one column per k-subset of ``range(m)``, in colex
+    order: by largest element, then next largest, and so on."""
+    rows = sorted(itertools.combinations(range(m), k), key=lambda c: c[::-1])
+    return np.array(rows, dtype=np.intp).reshape(len(rows), k).T.copy()
+
+
+def _subset_masks(system: CoverageSystem) -> np.ndarray:
+    """(n_subsets, words) ``uint64`` item masks, item ``a`` at bit ``a % 64``
+    of word ``a // 64``."""
+    words = (system.n_items + 63) // 64
+    rows = []
+    for s in system.subsets:
+        row = [0] * words
+        for a in s:
+            row[a >> 6] |= 1 << (a & 63)
+        rows.append(row)
+    return np.array(rows, dtype="<u8").reshape(system.n_subsets, words)
+
+
+def _selection_covers(system: CoverageSystem, masks: np.ndarray):
+    """Every selection of ``min(budget, n_subsets)`` subsets, colex over
+    subset indices, as a (picks, P) index table, and the (byte, P) bytes of
+    each one's cover (item ``a`` at bit ``a % 8`` of byte ``a // 8``)."""
+    picks = min(system.budget, system.n_subsets)
+    selections = _colex_combinations(picks)[:, : math.comb(system.n_subsets, picks)]
+    covers = np.zeros((selections.shape[1], masks.shape[1]), dtype="<u8")
+    for row in selections:
+        covers |= masks[row]
+    return selections, np.ascontiguousarray(covers.view(np.uint8)[:, : (system.n_items + 7) // 8].T)
 
 
 def mcp_cop(system: CoverageSystem):
@@ -312,21 +351,10 @@ def mcp_cop(system: CoverageSystem):
     picks = min(system.budget, n2)
     words = (n1 + 63) // 64
     nbytes = (n1 + 7) // 8
-    rows = []
-    for s in system.subsets:
-        row = [0] * words
-        for a in s:
-            row[a >> 6] |= 1 << (a & 63)
-        rows.append(row)
-    masks = np.array(rows, dtype="<u8").reshape(n2, words)
+    masks = _subset_masks(system)
     selections = root_octets = None
     if math.comb(n2, picks) <= _BLOCK:
-        # every selection, colex over subset indices, and its cover's bytes
-        selections = _colex_combinations(picks)[:, : math.comb(n2, picks)]
-        covers = np.zeros((selections.shape[1], words), dtype="<u8")
-        for row in selections:
-            covers |= masks[row]
-        root_octets = np.ascontiguousarray(covers.view(np.uint8)[:, :nbytes].T)
+        selections, root_octets = _selection_covers(system, masks)
 
     def solve(costs, sense="max"):
         if sense != "max":
@@ -435,5 +463,166 @@ def mcp_cop(system: CoverageSystem):
         covered = np.unpackbits(cover.view(np.uint8), bitorder="little")[:n1].astype(bool)
         x[:n1] = covered & (costs[:n1] >= 0.0)
         return float(costs @ x), x
+
+    return solve
+
+
+# -- sample-average tables ---------------------------------------------------
+
+
+def _byte_table(weights: np.ndarray) -> np.ndarray:
+    """(row, byte, byte value) table of the weight that each value's set
+    bits carry, over (row, 8 per byte) ``weights``, summed bit 0 first."""
+    w = weights.reshape(weights.shape[0], -1, 8)
+    table = np.zeros(w.shape[:2] + (256,))
+    for t in range(8):
+        table += w[:, :, t, None] * _BYTE_BITS[:, t]
+    return table
+
+
+# the most (sample, decision) scores a sample-average table holds at once
+_SAMPLE_CHUNK = 1 << 18
+
+
+def _best_saa_row(boxes: SampleBoxes, sense: str, gather):
+    """``(value, row)``: the first row of a decision table with the best
+    sample-average score, radius left out, by exact comparison.
+
+    ``gather(weights)`` sums each row of ``weights`` over each decision of
+    the table, one coordinate after another, (k, n) -> (k, P).  Take sample
+    k's box [L, U], its masked widths D (U - L on its mask where positive,
+    else 0) and s = t - m.L: it scores ``sum_{i not in m} U_i x_i +
+    sum_{i in m} L_i x_i + min(s, D.x)`` (min) or ``L.x + max(0, s - D.(1 -
+    x))`` (max), where ``s - D.(1 - x)`` is taken as ``(s - fsum(D)) +
+    D.x``; a sample without an equality scores ``U.x`` (``L.x``).  The
+    linear terms of all samples are summed per coordinate, sample by
+    sample, before the gather; the nonlinear terms are added to the scores
+    one sample after another, and the value is the best score over K.
+    """
+    lo, hi, m = boxes.lo, boxes.hi, boxes.m
+    eq = boxes.eq
+    scores = gather((np.where(m != 0, lo, hi) if sense == "min" else lo).sum(axis=0)[None])[0]
+    width = (hi - lo)[eq]
+    masked = np.where((m[eq] != 0) & (width > 0), width, 0.0)
+    offsets = boxes.t[eq] - (m[eq] * lo[eq]).sum(axis=1)
+    if sense == "max":
+        offsets -= [math.fsum(d) for d in masked]
+    step = max(1, _SAMPLE_CHUNK // scores.size)
+    for i in range(0, masked.shape[0], step):
+        covered, s = gather(masked[i : i + step]), offsets[i : i + step, None]
+        for term in np.minimum(s, covered) if sense == "min" else np.maximum(0.0, s + covered):
+            scores += term
+    row = int(np.argmin(scores) if sense == "min" else np.argmax(scores))
+    return float(scores[row]) / lo.shape[0], row
+
+
+def _table_saa(n: int, build):
+    """A sample-average handle ``saa(boxes, sense) -> (value, x)`` over a
+    decision table; the value leaves the radius out, as
+    :func:`~dro.closedform._saa_milp`'s does.  ``build()`` returns
+    ``(gather, decision)`` as :func:`_best_saa_row` reads ``gather``, with
+    ``decision(row)`` the row's x; it runs on the first call, and its
+    tables are kept."""
+    table = functools.cache(build)
+
+    def saa(boxes: SampleBoxes, sense="min"):
+        if boxes.lo.shape[1:] != (n,):
+            raise DimensionMismatch("one box per decision coordinate required")
+        gather, decision = table()
+        value, row = _best_saa_row(boxes, sense, gather)
+        return value, decision(row)
+
+    return saa
+
+
+def _index_table(rows: np.ndarray, n: int):
+    """``(gather, decision)`` of a (h, P) table whose column p lists the h
+    coordinates of decision p."""
+
+    def gather(weights):
+        total = weights.take(rows[0], axis=1)
+        for r in rows[1:]:
+            total += weights.take(r, axis=1)
+        return total
+
+    def decision(p):
+        x = np.zeros(n)
+        x[rows[:, p]] = 1.0
+        return x
+
+    return gather, decision
+
+
+def sorting_saa(n: int, h: int):
+    """Sample-average handle over the C(n, h) selections in colex order,
+    both senses; None when there are more than ``_BLOCK``.  The table is
+    built for ``range(n)`` alone: ``_colex_combinations(h)`` would list up
+    to ``_BLOCK`` subsets of a larger range."""
+    if math.comb(n, h) > _BLOCK:
+        return None
+    return _table_saa(n, lambda: _index_table(_colex(n, h), n))
+
+
+def spp_saa(graph: LayeredGraph):
+    """Sample-average handle over the ``r**(h-1)`` paths, in lexicographic
+    order of their nodes layer by layer, both senses; None when there are
+    more than ``_BLOCK``."""
+    if graph.r ** (graph.h - 1) > _BLOCK:
+        return None
+    return _table_saa(graph.num_arcs, lambda: _index_table(_path_arcs(graph), graph.num_arcs))
+
+
+def _path_arcs(graph: LayeredGraph) -> np.ndarray:
+    """(h, r**(h-1)) table whose column p lists the arcs of path p, layer
+    by layer; paths run in lexicographic order of their nodes, the node of
+    the first intermediate layer first (:attr:`LayeredGraph.arc_table`)."""
+    h, arcs = graph.h, graph.arc_table
+    nodes = np.indices((graph.r,) * (h - 1)).reshape(h - 1, -1)  # (layer, path)
+    inner = [arcs[layer, nodes[layer - 1], nodes[layer]] for layer in range(1, h - 1)]
+    return np.vstack([arcs[0, 0, nodes[0]], *inner, arcs[h - 1, nodes[-1], 0]])
+
+
+def mcp_saa(system: CoverageSystem):
+    """Sample-average handle over the C(n_subsets, picks) selections in
+    colex order (max only), each flagging the items it covers; None when
+    there are more than ``_BLOCK``.
+
+    Flagging the whole cover is optimal only because the score cannot fall
+    as an item flag rises: the support's item lower bounds must be >= 0,
+    and its selection block pinned to zero, as a coverage problem's support
+    has them.  Covers are scored from their bytes, one lookup table per
+    byte and sample."""
+    n1, n2 = system.n_items, system.n_subsets
+    if math.comb(n2, min(system.budget, n2)) > _BLOCK:
+        return None
+
+    def build():
+        selections, octets = _selection_covers(system, _subset_masks(system))
+
+        def gather(w):
+            weights = np.zeros((w.shape[0], 8 * octets.shape[0]))
+            weights[:, :n1] = w[:, :n1]
+            lut = _byte_table(weights)
+            total = lut[:, 0].take(octets[0], axis=1)
+            for b in range(1, octets.shape[0]):
+                total += lut[:, b].take(octets[b], axis=1)
+            return total
+
+        def decision(p):
+            x = np.zeros(n1 + n2)
+            x[:n1] = np.unpackbits(octets[:, p], bitorder="little")[:n1]
+            x[n1 + selections[:, p]] = 1.0
+            return x
+
+        return gather, decision
+
+    saa = _table_saa(n1 + n2, build)
+
+    def solve(boxes: SampleBoxes, sense="max"):
+        if sense != "max":
+            raise ValueError("the coverage table only maximizes")
+        if np.any(boxes.l[:n1] < 0.0) or np.any(boxes.l[n1:] != 0.0) or np.any(boxes.u[n1:] != 0.0):
+            raise ValueError("the coverage table needs nonnegative item and zero selection bounds")
+        return saa(boxes, sense)
 
     return solve

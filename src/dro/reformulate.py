@@ -412,14 +412,17 @@ def solve_dro_endpoint(inst: ProblemInstance, boxes: SampleBoxes, backend: Backe
     """Solve ``inst`` by :func:`~dro.closedform.solve_endpoints` on its
     validated ``boxes``: the ceiling COP, by ``inst.cop`` when the instance
     carries one (a generated instance does) and else by a MILP on
-    ``backend``, and the sample-average program on ``backend``.  Returns
-    ``(value, x, diagnostics)`` as :func:`solve_dro_milp` does, with
+    ``backend``, and the sample-average candidate, by ``inst.saa`` when the
+    instance carries a decision table and else by a MILP on ``backend``.
+    Returns ``(value, x, diagnostics)`` as :func:`solve_dro_milp` does, with
     ``(None, None, diagnostics)`` and the failed solve's status when either
     solve ends without an optimum; the node count is the sample-average
-    MILP's."""
+    MILP's, None when no MILP ran."""
     t0 = time.perf_counter()
     try:
-        det = solve_endpoints(inst.feasible, boxes, inst.epsilon, inst.cop, inst.sense, backend=backend)
+        det = solve_endpoints(
+            inst.feasible, boxes, inst.epsilon, inst.cop, inst.sense, backend=backend, saa_oracle=inst.saa
+        )
     except SolveFailed as e:
         return None, None, SolveDiagnostics("endpoint", None, _ms_since(t0), e.status)
     diags = SolveDiagnostics("endpoint", det.node_count, _ms_since(t0), OPTIMAL)

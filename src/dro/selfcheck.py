@@ -9,13 +9,14 @@ and the tests that need a check's draws call the check.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import tolerances as tol
 from .closedform import (
     BanditHistory,
+    _saa_milp,
     interval_data_from_instance,
     milp_cop,
     solve_disjoint_bandit,
@@ -266,12 +267,22 @@ def random_box_instance(rng: np.random.Generator) -> ProblemInstance:
 
 def random_endpoint_instance(rng: np.random.Generator) -> ProblemInstance:
     """Selection instance that takes the endpoint form: the loss ``c.x`` on
-    the unit box or a random box, either sense, and one to six samples in
-    random order.  One is a bandit total over two or more components; the
-    others are bandit totals over random masks, which may overlap, or
-    intervals, exact points and semi-bandit observations."""
+    the box of :func:`random_endpoint_samples` with its samples, either
+    sense."""
     n = int(rng.integers(2, 9))
     skeleton = gen_sorting(n, int(rng.integers(1, n + 1)))
+    support, scen = random_endpoint_samples(rng, n)
+    sense = "min" if rng.random() < 0.5 else "max"
+    return ProblemInstance(
+        skeleton.feasible, BiaffineLoss.bilinear(n), support, scen, float(rng.random()), sense
+    )
+
+
+def random_endpoint_samples(rng: np.random.Generator, n: int):
+    """``(support, scenarios)``: the unit box or a random box, and one to
+    six samples in random order.  One is a bandit total over two or more
+    components; the others are bandit totals over random masks, which may
+    overlap, or intervals, exact points and semi-bandit observations."""
     lo, hi = np.zeros(n), np.ones(n)
     if rng.random() < 0.5:
         lo = rng.uniform(-0.5, 0.5, n)
@@ -293,11 +304,7 @@ def random_endpoint_instance(rng: np.random.Generator) -> ProblemInstance:
             mask[rng.choice(n, int(rng.integers(2, n + 1)), replace=False)] = 1.0
             scen.append(Bandit(mask, float(mask @ point)))
     order = rng.permutation(len(scen))
-    sense = "min" if rng.random() < 0.5 else "max"
-    return ProblemInstance(
-        skeleton.feasible, BiaffineLoss.bilinear(n), Polytope.box(lo, hi),
-        tuple(scen[i] for i in order), float(rng.random()), sense,
-    )
+    return Polytope.box(lo, hi), tuple(scen[i] for i in order)
 
 
 def random_mixed_box_instance(rng: np.random.Generator) -> ProblemInstance:
@@ -559,6 +566,80 @@ def check_skeleton_cop(count: int, seed) -> CheckResult:
     return tally.result("skeleton-cop-vs-milp", clean)
 
 
+def random_saa_case(rng: np.random.Generator, t: int):
+    """``(skeleton, boxes, senses)``: the validated boxes of bandit data for
+    a generated skeleton that carries a sample-average table, cycling over
+    three kinds with ``t``: a sorting skeleton on the support and samples of
+    :func:`random_endpoint_samples`, a routing bandit history of 1-12 steps
+    and a coverage bandit history of 1-12 steps; with the senses its table
+    serves."""
+    if t % 3 == 0:
+        n = int(rng.integers(2, 9))
+        skeleton = gen_sorting(n, int(rng.integers(1, n + 1)))
+        support, scen = random_endpoint_samples(rng, n)
+        inst = replace(skeleton, support=support, scenarios=scen)
+        return skeleton, validate_instance(inst), ("min", "max")
+    if t % 3 == 1:
+        skeleton, graph = gen_layered_spp(int(rng.integers(2, 6)), int(rng.integers(1, 5)))
+        dist = BetaNominal.random(graph.num_arcs, 0.125, rng)
+        run = cucb_collect(graph, dist, int(rng.integers(1, 13)), rng)
+        senses = ("min", "max")
+    else:
+        n1, n2 = int(rng.integers(1, 16)), int(rng.integers(1, 11))
+        size = int(rng.integers(1, min(n1, 4) + 1))
+        skeleton, system = gen_mcp(n1, n2, size, int(rng.integers(1, n2 + 2)), rng)
+        dist = BetaNominal.random(n1, 0.125, rng)
+        run = cucb_collect_mcp(system, dist, int(rng.integers(1, 13)), rng)
+        senses = ("max",)
+    boxes, findings = lower_history("bandit", run.samples, run.decisions, skeleton.support)
+    if findings:
+        raise InvalidInstance(findings)
+    return skeleton, boxes, senses
+
+
+def saa_objective(boxes: SampleBoxes, x, sense: str) -> float:
+    """The sample-average objective of the binary decision ``x``, radius
+    left out, summed sample by sample from each sample's dense closed form
+    (see :func:`~dro.closedform._saa_milp`)."""
+    total = 0.0
+    for lo, hi, m, t in zip(boxes.lo, boxes.hi, boxes.m, boxes.t):
+        width = np.where((m != 0) & (hi > lo), hi - lo, 0.0)
+        s = t - m @ lo
+        if np.isnan(t):
+            total += (hi if sense == "min" else lo) @ x
+        elif sense == "min":
+            total += np.where(m != 0, lo, hi) @ x + min(s, width @ x)
+        else:
+            total += lo @ x + max(0.0, s - width @ (1.0 - x))
+    return total / boxes.lo.shape[0]
+
+
+def check_saa_table(count: int, seed) -> CheckResult:
+    """Each generator's sample-average table (``skeleton.saa``) against the
+    sample-average MILP (:func:`~dro.closedform._saa_milp`) on the
+    reference kernel and on HiGHS, in every sense the table serves: values
+    within 1e-9 relative, and the table's decision feasible with its value
+    by :func:`saa_objective`."""
+    rng = np.random.default_rng(seed)
+    backends = (("reference", ReferenceKernel()), ("highs", ScipyBackend()))
+    tally = _Tally()
+    for t in range(count):
+        skeleton, boxes, senses = random_saa_case(rng, t)
+        for sense in senses:
+            got, x = skeleton.saa(boxes, sense)
+            scale = max(1.0, abs(got))
+            ok = skeleton.feasible.contains(x) and abs(saa_objective(boxes, x, sense) - got) <= 1e-9 * scale
+            for name, backend in backends:
+                want, _, _ = _saa_milp(skeleton.feasible, boxes, sense, backend)
+                err = abs(got - want) / max(1.0, abs(want))
+                tally.compare(err, 1e-9, f"case {t} ({sense}, {name}): {got} vs {want}", ok=ok)
+    clean = (
+        f"{count} sorting, routing and coverage bandit cases agree on both backends"
+        f" (worst rel err {tally.worst:.2e})"
+    )
+    return tally.result("saa-table-vs-milp", clean)
+
+
 def check_collectors_batch(count: int, seed) -> CheckResult:
     """The adaptive collectors over a batch against one collection per
     history, on ``count`` histories of one random graph and ``count`` of
@@ -750,6 +831,7 @@ SUITE = (
     (check_endpoint_vs_compact, 20),
     (check_history_lowering, 40),
     (check_skeleton_cop, 30),
+    (check_saa_table, 30),
 )
 
 

@@ -397,6 +397,37 @@ def test_unreadable_sweep_config_is_one_line(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("command", [
+    lambda inst, out: ["solve", inst, "-o", out],
+    lambda inst, out: ["solve", inst, "--dump-milp", out],
+    lambda inst, out: ["closed-form", inst, "-o", out],
+    lambda inst, out: ["gen", "sorting", "-n", "3", "--h", "2", "-o", out],
+    lambda inst, out: ["collect", "spp", inst, "--k", "2", "-o", out],
+], ids=["solve", "solve-dump-milp", "closed-form", "gen", "collect"])
+def test_unwritable_output_is_one_line(tmp_path, capsys, command):
+    inst = str(tmp_path / "spp.json")
+    assert main(["gen", "spp", "--h", "3", "-r", "2", "-o", inst]) == 0
+    assert main(["collect", "spp", inst, "--k", "3", "--feedback", "bandit"]) == 0
+    before = Path(inst).read_bytes()
+    for out, message in ((tmp_path / "none" / "out.json", "No such file or directory"),
+                         (tmp_path, "Is a directory")):
+        assert main(command(inst, str(out))) == 1
+        err = capsys.readouterr().err
+        assert err == f"cannot write {out}: {message}\n"
+    assert Path(inst).read_bytes() == before
+
+
+def test_sweep_refuses_an_unwritable_output_before_it_runs(tmp_path, capsys, monkeypatch):
+    # the CSV is opened before the first cell, so a bad path costs no run
+    monkeypatch.setattr(cli, "run_sweep", lambda cfg, backend=None: pytest.fail(f"ran {cfg}"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"preset": "sorting-delta"}))
+    for out, message in ((tmp_path / "none" / "out.csv", "No such file or directory"),
+                         (tmp_path, "Is a directory")):
+        assert main(["sweep", str(cfg_path), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == f"cannot write {out}: {message}\n"
+
+
 def test_module_entry_point_runs_the_cli():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
         str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")
@@ -952,12 +983,13 @@ def test_dro_seed_env_override(tmp_path, monkeypatch):
 def test_validate_exit_code(capsys):
     assert main(["validate", "--scale", "0.1", "--seed", "4"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 14
+    assert out.count("PASS") == 15
     assert "PASS history-lowering-vs-scenarios" in out
     assert "PASS endpoint-vs-compact" in out
     assert "PASS collectors-batch-vs-single" in out
     assert "PASS highs-relaxation-first" in out
     assert "PASS skeleton-cop-vs-milp" in out
+    assert "PASS saa-table-vs-milp" in out
 
 
 # ``dro validate --seed 0``, worst errors masked as ``W``: each check's name
@@ -977,6 +1009,7 @@ PASS highs-relaxation-first: 30 programs agree with the full MIP solve (worst re
 PASS endpoint-vs-compact: 20 bandit and mixed instances agree (worst rel err W)
 PASS history-lowering-vs-scenarios: 40 histories under both feedbacks lower bit for bit (11 lowerings with findings)
 PASS skeleton-cop-vs-milp: 30 sorting, routing and coverage skeletons agree (worst rel err W)
+PASS saa-table-vs-milp: 30 sorting, routing and coverage bandit cases agree on both backends (worst rel err W)
 """
 
 

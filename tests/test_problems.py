@@ -7,11 +7,17 @@ import pytest
 
 from dro.closedform import milp_cop
 from dro.errors import BadCardinality, DimensionMismatch
-from dro.model import validate_instance, Exact
+from dro import problems
+from dro.model import SampleBoxes, validate_instance, Exact
 from dro.problems import (
     _BLOCK,
     CoverageSystem,
     LayeredGraph,
+    _colex,
+    _colex_combinations,
+    _path_arcs,
+    _selection_covers,
+    _subset_masks,
     gen_layered_spp,
     gen_mcp,
     gen_sorting,
@@ -373,3 +379,129 @@ class TestMcpCop:
         for n1, n2, size in ((6, 0, 2), (6, 4, 0), (0, 4, 0)):
             with pytest.raises(BadCardinality):
                 gen_mcp(n1, n2, size, 2, seed=0)
+
+
+def _table_decisions(family, skeleton, structure):
+    """Every row of a generated skeleton's sample-average table as its
+    decision vector, in table order."""
+    n = skeleton.feasible.n
+    if family == "mcp":
+        n1 = structure.n_items
+        selections, octets = _selection_covers(structure, _subset_masks(structure))
+        items = np.unpackbits(octets.T, axis=1, bitorder="little")[:, :n1]
+        rows = np.zeros((selections.shape[1], n))
+        rows[:, :n1] = items
+        rows[np.arange(selections.shape[1])[:, None], n1 + selections.T] = 1.0
+        return rows
+    if family == "spp":
+        index = _path_arcs(structure)
+    else:
+        n_, h = structure
+        index = _colex(n_, h)
+        # colex order lists the subsets of range(n) first
+        np.testing.assert_array_equal(index, _colex_combinations(h)[:, : math.comb(n_, h)])
+    rows = np.zeros((index.shape[1], n))
+    rows[np.arange(index.shape[1])[:, None], index.T] = 1.0
+    return rows
+
+
+def _saa_skeletons():
+    """``(family, skeleton, structure, decision count)`` over small and
+    boundary-sized sorting, routing and coverage skeletons."""
+    rng = np.random.default_rng(41)
+    out = []
+    for n, h in ((1, 1), (5, 2), (8, 8), (12, 5), (20, 4)):
+        out.append(("sorting", gen_sorting(n, h), (n, h), math.comb(n, h)))
+    for h, r in ((2, 1), (2, 4), (3, 3), (5, 3), (7, 2)):
+        skeleton, graph = gen_layered_spp(h, r)
+        out.append(("spp", skeleton, graph, r ** (h - 1)))
+    for n1, n2, size, budget in ((5, 3, 2, 1), (9, 7, 3, 3), (20, 10, 4, 12), (70, 14, 5, 4)):
+        skeleton, system = gen_mcp(n1, n2, size, budget, rng)
+        out.append(("mcp", skeleton, system, math.comb(n2, min(budget, n2))))
+    return out
+
+
+def _cost_boxes(skeleton, costs):
+    """One sample without an equality whose box is the point ``costs``."""
+    l, u = skeleton.support.box_bounds()
+    n = costs.shape[0]
+    return SampleBoxes(costs[None], costs[None], np.zeros((1, n)), np.full(1, np.nan), l, u)
+
+
+class TestSaaTables:
+    @pytest.mark.parametrize("case", _saa_skeletons(), ids=lambda c: f"{c[0]}-{c[3]}")
+    def test_each_decision_once(self, case):
+        family, skeleton, structure, count = case
+        rows = _table_decisions(family, skeleton, structure)
+        assert rows.shape[0] == count
+        assert len({r.tobytes() for r in rows}) == count
+        assert all(skeleton.feasible.contains(r) for r in rows)
+        if family == "spp":
+            want = [path_vector(structure, nodes) for nodes in all_paths(structure)]
+            np.testing.assert_array_equal(rows, want)
+
+    @pytest.mark.parametrize("case", _saa_skeletons(), ids=lambda c: f"{c[0]}-{c[3]}")
+    def test_best_row_scores_the_cop_value(self, case):
+        # one sample pinned at random costs: the table's best row is the
+        # COP's optimum, and its score the decision's cost
+        family, skeleton, structure, _ = case
+        rng = np.random.default_rng(42)
+        n = skeleton.feasible.n
+        rows = _table_decisions(family, skeleton, structure)
+        for _ in range(5):
+            costs = rng.uniform(-0.5, 1.0, n)
+            if family == "mcp":
+                costs = np.concatenate([rng.random(structure.n_items), np.zeros(structure.n_subsets)])
+            senses = ("max",) if family == "mcp" else ("min", "max")
+            for sense in senses:
+                value, x = skeleton.saa(_cost_boxes(skeleton, costs), sense)
+                if family == "spp" and sense == "max":
+                    want = -skeleton.cop(-costs)[0]
+                else:
+                    want = skeleton.cop(costs, sense)[0]
+                assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
+                assert value == pytest.approx(float(costs @ x), rel=1e-12, abs=1e-12)
+                # a best row well clear of the others is the one returned
+                scores = rows @ costs
+                near = np.flatnonzero(np.abs(scores - (scores.min() if sense == "min" else scores.max())) <= 1e-9)
+                if near.size == 1:
+                    np.testing.assert_array_equal(x, rows[near[0]])
+
+    @pytest.mark.parametrize("case", _saa_skeletons(), ids=lambda c: f"{c[0]}-{c[3]}")
+    def test_ties_go_to_the_first_row(self, case):
+        family, skeleton, structure, _ = case
+        costs = np.zeros(skeleton.feasible.n)
+        for sense in ("max",) if family == "mcp" else ("min", "max"):
+            value, x = skeleton.saa(_cost_boxes(skeleton, costs), sense)
+            assert value == 0.0
+            np.testing.assert_array_equal(x, _table_decisions(family, skeleton, structure)[0])
+
+    def test_families_above_the_cap_get_no_table(self, monkeypatch):
+        # counted, not built: paper spp-k and paper mcp get no handle, and
+        # no table is allocated to decide that
+        for name in ("_colex", "_path_arcs", "_selection_covers"):
+            monkeypatch.setattr(problems, name, lambda *a, name=name: pytest.fail(f"built {name}"))
+        skeleton, graph = gen_layered_spp(11, 5)
+        assert skeleton.saa is None and "arc_table" not in graph.__dict__
+        assert gen_mcp(50, 50, 5, 5, 0)[0].saa is None
+        assert gen_sorting(50, 25).saa is None
+        # below the cap a generator attaches its table unbuilt
+        assert gen_layered_spp(5, 3)[0].saa is not None and gen_sorting(20, 5).saa is not None
+        monkeypatch.undo()
+        # the cap's edges
+        assert gen_layered_spp(7, 5)[0].saa is not None and gen_layered_spp(8, 5)[0].saa is None
+        assert (math.comb(22, 5) <= _BLOCK) and math.comb(23, 5) > _BLOCK
+        assert gen_mcp(24, 22, 4, 5, 0)[0].saa is not None and gen_mcp(24, 23, 4, 5, 0)[0].saa is None
+        assert gen_sorting(50, 3).saa is not None
+
+    def test_coverage_table_refuses_what_it_cannot_answer(self):
+        skeleton, _ = gen_mcp(6, 4, 2, 2, seed=0)
+        costs = np.concatenate([np.ones(6), np.zeros(4)])
+        boxes = _cost_boxes(skeleton, costs)
+        with pytest.raises(ValueError):
+            skeleton.saa(boxes, "min")
+        negative = SampleBoxes(boxes.lo, boxes.hi, boxes.m, boxes.t, boxes.l - 1.0, boxes.u)
+        with pytest.raises(ValueError):
+            skeleton.saa(negative, "max")
+        with pytest.raises(DimensionMismatch):
+            skeleton.saa(_cost_boxes(skeleton, costs[:-1]), "max")

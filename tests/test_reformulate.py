@@ -608,8 +608,10 @@ class TestSolveDroForms:
     @pytest.mark.parametrize("backend", [ReferenceKernel, ScipyBackend], ids=["reference", "scipy"])
     def test_generated_instances_route_the_ceiling_by_their_cop(self, backend):
         # a generated bandit instance solves its ceiling candidate by its
-        # family's COP: the sample-average MILP is the one backend MILP, and
-        # the value is the one a MILP on the ceiling costs gives
+        # family's COP and its sample-average candidate by its family's
+        # table, so no backend MILP runs; without the table the
+        # sample-average MILP is the one backend MILP.  Either way the value
+        # is the one MILPs on both candidates give
         calls = []
 
         class Counted(backend):
@@ -634,22 +636,52 @@ class TestSolveDroForms:
                 # a small radius lets the sample average win, a large one the ceiling
                 for eps in (0.1 * rng.random(), 5.0 + 5.0 * rng.random()):
                     inst = dataclasses.replace(inst, epsilon=eps)
-                    assert inst.cop is not None
-                    calls.clear()
-                    value, x, diag = solve_dro(inst, Counted())
-                    assert diag.form == "endpoint" and len(calls) == 1
-                    assert inst.feasible.contains(x)
-                    want, _, _ = solve_dro(dataclasses.replace(inst, cop=None), backend())
-                    assert _close(value, want)
+                    assert inst.cop is not None and inst.saa is not None
+                    want, _, _ = solve_dro(dataclasses.replace(inst, cop=None, saa=None), backend())
+                    for saa, milps in ((inst.saa, 0), (None, 1)):
+                        calls.clear()
+                        value, x, diag = solve_dro(dataclasses.replace(inst, saa=saa), Counted())
+                        assert diag.form == "endpoint" and len(calls) == milps
+                        assert (diag.node_count is None) == (saa is not None)
+                        assert inst.feasible.contains(x)
+                        assert _close(value, want)
                     lowered = validate_instance(inst)
                     winners.add(solve_endpoints(inst.feasible, lowered, eps, inst.cop, inst.sense,
-                                                backend=backend()).winner)
+                                                saa_oracle=inst.saa).winner)
             assert winners == {"saa", "ceiling"}, family
 
+    @pytest.mark.parametrize("backend", [ReferenceKernel, ScipyBackend], ids=["reference", "scipy"])
+    def test_families_above_the_table_cap_solve_the_sample_average_milp(self, backend):
+        # more than _BLOCK decisions: the generator attaches no table, and
+        # the sample-average MILP is the one backend MILP
+        calls = []
+
+        class Counted(backend):
+            def solve_milp(self, mip):
+                calls.append(mip)
+                return super().solve_milp(mip)
+
+        rng = np.random.default_rng(94)
+        big_spp, graph = gen_layered_spp(8, 5)
+        run = cucb_collect(graph, BetaNominal.random(graph.num_arcs, 0.125, rng), 3, rng)
+        big_mcp, system = gen_mcp(8, 23, 2, 5, 5)
+        mcp_run = cucb_collect_mcp(system, BetaNominal.random(8, 0.125, rng), 3, rng)
+        pad = np.zeros((3, 23))
+        for skeleton, scen in (
+            (big_spp, observe_bandit(run.samples, run.decisions)),
+            (big_mcp, observe_bandit(np.hstack([mcp_run.samples, pad]), np.hstack([mcp_run.decisions, pad]))),
+            (gen_sorting(20, 10), (Bandit(np.r_[np.ones(10), np.zeros(10)], 4.0),)),
+        ):
+            assert skeleton.saa is None and skeleton.cop is not None
+            calls.clear()
+            value, x, diag = solve_dro(skeleton.instance(scen, 0.1), Counted())
+            assert diag.form == "endpoint" and len(calls) == 1 and diag.node_count is not None
+            assert skeleton.feasible.contains(x)
+
     def test_failed_sample_average_milp_reports_its_status(self):
-        # a generated instance solves its ceiling COP by its own handle, so
-        # the sample-average MILP is the only backend MILP; it ends without
-        # an optimum
+        # a generated instance without its table solves its ceiling COP by
+        # its own handle, so the sample-average MILP is the only backend
+        # MILP; it ends without an optimum
         calls = []
 
         class MilpFails(ReferenceKernel):
@@ -657,7 +689,8 @@ class TestSolveDroForms:
                 calls.append(mip)
                 return SolveResult(ITERLIMIT)
 
-        inst = gen_sorting(3, 1).instance((Bandit(np.array([1.0, 1, 0]), 0.4),), 0.1)
+        skeleton = dataclasses.replace(gen_sorting(3, 1), saa=None)
+        inst = skeleton.instance((Bandit(np.array([1.0, 1, 0]), 0.4),), 0.1)
         value, x, diag = solve_dro(inst, MilpFails())
         assert (value, x, diag.form, diag.status) == (None, None, "endpoint", ITERLIMIT)
         assert len(calls) == 1

@@ -7,6 +7,7 @@ import numpy as np
 
 from dro import selfcheck
 from dro.problems import sorting_cop
+from dro.solver import ReferenceKernel, ScipyBackend
 
 
 def test_failed_decisions_count_as_misses(monkeypatch):
@@ -52,3 +53,42 @@ def test_a_wrong_skeleton_cop_fails(monkeypatch):
     assert res.misses == 0
     failed = [f.split(":")[0] for f in res.detail.split("; ")]
     assert failed == ["skeleton 0 (min)", "skeleton 0 (max)", "skeleton 3 (min)"]
+
+
+def test_saa_table_check_passes_on_both_backends(monkeypatch):
+    # the check solves every case's MILP on the reference kernel and HiGHS
+    used = []
+    saa_milp = selfcheck._saa_milp
+
+    def counted(feasible, boxes, sense, backend):
+        used.append(type(backend))
+        return saa_milp(feasible, boxes, sense, backend)
+
+    monkeypatch.setattr(selfcheck, "_saa_milp", counted)
+    res = selfcheck.check_saa_table(9, 40)
+    assert res.passed and res.worst <= 1e-9
+    assert res.line().startswith("PASS saa-table-vs-milp: 9 sorting, routing and coverage bandit cases")
+    assert set(used) == {ReferenceKernel, ScipyBackend}
+
+
+def test_a_wrong_saa_table_fails(monkeypatch):
+    # every sorting table reports a value one too high: its decision no
+    # longer scores that value, nor is the value the MILP's
+    gen_sorting = selfcheck.gen_sorting
+
+    def one_too_high(n, h):
+        skeleton = gen_sorting(n, h)
+        saa = skeleton.saa
+
+        def wrong(boxes, sense):
+            value, x = saa(boxes, sense)
+            return value + 1.0, x
+
+        return dataclasses.replace(skeleton, saa=wrong)
+
+    monkeypatch.setattr(selfcheck, "gen_sorting", one_too_high)
+    res = selfcheck.check_saa_table(6, 41)
+    assert not res.passed
+    assert res.misses == 0 and res.worst >= 0.1
+    failed = [f.split(":")[0] for f in res.detail.split("; ")]
+    assert failed == ["case 0 (min, reference)", "case 0 (min, highs)", "case 0 (max, reference)"]
