@@ -25,8 +25,9 @@ radius 0, is called a skeleton here.  For spp and mcp the draw keeps the
 skeleton, its structure, the nominal law, the COP handle and the nominal
 optimum, and under either feedback it lowers the collector history at
 ``k_max`` steps once, straight from the collector's arrays
-(``datagen.lower_history``, after checking each distinct skeleton once with
-``model.problem_findings``), and solves the support-bound (ceiling)
+(``datagen.lower_history``, after checking each instance's skeleton with
+``model.problem_findings``, whose structural facts are cached on the
+skeleton's objects), and solves the support-bound (ceiling)
 candidate, whose costs no cell changes.  Each cell slices the boxes of its
 K prefix off that lowering; every sample lowers on its own, so the slice
 equals a lowering of the prefix alone, support box included.  Sorting keeps
@@ -455,7 +456,7 @@ class _HistoryDraw:
     no scenario objects), which a cell reads its K prefix off, and the
     ``(value, x)`` of the support-bound candidate, whose costs no cell
     changes.  ``findings`` are the skeleton's own, from
-    ``model.problem_findings``, which its draw ran once per skeleton."""
+    ``model.problem_findings``."""
 
     skeleton: ProblemInstance
     dist: BetaNominal
@@ -481,19 +482,16 @@ def _draw_histories(cfg: SweepConfig, rngs, draw, collect):
     """A batch of spp or mcp instances: ``draw(rng_struct, rng_means)``
     gives each one's ``(skeleton, structure, cop, dist)``, then one
     ``collect`` pass collects the histories of those whose draw succeeded.
-    Each distinct skeleton is checked once, at the sweep's history length
-    and its zero radius (the radius plays no part in the boxes, and
+    Each instance's skeleton is checked at the sweep's history length and
+    its zero radius (the radius plays no part in the boxes, and
     ``SweepConfig`` has already rejected a negative one); an instance whose
     skeleton fails that check keeps its failure."""
     out = [_attempt(draw, *r[:2]) for r in rngs]
     ok = [i for i, d in enumerate(out) if not isinstance(d, _Failure)]
     runs = collect([out[i][1] for i in ok], [out[i][3] for i in ok], [rngs[i][2] for i in ok])
-    checked = {}
     for i, run in zip(ok, runs):
         skeleton, _, cop, dist = out[i]
-        if id(skeleton) not in checked:
-            checked[id(skeleton)] = _attempt(problem_findings, skeleton, cfg.k_max)
-        findings = checked[id(skeleton)]
+        findings = _attempt(problem_findings, skeleton, cfg.k_max)
         if isinstance(findings, _Failure):
             out[i] = findings
         else:

@@ -8,6 +8,13 @@ reformulation layer consumes.  Equalities are always stored as paired
 inequalities so the solver kernel sees a single constraint form.
 
 All types are immutable after construction and safe to share across workers.
+The arrays of a polytope, loss, feasible set and scenario are read-only, and
+so is every fact derived from them, computed once per object on first use
+and kept: a polytope's box test, box bounds and feasible point, a loss's
+symmetry and bilinearity, and a feasible set's constraint matrix and integer
+mask.  Instances drawn from one generated problem share its objects, so a
+sweep validating each of them with :func:`problem_findings` re-derives none
+of these facts and keeps no memo of its own.
 """
 
 from __future__ import annotations
@@ -24,8 +31,8 @@ from .errors import DimensionMismatch, EmptyIntersection, InvalidInstance
 from .solver import LE, OPTIMAL, LinearProgram, solve_lp
 
 
-def _freeze(arr) -> np.ndarray:
-    out = np.array(arr, dtype=float)
+def _freeze(arr, dtype=float) -> np.ndarray:
+    out = np.array(arr, dtype=dtype)
     out.setflags(write=False)
     return out
 
@@ -128,12 +135,17 @@ class Polytope:
         return _freeze(lo), _freeze(hi)
 
     def feasible_point(self):
-        """Any point satisfying all rows, or None when the system is empty.
+        """Any point satisfying all rows as a read-only array, or None when
+        the system is empty.
 
         Structural for box-shaped systems (the origin clipped into the box
-        bounds), otherwise one LP solve; either candidate must then pass the
-        same ``FEAS_TOL`` residual check.
+        bounds), otherwise one LP solve once per polytope; either candidate
+        must then pass the same ``FEAS_TOL`` residual check.
         """
+        return self._feasible_point
+
+    @cached_property
+    def _feasible_point(self):
         n = self.num_vars
         if self.is_box():
             x = np.clip(np.zeros(n), *self.box_bounds())
@@ -153,7 +165,7 @@ class Polytope:
             x = res.x
         if self.num_rows and np.max(self.rows_a @ x - self.rows_b) > tol.FEAS_TOL:
             return None
-        return x
+        return _freeze(x)
 
 
 @dataclass(eq=False)
@@ -184,11 +196,20 @@ class BiaffineLoss:
         return self.t_x.shape[0]
 
     def is_symmetric(self) -> bool:
+        """Whether ``t_xx`` equals its transpose within ``VALUE_TOL``."""
+        return self._is_symmetric
+
+    @cached_property
+    def _is_symmetric(self) -> bool:
         return bool(np.allclose(self.t_xx, self.t_xx.T, atol=tol.VALUE_TOL, rtol=0.0))
 
     def is_bilinear(self) -> bool:
         """Whether the loss is exactly the plain cost form c.x of
         :meth:`bilinear`, the only loss the closed forms model."""
+        return self._is_bilinear
+
+    @cached_property
+    def _is_bilinear(self) -> bool:
         return bool(
             np.array_equal(self.t_xx, np.eye(self.n))
             and not self.t_x.any()
@@ -241,12 +262,20 @@ class FeasibleSet:
         return self.g1.shape[0]
 
     def matrix(self) -> np.ndarray:
-        return np.hstack([self.g1, self.g2])
+        """The read-only (num_rows, n) block ``[g1 g2]``."""
+        return self._matrix
+
+    @cached_property
+    def _matrix(self) -> np.ndarray:
+        return _freeze(np.hstack([self.g1, self.g2]))
 
     def integer_mask(self) -> np.ndarray:
-        mask = np.zeros(self.n, dtype=bool)
-        mask[self.n_cont :] = True
-        return mask
+        """Read-only (n,) bool mask of the integer coordinates."""
+        return self._integer_mask
+
+    @cached_property
+    def _integer_mask(self) -> np.ndarray:
+        return _freeze(np.arange(self.n) >= self.n_cont, bool)
 
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
@@ -625,10 +654,12 @@ def lower_box_arrays(up, low, band, masks, totals, support: Polytope, found: dic
 
 def problem_findings(problem: ProblemInstance, num_samples: int):
     """The checks of :func:`validate_instance` that read no scenario, so a
-    sweep can run them once per problem structure: dimensions, loss
-    symmetry, finite upper bounds on integer decisions, the sample count
-    ``num_samples`` (given, as a sweep checks its problem before attaching
-    samples), the radius, and a nonempty, bounded support.
+    sweep can run them on an instance before its samples are attached:
+    dimensions, loss symmetry, finite upper bounds on integer decisions,
+    the sample count ``num_samples`` (given, as the samples are not yet
+    attached), the radius, and a nonempty, bounded support.  The structural
+    facts it reads are cached on the problem's objects, so a second check of
+    the same objects only compares sizes and reads them back.
 
     Returns the findings after which validation goes on to the scenarios;
     raises :class:`InvalidInstance` at a finding that stops it (a dimension

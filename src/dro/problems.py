@@ -156,6 +156,18 @@ class CoverageSystem:
     def n_subsets(self) -> int:
         return len(self.subsets)
 
+    @functools.cached_property
+    def subset_masks(self) -> np.ndarray:
+        """:func:`_subset_masks` of this system, built once."""
+        return _subset_masks(self)
+
+    @functools.cached_property
+    def selection_covers(self):
+        """``(selections, octets)`` of :func:`_selection_covers`, built once
+        per system and shared by its :func:`mcp_cop` and :func:`mcp_saa`
+        handles; both arrays are read-only."""
+        return _selection_covers(self, self.subset_masks)
+
 
 def gen_mcp(n_items: int, n_subsets: int, subset_size: int, budget: int, seed):
     """Maximum-coverage problem with uniformly random fixed-size subsets.
@@ -297,8 +309,8 @@ def _colex(m: int, k: int) -> np.ndarray:
 
 
 def _subset_masks(system: CoverageSystem) -> np.ndarray:
-    """(n_subsets, words) ``uint64`` item masks, item ``a`` at bit ``a % 64``
-    of word ``a // 64``."""
+    """Read-only (n_subsets, words) ``uint64`` item masks, item ``a`` at bit
+    ``a % 64`` of word ``a // 64``."""
     words = (system.n_items + 63) // 64
     rows = []
     for s in system.subsets:
@@ -306,19 +318,24 @@ def _subset_masks(system: CoverageSystem) -> np.ndarray:
         for a in s:
             row[a >> 6] |= 1 << (a & 63)
         rows.append(row)
-    return np.array(rows, dtype="<u8").reshape(system.n_subsets, words)
+    masks = np.array(rows, dtype="<u8").reshape(system.n_subsets, words)
+    masks.setflags(write=False)
+    return masks
 
 
 def _selection_covers(system: CoverageSystem, masks: np.ndarray):
     """Every selection of ``min(budget, n_subsets)`` subsets, colex over
-    subset indices, as a (picks, P) index table, and the (byte, P) bytes of
-    each one's cover (item ``a`` at bit ``a % 8`` of byte ``a // 8``)."""
+    subset indices, as a read-only (picks, P) index table, and the
+    read-only (byte, P) bytes of each one's cover (item ``a`` at bit
+    ``a % 8`` of byte ``a // 8``)."""
     picks = min(system.budget, system.n_subsets)
     selections = _colex_combinations(picks)[:, : math.comb(system.n_subsets, picks)]
     covers = np.zeros((selections.shape[1], masks.shape[1]), dtype="<u8")
     for row in selections:
         covers |= masks[row]
-    return selections, np.ascontiguousarray(covers.view(np.uint8)[:, : (system.n_items + 7) // 8].T)
+    octets = np.ascontiguousarray(covers.view(np.uint8)[:, : (system.n_items + 7) // 8].T)
+    octets.setflags(write=False)
+    return selections, octets
 
 
 def mcp_cop(system: CoverageSystem):
@@ -335,8 +352,9 @@ def mcp_cop(system: CoverageSystem):
     scores all of them at once: each subset is a row of ``uint64`` item
     masks, and covered weight is summed from one lookup table per mask byte.
     A system with at most ``_BLOCK`` selections is finished at the root: the
-    handle ORs the cover of every selection once, and each call only scores
-    those bytes.
+    cover of every selection is ORed once per system
+    (:attr:`CoverageSystem.selection_covers`, shared with :func:`mcp_saa`),
+    and each call only scores those bytes.
 
     Ties: the greedy selection stands unless another scores strictly more.
     When C(n_subsets, picks) <= ``_BLOCK``, the answer among the selections
@@ -351,10 +369,10 @@ def mcp_cop(system: CoverageSystem):
     picks = min(system.budget, n2)
     words = (n1 + 63) // 64
     nbytes = (n1 + 7) // 8
-    masks = _subset_masks(system)
+    masks = system.subset_masks
     selections = root_octets = None
     if math.comb(n2, picks) <= _BLOCK:
-        selections, root_octets = _selection_covers(system, masks)
+        selections, root_octets = system.selection_covers
 
     def solve(costs, sense="max"):
         if sense != "max":
@@ -590,14 +608,15 @@ def mcp_saa(system: CoverageSystem):
     Flagging the whole cover is optimal only because the score cannot fall
     as an item flag rises: the support's item lower bounds must be >= 0,
     and its selection block pinned to zero, as a coverage problem's support
-    has them.  Covers are scored from their bytes, one lookup table per
-    byte and sample."""
+    has them.  Covers are scored from their bytes
+    (:attr:`CoverageSystem.selection_covers`, shared with :func:`mcp_cop`),
+    one lookup table per byte and sample."""
     n1, n2 = system.n_items, system.n_subsets
     if math.comb(n2, min(system.budget, n2)) > _BLOCK:
         return None
 
     def build():
-        selections, octets = _selection_covers(system, _subset_masks(system))
+        selections, octets = system.selection_covers
 
         def gather(w):
             weights = np.zeros((w.shape[0], 8 * octets.shape[0]))

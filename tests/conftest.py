@@ -1,6 +1,9 @@
 """Shared test plumbing: surface acceptance-criterion lines in the summary,
 and count calls into the model layer."""
 
+import collections
+import functools
+
 import pytest
 
 from dro import datagen, model
@@ -39,4 +42,25 @@ def model_calls(monkeypatch):
     for owner in (model, datagen):
         count(owner, "lower_box_arrays", "lowered", lambda args: len(args[0]))
     count(model, "solve_lp", "solve_lp", lambda args: 1)
+    return calls
+
+
+@pytest.fixture()
+def fact_calls(monkeypatch):
+    """Live counts of the cached structural facts of the model types
+    computed, keyed by ``(class name, cached attribute)``: one count per
+    object whose fact is read for the first time."""
+    calls = collections.Counter()
+    for cls in (model.Polytope, model.BiaffineLoss, model.FeasibleSet):
+        for name, prop in list(vars(cls).items()):
+            if not isinstance(prop, functools.cached_property):
+                continue
+
+            def counted(self, func=prop.func, key=(cls.__name__, name)):
+                calls[key] += 1
+                return func(self)
+
+            counted_prop = functools.cached_property(counted)
+            counted_prop.__set_name__(cls, name)
+            monkeypatch.setattr(cls, name, counted_prop)
     return calls

@@ -495,8 +495,9 @@ class TestRunSweep:
         assert validations["checked"] == [cfg.k_max] * cfg.instances
         assert model_calls["lowered"] == cfg.instances * cfg.k_max
 
-    def test_spp_sweep_checks_its_shared_skeleton_once(self, monkeypatch):
-        # every instance of an spp batch routes on the one graph
+    def test_spp_sweep_derives_its_shared_skeletons_facts_once(self, monkeypatch, fact_calls):
+        # every instance of an spp batch routes on the one graph: each
+        # instance is checked, on facts its skeleton's objects derived once
         validations = self._count_validations(monkeypatch)
         cfg = SweepConfig(
             "spp", "K", (3, 6), 4, 4, {"h": 3, "r": 2},
@@ -504,7 +505,14 @@ class TestRunSweep:
         )
         assert all(r.n_fail == 0 for r in run_sweep(cfg))
         assert validations["lowered"] == [cfg.k_max] * cfg.instances
-        assert validations["checked"] == [cfg.k_max]
+        assert validations["checked"] == [cfg.k_max] * cfg.instances
+        for fact in (
+            ("BiaffineLoss", "_is_symmetric"),
+            ("FeasibleSet", "_integer_mask"),
+            ("Polytope", "_feasible_point"),
+            ("Polytope", "_box_bounds"),
+        ):
+            assert fact_calls[fact] == 1, fact
 
     def test_structural_semibandit_sweep_validates_per_cell(self, monkeypatch, model_calls):
         validations = self._count_validations(monkeypatch)

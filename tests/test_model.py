@@ -1,5 +1,6 @@
 """Domain-type invariants, scenario lowering, validation, and JSON round trips."""
 
+import functools
 import json
 from dataclasses import replace
 
@@ -25,7 +26,16 @@ from dro.model import (
     validate_instance,
 )
 from dro.problems import gen_layered_spp, gen_mcp, gen_sorting
-from dro.selfcheck import read_lowered_rows
+from dro.selfcheck import (
+    random_bandit_instance,
+    random_box_instance,
+    random_endpoint_instance,
+    random_interval_instance,
+    random_mixed_box_instance,
+    random_saa_case,
+    random_skeleton,
+    read_lowered_rows,
+)
 from dro.solver import LE, OPTIMAL, LinearProgram, solve_lp
 
 
@@ -518,6 +528,116 @@ class TestFeasibleSet:
         assert not fs.contains(np.array([1.0, 0.0, 0.0, 0.0]))  # wrong cardinality
         assert not fs.contains(np.array([0.5, 0.5, 0.5, 0.5]))  # fractional
         assert not fs.contains(np.array([2.0, 0.0, 0.0, 0.0]))  # above bound
+
+
+def generated_problems():
+    """A problem of each generator, and random instances of each kind that
+    ``dro validate``'s checks draw."""
+    rng = np.random.default_rng(41)
+    out = [gen_sorting(5, 2), gen_layered_spp(3, 2)[0], gen_layered_spp(4, 3)[0], gen_mcp(6, 4, 2, 2, 0)[0]]
+    for draw in (random_interval_instance, random_box_instance, random_endpoint_instance, random_mixed_box_instance):
+        out += [draw(rng) for _ in range(8)]
+    out += [random_bandit_instance(rng)[0] for _ in range(8)]
+    out += [random_skeleton(rng, t)[0] for t in range(9)]
+    out += [random_saa_case(rng, t)[0] for t in range(9)]
+    return out
+
+
+def cached_facts(obj):
+    """The names of the facts ``obj``'s type caches per object."""
+    return [
+        name
+        for cls in type(obj).__mro__
+        for name, attr in vars(cls).items()
+        if isinstance(attr, functools.cached_property)
+    ]
+
+
+def writeable_arrays(value, path):
+    """The paths of the writeable arrays in ``value``, through tuples."""
+    if isinstance(value, np.ndarray):
+        return [path] if value.flags.writeable else []
+    if isinstance(value, tuple):
+        return [p for i, v in enumerate(value) for p in writeable_arrays(v, f"{path}[{i}]")]
+    return []
+
+
+# the public method that reads each cached fact
+_FACT_READERS = {
+    Polytope: ("is_box", "box_bounds", "feasible_point"),
+    BiaffineLoss: ("is_symmetric", "is_bilinear"),
+    FeasibleSet: ("matrix", "integer_mask"),
+}
+
+
+class TestCachedFacts:
+    def test_no_array_or_cached_fact_is_writeable(self):
+        # a fact cached on an object stays true only while nothing writes
+        # into the arrays it was derived from or into the fact itself
+        for problem in generated_problems():
+            for obj in (problem.feasible, problem.loss, problem.support):
+                facts = cached_facts(obj)
+                assert facts, type(obj).__name__
+                for name in facts:
+                    getattr(obj, name)
+                bad = [p for name, v in vars(obj).items() for p in writeable_arrays(v, name)]
+                assert not bad, (type(obj).__name__, bad)
+
+    def test_each_fact_is_computed_once_per_object(self, fact_calls, model_calls):
+        problem = gen_layered_spp(3, 2)[0]
+        objects = (problem.feasible, problem.loss, problem.support, cut_unit_box(2.0))
+        for obj in objects:
+            for method in _FACT_READERS[type(obj)]:
+                first = getattr(obj, method)()
+                assert all(getattr(obj, method)() is first for _ in range(2))
+        assert set(fact_calls) == {
+            (type(obj).__name__, name) for obj in objects for name in cached_facts(obj)
+        }
+        assert fact_calls[("Polytope", "_feasible_point")] == 2
+        assert all(count == 1 for key, count in fact_calls.items() if key[0] != "Polytope")
+        # the cut box runs its bound LPs and its feasibility LP once each
+        assert model_calls["solve_lp"] == 2 * 3 + 1
+        # instances of one problem share its objects, and so their facts
+        before = dict(fact_calls)
+        for k in (1, 2, 3):
+            validate_instance(problem.instance((Bandit(np.ones(problem.n), 0.5),) * k, 0.1))
+        assert dict(fact_calls) == before
+
+    @pytest.mark.parametrize("read", [
+        lambda p: p.feasible.matrix(),
+        lambda p: p.feasible.integer_mask(),
+        lambda p: p.support.feasible_point(),
+        lambda p: p.support.box_bounds()[0],
+    ], ids=["matrix", "integer_mask", "feasible_point", "box_bounds"])
+    def test_writing_into_a_fact_raises(self, read):
+        problem = gen_mcp(5, 3, 2, 1, 0)[0]
+        fact = read(problem)
+        with pytest.raises(ValueError):
+            fact[0] = 1
+        assert read(problem) is fact
+
+    def test_non_box_feasible_point_is_read_only(self):
+        point = cut_unit_box(2.0).feasible_point()
+        with pytest.raises(ValueError):
+            point[0] = 1.0
+        assert cut_unit_box(-1.0).feasible_point() is None
+
+    def test_structural_findings_keep_their_messages(self):
+        # a loss that is not symmetric, integer decisions without upper
+        # bounds and an empty support, reported in that order on first use
+        # of each fact and again on the cached facts
+        inst = sorting_instance(3, 1)
+        loss = BiaffineLoss(np.array([[0.0, 1.0, 0.0], [0.0] * 3, [0.0] * 3]), np.zeros(3), np.zeros(3))
+        fs = FeasibleSet(1, 2, np.zeros((1, 1)), np.ones((1, 2)), [1.0])
+        bad = ProblemInstance(fs, loss, Polytope.box(np.ones(3), np.zeros(3)), inst.scenarios, 0.0)
+        want = [
+            ("AsymmetricLoss", "the bilinear block must equal its transpose"),
+            ("UnboundedDecisionVariable", "integer decisions [1, 2] need upper bounds"),
+            ("EmptySupport", "support polytope is empty"),
+        ]
+        assert findings(bad) == want
+        assert findings(bad) == want
+        assert findings(replace(bad, support=inst.support))[:2] == want[:2]
 
 
 class TestJson:

@@ -494,6 +494,22 @@ class TestSaaTables:
         assert gen_mcp(24, 22, 4, 5, 0)[0].saa is not None and gen_mcp(24, 23, 4, 5, 0)[0].saa is None
         assert gen_sorting(50, 3).saa is not None
 
+    @pytest.mark.parametrize("n1, n2, size, budget", [(20, 20, 5, 5), (24, 15, 4, 3)], ids=["mcp-k", "mcp-n1"])
+    def test_desk_coverage_system_builds_its_covers_once(self, monkeypatch, n1, n2, size, budget):
+        # the COP's root and the sample-average table read one cover table,
+        # ORed from one set of subset masks
+        calls = {"_selection_covers": [], "_subset_masks": []}
+        for name, build in [(name, getattr(problems, name)) for name in calls]:
+            monkeypatch.setattr(problems, name, lambda *a, name=name, build=build: calls[name].append(a[0]) or build(*a))
+        skeleton, system = gen_mcp(n1, n2, size, budget, 0)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            costs = np.concatenate([rng.random(n1), np.zeros(n2)])
+            value, _ = skeleton.cop(costs)
+            assert skeleton.saa(_cost_boxes(skeleton, costs), "max")[0] == pytest.approx(value, rel=1e-12)
+        assert calls == {"_selection_covers": [system], "_subset_masks": [system]}
+        assert not any(a.flags.writeable for a in (system.subset_masks, *system.selection_covers))
+
     def test_coverage_table_refuses_what_it_cannot_answer(self):
         skeleton, _ = gen_mcp(6, 4, 2, 2, seed=0)
         costs = np.concatenate([np.ones(6), np.zeros(4)])
