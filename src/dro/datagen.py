@@ -72,9 +72,15 @@ class BetaNominal:
 
     @classmethod
     def from_mean_std(cls, means, sigma: float) -> "BetaNominal":
+        """:func:`beta_params` of each mean, in one array pass."""
         means = np.asarray(means, dtype=float)
-        pairs = [beta_params(m, sigma) for m in means]
-        return cls(np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
+        if means.size:
+            lo, hi = mean_interval(sigma)
+            outside = ~((lo < means) & (means < hi))
+            if outside.any():
+                beta_params(means[np.argmax(outside)], sigma)  # raises its MeanOutOfRange
+        alpha = means * means * (1.0 - means) / (sigma * sigma) - means
+        return cls(alpha, alpha * (1.0 / means - 1.0))
 
     @classmethod
     def random(cls, n: int, sigma: float, seed_or_rng) -> "BetaNominal":

@@ -50,7 +50,8 @@ and semi-bandit boxes go to the interval closed form, whose sample-average
 candidate is one COP, and bandit boxes to the endpoint solver
 (``closedform.solve_endpoints``), whose sample-average candidate is the
 skeleton's decision table (``ProblemInstance.saa``) up to
-``problems._BLOCK`` decisions and a MILP on the backend beyond;
+``problems._BLOCK`` decisions (coverage: ``problems._SAA_CAP`` selections)
+and a MILP on the backend beyond;
 ``mean_lp_quality`` is the robust value over the value of the compact dual
 MILP's LP relaxation, on bandit cells only.  A sorting cell
 times both candidates; an spp or mcp cell times its sample-average

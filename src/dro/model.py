@@ -10,9 +10,10 @@ inequalities so the solver kernel sees a single constraint form.
 All types are immutable after construction and safe to share across workers.
 The arrays of a polytope, loss, feasible set and scenario are read-only, and
 so is every fact derived from them, computed once per object on first use
-and kept: a polytope's box test, box bounds and feasible point, a loss's
-symmetry and bilinearity, and a feasible set's constraint matrix and integer
-mask.  Instances drawn from one generated problem share its objects, so a
+and kept: a polytope's box test, box bounds, unbounded coordinates and
+feasible point, a loss's symmetry and bilinearity, and a feasible set's
+constraint matrix, integer mask and integer coordinates without an upper
+bound.  Instances drawn from one generated problem share its objects, so a
 sweep validating each of them with :func:`problem_findings` re-derives none
 of these facts and keeps no memo of its own.
 """
@@ -133,6 +134,16 @@ class Polytope:
                 else:
                     target[j] = -np.inf if sense == "min" else np.inf
         return _freeze(lo), _freeze(hi)
+
+    def unbounded_coordinates(self) -> np.ndarray:
+        """Read-only indices of the coordinates on which :meth:`box_bounds`
+        is infinite."""
+        return self._unbounded_coordinates
+
+    @cached_property
+    def _unbounded_coordinates(self) -> np.ndarray:
+        lo, hi = self.box_bounds()
+        return _freeze(np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi))), np.intp)
 
     def feasible_point(self):
         """Any point satisfying all rows as a read-only array, or None when
@@ -276,6 +287,15 @@ class FeasibleSet:
     @cached_property
     def _integer_mask(self) -> np.ndarray:
         return _freeze(np.arange(self.n) >= self.n_cont, bool)
+
+    def unbounded_integers(self) -> np.ndarray:
+        """Read-only indices of the integer coordinates without a finite
+        upper bound."""
+        return self._unbounded_integers
+
+    @cached_property
+    def _unbounded_integers(self) -> np.ndarray:
+        return _freeze(np.flatnonzero(self.integer_mask() & ~np.isfinite(self.upper)), np.intp)
 
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
@@ -424,7 +444,8 @@ class ProblemInstance:
     ``saa``, when given, scores every decision of ``feasible`` for the
     endpoint form's sample-average candidate on bandit data, ``saa(boxes,
     sense) -> (value, x)`` with the radius left out: a generated problem of
-    at most ``problems._BLOCK`` decisions carries its family's table.  None,
+    at most ``problems._BLOCK`` decisions (a coverage problem of at most
+    ``problems._SAA_CAP`` selections) carries its family's table.  None,
     as on an instance read from JSON, leaves those solves to a MILP on
     ``feasible``.  Neither handle is saved, and code that swaps ``feasible``
     must drop both.  ``meta`` is free-form JSON, a generator's family
@@ -679,7 +700,7 @@ def problem_findings(problem: ProblemInstance, num_samples: int):
         raise InvalidInstance(out)
     if not loss.is_symmetric():
         err("AsymmetricLoss", "the bilinear block must equal its transpose")
-    bad = np.flatnonzero(feasible.integer_mask() & ~np.isfinite(feasible.upper))
+    bad = feasible.unbounded_integers()
     if bad.size:
         err("UnboundedDecisionVariable", f"integer decisions {bad.tolist()} need upper bounds")
     if num_samples < 1:
@@ -693,9 +714,8 @@ def problem_findings(problem: ProblemInstance, num_samples: int):
     if support.feasible_point() is None:
         err("EmptySupport", "support polytope is empty")
         raise InvalidInstance(out)
-    lo, hi = support.box_bounds()
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi)))
+    bad = support.unbounded_coordinates()
+    if bad.size:
         err("UnboundedSupport", f"support unbounded in coordinates {bad.tolist()}")
         raise InvalidInstance(out)
     return out

@@ -5,9 +5,9 @@ selection, budgeted coverage search) and sample-average decision tables.
 Each generator returns the :class:`~dro.model.ProblemInstance` that ``dro
 gen`` writes: feasible set, loss, support, the family's exact combinatorial
 solver as ``cop``, its sample-average table as ``saa`` (None for a family of
-more than ``_BLOCK`` decisions) and its parameters as ``meta``, with no
-scenarios at radius 0; :meth:`~dro.model.ProblemInstance.instance` attaches
-data.
+more than ``_BLOCK`` decisions, or of more than ``_SAA_CAP`` coverage
+selections) and its parameters as ``meta``, with no scenarios at radius 0;
+:meth:`~dro.model.ProblemInstance.instance` attaches data.
 Structural indices are deterministic and documented so that observation
 masks align across runs.
 """
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -165,7 +164,8 @@ class CoverageSystem:
     def selection_covers(self):
         """``(selections, octets)`` of :func:`_selection_covers`, built once
         per system and shared by its :func:`mcp_cop` and :func:`mcp_saa`
-        handles; both arrays are read-only."""
+        handles, which read it only for at most ``_BLOCK`` selections; both
+        arrays are read-only."""
         return _selection_covers(self, self.subset_masks)
 
 
@@ -185,20 +185,14 @@ def gen_mcp(n_items: int, n_subsets: int, subset_size: int, budget: int, seed):
     )
     system = CoverageSystem(n_items, subsets, budget)
     n = n_items + n_subsets
-    rows, rhs = [], []
-    budget_row = np.zeros(n)
-    budget_row[n_items:] = 1.0
-    rows.append(budget_row)
-    rhs.append(float(budget))
-    for a in range(n_items):
-        row = np.zeros(n)
-        row[a] = 1.0
-        for i, s in enumerate(subsets):
-            if a in s:
-                row[n_items + i] = -1.0
-        rows.append(row)  # x_a <= sum of selected subsets covering a
-        rhs.append(0.0)
-    feasible = FeasibleSet(0, n, [], np.array(rows), np.array(rhs), np.ones(n))
+    # row 0: the budget; row 1 + a: x_a <= sum of the selected subsets covering a
+    g = np.zeros((1 + n_items, n))
+    g[0, n_items:] = 1.0
+    g[1 + np.arange(n_items), np.arange(n_items)] = 1.0
+    g[1 + np.array(subsets), n_items + np.arange(n_subsets)[:, None]] = -1.0
+    rhs = np.zeros(1 + n_items)
+    rhs[0] = float(budget)
+    feasible = FeasibleSet(0, n, [], g, rhs, np.ones(n))
     support = Polytope.box(np.zeros(n), np.concatenate([np.ones(n_items), np.zeros(n_subsets)]))
     meta = {
         "family": "mcp",
@@ -283,6 +277,9 @@ def sorting_cop(n: int, h: int):
 # a coverage search node with at most this many completions is finished in
 # one vectorized pass over all of them
 _BLOCK = 1 << 15
+# the most selections a coverage system's sample-average handle scores; above
+# _BLOCK it builds their cover bytes on each call and keeps none
+_SAA_CAP = 1 << 22
 # _BYTE_BITS[v, t] is bit t of the byte value v
 _BYTE_BITS = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(float)
 
@@ -301,39 +298,90 @@ def _colex_combinations(k: int) -> np.ndarray:
     return table
 
 
+def _colex_blocks(m: int, j: int):
+    """``(t, start, stop)`` for t = j - 1 ... m - 1, j >= 1: the columns
+    ``start:stop`` of the colex j-subsets of ``range(m)`` are those whose
+    largest element is t, the first ``stop - start`` = C(t, j - 1) colex
+    (j - 1)-subsets (those of ``range(t)``) with t added."""
+    start = 0
+    for t in range(j - 1, m):
+        stop = start + math.comb(t, j - 1)
+        yield t, start, stop
+        start = stop
+
+
 def _colex(m: int, k: int) -> np.ndarray:
-    """(k, C(m, k)) table, one column per k-subset of ``range(m)``, in colex
-    order: by largest element, then next largest, and so on."""
-    rows = sorted(itertools.combinations(range(m), k), key=lambda c: c[::-1])
-    return np.array(rows, dtype=np.intp).reshape(len(rows), k).T.copy()
+    """(k, C(m, k)) table, one column per k-subset of ``range(m)``, elements
+    ascending down a column, in colex order: by largest element, then next
+    largest, and so on.  Built level by level from the 1-subsets
+    (:func:`_colex_blocks`), so column p is the subset of colex rank p,
+    whose j-th smallest element c_j gives p = sum_j C(c_j, j).  Level j
+    lists the j-subsets of ``range(m - k + j)``, all that level j + 1
+    reads, so no level outgrows the last."""
+    if k == 0 or k > m:
+        return np.zeros((k, math.comb(m, k)), dtype=np.intp)
+    table = np.arange(m - k + 1, dtype=np.intp)[None]
+    for j in range(2, k + 1):
+        level = np.empty((j, math.comb(m - k + j, j)), dtype=np.intp)
+        for t, start, stop in _colex_blocks(m - k + j, j):
+            level[:-1, start:stop] = table[:, : stop - start]
+            level[-1, start:stop] = t
+        table = level
+    return table
+
+
+def _colex_subset(rank: int, k: int) -> list:
+    """The k-subset of colex rank ``rank``, ascending: column ``rank`` of
+    :func:`_colex` for any large enough range, built without the table."""
+    out = []
+    for j in range(k, 0, -1):
+        t = j - 1
+        while math.comb(t + 1, j) <= rank:
+            t += 1
+        out.append(t)
+        rank -= math.comb(t, j)
+    return out[::-1]
 
 
 def _subset_masks(system: CoverageSystem) -> np.ndarray:
     """Read-only (n_subsets, words) ``uint64`` item masks, item ``a`` at bit
     ``a % 64`` of word ``a // 64``."""
     words = (system.n_items + 63) // 64
-    rows = []
-    for s in system.subsets:
-        row = [0] * words
-        for a in s:
-            row[a >> 6] |= 1 << (a & 63)
-        rows.append(row)
-    masks = np.array(rows, dtype="<u8").reshape(system.n_subsets, words)
+    bits = np.zeros((system.n_subsets, 64 * words), dtype=bool)
+    owners = np.repeat(np.arange(system.n_subsets), [len(s) for s in system.subsets])
+    bits[owners, np.concatenate(system.subsets)] = True
+    masks = np.packbits(bits, axis=1, bitorder="little").view("<u8")
     masks.setflags(write=False)
     return masks
 
 
+def _cover_octets(masks: np.ndarray, n_items: int, picks: int) -> np.ndarray:
+    """(byte, C(n_subsets, picks)) bytes of the cover of every selection of
+    ``picks`` of the subsets ``masks`` ((n_subsets, words) ``uint64``), in
+    colex order, item ``a`` at bit ``a % 8`` of byte ``a // 8``.  Built by
+    :func:`_colex`'s recursion: each level ORs subset t's bytes into the
+    first C(t, j - 1) covers of the level below."""
+    subset_octets = masks.view(np.uint8)[:, : (n_items + 7) // 8].T
+    if picks == 0:
+        return np.zeros((subset_octets.shape[0], 1), dtype=np.uint8)
+    rest = masks.shape[0] - picks  # level j covers the first rest + j subsets
+    covers = subset_octets[:, : rest + 1].copy()
+    for j in range(2, picks + 1):
+        level = np.empty((covers.shape[0], math.comb(rest + j, j)), dtype=np.uint8)
+        for t, start, stop in _colex_blocks(rest + j, j):
+            np.bitwise_or(covers[:, : stop - start], subset_octets[:, t, None], out=level[:, start:stop])
+        covers = level
+    return covers
+
+
 def _selection_covers(system: CoverageSystem, masks: np.ndarray):
     """Every selection of ``min(budget, n_subsets)`` subsets, colex over
-    subset indices, as a read-only (picks, P) index table, and the
-    read-only (byte, P) bytes of each one's cover (item ``a`` at bit
-    ``a % 8`` of byte ``a // 8``)."""
+    subset indices, as a read-only (picks, P) index table (a view of
+    :func:`_colex_combinations`), and the read-only (byte, P) bytes of each
+    one's cover (:func:`_cover_octets`)."""
     picks = min(system.budget, system.n_subsets)
     selections = _colex_combinations(picks)[:, : math.comb(system.n_subsets, picks)]
-    covers = np.zeros((selections.shape[1], masks.shape[1]), dtype="<u8")
-    for row in selections:
-        covers |= masks[row]
-    octets = np.ascontiguousarray(covers.view(np.uint8)[:, : (system.n_items + 7) // 8].T)
+    octets = _cover_octets(masks, system.n_items, picks)
     octets.setflags(write=False)
     return selections, octets
 
@@ -370,9 +418,7 @@ def mcp_cop(system: CoverageSystem):
     words = (n1 + 63) // 64
     nbytes = (n1 + 7) // 8
     masks = system.subset_masks
-    selections = root_octets = None
-    if math.comb(n2, picks) <= _BLOCK:
-        selections, root_octets = system.selection_covers
+    at_root = math.comb(n2, picks) <= _BLOCK
 
     def solve(costs, sense="max"):
         if sense != "max":
@@ -382,6 +428,7 @@ def mcp_cop(system: CoverageSystem):
             raise DimensionMismatch("one cost per item and per subset required")
         if np.any(costs[n1:] != 0.0):
             raise ValueError("the coverage search needs zero selection costs")
+        selections, root_octets = system.selection_covers if at_root else (None, None)
         weights = np.zeros(8 * nbytes)
         weights[:n1] = np.maximum(costs[:n1], 0.0)
         lut = weights.reshape(nbytes, 8) @ _BYTE_BITS.T  # (byte, byte value)
@@ -603,20 +650,35 @@ def _path_arcs(graph: LayeredGraph) -> np.ndarray:
 def mcp_saa(system: CoverageSystem):
     """Sample-average handle over the C(n_subsets, picks) selections in
     colex order (max only), each flagging the items it covers; None when
-    there are more than ``_BLOCK``.
+    there are more than ``_SAA_CAP``.
 
     Flagging the whole cover is optimal only because the score cannot fall
     as an item flag rises: the support's item lower bounds must be >= 0,
     and its selection block pinned to zero, as a coverage problem's support
-    has them.  Covers are scored from their bytes
-    (:attr:`CoverageSystem.selection_covers`, shared with :func:`mcp_cop`),
-    one lookup table per byte and sample."""
+    has them.  Covers are scored from their bytes, one lookup table per byte
+    and sample, and the first best selection in colex order wins; its
+    subsets are read off its colex rank (:func:`_colex_subset`).  Up to
+    ``_BLOCK`` selections the bytes are built once per system
+    (:attr:`CoverageSystem.selection_covers`, shared with :func:`mcp_cop`);
+    above it each call builds them (:func:`_cover_octets`) and keeps none,
+    so a sweep over many such systems holds one system's bytes at a time."""
     n1, n2 = system.n_items, system.n_subsets
-    if math.comb(n2, min(system.budget, n2)) > _BLOCK:
+    picks = min(system.budget, n2)
+    count = math.comb(n2, picks)
+    if count > _SAA_CAP:
         return None
 
-    def build():
-        selections, octets = system.selection_covers
+    def solve(boxes: SampleBoxes, sense="max"):
+        if sense != "max":
+            raise ValueError("the coverage table only maximizes")
+        if np.any(boxes.l[:n1] < 0.0) or np.any(boxes.l[n1:] != 0.0) or np.any(boxes.u[n1:] != 0.0):
+            raise ValueError("the coverage table needs nonnegative item and zero selection bounds")
+        if boxes.lo.shape[1:] != (n1 + n2,):
+            raise DimensionMismatch("one box per decision coordinate required")
+        if count <= _BLOCK:
+            octets = system.selection_covers[1]
+        else:
+            octets = _cover_octets(system.subset_masks, n1, picks)
 
         def gather(w):
             weights = np.zeros((w.shape[0], 8 * octets.shape[0]))
@@ -627,21 +689,10 @@ def mcp_saa(system: CoverageSystem):
                 total += lut[:, b].take(octets[b], axis=1)
             return total
 
-        def decision(p):
-            x = np.zeros(n1 + n2)
-            x[:n1] = np.unpackbits(octets[:, p], bitorder="little")[:n1]
-            x[n1 + selections[:, p]] = 1.0
-            return x
-
-        return gather, decision
-
-    saa = _table_saa(n1 + n2, build)
-
-    def solve(boxes: SampleBoxes, sense="max"):
-        if sense != "max":
-            raise ValueError("the coverage table only maximizes")
-        if np.any(boxes.l[:n1] < 0.0) or np.any(boxes.l[n1:] != 0.0) or np.any(boxes.u[n1:] != 0.0):
-            raise ValueError("the coverage table needs nonnegative item and zero selection bounds")
-        return saa(boxes, sense)
+        value, p = _best_saa_row(boxes, sense, gather)
+        x = np.zeros(n1 + n2)
+        x[:n1] = np.unpackbits(octets[:, p], bitorder="little")[:n1]
+        x[[n1 + i for i in _colex_subset(p, picks)]] = 1.0
+        return value, x
 
     return solve

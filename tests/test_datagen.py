@@ -73,6 +73,25 @@ class TestBetaParams:
             std = np.sqrt(dist.alpha[0] * dist.beta[0] / (s * s * (s + 1.0)))
             assert std == pytest.approx(0.125, abs=1e-9)
 
+    def test_array_pass_matches_beta_params(self):
+        # the one array pass gives each mean's beta_params bits, and a batch
+        # with out-of-range means raises the first one's message
+        rng = np.random.default_rng(46)
+        for sigma in (0.05, 0.125, 0.3):
+            lo, hi = mean_interval(sigma)
+            means = rng.uniform(lo, hi, 1000)
+            dist = BetaNominal.from_mean_std(means, sigma)
+            pairs = [beta_params(m, sigma) for m in means]
+            assert dist.alpha.tobytes() == np.array([p[0] for p in pairs]).tobytes()
+            assert dist.beta.tobytes() == np.array([p[1] for p in pairs]).tobytes()
+        for bad in ([0.5, 0.99, np.nan, 0.0], [0.5, np.nan, 0.99]):
+            with pytest.raises(MeanOutOfRange) as got:
+                BetaNominal.from_mean_std(bad, 0.125)
+            with pytest.raises(MeanOutOfRange) as want:
+                beta_params(np.float64(bad[1]), 0.125)
+            assert str(got.value) == str(want.value)
+        assert BetaNominal.from_mean_std([], 0.125).n == 0
+
 
 class TestSampling:
     def test_seed_bit_identical(self):

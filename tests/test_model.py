@@ -564,9 +564,9 @@ def writeable_arrays(value, path):
 
 # the public method that reads each cached fact
 _FACT_READERS = {
-    Polytope: ("is_box", "box_bounds", "feasible_point"),
+    Polytope: ("is_box", "box_bounds", "unbounded_coordinates", "feasible_point"),
     BiaffineLoss: ("is_symmetric", "is_bilinear"),
-    FeasibleSet: ("matrix", "integer_mask"),
+    FeasibleSet: ("matrix", "integer_mask", "unbounded_integers"),
 }
 
 
@@ -608,7 +608,9 @@ class TestCachedFacts:
         lambda p: p.feasible.integer_mask(),
         lambda p: p.support.feasible_point(),
         lambda p: p.support.box_bounds()[0],
-    ], ids=["matrix", "integer_mask", "feasible_point", "box_bounds"])
+        lambda p: p.feasible.unbounded_integers(),
+        lambda p: p.support.unbounded_coordinates(),
+    ], ids=["matrix", "integer_mask", "feasible_point", "box_bounds", "unbounded_integers", "unbounded_coordinates"])
     def test_writing_into_a_fact_raises(self, read):
         problem = gen_mcp(5, 3, 2, 1, 0)[0]
         fact = read(problem)
@@ -638,6 +640,11 @@ class TestCachedFacts:
         assert findings(bad) == want
         assert findings(bad) == want
         assert findings(replace(bad, support=inst.support))[:2] == want[:2]
+        # an open box: its unbounded coordinates, read again from the cache
+        open_box = replace(bad, support=Polytope.box(np.zeros(3), np.array([1.0, np.inf, np.inf])))
+        unbounded = ("UnboundedSupport", "support unbounded in coordinates [1, 2]")
+        assert findings(open_box) == want[:2] + [unbounded]
+        assert findings(open_box) == want[:2] + [unbounded]
 
 
 class TestJson:

@@ -1,20 +1,24 @@
 """Problem family generators and their enumeration/DP oracles."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from dro.closedform import milp_cop
+from dro.closedform import _saa_milp, milp_cop
+from dro.datagen import BetaNominal, cucb_collect_mcp, lower_history
 from dro.errors import BadCardinality, DimensionMismatch
 from dro import problems
 from dro.model import SampleBoxes, validate_instance, Exact
 from dro.problems import (
     _BLOCK,
+    _SAA_CAP,
     CoverageSystem,
     LayeredGraph,
     _colex,
     _colex_combinations,
+    _colex_subset,
     _path_arcs,
     _selection_covers,
     _subset_masks,
@@ -26,7 +30,7 @@ from dro.problems import (
     sorting_cop,
     spp_cop,
 )
-from dro.selfcheck import brute_force_coverage
+from dro.selfcheck import brute_force_coverage, saa_objective
 from dro.solver import LE, LinearProgram, MixedIntegerProgram, ScipyBackend, solve_lp, solve_milp
 from coverage_search import reference_mcp_cop
 from enumeration import (
@@ -170,22 +174,8 @@ class TestCoverage:
         # 4 items, subsets {1,2}, {1,3}, {2,3,4}, budget 1: with uniform costs
         # the best single subset is the 3-element one
         system = CoverageSystem(4, ((0, 1), (0, 2), (1, 2, 3)), 1)
-        sk = gen_mcp(4, 3, 2, 1, seed=0)[0]  # structure only; rebuild by hand
-        fs_rows = []
-        rhs = []
         n = 7
-        budget_row = np.zeros(n)
-        budget_row[4:] = 1.0
-        fs_rows.append(budget_row)
-        rhs.append(1.0)
-        for a in range(4):
-            row = np.zeros(n)
-            row[a] = 1.0
-            for i, s in enumerate(system.subsets):
-                if a in s:
-                    row[4 + i] = -1.0
-            fs_rows.append(row)
-            rhs.append(0.0)
+        fs_rows, rhs = coverage_rows(system)
         costs = np.concatenate([np.full(4, 0.5), np.zeros(3)])
         lp = LinearProgram(
             costs, np.array(fs_rows), tuple([LE] * 5), np.array(rhs), np.zeros(n), np.ones(n),
@@ -223,6 +213,112 @@ class TestCoverage:
         s1 = gen_mcp(8, 5, 3, 2, seed=7)[1].subsets
         s2 = gen_mcp(8, 5, 3, 2, seed=7)[1].subsets
         assert s1 == s2
+
+    def test_constraint_rows_and_masks_match_the_loops(self):
+        # the scatters of gen_mcp and _subset_masks against item by item loops
+        rng = np.random.default_rng(43)
+        for t in range(40):
+            n1, n2 = int(rng.integers(1, 140)), int(rng.integers(1, 30))
+            sk, system = gen_mcp(n1, n2, int(rng.integers(1, min(n1, 6) + 1)), t % (n2 + 2), rng)
+            rows, rhs = coverage_rows(system)
+            assert sk.feasible.g2.tobytes() == rows.tobytes() and sk.feasible.rhs.tobytes() == rhs.tobytes()
+            assert _subset_masks(system).tobytes() == loop_subset_masks(system).tobytes()
+        # subsets of unequal sizes, and an item listed twice
+        system = CoverageSystem(70, ((69,), (0, 1, 2, 64, 65), (3, 3)), 2)
+        assert _subset_masks(system).tobytes() == loop_subset_masks(system).tobytes()
+
+
+def coverage_rows(system: CoverageSystem):
+    """The budget row and one row per item, ``x_a <= sum of the selected
+    subsets covering a``, built item by item: the reference for
+    :func:`gen_mcp`'s scatter."""
+    n1 = system.n_items
+    n = n1 + system.n_subsets
+    budget_row = np.zeros(n)
+    budget_row[n1:] = 1.0
+    rows, rhs = [budget_row], [float(system.budget)]
+    for a in range(n1):
+        row = np.zeros(n)
+        row[a] = 1.0
+        for i, s in enumerate(system.subsets):
+            if a in s:
+                row[n1 + i] = -1.0
+        rows.append(row)
+        rhs.append(0.0)
+    return np.array(rows), np.array(rhs)
+
+
+def loop_subset_masks(system: CoverageSystem) -> np.ndarray:
+    """Item masks set bit by bit: the reference for :func:`_subset_masks`."""
+    words = (system.n_items + 63) // 64
+    rows = []
+    for s in system.subsets:
+        row = [0] * words
+        for a in s:
+            row[a >> 6] |= 1 << (a & 63)
+        rows.append(row)
+    return np.array(rows, dtype="<u8").reshape(system.n_subsets, words)
+
+
+def itertools_colex(m: int, k: int) -> np.ndarray:
+    """The k-subsets of ``range(m)`` sorted by their reversed tuples: the
+    reference for :func:`_colex`."""
+    rows = sorted(itertools.combinations(range(m), k), key=lambda c: c[::-1])
+    return np.array(rows, dtype=np.intp).reshape(len(rows), k).T
+
+
+def gathered_covers(system: CoverageSystem):
+    """Each selection's cover ORed from the reference colex table one pick
+    at a time, as (byte, P) bytes: the reference for :func:`_cover_octets`."""
+    picks = min(system.budget, system.n_subsets)
+    masks = loop_subset_masks(system)
+    selections = itertools_colex(system.n_subsets, picks)
+    covers = np.zeros((selections.shape[1], masks.shape[1]), dtype="<u8")
+    for row in selections:
+        covers |= masks[row]
+    return selections, covers.view(np.uint8)[:, : (system.n_items + 7) // 8].T
+
+
+class TestColex:
+    def test_matches_the_itertools_order(self):
+        for m in range(17):
+            for k in range(m + 2):
+                got, want = _colex(m, k), itertools_colex(m, k)
+                assert got.dtype == np.intp and got.shape == want.shape == (k, math.comb(m, k))
+                np.testing.assert_array_equal(got, want)
+
+    def test_a_rank_reads_its_column(self):
+        for k in range(6):
+            table = _colex(12, k)
+            assert [_colex_subset(p, k) for p in range(table.shape[1])] == table.T.tolist()
+        assert _colex_subset(math.comb(50, 5) - 1, 5) == [45, 46, 47, 48, 49]
+
+    def test_cover_bytes_match_the_gather_loop(self):
+        rng = np.random.default_rng(44)
+        systems = [CoverageSystem(5, ((0, 1), (2,), (1, 3, 4)), b) for b in (0, 1, 3, 4)]
+        for t in range(24):
+            n1, n2 = int(rng.integers(1, 150)), int(rng.integers(1, 13))
+            systems.append(gen_mcp(n1, n2, int(rng.integers(1, min(n1, 7) + 1)), t % (n2 + 3), rng)[1])
+        assert any(s.n_items > 64 for s in systems) and any(s.budget >= s.n_subsets for s in systems)
+        for system in systems:
+            selections, octets = _selection_covers(system, _subset_masks(system))
+            want_selections, want_octets = gathered_covers(system)
+            np.testing.assert_array_equal(selections, want_selections)
+            assert octets.shape == want_octets.shape and octets.tobytes() == want_octets.tobytes()
+            assert not octets.flags.writeable
+
+    def test_builds_no_tuples(self, monkeypatch):
+        # the tables and covers come from the array recursion alone
+        want = {k: itertools_colex(16, k) for k in range(1, 6)}
+        monkeypatch.setattr(itertools, "combinations", lambda *a: pytest.fail("sorted tuples"))
+        _colex_combinations.cache_clear()
+        for k in range(1, 6):
+            table = _colex_combinations(k)
+            m = int(table[-1, -1]) + 1
+            assert table.shape == (k, math.comb(m, k)) and math.comb(m + 1, k) > _BLOCK >= table.shape[1]
+            np.testing.assert_array_equal(table[:, : want[k].shape[1]], want[k])
+        system = gen_mcp(20, 20, 5, 5, 0)[1]
+        assert system.selection_covers[1].shape == (3, math.comb(20, 5))
 
 
 class TestEnumeration:
@@ -477,21 +573,31 @@ class TestSaaTables:
             np.testing.assert_array_equal(x, _table_decisions(family, skeleton, structure)[0])
 
     def test_families_above_the_cap_get_no_table(self, monkeypatch):
-        # counted, not built: paper spp-k and paper mcp get no handle, and
-        # no table is allocated to decide that
-        for name in ("_colex", "_path_arcs", "_selection_covers"):
+        # counted, not built: paper spp-k and a coverage system above
+        # _SAA_CAP get no handle, and no table is allocated to decide that
+        for name in ("_colex", "_path_arcs", "_selection_covers", "_cover_octets"):
             monkeypatch.setattr(problems, name, lambda *a, name=name: pytest.fail(f"built {name}"))
         skeleton, graph = gen_layered_spp(11, 5)
         assert skeleton.saa is None and "arc_table" not in graph.__dict__
-        assert gen_mcp(50, 50, 5, 5, 0)[0].saa is None
+        assert math.comb(50, 5) <= _SAA_CAP < math.comb(60, 6)
+        assert gen_mcp(50, 60, 5, 6, 0)[0].saa is None
         assert gen_sorting(50, 25).saa is None
-        # below the cap a generator attaches its table unbuilt
+        # below the cap a generator attaches its table unbuilt, desk and paper mcp's too
         assert gen_layered_spp(5, 3)[0].saa is not None and gen_sorting(20, 5).saa is not None
+        assert gen_mcp(20, 20, 5, 5, 0)[0].saa is not None
+        skeleton, system = gen_mcp(50, 50, 5, 5, 0)
+        assert skeleton.saa is not None and "selection_covers" not in system.__dict__
         monkeypatch.undo()
         # the cap's edges
         assert gen_layered_spp(7, 5)[0].saa is not None and gen_layered_spp(8, 5)[0].saa is None
-        assert (math.comb(22, 5) <= _BLOCK) and math.comb(23, 5) > _BLOCK
-        assert gen_mcp(24, 22, 4, 5, 0)[0].saa is not None and gen_mcp(24, 23, 4, 5, 0)[0].saa is None
+        assert math.comb(57, 5) <= _SAA_CAP < math.comb(58, 5)
+        assert gen_mcp(24, 57, 4, 5, 0)[0].saa is not None and gen_mcp(24, 58, 4, 5, 0)[0].saa is None
+        # up to _BLOCK selections a coverage system keeps its covers, above it none
+        assert math.comb(22, 5) <= _BLOCK < math.comb(23, 5)
+        for n2 in (22, 23):
+            skeleton, system = gen_mcp(24, n2, 4, 5, 0)
+            skeleton.saa(_cost_boxes(skeleton, np.concatenate([np.ones(24), np.zeros(n2)])), "max")
+            assert ("selection_covers" in system.__dict__) == (n2 == 22)
         assert gen_sorting(50, 3).saa is not None
 
     @pytest.mark.parametrize("n1, n2, size, budget", [(20, 20, 5, 5), (24, 15, 4, 3)], ids=["mcp-k", "mcp-n1"])
@@ -509,6 +615,22 @@ class TestSaaTables:
             assert skeleton.saa(_cost_boxes(skeleton, costs), "max")[0] == pytest.approx(value, rel=1e-12)
         assert calls == {"_selection_covers": [system], "_subset_masks": [system]}
         assert not any(a.flags.writeable for a in (system.subset_masks, *system.selection_covers))
+
+    def test_paper_coverage_handle_matches_the_milp(self, monkeypatch):
+        # C(50, 5) selections: above _BLOCK the handle builds its covers on
+        # each call, keeps none, and decodes the winner from its colex rank
+        rng = np.random.default_rng(45)
+        skeleton, system = gen_mcp(50, 50, 5, 5, rng)
+        run = cucb_collect_mcp(system, BetaNominal.random(50, 0.125, rng), 5, rng)
+        boxes, findings = lower_history("bandit", run.samples, run.decisions, skeleton.support)
+        assert not findings
+        monkeypatch.setattr(problems, "_colex", lambda *a: pytest.fail("built an index table"))
+        value, x = skeleton.saa(boxes, "max")
+        want, _, _ = _saa_milp(skeleton.feasible, boxes, "max", ScipyBackend())
+        assert abs(value - want) <= 1e-9 * max(1.0, abs(want))
+        assert skeleton.feasible.contains(x) and x[50:].sum() == 5
+        assert saa_objective(boxes, x, "max") == pytest.approx(value, rel=1e-12)
+        assert "selection_covers" not in system.__dict__
 
     def test_coverage_table_refuses_what_it_cannot_answer(self):
         skeleton, _ = gen_mcp(6, 4, 2, 2, seed=0)

@@ -652,7 +652,8 @@ class TestSolveDroForms:
 
     @pytest.mark.parametrize("backend", [ReferenceKernel, ScipyBackend], ids=["reference", "scipy"])
     def test_families_above_the_table_cap_solve_the_sample_average_milp(self, backend):
-        # more than _BLOCK decisions: the generator attaches no table, and
+        # more than _BLOCK decisions (coverage: more than _SAA_CAP
+        # selections, here C(25, 12)): the generator attaches no table, and
         # the sample-average MILP is the one backend MILP
         calls = []
 
@@ -664,9 +665,9 @@ class TestSolveDroForms:
         rng = np.random.default_rng(94)
         big_spp, graph = gen_layered_spp(8, 5)
         run = cucb_collect(graph, BetaNominal.random(graph.num_arcs, 0.125, rng), 3, rng)
-        big_mcp, system = gen_mcp(8, 23, 2, 5, 5)
+        big_mcp, system = gen_mcp(8, 25, 2, 12, 5)
         mcp_run = cucb_collect_mcp(system, BetaNominal.random(8, 0.125, rng), 3, rng)
-        pad = np.zeros((3, 23))
+        pad = np.zeros((3, 25))
         for skeleton, scen in (
             (big_spp, observe_bandit(run.samples, run.decisions)),
             (big_mcp, observe_bandit(np.hstack([mcp_run.samples, pad]), np.hstack([mcp_run.decisions, pad]))),
@@ -677,6 +678,29 @@ class TestSolveDroForms:
             value, x, diag = solve_dro(skeleton.instance(scen, 0.1), Counted())
             assert diag.form == "endpoint" and len(calls) == 1 and diag.node_count is not None
             assert skeleton.feasible.contains(x)
+
+    def test_paper_coverage_instance_runs_no_milp(self):
+        # C(50, 5) selections fit under _SAA_CAP: the table answers the
+        # sample-average candidate, the COP the ceiling, and the value is
+        # the one the sample-average MILP gives
+        calls = []
+
+        class Counted(ScipyBackend):
+            def solve_milp(self, mip):
+                calls.append(mip)
+                return super().solve_milp(mip)
+
+        rng = np.random.default_rng(95)
+        skeleton, system = gen_mcp(50, 50, 5, 5, rng)
+        run = cucb_collect_mcp(system, BetaNominal.random(50, 0.125, rng), 4, rng)
+        pad = np.zeros((4, 50))
+        scen = observe_bandit(np.hstack([run.samples, pad]), np.hstack([run.decisions, pad]))
+        inst = skeleton.instance(scen, 0.01)
+        value, x, diag = solve_dro(inst, Counted())
+        assert diag.form == "endpoint" and not calls and diag.node_count is None
+        assert skeleton.feasible.contains(x)
+        want, _, diag = solve_dro(dataclasses.replace(inst, saa=None), Counted())
+        assert len(calls) == 1 and abs(value - want) <= 1e-9 * max(1.0, abs(want))
 
     def test_failed_sample_average_milp_reports_its_status(self):
         # a generated instance without its table solves its ceiling COP by
