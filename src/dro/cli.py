@@ -23,9 +23,9 @@ import numpy as np
 from .closedform import endpoint_fits
 from .datagen import BetaNominal, cucb_collect, cucb_collect_mcp, mean_interval, observe
 from .harness import SweepConfig, preset_sweep, records_to_csv, run_sweep
-from .errors import BadCardinality, DroError, InvalidInstance
+from .errors import BadCardinality, DroError, InvalidInstance, StructureMisfit
 from .model import load_instance, save_instance, validate_instance
-from .problems import CoverageSystem, LayeredGraph, gen_layered_spp, gen_mcp, gen_sorting
+from .problems import family_problem, gen_layered_spp, gen_mcp, gen_sorting
 from .reformulate import (
     build_dro_milp,
     dual_relaxation,
@@ -77,21 +77,39 @@ def _writing(path: str):
         raise _BadInput(f"cannot write {path}: {e.strerror or e}") from e
 
 
+_UNREADABLE = (OSError, LookupError, TypeError, AttributeError, ValueError, DroError)
+
+
 @contextmanager
 def _reading(what: str):
     """Turn what reading or parsing an input raises (a missing file, bad
     JSON, a missing field, a value the model rejects) into ``_BadInput``
-    with the message ``<what>: <reason>``."""
+    with the message ``<what>: <reason>``, or a misfit's own message."""
     try:
         yield
-    except (OSError, LookupError, TypeError, AttributeError, ValueError, DroError) as e:
+    except StructureMisfit as e:
+        raise _BadInput(str(e)) from e
+    except _UNREADABLE as e:
         reason = f"missing field {e}" if isinstance(e, KeyError) else str(e)
         raise _BadInput(f"{what}: {reason}") from e
 
 
+def _arrays(p):
+    return [p.sense, *(getattr(o, f.name) for o in (p.feasible, p.loss, p.support) for f in fields(o))]
+
+
 def _load(path):
+    """The instance in ``path``, with the handles of the problem its ``meta``
+    generates when that is its own problem bit for bit, else none."""
     with _reading(f"invalid instance {path}"):
-        return load_instance(path)
+        inst = load_instance(path)
+    try:
+        _, problem = family_problem(inst.meta, inst.n)
+    except _UNREADABLE:
+        return inst
+    if problem is None or not all(map(np.array_equal, _arrays(problem), _arrays(inst))):
+        return inst
+    return replace(inst, cop=problem.cop, saa=problem.saa)
 
 
 def _cmd_solve(args) -> int:
@@ -168,39 +186,21 @@ def _cmd_collect(args) -> int:
             raise _BadInput(f"invalid {flag}: need {flag.strip('-')} >= {least}, got {value}")
     with _reading("invalid --sigma"):
         mean_interval(args.sigma)
-    inst = _load(args.instance)
+    what = f"invalid instance {args.instance}"
+    with _reading(what):
+        inst = load_instance(args.instance)
     seed = _seed(args)
     ss = np.random.SeedSequence([seed])
     rng_means, rng_run = [np.random.default_rng(s) for s in ss.spawn(2)]
-    n = inst.feasible.n
-    misfit = "structure does not fit the instance: {}, but the instance has dimension {}"
-    # meta is free-form JSON that no solve reads: a field that cannot be
-    # read, or a structure it cannot describe, is a bad instance
-    what = f"invalid instance {args.instance}"
-    if args.family == "spp":
-        with _reading(what):
-            h = inst.meta.get("h") if args.cardinality is None else args.cardinality
-            r = inst.meta.get("r") if args.r is None else args.r
-            graph = LayeredGraph(int(h), int(r)) if h and r else None
-        if graph is None:
-            raise _BadInput("graph shape unknown: pass --h and -r or generate with `dro gen spp`")
-        if graph.num_arcs != n:
-            raise _BadInput(misfit.format(f"a ({h}, {r}) graph has {graph.num_arcs} arcs", n))
-        dist = BetaNominal.random(graph.num_arcs, args.sigma, rng_means)
-        run = cucb_collect(graph, dist, args.k, rng_run)
-    else:
-        with _reading(what):
-            subsets = inst.meta.get("subsets")
-            system = None
-            if subsets:
-                system = CoverageSystem(int(inst.meta["n1"]), tuple(tuple(s) for s in subsets), int(inst.meta["budget"]))
-        if system is None:
-            raise _BadInput("subset system unknown: generate the instance with `dro gen mcp`")
-        if system.n_items + system.n_subsets != n:
-            raise _BadInput(misfit.format(f"{system.n_items} items plus {system.n_subsets} subsets", n))
-        dist = BetaNominal.random(system.n_items, args.sigma, rng_means)
-        run = cucb_collect_mcp(system, dist, args.k, rng_run)
-    new = observe(args.feedback, run.samples, run.decisions, n)
+    with _reading(what):
+        structure, _ = family_problem(inst.meta, inst.n, args.family, h=args.cardinality, r=args.r)
+    if structure is None:
+        raise _BadInput({"spp": "graph shape unknown: pass --h and -r or generate with `dro gen spp`",
+                         "mcp": "subset system unknown: generate the instance with `dro gen mcp`"}[args.family])
+    # an spp sample costs every arc, an mcp sample only the items
+    collect, width = (cucb_collect, inst.n) if args.family == "spp" else (cucb_collect_mcp, structure.n_items)
+    run = collect(structure, BetaNominal.random(width, args.sigma, rng_means), args.k, rng_run)
+    new = observe(args.feedback, run.samples, run.decisions, inst.n)
     path = args.output or args.instance
     with _writing(path):
         save_instance(path, replace(inst, scenarios=inst.scenarios + tuple(new)))
@@ -278,7 +278,7 @@ def main(argv=None) -> int:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("closed-form", help="solve box data under the loss c.x at the transport endpoints: two COPs, or on bandit totals a COP and the sample-average MILP (an instance file carries no decision table)")
+    p = sub.add_parser("closed-form", help="solve box data under the loss c.x at the transport endpoints: two COPs, or on bandit totals a COP and the sample-average candidate, by the family's decision table on a file as `dro gen` wrote it and else by a MILP")
     p.add_argument("instance")
     p.add_argument("--backend", default=None, choices=["reference", "scipy"])
     p.add_argument("-o", "--output", default=None)

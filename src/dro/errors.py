@@ -9,6 +9,10 @@ class DimensionMismatch(DroError):
     """Vector or matrix shapes do not agree."""
 
 
+class StructureMisfit(DimensionMismatch):
+    """A family structure read from ``meta`` does not fit the instance."""
+
+
 class EmptyIntersection(DroError):
     """A data scenario has empty intersection with the support polytope."""
 

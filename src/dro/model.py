@@ -445,11 +445,11 @@ class ProblemInstance:
     endpoint form's sample-average candidate on bandit data, ``saa(boxes,
     sense) -> (value, x)`` with the radius left out: a generated problem of
     at most ``problems._BLOCK`` decisions (a coverage problem of at most
-    ``problems._SAA_CAP`` selections) carries its family's table.  None,
-    as on an instance read from JSON, leaves those solves to a MILP on
-    ``feasible``.  Neither handle is saved, and code that swaps ``feasible``
-    must drop both.  ``meta`` is free-form JSON, a generator's family
-    parameters: saved and loaded, but read by no solve.
+    ``problems._SAA_CAP`` selections) carries its family's table.  None
+    leaves those solves to a MILP on ``feasible``.  Neither handle is saved,
+    and code that swaps ``feasible`` must drop both.  ``meta`` is free-form
+    JSON, a generator's family parameters, saved and loaded; the CLI gives a
+    file back both handles when its problem is the one ``meta`` generates.
     """
 
     feasible: FeasibleSet

@@ -6,35 +6,32 @@ Each generator returns the :class:`~dro.model.ProblemInstance` that ``dro
 gen`` writes: feasible set, loss, support, the family's exact combinatorial
 solver as ``cop``, its sample-average table as ``saa`` (None for a family of
 more than ``_BLOCK`` decisions, or of more than ``_SAA_CAP`` coverage
-selections) and its parameters as ``meta``, with no scenarios at radius 0;
-:meth:`~dro.model.ProblemInstance.instance` attaches data.
-Structural indices are deterministic and documented so that observation
-masks align across runs.
+selections) and its parameters as ``meta``, from which
+:func:`family_problem` builds it again, with no scenarios at radius 0;
+:meth:`~dro.model.ProblemInstance.instance` attaches data.  Structural
+indices are deterministic and documented so observation masks align.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadCardinality, DimensionMismatch
+from .errors import BadCardinality, DimensionMismatch, StructureMisfit
 from .model import BiaffineLoss, FeasibleSet, Polytope, ProblemInstance, SampleBoxes
-
-
-def _cardinality_rows(n: int, h: int):
-    """sum(x) = h as a <= / >= pair."""
-    return np.vstack([np.ones(n), -np.ones(n)]), np.array([float(h), -float(h)])
 
 
 def gen_sorting(n: int, h: int) -> ProblemInstance:
     """Pick ``h`` of ``n`` items at minimal total cost; unit-box cost support."""
     if not (1 <= h <= n):
         raise BadCardinality(f"need 1 <= h <= n, got h={h}, n={n}")
-    g2, rhs = _cardinality_rows(n, h)
+    # sum(x) = h as a <= / >= pair
+    g2, rhs = np.vstack([np.ones(n), -np.ones(n)]), np.array([float(h), -float(h)])
     feasible = FeasibleSet(0, n, [], g2, rhs, np.ones(n))
     support, meta = Polytope.box(np.zeros(n), np.ones(n)), {"family": "sorting", "n": n, "h": h}
     return ProblemInstance(
@@ -92,38 +89,25 @@ def gen_layered_spp(h: int, r: int):
     Returns ``(problem, graph)``.
     """
     graph = LayeredGraph(h, r)
+    # the arcs in index order: the source fan-out, the (tail, head) blocks
+    # between intermediate layers, the destination fan-in
     n = graph.num_arcs
-    rows, rhs = [], []
-
-    def add_eq(coeffs, value):
-        rows.append(coeffs)
-        rhs.append(value)
-        rows.append(-coeffs)
-        rhs.append(-value)
-
-    out = np.zeros(n)
-    for head in range(r):
-        out[graph.arc_index(0, 0, head)] = 1.0
-    add_eq(out, 1.0)
-    inc = np.zeros(n)
-    for tail in range(r):
-        inc[graph.arc_index(h - 1, tail, 0)] = 1.0
-    add_eq(inc, 1.0)
-    for layer in range(1, h):
-        for node in range(r):
-            bal = np.zeros(n)
-            if layer == 1:
-                bal[graph.arc_index(0, 0, node)] = 1.0
-            else:
-                for tail in range(r):
-                    bal[graph.arc_index(layer - 1, tail, node)] = 1.0
-            if layer == h - 1:
-                bal[graph.arc_index(h - 1, node, 0)] -= 1.0
-            else:
-                for head in range(r):
-                    bal[graph.arc_index(layer, node, head)] -= 1.0
-            add_eq(bal, 0.0)
-    feasible = FeasibleSet(0, n, [], np.array(rows), np.array(rhs), np.ones(n))
+    src, inner, dst = np.arange(r), r + np.arange(n - 2 * r).reshape(h - 2, r, r), np.arange(n - r, n)
+    # equations: out of the source, into the destination, then the balance
+    # (in minus out) of each intermediate node, layer by layer
+    eq = np.zeros((2 + (h - 1) * r, n))
+    eq[0, src] = eq[1, dst] = 1.0
+    node = 2 + np.arange((h - 1) * r).reshape(h - 1, r)
+    eq[node[0], src] = 1.0
+    eq[node[1:, :, None], inner.transpose(0, 2, 1)] = 1.0
+    eq[node[:-1, :, None], inner] = -1.0
+    eq[node[-1], dst] = -1.0
+    # each equation as the row pair eq <= rhs, -eq <= -rhs
+    g, rhs = np.empty((2 * eq.shape[0], n)), np.zeros(2 * eq.shape[0])
+    g[0::2], g[1::2] = eq, -eq
+    rhs[:4:2] = 1.0
+    rhs[1::2] = -rhs[0::2]
+    feasible = FeasibleSet(0, n, [], g, rhs, np.ones(n))
     support, meta = Polytope.box(np.zeros(n), np.ones(n)), {"family": "spp", "h": h, "r": r}
     problem = ProblemInstance(
         feasible, BiaffineLoss.bilinear(n), support, (), 0.0, "min", spp_cop(graph), spp_saa(graph), meta
@@ -184,28 +168,65 @@ def gen_mcp(n_items: int, n_subsets: int, subset_size: int, budget: int, seed):
         for _ in range(n_subsets)
     )
     system = CoverageSystem(n_items, subsets, budget)
-    n = n_items + n_subsets
+    meta = {"family": "mcp", "n1": n_items, "n2": n_subsets, "subset_size": subset_size, "budget": budget,
+            "subsets": [list(s) for s in subsets]}
+    return _mcp_problem(system, meta), system
+
+
+def _mcp_problem(system: CoverageSystem, meta: dict) -> ProblemInstance:
+    """:func:`gen_mcp`'s problem on ``system``, carrying ``meta``."""
+    n1, n2 = system.n_items, system.n_subsets
+    n = n1 + n2
     # row 0: the budget; row 1 + a: x_a <= sum of the selected subsets covering a
-    g = np.zeros((1 + n_items, n))
-    g[0, n_items:] = 1.0
-    g[1 + np.arange(n_items), np.arange(n_items)] = 1.0
-    g[1 + np.array(subsets), n_items + np.arange(n_subsets)[:, None]] = -1.0
-    rhs = np.zeros(1 + n_items)
-    rhs[0] = float(budget)
+    g = np.zeros((1 + n1, n))
+    g[0, n1:] = 1.0
+    g[1 + np.arange(n1), np.arange(n1)] = 1.0
+    items = np.fromiter(itertools.chain.from_iterable(system.subsets), np.intp)
+    g[1 + items, n1 + np.repeat(np.arange(n2), [len(s) for s in system.subsets])] = -1.0
+    rhs = np.zeros(1 + n1)
+    rhs[0] = float(system.budget)
     feasible = FeasibleSet(0, n, [], g, rhs, np.ones(n))
-    support = Polytope.box(np.zeros(n), np.concatenate([np.ones(n_items), np.zeros(n_subsets)]))
-    meta = {
-        "family": "mcp",
-        "n1": n_items,
-        "n2": n_subsets,
-        "subset_size": subset_size,
-        "budget": budget,
-        "subsets": [list(s) for s in subsets],
-    }
-    problem = ProblemInstance(
+    support = Polytope.box(np.zeros(n), np.concatenate([np.ones(n1), np.zeros(n2)]))
+    return ProblemInstance(
         feasible, BiaffineLoss.bilinear(n), support, (), 0.0, "max", mcp_cop(system), mcp_saa(system), meta
     )
-    return problem, system
+
+
+def _whole(value, name: str) -> int:
+    """``value``, refused unless it is an int (a float, bool or string)."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def family_problem(meta, n: int, family: str | None = None, **given):
+    """``(structure, problem)`` of the generated ``family`` (by default
+    meta's own) that ``meta``, updated by the ``given`` fields not None,
+    describes: sorting from n and h (structure None), spp from h and r, mcp
+    from n1, subsets and budget.  ``(None, None)`` for another family, or
+    when a field other than n1 or budget is missing or empty.  A field that
+    is not an int raises ``TypeError``, and a structure without ``n``
+    coordinates :class:`~dro.errors.StructureMisfit`, before any build."""
+    given = {k: v for k, v in given.items() if v is not None}
+    meta = {**meta, **given} if given else meta
+    family = family or meta.get("family")
+    if family == "sorting" and meta.get("n") and meta.get("h"):
+        size, h = _whole(meta["n"], "n"), _whole(meta["h"], "h")
+        shape, build = f"{size} items", lambda: (None, gen_sorting(size, h))
+    elif family == "spp" and meta.get("h") and meta.get("r"):
+        graph = LayeredGraph(_whole(meta["h"], "h"), _whole(meta["r"], "r"))
+        size, shape = graph.num_arcs, f"a ({graph.h}, {graph.r}) graph has {graph.num_arcs} arcs"
+        build = lambda: gen_layered_spp(graph.h, graph.r)[::-1]
+    elif family == "mcp" and meta.get("subsets"):
+        n1, subsets = _whole(meta["n1"], "n1"), [[_whole(i, "a subset item") for i in s] for s in meta["subsets"]]
+        system = CoverageSystem(n1, subsets, _whole(meta["budget"], "budget"))
+        size, shape = n1 + len(subsets), f"{n1} items plus {len(subsets)} subsets"
+        build = lambda: (system, _mcp_problem(system, meta))
+    else:
+        return None, None
+    if size != n:
+        raise StructureMisfit(f"structure does not fit the instance: {shape}, but the instance has dimension {n}")
+    return build()
 
 
 def shortest_path_dp(graph: LayeredGraph, arc_costs):

@@ -410,10 +410,10 @@ def _verified(inst: ProblemInstance, x) -> np.ndarray:
 
 def solve_dro_endpoint(inst: ProblemInstance, boxes: SampleBoxes, backend: Backend | None = None):
     """Solve ``inst`` by :func:`~dro.closedform.solve_endpoints` on its
-    validated ``boxes``: the ceiling COP, by ``inst.cop`` when the instance
-    carries one (a generated instance does) and else by a MILP on
-    ``backend``, and the sample-average candidate, by ``inst.saa`` when the
-    instance carries a decision table and else by a MILP on ``backend``.
+    validated ``boxes``: the ceiling COP by ``inst.cop`` and the
+    sample-average candidate by ``inst.saa`` when the instance carries them
+    (a generated one, or a ``dro gen`` file the CLI read, does), each else
+    by a MILP on ``backend``.
     Returns ``(value, x, diagnostics)`` as :func:`solve_dro_milp` does, with
     ``(None, None, diagnostics)`` and the failed solve's status when either
     solve ends without an optimum; the node count is the sample-average

@@ -541,7 +541,7 @@ def random_skeleton(rng: np.random.Generator, t: int):
         senses = ("max",)
     costs = rng.uniform(-0.5, 1.0, skeleton.feasible.n)
     if family == 2:
-        costs[skeleton.meta["n1"] :] = 0.0
+        costs[n1:] = 0.0
     return skeleton, senses, costs
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dro import cli, harness
+from dro import cli, harness, problems
 from dro.cli import main
 from dro.closedform import solve_disjoint_bandit
 from dro.datagen import BetaNominal, cucb_collect_mcp, observe_bandit
@@ -24,6 +24,7 @@ from dro.model import (
     FeasibleSet,
     Interval,
     ProblemInstance,
+    SampleBoxes,
     SemiBandit,
     instance_to_dict,
     load_instance,
@@ -32,6 +33,7 @@ from dro.model import (
 from dro.problems import gen_layered_spp, gen_mcp, gen_sorting
 from dro.reformulate import build_dro_milp, solve_dro_milp
 from dro.selfcheck import random_bandit_instance
+from dro.solver.backend import ReferenceKernel, ScipyBackend
 from test_solver_milp import lp_relaxation_value
 
 
@@ -247,27 +249,40 @@ def test_closed_form_matches_solve_on_the_endpoint_form(request, tmp_path, fixtu
     assert payload["x_or_group"] == full["x"]
 
 
+@pytest.mark.parametrize("command, key", [("solve", "x"), ("closed-form", "x_or_group")])
+@pytest.mark.parametrize("fixture", ["bandit_instance", "mcp_bandit_instance", "overlap_instance"])
+def test_endpoint_answers_agree_across_backends(request, tmp_path, fixture, command, key):
+    # a generated file solves by its family's COP and table on either
+    # backend, so the backends write one value and one decision
+    path = request.getfixturevalue(fixture)
+    answers = []
+    for backend in ("reference", "scipy"):
+        out = tmp_path / f"{backend}.json"
+        assert main([command, path, "--backend", backend, "-o", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        answers.append((payload["value"], payload[key]))
+    assert answers[0] == answers[1]
+
+
 # sha256 of the `dro solve -o` and then the `dro closed-form -o` bytes on the
-# interval, bandit, mcp_bandit and overlap fixtures, in that order; computed
-# with numpy 2.4.6 and scipy 1.17.1
-_SOLVE_OUTPUT_SHA256 = {
-    "reference": "ee3ebd60697254401dd0d6defd2866e1344b2b359a2b6d437944b1096d124c11",
-    "scipy": "2f147fd1a391d796b1b504b06a7c7ab775b5846b78384fcf42d426ec5b326e1b",
-}
+# interval, bandit, mcp_bandit and overlap fixtures, in that order, the same
+# on both backends; computed with numpy 2.4.6 and scipy 1.17.1
+_SOLVE_OUTPUT_SHA256 = "4218e9eaa2649b25fa951978dfcdcfb8abe1541e902e9ced83993af310a8b459"
 
 
 @pytest.mark.parametrize("backend", ["reference", "scipy"])
 def test_solve_outputs_are_pinned(interval_instance, bandit_instance, mcp_bandit_instance,
                                   overlap_instance, tmp_path, backend):
-    """An instance read from JSON carries no COP handle, so its endpoint
-    solves route the ceiling candidate by a MILP; this pins what both
+    """Each fixture is a generated problem as `dro gen` writes it, so the
+    CLI gives it back its family's COP and table: the bandit fixtures'
+    endpoint solves run no MILP (node_count null).  This pins what both
     commands write on the fixtures."""
     digest, out = hashlib.sha256(), tmp_path / "out.json"
     for command in ("solve", "closed-form"):
         for path in (interval_instance, bandit_instance, mcp_bandit_instance, overlap_instance):
             assert main([command, path, "--backend", backend, "-o", str(out)]) == 0
             digest.update(out.read_bytes())
-    assert digest.hexdigest() == _SOLVE_OUTPUT_SHA256[backend]
+    assert digest.hexdigest() == _SOLVE_OUTPUT_SHA256
 
 
 def test_closed_form_matches_the_grouped_bandit_reference(tmp_path):
@@ -475,12 +490,15 @@ def test_collect_rejects_structure_of_wrong_size(tmp_path, capsys):
 
 @pytest.mark.parametrize("family, edit, message", [
     ("spp", lambda meta: [1], "'list' object has no attribute 'get'"),
-    ("spp", lambda meta: {**meta, "h": "x"}, "invalid literal for int()"),
+    ("spp", lambda meta: {**meta, "h": "x"}, "h must be an integer, got 'x'"),
+    ("spp", lambda meta: {**meta, "h": 3.5}, "h must be an integer, got 3.5"),
+    ("spp", lambda meta: {**meta, "r": True}, "r must be an integer, got True"),
+    ("mcp", lambda meta: {**meta, "budget": 2.7, "n1": 6.2}, "n1 must be an integer, got 6.2"),
     ("mcp", lambda meta: {**meta, "subsets": [[0, 6], *meta["subsets"][1:]]}, "out of range"),
     ("mcp", lambda meta: {**meta, "subsets": 5}, "not iterable"),
     ("mcp", lambda meta: {k: v for k, v in meta.items() if k != "budget"}, "missing field 'budget'"),
-], ids=["spp-meta-list", "spp-h-text", "mcp-item-out-of-range", "mcp-subsets-number",
-        "mcp-no-budget"])
+], ids=["spp-meta-list", "spp-h-text", "spp-h-float", "spp-r-bool", "mcp-float",
+        "mcp-item-out-of-range", "mcp-subsets-number", "mcp-no-budget"])
 def test_collect_malformed_meta_is_one_line(tmp_path, capsys, family, edit, message):
     path = tmp_path / f"{family}.json"
     gen = {
@@ -498,6 +516,9 @@ def test_collect_malformed_meta_is_one_line(tmp_path, capsys, family, edit, mess
     assert message in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert path.read_bytes() == before
+    # no int() truncation: `dro solve` on the file keeps the MILPs
+    loaded = cli._load(str(path))
+    assert loaded.cop is None and loaded.saa is None
 
 
 @pytest.mark.parametrize("family, message", [
@@ -631,7 +652,114 @@ def test_gen_file_loads_as_the_generated_problem(tmp_path, monkeypatch, family):
     assert loaded.scenarios == () and loaded.epsilon == 0.0
     assert loaded.sense == problem.sense
     assert loaded.meta == ({**problem.meta, "seed": 3} if family == "mcp" else problem.meta)
-    assert loaded.cop is None and problem.cop is not None
+    assert loaded.cop is None and loaded.saa is None
+    # the CLI gives the file back the generator's handles, answering bit for bit
+    rebuilt = cli._load(str(path))
+    rng = np.random.default_rng(11)
+    cop_senses = {"sorting": ("min", "max"), "spp": ("min",), "mcp": ("max",)}[family]
+    for _ in range(20):
+        costs = rng.uniform(-0.5, 1.0, problem.n)
+        costs[6 if family == "mcp" else problem.n:] = 0.0
+        for sense in cop_senses:
+            _assert_same_answer(rebuilt.cop(costs, sense), problem.cop(costs, sense))
+        boxes = _random_boxes(problem, rng)
+        for sense in ("max",) if family == "mcp" else ("min", "max"):
+            _assert_same_answer(rebuilt.saa(boxes, sense), problem.saa(boxes, sense))
+
+
+def _assert_same_answer(got, want):
+    assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+
+
+def _random_boxes(problem, rng, num_k=4):
+    """Random sample boxes inside ``problem``'s support box, each sample but
+    the first with a bandit total over a random mask."""
+    l, u = problem.support.box_bounds()
+    lo = rng.uniform(l, u, (num_k, problem.n))
+    hi = lo + rng.random((num_k, problem.n)) * (u - lo)
+    m = (rng.random((num_k, problem.n)) < 0.5).astype(float)
+    m[0] = 0.0
+    t = (m * lo).sum(axis=1) + rng.random(num_k) * (m * (hi - lo)).sum(axis=1)
+    t[0] = np.nan
+    return SampleBoxes(lo, hi, m, t, l, u)
+
+
+def _bandit_file(tmp_path, family):
+    """A `dro gen` file of ``family`` with a collected bandit history."""
+    path = tmp_path / f"{family}.json"
+    assert main(["gen", family, *_GEN_ARGS[family], "-o", str(path)]) == 0
+    assert main(["collect", family, str(path), "--k", "4", "--seed", "2", "--feedback", "bandit"]) == 0
+    return path
+
+
+@pytest.fixture()
+def milp_calls(monkeypatch):
+    """Live list of backend ``solve_milp`` calls, by backend name."""
+    calls = []
+    for kernel in (ReferenceKernel, ScipyBackend):
+
+        def counted(self, mip, original=kernel.solve_milp):
+            calls.append(self.name)
+            return original(self, mip)
+
+        monkeypatch.setattr(kernel, "solve_milp", counted)
+    return calls
+
+
+@pytest.mark.parametrize("backend", ["reference", "scipy"])
+@pytest.mark.parametrize("family", ["spp", "mcp"])
+def test_gen_file_solves_without_a_milp(tmp_path, milp_calls, family, backend):
+    path, out = _bandit_file(tmp_path, family), tmp_path / "out.json"
+    assert main(["solve", str(path), "--backend", backend, "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["node_count"] is None
+    assert main(["closed-form", str(path), "--backend", backend, "-o", str(out)]) == 0
+    assert milp_calls == []
+
+
+# each edit of a `_bandit_file`, and the sha256 of the `dro solve -o` bytes
+# on the edited file on the reference and the scipy backend; computed at the
+# parent commit, which never rebuilt handles, with numpy 2.4.6 and scipy 1.17.1
+@pytest.mark.parametrize("family, g2_entry, meta_edit, digests", [
+    ("spp", (0, 0), {}, ("0d215421d16d24d883233ba76e7d2310f2fa72c9d07f8052fb1ea17ddfd2a44e",) * 2),
+    ("spp", None, {"h": 4}, ("b39d8f05d904e86f794093f9efbfdaff9c98fa56dfc8d9aa701b1740a372a333",) * 2),
+    # an (8, 1) graph has 8 arcs too, but another feasible set
+    ("spp", None, {"h": 8, "r": 1}, ("b39d8f05d904e86f794093f9efbfdaff9c98fa56dfc8d9aa701b1740a372a333",) * 2),
+    ("mcp", (0, 6), {}, ("b35c809f427caa1dc96519936845c82200a57431a4be4c8996e16a6fc5a556e3",
+                         "08223e2f76f30f6baf83fe2138f84e87b5e4293bc46ae33a5419be118e4e84ce")),
+    ("mcp", None, {"budget": 1}, ("bfe32bb928a0f6245ed7c7b50339f21c854aaa99ae71865257f8ee787ff3ea74",) * 2),
+], ids=["spp-g2-entry", "spp-meta-h", "spp-meta-same-dimension", "mcp-g2-entry", "mcp-meta-budget"])
+@pytest.mark.parametrize("backend", ["reference", "scipy"])
+def test_edited_gen_file_keeps_the_milps(tmp_path, monkeypatch, milp_calls, family, g2_entry, meta_edit,
+                                         digests, backend):
+    monkeypatch.delenv("DRO_SEED", raising=False)
+    path, out = _bandit_file(tmp_path, family), tmp_path / "out.json"
+    raw = json.loads(path.read_text())
+    if g2_entry:
+        row, col = g2_entry
+        raw["feasible"]["G2"][row][col] = 2.0
+    raw["meta"].update(meta_edit)
+    path.write_text(json.dumps(raw))
+    assert main(["solve", str(path), "--backend", backend, "-o", str(out)]) == 0
+    assert milp_calls and json.loads(out.read_text())["node_count"] is not None
+    want = dict(zip(("reference", "scipy"), digests))[backend]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
+def test_misfit_structure_is_refused_before_its_problem_is_built(tmp_path, capsys, monkeypatch):
+    spp, mcp = _bandit_file(tmp_path, "spp"), _bandit_file(tmp_path, "mcp")
+    for name in ("gen_layered_spp", "_mcp_problem"):
+        monkeypatch.setattr(problems, name, lambda *a, name=name: pytest.fail(f"called {name}"))
+    _refused(tmp_path, capsys, ["collect", "spp", str(spp), "--k", "2", "--h", "1000", "-r", "1000"],
+             "structure does not fit the instance: a (1000, 1000) graph has 998002000 arcs, "
+             "but the instance has dimension 8")
+    # a meta naming a huge structure leaves `dro solve` on the MILPs
+    for path, edit in ((spp, dict(h=1000, r=1000)), (mcp, dict(subsets=[[0]] * 100_000))):
+        raw = json.loads(path.read_text())
+        raw["meta"].update(edit)
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out.json"
+        assert main(["solve", str(path), "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["node_count"] is not None
 
 
 @pytest.mark.parametrize("feedback", ["semibandit", "bandit"])

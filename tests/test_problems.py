@@ -22,6 +22,7 @@ from dro.problems import (
     _path_arcs,
     _selection_covers,
     _subset_masks,
+    family_problem,
     gen_layered_spp,
     gen_mcp,
     gen_sorting,
@@ -98,6 +99,13 @@ class TestLayeredGraph:
             g = LayeredGraph(h, r)
             for nodes in all_paths(g):
                 assert path_vector(g, nodes).sum() == h
+
+    def test_flow_rows_match_the_loop(self):
+        for h in range(2, 7):
+            for r in range(1, 5):
+                sk, graph = gen_layered_spp(h, r)
+                rows, rhs = flow_rows(graph)
+                assert sk.feasible.g2.tobytes() == rows.tobytes() and sk.feasible.rhs.tobytes() == rhs.tobytes()
 
     def test_flow_encoding_enumeration(self):
         sk, g = gen_layered_spp(3, 2)
@@ -223,9 +231,40 @@ class TestCoverage:
             rows, rhs = coverage_rows(system)
             assert sk.feasible.g2.tobytes() == rows.tobytes() and sk.feasible.rhs.tobytes() == rhs.tobytes()
             assert _subset_masks(system).tobytes() == loop_subset_masks(system).tobytes()
-        # subsets of unequal sizes, and an item listed twice
-        system = CoverageSystem(70, ((69,), (0, 1, 2, 64, 65), (3, 3)), 2)
+        # subsets of unequal sizes, and an item listed twice, as a meta may hold
+        meta = {"family": "mcp", "n1": 70, "subsets": [[69], [0, 1, 2, 64, 65], [3, 3]], "budget": 2}
+        system, sk = family_problem(meta, 73)
         assert _subset_masks(system).tobytes() == loop_subset_masks(system).tobytes()
+        rows, rhs = coverage_rows(system)
+        assert sk.feasible.g2.tobytes() == rows.tobytes() and sk.feasible.rhs.tobytes() == rhs.tobytes()
+
+
+def flow_rows(graph: LayeredGraph):
+    """Flow conservation built node by node through
+    :meth:`LayeredGraph.arc_index`, each equation a ``<=`` / ``>=`` row
+    pair: the reference for :func:`gen_layered_spp`'s scatter."""
+    h, r, n = graph.h, graph.r, graph.num_arcs
+    rows, rhs = [], []
+
+    def add_eq(coeffs, value):
+        rows.extend([coeffs, -coeffs])
+        rhs.extend([value, -value])
+
+    out, inc = np.zeros(n), np.zeros(n)
+    for node in range(r):
+        out[graph.arc_index(0, 0, node)] = 1.0
+        inc[graph.arc_index(h - 1, node, 0)] = 1.0
+    add_eq(out, 1.0)
+    add_eq(inc, 1.0)
+    for layer in range(1, h):
+        for node in range(r):
+            bal = np.zeros(n)
+            for tail in range(1 if layer == 1 else r):
+                bal[graph.arc_index(layer - 1, tail, node)] = 1.0
+            for head in range(1 if layer == h - 1 else r):
+                bal[graph.arc_index(layer, node, head)] -= 1.0
+            add_eq(bal, 0.0)
+    return np.array(rows), np.array(rhs)
 
 
 def coverage_rows(system: CoverageSystem):
