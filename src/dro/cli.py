@@ -225,6 +225,8 @@ def _cmd_sweep(args) -> int:
                 feedback=raw.get("feedback"),
             )
         else:
+            if args.paper_scale:
+                raise ValueError("--paper-scale applies to presets only")
             known = fields(SweepConfig)
             unknown = sorted(set(raw) - {f.name for f in known})
             required = (f.name for f in known if f.default is MISSING and f.default_factory is MISSING)
@@ -321,7 +323,7 @@ def main(argv=None) -> int:
     p.add_argument("config")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--backend", default=None, choices=["reference", "scipy"])
-    p.add_argument("--paper-scale", action="store_true", help="use the published experiment sizes")
+    p.add_argument("--paper-scale", action="store_true", help="use a preset's published experiment sizes")
     p.add_argument("--timings", action="store_true", help="write real wall times (breaks byte-reproducibility)")
     p.set_defaults(func=_cmd_sweep)
 

@@ -309,17 +309,17 @@ def cucb_collect_mcp(system, dist, num_k: int, seed_or_rng):
         raise DimensionMismatch("nominal dimension must equal the item count")
     if not systems:
         return []
-    # one row of member indices per subset, padded with the index of an
-    # appended item that is never covered and worth zero; a system with
-    # fewer subsets gets rows of that item alone, never picked
+    # each system's member table scattered into one row per subset, padded
+    # with an appended item that is never covered and worth zero; a system
+    # with fewer subsets gets rows of that item alone, never picked
     n = max(s.n_items for s in systems)
-    width = max(len(m) for s in systems for m in s.subsets)
+    width = 1 + max(int(s.members[2].max()) for s in systems)
     members = np.full((len(systems), max(s.n_subsets for s in systems), width), n)
     for row, s in zip(members, systems):
-        for i, m in enumerate(s.subsets):
-            row[i, : len(m)] = m
+        owner, items, place = s.members
+        row[owner, place] = items
     absent = members[:, :, 0] == n
-    picks = [max(0, min(s.budget, s.n_subsets)) for s in systems]
+    picks = [min(s.budget, s.n_subsets) for s in systems]
     # the histories still picking at each pick of a step
     lives = [np.flatnonzero(np.array(picks) > t) for t in range(max(picks))]
     # member indices into the flattened (batch, n + 1) item arrays

@@ -540,7 +540,6 @@ class SampleBoxes:
         return SampleBoxes(self.lo[:k], self.hi[:k], self.m[:k], self.t[:k], self.l, self.u)
 
 
-_BOX_KINDS = (Exact, Interval, SemiBandit, Bandit)
 _SIZED = {Exact: "point", Interval: "lower", Bandit: "mask"}  # the field that must have length n
 
 
@@ -724,17 +723,16 @@ def problem_findings(problem: ProblemInstance, num_samples: int):
 def validate_instance(inst: ProblemInstance):
     """Check every structural invariant and lower each scenario exactly once.
 
-    Runs :func:`problem_findings`, then, on a box support whose scenarios
-    are all of the four built-in kinds, returns the :class:`SampleBoxes` of
-    :func:`lower_box_scenarios`; otherwise each sample's lowered polytope
-    from :func:`lower_scenario`, in scenario order.  Raises
+    Runs :func:`problem_findings`, then returns, on a box support, the
+    :class:`SampleBoxes` of :func:`lower_box_scenarios`, else each sample's
+    lowered polytope from :func:`lower_scenario`, in scenario order.  Raises
     :class:`InvalidInstance` listing every finding when the instance is not
     sound.  Boundedness of the support and emptiness of each system are
     established through LP solves, or structurally on a box support.
     """
     out = problem_findings(inst, inst.num_samples)
 
-    if inst.support.is_box() and all(type(s) in _BOX_KINDS for s in inst.scenarios):
+    if inst.support.is_box():
         boxes, findings = lower_box_scenarios(inst.scenarios, inst.support)
         out.extend(findings)
         if out:

@@ -117,27 +117,45 @@ def gen_layered_spp(h: int, r: int):
 
 @dataclass(eq=False)
 class CoverageSystem:
-    """Items 1..n_items and candidate subsets with a selection budget."""
+    """Items ``0 .. n_items - 1``, candidate subsets of them and a selection
+    budget, checked once here: integer counts and items (numpy's too), each
+    item kept once at its first place in its subset, a nonnegative budget."""
 
     n_items: int
     subsets: tuple  # of frozen index tuples
     budget: int
 
     def __post_init__(self):
-        self.subsets = tuple(tuple(int(i) for i in s) for s in self.subsets)
+        self.n_items = _whole(self.n_items, "n1")
+        self.subsets = tuple(tuple(dict.fromkeys([_whole(i, "a subset item") for i in s])) for s in self.subsets)
+        self.budget = _whole(self.budget, "budget")
         if self.n_items < 1 or not self.subsets:
             raise BadCardinality(
                 f"need at least one item and one subset, got {self.n_items} and {len(self.subsets)}"
             )
+        if self.budget < 0:
+            raise BadCardinality(f"need a nonnegative budget, got {self.budget}")
         for s in self.subsets:
             if not s:
                 raise BadCardinality("every subset must be nonempty")
-            if any(i < 0 or i >= self.n_items for i in s):
+            if min(s) < 0 or max(s) >= self.n_items:
                 raise DimensionMismatch("subset item out of range")
 
     @property
     def n_subsets(self) -> int:
         return len(self.subsets)
+
+    @functools.cached_property
+    def members(self) -> np.ndarray:
+        """Read-only (3, members) rows of subset, item and place in subset,
+        in member order, which the cover rows, masks and collector read."""
+        sizes = [len(s) for s in self.subsets]
+        table = np.empty((3, sum(sizes)), dtype=np.intp)
+        table[0] = np.repeat(np.arange(self.n_subsets), sizes)
+        table[1] = np.fromiter(itertools.chain.from_iterable(self.subsets), np.intp, table.shape[1])
+        table[2] = np.fromiter(itertools.chain.from_iterable(map(range, sizes)), np.intp, table.shape[1])
+        table.setflags(write=False)
+        return table
 
     @functools.cached_property
     def subset_masks(self) -> np.ndarray:
@@ -181,8 +199,8 @@ def _mcp_problem(system: CoverageSystem, meta: dict) -> ProblemInstance:
     g = np.zeros((1 + n1, n))
     g[0, n1:] = 1.0
     g[1 + np.arange(n1), np.arange(n1)] = 1.0
-    items = np.fromiter(itertools.chain.from_iterable(system.subsets), np.intp)
-    g[1 + items, n1 + np.repeat(np.arange(n2), [len(s) for s in system.subsets])] = -1.0
+    owner, items, _ = system.members
+    g[1 + items, n1 + owner] = -1.0
     rhs = np.zeros(1 + n1)
     rhs[0] = float(system.budget)
     feasible = FeasibleSet(0, n, [], g, rhs, np.ones(n))
@@ -193,10 +211,10 @@ def _mcp_problem(system: CoverageSystem, meta: dict) -> ProblemInstance:
 
 
 def _whole(value, name: str) -> int:
-    """``value``, refused unless it is an int (a float, bool or string)."""
-    if type(value) is not int:
+    """``value`` as an int, refused unless an int or numpy integer (a float, bool or string)."""
+    if type(value) is not int and not isinstance(value, np.integer):
         raise TypeError(f"{name} must be an integer, got {value!r}")
-    return value
+    return int(value)
 
 
 def family_problem(meta, n: int, family: str | None = None, **given):
@@ -218,9 +236,8 @@ def family_problem(meta, n: int, family: str | None = None, **given):
         size, shape = graph.num_arcs, f"a ({graph.h}, {graph.r}) graph has {graph.num_arcs} arcs"
         build = lambda: gen_layered_spp(graph.h, graph.r)[::-1]
     elif family == "mcp" and meta.get("subsets"):
-        n1, subsets = _whole(meta["n1"], "n1"), [[_whole(i, "a subset item") for i in s] for s in meta["subsets"]]
-        system = CoverageSystem(n1, subsets, _whole(meta["budget"], "budget"))
-        size, shape = n1 + len(subsets), f"{n1} items plus {len(subsets)} subsets"
+        system = CoverageSystem(meta["n1"], meta["subsets"], meta["budget"])
+        size, shape = system.n_items + system.n_subsets, f"{system.n_items} items plus {system.n_subsets} subsets"
         build = lambda: (system, _mcp_problem(system, meta))
     else:
         return None, None
@@ -369,8 +386,8 @@ def _subset_masks(system: CoverageSystem) -> np.ndarray:
     ``a % 64`` of word ``a // 64``."""
     words = (system.n_items + 63) // 64
     bits = np.zeros((system.n_subsets, 64 * words), dtype=bool)
-    owners = np.repeat(np.arange(system.n_subsets), [len(s) for s in system.subsets])
-    bits[owners, np.concatenate(system.subsets)] = True
+    owner, items, _ = system.members
+    bits[owner, items] = True
     masks = np.packbits(bits, axis=1, bitorder="little").view("<u8")
     masks.setflags(write=False)
     return masks
@@ -433,8 +450,6 @@ def mcp_cop(system: CoverageSystem):
     first best selection its depth-first search meets.
     """
     n1, n2 = system.n_items, system.n_subsets
-    if system.budget < 0:
-        raise BadCardinality(f"need a nonnegative budget, got {system.budget}")
     picks = min(system.budget, n2)
     words = (n1 + 63) // 64
     nbytes = (n1 + 7) // 8
@@ -603,40 +618,28 @@ def _best_saa_row(boxes: SampleBoxes, sense: str, gather):
 
 
 def _table_saa(n: int, build):
-    """A sample-average handle ``saa(boxes, sense) -> (value, x)`` over a
-    decision table; the value leaves the radius out, as
-    :func:`~dro.closedform._saa_milp`'s does.  ``build()`` returns
-    ``(gather, decision)`` as :func:`_best_saa_row` reads ``gather``, with
-    ``decision(row)`` the row's x; it runs on the first call, and its
-    tables are kept."""
+    """A sample-average handle ``saa(boxes, sense) -> (value, x)``, the value
+    without the radius as in :func:`~dro.closedform._saa_milp`, over the (h, P)
+    table ``build()`` returns on the first call (then kept): column p lists where decision p is 1."""
     table = functools.cache(build)
 
     def saa(boxes: SampleBoxes, sense="min"):
         if boxes.lo.shape[1:] != (n,):
             raise DimensionMismatch("one box per decision coordinate required")
-        gather, decision = table()
-        value, row = _best_saa_row(boxes, sense, gather)
-        return value, decision(row)
+        rows = table()
 
-    return saa
+        def gather(weights):
+            total = weights.take(rows[0], axis=1)
+            for r in rows[1:]:
+                total += weights.take(r, axis=1)
+            return total
 
-
-def _index_table(rows: np.ndarray, n: int):
-    """``(gather, decision)`` of a (h, P) table whose column p lists the h
-    coordinates of decision p."""
-
-    def gather(weights):
-        total = weights.take(rows[0], axis=1)
-        for r in rows[1:]:
-            total += weights.take(r, axis=1)
-        return total
-
-    def decision(p):
+        value, p = _best_saa_row(boxes, sense, gather)
         x = np.zeros(n)
         x[rows[:, p]] = 1.0
-        return x
+        return value, x
 
-    return gather, decision
+    return saa
 
 
 def sorting_saa(n: int, h: int):
@@ -646,7 +649,7 @@ def sorting_saa(n: int, h: int):
     to ``_BLOCK`` subsets of a larger range."""
     if math.comb(n, h) > _BLOCK:
         return None
-    return _table_saa(n, lambda: _index_table(_colex(n, h), n))
+    return _table_saa(n, lambda: _colex(n, h))
 
 
 def spp_saa(graph: LayeredGraph):
@@ -655,7 +658,7 @@ def spp_saa(graph: LayeredGraph):
     more than ``_BLOCK``."""
     if graph.r ** (graph.h - 1) > _BLOCK:
         return None
-    return _table_saa(graph.num_arcs, lambda: _index_table(_path_arcs(graph), graph.num_arcs))
+    return _table_saa(graph.num_arcs, lambda: _path_arcs(graph))
 
 
 def _path_arcs(graph: LayeredGraph) -> np.ndarray:
@@ -696,10 +699,7 @@ def mcp_saa(system: CoverageSystem):
             raise ValueError("the coverage table needs nonnegative item and zero selection bounds")
         if boxes.lo.shape[1:] != (n1 + n2,):
             raise DimensionMismatch("one box per decision coordinate required")
-        if count <= _BLOCK:
-            octets = system.selection_covers[1]
-        else:
-            octets = _cover_octets(system.subset_masks, n1, picks)
+        octets = system.selection_covers[1] if count <= _BLOCK else _cover_octets(system.subset_masks, n1, picks)
 
         def gather(w):
             weights = np.zeros((w.shape[0], 8 * octets.shape[0]))

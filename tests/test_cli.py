@@ -1017,6 +1017,7 @@ _FULL_ONLY = dict.fromkeys(("family", "sweep", "grid", "instances", "params", "e
         ({**_FULL_ONLY, "preset": "spp-k", "paper_scale": [0]}, "paper_scale must be true or false, got [0]"),
         ({**_FULL_ONLY, "preset": "spp-k", "paper_scale": 1}, "paper_scale must be true or false, got 1"),
         ({**_FULL_ONLY, "preset": "spp-k", "feedback": ""}, "unknown feedback '' for family 'spp'"),
+        ({"argv": ["--paper-scale"]}, "--paper-scale applies to presets only"),
     ],
     ids=[
         "missing-value", "spp-interval", "sorting-preset-bandit",
@@ -1035,7 +1036,7 @@ _FULL_ONLY = dict.fromkeys(("family", "sweep", "grid", "instances", "params", "e
         "float-param", "float-k-cell", "float-h-cell", "float-n1-cell",
         "negative-seed", "preset-negative-seed",
         "preset-string-paper-scale", "preset-list-paper-scale", "preset-int-paper-scale",
-        "preset-empty-feedback",
+        "preset-empty-feedback", "full-config-paper-scale-flag",
     ],
 )
 def test_sweep_rejects_misread_config(tmp_path, capsys, monkeypatch, override, message):
@@ -1052,9 +1053,10 @@ def test_sweep_rejects_misread_config(tmp_path, capsys, monkeypatch, override, m
     }
     cfg.update(override)
     cfg = {k: v for k, v in cfg.items() if v is not None}  # None drops a field
+    flags = cfg.pop("argv", [])  # command-line flags, not a config field
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    assert main(["sweep", str(cfg_path), "-o", str(tmp_path / "out.csv")]) == 1
+    assert main(["sweep", str(cfg_path), "-o", str(tmp_path / "out.csv"), *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("invalid sweep config: ") and err.count("\n") == 1
     assert message in err

@@ -397,6 +397,21 @@ class TestMcpCollectorMatchesListGreedy:
             assert run.samples.tobytes() == samples.tobytes()
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    def test_a_repeated_item_counts_once(self):
+        # item 0 listed twice must not double its gain (3 against 2 on the
+        # first all-ties step): the run is the run without the repeat,
+        # alone and in a batch
+        plain = CoverageSystem(4, ((2, 3), (0, 1)), 1)
+        repeated = CoverageSystem(4, ((2, 3), (0, 0, 1)), 1)
+        dist = BetaNominal.random(4, 0.125, 5)
+        want = cucb_collect_mcp(plain, dist, 6, 7)
+        assert want.selections[0] == (0,)
+        runs = [cucb_collect_mcp(repeated, dist, 6, 7), *cucb_collect_mcp([repeated, plain], [dist, dist], 6, [7, 7])]
+        for run in runs:
+            assert run.selections == want.selections
+            assert run.decisions.tobytes() == want.decisions.tobytes()
+            assert run.samples.tobytes() == want.samples.tobytes()
+
     def test_batch_shape_checks(self):
         system, dist, _ = _random_coverage_case(0)
         assert cucb_collect_mcp([], [], 5, []) == []

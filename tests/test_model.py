@@ -603,6 +603,23 @@ class TestCachedFacts:
             validate_instance(problem.instance((Bandit(np.ones(problem.n), 0.5),) * k, 0.1))
         assert dict(fact_calls) == before
 
+    def test_every_structure_fact_is_read_only(self):
+        # a structure's tables are shared by every handle, problem and
+        # collector built on it, so each cached fact holds read-only arrays
+        structures = [gen_layered_spp(h, r)[1] for h, r in ((2, 1), (3, 2), (5, 3))]
+        structures += [gen_mcp(n1, n2, size, budget, n1)[1] for n1, n2, size, budget in (
+            (6, 4, 2, 2), (70, 9, 5, 3), (8, 3, 2, 0), (8, 3, 2, 5), (20, 20, 5, 5),
+        )]
+        wanted = {"LayeredGraph": {"arc_table"}, "CoverageSystem": {"members", "subset_masks", "selection_covers"}}
+        for structure in structures:
+            facts = cached_facts(structure)
+            assert wanted[type(structure).__name__] <= set(facts)
+            for name in facts:
+                value = getattr(structure, name)
+                arrays = value if isinstance(value, tuple) else (value,)
+                assert all(isinstance(a, np.ndarray) for a in arrays), name
+                assert not writeable_arrays(value, name), (type(structure).__name__, name)
+
     @pytest.mark.parametrize("read", [
         lambda p: p.feasible.matrix(),
         lambda p: p.feasible.integer_mask(),

@@ -217,6 +217,33 @@ class TestCoverage:
         x[0] = 1.0  # no subset selected
         assert not sk.feasible.contains(x)
 
+    @pytest.mark.parametrize("item", [1.7, np.float64(1.0), True, "1"], ids=["float", "np-float64", "bool", "str"])
+    def test_a_non_integer_item_is_refused(self, item):
+        # an item is an index: no int() truncation of a float, bool or string
+        with pytest.raises(TypeError, match="a subset item must be an integer, got"):
+            CoverageSystem(5, ((2, item),), 1)
+
+    @pytest.mark.parametrize("n1, budget, message", [
+        (5.5, 1, "n1 must be an integer, got 5.5"),
+        (5, 1.5, "budget must be an integer, got 1.5"),
+        (5, True, "budget must be an integer, got True"),
+    ], ids=["float-n1", "float-budget", "bool-budget"])
+    def test_a_non_integer_count_is_refused(self, n1, budget, message):
+        # before, such a system was built and failed later in math.comb or np.zeros
+        with pytest.raises(TypeError, match=message):
+            CoverageSystem(n1, ((1, 2),), budget)
+
+    def test_numpy_integer_items_are_accepted(self):
+        system = CoverageSystem(5, (np.array([4, 0]), (np.int32(2), np.uint8(3))), 1)
+        assert system.subsets == ((4, 0), (2, 3))
+        assert all(type(i) is int for s in system.subsets for i in s)
+        assert system.members.tolist() == [[0, 0, 1, 1], [4, 0, 2, 3], [0, 1, 0, 1]]
+
+    def test_a_repeated_item_is_kept_once_at_its_first_place(self):
+        system = CoverageSystem(4, ((2, 3), (0, 0, 1), (1, 3, 1)), 1)
+        assert system.subsets == ((2, 3), (0, 1), (1, 3))
+        assert system.members.tolist() == [[0, 0, 1, 1, 2, 2], [2, 3, 0, 1, 1, 3], [0, 1, 0, 1, 0, 1]]
+
     def test_seed_reproducibility(self):
         s1 = gen_mcp(8, 5, 3, 2, seed=7)[1].subsets
         s2 = gen_mcp(8, 5, 3, 2, seed=7)[1].subsets
@@ -506,8 +533,8 @@ class TestMcpCop:
             cop(selection_cost)
         with pytest.raises(DimensionMismatch):
             cop(costs[:-1])
-        with pytest.raises(BadCardinality):
-            mcp_cop(CoverageSystem(3, ((0,), (1, 2)), -1))
+        with pytest.raises(BadCardinality, match="need a nonnegative budget, got -1"):
+            CoverageSystem(3, ((0,), (1, 2)), -1)  # refused at construction
         for items, subsets in ((0, ()), (3, ()), (3, ((0,), ()))):
             with pytest.raises(BadCardinality):
                 CoverageSystem(items, subsets, 1)
