@@ -99,17 +99,17 @@ def _arrays(p):
 
 
 def _load(path):
-    """The instance in ``path``, with the handles of the problem its ``meta``
-    generates when that is its own problem bit for bit, else none."""
+    """The instance in ``path``, with the structure of the problem its
+    ``meta`` generates when that is its own problem bit for bit, else none."""
     with _reading(f"invalid instance {path}"):
         inst = load_instance(path)
     try:
-        _, problem = family_problem(inst.meta, inst.n)
+        problem = family_problem(inst.meta, inst.n)
     except _UNREADABLE:
         return inst
     if problem is None or not all(map(np.array_equal, _arrays(problem), _arrays(inst))):
         return inst
-    return replace(inst, cop=problem.cop, saa=problem.saa)
+    return replace(inst, structure=problem.structure)
 
 
 def _cmd_solve(args) -> int:
@@ -193,10 +193,11 @@ def _cmd_collect(args) -> int:
     ss = np.random.SeedSequence([seed])
     rng_means, rng_run = [np.random.default_rng(s) for s in ss.spawn(2)]
     with _reading(what):
-        structure, _ = family_problem(inst.meta, inst.n, args.family, h=args.cardinality, r=args.r)
-    if structure is None:
+        problem = family_problem(inst.meta, inst.n, args.family, h=args.cardinality, r=args.r)
+    if problem is None:
         raise _BadInput({"spp": "graph shape unknown: pass --h and -r or generate with `dro gen spp`",
                          "mcp": "subset system unknown: generate the instance with `dro gen mcp`"}[args.family])
+    structure = problem.structure
     # an spp sample costs every arc, an mcp sample only the items
     collect, width = (cucb_collect, inst.n) if args.family == "spp" else (cucb_collect_mcp, structure.n_items)
     run = collect(structure, BetaNominal.random(width, args.sigma, rng_means), args.k, rng_run)

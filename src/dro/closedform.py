@@ -128,14 +128,14 @@ def solve_endpoints(
     maximization).  Exact ties go to the sample-average candidate.
 
     ``nominal_cop`` solves the COPs (a :func:`milp_cop` on ``backend`` when
-    None).  It must be an exact solver over ``feasible``, such as the handle
-    a generated instance carries: a handle built for another feasible set
-    answers for that set.  Without equalities the
+    None).  It must be an exact solver over ``feasible``, such as the
+    ``cop`` of a generated instance's structure: a handle built for another
+    feasible set answers for that set.  Without equalities the
     sample-average candidate is the COP on the mean per-sample upper bounds
     (lower, for maximization).  With 0/1-mask equalities
     (:func:`endpoint_fits`) it is ``saa_oracle(boxes, sense)``, the table
-    of decisions a generated instance carries as
-    :attr:`~dro.model.ProblemInstance.saa`, and without one a MILP on
+    of decisions a generated instance's structure carries as ``saa``
+    (:attr:`~dro.model.ProblemInstance.structure`), and without one a MILP on
     ``backend`` (see :func:`_saa_milp`).  Like ``nominal_cop``, the oracle
     must answer for ``feasible``.  ``support_bound`` is the
     ``(value, x)`` of the ceiling candidate when the caller has already

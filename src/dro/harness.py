@@ -21,10 +21,11 @@ Instances are drawn in batches before any instance of a cell runs: a shared
 sweep draws every instance at its first cell and reads every cell off them;
 a structural sweep draws the instances of each cell at that cell.  A
 generator's problem, the instance ``dro gen`` writes with no scenarios at
-radius 0, is called a skeleton here.  For spp and mcp the draw keeps the
-skeleton, its structure, the nominal law, the COP handle and the nominal
-optimum, and under either feedback it lowers the collector history at
-``k_max`` steps once, straight from the collector's arrays
+radius 0, is called a skeleton here; it carries its family's structure
+(``ProblemInstance.structure``).  For spp and mcp the draw keeps the
+skeleton, the nominal law, the COP handle and the nominal optimum, and
+under either feedback it lowers the collector history at ``k_max`` steps
+once, straight from the collector's arrays
 (``datagen.lower_history``, after checking each instance's skeleton with
 ``model.problem_findings``, whose structural facts are cached on the
 skeleton's objects), and solves the support-bound (ceiling)
@@ -49,7 +50,7 @@ Every instance of every cell is solved and scored by one function,
 and semi-bandit boxes go to the interval closed form, whose sample-average
 candidate is one COP, and bandit boxes to the endpoint solver
 (``closedform.solve_endpoints``), whose sample-average candidate is the
-skeleton's decision table (``ProblemInstance.saa``) up to
+skeleton's decision table (its structure's ``saa``) up to
 ``problems._BLOCK`` decisions (coverage: ``problems._SAA_CAP`` selections)
 and a MILP on the backend beyond;
 ``mean_lp_quality`` is the robust value over the value of the compact dual
@@ -84,8 +85,8 @@ from .datagen import (
 from .errors import DegenerateDenominator, DimensionMismatch, DroError, EmptyInput, InvalidInstance
 from .model import FeasibleSet, ProblemInstance, SampleBoxes, lower_box_arrays, problem_findings
 # the sorting and spp draws build their COPs through these two names, not
-# from ``skeleton.cop``, because perfbench/spans.py wraps them here; the mcp
-# draw reads ``skeleton.cop``
+# from ``skeleton.structure.cop``, because perfbench/spans.py wraps them
+# here; the mcp draw reads ``skeleton.structure.cop``
 from .problems import gen_layered_spp, gen_mcp, gen_sorting, sorting_cop, spp_cop
 from .reformulate import build_dro_milp, dual_relaxation
 from .solver import ScipyBackend
@@ -395,14 +396,14 @@ def _outcome(cfg, cell, skeleton: ProblemInstance, boxes: SampleBoxes, cop, dist
     semi-bandit boxes go to the interval closed form, which times the
     ceiling candidate unless the draw solved it (``support_bound``);
     bandit boxes go to the endpoint solver, whose sample-average candidate
-    is the skeleton's decision table (``skeleton.saa``) or, on a skeleton
-    without one, a MILP on ``backend``, and add the compact dual's
+    is the skeleton's decision table (``skeleton.structure.saa``) or, on a
+    skeleton without one, a MILP on ``backend``, and add the compact dual's
     relaxation quality."""
     eps = cfg.cell_epsilon(cell, len(boxes.lo))
     bandit = cfg.feedback == "bandit"
     args = skeleton.feasible, boxes, eps, cop, skeleton.sense, support_bound
     t0 = time.perf_counter()
-    detail = solve_endpoints(*args, backend, skeleton.saa) if bandit else solve_interval_detail(*args)
+    detail = solve_endpoints(*args, backend, skeleton.structure.saa) if bandit else solve_interval_detail(*args)
     dt = (time.perf_counter() - t0) * 1000.0
     rho = nominal_relative_loss(detail.x, dist, skeleton.feasible, optimum)
     if not bandit:
@@ -481,17 +482,17 @@ class _HistoryDraw:
 
 def _draw_histories(cfg: SweepConfig, rngs, draw, collect):
     """A batch of spp or mcp instances: ``draw(rng_struct, rng_means)``
-    gives each one's ``(skeleton, structure, cop, dist)``, then one
-    ``collect`` pass collects the histories of those whose draw succeeded.
+    gives each one's ``(skeleton, cop, dist)``; one ``collect`` pass on the
+    skeletons' structures then collects the histories of the successes.
     Each instance's skeleton is checked at the sweep's history length and
     its zero radius (the radius plays no part in the boxes, and
     ``SweepConfig`` has already rejected a negative one); an instance whose
     skeleton fails that check keeps its failure."""
     out = [_attempt(draw, *r[:2]) for r in rngs]
     ok = [i for i, d in enumerate(out) if not isinstance(d, _Failure)]
-    runs = collect([out[i][1] for i in ok], [out[i][3] for i in ok], [rngs[i][2] for i in ok])
+    runs = collect([out[i][0].structure for i in ok], [out[i][2] for i in ok], [rngs[i][2] for i in ok])
     for i, run in zip(ok, runs):
-        skeleton, _, cop, dist = out[i]
+        skeleton, cop, dist = out[i]
         findings = _attempt(problem_findings, skeleton, cfg.k_max)
         if isinstance(findings, _Failure):
             out[i] = findings
@@ -505,7 +506,7 @@ def _draw_spp(cfg: SweepConfig, cell, rngs):
     cop = spp_cop(graph)
     return _draw_histories(
         cfg, rngs,
-        lambda _, rng: (skeleton, graph, cop, BetaNominal.random(graph.num_arcs, cfg.sigma, rng)),
+        lambda _, rng: (skeleton, cop, BetaNominal.random(graph.num_arcs, cfg.sigma, rng)),
         lambda _, dists, rngs: cucb_collect(graph, dists, cfg.k_max, rngs),
     )
 
@@ -514,10 +515,8 @@ def _draw_mcp(cfg: SweepConfig, cell, rngs):
     n1 = cfg.cell_param("n1", cell)
 
     def draw(rng_struct, rng_means):
-        skeleton, system = gen_mcp(
-            n1, *(cfg.params[k] for k in ("n2", "subset_size", "budget")), rng_struct
-        )
-        return skeleton, system, skeleton.cop, BetaNominal.random(n1, cfg.sigma, rng_means)
+        skeleton, _ = gen_mcp(n1, *(cfg.params[k] for k in ("n2", "subset_size", "budget")), rng_struct)
+        return skeleton, skeleton.structure.cop, BetaNominal.random(n1, cfg.sigma, rng_means)
 
     collect = lambda systems, dists, rngs: cucb_collect_mcp(systems, dists, cfg.k_max, rngs)
     return _draw_histories(cfg, rngs, draw, collect)

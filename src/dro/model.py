@@ -21,7 +21,6 @@ of these facts and keeps no memo of its own.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -437,19 +436,17 @@ class ProblemInstance:
     """One full problem: decisions, loss, support, per-sample scenarios, radius.
 
     A generator in :mod:`dro.problems` returns the problem with no scenarios
-    at radius 0, the record ``dro gen`` writes; :meth:`instance` attaches
-    data to it.  ``cop``, when given, is an exact combinatorial solver over
-    ``feasible``, ``cop(costs, sense) -> (value, x)``: a generated problem
-    carries its family's, and the endpoint form solves its COPs with it.
-    ``saa``, when given, scores every decision of ``feasible`` for the
-    endpoint form's sample-average candidate on bandit data, ``saa(boxes,
-    sense) -> (value, x)`` with the radius left out: a generated problem of
-    at most ``problems._BLOCK`` decisions (a coverage problem of at most
-    ``problems._SAA_CAP`` selections) carries its family's table.  None
-    leaves those solves to a MILP on ``feasible``.  Neither handle is saved,
-    and code that swaps ``feasible`` must drop both.  ``meta`` is free-form
-    JSON, a generator's family parameters, saved and loaded; the CLI gives a
-    file back both handles when its problem is the one ``meta`` generates.
+    at radius 0, the record ``dro gen`` writes, with its family's
+    ``structure`` (None on any other problem); :meth:`instance` attaches
+    data to it.  The endpoint form solves its COPs by ``structure.cop(costs,
+    sense) -> (value, x)``, exact over ``feasible``, and its bandit
+    sample-average candidate by ``structure.saa(boxes, sense) -> (value,
+    x)``, radius left out, unless that is None (above ``problems._BLOCK``
+    decisions); without them it solves MILPs on ``feasible``.  The structure
+    is not saved, and code that swaps ``feasible`` must drop ``structure``.
+    ``meta`` is free-form JSON, a generator's family parameters, saved and
+    loaded; the CLI gives a file back its structure when its problem is the
+    one ``meta`` generates.
     """
 
     feasible: FeasibleSet
@@ -458,8 +455,7 @@ class ProblemInstance:
     scenarios: tuple
     epsilon: float
     sense: str = "min"
-    cop: Callable | None = None
-    saa: Callable | None = None
+    structure: object = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -477,7 +473,7 @@ class ProblemInstance:
         return len(self.scenarios)
 
     def instance(self, scenarios, epsilon: float) -> ProblemInstance:
-        """This problem on other data; ``cop``, ``saa`` and ``meta`` are kept."""
+        """This problem on other data; ``structure`` and ``meta`` are kept."""
         return replace(self, scenarios=scenarios, epsilon=epsilon)
 
 

@@ -3,12 +3,13 @@ maximum coverage, plus exact combinatorial solvers (routing DP, stable
 selection, budgeted coverage search) and sample-average decision tables.
 
 Each generator returns the :class:`~dro.model.ProblemInstance` that ``dro
-gen`` writes: feasible set, loss, support, the family's exact combinatorial
-solver as ``cop``, its sample-average table as ``saa`` (None for a family of
-more than ``_BLOCK`` decisions, or of more than ``_SAA_CAP`` coverage
-selections) and its parameters as ``meta``, from which
-:func:`family_problem` builds it again, with no scenarios at radius 0;
-:meth:`~dro.model.ProblemInstance.instance` attaches data.  Structural
+gen`` writes, with no scenarios at radius 0: feasible set, loss, support,
+the family's structure (:class:`Cardinality`, :class:`LayeredGraph`,
+:class:`CoverageSystem`), whose ``cop`` is its exact combinatorial solver
+and ``saa`` its sample-average table (None above ``_BLOCK`` decisions, or
+``_SAA_CAP`` coverage selections), and its parameters as ``meta``, from
+which :func:`family_problem` builds it again.  A structure holds only its
+parameters and cached tables, so a generated problem pickles.  Structural
 indices are deterministic and documented so observation masks align.
 """
 
@@ -28,15 +29,54 @@ from .model import BiaffineLoss, FeasibleSet, Polytope, ProblemInstance, SampleB
 
 def gen_sorting(n: int, h: int) -> ProblemInstance:
     """Pick ``h`` of ``n`` items at minimal total cost; unit-box cost support."""
-    if not (1 <= h <= n):
-        raise BadCardinality(f"need 1 <= h <= n, got h={h}, n={n}")
+    cardinality = Cardinality(n, h)
+    n, h = cardinality.n, cardinality.h
     # sum(x) = h as a <= / >= pair
     g2, rhs = np.vstack([np.ones(n), -np.ones(n)]), np.array([float(h), -float(h)])
     feasible = FeasibleSet(0, n, [], g2, rhs, np.ones(n))
     support, meta = Polytope.box(np.zeros(n), np.ones(n)), {"family": "sorting", "n": n, "h": h}
-    return ProblemInstance(
-        feasible, BiaffineLoss.bilinear(n), support, (), 0.0, "min", sorting_cop(n, h), sorting_saa(n, h), meta
-    )
+    return ProblemInstance(feasible, BiaffineLoss.bilinear(n), support, (), 0.0, "min", cardinality, meta)
+
+
+@dataclass(eq=False)
+class Cardinality:
+    """Selections of ``h`` of ``n`` items, checked once here: integer counts
+    (numpy's too) with 1 <= h <= n."""
+
+    n: int
+    h: int
+
+    def __post_init__(self):
+        self.n, self.h = _whole(self.n, "n"), _whole(self.h, "h")
+        if not 1 <= self.h <= self.n:
+            raise BadCardinality(f"need 1 <= h <= n, got h={self.h}, n={self.n}")
+
+    def cop(self, costs, sense="min"):
+        """Exact combinatorial solver, either sense: stable selection of the h best items."""
+        costs = np.asarray(costs, dtype=float)
+        if costs.shape != (self.n,):
+            raise DimensionMismatch("one cost per item required")
+        order = np.argsort(costs if sense == "min" else -costs, kind="stable")
+        x = np.zeros(self.n)
+        x[order[: self.h]] = 1.0
+        return float(costs @ x), x
+
+    @functools.cached_property
+    def selections(self) -> np.ndarray:
+        """Read-only (h, C(n, h)) table of the selections in colex order,
+        built for ``range(n)`` alone: ``_colex_combinations(h)`` would list
+        up to ``_BLOCK`` subsets of a larger range."""
+        table = _colex(self.n, self.h)
+        table.setflags(write=False)
+        return table
+
+    @property
+    def saa(self):
+        """:func:`_score_table` over :attr:`selections`; None above ``_BLOCK``."""
+        return self._score if math.comb(self.n, self.h) <= _BLOCK else None
+
+    def _score(self, boxes: SampleBoxes, sense="min"):
+        return _score_table(self.selections, self.n, boxes, sense)
 
 
 @dataclass(eq=False)
@@ -54,6 +94,7 @@ class LayeredGraph:
     r: int
 
     def __post_init__(self):
+        self.h, self.r = _whole(self.h, "h"), _whole(self.r, "r")
         if self.h < 2 or self.r < 1:
             raise BadCardinality("need h >= 2 and r >= 1")
 
@@ -82,6 +123,27 @@ class LayeredGraph:
         table.setflags(write=False)
         return table
 
+    def cop(self, costs, sense="min"):
+        """Exact combinatorial solver, min only: the routing DP (:func:`shortest_path_dp`)."""
+        if sense != "min":
+            raise ValueError("the routing DP only minimizes")
+        if np.shape(costs) != (self.num_arcs,):
+            raise DimensionMismatch("one cost per arc required")
+        return shortest_path_dp(self, costs)
+
+    @functools.cached_property
+    def paths(self) -> np.ndarray:
+        """:func:`_path_arcs` of this graph, built once."""
+        return _path_arcs(self)
+
+    @property
+    def saa(self):
+        """:func:`_score_table` over :attr:`paths`; None above ``_BLOCK``."""
+        return self._score if self.r ** (self.h - 1) <= _BLOCK else None
+
+    def _score(self, boxes: SampleBoxes, sense="min"):
+        return _score_table(self.paths, self.num_arcs, boxes, sense)
+
 
 def gen_layered_spp(h: int, r: int):
     """Routing problem on the layered graph; flow conservation as row pairs.
@@ -91,7 +153,7 @@ def gen_layered_spp(h: int, r: int):
     graph = LayeredGraph(h, r)
     # the arcs in index order: the source fan-out, the (tail, head) blocks
     # between intermediate layers, the destination fan-in
-    n = graph.num_arcs
+    h, r, n = graph.h, graph.r, graph.num_arcs
     src, inner, dst = np.arange(r), r + np.arange(n - 2 * r).reshape(h - 2, r, r), np.arange(n - r, n)
     # equations: out of the source, into the destination, then the balance
     # (in minus out) of each intermediate node, layer by layer
@@ -109,10 +171,7 @@ def gen_layered_spp(h: int, r: int):
     rhs[1::2] = -rhs[0::2]
     feasible = FeasibleSet(0, n, [], g, rhs, np.ones(n))
     support, meta = Polytope.box(np.zeros(n), np.ones(n)), {"family": "spp", "h": h, "r": r}
-    problem = ProblemInstance(
-        feasible, BiaffineLoss.bilinear(n), support, (), 0.0, "min", spp_cop(graph), spp_saa(graph), meta
-    )
-    return problem, graph
+    return ProblemInstance(feasible, BiaffineLoss.bilinear(n), support, (), 0.0, "min", graph, meta), graph
 
 
 @dataclass(eq=False)
@@ -145,6 +204,11 @@ class CoverageSystem:
     def n_subsets(self) -> int:
         return len(self.subsets)
 
+    @property
+    def picks(self) -> int:
+        """The subsets a selection takes: ``min(budget, n_subsets)``."""
+        return min(self.budget, self.n_subsets)
+
     @functools.cached_property
     def members(self) -> np.ndarray:
         """Read-only (3, members) rows of subset, item and place in subset,
@@ -165,10 +229,169 @@ class CoverageSystem:
     @functools.cached_property
     def selection_covers(self):
         """``(selections, octets)`` of :func:`_selection_covers`, built once
-        per system and shared by its :func:`mcp_cop` and :func:`mcp_saa`
-        handles, which read it only for at most ``_BLOCK`` selections; both
-        arrays are read-only."""
+        per system and shared by :meth:`cop` and :attr:`saa`, which read it
+        only for at most ``_BLOCK`` selections; both arrays are read-only."""
         return _selection_covers(self, self.subset_masks)
+
+    def cop(self, costs, sense="max"):
+        """Exact combinatorial solver: budgeted maximum coverage (max only).
+
+        Costs follow the :func:`gen_mcp` layout, item flags then selection
+        flags, and the selection block must be zero, as a coverage problem's
+        support pins it.  The optimum selects :attr:`picks` subsets and flags
+        every covered item whose cost is nonnegative, so an item of cost 0
+        counts as covered.  The search ranks subsets heaviest first (equal
+        weights by index), starts from the greedy selection, and prunes depth
+        first with the sum of the largest marginal gains still open (coverage
+        is submodular, so no completion gains more).  A node with at most
+        ``_BLOCK`` completions scores all of them at once: each subset is a
+        row of ``uint64`` item masks, and covered weight is summed from one
+        lookup table per mask byte (:func:`_octet_weights`).  A system with
+        at most ``_BLOCK`` selections is finished at the root: the cover of
+        every selection is ORed once per system (:attr:`selection_covers`,
+        shared with :attr:`saa`), and each call only scores those bytes.
+
+        Ties: the greedy selection stands unless another scores strictly
+        more.  When C(n_subsets, picks) <= ``_BLOCK``, the answer among the
+        selections of the best score is the first in colex order of their
+        weight ranks (compare the rank of each one's lightest subset first,
+        the heavier first, then its next lightest, and so on); a larger
+        system returns the first best selection its depth-first search meets.
+        """
+        if sense != "max":
+            raise ValueError("the coverage search only maximizes")
+        n1, n2, picks = self.n_items, self.n_subsets, self.picks
+        costs = np.asarray(costs, dtype=float)
+        if costs.shape != (n1 + n2,):
+            raise DimensionMismatch("one cost per item and per subset required")
+        if np.any(costs[n1:] != 0.0):
+            raise ValueError("the coverage search needs zero selection costs")
+        words, nbytes, masks = (n1 + 63) // 64, (n1 + 7) // 8, self.subset_masks
+        selections, root_octets = self.selection_covers if math.comb(n2, picks) <= _BLOCK else (None, None)
+        lut = _octet_weights(np.maximum(costs[:n1], 0.0), nbytes)  # (byte, byte value)
+
+        def weigh(covers):
+            """Covered weight of each row of item masks, summed byte by byte."""
+            return _covered_weight(lut, np.ascontiguousarray(covers.view(np.uint8)[:, :nbytes].T))
+
+        own = weigh(masks)
+        order = np.argsort(-own, kind="stable")
+        ranked = masks[order]
+        # each subset's own weight is its gain on an empty cover: the first
+        # greedy step and the root of the search read it
+        ranked_own = own[order]
+        # greedy incumbent: the largest marginal gain, ties to the heavier subset
+        cover = np.zeros(words, dtype="<u8")
+        taken = np.zeros(n2, dtype=bool)
+        for step in range(picks):
+            gains = ranked_own if step == 0 else weigh(ranked & ~cover)
+            i = int(np.argmax(np.where(taken, -1.0, gains)))
+            taken[i] = True
+            cover |= ranked[i]
+        best_value, best_chosen = float(weigh(cover[None])[0]), np.flatnonzero(taken).tolist()
+
+        def score_root(cand):
+            """Best score of the system's selections with every subset in
+            ``cand``, and the ranks of the selection that has it."""
+            scores = _covered_weight(lut, root_octets)
+            tied = np.flatnonzero(scores == scores.max())
+            kept = np.zeros(n2, dtype=bool)
+            kept[order[cand]] = True
+            if not kept[selections[:, tied]].all():
+                # a best selection has a pruned subset: score only the others
+                scores[~kept[selections].all(axis=0)] = -np.inf
+                tied = np.flatnonzero(scores == scores.max())
+            rank = np.empty(n2, dtype=np.intp)
+            rank[order] = np.arange(n2)
+            # lexsort's last key, the largest rank, decides first: colex order
+            first = tied[np.lexsort(np.sort(rank[selections[:, tied]], axis=0))[0]]
+            return scores[first], rank[selections[:, first]]
+
+        def search(cover, value, cand, k, chosen, gains=None):
+            """Improve on the best selection by completing ``chosen`` (covering
+            ``cover`` with weight ``value``) with ``k`` of the ranked subsets
+            ``cand``, whose marginal ``gains`` are weighed here unless given."""
+            nonlocal best_value, best_chosen
+            open_ = ranked[cand]
+            if gains is None:
+                gains = weigh(open_ & ~cover)
+            desc = -np.sort(-gains)
+            if value + desc[:k].sum() <= best_value:
+                return
+            # a subset in an improving completion gains more than this
+            keep = gains > best_value - value - desc[: max(k - 1, 0)].sum()
+            cand, open_, gains = cand[keep], open_[keep], gains[keep]
+            m = cand.shape[0]
+            if m < k:
+                return
+            if math.comb(m, k) <= _BLOCK:
+                if chosen or selections is None:
+                    table = _colex_combinations(k)[:, : math.comb(m, k)]
+                    covers = np.tile(cover, (table.shape[1], 1))
+                    for row in table:
+                        covers |= open_[row]
+                    scores = weigh(covers)
+                    i = int(np.argmax(scores))
+                    score, pick = scores[i], cand[table[:, i]]
+                else:
+                    score, pick = score_root(cand)
+                if score > best_value:
+                    best_value, best_chosen = float(score), chosen + pick.tolist()
+                return
+            # rest[i]: the k - 1 largest gains among the subsets after i
+            rest, top = np.zeros(m), []
+            for i in range(m - 1, -1, -1):
+                rest[i] = sum(top)
+                if len(top) < k - 1:
+                    heapq.heappush(top, float(gains[i]))
+                elif top and gains[i] > top[0]:
+                    heapq.heapreplace(top, float(gains[i]))
+            for i in range(m - k + 1):
+                if value + gains[i] + rest[i] > best_value:
+                    search(cover | open_[i], value + gains[i], cand[i + 1 :], k - 1, chosen + [int(cand[i])])
+
+        search(np.zeros(words, dtype="<u8"), 0.0, np.arange(n2), picks, [], ranked_own)
+        x = np.zeros(n1 + n2)
+        chosen = order[best_chosen]
+        x[n1 + chosen] = 1.0
+        cover = np.bitwise_or.reduce(masks[chosen], axis=0)
+        covered = np.unpackbits(cover.view(np.uint8), bitorder="little")[:n1].astype(bool)
+        x[:n1] = covered & (costs[:n1] >= 0.0)
+        return float(costs @ x), x
+
+    @property
+    def saa(self):
+        """The sample-average handle over the C(n_subsets, picks) selections
+        in colex order (max only), each flagging the items it covers; None
+        above ``_SAA_CAP`` selections.  Flagging the whole cover is optimal
+        only because the score cannot fall as an item flag rises: the
+        support's item lower bounds must be >= 0, and its selection block
+        pinned to zero, as a coverage problem's support has them.  Covers are
+        scored from their bytes, one lookup table per byte and sample
+        (:func:`_octet_weights`), and the first best selection in colex order
+        wins; its subsets are read off its colex rank (:func:`_colex_subset`).
+        Up to ``_BLOCK`` selections the bytes are built once per system
+        (:attr:`selection_covers`, shared with :meth:`cop`); above it each
+        call builds them (:func:`_cover_octets`) and keeps none, so a sweep
+        over many such systems holds one system's bytes at a time."""
+        return self._score if math.comb(self.n_subsets, self.picks) <= _SAA_CAP else None
+
+    def _score(self, boxes: SampleBoxes, sense="max"):
+        n1, n2, picks = self.n_items, self.n_subsets, self.picks
+        if sense != "max":
+            raise ValueError("the coverage table only maximizes")
+        if np.any(boxes.l[:n1] < 0.0) or np.any(boxes.l[n1:] != 0.0) or np.any(boxes.u[n1:] != 0.0):
+            raise ValueError("the coverage table needs nonnegative item and zero selection bounds")
+        if boxes.lo.shape[1:] != (n1 + n2,):
+            raise DimensionMismatch("one box per decision coordinate required")
+        at_root = math.comb(n2, picks) <= _BLOCK
+        octets = self.selection_covers[1] if at_root else _cover_octets(self.subset_masks, n1, picks)
+        gather = lambda w: _covered_weight(_octet_weights(w[:, :n1], octets.shape[0]), octets)
+        value, p = _best_saa_row(boxes, sense, gather)
+        x = np.zeros(n1 + n2)
+        x[:n1] = np.unpackbits(octets[:, p], bitorder="little")[:n1]
+        x[[n1 + i for i in _colex_subset(p, picks)]] = 1.0
+        return value, x
 
 
 def gen_mcp(n_items: int, n_subsets: int, subset_size: int, budget: int, seed):
@@ -205,9 +428,7 @@ def _mcp_problem(system: CoverageSystem, meta: dict) -> ProblemInstance:
     rhs[0] = float(system.budget)
     feasible = FeasibleSet(0, n, [], g, rhs, np.ones(n))
     support = Polytope.box(np.zeros(n), np.concatenate([np.ones(n1), np.zeros(n2)]))
-    return ProblemInstance(
-        feasible, BiaffineLoss.bilinear(n), support, (), 0.0, "max", mcp_cop(system), mcp_saa(system), meta
-    )
+    return ProblemInstance(feasible, BiaffineLoss.bilinear(n), support, (), 0.0, "max", system, meta)
 
 
 def _whole(value, name: str) -> int:
@@ -218,29 +439,29 @@ def _whole(value, name: str) -> int:
 
 
 def family_problem(meta, n: int, family: str | None = None, **given):
-    """``(structure, problem)`` of the generated ``family`` (by default
-    meta's own) that ``meta``, updated by the ``given`` fields not None,
-    describes: sorting from n and h (structure None), spp from h and r, mcp
-    from n1, subsets and budget.  ``(None, None)`` for another family, or
-    when a field other than n1 or budget is missing or empty.  A field that
-    is not an int raises ``TypeError``, and a structure without ``n``
-    coordinates :class:`~dro.errors.StructureMisfit`, before any build."""
+    """The generated problem of ``family`` (by default meta's own) that
+    ``meta``, updated by the ``given`` fields not None, describes: sorting
+    from n and h, spp from h and r, mcp from n1, subsets and budget; None
+    for another family, or when a field other than n1 or budget is missing
+    or empty.  Its structure is built first, and checks its fields (one not
+    an int raises ``TypeError``); one without ``n`` coordinates raises
+    :class:`~dro.errors.StructureMisfit` before the problem is built."""
     given = {k: v for k, v in given.items() if v is not None}
     meta = {**meta, **given} if given else meta
     family = family or meta.get("family")
     if family == "sorting" and meta.get("n") and meta.get("h"):
-        size, h = _whole(meta["n"], "n"), _whole(meta["h"], "h")
-        shape, build = f"{size} items", lambda: (None, gen_sorting(size, h))
+        s = Cardinality(meta["n"], meta["h"])
+        size, shape, build = s.n, f"{s.n} items", lambda: gen_sorting(s.n, s.h)
     elif family == "spp" and meta.get("h") and meta.get("r"):
-        graph = LayeredGraph(_whole(meta["h"], "h"), _whole(meta["r"], "r"))
-        size, shape = graph.num_arcs, f"a ({graph.h}, {graph.r}) graph has {graph.num_arcs} arcs"
-        build = lambda: gen_layered_spp(graph.h, graph.r)[::-1]
+        s = LayeredGraph(meta["h"], meta["r"])
+        size, shape = s.num_arcs, f"a ({s.h}, {s.r}) graph has {s.num_arcs} arcs"
+        build = lambda: gen_layered_spp(s.h, s.r)[0]
     elif family == "mcp" and meta.get("subsets"):
-        system = CoverageSystem(meta["n1"], meta["subsets"], meta["budget"])
-        size, shape = system.n_items + system.n_subsets, f"{system.n_items} items plus {system.n_subsets} subsets"
-        build = lambda: (system, _mcp_problem(system, meta))
+        s = CoverageSystem(meta["n1"], meta["subsets"], meta["budget"])
+        size, shape = s.n_items + s.n_subsets, f"{s.n_items} items plus {s.n_subsets} subsets"
+        build = lambda: _mcp_problem(s, meta)
     else:
-        return None, None
+        return None
     if size != n:
         raise StructureMisfit(f"structure does not fit the instance: {shape}, but the instance has dimension {n}")
     return build()
@@ -285,31 +506,13 @@ def shortest_path_dp(graph: LayeredGraph, arc_costs):
 
 
 def spp_cop(graph: LayeredGraph):
-    """Combinatorial-solver handle backed by the routing DP (min only)."""
-
-    def solve(costs, sense="min"):
-        if sense != "min":
-            raise ValueError("the routing DP only minimizes")
-        if np.shape(costs) != (graph.num_arcs,):
-            raise DimensionMismatch("one cost per arc required")
-        return shortest_path_dp(graph, costs)
-
-    return solve
+    """``graph``'s bound :meth:`LayeredGraph.cop`, as the sweeps build it."""
+    return graph.cop
 
 
 def sorting_cop(n: int, h: int):
-    """Combinatorial-solver handle: stable selection of the h best items."""
-
-    def solve(costs, sense="min"):
-        costs = np.asarray(costs, dtype=float)
-        if costs.shape != (n,):
-            raise DimensionMismatch("one cost per item required")
-        order = np.argsort(costs if sense == "min" else -costs, kind="stable")
-        x = np.zeros(n)
-        x[order[:h]] = 1.0
-        return float(costs @ x), x
-
-    return solve
+    """The bound :meth:`Cardinality.cop` of ``h`` of ``n`` items, as the sweeps build it."""
+    return Cardinality(n, h).cop
 
 
 # a coverage search node with at most this many completions is finished in
@@ -318,8 +521,6 @@ _BLOCK = 1 << 15
 # the most selections a coverage system's sample-average handle scores; above
 # _BLOCK it builds their cover bytes on each call and keeps none
 _SAA_CAP = 1 << 22
-# _BYTE_BITS[v, t] is bit t of the byte value v
-_BYTE_BITS = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(float)
 
 
 @functools.lru_cache(maxsize=None)
@@ -417,168 +618,39 @@ def _selection_covers(system: CoverageSystem, masks: np.ndarray):
     subset indices, as a read-only (picks, P) index table (a view of
     :func:`_colex_combinations`), and the read-only (byte, P) bytes of each
     one's cover (:func:`_cover_octets`)."""
-    picks = min(system.budget, system.n_subsets)
+    picks = system.picks
     selections = _colex_combinations(picks)[:, : math.comb(system.n_subsets, picks)]
     octets = _cover_octets(masks, system.n_items, picks)
     octets.setflags(write=False)
     return selections, octets
 
 
-def mcp_cop(system: CoverageSystem):
-    """Combinatorial-solver handle: exact budgeted maximum coverage (max only).
-
-    Costs follow the :func:`gen_mcp` layout, item flags then selection flags,
-    and the selection block must be zero, as a coverage problem's support
-    pins it.  The optimum selects ``min(budget, n_subsets)`` subsets and flags
-    every covered item whose cost is nonnegative, so an item of cost 0 counts
-    as covered.  The search ranks subsets heaviest first (equal weights by
-    index), starts from the greedy selection, and prunes depth first with the
-    sum of the largest marginal gains still open (coverage is submodular, so
-    no completion gains more).  A node with at most ``_BLOCK`` completions
-    scores all of them at once: each subset is a row of ``uint64`` item
-    masks, and covered weight is summed from one lookup table per mask byte.
-    A system with at most ``_BLOCK`` selections is finished at the root: the
-    cover of every selection is ORed once per system
-    (:attr:`CoverageSystem.selection_covers`, shared with :func:`mcp_saa`),
-    and each call only scores those bytes.
-
-    Ties: the greedy selection stands unless another scores strictly more.
-    When C(n_subsets, picks) <= ``_BLOCK``, the answer among the selections
-    of the best score is the first in colex order of their weight ranks
-    (compare the rank of each one's lightest subset first, the heavier
-    first, then its next lightest, and so on); a larger system returns the
-    first best selection its depth-first search meets.
-    """
-    n1, n2 = system.n_items, system.n_subsets
-    picks = min(system.budget, n2)
-    words = (n1 + 63) // 64
-    nbytes = (n1 + 7) // 8
-    masks = system.subset_masks
-    at_root = math.comb(n2, picks) <= _BLOCK
-
-    def solve(costs, sense="max"):
-        if sense != "max":
-            raise ValueError("the coverage search only maximizes")
-        costs = np.asarray(costs, dtype=float)
-        if costs.shape != (n1 + n2,):
-            raise DimensionMismatch("one cost per item and per subset required")
-        if np.any(costs[n1:] != 0.0):
-            raise ValueError("the coverage search needs zero selection costs")
-        selections, root_octets = system.selection_covers if at_root else (None, None)
-        weights = np.zeros(8 * nbytes)
-        weights[:n1] = np.maximum(costs[:n1], 0.0)
-        lut = weights.reshape(nbytes, 8) @ _BYTE_BITS.T  # (byte, byte value)
-
-        def weigh_octets(octets):
-            """Covered weight of each column of (byte, cover) mask bytes."""
-            total = lut[0].take(octets[0])
-            for b in range(1, nbytes):
-                total += lut[b].take(octets[b])
-            return total
-
-        def weigh(covers):
-            """Covered weight of each row of item masks, summed byte by byte."""
-            return weigh_octets(np.ascontiguousarray(covers.view(np.uint8)[:, :nbytes].T))
-
-        own = weigh(masks)
-        order = np.argsort(-own, kind="stable")
-        ranked = masks[order]
-        # each subset's own weight is its gain on an empty cover: the first
-        # greedy step and the root of the search read it
-        ranked_own = own[order]
-        # greedy incumbent: the largest marginal gain, ties to the heavier subset
-        cover = np.zeros(words, dtype="<u8")
-        taken = np.zeros(n2, dtype=bool)
-        for step in range(picks):
-            gains = ranked_own if step == 0 else weigh(ranked & ~cover)
-            i = int(np.argmax(np.where(taken, -1.0, gains)))
-            taken[i] = True
-            cover |= ranked[i]
-        best_value, best_chosen = float(weigh(cover[None])[0]), np.flatnonzero(taken).tolist()
-
-        def score_root(cand):
-            """Best score of the handle's selections with every subset in
-            ``cand``, and the ranks of the selection that has it."""
-            scores = weigh_octets(root_octets)
-            tied = np.flatnonzero(scores == scores.max())
-            kept = np.zeros(n2, dtype=bool)
-            kept[order[cand]] = True
-            if not kept[selections[:, tied]].all():
-                # a best selection has a pruned subset: score only the others
-                scores[~kept[selections].all(axis=0)] = -np.inf
-                tied = np.flatnonzero(scores == scores.max())
-            rank = np.empty(n2, dtype=np.intp)
-            rank[order] = np.arange(n2)
-            # lexsort's last key, the largest rank, decides first: colex order
-            first = tied[np.lexsort(np.sort(rank[selections[:, tied]], axis=0))[0]]
-            return scores[first], rank[selections[:, first]]
-
-        def search(cover, value, cand, k, chosen, gains=None):
-            """Improve on the best selection by completing ``chosen`` (covering
-            ``cover`` with weight ``value``) with ``k`` of the ranked subsets
-            ``cand``, whose marginal ``gains`` are weighed here unless given."""
-            nonlocal best_value, best_chosen
-            open_ = ranked[cand]
-            if gains is None:
-                gains = weigh(open_ & ~cover)
-            desc = -np.sort(-gains)
-            if value + desc[:k].sum() <= best_value:
-                return
-            # a subset in an improving completion gains more than this
-            keep = gains > best_value - value - desc[: max(k - 1, 0)].sum()
-            cand, open_, gains = cand[keep], open_[keep], gains[keep]
-            m = cand.shape[0]
-            if m < k:
-                return
-            if math.comb(m, k) <= _BLOCK:
-                if chosen or selections is None:
-                    table = _colex_combinations(k)[:, : math.comb(m, k)]
-                    covers = np.tile(cover, (table.shape[1], 1))
-                    for row in table:
-                        covers |= open_[row]
-                    scores = weigh(covers)
-                    i = int(np.argmax(scores))
-                    score, pick = scores[i], cand[table[:, i]]
-                else:
-                    score, pick = score_root(cand)
-                if score > best_value:
-                    best_value, best_chosen = float(score), chosen + pick.tolist()
-                return
-            # rest[i]: the k - 1 largest gains among the subsets after i
-            rest, top = np.zeros(m), []
-            for i in range(m - 1, -1, -1):
-                rest[i] = sum(top)
-                if len(top) < k - 1:
-                    heapq.heappush(top, float(gains[i]))
-                elif top and gains[i] > top[0]:
-                    heapq.heapreplace(top, float(gains[i]))
-            for i in range(m - k + 1):
-                if value + gains[i] + rest[i] > best_value:
-                    search(cover | open_[i], value + gains[i], cand[i + 1 :], k - 1, chosen + [int(cand[i])])
-
-        search(np.zeros(words, dtype="<u8"), 0.0, np.arange(n2), picks, [], ranked_own)
-        x = np.zeros(n1 + n2)
-        chosen = order[best_chosen]
-        x[n1 + chosen] = 1.0
-        cover = np.bitwise_or.reduce(masks[chosen], axis=0)
-        covered = np.unpackbits(cover.view(np.uint8), bitorder="little")[:n1].astype(bool)
-        x[:n1] = covered & (costs[:n1] >= 0.0)
-        return float(costs @ x), x
-
-    return solve
-
-
 # -- sample-average tables ---------------------------------------------------
 
 
-def _byte_table(weights: np.ndarray) -> np.ndarray:
-    """(row, byte, byte value) table of the weight that each value's set
-    bits carry, over (row, 8 per byte) ``weights``, summed bit 0 first."""
-    w = weights.reshape(weights.shape[0], -1, 8)
-    table = np.zeros(w.shape[:2] + (256,))
-    for t in range(8):
-        table += w[:, :, t, None] * _BYTE_BITS[:, t]
+def _octet_weights(weights: np.ndarray, nbytes: int) -> np.ndarray:
+    """(..., byte, byte value) table of the weight that each value's set
+    bits carry, over (..., items) ``weights``, item ``a`` at bit ``a % 8`` of
+    byte ``a // 8``, items past the last of weight 0.  Built by doubling
+    (entry v + 2**b = entry v + bit b's weight, v < 2**b), so every entry
+    sums its bits bit 0 first and no BLAS product sets a bit: the coverage
+    COP and decision table read one table on every machine."""
+    w = np.zeros(weights.shape[:-1] + (8 * nbytes,))
+    w[..., : weights.shape[-1]] = weights
+    w = w.reshape(weights.shape[:-1] + (nbytes, 8))
+    table = np.zeros(w.shape[:-1] + (256,))
+    for b in range(8):
+        table[..., 1 << b : 2 << b] = table[..., : 1 << b] + w[..., b, None]
     return table
+
+
+def _covered_weight(lut: np.ndarray, octets: np.ndarray) -> np.ndarray:
+    """Covered weight of each column of the (byte, cover) mask ``octets``,
+    summed byte by byte from the :func:`_octet_weights` table ``lut``."""
+    total = lut[..., 0, :].take(octets[0], axis=-1)
+    for b in range(1, octets.shape[0]):
+        total += lut[..., b, :].take(octets[b], axis=-1)
+    return total
 
 
 # the most (sample, decision) scores a sample-average table holds at once
@@ -617,103 +689,32 @@ def _best_saa_row(boxes: SampleBoxes, sense: str, gather):
     return float(scores[row]) / lo.shape[0], row
 
 
-def _table_saa(n: int, build):
-    """A sample-average handle ``saa(boxes, sense) -> (value, x)``, the value
-    without the radius as in :func:`~dro.closedform._saa_milp`, over the (h, P)
-    table ``build()`` returns on the first call (then kept): column p lists where decision p is 1."""
-    table = functools.cache(build)
+def _score_table(rows: np.ndarray, n: int, boxes: SampleBoxes, sense: str):
+    """``(value, x)`` of the best decision of the (h, P) table ``rows`` (column
+    p lists where decision p of ``n`` coordinates is 1) by :func:`_best_saa_row`,
+    both senses, the value without the radius as in ``closedform._saa_milp``."""
+    if boxes.lo.shape[1:] != (n,):
+        raise DimensionMismatch("one box per decision coordinate required")
 
-    def saa(boxes: SampleBoxes, sense="min"):
-        if boxes.lo.shape[1:] != (n,):
-            raise DimensionMismatch("one box per decision coordinate required")
-        rows = table()
+    def gather(weights):
+        total = weights.take(rows[0], axis=1)
+        for r in rows[1:]:
+            total += weights.take(r, axis=1)
+        return total
 
-        def gather(weights):
-            total = weights.take(rows[0], axis=1)
-            for r in rows[1:]:
-                total += weights.take(r, axis=1)
-            return total
-
-        value, p = _best_saa_row(boxes, sense, gather)
-        x = np.zeros(n)
-        x[rows[:, p]] = 1.0
-        return value, x
-
-    return saa
-
-
-def sorting_saa(n: int, h: int):
-    """Sample-average handle over the C(n, h) selections in colex order,
-    both senses; None when there are more than ``_BLOCK``.  The table is
-    built for ``range(n)`` alone: ``_colex_combinations(h)`` would list up
-    to ``_BLOCK`` subsets of a larger range."""
-    if math.comb(n, h) > _BLOCK:
-        return None
-    return _table_saa(n, lambda: _colex(n, h))
-
-
-def spp_saa(graph: LayeredGraph):
-    """Sample-average handle over the ``r**(h-1)`` paths, in lexicographic
-    order of their nodes layer by layer, both senses; None when there are
-    more than ``_BLOCK``."""
-    if graph.r ** (graph.h - 1) > _BLOCK:
-        return None
-    return _table_saa(graph.num_arcs, lambda: _path_arcs(graph))
+    value, p = _best_saa_row(boxes, sense, gather)
+    x = np.zeros(n)
+    x[rows[:, p]] = 1.0
+    return value, x
 
 
 def _path_arcs(graph: LayeredGraph) -> np.ndarray:
-    """(h, r**(h-1)) table whose column p lists the arcs of path p, layer
-    by layer; paths run in lexicographic order of their nodes, the node of
-    the first intermediate layer first (:attr:`LayeredGraph.arc_table`)."""
+    """Read-only (h, r**(h-1)) table whose column p lists the arcs of path p,
+    layer by layer; paths run in lexicographic order of their nodes, the
+    node of the first intermediate layer first (:attr:`LayeredGraph.arc_table`)."""
     h, arcs = graph.h, graph.arc_table
     nodes = np.indices((graph.r,) * (h - 1)).reshape(h - 1, -1)  # (layer, path)
     inner = [arcs[layer, nodes[layer - 1], nodes[layer]] for layer in range(1, h - 1)]
-    return np.vstack([arcs[0, 0, nodes[0]], *inner, arcs[h - 1, nodes[-1], 0]])
-
-
-def mcp_saa(system: CoverageSystem):
-    """Sample-average handle over the C(n_subsets, picks) selections in
-    colex order (max only), each flagging the items it covers; None when
-    there are more than ``_SAA_CAP``.
-
-    Flagging the whole cover is optimal only because the score cannot fall
-    as an item flag rises: the support's item lower bounds must be >= 0,
-    and its selection block pinned to zero, as a coverage problem's support
-    has them.  Covers are scored from their bytes, one lookup table per byte
-    and sample, and the first best selection in colex order wins; its
-    subsets are read off its colex rank (:func:`_colex_subset`).  Up to
-    ``_BLOCK`` selections the bytes are built once per system
-    (:attr:`CoverageSystem.selection_covers`, shared with :func:`mcp_cop`);
-    above it each call builds them (:func:`_cover_octets`) and keeps none,
-    so a sweep over many such systems holds one system's bytes at a time."""
-    n1, n2 = system.n_items, system.n_subsets
-    picks = min(system.budget, n2)
-    count = math.comb(n2, picks)
-    if count > _SAA_CAP:
-        return None
-
-    def solve(boxes: SampleBoxes, sense="max"):
-        if sense != "max":
-            raise ValueError("the coverage table only maximizes")
-        if np.any(boxes.l[:n1] < 0.0) or np.any(boxes.l[n1:] != 0.0) or np.any(boxes.u[n1:] != 0.0):
-            raise ValueError("the coverage table needs nonnegative item and zero selection bounds")
-        if boxes.lo.shape[1:] != (n1 + n2,):
-            raise DimensionMismatch("one box per decision coordinate required")
-        octets = system.selection_covers[1] if count <= _BLOCK else _cover_octets(system.subset_masks, n1, picks)
-
-        def gather(w):
-            weights = np.zeros((w.shape[0], 8 * octets.shape[0]))
-            weights[:, :n1] = w[:, :n1]
-            lut = _byte_table(weights)
-            total = lut[:, 0].take(octets[0], axis=1)
-            for b in range(1, octets.shape[0]):
-                total += lut[:, b].take(octets[b], axis=1)
-            return total
-
-        value, p = _best_saa_row(boxes, sense, gather)
-        x = np.zeros(n1 + n2)
-        x[:n1] = np.unpackbits(octets[:, p], bitorder="little")[:n1]
-        x[[n1 + i for i in _colex_subset(p, picks)]] = 1.0
-        return value, x
-
-    return solve
+    table = np.vstack([arcs[0, 0, nodes[0]], *inner, arcs[h - 1, nodes[-1], 0]])
+    table.setflags(write=False)
+    return table

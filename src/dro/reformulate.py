@@ -410,19 +410,19 @@ def _verified(inst: ProblemInstance, x) -> np.ndarray:
 
 def solve_dro_endpoint(inst: ProblemInstance, boxes: SampleBoxes, backend: Backend | None = None):
     """Solve ``inst`` by :func:`~dro.closedform.solve_endpoints` on its
-    validated ``boxes``: the ceiling COP by ``inst.cop`` and the
-    sample-average candidate by ``inst.saa`` when the instance carries them
-    (a generated one, or a ``dro gen`` file the CLI read, does), each else
-    by a MILP on ``backend``.
+    validated ``boxes``: the ceiling COP by its structure's ``cop`` and the
+    sample-average candidate by its ``saa`` when the instance carries a
+    structure (a generated one, or a ``dro gen`` file the CLI read, does)
+    and the table is not None, each else by a MILP on ``backend``.
     Returns ``(value, x, diagnostics)`` as :func:`solve_dro_milp` does, with
     ``(None, None, diagnostics)`` and the failed solve's status when either
     solve ends without an optimum; the node count is the sample-average
     MILP's, None when no MILP ran."""
+    s = inst.structure
+    cop, saa = (None, None) if s is None else (s.cop, s.saa)
     t0 = time.perf_counter()
     try:
-        det = solve_endpoints(
-            inst.feasible, boxes, inst.epsilon, inst.cop, inst.sense, backend=backend, saa_oracle=inst.saa
-        )
+        det = solve_endpoints(inst.feasible, boxes, inst.epsilon, cop, inst.sense, backend=backend, saa_oracle=saa)
     except SolveFailed as e:
         return None, None, SolveDiagnostics("endpoint", None, _ms_since(t0), e.status)
     diags = SolveDiagnostics("endpoint", det.node_count, _ms_since(t0), OPTIMAL)

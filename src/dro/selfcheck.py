@@ -509,13 +509,13 @@ def check_kernel_enumeration(count: int, seed) -> CheckResult:
     return tally.result("kernel-vs-enumeration", f"{count} random binary programs match")
 
 
-def check_mcp_cop(count: int, seed) -> CheckResult:
+def check_coverage_cop(count: int, seed) -> CheckResult:
     """The coverage search against enumeration of every selection."""
     rng = np.random.default_rng(seed)
     tally = _Tally()
     for t in range(count):
         skeleton, system, costs = random_coverage_costs(rng)
-        got, x = skeleton.cop(costs)
+        got, x = skeleton.structure.cop(costs)
         want = brute_force_coverage(system, costs)
         err = abs(got - want) / (1.0 + abs(want))
         tally.compare(err, 1e-12, f"system {t}: {got} vs {want}", ok=skeleton.feasible.contains(x))
@@ -546,7 +546,7 @@ def random_skeleton(rng: np.random.Generator, t: int):
 
 
 def check_skeleton_cop(count: int, seed) -> CheckResult:
-    """Each generator's ``skeleton.cop`` against :func:`milp_cop` on the
+    """Each generator's ``skeleton.structure.cop`` against :func:`milp_cop` on the
     skeleton's feasible set, on the reference kernel, in every sense the
     handle serves: values within 1e-9 relative, and the handle's decision
     feasible with its value."""
@@ -557,7 +557,7 @@ def check_skeleton_cop(count: int, seed) -> CheckResult:
         skeleton, senses, costs = random_skeleton(rng, t)
         milp = milp_cop(skeleton.feasible, kernel)
         for sense in senses:
-            got, x = skeleton.cop(costs, sense)
+            got, x = skeleton.structure.cop(costs, sense)
             want, _ = milp(costs, sense)
             scale = max(1.0, abs(want))
             ok = skeleton.feasible.contains(x) and abs(float(costs @ x) - got) <= 1e-9 * scale
@@ -615,9 +615,9 @@ def saa_objective(boxes: SampleBoxes, x, sense: str) -> float:
 
 
 def check_saa_table(count: int, seed) -> CheckResult:
-    """Each generator's sample-average table (``skeleton.saa``) against the
-    sample-average MILP (:func:`~dro.closedform._saa_milp`) on the
-    reference kernel and on HiGHS, in every sense the table serves: values
+    """Each generator's sample-average table (``skeleton.structure.saa``)
+    against the sample-average MILP (:func:`~dro.closedform._saa_milp`) on
+    the reference kernel and on HiGHS, in every sense the table serves: values
     within 1e-9 relative, and the table's decision feasible with its value
     by :func:`saa_objective`."""
     rng = np.random.default_rng(seed)
@@ -626,7 +626,7 @@ def check_saa_table(count: int, seed) -> CheckResult:
     for t in range(count):
         skeleton, boxes, senses = random_saa_case(rng, t)
         for sense in senses:
-            got, x = skeleton.saa(boxes, sense)
+            got, x = skeleton.structure.saa(boxes, sense)
             scale = max(1.0, abs(got))
             ok = skeleton.feasible.contains(x) and abs(saa_objective(boxes, x, sense) - got) <= 1e-9 * scale
             for name, backend in backends:
@@ -823,7 +823,7 @@ SUITE = (
     (check_bandit_oracle, 15),
     (check_w1_axioms, 40),
     (check_compact_dual, 20),
-    (check_mcp_cop, 20),
+    (check_coverage_cop, 20),
     (check_box_lowering, 40),
     (check_highs_vs_reference, 10),
     (check_collectors_batch, 10),

@@ -518,7 +518,7 @@ def test_collect_malformed_meta_is_one_line(tmp_path, capsys, family, edit, mess
     assert path.read_bytes() == before
     # no int() truncation: `dro solve` on the file keeps the MILPs
     loaded = cli._load(str(path))
-    assert loaded.cop is None and loaded.saa is None
+    assert loaded.structure is None
 
 
 @pytest.mark.parametrize("family, message", [
@@ -652,8 +652,8 @@ def test_gen_file_loads_as_the_generated_problem(tmp_path, monkeypatch, family):
     assert loaded.scenarios == () and loaded.epsilon == 0.0
     assert loaded.sense == problem.sense
     assert loaded.meta == ({**problem.meta, "seed": 3} if family == "mcp" else problem.meta)
-    assert loaded.cop is None and loaded.saa is None
-    # the CLI gives the file back the generator's handles, answering bit for bit
+    assert loaded.structure is None
+    # the CLI gives the file back the generator's structure, answering bit for bit
     rebuilt = cli._load(str(path))
     rng = np.random.default_rng(11)
     cop_senses = {"sorting": ("min", "max"), "spp": ("min",), "mcp": ("max",)}[family]
@@ -661,10 +661,10 @@ def test_gen_file_loads_as_the_generated_problem(tmp_path, monkeypatch, family):
         costs = rng.uniform(-0.5, 1.0, problem.n)
         costs[6 if family == "mcp" else problem.n:] = 0.0
         for sense in cop_senses:
-            _assert_same_answer(rebuilt.cop(costs, sense), problem.cop(costs, sense))
+            _assert_same_answer(rebuilt.structure.cop(costs, sense), problem.structure.cop(costs, sense))
         boxes = _random_boxes(problem, rng)
         for sense in ("max",) if family == "mcp" else ("min", "max"):
-            _assert_same_answer(rebuilt.saa(boxes, sense), problem.saa(boxes, sense))
+            _assert_same_answer(rebuilt.structure.saa(boxes, sense), problem.structure.saa(boxes, sense))
 
 
 def _assert_same_answer(got, want):

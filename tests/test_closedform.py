@@ -36,7 +36,7 @@ from dro.model import (
     SemiBandit,
     validate_instance,
 )
-from dro.problems import gen_layered_spp, gen_mcp, gen_sorting, mcp_cop, sorting_cop, spp_cop
+from dro.problems import gen_layered_spp, gen_mcp, gen_sorting, sorting_cop, spp_cop
 from dro.reformulate import build_dro_milp, solve_dro, solve_dro_milp
 from dro.selfcheck import random_endpoint_instance, random_interval_instance
 from dro.solver import ReferenceKernel, ScipyBackend
@@ -181,7 +181,7 @@ def _bandit_histories():
         run = cucb_collect_mcp(system, BetaNominal.random(10, 0.125, rng), k, rng)
         pad = np.zeros((k, 8))
         scen = observe_bandit(np.hstack([run.samples, pad]), np.hstack([run.decisions, pad]))
-        out.append((sk.instance(scen, 0.4 * seed), mcp_cop(system)))
+        out.append((sk.instance(scen, 0.4 * seed), system.cop))
     return out
 
 

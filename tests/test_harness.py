@@ -399,29 +399,24 @@ class TestRunSweep:
         assert [r.n_fail for r in recs] == [cfg.instances] * len(cfg.grid)
 
     @staticmethod
-    def _count_draws(monkeypatch, cfg, collector, make_cop, cop_owner=harness):
-        """Run ``cfg`` with ``harness.<collector>`` and the COP handles of
-        ``<cop_owner>.<make_cop>`` counted; gives the collector passes, the
+    def _count_draws(monkeypatch, cfg, collector, structure):
+        """Run ``cfg`` with ``harness.<collector>`` and the ``cop`` method of
+        the ``structure`` class counted; gives the collector passes, the
         histories they collected and the cost vectors the COPs were given."""
         counts = {"passes": 0, "histories": 0, "costs": []}
-        collect, make = getattr(harness, collector), getattr(cop_owner, make_cop)
+        collect, cop = getattr(harness, collector), structure.cop
 
         def counted_collect(structure, dists, *args):
             counts["passes"] += 1
             counts["histories"] += len(dists)
             return collect(structure, dists, *args)
 
-        def counted_make_cop(*args):
-            cop = make(*args)
-
-            def solve(costs, *a):
-                counts["costs"].append(np.array(costs))
-                return cop(costs, *a)
-
-            return solve
+        def counted_cop(self, costs, *a):
+            counts["costs"].append(np.array(costs))
+            return cop(self, costs, *a)
 
         monkeypatch.setattr(harness, collector, counted_collect)
-        monkeypatch.setattr(cop_owner, make_cop, counted_make_cop)
+        monkeypatch.setattr(structure, "cop", counted_cop)
         recs = run_sweep(cfg)
         assert all(r.n_fail == 0 for r in recs)
         return counts
@@ -429,8 +424,7 @@ class TestRunSweep:
     def test_shared_sweep_draws_each_instance_once(self, monkeypatch):
         # one collector pass, over the batch of every instance
         cfg = _small_mcp_k_cfg()
-        # the mcp draw reads the handle that gen_mcp attaches to the skeleton
-        counts = self._count_draws(monkeypatch, cfg, "cucb_collect_mcp", "mcp_cop", problems)
+        counts = self._count_draws(monkeypatch, cfg, "cucb_collect_mcp", problems.CoverageSystem)
         assert counts["passes"] == 1
         assert counts["histories"] == cfg.instances
         # one SAA candidate per cell; one nominal optimum and one
@@ -443,7 +437,7 @@ class TestRunSweep:
             "spp", "K", (3, 6, 9), 3, 4, {"h": 3, "r": 2},
             {"kind": "sqrt", "gamma": 1.0}, feedback="semibandit",
         )
-        counts = self._count_draws(monkeypatch, cfg, "cucb_collect", "spp_cop")
+        counts = self._count_draws(monkeypatch, cfg, "cucb_collect", problems.LayeredGraph)
         assert counts["passes"] == 1
         assert counts["histories"] == cfg.instances
         assert len(counts["costs"]) == cfg.instances * (len(cfg.grid) + 2)
@@ -457,8 +451,7 @@ class TestRunSweep:
             "mcp", "n1", (6, 8), 2, 4, {"n2": 6, "subset_size": 3, "budget": 2},
             {"kind": "prop_n1", "coef": 0.05}, feedback="semibandit", k_samples=4,
         )
-        # the mcp draw reads the handle that gen_mcp attaches to the skeleton
-        counts = self._count_draws(monkeypatch, cfg, "cucb_collect_mcp", "mcp_cop", problems)
+        counts = self._count_draws(monkeypatch, cfg, "cucb_collect_mcp", problems.CoverageSystem)
         cells = len(cfg.grid)
         assert counts["passes"] == cells
         assert len(counts["costs"]) == cfg.instances * cells * 3

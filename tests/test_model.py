@@ -606,11 +606,16 @@ class TestCachedFacts:
     def test_every_structure_fact_is_read_only(self):
         # a structure's tables are shared by every handle, problem and
         # collector built on it, so each cached fact holds read-only arrays
-        structures = [gen_layered_spp(h, r)[1] for h, r in ((2, 1), (3, 2), (5, 3))]
+        structures = [gen_sorting(n, h).structure for n, h in ((1, 1), (5, 2), (12, 5))]
+        structures += [gen_layered_spp(h, r)[1] for h, r in ((2, 1), (3, 2), (5, 3))]
         structures += [gen_mcp(n1, n2, size, budget, n1)[1] for n1, n2, size, budget in (
             (6, 4, 2, 2), (70, 9, 5, 3), (8, 3, 2, 0), (8, 3, 2, 5), (20, 20, 5, 5),
         )]
-        wanted = {"LayeredGraph": {"arc_table"}, "CoverageSystem": {"members", "subset_masks", "selection_covers"}}
+        wanted = {
+            "Cardinality": {"selections"},
+            "LayeredGraph": {"arc_table", "paths"},
+            "CoverageSystem": {"members", "subset_masks", "selection_covers"},
+        }
         for structure in structures:
             facts = cached_facts(structure)
             assert wanted[type(structure).__name__] <= set(facts)
@@ -690,13 +695,13 @@ class TestJson:
         np.testing.assert_array_equal(back.support.rows_b, inst.support.rows_b)
 
     def test_saved_instance_drops_its_cop(self, tmp_path):
-        # a COP handle is code, not data: a loaded instance routes by a MILP
+        # a structure is not saved: a loaded instance routes by a MILP
         path = tmp_path / "inst.json"
         for sk in (gen_sorting(4, 2), gen_layered_spp(3, 2)[0], gen_mcp(5, 3, 2, 1, 0)[0]):
             inst = sk.instance((Bandit(np.ones(sk.feasible.n), 0.5),), 0.25)
-            assert inst.cop is sk.cop is not None
+            assert inst.structure is sk.structure is not None
             save_instance(path, inst)
-            assert load_instance(path).cop is None
+            assert load_instance(path).structure is None
 
     def test_instance_keeps_the_problems_cop_and_meta(self):
         for problem in (gen_sorting(4, 2), gen_layered_spp(3, 2)[0], gen_mcp(5, 3, 2, 1, 0)[0]):
@@ -704,7 +709,7 @@ class TestJson:
             scen = (Bandit(np.ones(problem.n), 0.5),)
             inst = problem.instance(scen, 0.25)
             assert inst.scenarios == scen and inst.epsilon == 0.25
-            assert inst.cop is problem.cop is not None
+            assert inst.structure is problem.structure is not None
             assert inst.meta == problem.meta and inst.meta["family"]
             assert problem.scenarios == () and problem.epsilon == 0.0
 

@@ -2,23 +2,26 @@
 
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from dro.closedform import _saa_milp, milp_cop
-from dro.datagen import BetaNominal, cucb_collect_mcp, lower_history
+from dro.datagen import BetaNominal, cucb_collect, cucb_collect_mcp, lower_history, observe_bandit
 from dro.errors import BadCardinality, DimensionMismatch
 from dro import problems
-from dro.model import SampleBoxes, validate_instance, Exact
+from dro.model import Bandit, SampleBoxes, validate_instance, Exact
 from dro.problems import (
     _BLOCK,
     _SAA_CAP,
+    Cardinality,
     CoverageSystem,
     LayeredGraph,
     _colex,
     _colex_combinations,
     _colex_subset,
+    _octet_weights,
     _path_arcs,
     _selection_covers,
     _subset_masks,
@@ -26,11 +29,11 @@ from dro.problems import (
     gen_layered_spp,
     gen_mcp,
     gen_sorting,
-    mcp_cop,
     shortest_path_dp,
     sorting_cop,
     spp_cop,
 )
+from dro.reformulate import solve_dro
 from dro.selfcheck import brute_force_coverage, saa_objective
 from dro.solver import LE, LinearProgram, MixedIntegerProgram, ScipyBackend, solve_lp, solve_milp
 from coverage_search import reference_mcp_cop
@@ -66,6 +69,23 @@ class TestSorting:
             gen_sorting(3, 4)
         with pytest.raises(BadCardinality):
             gen_sorting(3, 0)
+
+    @pytest.mark.parametrize("n, h, message", [
+        (5, True, "h must be an integer, got True"),
+        (5, 2.0, "h must be an integer, got 2.0"),
+        (5.0, 2, "n must be an integer, got 5.0"),
+    ], ids=["bool-h", "float-h", "float-n"])
+    def test_a_non_integer_count_is_refused(self, n, h, message):
+        # before, gen_sorting(5, True) was built as h = 1
+        with pytest.raises(TypeError, match=message):
+            gen_sorting(n, h)
+        with pytest.raises(TypeError, match=message):
+            Cardinality(n, h)
+
+    def test_numpy_integer_counts_are_accepted(self):
+        sk = gen_sorting(np.int64(5), np.uint8(2))
+        assert sk.meta == {"family": "sorting", "n": 5, "h": 2}
+        assert type(sk.structure.n) is int and type(sk.structure.h) is int
 
     def test_selection_solver_tie_break_stable(self):
         solve = sorting_cop(4, 2)
@@ -176,6 +196,21 @@ class TestLayeredGraph:
         with pytest.raises(BadCardinality):
             LayeredGraph(1, 3)
 
+    @pytest.mark.parametrize("h, r, message", [
+        (3, 2.5, "r must be an integer, got 2.5"),
+        (3.0, 2, "h must be an integer, got 3.0"),
+        (True, 2, "h must be an integer, got True"),
+    ], ids=["float-r", "float-h", "bool-h"])
+    def test_a_non_integer_count_is_refused(self, h, r, message):
+        # before, LayeredGraph(3, 2.5) was built with 11.25 arcs
+        with pytest.raises(TypeError, match=message):
+            LayeredGraph(h, r)
+
+    def test_numpy_integer_counts_are_accepted(self):
+        graph = LayeredGraph(np.int32(3), np.int64(2))
+        assert (graph.h, graph.r, graph.num_arcs) == (3, 2, 8)
+        assert type(graph.h) is int and type(graph.r) is int
+
 
 class TestCoverage:
     def test_small_bipartite_instance(self):
@@ -260,7 +295,8 @@ class TestCoverage:
             assert _subset_masks(system).tobytes() == loop_subset_masks(system).tobytes()
         # subsets of unequal sizes, and an item listed twice, as a meta may hold
         meta = {"family": "mcp", "n1": 70, "subsets": [[69], [0, 1, 2, 64, 65], [3, 3]], "budget": 2}
-        system, sk = family_problem(meta, 73)
+        sk = family_problem(meta, 73)
+        system = sk.structure
         assert _subset_masks(system).tobytes() == loop_subset_masks(system).tobytes()
         rows, rhs = coverage_rows(system)
         assert sk.feasible.g2.tobytes() == rows.tobytes() and sk.feasible.rhs.tobytes() == rhs.tobytes()
@@ -373,6 +409,22 @@ class TestColex:
             assert octets.shape == want_octets.shape and octets.tobytes() == want_octets.tobytes()
             assert not octets.flags.writeable
 
+    @pytest.mark.parametrize("n1", [6, 20, 50, 65])
+    def test_octet_weights_sum_each_values_bits_bit_0_first(self, n1):
+        # the one byte table of the coverage COP and decision table, against
+        # a per-bit sum in bit order: no BLAS product decides a bit
+        weights = np.random.default_rng(n1).uniform(-1.0, 1.0, (3, n1))
+        nbytes = (n1 + 7) // 8
+        want = np.zeros((3, nbytes, 256))
+        for row, byte, value in np.ndindex(want.shape):
+            total = 0.0
+            for bit in range(8):
+                if value >> bit & 1 and 8 * byte + bit < n1:
+                    total += weights[row, 8 * byte + bit]
+            want[row, byte, value] = total
+        assert _octet_weights(weights, nbytes).tobytes() == want.tobytes()
+        assert _octet_weights(weights[1], nbytes).tobytes() == want[1].tobytes()
+
     def test_builds_no_tuples(self, monkeypatch):
         # the tables and covers come from the array recursion alone
         want = {k: itertools_colex(16, k) for k in range(1, 6)}
@@ -414,7 +466,7 @@ class TestSppCop:
 class TestMcpCop:
     def _check(self, sk, system, costs):
         n1 = system.n_items
-        value, x = mcp_cop(system)(costs)
+        value, x = system.cop(costs)
         want = brute_force_coverage(system, costs)
         assert abs(value - want) <= 1e-12 * (1.0 + abs(want))
         assert sk.feasible.contains(x)
@@ -449,7 +501,7 @@ class TestMcpCop:
 
     @staticmethod
     def _same_as_reference(system, costs):
-        value, x = mcp_cop(system)(costs)
+        value, x = system.cop(costs)
         want_value, want_x = reference_mcp_cop(system)(costs)
         assert (value.hex(), x.tobytes()) == (want_value.hex(), want_x.tobytes())
 
@@ -476,7 +528,7 @@ class TestMcpCop:
         # 5 - 4 = 1, so subset 3 is pruned
         system = CoverageSystem(7, ((0, 1, 2, 3), (0, 1, 4), (2, 3, 5), (6,)), 2)
         costs = np.concatenate([np.ones(6), [0.5], np.zeros(4)])
-        value, x = mcp_cop(system)(costs)
+        value, x = system.cop(costs)
         assert value == 6.0
         np.testing.assert_array_equal(np.flatnonzero(x[7:]), [1, 2])
         self._same_as_reference(system, costs)
@@ -485,7 +537,7 @@ class TestMcpCop:
         # out, and greedy stands
         system = CoverageSystem(4, ((0, 1, 2), (1, 2, 3), (3,)), 2)
         costs = np.concatenate([np.ones(4), np.zeros(3)])
-        value, x = mcp_cop(system)(costs)
+        value, x = system.cop(costs)
         assert value == 4.0
         np.testing.assert_array_equal(np.flatnonzero(x[4:]), [0, 1])
         self._same_as_reference(system, costs)
@@ -508,7 +560,7 @@ class TestMcpCop:
         sk, system = gen_mcp(70, 30, 5, 4, rng)
         costs = np.zeros(100)
         costs[:70] = rng.random(70)
-        value, x = mcp_cop(system)(costs)
+        value, x = system.cop(costs)
         highs, _ = milp_cop(sk.feasible, ScipyBackend())(costs, "max")
         assert value >= highs - 1e-9
         assert sk.feasible.contains(x)
@@ -518,12 +570,12 @@ class TestMcpCop:
         rng = np.random.default_rng(13)
         _, system = gen_mcp(20, 20, 5, 5, rng)
         costs = np.concatenate([rng.random(20), np.zeros(20)])
-        cop = mcp_cop(system)
+        cop = system.cop
         assert cop(costs)[1].tobytes() == cop(costs)[1].tobytes()
 
     def test_rejects_bad_input(self):
         _, system = gen_mcp(6, 4, 2, 2, seed=0)
-        cop = mcp_cop(system)
+        cop = system.cop
         costs = np.concatenate([np.ones(6), np.zeros(4)])
         with pytest.raises(ValueError):
             cop(costs, "min")
@@ -616,11 +668,11 @@ class TestSaaTables:
                 costs = np.concatenate([rng.random(structure.n_items), np.zeros(structure.n_subsets)])
             senses = ("max",) if family == "mcp" else ("min", "max")
             for sense in senses:
-                value, x = skeleton.saa(_cost_boxes(skeleton, costs), sense)
+                value, x = skeleton.structure.saa(_cost_boxes(skeleton, costs), sense)
                 if family == "spp" and sense == "max":
-                    want = -skeleton.cop(-costs)[0]
+                    want = -skeleton.structure.cop(-costs)[0]
                 else:
-                    want = skeleton.cop(costs, sense)[0]
+                    want = skeleton.structure.cop(costs, sense)[0]
                 assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
                 assert value == pytest.approx(float(costs @ x), rel=1e-12, abs=1e-12)
                 # a best row well clear of the others is the one returned
@@ -634,7 +686,7 @@ class TestSaaTables:
         family, skeleton, structure, _ = case
         costs = np.zeros(skeleton.feasible.n)
         for sense in ("max",) if family == "mcp" else ("min", "max"):
-            value, x = skeleton.saa(_cost_boxes(skeleton, costs), sense)
+            value, x = skeleton.structure.saa(_cost_boxes(skeleton, costs), sense)
             assert value == 0.0
             np.testing.assert_array_equal(x, _table_decisions(family, skeleton, structure)[0])
 
@@ -644,27 +696,30 @@ class TestSaaTables:
         for name in ("_colex", "_path_arcs", "_selection_covers", "_cover_octets"):
             monkeypatch.setattr(problems, name, lambda *a, name=name: pytest.fail(f"built {name}"))
         skeleton, graph = gen_layered_spp(11, 5)
-        assert skeleton.saa is None and "arc_table" not in graph.__dict__
+        assert skeleton.structure.saa is None and "arc_table" not in graph.__dict__
         assert math.comb(50, 5) <= _SAA_CAP < math.comb(60, 6)
-        assert gen_mcp(50, 60, 5, 6, 0)[0].saa is None
-        assert gen_sorting(50, 25).saa is None
+        assert gen_mcp(50, 60, 5, 6, 0)[0].structure.saa is None
+        assert gen_sorting(50, 25).structure.saa is None
         # below the cap a generator attaches its table unbuilt, desk and paper mcp's too
-        assert gen_layered_spp(5, 3)[0].saa is not None and gen_sorting(20, 5).saa is not None
-        assert gen_mcp(20, 20, 5, 5, 0)[0].saa is not None
+        assert gen_layered_spp(5, 3)[0].structure.saa is not None
+        assert gen_sorting(20, 5).structure.saa is not None
+        assert gen_mcp(20, 20, 5, 5, 0)[0].structure.saa is not None
         skeleton, system = gen_mcp(50, 50, 5, 5, 0)
-        assert skeleton.saa is not None and "selection_covers" not in system.__dict__
+        assert skeleton.structure.saa is not None and "selection_covers" not in system.__dict__
         monkeypatch.undo()
         # the cap's edges
-        assert gen_layered_spp(7, 5)[0].saa is not None and gen_layered_spp(8, 5)[0].saa is None
+        assert gen_layered_spp(7, 5)[0].structure.saa is not None
+        assert gen_layered_spp(8, 5)[0].structure.saa is None
         assert math.comb(57, 5) <= _SAA_CAP < math.comb(58, 5)
-        assert gen_mcp(24, 57, 4, 5, 0)[0].saa is not None and gen_mcp(24, 58, 4, 5, 0)[0].saa is None
+        assert gen_mcp(24, 57, 4, 5, 0)[0].structure.saa is not None
+        assert gen_mcp(24, 58, 4, 5, 0)[0].structure.saa is None
         # up to _BLOCK selections a coverage system keeps its covers, above it none
         assert math.comb(22, 5) <= _BLOCK < math.comb(23, 5)
         for n2 in (22, 23):
             skeleton, system = gen_mcp(24, n2, 4, 5, 0)
-            skeleton.saa(_cost_boxes(skeleton, np.concatenate([np.ones(24), np.zeros(n2)])), "max")
+            skeleton.structure.saa(_cost_boxes(skeleton, np.concatenate([np.ones(24), np.zeros(n2)])), "max")
             assert ("selection_covers" in system.__dict__) == (n2 == 22)
-        assert gen_sorting(50, 3).saa is not None
+        assert gen_sorting(50, 3).structure.saa is not None
 
     @pytest.mark.parametrize("n1, n2, size, budget", [(20, 20, 5, 5), (24, 15, 4, 3)], ids=["mcp-k", "mcp-n1"])
     def test_desk_coverage_system_builds_its_covers_once(self, monkeypatch, n1, n2, size, budget):
@@ -677,8 +732,8 @@ class TestSaaTables:
         rng = np.random.default_rng(5)
         for _ in range(3):
             costs = np.concatenate([rng.random(n1), np.zeros(n2)])
-            value, _ = skeleton.cop(costs)
-            assert skeleton.saa(_cost_boxes(skeleton, costs), "max")[0] == pytest.approx(value, rel=1e-12)
+            value, _ = skeleton.structure.cop(costs)
+            assert skeleton.structure.saa(_cost_boxes(skeleton, costs), "max")[0] == pytest.approx(value, rel=1e-12)
         assert calls == {"_selection_covers": [system], "_subset_masks": [system]}
         assert not any(a.flags.writeable for a in (system.subset_masks, *system.selection_covers))
 
@@ -691,7 +746,7 @@ class TestSaaTables:
         boxes, findings = lower_history("bandit", run.samples, run.decisions, skeleton.support)
         assert not findings
         monkeypatch.setattr(problems, "_colex", lambda *a: pytest.fail("built an index table"))
-        value, x = skeleton.saa(boxes, "max")
+        value, x = skeleton.structure.saa(boxes, "max")
         want, _, _ = _saa_milp(skeleton.feasible, boxes, "max", ScipyBackend())
         assert abs(value - want) <= 1e-9 * max(1.0, abs(want))
         assert skeleton.feasible.contains(x) and x[50:].sum() == 5
@@ -703,9 +758,52 @@ class TestSaaTables:
         costs = np.concatenate([np.ones(6), np.zeros(4)])
         boxes = _cost_boxes(skeleton, costs)
         with pytest.raises(ValueError):
-            skeleton.saa(boxes, "min")
+            skeleton.structure.saa(boxes, "min")
         negative = SampleBoxes(boxes.lo, boxes.hi, boxes.m, boxes.t, boxes.l - 1.0, boxes.u)
         with pytest.raises(ValueError):
-            skeleton.saa(negative, "max")
+            skeleton.structure.saa(negative, "max")
         with pytest.raises(DimensionMismatch):
-            skeleton.saa(_cost_boxes(skeleton, costs[:-1]), "max")
+            skeleton.structure.saa(_cost_boxes(skeleton, costs[:-1]), "max")
+
+
+def _bandit_instance(family, args, rng):
+    """A generated ``family`` problem with a short bandit history: random
+    totals for sorting, a CUCB history on spp and mcp."""
+    if family == "sorting":
+        problem = gen_sorting(*args)
+        masks = (rng.random((4, problem.n)) < 0.5).astype(float)
+        scen = [Bandit(m, float(m @ rng.random(problem.n))) for m in masks]
+    elif family == "spp":
+        problem, graph = gen_layered_spp(*args)
+        run = cucb_collect(graph, BetaNominal.random(graph.num_arcs, 0.125, rng), 4, rng)
+        scen = observe_bandit(run.samples, run.decisions)
+    else:
+        problem, system = gen_mcp(*args, rng)
+        run = cucb_collect_mcp(system, BetaNominal.random(system.n_items, 0.125, rng), 4, rng)
+        pad = np.zeros((4, system.n_subsets))
+        scen = observe_bandit(np.hstack([run.samples, pad]), np.hstack([run.decisions, pad]))
+    return problem.instance(tuple(scen), 0.1)
+
+
+@pytest.mark.parametrize("family, args", [
+    ("sorting", (5, 2)), ("sorting", (20, 10)),
+    ("spp", (5, 3)), ("spp", (8, 5)),
+    ("mcp", (20, 20, 5, 5)), ("mcp", (8, 25, 2, 12)),
+], ids=lambda v: v if isinstance(v, str) else "-".join(map(str, v)))
+def test_a_generated_instance_round_trips_through_pickle(family, args):
+    # one desk family with a table and one above the cap without: the copy
+    # carries its structure and solves to the same bytes
+    rng = np.random.default_rng(46)
+    inst = _bandit_instance(family, args, rng)
+    copy = pickle.loads(pickle.dumps(inst))
+    assert type(copy.structure) is type(inst.structure) and copy.meta == inst.meta
+    assert (copy.structure.saa is None) == (inst.structure.saa is None) == (args in ((20, 10), (8, 5), (8, 25, 2, 12)))
+    (value, x, _), (got, got_x, _) = solve_dro(inst), solve_dro(copy)
+    assert (got.hex(), got_x.tobytes()) == (value.hex(), x.tobytes())
+    n1 = args[0] if family == "mcp" else inst.n
+    for _ in range(5):
+        costs = np.zeros(inst.n)
+        costs[:n1] = rng.uniform(-0.5, 1.0, n1)
+        sense = "max" if family == "mcp" else "min"
+        want, got = inst.structure.cop(costs, sense), copy.structure.cop(costs, sense)
+        assert (got[0].hex(), got[1].tobytes()) == (want[0].hex(), want[1].tobytes())

@@ -608,7 +608,7 @@ class TestSolveDroForms:
     @pytest.mark.parametrize("backend", [ReferenceKernel, ScipyBackend], ids=["reference", "scipy"])
     def test_generated_instances_route_the_ceiling_by_their_cop(self, backend):
         # a generated bandit instance solves its ceiling candidate by its
-        # family's COP and its sample-average candidate by its family's
+        # structure's COP and its sample-average candidate by its structure's
         # table, so no backend MILP runs; without the table the
         # sample-average MILP is the one backend MILP.  Either way the value
         # is the one MILPs on both candidates give
@@ -636,18 +636,22 @@ class TestSolveDroForms:
                 # a small radius lets the sample average win, a large one the ceiling
                 for eps in (0.1 * rng.random(), 5.0 + 5.0 * rng.random()):
                     inst = dataclasses.replace(inst, epsilon=eps)
-                    assert inst.cop is not None and inst.saa is not None
-                    want, _, _ = solve_dro(dataclasses.replace(inst, cop=None, saa=None), backend())
-                    for saa, milps in ((inst.saa, 0), (None, 1)):
-                        calls.clear()
-                        value, x, diag = solve_dro(dataclasses.replace(inst, saa=saa), Counted())
-                        assert diag.form == "endpoint" and len(calls) == milps
-                        assert (diag.node_count is None) == (saa is not None)
-                        assert inst.feasible.contains(x)
-                        assert _close(value, want)
+                    cop, saa = inst.structure.cop, inst.structure.saa
+                    assert saa is not None
+                    want, _, _ = solve_dro(dataclasses.replace(inst, structure=None), backend())
+                    calls.clear()
+                    value, x, diag = solve_dro(inst, Counted())
+                    assert diag.form == "endpoint" and not calls and diag.node_count is None
+                    assert inst.feasible.contains(x)
+                    assert _close(value, want)
                     lowered = validate_instance(inst)
-                    winners.add(solve_endpoints(inst.feasible, lowered, eps, inst.cop, inst.sense,
-                                                saa_oracle=inst.saa).winner)
+                    detail = solve_endpoints(
+                        inst.feasible, lowered, eps, cop, inst.sense, backend=Counted(), saa_oracle=None
+                    )
+                    assert len(calls) == 1 and detail.node_count is not None
+                    assert inst.feasible.contains(detail.x)
+                    assert _close(detail.value, want)
+                    winners.add(solve_endpoints(inst.feasible, lowered, eps, cop, inst.sense, saa_oracle=saa).winner)
             assert winners == {"saa", "ceiling"}, family
 
     @pytest.mark.parametrize("backend", [ReferenceKernel, ScipyBackend], ids=["reference", "scipy"])
@@ -673,7 +677,7 @@ class TestSolveDroForms:
             (big_mcp, observe_bandit(np.hstack([mcp_run.samples, pad]), np.hstack([mcp_run.decisions, pad]))),
             (gen_sorting(20, 10), (Bandit(np.r_[np.ones(10), np.zeros(10)], 4.0),)),
         ):
-            assert skeleton.saa is None and skeleton.cop is not None
+            assert skeleton.structure is not None and skeleton.structure.saa is None
             calls.clear()
             value, x, diag = solve_dro(skeleton.instance(scen, 0.1), Counted())
             assert diag.form == "endpoint" and len(calls) == 1 and diag.node_count is not None
@@ -699,13 +703,16 @@ class TestSolveDroForms:
         value, x, diag = solve_dro(inst, Counted())
         assert diag.form == "endpoint" and not calls and diag.node_count is None
         assert skeleton.feasible.contains(x)
-        want, _, diag = solve_dro(dataclasses.replace(inst, saa=None), Counted())
+        lowered = validate_instance(inst)
+        detail = solve_endpoints(inst.feasible, lowered, 0.01, system.cop, "max", backend=Counted(), saa_oracle=None)
+        want = detail.value
         assert len(calls) == 1 and abs(value - want) <= 1e-9 * max(1.0, abs(want))
 
     def test_failed_sample_average_milp_reports_its_status(self):
-        # a generated instance without its table solves its ceiling COP by
-        # its own handle, so the sample-average MILP is the only backend
-        # MILP; it ends without an optimum
+        # a generated instance without a table (C(20, 10) selections exceed
+        # _BLOCK) solves its ceiling COP by its structure, so the
+        # sample-average MILP is the only backend MILP; it ends without an
+        # optimum
         calls = []
 
         class MilpFails(ReferenceKernel):
@@ -713,8 +720,7 @@ class TestSolveDroForms:
                 calls.append(mip)
                 return SolveResult(ITERLIMIT)
 
-        skeleton = dataclasses.replace(gen_sorting(3, 1), saa=None)
-        inst = skeleton.instance((Bandit(np.array([1.0, 1, 0]), 0.4),), 0.1)
+        inst = gen_sorting(20, 10).instance((Bandit(np.r_[np.ones(10), np.zeros(10)], 4.0),), 0.1)
         value, x, diag = solve_dro(inst, MilpFails())
         assert (value, x, diag.form, diag.status) == (None, None, "endpoint", ITERLIMIT)
         assert len(calls) == 1

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 
 from dro import selfcheck
-from dro.problems import sorting_cop
+from dro.problems import Cardinality
 from dro.solver import ReferenceKernel, ScipyBackend
 
 
@@ -40,12 +40,12 @@ def test_failed_values_set_the_worst_error(monkeypatch):
 
 
 def test_a_wrong_skeleton_cop_fails(monkeypatch):
-    # every sorting handle picks one item too few: an infeasible decision of
-    # the wrong value, in both senses
+    # every sorting structure picks one item too few: an infeasible decision
+    # of the wrong value, in both senses
     gen_sorting = selfcheck.gen_sorting
 
     def short(n, h):
-        return dataclasses.replace(gen_sorting(n, h), cop=sorting_cop(n, h - 1))
+        return dataclasses.replace(gen_sorting(n, h), structure=Cardinality(n, h - 1))
 
     monkeypatch.setattr(selfcheck, "gen_sorting", short)
     res = selfcheck.check_skeleton_cop(9, 14)
@@ -71,20 +71,25 @@ def test_saa_table_check_passes_on_both_backends(monkeypatch):
     assert set(used) == {ReferenceKernel, ScipyBackend}
 
 
+class OneTooHigh(Cardinality):
+    """Selections whose sample-average table reports a value one too high."""
+
+    @property
+    def saa(self):
+        return self.wrong
+
+    def wrong(self, boxes, sense):
+        value, x = super().saa(boxes, sense)
+        return value + 1.0, x
+
+
 def test_a_wrong_saa_table_fails(monkeypatch):
     # every sorting table reports a value one too high: its decision no
     # longer scores that value, nor is the value the MILP's
     gen_sorting = selfcheck.gen_sorting
 
     def one_too_high(n, h):
-        skeleton = gen_sorting(n, h)
-        saa = skeleton.saa
-
-        def wrong(boxes, sense):
-            value, x = saa(boxes, sense)
-            return value + 1.0, x
-
-        return dataclasses.replace(skeleton, saa=wrong)
+        return dataclasses.replace(gen_sorting(n, h), structure=OneTooHigh(n, h))
 
     monkeypatch.setattr(selfcheck, "gen_sorting", one_too_high)
     res = selfcheck.check_saa_table(6, 41)
