@@ -97,11 +97,7 @@ def endpoint_fits(inst: ProblemInstance, lowered) -> bool:
     of the sample-average MILP need."""
     if not inst.loss.is_bilinear() or not isinstance(lowered, SampleBoxes):
         return False
-    eq = lowered.eq
-    if not eq.any():
-        return True
-    fs, m = inst.feasible, lowered.m[eq]
-    return fs.n_cont == 0 and bool(np.all(fs.upper <= 1.0) and np.all((m == 0) | (m == 1)))
+    return not lowered.eq.any() or (inst.feasible.is_binary() and lowered.zero_one)
 
 
 def solve_endpoints(

@@ -10,10 +10,10 @@ inequalities so the solver kernel sees a single constraint form.
 All types are immutable after construction and safe to share across workers.
 The arrays of a polytope, loss, feasible set and scenario are read-only, and
 so is every fact derived from them, computed once per object on first use
-and kept: a polytope's box test, box bounds, unbounded coordinates and
-feasible point, a loss's symmetry and bilinearity, and a feasible set's
-constraint matrix, integer mask and integer coordinates without an upper
-bound.  Instances drawn from one generated problem share its objects, so a
+and kept: a polytope's box test, row coefficients, box bounds, unbounded
+coordinates and feasible point, a loss's symmetry and bilinearity, and a
+feasible set's constraint matrix, integer mask, integer coordinates without
+an upper bound, 0/1 test and bounds widened by ``FEAS_TOL``.  Instances drawn from one generated problem share its objects, so a
 sweep validating each of them with :func:`problem_findings` re-derives none
 of these facts and keeps no memo of its own.
 """
@@ -97,14 +97,24 @@ class Polytope:
         """
         return self._box_bounds
 
+    def box_rows(self):
+        """Read-only ``(cols, coefs)``: the column and coefficient of each
+        row's first nonzero entry (column 0 and coefficient 0 on an all-zero
+        row), all of the row on a box-shaped system."""
+        return self._box_rows
+
+    @cached_property
+    def _box_rows(self):
+        cols = (self.rows_a != 0).argmax(axis=1)
+        return _freeze(cols, np.intp), _freeze(self.rows_a[np.arange(self.num_rows), cols])
+
     @cached_property
     def _box_bounds(self):
         n = self.num_vars
         if self.is_box():
             lo = [-np.inf] * n
             hi = [np.inf] * n
-            cols = (self.rows_a != 0).argmax(axis=1)
-            coefs = self.rows_a[np.arange(self.num_rows), cols]
+            cols, coefs = self.box_rows()
             for j, coef, b in zip(cols.tolist(), coefs.tolist(), self.rows_b.tolist()):
                 if coef == 0:  # an all-zero row bounds nothing
                     continue
@@ -296,18 +306,37 @@ class FeasibleSet:
     def _unbounded_integers(self) -> np.ndarray:
         return _freeze(np.flatnonzero(self.integer_mask() & ~np.isfinite(self.upper)), np.intp)
 
+    def is_binary(self) -> bool:
+        """Whether every decision is an integer with an upper bound of at
+        most 1, so each is 0 or 1."""
+        return self._is_binary
+
+    @cached_property
+    def _is_binary(self) -> bool:
+        return self.n_cont == 0 and bool(np.all(self.upper <= 1.0))
+
+    def tolerant_bounds(self):
+        """Read-only ``(upper + FEAS_TOL, rhs + FEAS_TOL)``, the bounds that
+        :meth:`contains` tests."""
+        return self._tolerant_bounds
+
+    @cached_property
+    def _tolerant_bounds(self):
+        return _freeze(self.upper + tol.FEAS_TOL), _freeze(self.rhs + tol.FEAS_TOL)
+
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise DimensionMismatch("decision dimension mismatch")
-        if np.any(x < -tol.FEAS_TOL) or np.any(x > self.upper + tol.FEAS_TOL):
+        upper, rhs = self.tolerant_bounds()
+        if (x < -tol.FEAS_TOL).any() or (x > upper).any():
             return False
         ints = x[self.n_cont :]
-        if np.any(np.abs(ints - np.round(ints)) > tol.INT_TOL):
+        if (np.abs(ints - ints.round()) > tol.INT_TOL).any():
             return False
         if self.num_rows == 0:
             return True
-        return bool(np.all(self.matrix() @ x <= self.rhs + tol.FEAS_TOL))
+        return bool((self.matrix() @ x <= rhs).all())
 
 
 # the DimensionMismatch reasons a scenario gives, on either lowering path
@@ -514,8 +543,9 @@ class SampleBoxes:
     support lowers to a slightly inverted box, and clipping projects it onto
     the support.  Row k of ``m`` (K, n) and ``t[k]`` hold sample k's
     equality ``m @ c = t`` (a bandit total over two or more components),
-    with a zero row and ``t[k]`` NaN when it has none; :attr:`eq` says
-    which samples carry one.
+    with a zero row and ``t[k]`` NaN when it has none.  The facts read from
+    them, :attr:`eq` and :attr:`zero_one`, are computed once per object and
+    assume the arrays are not written after the first read.
     """
 
     lo: np.ndarray
@@ -525,24 +555,42 @@ class SampleBoxes:
     l: np.ndarray
     u: np.ndarray
 
-    @property
+    @cached_property
     def eq(self) -> np.ndarray:
-        """(K,) bool: whether sample k carries an equality."""
-        return ~np.isnan(self.t)
+        """Read-only (K,) bool: whether sample k carries an equality."""
+        return _freeze(~np.isnan(self.t), bool)
+
+    @cached_property
+    def zero_one(self) -> bool:
+        """Whether every equality is a 0/1 mask (rows without one are zero)."""
+        return bool(((self.m == 0) | (self.m == 1)).all())
 
     def head(self, k: int) -> SampleBoxes:
         """The boxes of the first ``k`` samples.  Each sample lowers on its
         own, so they equal the lowering of the first ``k`` scenarios."""
-        return SampleBoxes(self.lo[:k], self.hi[:k], self.m[:k], self.t[:k], self.l, self.u)
+        out = SampleBoxes(self.lo[:k], self.hi[:k], self.m[:k], self.t[:k], self.l, self.u)
+        out.eq = self.eq[:k]
+        return out
 
 
-_SIZED = {Exact: "point", Interval: "lower", Bandit: "mask"}  # the field that must have length n
+# the field of each scenario kind that must have length n
+_SIZED = {Exact: "point", Interval: "lower", Bandit: "mask", SemiBandit: None}
+
+
+def _kind(s: DataScenario) -> type:
+    """The scenario kind that ``s`` lowers as on a box support: the first
+    kind its class is or derives from."""
+    for cls in type(s).__mro__:
+        if cls in _SIZED:
+            return cls
+    raise TypeError(f"box lowering has no rule for scenario type {type(s).__name__}")
 
 
 def lower_box_scenarios(scenarios, support: Polytope):
-    """Lower every scenario against a box support, building no per-scenario
-    :class:`Polytope`: gather each scenario's data into the arrays of
-    :func:`lower_box_arrays` in one pass over the scenarios, then lower them.
+    """Lower every scenario against a bounded box support, building no
+    per-scenario :class:`Polytope`: gather each scenario's data into the
+    arrays of :func:`lower_box_arrays` in one pass over the scenarios,
+    dispatched on each one's kind (:func:`_kind`), then lower them.
 
     Returns ``(boxes, findings)``: the :class:`SampleBoxes` of the systems
     that :func:`lower_scenario` builds, and a :class:`Diagnostic` for each
@@ -552,9 +600,10 @@ def lower_box_scenarios(scenarios, support: Polytope):
     An inverted interval (checked before its length), a wrong-length point,
     bound pair or mask, and a semi-bandit index out of range (checked before
     a repeated one) or repeated are found here and leave the scenario
-    unconstrained in the arrays.
+    unconstrained in the arrays.  A scenario of no known kind raises
+    :class:`TypeError`.
     """
-    n = support.num_vars
+    n, shape = support.num_vars, (support.num_vars,)
     num_k = len(scenarios)
     l, u = support.box_bounds()
     found = {}
@@ -563,9 +612,8 @@ def lower_box_scenarios(scenarios, support: Polytope):
     low = np.full((num_k, n), -np.inf)
     band, masks, totals = [], [], []
     for k, s in enumerate(scenarios):
-        if isinstance(s, Interval) and np.any(s.lower > s.upper + tol.VALUE_TOL):
-            found[k] = Diagnostic("InvertedInterval", f"scenario {k} has lower > upper")
-        elif isinstance(s, SemiBandit):
+        kind = type(s) if type(s) in _SIZED else _kind(s)
+        if kind is SemiBandit:
             idx = [i for i, _ in s.observed]
             if any(i < 0 or i >= n for i in idx):
                 found[k] = mismatch(k, _OUT_OF_RANGE)
@@ -573,20 +621,21 @@ def lower_box_scenarios(scenarios, support: Polytope):
                 found[k] = mismatch(k, _REPEATED)
             else:
                 up[k, idx] = low[k, idx] = [v for _, v in s.observed]
-        elif getattr(s, _SIZED[type(s)]).shape != (n,):
+        elif kind is Interval and np.any(s.lower > s.upper + tol.VALUE_TOL):
+            found[k] = Diagnostic("InvertedInterval", f"scenario {k} has lower > upper")
+        elif getattr(s, _SIZED[kind]).shape != shape:
             found[k] = mismatch(k, _WRONG_LENGTH)
-        elif isinstance(s, Exact):
-            up[k] = low[k] = s.point
-        elif isinstance(s, Interval):
-            up[k] = np.minimum(s.upper, u)
-            low[k] = np.maximum(s.lower, l)
-        else:
+        elif kind is Bandit:
             band.append(k)
             masks.append(s.mask)
             totals.append(s.total)
-    band = np.array(band, dtype=np.intp)
-    masks = np.array(masks).reshape(band.size, n)
-    return lower_box_arrays(up, low, band, masks, np.array(totals, dtype=float), support, found)
+        elif kind is Exact:
+            up[k] = low[k] = s.point
+        else:
+            up[k] = np.minimum(s.upper, u)
+            low[k] = np.maximum(s.lower, l)
+    masks = np.array(masks).reshape(len(band), n)
+    return lower_box_arrays(up, low, np.array(band, dtype=np.intp), masks, np.array(totals), support, found)
 
 
 def lower_box_arrays(up, low, band, masks, totals, support: Polytope, found: dict):
@@ -596,21 +645,24 @@ def lower_box_arrays(up, low, band, masks, totals, support: Polytope, found: dic
 
     ``up``/``low`` (K, n) are each sample's own bounds, ``+-inf`` where it
     has none; the samples ``band`` are bandit totals instead, with
-    ``masks`` (len(band), n) and ``totals`` (len(band),).  ``found`` maps a
-    sample to the finding its gather already made, which is kept ahead of
-    the core's own.  Returns ``(boxes, findings)`` as
+    ``masks`` (len(band), n) and ``totals`` (len(band),), and no bounds of
+    their own.  ``found`` maps a sample to the finding its gather already
+    made, which is kept ahead of the core's own.  The support must be a
+    bounded box.  Returns ``(boxes, findings)`` as
     :func:`lower_box_scenarios` does.
 
     A bandit total over one component pins it at ``total / mask[j]``; one
     over two or more is the sample's row pair ``m @ c = t``.  Bounds merge
     as :meth:`Polytope.box_bounds` reads the sample's rows and then the
-    support's, first of equal bounds kept, and emptiness is the
-    ``FEAS_TOL`` residual of those rows at the candidate point that
-    :meth:`Polytope.feasible_point` uses for a box: the origin clipped into
-    the box, or, on a row pair, the point where the segment between the box
-    corners that minimise and maximise ``m @ c`` meets the equality.  A
-    sample holding NaN is rejected on its own, as NaN passes every residual
-    check.
+    support's, first of equal bounds kept.  A sample is empty when a row
+    misses by more than ``FEAS_TOL`` at the point that
+    :meth:`Polytope.feasible_point` uses for a box, the origin clipped into
+    the merged box: the sample's box rows, the support's rows (each read
+    from its one coefficient, :meth:`Polytope.box_rows`) and a one-component
+    total's row ``mask[j] c_j = t``.  A row pair is empty when ``t`` lies
+    more than ``FEAS_TOL`` outside the reachable interval ``[sum min(m lo,
+    m hi), sum max(m lo, m hi)]`` of ``m @ c`` over the box.  A sample
+    holding NaN is rejected on its own, as NaN passes every residual check.
     """
     num_k, n = up.shape
     l, u = support.box_bounds()
@@ -620,12 +672,14 @@ def lower_box_arrays(up, low, band, masks, totals, support: Polytope, found: dic
     m = np.zeros((num_k, n))
     t = np.full(num_k, np.nan)
     if band.size:
-        nnz = np.count_nonzero(masks, axis=1)
-        pair = nnz > 1
-        m[band[pair]] = masks[pair]
-        t[band[pair]] = totals[pair]
-        one = np.flatnonzero(nnz == 1)
-        if one.size:
+        nnz = np.add.reduce(masks != 0, axis=1)
+        m[band] = masks
+        t[band] = totals
+        if nnz.min() < 2:
+            single = band[nnz < 2]
+            m[single] = 0.0
+            t[single] = np.nan
+            one = np.flatnonzero(nnz == 1)
             j = np.argmax(masks[one] != 0, axis=1)
             bound_up, bound_low = up.copy(), low.copy()
             bound_up[band[one], j] = bound_low[band[one], j] = totals[one] / masks[one, j]
@@ -634,35 +688,36 @@ def lower_box_arrays(up, low, band, masks, totals, support: Polytope, found: dic
     # the sample's only when strictly tighter
     hi = np.where(bound_up <= u, bound_up, u)
     lo = np.where(bound_low >= l, bound_low, l)
-    x = np.clip(0.0, lo, hi)
-    eq = np.flatnonzero(~np.isnan(t))
-    if eq.size:
-        me, le, he, xe = m[eq], lo[eq], hi[eq], x[eq]
-        on = me != 0
-        down = np.where(me > 0, le, np.where(on, he, xe))
-        top = np.where(me > 0, he, np.where(on, le, xe))
-        v_down, v_up = (me * down).sum(axis=1), (me * top).sum(axis=1)
-        rising = v_up > v_down
-        theta = np.zeros(eq.size)
-        theta[rising] = (t[eq][rising] - v_down[rising]) / (v_up[rising] - v_down[rising])
-        theta = np.minimum(np.maximum(theta, 0.0), 1.0)
-        x[eq] = down + theta[:, None] * (top - down)
-
-    # a NaN interval bound survives the clipping into up/low
-    nan = np.isnan(up).any(axis=1) | np.isnan(low).any(axis=1)
+    x = np.minimum(np.maximum(0.0, lo), hi)
+    residual = np.maximum(x - up, low - x).max(axis=1, initial=-np.inf)
+    # x is finite, so a NaN bound of the sample's own shows as a NaN residual
+    nan = np.isnan(residual)
     if band.size:
         nan[band] |= np.isnan(masks).any(axis=1) | np.isnan(totals)
-    for k in np.flatnonzero(nan).tolist():
-        found.setdefault(k, Diagnostic("DimensionMismatch", f"scenario {k}: {_NAN}"))
-
-    residual = np.maximum(x - up, low - x).max(axis=1, initial=-np.inf)
-    if band.size:
-        mx = (masks * x[band]).sum(axis=1)
-        residual[band] = np.maximum(residual[band], np.maximum(mx - totals, totals - mx))
+        # the interval over [min(lo, hi), hi], which on a one-component
+        # total's coordinate is x even where it leaves the support (lo > hi),
+        # so its gap is its row's residual at x
+        top = hi.take(band, axis=0)
+        bottom = np.minimum(lo.take(band, axis=0), top)
+        bottom *= masks
+        top *= masks
+        below = np.minimum(bottom, top).sum(axis=1) - totals
+        above = totals - np.maximum(bottom, top).sum(axis=1)
+        residual[band] = np.maximum(residual[band], np.maximum(below, above))
     if support.num_rows:
-        residual = np.maximum(residual, (x @ support.rows_a.T - support.rows_b).max(axis=1))
-    for k in np.flatnonzero(residual > tol.FEAS_TOL).tolist():
-        found.setdefault(k, Diagnostic("EmptyIntersection", f"scenario {k} is incompatible with the support"))
+        cols, coefs = support.box_rows()
+        rows = x.take(cols, axis=1)
+        rows *= coefs
+        rows -= support.rows_b
+        residual = np.maximum(residual, rows.max(axis=1))
+
+    if nan.any():
+        for k in np.flatnonzero(nan).tolist():
+            found.setdefault(k, Diagnostic("DimensionMismatch", f"scenario {k}: {_NAN}"))
+    empty = residual > tol.FEAS_TOL
+    if empty.any():
+        for k in np.flatnonzero(empty).tolist():
+            found.setdefault(k, Diagnostic("EmptyIntersection", f"scenario {k} is incompatible with the support"))
 
     boxes = SampleBoxes(np.clip(lo, l, u), np.clip(hi, l, u), m, t, l, u)
     return boxes, [found[k] for k in sorted(found)]

@@ -670,22 +670,32 @@ def _best_saa_row(boxes: SampleBoxes, sense: str, gather):
     D.x``; a sample without an equality scores ``U.x`` (``L.x``).  The
     linear terms of all samples are summed per coordinate, sample by
     sample, before the gather; the nonlinear terms are added to the scores
-    one sample after another, and the value is the best score over K.
+    one sample after another, by one reduction per chunk of samples, and
+    the value is the best score over K.
     """
-    lo, hi, m = boxes.lo, boxes.hi, boxes.m
-    eq = boxes.eq
+    lo, hi, m, eq = boxes.lo, boxes.hi, boxes.m, boxes.eq
     scores = gather((np.where(m != 0, lo, hi) if sense == "min" else lo).sum(axis=0)[None])[0]
-    width = (hi - lo)[eq]
-    masked = np.where((m[eq] != 0) & (width > 0), width, 0.0)
-    offsets = boxes.t[eq] - (m[eq] * lo[eq]).sum(axis=1)
+    width, me = (hi - lo)[eq], m[eq]
+    masked = np.where((me != 0) & (width > 0), width, 0.0)
+    offsets = boxes.t[eq] - (me * lo[eq]).sum(axis=1)
     if sense == "max":
         offsets -= [math.fsum(d) for d in masked]
     step = max(1, _SAMPLE_CHUNK // scores.size)
     for i in range(0, masked.shape[0], step):
         covered, s = gather(masked[i : i + step]), offsets[i : i + step, None]
-        for term in np.minimum(s, covered) if sense == "min" else np.maximum(0.0, s + covered):
-            scores += term
-    row = int(np.argmin(scores) if sense == "min" else np.argmax(scores))
+        if sense == "min":
+            terms = np.minimum(s, covered, out=covered)
+        else:
+            terms = np.maximum(0.0, np.add(s, covered, out=covered), out=covered)
+        # one sum down the samples from the running score, ((s + t0) + t1) + ...:
+        # numpy adds a C-ordered block's rows one after another unless they
+        # are its fast axis, as in a one-decision table, where it pairs them
+        terms[0] += scores
+        if terms.shape[1] > 1:
+            np.add.reduce(terms, axis=0, out=scores)
+        else:
+            scores[:] = np.add.accumulate(terms[:, 0])[-1]
+    row = int(scores.argmin() if sense == "min" else scores.argmax())
     return float(scores[row]) / lo.shape[0], row
 
 

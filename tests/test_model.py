@@ -12,6 +12,7 @@ from dro.errors import DimensionMismatch, EmptyIntersection, InvalidInstance
 from dro.model import (
     Bandit,
     BiaffineLoss,
+    DataScenario,
     Exact,
     FeasibleSet,
     Interval,
@@ -520,6 +521,86 @@ class TestBoxFindings:
             "scenario 0 is incompatible with the support", "scenario 6 is incompatible with the support",
         ]
 
+    def test_emptiness_at_the_feas_tol_edge_agrees_with_lp(self):
+        # each verdict next to FEAS_TOL against the row path (lower_scenario,
+        # then one LP): bandit totals over two or more components and over
+        # one, FEAS_TOL / 2 inside, FEAS_TOL / 2 outside and 2 FEAS_TOL
+        # outside each end of the reachable interval, and points FEAS_TOL / 10
+        # and 10 FEAS_TOL outside a support written with scaled rows 2 c <= 2 u
+        f, lo, hi = tol.FEAS_TOL, self.lo, self.hi
+        n = lo.shape[0]
+        unit = Polytope.box(lo, hi)
+        scaled = Polytope(n, 2.0 * unit.rows_a, 2.0 * unit.rows_b)
+        cases = []
+        for mask in ([1.0, 1.0, 1.0, 0.0], [1.0, -1.0, 2.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, -1.0, 0.0]):
+            m = np.array(mask)
+            low = float(np.minimum(m * lo, m * hi).sum())
+            high = float(np.maximum(m * lo, m * hi).sum())
+            for total in (low - 2 * f, low - f / 2, low + f / 2, high - f / 2, high + f / 2, high + 2 * f):
+                cases.append((unit, Bandit(m, total)))
+        for j in range(n):
+            for point in (hi[j] + f / 10, hi[j] + 10 * f, lo[j] - f / 10, lo[j] - 10 * f):
+                p = (lo + hi) / 2
+                p[j] = point
+                cases.append((scaled, Exact(p)))
+        verdicts = []
+        for support, scen in cases:
+            inst = replace(self.instance(scen), support=support)
+            got = findings(inst)
+            assert got in ([], [("EmptyIntersection", "scenario 0 is incompatible with the support")])
+            try:
+                lp_empty = lp_feasible_point(lower_scenario(scen, support)) is None
+            except EmptyIntersection:
+                lp_empty = True
+            assert bool(got) == lp_empty, (scen, support.rows_b)
+            verdicts.append(bool(got))
+        assert verdicts.count(True) == 4 * 2 + n * 2
+
+
+class TestScenarioKinds:
+    def test_a_subclass_lowers_like_its_kind(self):
+        # box lowering dispatches on the kind a scenario's class derives
+        # from, so a subclass gets its base's boxes, equalities and findings
+        kinds = {}
+        for base in (Exact, Interval, SemiBandit, Bandit):
+            kinds[base] = type(f"My{base.__name__}", (base,), {})
+        scenarios = [
+            (Exact, (np.array([0.1, 0.5, 0.9]),)),
+            (Interval, (np.array([0.2, 0.0, 0.4]), np.array([0.6, 0.3, 2.0]))),
+            (SemiBandit, (((2, 0.7), (0, 0.25)),)),
+            (Bandit, (np.array([1.0, 0.0, 1.0]), 1.2)),
+            (Bandit, (np.array([0.0, 1.0, 0.0]), 0.4)),
+            (Exact, (np.zeros(2),)),
+            (SemiBandit, (((3, 0.5),),)),
+            (Bandit, (np.array([1.0, 1.0, 0.0]), 2.5)),
+        ]
+        base = sorting_instance(3, 1, tuple(kind(*args) for kind, args in scenarios))
+        derived = sorting_instance(3, 1, tuple(kinds[kind](*args) for kind, args in scenarios))
+        assert findings(derived) == findings(base) == [
+            ("DimensionMismatch", "scenario 5: scenario dimension mismatch"),
+            ("DimensionMismatch", "scenario 6: observed index out of range"),
+            ("EmptyIntersection", "scenario 7 is incompatible with the support"),
+        ]
+        clean = slice(0, 5)
+        want = validate_instance(replace(base, scenarios=base.scenarios[clean]))
+        got = validate_instance(replace(derived, scenarios=derived.scenarios[clean]))
+        for name in ("lo", "hi", "m", "t"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_an_unknown_kind_on_a_box_support_is_a_type_error(self):
+        # a scenario that derives from no known kind has no box rule; off a
+        # box support it still lowers through its own rows
+        class Pinned(DataScenario):
+            def rows(self, support):
+                n = support.num_vars
+                return np.vstack([np.eye(n), -np.eye(n)]), np.concatenate([np.full(n, 0.5), np.full(n, -0.5)])
+
+        inst = sorting_instance(3, 1, (Exact(np.full(3, 0.5)), Pinned()))
+        with pytest.raises(TypeError, match="Pinned"):
+            validate_instance(inst)
+        cut = replace(inst, support=cut_unit_box(2.0))
+        assert [p.feasible_point().tolist() for p in validate_instance(cut)] == [[0.5] * 3] * 2
+
 
 class TestFeasibleSet:
     def test_membership(self):
@@ -564,9 +645,9 @@ def writeable_arrays(value, path):
 
 # the public method that reads each cached fact
 _FACT_READERS = {
-    Polytope: ("is_box", "box_bounds", "unbounded_coordinates", "feasible_point"),
+    Polytope: ("is_box", "box_rows", "box_bounds", "unbounded_coordinates", "feasible_point"),
     BiaffineLoss: ("is_symmetric", "is_bilinear"),
-    FeasibleSet: ("matrix", "integer_mask", "unbounded_integers"),
+    FeasibleSet: ("matrix", "integer_mask", "unbounded_integers", "is_binary", "tolerant_bounds"),
 }
 
 

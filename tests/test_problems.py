@@ -34,7 +34,7 @@ from dro.problems import (
     spp_cop,
 )
 from dro.reformulate import solve_dro
-from dro.selfcheck import brute_force_coverage, saa_objective
+from dro.selfcheck import brute_force_coverage, random_saa_case, saa_objective
 from dro.solver import LE, LinearProgram, MixedIntegerProgram, ScipyBackend, solve_lp, solve_milp
 from coverage_search import reference_mcp_cop
 from enumeration import (
@@ -642,7 +642,56 @@ def _cost_boxes(skeleton, costs):
     return SampleBoxes(costs[None], costs[None], np.zeros((1, n)), np.full(1, np.nan), l, u)
 
 
+def _loop_best_saa_row(boxes, sense, gather):
+    """``problems._best_saa_row`` with each sample's nonlinear term added to
+    the scores by a Python loop, one sample after another."""
+    lo, hi, m, eq = boxes.lo, boxes.hi, boxes.m, boxes.eq
+    scores = gather((np.where(m != 0, lo, hi) if sense == "min" else lo).sum(axis=0)[None])[0]
+    width = (hi - lo)[eq]
+    masked = np.where((m[eq] != 0) & (width > 0), width, 0.0)
+    offsets = boxes.t[eq] - (m[eq] * lo[eq]).sum(axis=1)
+    if sense == "max":
+        offsets -= [math.fsum(d) for d in masked]
+    step = max(1, problems._SAMPLE_CHUNK // scores.size)
+    for i in range(0, masked.shape[0], step):
+        covered, s = gather(masked[i : i + step]), offsets[i : i + step, None]
+        for term in np.minimum(s, covered) if sense == "min" else np.maximum(0.0, s + covered):
+            scores += term
+    row = int(np.argmin(scores) if sense == "min" else np.argmax(scores))
+    return float(scores[row]) / lo.shape[0], row
+
+
 class TestSaaTables:
+    @pytest.mark.parametrize("chunk", [None, 1, 64])
+    def test_sample_terms_sum_like_the_loop(self, monkeypatch, chunk):
+        # the one sum down the samples adds the terms in the loop's order,
+        # ((s + t0) + t1) + ..., so the sorting, routing and coverage tables
+        # give the loop's value and row bit for bit in both senses, also on
+        # a one-decision table and when the samples come in chunks of one or
+        # a few
+        if chunk is not None:
+            monkeypatch.setattr(problems, "_SAMPLE_CHUNK", chunk)
+        real, calls = problems._best_saa_row, []
+        monkeypatch.setattr(problems, "_best_saa_row", lambda *args: calls.append(args) or real(*args))
+        rng = np.random.default_rng(47)
+        families, sizes, with_eq = set(), set(), 0
+        for t in range(36):
+            skeleton, boxes, senses = random_saa_case(rng, t)
+            skeleton.structure.saa(boxes, senses[0])
+            (_, _, gather), = calls
+            calls.clear()
+            families.add(type(skeleton.structure).__name__)
+            sizes.add(gather(boxes.lo[:1]).shape[1])
+            with_eq += int(boxes.eq.sum() > 1)
+            for sense in ("min", "max"):
+                value, row = real(boxes, sense, gather)
+                want_value, want_row = _loop_best_saa_row(boxes, sense, gather)
+                assert row == want_row
+                assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+        assert families == {"Cardinality", "LayeredGraph", "CoverageSystem"}
+        assert 1 in sizes and max(sizes) > 64  # a one-decision table, and chunks of one sample
+        assert with_eq > 20
+
     @pytest.mark.parametrize("case", _saa_skeletons(), ids=lambda c: f"{c[0]}-{c[3]}")
     def test_each_decision_once(self, case):
         family, skeleton, structure, count = case
