@@ -654,7 +654,10 @@ def lower_box_arrays(up, low, band, masks, totals, support: Polytope, found: dic
     A bandit total over one component pins it at ``total / mask[j]``; one
     over two or more is the sample's row pair ``m @ c = t``.  Bounds merge
     as :meth:`Polytope.box_bounds` reads the sample's rows and then the
-    support's, first of equal bounds kept.  A sample is empty when a row
+    support's, first of equal bounds kept; the sign of a zero bound in the
+    returned boxes is not defined, as their final clip into the support's
+    box breaks a ``0.0``/``-0.0`` tie one way in numpy's scalar loop and the
+    other in its vector loop.  A sample is empty when a row
     misses by more than ``FEAS_TOL`` at the point that
     :meth:`Polytope.feasible_point` uses for a box, the origin clipped into
     the merged box: the sample's box rows, the support's rows (each read

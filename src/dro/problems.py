@@ -707,10 +707,14 @@ def _score_table(rows: np.ndarray, n: int, boxes: SampleBoxes, sense: str):
         raise DimensionMismatch("one box per decision coordinate required")
 
     def gather(weights):
-        total = weights.take(rows[0], axis=1)
+        # rows of the (n, k) transpose added one table row after another:
+        # one (h, P, k) gather would cost 466 KB a call at (6, 3) paths and
+        # 40 samples, and numpy would pair its terms in a one-decision table
+        wt = np.ascontiguousarray(weights.T)
+        total = wt.take(rows[0], axis=0)
         for r in rows[1:]:
-            total += weights.take(r, axis=1)
-        return total
+            total += wt.take(r, axis=0)
+        return np.ascontiguousarray(total.T)
 
     value, p = _best_saa_row(boxes, sense, gather)
     x = np.zeros(n)

@@ -13,12 +13,15 @@ another layout than the tableau's is solved cold.  A solve against a basis
 factorizes only its structural core (:meth:`StandardForm.basis_solve`): a
 basic slack is a signed unit column, so it and the row it covers drop out.
 
-Every path ends in the same primal phase two and a clean re-solve of ``x``
-against the final basis.  The primal rule is Dantzig (most negative reduced
-cost); the dual rule takes the most negative basic value as the leaving row.
-Ratio-test ties go to the lowest index, and after ``STALL_PIVOTS``
-consecutive non-improving pivots either loop switches to Bland's rule, which
-guarantees termination.  All ties are broken deterministically, so identical
+Every path ends in the same primal phase two, which prices the real columns
+alone, and a clean re-solve of ``x`` against the final basis.  The primal
+rule is Dantzig (most negative reduced cost); the dual rule takes the most
+negative basic value as the leaving row.  Ratio-test ties go to the lowest
+index: among the rows within ``PIVOT_TOL`` of the smallest primal ratio, the
+one with the lowest basic column leaves, and among the near-minimal dual
+ratios the lowest column enters.  After ``STALL_PIVOTS`` consecutive
+non-improving pivots either loop switches to Bland's rule, which guarantees
+termination.  All ties are broken deterministically, so identical
 inputs produce identical pivot sequences and identical results.
 
 The kernel uses numpy alone.  scipy loads an OpenBLAS of its own, and
@@ -55,6 +58,11 @@ def _as_1d(v, n=None, name="vector"):
     if n is not None and arr.shape[0] != n:
         raise DimensionMismatch(f"{name} has length {arr.shape[0]}, expected {n}")
     return arr
+
+
+def _check_bounds(lower, upper):
+    if (lower == np.inf).any() or (upper == -np.inf).any():
+        raise ValueError("empty variable bound")
 
 
 @dataclass(eq=False)
@@ -102,8 +110,7 @@ class LinearProgram:
         self.rel.flags.writeable = False
         self.lower = _as_1d(self.lower, n, "lower bounds")
         self.upper = _as_1d(self.upper, n, "upper bounds")
-        if np.any(self.lower == np.inf) or np.any(self.upper == -np.inf):
-            raise ValueError("empty variable bound")
+        _check_bounds(self.lower, self.upper)
         if self.sense not in ("min", "max"):
             raise ValueError("sense must be 'min' or 'max'")
         self.c0 = float(self.c0)
@@ -133,8 +140,7 @@ class LinearProgram:
         out = copy.copy(self)
         out.lower = _as_1d(lower, self.n, "lower bounds")
         out.upper = _as_1d(upper, self.n, "upper bounds")
-        if np.any(out.lower == np.inf) or np.any(out.upper == -np.inf):
-            raise ValueError("empty variable bound")
+        _check_bounds(out.lower, out.upper)
         return out
 
     def residuals(self, x) -> np.ndarray:
@@ -309,10 +315,11 @@ class StandardForm:
         if basis is None or basis.layout != self.layout:
             return None
         rows, cols = basis.rows, basis.cols
-        nonbasic = _nonbasic(self.a.shape[1] + 1, cols)
+        # the tableau columns that are not basic, the rhs last
+        nonbasic = np.delete(np.arange(self.a.shape[1] + 1), cols)
         # [A_N | b] on the basis rows, gathered without a copy of a[rows]
-        t = np.empty((rows.size, np.count_nonzero(nonbasic)))
-        t[:, :-1] = self.a[np.ix_(rows, np.flatnonzero(nonbasic[:-1]))]
+        t = np.empty((rows.size, nonbasic.size))
+        t[:, :-1] = self.a[np.ix_(rows, nonbasic[:-1])]
         t[:, -1] = self.rhs(lp)[1][rows]
         try:
             sol = self.basis_solve(rows, cols, t)
@@ -322,16 +329,9 @@ class StandardForm:
             return None
         # dual feasible: no reduced cost c_j - c_B B^-1 A_j below -PIVOT_TOL
         reduced = self.costs[nonbasic[:-1]] - self.costs[cols] @ sol[:, :-1]
-        if np.any(reduced < -tol.PIVOT_TOL):
+        if (reduced < -tol.PIVOT_TOL).any():
             return None
-        return ParentTableau(self, lp.lower, lp.upper, basis, sol)
-
-
-def _nonbasic(width, cols):
-    """Mask of the tableau columns, rhs included, that are not in ``cols``."""
-    nonbasic = np.ones(width, dtype=bool)
-    nonbasic[cols] = False
-    return nonbasic
+        return ParentTableau(self, lp.lower, lp.upper, basis, nonbasic, sol)
 
 
 @dataclass(eq=False)
@@ -341,11 +341,11 @@ class ParentTableau:
     solved from it (a branch & bound node's children and polish LP).
 
     T is solved once, from the basis's structural core; only its nonbasic
-    columns and the rhs are kept (``nonbasic_t``): the basic columns of T
-    are the identity.  A solve from it rebuilds T from them and shifts only
-    the rhs: raising the lower bound of column j by d moves it by -d T[:, j],
-    and moving the upper bound of a capped column j by d moves it by
-    +d T[:, s_j], where s_j is the slack of j's bound row.
+    columns ``nonbasic`` (the rhs last) are kept, as ``nonbasic_t``: the
+    basic columns of T are the identity.  A solve from it rebuilds T from
+    them and shifts only the rhs: raising the lower bound of column j by d
+    moves it by -d T[:, j], and moving the upper bound of a capped column j
+    by d moves it by +d T[:, s_j], where s_j is the slack of j's bound row.
     The basis stays dual feasible, so no factorization is needed before the
     dual simplex.  A program of another layout than ``form`` is solved cold.
     """
@@ -354,6 +354,7 @@ class ParentTableau:
     lower: np.ndarray
     upper: np.ndarray
     basis: Basis
+    nonbasic: np.ndarray
     nonbasic_t: np.ndarray
 
     def start(self, lp: LinearProgram) -> _Tableau:
@@ -361,7 +362,7 @@ class ParentTableau:
         have the form's layout."""
         rows, cols = self.basis.rows, self.basis.cols
         t = np.zeros((rows.size, self.form.a.shape[1] + 1))
-        t[:, _nonbasic(t.shape[1], cols)] = self.nonbasic_t
+        t[:, self.nonbasic] = self.nonbasic_t
         t[np.arange(rows.size), cols] = 1.0
         moved = np.flatnonzero(lp.lower != self.lower)
         if moved.size:
@@ -391,12 +392,13 @@ class _Stall:
 
 class _Tableau:
     """Dense simplex tableau [T | rhs] over A z = b, z >= 0, with the basic
-    column and the standard-form row of each of its rows."""
+    column and the standard-form row of each of its rows (index arrays,
+    copied from the caller's)."""
 
     def __init__(self, t, basis, rows):
         self.t = t
-        self.basis = list(basis)
-        self.rows = list(rows)
+        self.basis = np.array(basis, dtype=np.intp)
+        self.rows = np.array(rows, dtype=np.intp)
         self.pivots = 0
 
     def _eliminate(self, row, col):
@@ -405,8 +407,8 @@ class _Tableau:
         mult = self.t[:, col].copy()
         mult[row] = 0.0
         prow = self.t[row]
-        cz = np.flatnonzero(prow)
-        self.t[:, cz] -= np.outer(mult, prow[cz])
+        cz = prow.nonzero()[0]
+        self.t[:, cz] -= mult[:, None] * prow[cz]
 
     def objective_row(self, costs):
         """Reduced costs of ``costs`` under the current basis; last entry is
@@ -423,36 +425,32 @@ class _Tableau:
         self.basis[row] = col
         self.pivots += 1
 
-    def run(self, costs, allowed):
-        """Minimize ``costs`` over the allowed columns from the current,
-        primal feasible basis (primal simplex)."""
+    def run(self, costs, width):
+        """Minimize ``costs`` over the first ``width`` columns from the
+        current, primal feasible basis (primal simplex)."""
         obj = self.objective_row(costs)
+        rc = obj[:width]  # a view: each pivot updates it in place
         stall = _Stall()
         while True:
-            rc = obj[:-1].copy()
-            rc[~allowed] = np.inf
             if stall.bland:
-                neg = np.flatnonzero(rc < -tol.PIVOT_TOL)
+                neg = (rc < -tol.PIVOT_TOL).nonzero()[0]
                 if neg.size == 0:
                     return OPTIMAL
                 col = int(neg[0])
             else:
-                col = int(np.argmin(rc))
+                col = int(rc.argmin())
                 if rc[col] >= -tol.PIVOT_TOL:
                     return OPTIMAL
             if self.pivots >= tol.MAX_PIVOTS:
                 return ITERLIMIT
             column = self.t[:, col]
-            rhs = self.t[:, -1]
-            pos = column > tol.PIVOT_TOL
-            if not pos.any():
+            pos = (column > tol.PIVOT_TOL).nonzero()[0]
+            if pos.size == 0:
                 return UNBOUNDED
-            ratios = np.full(column.shape, np.inf)
-            ratios[pos] = rhs[pos] / column[pos]
-            best_ratio = ratios.min()
-            near = np.flatnonzero(ratios <= best_ratio + tol.PIVOT_TOL)
+            ratios = self.t[pos, -1] / column[pos]
+            near = pos[ratios <= ratios.min() + tol.PIVOT_TOL]
             # ties by lowest basic-variable index keeps Bland's rule valid
-            row = int(min(near, key=lambda i: self.basis[i]))
+            row = int(near[self.basis[near].argmin()])
             before = obj[-1]
             self.pivot(row, col, obj)
             stall.record(obj[-1] - before)
@@ -469,12 +467,16 @@ class _Tableau:
         stall = _Stall()
         while True:
             rhs = self.t[:, -1]
-            short = np.flatnonzero(rhs < -tol.PIVOT_TOL)
-            # leaving row: most negative value, or under Bland's rule the
-            # lowest basic index; ties by lowest row
-            key = np.asarray(self.basis)[short] if stall.bland else rhs[short]
-            for row in short[np.argsort(key, kind="stable")]:
-                entering = np.flatnonzero(self.t[row, :-1] < -tol.PIVOT_TOL)
+            short = (rhs < -tol.PIVOT_TOL).nonzero()[0]
+            if short.size == 0:
+                return OPTIMAL
+            if short.size > 1:
+                # leaving row: most negative value, or under Bland's rule the
+                # lowest basic index; ties by lowest row
+                key = self.basis[short] if stall.bland else rhs[short]
+                short = short[np.argsort(key, kind="stable")]
+            for row in short:
+                entering = (self.t[row, :-1] < -tol.PIVOT_TOL).nonzero()[0]
                 if entering.size:
                     break
                 if rhs[row] < infeasible_below:
@@ -484,15 +486,15 @@ class _Tableau:
             if self.pivots >= tol.MAX_PIVOTS:
                 return ITERLIMIT
             ratios = np.maximum(obj[entering], 0.0) / -self.t[row, entering]
-            col = int(entering[np.flatnonzero(ratios <= ratios.min() + tol.PIVOT_TOL)[0]])
+            col = int(entering[(ratios <= ratios.min() + tol.PIVOT_TOL).nonzero()[0][0]])
             before = obj[-1]
             self.pivot(int(row), col, obj)
             stall.record(before - obj[-1])
 
     def drop_row(self, i):
         self.t = np.delete(self.t, i, axis=0)
-        del self.basis[i]
-        del self.rows[i]
+        self.basis = np.delete(self.basis, i)
+        self.rows = np.delete(self.rows, i)
 
     def solution(self, ncols):
         z = np.zeros(ncols)
@@ -525,7 +527,7 @@ def _cold_start(sf: StandardForm, b, infeasible_above):
         return tab, OPTIMAL
     phase1 = np.zeros(ncols)
     phase1[n_real:] = 1.0
-    status = tab.run(phase1, np.ones(ncols, dtype=bool))
+    status = tab.run(phase1, ncols)
     if status == ITERLIMIT:
         return tab, ITERLIMIT
     art_sum = float(phase1[tab.basis] @ tab.t[:, -1])
@@ -583,7 +585,7 @@ def solve_lp(lp: LinearProgram, start: ParentTableau | None = None) -> SolveResu
         n_real = sf.a.shape[1]
         costs = np.zeros(ncols)
         costs[:n_real] = sf.costs
-        status = tab.run(costs, np.arange(ncols) < n_real)
+        status = tab.run(costs, n_real)
     if status != OPTIMAL:
         return SolveResult(status, pivots=tab.pivots)
     return _result_at_basis(lp, sf, lo, b, tab)
@@ -592,8 +594,7 @@ def solve_lp(lp: LinearProgram, start: ParentTableau | None = None) -> SolveResu
 def _result_at_basis(lp: LinearProgram, sf: StandardForm, lo, b, tab: _Tableau) -> SolveResult:
     """The optimal result at the tableau's final basis; the clean re-solve
     of ``x`` against the standard-form data removes pivot drift."""
-    kept = np.array(tab.rows, dtype=np.int32)
-    cols = np.array(tab.basis, dtype=np.int32)
+    kept, cols = tab.rows, tab.basis
     n_real = sf.a.shape[1]
     try:
         z = np.zeros(n_real)

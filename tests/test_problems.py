@@ -661,6 +661,15 @@ def _loop_best_saa_row(boxes, sense, gather):
     return float(scores[row]) / lo.shape[0], row
 
 
+def _loop_gather(rows, weights):
+    """The table gather by one column set per table row, added one row after
+    another."""
+    total = weights.take(rows[0], axis=1)
+    for r in rows[1:]:
+        total += weights.take(r, axis=1)
+    return total
+
+
 class TestSaaTables:
     @pytest.mark.parametrize("chunk", [None, 1, 64])
     def test_sample_terms_sum_like_the_loop(self, monkeypatch, chunk):
@@ -691,6 +700,30 @@ class TestSaaTables:
         assert families == {"Cardinality", "LayeredGraph", "CoverageSystem"}
         assert 1 in sizes and max(sizes) > 64  # a one-decision table, and chunks of one sample
         assert with_eq > 20
+
+    def test_gather_adds_like_the_loop(self, monkeypatch):
+        # routing tables up to h = 17 and sorting tables, one-decision ones
+        # included, against one and many weight rows spanning 16 decades:
+        # the same bytes as the loop, C-ordered
+        gathers = []
+        monkeypatch.setattr(problems, "_best_saa_row",
+                            lambda boxes, sense, gather: gathers.append(gather) or (0.0, 0))
+        tables = [(_path_arcs(LayeredGraph(h, r)), LayeredGraph(h, r).num_arcs)
+                  for h, r in ((2, 1), (5, 3), (9, 2), (17, 1), (17, 2))]
+        tables += [(_colex(n, h), n) for n, h in ((1, 1), (8, 8), (12, 5), (20, 17))]
+        rng = np.random.default_rng(48)
+        for rows, n in tables:
+            zeros = np.zeros((1, n))
+            problems._score_table(rows, n, SampleBoxes(zeros, zeros, zeros, np.full(1, np.nan),
+                                                       zeros[0], zeros[0]), "min")
+            gather = gathers.pop()
+            for k in (1, 2, 25):
+                if k * rows.size > 2**21:
+                    continue
+                weights = rng.normal(size=(k, n)) * 10.0 ** rng.integers(-8, 8, size=(k, n))
+                got = gather(weights)
+                assert got.flags.c_contiguous
+                assert got.tobytes() == _loop_gather(rows, weights).tobytes()
 
     @pytest.mark.parametrize("case", _saa_skeletons(), ids=lambda c: f"{c[0]}-{c[3]}")
     def test_each_decision_once(self, case):

@@ -308,6 +308,62 @@ def test_dual_loop_switches_to_bland_after_stall(monkeypatch, pivot_log, forbid_
     assert dantzig[0] == bland[0] and dantzig[1] != bland[1]
 
 
+def test_primal_loop_switches_to_bland_after_stall(monkeypatch, pivot_log):
+    # the first pivot, x0 into the row with rhs 0, is degenerate; then x1 and
+    # x2 both have negative reduced costs, and Dantzig takes x2 (the most
+    # negative) where Bland takes x1 (the lowest index)
+    lp = box_lp([-2.0, 0.0, -1.0], [[1.0, -1.0, -2.0]], [LE], [0.0], [0.0] * 3, [2.0] * 3)
+    runs = []
+    for stall in (tol.STALL_PIVOTS, 1):
+        monkeypatch.setattr(tol, "STALL_PIVOTS", stall)
+        pivot_log.clear()
+        res = solve_lp(lp)
+        assert res.status == OPTIMAL
+        assert res.value == pytest.approx(-6.0, abs=1e-12)
+        runs.append(list(pivot_log))
+    dantzig, bland = runs
+    assert dantzig[0] == bland[0] == (0, 0)
+    assert dantzig[1] == (1, 2) and bland[1] == (1, 1)
+
+
+def test_primal_ratio_tie_leaves_the_lowest_basic_column(pivot_log):
+    # min y s.t. x + y >= 1, x <= 1: row 0 starts on its artificial (column
+    # 4, after x, y and both slacks) and row 1 on its slack (column 3).  x
+    # enters first, at ratio 1 in both rows; the row whose basic column is
+    # lower, row 1, leaves, though row 0 comes first
+    lp = box_lp([0.0, 1.0], [[1.0, 1.0], [1.0, 0.0]], [GE, LE], [1.0, 1.0],
+                [0.0, 0.0], [np.inf, np.inf])
+    assert kernel.StandardForm(lp).a.shape == (2, 4)
+    res = solve_lp(lp)
+    assert res.status == OPTIMAL and res.value == 0.0
+    assert pivot_log[0] == (1, 0)
+
+
+def test_phase_two_enters_no_artificial_column(monkeypatch, pivot_log):
+    # min 2y s.t. x + y >= 3, 2x >= 1: after phase one the reduced costs of
+    # the phase-two objective are most negative at an artificial column, so
+    # only the width of the phase-two run keeps it out
+    lp = box_lp([0.0, 2.0], [[1.0, 1.0], [2.0, 0.0]], [GE, GE], [3.0, 1.0],
+                [0.0, 0.0], [np.inf, np.inf])
+    n_real = kernel.StandardForm(lp).a.shape[1]
+    phase_one = {}
+    cold_start = kernel._cold_start
+
+    def recording(sf, b, infeasible_above):
+        tab, status = cold_start(sf, b, infeasible_above)
+        costs = np.zeros(tab.t.shape[1] - 1)
+        costs[:n_real] = sf.costs
+        phase_one.update(pivots=len(pivot_log), rc=tab.objective_row(costs)[:-1])
+        return tab, status
+
+    monkeypatch.setattr(kernel, "_cold_start", recording)
+    res = solve_lp(lp)
+    assert res.status == OPTIMAL and res.value == 0.0
+    assert phase_one["rc"].size > n_real and phase_one["rc"].argmin() >= n_real
+    phase_two = pivot_log[phase_one["pivots"]:]
+    assert phase_two and all(col < n_real for _, col in phase_two)
+
+
 def test_warm_path_honours_max_pivots(monkeypatch, forbid_cold):
     lp = box_lp(**BLAND_LP)
     tableau = _tableau(lp)
