@@ -53,13 +53,13 @@ def milp_cop(feasible: FeasibleSet, backend=None):
     backend = backend or ReferenceKernel()
     template = LinearProgram(
         np.zeros(feasible.n),
-        feasible.matrix(),
+        feasible.matrix,
         tuple(["<="] * feasible.num_rows),
         feasible.rhs,
         np.zeros(feasible.n),
         feasible.upper,
     )
-    integer = feasible.integer_mask()
+    integer = feasible.integer_mask
 
     def solve(costs, sense="min"):
         lp = dataclasses.replace(template, c=costs, sense=sense)
@@ -95,9 +95,9 @@ def endpoint_fits(inst: ProblemInstance, lowered) -> bool:
     ``c.x``, validation returned :class:`~dro.model.SampleBoxes`, and every
     equality is a 0/1 mask over binary decisions, which the McCormick rows
     of the sample-average MILP need."""
-    if not inst.loss.is_bilinear() or not isinstance(lowered, SampleBoxes):
+    if not inst.loss.is_bilinear or not isinstance(lowered, SampleBoxes):
         return False
-    return not lowered.eq.any() or (inst.feasible.is_binary() and lowered.zero_one)
+    return not lowered.eq.any() or (inst.feasible.is_binary and lowered.zero_one)
 
 
 def solve_endpoints(
@@ -193,7 +193,7 @@ def _saa_milp(feasible: FeasibleSet, boxes: SampleBoxes, sense: str, backend):
     a[rows, ii] = sign
     a[rows, n + kk] = -sign
     a[rows, n + nb + rows] = -1.0
-    a[nw:, :n] = feasible.matrix()
+    a[nw:, :n] = feasible.matrix
     rhs = np.zeros(nw + feasible.num_rows)
     rhs[nw:] = feasible.rhs
     upper = np.full(nvar, np.inf)

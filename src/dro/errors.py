@@ -17,6 +17,10 @@ class EmptyIntersection(DroError):
     """A data scenario has empty intersection with the support polytope."""
 
 
+class InvertedInterval(EmptyIntersection):
+    """An interval scenario's lower bound exceeds its upper bound."""
+
+
 class BadCardinality(DroError):
     """Requested selection size is outside [1, n]."""
 

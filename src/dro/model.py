@@ -2,32 +2,37 @@
 
 A problem couples a mixed-integer feasible set, a biaffine loss, a bounded
 support polytope for the random cost vector, and one uncertainty scenario per
-training sample.  Every scenario lowers to an explicit inequality system
-(its constraints intersected with the support), which is the only shape the
-reformulation layer consumes.  Equalities are always stored as paired
-inequalities so the solver kernel sees a single constraint form.
+training sample.  Scenarios lower one of two ways.  On a box support every
+sample lowers at once into the arrays of a :class:`SampleBoxes` (each
+sample's box and at most one equality), which the compact dual MILP and the
+closed forms read.  On any other support each scenario lowers to an explicit
+inequality system, its constraints stacked on the support's, which the full
+dual MILP reads.  Equalities are always stored as paired inequalities so the
+solver kernel sees a single constraint form.  A scenario kind's rules (its
+shape rules, rows, part of the box lowering and JSON form) live in its class.
 
 All types are immutable after construction and safe to share across workers.
 The arrays of a polytope, loss, feasible set and scenario are read-only, and
-so is every fact derived from them, computed once per object on first use
-and kept: a polytope's box test, row coefficients, box bounds, unbounded
-coordinates and feasible point, a loss's symmetry and bilinearity, and a
-feasible set's constraint matrix, integer mask, integer coordinates without
-an upper bound, 0/1 test and bounds widened by ``FEAS_TOL``.  Instances drawn from one generated problem share its objects, so a
-sweep validating each of them with :func:`problem_findings` re-derives none
-of these facts and keeps no memo of its own.
+so is every fact derived from them, a cached property computed once per
+object on first use and kept: a polytope's box test, row coefficients, box
+bounds, unbounded coordinates and feasible point, a loss's symmetry and
+bilinearity, and a feasible set's constraint matrix, integer mask, integer
+coordinates without an upper bound, 0/1 test and bounds widened by
+``FEAS_TOL``.  Instances drawn from one generated problem share its objects,
+so a sweep validating each of them with :func:`problem_findings` re-derives
+none of these facts and keeps no memo of its own.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DimensionMismatch, EmptyIntersection, InvalidInstance
+from .errors import DimensionMismatch, DroError, EmptyIntersection, InvalidInstance, InvertedInterval
 from .solver import LE, OPTIMAL, LinearProgram, solve_lp
 
 
@@ -35,6 +40,13 @@ def _freeze(arr, dtype=float) -> np.ndarray:
     out = np.array(arr, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _whole(value, name: str) -> int:
+    """``value`` as an int, refused unless an int or numpy integer (a float, bool or string)."""
+    if type(value) is not int and not isinstance(value, np.integer):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(eq=False)
@@ -81,40 +93,31 @@ class Polytope:
             return True
         return bool(np.all(self.rows_a @ c <= self.rows_b + tol.FEAS_TOL))
 
+    @cached_property
     def is_box(self) -> bool:
         """True when every row constrains a single coordinate."""
-        return self._is_box
-
-    @cached_property
-    def _is_box(self) -> bool:
         return bool(np.all((np.abs(self.rows_a) > 0).sum(axis=1) <= 1))
 
+    @cached_property
+    def box_rows(self):
+        """Read-only ``(cols, coefs)``: the column and coefficient of each
+        row's first nonzero entry (column 0 and coefficient 0 on an all-zero
+        row), all of the row on a box-shaped system."""
+        cols = (self.rows_a != 0).argmax(axis=1)
+        return _freeze(cols, np.intp), _freeze(self.rows_a[np.arange(self.num_rows), cols])
+
+    @cached_property
     def box_bounds(self):
         """Per-coordinate (lower, upper) bounds as read-only arrays.
 
         Structural for box-shaped systems, otherwise 2n LP solves run once per
         polytope; entries are ``+-inf`` where the polytope is unbounded.
         """
-        return self._box_bounds
-
-    def box_rows(self):
-        """Read-only ``(cols, coefs)``: the column and coefficient of each
-        row's first nonzero entry (column 0 and coefficient 0 on an all-zero
-        row), all of the row on a box-shaped system."""
-        return self._box_rows
-
-    @cached_property
-    def _box_rows(self):
-        cols = (self.rows_a != 0).argmax(axis=1)
-        return _freeze(cols, np.intp), _freeze(self.rows_a[np.arange(self.num_rows), cols])
-
-    @cached_property
-    def _box_bounds(self):
         n = self.num_vars
-        if self.is_box():
+        if self.is_box:
             lo = [-np.inf] * n
             hi = [np.inf] * n
-            cols, coefs = self.box_rows()
+            cols, coefs = self.box_rows
             for j, coef, b in zip(cols.tolist(), coefs.tolist(), self.rows_b.tolist()):
                 if coef == 0:  # an all-zero row bounds nothing
                     continue
@@ -144,16 +147,15 @@ class Polytope:
                     target[j] = -np.inf if sense == "min" else np.inf
         return _freeze(lo), _freeze(hi)
 
-    def unbounded_coordinates(self) -> np.ndarray:
-        """Read-only indices of the coordinates on which :meth:`box_bounds`
-        is infinite."""
-        return self._unbounded_coordinates
-
     @cached_property
-    def _unbounded_coordinates(self) -> np.ndarray:
-        lo, hi = self.box_bounds()
+    def unbounded_coordinates(self) -> np.ndarray:
+        """Read-only indices of the coordinates on which :attr:`box_bounds`
+        is infinite."""
+        lo, hi = self.box_bounds
         return _freeze(np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi))), np.intp)
 
+    # a method, not a cached property: perfbench/spans.py wraps it by name
+    # as a callable to count the feasibility LPs
     def feasible_point(self):
         """Any point satisfying all rows as a read-only array, or None when
         the system is empty.
@@ -167,8 +169,8 @@ class Polytope:
     @cached_property
     def _feasible_point(self):
         n = self.num_vars
-        if self.is_box():
-            x = np.clip(np.zeros(n), *self.box_bounds())
+        if self.is_box:
+            x = np.clip(np.zeros(n), *self.box_bounds)
         else:
             res = solve_lp(
                 LinearProgram(
@@ -215,21 +217,15 @@ class BiaffineLoss:
     def n(self) -> int:
         return self.t_x.shape[0]
 
+    @cached_property
     def is_symmetric(self) -> bool:
         """Whether ``t_xx`` equals its transpose within ``VALUE_TOL``."""
-        return self._is_symmetric
-
-    @cached_property
-    def _is_symmetric(self) -> bool:
         return bool(np.allclose(self.t_xx, self.t_xx.T, atol=tol.VALUE_TOL, rtol=0.0))
 
+    @cached_property
     def is_bilinear(self) -> bool:
         """Whether the loss is exactly the plain cost form c.x of
         :meth:`bilinear`, the only loss the closed forms model."""
-        return self._is_bilinear
-
-    @cached_property
-    def _is_bilinear(self) -> bool:
         return bool(
             np.array_equal(self.t_xx, np.eye(self.n))
             and not self.t_x.any()
@@ -281,54 +277,39 @@ class FeasibleSet:
     def num_rows(self) -> int:
         return self.g1.shape[0]
 
+    @cached_property
     def matrix(self) -> np.ndarray:
         """The read-only (num_rows, n) block ``[g1 g2]``."""
-        return self._matrix
-
-    @cached_property
-    def _matrix(self) -> np.ndarray:
         return _freeze(np.hstack([self.g1, self.g2]))
 
+    @cached_property
     def integer_mask(self) -> np.ndarray:
         """Read-only (n,) bool mask of the integer coordinates."""
-        return self._integer_mask
-
-    @cached_property
-    def _integer_mask(self) -> np.ndarray:
         return _freeze(np.arange(self.n) >= self.n_cont, bool)
 
+    @cached_property
     def unbounded_integers(self) -> np.ndarray:
         """Read-only indices of the integer coordinates without a finite
         upper bound."""
-        return self._unbounded_integers
+        return _freeze(np.flatnonzero(self.integer_mask & ~np.isfinite(self.upper)), np.intp)
 
     @cached_property
-    def _unbounded_integers(self) -> np.ndarray:
-        return _freeze(np.flatnonzero(self.integer_mask() & ~np.isfinite(self.upper)), np.intp)
-
     def is_binary(self) -> bool:
         """Whether every decision is an integer with an upper bound of at
         most 1, so each is 0 or 1."""
-        return self._is_binary
-
-    @cached_property
-    def _is_binary(self) -> bool:
         return self.n_cont == 0 and bool(np.all(self.upper <= 1.0))
 
+    @cached_property
     def tolerant_bounds(self):
         """Read-only ``(upper + FEAS_TOL, rhs + FEAS_TOL)``, the bounds that
         :meth:`contains` tests."""
-        return self._tolerant_bounds
-
-    @cached_property
-    def _tolerant_bounds(self):
         return _freeze(self.upper + tol.FEAS_TOL), _freeze(self.rhs + tol.FEAS_TOL)
 
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise DimensionMismatch("decision dimension mismatch")
-        upper, rhs = self.tolerant_bounds()
+        upper, rhs = self.tolerant_bounds
         if (x < -tol.FEAS_TOL).any() or (x > upper).any():
             return False
         ints = x[self.n_cont :]
@@ -336,7 +317,7 @@ class FeasibleSet:
             return False
         if self.num_rows == 0:
             return True
-        return bool((self.matrix() @ x <= rhs).all())
+        return bool((self.matrix @ x <= rhs).all())
 
 
 # the DimensionMismatch reasons a scenario gives, on either lowering path
@@ -347,12 +328,45 @@ _NAN = "scenario data holds NaN"
 
 
 class DataScenario:
-    """What is known about one training sample."""
+    """What is known about one training sample.
+
+    A scenario kind is a dataclass deriving from this class, with ``kind``
+    its JSON tag and its fields the keys that go with it.  Its
+    ``check_shape(n)`` raises at the first shape rule broken; :meth:`rows`
+    and :meth:`gather` apply it first.  A subclass of a kind lowers and
+    saves as that kind; any other subclass has no box rule and no JSON
+    form, and lowers only through its own :meth:`rows`.
+    """
+
+    kind = None
 
     def rows(self, support: Polytope):
         """The scenario's own constraint rows as (matrix, rhs), before the
         support's rows are appended."""
         raise NotImplementedError
+
+    def gather(self, k: int, support: Polytope, up, low, band: list):
+        """Put sample ``k`` into the arrays of :func:`lower_box_scenarios`:
+        its own bounds into row ``k`` of ``up``/``low``, or ``(k, mask,
+        total)`` onto ``band``, after its shape rules."""
+        raise TypeError(f"box lowering has no rule for scenario type {type(self).__name__}")
+
+    def to_dict(self) -> dict:
+        """The JSON form: the kind's tag and the kind's fields."""
+        kind = _KINDS.get(self.kind)
+        if kind is None:
+            raise TypeError(f"unknown scenario type {type(self).__name__}")
+        values = ((f.name, getattr(self, f.name)) for f in fields(kind))
+        return {"kind": self.kind, **{k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values}}
+
+    @staticmethod
+    def from_dict(d: dict) -> DataScenario:
+        """The scenario of a JSON form, built by its kind from its fields."""
+        tag = d["kind"]
+        kind = _KINDS.get(tag) if isinstance(tag, str) else None
+        if kind is None:
+            raise ValueError(f"unknown scenario kind {tag!r}")
+        return kind(**{f.name: d[f.name] for f in fields(kind)})
 
 
 def _pairs(matrix, rhs):
@@ -373,17 +387,25 @@ class Exact(DataScenario):
     """The sample is fully observed."""
 
     point: np.ndarray
+    kind = "exact"
 
     def __post_init__(self):
         self.point = _freeze(self.point)
 
-    def rows(self, support):
-        n = support.num_vars
+    def check_shape(self, n: int):
         if self.point.shape != (n,):
             raise DimensionMismatch(_WRONG_LENGTH)
+
+    def rows(self, support):
+        n = support.num_vars
+        self.check_shape(n)
         if np.isnan(self.point).any():
             raise DimensionMismatch(_NAN)
         return _pairs(np.eye(n), self.point)
+
+    def gather(self, k, support, up, low, band):
+        self.check_shape(support.num_vars)
+        up[k] = low[k] = self.point
 
 
 @dataclass(eq=False)
@@ -392,6 +414,7 @@ class Interval(DataScenario):
 
     lower: np.ndarray
     upper: np.ndarray
+    kind = "interval"
 
     def __post_init__(self):
         self.lower = _freeze(self.lower)
@@ -399,44 +422,59 @@ class Interval(DataScenario):
         if self.lower.shape != self.upper.shape:
             raise DimensionMismatch("interval bounds must match")
 
-    def rows(self, support):
-        n = support.num_vars
+    def check_shape(self, n: int):
+        # the inversion first, so a short inverted interval reads as inverted
+        if np.any(self.lower > self.upper + tol.VALUE_TOL):
+            raise InvertedInterval("interval has lower > upper")
         if self.lower.shape != (n,):
             raise DimensionMismatch(_WRONG_LENGTH)
+
+    def rows(self, support):
+        n = support.num_vars
+        self.check_shape(n)
         if np.isnan(self.lower).any() or np.isnan(self.upper).any():
             raise DimensionMismatch(_NAN)
-        lo, hi = support.box_bounds()
+        lo, hi = support.box_bounds
         eye = np.eye(n)
         upper, lower = np.minimum(self.upper, hi), np.maximum(self.lower, lo)
         return np.vstack([eye, -eye]), np.concatenate([upper, -lower])
+
+    def gather(self, k, support, up, low, band):
+        self.check_shape(support.num_vars)
+        l, u = support.box_bounds
+        up[k] = np.minimum(self.upper, u)
+        low[k] = np.maximum(self.lower, l)
 
 
 @dataclass(eq=False)
 class SemiBandit(DataScenario):
     """Exact values on observed components, nothing elsewhere; each index
-    appears at most once."""
+    appears at most once and is an int or numpy integer, never truncated."""
 
     observed: tuple  # of (index, value)
+    kind = "semibandit"
 
     def __post_init__(self):
-        self.observed = tuple((int(i), float(v)) for i, v in self.observed)
+        self.observed = tuple((_whole(i, "observed index"), float(v)) for i, v in self.observed)
 
-    def rows(self, support):
-        n = support.num_vars
+    def check_shape(self, n: int):
+        # a range error first, so an index both repeated and out of range reads as out of range
         if any(i < 0 or i >= n for i, _ in self.observed):
             raise DimensionMismatch(_OUT_OF_RANGE)
         if len({i for i, _ in self.observed}) != len(self.observed):
             raise DimensionMismatch(_REPEATED)
+
+    def rows(self, support):
+        n = support.num_vars
+        self.check_shape(n)
         if any(np.isnan(v) for _, v in self.observed):
             raise DimensionMismatch(_NAN)
-        if not self.observed:
-            return np.zeros((0, n)), np.zeros(0)
-        m = np.zeros((len(self.observed), n))
-        r = np.zeros(len(self.observed))
-        for row, (i, v) in enumerate(self.observed):
-            m[row, i] = 1.0
-            r[row] = v
-        return _pairs(m, r)
+        return _pairs(np.eye(n)[[i for i, _ in self.observed]], [v for _, v in self.observed])
+
+    def gather(self, k, support, up, low, band):
+        self.check_shape(support.num_vars)
+        idx = [i for i, _ in self.observed]
+        up[k, idx] = low[k, idx] = [v for _, v in self.observed]
 
 
 @dataclass(eq=False)
@@ -445,19 +483,31 @@ class Bandit(DataScenario):
 
     mask: np.ndarray
     total: float
+    kind = "bandit"
 
     def __post_init__(self):
         mask = np.asarray(self.mask, dtype=float)
         self.mask = _freeze(np.round(mask))
         self.total = float(self.total)
 
-    def rows(self, support):
-        n = support.num_vars
+    def check_shape(self, n: int):
         if self.mask.shape != (n,):
             raise DimensionMismatch(_WRONG_LENGTH)
+
+    def rows(self, support):
+        n = support.num_vars
+        self.check_shape(n)
         if np.isnan(self.mask).any() or np.isnan(self.total):
             raise DimensionMismatch(_NAN)
         return _pairs(self.mask.reshape(1, n), np.array([self.total]))
+
+    def gather(self, k, support, up, low, band):
+        self.check_shape(support.num_vars)
+        band.append((k, self.mask, self.total))
+
+
+# each scenario kind by its JSON tag
+_KINDS = {kind.kind: kind for kind in (Exact, Interval, SemiBandit, Bandit)}
 
 
 @dataclass(eq=False)
@@ -509,7 +559,9 @@ class ProblemInstance:
 def lower_scenario(scenario: DataScenario, support: Polytope) -> Polytope:
     """Intersect a scenario with the support into one inequality system.
 
-    Raises :class:`EmptyIntersection` when the combined system is infeasible.
+    Raises :class:`EmptyIntersection` when the combined system is infeasible
+    or the scenario is an inverted interval (:class:`InvertedInterval`), and
+    :class:`DimensionMismatch` when its data does not fit the support.
     """
     sa, sb = scenario.rows(support)
     out = Polytope(
@@ -531,6 +583,15 @@ class Diagnostic:
 
     def __str__(self):
         return f"{self.code}: {self.message}"
+
+
+def _finding(k: int, error: DroError) -> Diagnostic:
+    """Sample ``k``'s validation finding for the error that lowering it raised."""
+    if isinstance(error, InvertedInterval):
+        return Diagnostic("InvertedInterval", f"scenario {k} has lower > upper")
+    if isinstance(error, EmptyIntersection):
+        return Diagnostic("EmptyIntersection", f"scenario {k} is incompatible with the support")
+    return Diagnostic("DimensionMismatch", f"scenario {k}: {error}")
 
 
 @dataclass(eq=False)
@@ -573,69 +634,31 @@ class SampleBoxes:
         return out
 
 
-# the field of each scenario kind that must have length n
-_SIZED = {Exact: "point", Interval: "lower", Bandit: "mask", SemiBandit: None}
-
-
-def _kind(s: DataScenario) -> type:
-    """The scenario kind that ``s`` lowers as on a box support: the first
-    kind its class is or derives from."""
-    for cls in type(s).__mro__:
-        if cls in _SIZED:
-            return cls
-    raise TypeError(f"box lowering has no rule for scenario type {type(s).__name__}")
-
-
 def lower_box_scenarios(scenarios, support: Polytope):
     """Lower every scenario against a bounded box support, building no
-    per-scenario :class:`Polytope`: gather each scenario's data into the
-    arrays of :func:`lower_box_arrays` in one pass over the scenarios,
-    dispatched on each one's kind (:func:`_kind`), then lower them.
+    per-scenario :class:`Polytope`: each scenario's :meth:`~DataScenario.gather`
+    puts its data into the arrays of :func:`lower_box_arrays` in one pass
+    over the scenarios, then they are lowered.
 
     Returns ``(boxes, findings)``: the :class:`SampleBoxes` of the systems
     that :func:`lower_scenario` builds, and a :class:`Diagnostic` for each
-    scenario that fails, in scenario order.  Exact points and semi-bandit
-    observations pin their coordinates and intervals are clipped against
-    the support's box; a bandit scenario is passed on as its mask and total.
-    An inverted interval (checked before its length), a wrong-length point,
-    bound pair or mask, and a semi-bandit index out of range (checked before
-    a repeated one) or repeated are found here and leave the scenario
-    unconstrained in the arrays.  A scenario of no known kind raises
-    :class:`TypeError`.
+    scenario that fails, in scenario order.  A scenario that breaks a shape
+    rule of its kind is found here and left unconstrained in the arrays.  A
+    scenario of no known kind raises :class:`TypeError`.
     """
-    n, shape = support.num_vars, (support.num_vars,)
-    num_k = len(scenarios)
-    l, u = support.box_bounds()
+    num_k, n = len(scenarios), support.num_vars
     found = {}
-    mismatch = lambda k, reason: Diagnostic("DimensionMismatch", f"scenario {k}: {reason}")
     up = np.full((num_k, n), np.inf)
     low = np.full((num_k, n), -np.inf)
-    band, masks, totals = [], [], []
+    band = []
     for k, s in enumerate(scenarios):
-        kind = type(s) if type(s) in _SIZED else _kind(s)
-        if kind is SemiBandit:
-            idx = [i for i, _ in s.observed]
-            if any(i < 0 or i >= n for i in idx):
-                found[k] = mismatch(k, _OUT_OF_RANGE)
-            elif len(set(idx)) < len(idx):
-                found[k] = mismatch(k, _REPEATED)
-            else:
-                up[k, idx] = low[k, idx] = [v for _, v in s.observed]
-        elif kind is Interval and np.any(s.lower > s.upper + tol.VALUE_TOL):
-            found[k] = Diagnostic("InvertedInterval", f"scenario {k} has lower > upper")
-        elif getattr(s, _SIZED[kind]).shape != shape:
-            found[k] = mismatch(k, _WRONG_LENGTH)
-        elif kind is Bandit:
-            band.append(k)
-            masks.append(s.mask)
-            totals.append(s.total)
-        elif kind is Exact:
-            up[k] = low[k] = s.point
-        else:
-            up[k] = np.minimum(s.upper, u)
-            low[k] = np.maximum(s.lower, l)
+        try:
+            s.gather(k, support, up, low, band)
+        except (DimensionMismatch, EmptyIntersection) as e:
+            found[k] = _finding(k, e)
+    ks, masks, totals = zip(*band) if band else ((), (), ())
     masks = np.array(masks).reshape(len(band), n)
-    return lower_box_arrays(up, low, np.array(band, dtype=np.intp), masks, np.array(totals), support, found)
+    return lower_box_arrays(up, low, np.array(ks, dtype=np.intp), masks, np.array(totals), support, found)
 
 
 def lower_box_arrays(up, low, band, masks, totals, support: Polytope, found: dict):
@@ -653,7 +676,7 @@ def lower_box_arrays(up, low, band, masks, totals, support: Polytope, found: dic
 
     A bandit total over one component pins it at ``total / mask[j]``; one
     over two or more is the sample's row pair ``m @ c = t``.  Bounds merge
-    as :meth:`Polytope.box_bounds` reads the sample's rows and then the
+    as :attr:`Polytope.box_bounds` reads the sample's rows and then the
     support's, first of equal bounds kept; the sign of a zero bound in the
     returned boxes is not defined, as their final clip into the support's
     box breaks a ``0.0``/``-0.0`` tie one way in numpy's scalar loop and the
@@ -661,14 +684,14 @@ def lower_box_arrays(up, low, band, masks, totals, support: Polytope, found: dic
     misses by more than ``FEAS_TOL`` at the point that
     :meth:`Polytope.feasible_point` uses for a box, the origin clipped into
     the merged box: the sample's box rows, the support's rows (each read
-    from its one coefficient, :meth:`Polytope.box_rows`) and a one-component
+    from its one coefficient, :attr:`Polytope.box_rows`) and a one-component
     total's row ``mask[j] c_j = t``.  A row pair is empty when ``t`` lies
     more than ``FEAS_TOL`` outside the reachable interval ``[sum min(m lo,
     m hi), sum max(m lo, m hi)]`` of ``m @ c`` over the box.  A sample
     holding NaN is rejected on its own, as NaN passes every residual check.
     """
     num_k, n = up.shape
-    l, u = support.box_bounds()
+    l, u = support.box_bounds
     # bounds add the one-component bandit totals, which stay off the box rows
     # because their rows are mask[j] c_j = t, not c_j = t / mask[j]
     bound_up, bound_low = up, low
@@ -708,7 +731,7 @@ def lower_box_arrays(up, low, band, masks, totals, support: Polytope, found: dic
         above = totals - np.maximum(bottom, top).sum(axis=1)
         residual[band] = np.maximum(residual[band], np.maximum(below, above))
     if support.num_rows:
-        cols, coefs = support.box_rows()
+        cols, coefs = support.box_rows
         rows = x.take(cols, axis=1)
         rows *= coefs
         rows -= support.rows_b
@@ -716,11 +739,11 @@ def lower_box_arrays(up, low, band, masks, totals, support: Polytope, found: dic
 
     if nan.any():
         for k in np.flatnonzero(nan).tolist():
-            found.setdefault(k, Diagnostic("DimensionMismatch", f"scenario {k}: {_NAN}"))
+            found.setdefault(k, _finding(k, DimensionMismatch(_NAN)))
     empty = residual > tol.FEAS_TOL
     if empty.any():
         for k in np.flatnonzero(empty).tolist():
-            found.setdefault(k, Diagnostic("EmptyIntersection", f"scenario {k} is incompatible with the support"))
+            found.setdefault(k, _finding(k, EmptyIntersection()))
 
     boxes = SampleBoxes(np.clip(lo, l, u), np.clip(hi, l, u), m, t, l, u)
     return boxes, [found[k] for k in sorted(found)]
@@ -751,9 +774,9 @@ def problem_findings(problem: ProblemInstance, num_samples: int):
     if feasible.n != n:
         err("DimensionMismatch", f"decision dimension {feasible.n} != support dimension {n}")
         raise InvalidInstance(out)
-    if not loss.is_symmetric():
+    if not loss.is_symmetric:
         err("AsymmetricLoss", "the bilinear block must equal its transpose")
-    bad = feasible.unbounded_integers()
+    bad = feasible.unbounded_integers
     if bad.size:
         err("UnboundedDecisionVariable", f"integer decisions {bad.tolist()} need upper bounds")
     if num_samples < 1:
@@ -767,7 +790,7 @@ def problem_findings(problem: ProblemInstance, num_samples: int):
     if support.feasible_point() is None:
         err("EmptySupport", "support polytope is empty")
         raise InvalidInstance(out)
-    bad = support.unbounded_coordinates()
+    bad = support.unbounded_coordinates
     if bad.size:
         err("UnboundedSupport", f"support unbounded in coordinates {bad.tolist()}")
         raise InvalidInstance(out)
@@ -786,7 +809,7 @@ def validate_instance(inst: ProblemInstance):
     """
     out = problem_findings(inst, inst.num_samples)
 
-    if inst.support.is_box():
+    if inst.support.is_box:
         boxes, findings = lower_box_scenarios(inst.scenarios, inst.support)
         out.extend(findings)
         if out:
@@ -795,15 +818,10 @@ def validate_instance(inst: ProblemInstance):
 
     lowered = []
     for k, s in enumerate(inst.scenarios):
-        if isinstance(s, Interval) and np.any(s.lower > s.upper + tol.VALUE_TOL):
-            out.append(Diagnostic("InvertedInterval", f"scenario {k} has lower > upper"))
-            continue
         try:
             lowered.append(lower_scenario(s, inst.support))
-        except EmptyIntersection:
-            out.append(Diagnostic("EmptyIntersection", f"scenario {k} is incompatible with the support"))
-        except DimensionMismatch as e:
-            out.append(Diagnostic("DimensionMismatch", f"scenario {k}: {e}"))
+        except (DimensionMismatch, EmptyIntersection) as e:
+            out.append(_finding(k, e))
     if out:
         raise InvalidInstance(out)
     return tuple(lowered)
@@ -815,31 +833,6 @@ def validate_instance(inst: ProblemInstance):
 #  scenarios:[{kind,...}], epsilon, sense, meta} with matrices as row-major
 # arrays.  "meta", written only when nonempty, is ProblemInstance.meta.
 # ---------------------------------------------------------------------------
-
-
-def _scenario_to_dict(s: DataScenario) -> dict:
-    if isinstance(s, Exact):
-        return {"kind": "exact", "point": s.point.tolist()}
-    if isinstance(s, Interval):
-        return {"kind": "interval", "lower": s.lower.tolist(), "upper": s.upper.tolist()}
-    if isinstance(s, SemiBandit):
-        return {"kind": "semibandit", "observed": [[i, v] for i, v in s.observed]}
-    if isinstance(s, Bandit):
-        return {"kind": "bandit", "mask": s.mask.tolist(), "total": s.total}
-    raise TypeError(f"unknown scenario type {type(s).__name__}")
-
-
-def _scenario_from_dict(d: dict) -> DataScenario:
-    kind = d["kind"]
-    if kind == "exact":
-        return Exact(np.array(d["point"], dtype=float))
-    if kind == "interval":
-        return Interval(np.array(d["lower"], dtype=float), np.array(d["upper"], dtype=float))
-    if kind == "semibandit":
-        return SemiBandit(tuple((int(i), float(v)) for i, v in d["observed"]))
-    if kind == "bandit":
-        return Bandit(np.array(d["mask"], dtype=float), float(d["total"]))
-    raise ValueError(f"unknown scenario kind {kind!r}")
 
 
 def instance_to_dict(inst: ProblemInstance) -> dict:
@@ -867,7 +860,7 @@ def instance_to_dict(inst: ProblemInstance) -> dict:
                 for a, b in zip(inst.support.rows_a, inst.support.rows_b)
             ]
         },
-        "scenarios": [_scenario_to_dict(s) for s in inst.scenarios],
+        "scenarios": [s.to_dict() for s in inst.scenarios],
         "epsilon": inst.epsilon,
         "sense": inst.sense,
     }
@@ -900,15 +893,17 @@ def instance_from_dict(d: dict) -> ProblemInstance:
         np.array([r["coeffs"] for r in rows], dtype=float) if rows else np.zeros((0, n)),
         np.array([r["rhs"] for r in rows], dtype=float),
     )
-    scenarios = tuple(_scenario_from_dict(s) for s in d["scenarios"])
+    scenarios = tuple(DataScenario.from_dict(s) for s in d["scenarios"])
     return ProblemInstance(
         feasible, loss, support, scenarios, float(d["epsilon"]), d.get("sense", "min"), meta=d.get("meta", {})
     )
 
 
 def save_instance(path, inst: ProblemInstance):
+    # the JSON form first, so an instance it refuses leaves the file as it was
+    blob = instance_to_dict(inst)
     with open(path, "w") as fh:
-        json.dump(instance_to_dict(inst), fh, indent=1, sort_keys=True)
+        json.dump(blob, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 

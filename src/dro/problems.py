@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadCardinality, DimensionMismatch, StructureMisfit
-from .model import BiaffineLoss, FeasibleSet, Polytope, ProblemInstance, SampleBoxes
+from .model import BiaffineLoss, FeasibleSet, Polytope, ProblemInstance, SampleBoxes, _whole
 
 
 def gen_sorting(n: int, h: int) -> ProblemInstance:
@@ -429,13 +429,6 @@ def _mcp_problem(system: CoverageSystem, meta: dict) -> ProblemInstance:
     feasible = FeasibleSet(0, n, [], g, rhs, np.ones(n))
     support = Polytope.box(np.zeros(n), np.concatenate([np.ones(n1), np.zeros(n2)]))
     return ProblemInstance(feasible, BiaffineLoss.bilinear(n), support, (), 0.0, "max", system, meta)
-
-
-def _whole(value, name: str) -> int:
-    """``value`` as an int, refused unless an int or numpy integer (a float, bool or string)."""
-    if type(value) is not int and not isinstance(value, np.integer):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def family_problem(meta, n: int, family: str | None = None, **given):

@@ -280,7 +280,7 @@ def _compact_dual(inst: ProblemInstance, boxes: SampleBoxes):
     a[rows[on_eq], mu_col[kk[on_eq]]] = mu_coef[on_eq]
     a[rows[on_eq], mu_col[kk[on_eq]] + 1] = -mu_coef[on_eq]
     rhs[:nr] = rhs_pts
-    a[nr:, :n] = fs.matrix()
+    a[nr:, :n] = fs.matrix
     rhs[nr:] = fs.rhs
 
     # objective: t_x x + t_const + eps lam + (1/K) sum_k (mu_k t_k + sum_i s_ki),
@@ -295,7 +295,7 @@ def _compact_dual(inst: ProblemInstance, boxes: SampleBoxes):
     c0 = loss.t_const + float((lo @ t_c).sum()) / num_k
 
     int_mask = np.zeros(nvar, dtype=bool)
-    int_mask[:n] = fs.integer_mask()
+    int_mask[:n] = fs.integer_mask
     up = np.full(nvar, np.inf)
     up[:n] = fs.upper
     rel = np.full(nr + fs.num_rows, LE)
@@ -320,7 +320,7 @@ def _full_dual(inst: ProblemInstance, lowered):
     nu, gamma = blocks[:num_k], blocks[num_k:]
 
     int_mask = np.zeros(nvar, dtype=bool)
-    int_mask[:n] = fs.integer_mask()
+    int_mask[:n] = fs.integer_mask
 
     c = np.zeros(nvar)
     c[:n] = loss.t_x
@@ -356,7 +356,7 @@ def _full_dual(inst: ProblemInstance, lowered):
         a[bot, nu_sl] = b0t
         rhs[bot] = t_c
         a[band, n] = -1.0
-    a[nb:, :n] = fs.matrix()
+    a[nb:, :n] = fs.matrix
     rhs[nb:] = fs.rhs
     rel = ((EQ,) * n + (LE,) * (2 * n)) * num_k + (LE,) * fs.num_rows
 

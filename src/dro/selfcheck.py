@@ -346,7 +346,7 @@ def read_lowered_rows(poly: Polytope):
     """``(lo, hi, m, t)`` of one lowered system read row by row, or None when
     it is not a box plus at most one equality row pair ``m @ c <= t``,
     ``-m @ c <= -t``: ``lo``/``hi`` are the bounds of the single-coordinate
-    rows in row order (:meth:`~dro.model.Polytope.box_bounds`), and ``m`` is a
+    rows in row order (:attr:`~dro.model.Polytope.box_bounds`), and ``m`` is a
     zero row and ``t`` NaN without the pair."""
     a, b = poly.rows_a, poly.rows_b
     general = np.flatnonzero(np.count_nonzero(a, axis=1) > 1)
@@ -360,7 +360,7 @@ def read_lowered_rows(poly: Polytope):
         return None
     keep = np.ones(poly.num_rows, dtype=bool)
     keep[general] = False
-    return (*Polytope(poly.num_vars, a[keep], b[keep]).box_bounds(), m, t)
+    return (*Polytope(poly.num_vars, a[keep], b[keep]).box_bounds, m, t)
 
 
 def check_box_lowering(count: int, seed) -> CheckResult:
@@ -383,7 +383,7 @@ def check_box_lowering(count: int, seed) -> CheckResult:
         if any(r is None for r in reads):
             tally.fail(f"instance {t}: a lowered system is not a box plus one equality")
             continue
-        l, u = inst.support.box_bounds()
+        l, u = inst.support.box_bounds
         want = (
             np.clip([r[0] for r in reads], l, u),
             np.clip([r[1] for r in reads], l, u),

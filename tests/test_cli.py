@@ -399,6 +399,19 @@ def test_unreadable_instance_is_one_line(interval_instance, tmp_path, capsys, co
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_fractional_observed_index_is_refused(tmp_path, capsys):
+    # a semi-bandit index of 1.7 is refused on load, not read as index 1
+    path = tmp_path / "semibandit.json"
+    save_instance(path, gen_sorting(3, 1).instance((SemiBandit(((1, 0.5),)),), 0.1))
+    assert main(["solve", str(path)]) == 0
+    capsys.readouterr()
+    blob = json.loads(path.read_text())
+    blob["scenarios"][0]["observed"] = [[1.7, 0.5]]
+    path.write_text(json.dumps(blob))
+    assert main(["solve", str(path)]) == 1
+    assert capsys.readouterr().err == f"invalid instance {path}: observed index must be an integer, got 1.7\n"
+
+
 def test_unreadable_sweep_config_is_one_line(tmp_path, capsys):
     bad = tmp_path / "cfg.json"
     bad.write_text("{not json")
@@ -674,7 +687,7 @@ def _assert_same_answer(got, want):
 def _random_boxes(problem, rng, num_k=4):
     """Random sample boxes inside ``problem``'s support box, each sample but
     the first with a bandit total over a random mask."""
-    l, u = problem.support.box_bounds()
+    l, u = problem.support.box_bounds
     lo = rng.uniform(l, u, (num_k, problem.n))
     hi = lo + rng.random((num_k, problem.n)) * (u - lo)
     m = (rng.random((num_k, problem.n)) < 0.5).astype(float)

@@ -380,9 +380,9 @@ class TestMaxSenseAgainstMilp:
 def reference_interval_data(inst):
     """The interval adapter as it was before it read the lowered polytopes:
     per-type clipping against the support's box."""
-    if not inst.support.is_box():
+    if not inst.support.is_box:
         return None
-    lo, hi = inst.support.box_bounds()
+    lo, hi = inst.support.box_bounds
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         return None
     lowers, uppers = [], []

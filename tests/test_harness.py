@@ -500,10 +500,10 @@ class TestRunSweep:
         assert validations["lowered"] == [cfg.k_max] * cfg.instances
         assert validations["checked"] == [cfg.k_max] * cfg.instances
         for fact in (
-            ("BiaffineLoss", "_is_symmetric"),
-            ("FeasibleSet", "_integer_mask"),
+            ("BiaffineLoss", "is_symmetric"),
+            ("FeasibleSet", "integer_mask"),
             ("Polytope", "_feasible_point"),
-            ("Polytope", "_box_bounds"),
+            ("Polytope", "box_bounds"),
         ):
             assert fact_calls[fact] == 1, fact
 

@@ -2,7 +2,8 @@
 
 import functools
 import json
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ def cut_unit_box(rhs):
 
 
 def is_bounded(poly):
-    lo, hi = poly.box_bounds()
+    lo, hi = poly.box_bounds
     return bool(np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)))
 
 
@@ -102,8 +103,8 @@ class TestPolytope:
         lo = rng.random(3)
         hi = lo + rng.random(3)
         box = Polytope.box(lo, hi)
-        assert box.is_box()
-        blo, bhi = box.box_bounds()
+        assert box.is_box
+        blo, bhi = box.box_bounds
         np.testing.assert_allclose(blo, lo, atol=1e-9)
         np.testing.assert_allclose(bhi, hi, atol=1e-9)
         # same region written as a non-box system (scaled rows)
@@ -113,8 +114,8 @@ class TestPolytope:
             np.vstack([scaled.rows_a, [[1.0, 1.0, 1.0]]]),
             np.concatenate([scaled.rows_b, [hi.sum()]]),
         )
-        assert not scaled2.is_box()
-        blo2, bhi2 = scaled2.box_bounds()
+        assert not scaled2.is_box
+        blo2, bhi2 = scaled2.box_bounds
         np.testing.assert_allclose(blo2, lo, atol=1e-7)
         np.testing.assert_allclose(bhi2, hi, atol=1e-7)
 
@@ -136,7 +137,7 @@ class TestPolytope:
                         hi[j] = min(hi[j], rhs / row[j])
                     else:
                         lo[j] = max(lo[j], rhs / row[j])
-            got_lo, got_hi = poly.box_bounds()
+            got_lo, got_hi = poly.box_bounds
             assert got_lo.tobytes() == np.array(lo).tobytes()
             assert got_hi.tobytes() == np.array(hi).tobytes()
 
@@ -165,7 +166,7 @@ class TestPolytope:
             b = rng.integers(-8, 9, m) / 4.0
             b[~keep & (b == 0.0)] = -0.25
             poly = Polytope(n, a, b)
-            assert poly.is_box()
+            assert poly.is_box
             got = poly.feasible_point()
             want = lp_feasible_point(poly)
             assert (got is None) == (want is None)
@@ -230,7 +231,7 @@ class TestPolytope:
 
 class TestBiaffineLoss:
     def test_only_the_cost_form_is_bilinear(self):
-        assert BiaffineLoss.bilinear(3).is_bilinear()
+        assert BiaffineLoss.bilinear(3).is_bilinear
         eye, zero = np.eye(3), np.zeros(3)
         for loss in (
             BiaffineLoss(2.0 * eye, zero, zero),
@@ -238,11 +239,11 @@ class TestBiaffineLoss:
             BiaffineLoss(eye, zero, np.array([0.0, 0.0, 1e-12])),
             BiaffineLoss(eye, zero, zero, 1.0),
         ):
-            assert not loss.is_bilinear()
+            assert not loss.is_bilinear
 
     def test_symmetry_flagged(self):
         loss = BiaffineLoss(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2), np.zeros(2))
-        assert not loss.is_symmetric()
+        assert not loss.is_symmetric
         inst = sorting_instance(2, 1)
         bad = ProblemInstance(inst.feasible, loss, inst.support, inst.scenarios, 0.0)
         assert "AsymmetricLoss" in finding_codes(bad)
@@ -264,7 +265,7 @@ class TestLowering:
 
     def test_interval_clips_against_support(self):
         low = lower_scenario(Interval(np.array([0.3]), np.array([1.4])), unit_box(1))
-        lo, hi = low.box_bounds()
+        lo, hi = low.box_bounds
         assert hi[0] == pytest.approx(1.0)
         assert lo[0] == pytest.approx(0.3)
 
@@ -303,15 +304,15 @@ class TestLowering:
         support = unit_box(3)
         low = lower_scenario(Interval(np.array([0.2, 0.0, 0.4]), np.array([0.9, 0.3, 2.0])), support)
         twice = lower_scenario(Interval(np.array([0.2, 0.0, 0.4]), np.array([0.9, 0.3, 2.0])), low)
-        lo1, hi1 = low.box_bounds()
-        lo2, hi2 = twice.box_bounds()
+        lo1, hi1 = low.box_bounds
+        lo2, hi2 = twice.box_bounds
         np.testing.assert_allclose(lo1, lo2, atol=1e-9)
         np.testing.assert_allclose(hi1, hi2, atol=1e-9)
 
     def test_exact_lowering_pins_every_coordinate(self):
         point = np.array([0.25, 0.75])
         low = lower_scenario(Exact(point), unit_box(2))
-        lo, hi = low.box_bounds()
+        lo, hi = low.box_bounds
         np.testing.assert_allclose(lo, point, atol=1e-9)
         np.testing.assert_allclose(hi, point, atol=1e-9)
 
@@ -373,7 +374,7 @@ class TestValidate:
         )
         inst = sorting_instance(scenarios=scen)
         cut = ProblemInstance(inst.feasible, inst.loss, cut_unit_box(2.5), scen, 0.0)
-        assert not cut.support.is_box()
+        assert not cut.support.is_box
         assert findings(cut) == findings(inst) == [
             ("InvertedInterval", "scenario 0 has lower > upper"),
             ("EmptyIntersection", "scenario 1 is incompatible with the support"),
@@ -602,6 +603,17 @@ class TestScenarioKinds:
         assert [p.feasible_point().tolist() for p in validate_instance(cut)] == [[0.5] * 3] * 2
 
 
+    def test_a_semi_bandit_index_must_be_an_integer(self):
+        # refused, never truncated: 1.7 would read as index 1 and True as 1
+        for observed, bad in ((((1.7, 0.5), (True, 0.2)), 1.7), (((0, 0.5), (True, 0.2)), True),
+                              (((2.0, 0.5),), 2.0), ((("1", 0.5),), "1")):
+            with pytest.raises(TypeError, match=re.escape(f"observed index must be an integer, got {bad!r}")):
+                SemiBandit(observed)
+        scen = SemiBandit(((np.int64(2), 0.5), (0, np.float32(0.25))))
+        assert scen.observed == ((2, 0.5), (0, 0.25))
+        assert [(type(i), type(v)) for i, v in scen.observed] == [(int, float)] * 2
+
+
 class TestFeasibleSet:
     def test_membership(self):
         fs = gen_sorting(4, 2).feasible
@@ -643,9 +655,10 @@ def writeable_arrays(value, path):
     return []
 
 
-# the public method that reads each cached fact
+# the cached facts each type reads as attributes; a polytope's feasible
+# point is read through the method feasible_point()
 _FACT_READERS = {
-    Polytope: ("is_box", "box_rows", "box_bounds", "unbounded_coordinates", "feasible_point"),
+    Polytope: ("is_box", "box_rows", "box_bounds", "unbounded_coordinates"),
     BiaffineLoss: ("is_symmetric", "is_bilinear"),
     FeasibleSet: ("matrix", "integer_mask", "unbounded_integers", "is_binary", "tolerant_bounds"),
 }
@@ -668,9 +681,12 @@ class TestCachedFacts:
         problem = gen_layered_spp(3, 2)[0]
         objects = (problem.feasible, problem.loss, problem.support, cut_unit_box(2.0))
         for obj in objects:
-            for method in _FACT_READERS[type(obj)]:
-                first = getattr(obj, method)()
-                assert all(getattr(obj, method)() is first for _ in range(2))
+            for name in _FACT_READERS[type(obj)]:
+                first = getattr(obj, name)
+                assert all(getattr(obj, name) is first for _ in range(2))
+            if isinstance(obj, Polytope):
+                first = obj.feasible_point()
+                assert all(obj.feasible_point() is first for _ in range(2))
         assert set(fact_calls) == {
             (type(obj).__name__, name) for obj in objects for name in cached_facts(obj)
         }
@@ -707,12 +723,12 @@ class TestCachedFacts:
                 assert not writeable_arrays(value, name), (type(structure).__name__, name)
 
     @pytest.mark.parametrize("read", [
-        lambda p: p.feasible.matrix(),
-        lambda p: p.feasible.integer_mask(),
+        lambda p: p.feasible.matrix,
+        lambda p: p.feasible.integer_mask,
         lambda p: p.support.feasible_point(),
-        lambda p: p.support.box_bounds()[0],
-        lambda p: p.feasible.unbounded_integers(),
-        lambda p: p.support.unbounded_coordinates(),
+        lambda p: p.support.box_bounds[0],
+        lambda p: p.feasible.unbounded_integers,
+        lambda p: p.support.unbounded_coordinates,
     ], ids=["matrix", "integer_mask", "feasible_point", "box_bounds", "unbounded_integers", "unbounded_coordinates"])
     def test_writing_into_a_fact_raises(self, read):
         problem = gen_mcp(5, 3, 2, 1, 0)[0]
@@ -752,28 +768,57 @@ class TestCachedFacts:
 
 class TestJson:
     def test_round_trip_preserves_solution_surface(self):
-        inst = sorting_instance(
-            4,
-            2,
-            scenarios=(
-                Exact(np.array([0.1, 0.2, 0.3, 0.4])),
-                Interval(np.zeros(4), np.ones(4)),
-                SemiBandit(((1, 0.5),)),
-                Bandit(np.array([1.0, 1.0, 0.0, 0.0]), 0.3),
-            ),
-            epsilon=0.25,
+        # each kind, and a subclass of each, which is saved as its base's
+        # kind and loads as that kind, every field equal
+        kinds = (
+            Exact(np.array([0.1, 0.2, 0.3, 0.4])),
+            Interval(np.zeros(4), np.ones(4)),
+            SemiBandit(((1, 0.5), (3, 0.125))),
+            Bandit(np.array([1.0, 1.0, 0.0, 0.0]), 0.3),
         )
+        derived = tuple(
+            type(f"My{type(s).__name__}", (type(s),), {})(**{f.name: getattr(s, f.name) for f in fields(s)})
+            for s in kinds
+        )
+        inst = sorting_instance(4, 2, scenarios=kinds + derived, epsilon=0.25)
         blob = json.dumps(instance_to_dict(replace(inst, meta={"family": "sorting"})))
+        assert [d["kind"] for d in json.loads(blob)["scenarios"]] == ["exact", "interval", "semibandit", "bandit"] * 2
         back = instance_from_dict(json.loads(blob))
         assert back.meta == {"family": "sorting"}
         assert back.n == inst.n
         assert back.epsilon == inst.epsilon
         assert back.sense == inst.sense
-        assert len(back.scenarios) == 4
-        np.testing.assert_array_equal(back.scenarios[0].point, inst.scenarios[0].point)
-        assert back.scenarios[2].observed == inst.scenarios[2].observed
+        assert len(back.scenarios) == 8
+        for k, (got, want) in enumerate(zip(back.scenarios, inst.scenarios)):
+            assert type(got) is type(kinds[k % 4]), k
+            for f in fields(want):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                if isinstance(b, np.ndarray):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (k, f.name)
+                else:
+                    assert a == b and type(a) is type(b), (k, f.name)
+        assert back.scenarios[2].observed == ((1, 0.5), (3, 0.125))
         np.testing.assert_array_equal(back.feasible.g2, inst.feasible.g2)
         np.testing.assert_array_equal(back.support.rows_b, inst.support.rows_b)
+
+    def test_a_scenario_of_no_kind_or_an_unknown_tag_is_refused(self, tmp_path):
+        class Pinned(DataScenario):
+            def rows(self, support):
+                n = support.num_vars
+                return np.vstack([np.eye(n), -np.eye(n)]), np.concatenate([np.full(n, 0.5), np.full(n, -0.5)])
+
+        # refused before the file is opened, so a file already there is kept
+        path = tmp_path / "pinned.json"
+        save_instance(path, sorting_instance(3, 1))
+        before = path.read_bytes()
+        with pytest.raises(TypeError, match="unknown scenario type Pinned"):
+            save_instance(path, sorting_instance(3, 1, (Exact(np.full(3, 0.5)), Pinned())))
+        assert path.read_bytes() == before
+        d = instance_to_dict(sorting_instance())
+        for tag in ("exakt", "Exact", None, ["exact"]):
+            d["scenarios"][0]["kind"] = tag
+            with pytest.raises(ValueError, match=re.escape(f"unknown scenario kind {tag!r}")):
+                instance_from_dict(d)
 
     def test_saved_instance_drops_its_cop(self, tmp_path):
         # a structure is not saved: a loaded instance routes by a MILP

@@ -148,9 +148,9 @@ class TestLayeredGraph:
             costs = rng.random(g.num_arcs)
             c_dp, _ = shortest_path_dp(g, costs)
             lp = LinearProgram(
-                costs, fs.matrix(), tuple([LE] * fs.num_rows), fs.rhs, np.zeros(fs.n), fs.upper
+                costs, fs.matrix, tuple([LE] * fs.num_rows), fs.rhs, np.zeros(fs.n), fs.upper
             )
-            res = solve_milp(MixedIntegerProgram(lp, fs.integer_mask()))
+            res = solve_milp(MixedIntegerProgram(lp, fs.integer_mask))
             assert res.value == pytest.approx(c_dp, abs=1e-9)
             # network rows: the relaxation is already integral
             assert solve_lp(lp).value == pytest.approx(res.value, abs=1e-7)
@@ -233,7 +233,7 @@ class TestCoverage:
         assert sk.feasible.n == 16
         assert sk.sense == "max"
         assert all(len(s) == 3 for s in system.subsets)
-        lo, hi = sk.support.box_bounds()
+        lo, hi = sk.support.box_bounds
         np.testing.assert_array_equal(hi[:10], np.ones(10))
         np.testing.assert_array_equal(hi[10:], np.zeros(6))
 
@@ -637,7 +637,7 @@ def _saa_skeletons():
 
 def _cost_boxes(skeleton, costs):
     """One sample without an equality whose box is the point ``costs``."""
-    l, u = skeleton.support.box_bounds()
+    l, u = skeleton.support.box_bounds
     n = costs.shape[0]
     return SampleBoxes(costs[None], costs[None], np.zeros((1, n)), np.full(1, np.nan), l, u)
 

@@ -90,7 +90,7 @@ def reference_dro_milp(inst):
         start += p.num_rows
     nvar = start
     int_mask = np.zeros(nvar, dtype=bool)
-    int_mask[:n] = fs.integer_mask()
+    int_mask[:n] = fs.integer_mask
 
     c = np.zeros(nvar)
     c[:n] = loss.t_x
@@ -128,7 +128,7 @@ def reference_dro_milp(inst):
             row2[nu_sl] = b0t[i]
             row2[lam] = -1.0
             add(row2, LE, t_c[i])
-    gmat = fs.matrix()
+    gmat = fs.matrix
     for i in range(fs.num_rows):
         row = np.zeros(nvar)
         row[:n] = gmat[i]
@@ -155,7 +155,7 @@ def reference_compact_milp(inst):
     loss = inst.loss if inst.sense == "min" else _negated_loss(inst.loss)
     n, fs = inst.n, inst.feasible
     num_k = inst.num_samples
-    l, u = inst.support.box_bounds()
+    l, u = inst.support.box_bounds
     samples = []
     for s in inst.scenarios:
         lo, hi, m, t = read_lowered_rows(lower_scenario(s, inst.support))
@@ -208,7 +208,7 @@ def reference_compact_milp(inst):
                     row[sigma[k, i]] = -1.0
                     rows.append(row)
                     rhs.append(b)
-    gmat = fs.matrix()
+    gmat = fs.matrix
     for i in range(fs.num_rows):
         row = np.zeros(nvar)
         row[:n] = gmat[i]
@@ -230,7 +230,7 @@ def reference_compact_milp(inst):
     up = np.full(nvar, np.inf)
     up[:n] = fs.upper
     int_mask = np.zeros(nvar, dtype=bool)
-    int_mask[:n] = fs.integer_mask()
+    int_mask[:n] = fs.integer_mask
     lp = LinearProgram(
         c, np.array(rows), (LE,) * len(rows), np.array(rhs), np.zeros(nvar), up,
         sense="min", c0=c0,
@@ -309,7 +309,7 @@ def test_block_builder_matches_row_builder(inst):
     if form == "compact":
         # box data: the compact form reaches the full dual's MILP and LP
         # relaxation values
-        assert inst.support.is_box()
+        assert inst.support.is_box
         sp = ScipyBackend()
         got, _, got_diag = solve_dro_milp(inst, mip, form, sp)
         want, _, want_diag = solve_dro_milp(inst, ref, ref_form, sp)
@@ -328,7 +328,7 @@ def test_block_builder_matches_row_builder(inst):
         assert mip.lp.c0 == pytest.approx(loop.c0, rel=0.0, abs=1e-12)
         mip, form = build_full_dual_milp(inst)
     else:
-        assert not inst.support.is_box()
+        assert not inst.support.is_box
     assert form == "full"
     assert dump_program(mip) == dump_program(ref)
     lp, rlp = mip.lp, ref.lp
