@@ -870,9 +870,7 @@ def instance_to_dict(inst: ProblemInstance) -> dict:
 
 
 def instance_from_dict(d: dict) -> ProblemInstance:
-    n = int(d["n"])
-    n1 = int(d["n1"])
-    n2 = int(d["n2"])
+    n, n1, n2 = (_whole(d[k], k) for k in ("n", "n1", "n2"))
     if n1 + n2 != n:
         raise DimensionMismatch("n1 + n2 must equal n")
     f = d["feasible"]

@@ -10,7 +10,8 @@ and ``saa`` its sample-average table (None above ``_BLOCK`` decisions, or
 ``_SAA_CAP`` coverage selections), and its parameters as ``meta``, from
 which :func:`family_problem` builds it again.  A structure holds only its
 parameters and cached tables, so a generated problem pickles.  Structural
-indices are deterministic and documented so observation masks align.
+indices are deterministic and documented so observation masks align; the
+arcs of a routing graph are laid out once, by :attr:`LayeredGraph.arc_table`.
 """
 
 from __future__ import annotations
@@ -102,24 +103,18 @@ class LayeredGraph:
     def num_arcs(self) -> int:
         return 2 * self.r + (self.h - 2) * self.r**2
 
-    def arc_index(self, layer: int, tail: int, head: int) -> int:
-        """Arc from node ``tail`` of ``layer`` to node ``head`` of ``layer+1``.
-
-        The source layer is 0 and has a single node, as does layer ``h``.
-        """
-        r, h = self.r, self.h
-        if layer == 0:
-            return head
-        if layer == h - 1:
-            return r + (h - 2) * r * r + tail
-        return r + (layer - 1) * r * r + tail * r + head
-
     @functools.cached_property
     def arc_table(self) -> np.ndarray:
-        """Read-only (h, r, r) table of :meth:`arc_index` over (layer, tail,
-        head); the source layer ignores the tail and the last layer the head."""
-        shape = (self.h, self.r, self.r)
-        table = np.array([self.arc_index(*i) for i in np.ndindex(shape)]).reshape(shape)
+        """Read-only (h, r, r) table of the arc from node ``tail`` of a layer
+        to node ``head`` of the next, over (layer, tail, head): the one
+        statement of the arc layout.  Layer 0 leaves the single source and
+        ignores the tail, layer ``h - 1`` enters the single destination and
+        ignores the head."""
+        h, r, n = self.h, self.r, self.num_arcs
+        table = np.empty((h, r, r), dtype=int)
+        table[0] = np.arange(r)
+        table[1:-1] = r + np.arange(n - 2 * r).reshape(h - 2, r, r)
+        table[-1] = n - r + np.arange(r)[:, None]
         table.setflags(write=False)
         return table
 
@@ -133,8 +128,15 @@ class LayeredGraph:
 
     @functools.cached_property
     def paths(self) -> np.ndarray:
-        """:func:`_path_arcs` of this graph, built once."""
-        return _path_arcs(self)
+        """Read-only (h, r**(h-1)) table whose column p lists the arcs of
+        path p, layer by layer; paths run in lexicographic order of their
+        nodes, the node of the first intermediate layer first."""
+        h, arcs = self.h, self.arc_table
+        nodes = np.indices((self.r,) * (h - 1)).reshape(h - 1, -1)  # (layer, path)
+        inner = [arcs[layer, nodes[layer - 1], nodes[layer]] for layer in range(1, h - 1)]
+        table = np.vstack([arcs[0, 0, nodes[0]], *inner, arcs[h - 1, nodes[-1], 0]])
+        table.setflags(write=False)
+        return table
 
     @property
     def saa(self):
@@ -151,19 +153,14 @@ def gen_layered_spp(h: int, r: int):
     Returns ``(problem, graph)``.
     """
     graph = LayeredGraph(h, r)
-    # the arcs in index order: the source fan-out, the (tail, head) blocks
-    # between intermediate layers, the destination fan-in
-    h, r, n = graph.h, graph.r, graph.num_arcs
-    src, inner, dst = np.arange(r), r + np.arange(n - 2 * r).reshape(h - 2, r, r), np.arange(n - r, n)
+    h, r, n, arcs = graph.h, graph.r, graph.num_arcs, graph.arc_table
     # equations: out of the source, into the destination, then the balance
     # (in minus out) of each intermediate node, layer by layer
     eq = np.zeros((2 + (h - 1) * r, n))
-    eq[0, src] = eq[1, dst] = 1.0
-    node = 2 + np.arange((h - 1) * r).reshape(h - 1, r)
-    eq[node[0], src] = 1.0
-    eq[node[1:, :, None], inner.transpose(0, 2, 1)] = 1.0
-    eq[node[:-1, :, None], inner] = -1.0
-    eq[node[-1], dst] = -1.0
+    eq[0, arcs[0, 0]] = eq[1, arcs[-1, :, 0]] = 1.0
+    node = 2 + np.arange((h - 1) * r).reshape(h - 1, r, 1)
+    eq[node, arcs[:-1].transpose(0, 2, 1)] = 1.0
+    eq[node, arcs[1:]] = -1.0
     # each equation as the row pair eq <= rhs, -eq <= -rhs
     g, rhs = np.empty((2 * eq.shape[0], n)), np.zeros(2 * eq.shape[0])
     g[0::2], g[1::2] = eq, -eq
@@ -223,15 +220,31 @@ class CoverageSystem:
 
     @functools.cached_property
     def subset_masks(self) -> np.ndarray:
-        """:func:`_subset_masks` of this system, built once."""
-        return _subset_masks(self)
+        """Read-only (n_subsets, words) ``uint64`` item masks, item ``a`` at
+        bit ``a % 64`` of word ``a // 64``.  Words, not the byte-major layout
+        of the cover tables: the search in :meth:`cop` ORs whole mask rows,
+        about twice as fast as ORing gathered byte columns."""
+        words = (self.n_items + 63) // 64
+        bits = np.zeros((self.n_subsets, 64 * words), dtype=bool)
+        owner, items, _ = self.members
+        bits[owner, items] = True
+        masks = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+        masks.setflags(write=False)
+        return masks
 
     @functools.cached_property
     def selection_covers(self):
-        """``(selections, octets)`` of :func:`_selection_covers`, built once
-        per system and shared by :meth:`cop` and :attr:`saa`, which read it
-        only for at most ``_BLOCK`` selections; both arrays are read-only."""
-        return _selection_covers(self, self.subset_masks)
+        """``(selections, octets)``: every selection of :attr:`picks`
+        subsets, colex over subset indices, as a read-only (picks, P) index
+        table (a view of :func:`_colex_combinations`), and the read-only
+        (byte, P) bytes of each one's cover (:func:`_cover_octets`).  Built
+        once per system and shared by :meth:`cop` and :attr:`saa`, which
+        read it only for at most ``_BLOCK`` selections."""
+        picks = self.picks
+        selections = _colex_combinations(picks)[:, : math.comb(self.n_subsets, picks)]
+        octets = _cover_octets(self.subset_masks, self.n_items, picks)
+        octets.setflags(write=False)
+        return selections, octets
 
     def cop(self, costs, sense="max"):
         """Exact combinatorial solver: budgeted maximum coverage (max only).
@@ -575,18 +588,6 @@ def _colex_subset(rank: int, k: int) -> list:
     return out[::-1]
 
 
-def _subset_masks(system: CoverageSystem) -> np.ndarray:
-    """Read-only (n_subsets, words) ``uint64`` item masks, item ``a`` at bit
-    ``a % 64`` of word ``a // 64``."""
-    words = (system.n_items + 63) // 64
-    bits = np.zeros((system.n_subsets, 64 * words), dtype=bool)
-    owner, items, _ = system.members
-    bits[owner, items] = True
-    masks = np.packbits(bits, axis=1, bitorder="little").view("<u8")
-    masks.setflags(write=False)
-    return masks
-
-
 def _cover_octets(masks: np.ndarray, n_items: int, picks: int) -> np.ndarray:
     """(byte, C(n_subsets, picks)) bytes of the cover of every selection of
     ``picks`` of the subsets ``masks`` ((n_subsets, words) ``uint64``), in
@@ -604,18 +605,6 @@ def _cover_octets(masks: np.ndarray, n_items: int, picks: int) -> np.ndarray:
             np.bitwise_or(covers[:, : stop - start], subset_octets[:, t, None], out=level[:, start:stop])
         covers = level
     return covers
-
-
-def _selection_covers(system: CoverageSystem, masks: np.ndarray):
-    """Every selection of ``min(budget, n_subsets)`` subsets, colex over
-    subset indices, as a read-only (picks, P) index table (a view of
-    :func:`_colex_combinations`), and the read-only (byte, P) bytes of each
-    one's cover (:func:`_cover_octets`)."""
-    picks = system.picks
-    selections = _colex_combinations(picks)[:, : math.comb(system.n_subsets, picks)]
-    octets = _cover_octets(masks, system.n_items, picks)
-    octets.setflags(write=False)
-    return selections, octets
 
 
 # -- sample-average tables ---------------------------------------------------
@@ -713,15 +702,3 @@ def _score_table(rows: np.ndarray, n: int, boxes: SampleBoxes, sense: str):
     x = np.zeros(n)
     x[rows[:, p]] = 1.0
     return value, x
-
-
-def _path_arcs(graph: LayeredGraph) -> np.ndarray:
-    """Read-only (h, r**(h-1)) table whose column p lists the arcs of path p,
-    layer by layer; paths run in lexicographic order of their nodes, the
-    node of the first intermediate layer first (:attr:`LayeredGraph.arc_table`)."""
-    h, arcs = graph.h, graph.arc_table
-    nodes = np.indices((graph.r,) * (h - 1)).reshape(h - 1, -1)  # (layer, path)
-    inner = [arcs[layer, nodes[layer - 1], nodes[layer]] for layer in range(1, h - 1)]
-    table = np.vstack([arcs[0, 0, nodes[0]], *inner, arcs[h - 1, nodes[-1], 0]])
-    table.setflags(write=False)
-    return table

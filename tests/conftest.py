@@ -6,7 +6,7 @@ import functools
 
 import pytest
 
-from dro import datagen, model
+from dro import datagen, model, problems
 
 ACCEPTANCE_LINES = []
 
@@ -47,11 +47,13 @@ def model_calls(monkeypatch):
 
 @pytest.fixture()
 def fact_calls(monkeypatch):
-    """Live counts of the cached structural facts of the model types
-    computed, keyed by ``(class name, cached attribute)``: one count per
-    object whose fact is read for the first time."""
+    """Live counts of the cached structural facts of the model types and
+    of the problem families' structures computed, keyed by ``(class name,
+    cached attribute)``: one count per object whose fact is read for the
+    first time."""
     calls = collections.Counter()
-    for cls in (model.Polytope, model.BiaffineLoss, model.FeasibleSet):
+    for cls in (model.Polytope, model.BiaffineLoss, model.FeasibleSet,
+                problems.Cardinality, problems.LayeredGraph, problems.CoverageSystem):
         for name, prop in list(vars(cls).items()):
             if not isinstance(prop, functools.cached_property):
                 continue

@@ -40,12 +40,26 @@ def all_paths(graph):
     return itertools.product(range(graph.r), repeat=graph.h - 1)
 
 
+def arc_index(graph, layer: int, tail: int, head: int) -> int:
+    """Index of the ``LayeredGraph`` arc from node ``tail`` of ``layer`` to
+    node ``head`` of ``layer + 1``, arc by arc: the reference for
+    ``LayeredGraph.arc_table``.  The source (layer 0) and the destination
+    (layer ``h``) have a single node, so layer 0 ignores the tail and layer
+    ``h - 1`` the head."""
+    r, h = graph.r, graph.h
+    if layer == 0:
+        return head
+    if layer == h - 1:
+        return r + (h - 2) * r * r + tail
+    return r + (layer - 1) * r * r + tail * r + head
+
+
 def path_arcs(graph, nodes) -> list[int]:
     """Arc indices, source to destination, of the ``LayeredGraph`` path
     through the given intermediate nodes."""
     stops = [0, *nodes, 0]  # arc_index ignores the source's tail and the last head
     assert len(stops) == graph.h + 1, "one node per intermediate layer"
-    return [graph.arc_index(layer, stops[layer], stops[layer + 1]) for layer in range(graph.h)]
+    return [arc_index(graph, layer, stops[layer], stops[layer + 1]) for layer in range(graph.h)]
 
 
 def path_vector(graph, nodes) -> np.ndarray:

@@ -412,6 +412,17 @@ def test_fractional_observed_index_is_refused(tmp_path, capsys):
     assert capsys.readouterr().err == f"invalid instance {path}: observed index must be an integer, got 1.7\n"
 
 
+def test_fractional_dimensions_are_refused(tmp_path, capsys):
+    # n = 3.9, n1 = 0.7, n2 = 3.2 would load as a 3-dimensional instance and solve
+    path = tmp_path / "dims.json"
+    save_instance(path, gen_sorting(3, 1).instance((Exact(np.full(3, 0.5)),), 0.1))
+    assert main(["solve", str(path)]) == 0
+    capsys.readouterr()
+    path.write_text(json.dumps({**json.loads(path.read_text()), "n": 3.9, "n1": 0.7, "n2": 3.2}))
+    assert main(["solve", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"invalid instance {path}: n must be an integer, got 3.9\n")
+
+
 def test_unreadable_sweep_config_is_one_line(tmp_path, capsys):
     bad = tmp_path / "cfg.json"
     bad.write_text("{not json")

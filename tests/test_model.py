@@ -687,7 +687,8 @@ class TestCachedFacts:
             if isinstance(obj, Polytope):
                 first = obj.feasible_point()
                 assert all(obj.feasible_point() is first for _ in range(2))
-        assert set(fact_calls) == {
+        # the generator reads its graph's arc layout for the flow rows
+        assert set(fact_calls) == {("LayeredGraph", "arc_table")} | {
             (type(obj).__name__, name) for obj in objects for name in cached_facts(obj)
         }
         assert fact_calls[("Polytope", "_feasible_point")] == 2
@@ -838,6 +839,22 @@ class TestJson:
             assert inst.structure is problem.structure is not None
             assert inst.meta == problem.meta and inst.meta["family"]
             assert problem.scenarios == () and problem.epsilon == 0.0
+
+    @pytest.mark.parametrize("dims, message", [
+        ({"n": 3.9, "n1": 0.7, "n2": 3.2}, "n must be an integer, got 3.9"),
+        ({"n": True, "n2": True}, "n must be an integer, got True"),
+        ({"n1": False}, "n1 must be an integer, got False"),
+        ({"n2": "3"}, "n2 must be an integer, got '3'"),
+    ], ids=["floats", "bools", "bool-n1", "string-n2"])
+    def test_a_non_integer_dimension_is_refused(self, tmp_path, dims, message):
+        # refused, never truncated: n = 3.9 would load as a 3-dimensional instance
+        path = tmp_path / "inst.json"
+        save_instance(path, sorting_instance())
+        d = json.loads(path.read_text())
+        loaded = load_instance(path)
+        assert type(loaded.n) is int and loaded.n == d["n"]
+        with pytest.raises(TypeError, match=re.escape(message)):
+            instance_from_dict({**d, **dims})
 
     def test_dimension_mismatch_rejected(self):
         inst = sorting_instance()

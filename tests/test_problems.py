@@ -22,9 +22,6 @@ from dro.problems import (
     _colex_combinations,
     _colex_subset,
     _octet_weights,
-    _path_arcs,
-    _selection_covers,
-    _subset_masks,
     family_problem,
     gen_layered_spp,
     gen_mcp,
@@ -40,6 +37,7 @@ from coverage_search import reference_mcp_cop
 from enumeration import (
     TooLarge,
     all_paths,
+    arc_index,
     covered_items,
     enumerate_feasible,
     num_paths,
@@ -110,7 +108,7 @@ class TestLayeredGraph:
             heads = range(1) if layer == 10 else range(5)
             for t in tails:
                 for hd in heads:
-                    seen.add(g.arc_index(layer, t, hd))
+                    seen.add(arc_index(g, layer, t, hd))
         assert len(seen) == 235
         assert seen == set(range(235))
 
@@ -120,12 +118,23 @@ class TestLayeredGraph:
             for nodes in all_paths(g):
                 assert path_vector(g, nodes).sum() == h
 
+    def test_arc_table_matches_the_per_arc_formula(self):
+        # h = 2 has no inner block and r = 1 one node per layer
+        for h, r in itertools.product(range(2, 9), range(1, 6)):
+            graph = LayeredGraph(h, r)
+            arcs = graph.arc_table
+            assert arcs.shape == (h, r, r) and not arcs.flags.writeable
+            want = [arc_index(graph, *i) for i in np.ndindex(arcs.shape)]
+            assert arcs.ravel().tolist() == want, (h, r)
+            # every arc once, past the tails layer 0 and the heads layer h - 1 ignore
+            hits = np.concatenate([arcs[0, 0], arcs[1:-1].ravel(), arcs[-1, :, 0]])
+            assert sorted(hits.tolist()) == list(range(graph.num_arcs)), (h, r)
+
     def test_flow_rows_match_the_loop(self):
-        for h in range(2, 7):
-            for r in range(1, 5):
-                sk, graph = gen_layered_spp(h, r)
-                rows, rhs = flow_rows(graph)
-                assert sk.feasible.g2.tobytes() == rows.tobytes() and sk.feasible.rhs.tobytes() == rhs.tobytes()
+        for h, r in itertools.product(range(2, 9), range(1, 6)):
+            sk, graph = gen_layered_spp(h, r)
+            rows, rhs = flow_rows(graph)
+            assert sk.feasible.g2.tobytes() == rows.tobytes() and sk.feasible.rhs.tobytes() == rhs.tobytes(), (h, r)
 
     def test_flow_encoding_enumeration(self):
         sk, g = gen_layered_spp(3, 2)
@@ -285,26 +294,26 @@ class TestCoverage:
         assert s1 == s2
 
     def test_constraint_rows_and_masks_match_the_loops(self):
-        # the scatters of gen_mcp and _subset_masks against item by item loops
+        # the scatters of gen_mcp and subset_masks against item by item loops
         rng = np.random.default_rng(43)
         for t in range(40):
             n1, n2 = int(rng.integers(1, 140)), int(rng.integers(1, 30))
             sk, system = gen_mcp(n1, n2, int(rng.integers(1, min(n1, 6) + 1)), t % (n2 + 2), rng)
             rows, rhs = coverage_rows(system)
             assert sk.feasible.g2.tobytes() == rows.tobytes() and sk.feasible.rhs.tobytes() == rhs.tobytes()
-            assert _subset_masks(system).tobytes() == loop_subset_masks(system).tobytes()
+            assert system.subset_masks.tobytes() == loop_subset_masks(system).tobytes()
         # subsets of unequal sizes, and an item listed twice, as a meta may hold
         meta = {"family": "mcp", "n1": 70, "subsets": [[69], [0, 1, 2, 64, 65], [3, 3]], "budget": 2}
         sk = family_problem(meta, 73)
         system = sk.structure
-        assert _subset_masks(system).tobytes() == loop_subset_masks(system).tobytes()
+        assert system.subset_masks.tobytes() == loop_subset_masks(system).tobytes()
         rows, rhs = coverage_rows(system)
         assert sk.feasible.g2.tobytes() == rows.tobytes() and sk.feasible.rhs.tobytes() == rhs.tobytes()
 
 
 def flow_rows(graph: LayeredGraph):
-    """Flow conservation built node by node through
-    :meth:`LayeredGraph.arc_index`, each equation a ``<=`` / ``>=`` row
+    """Flow conservation built node by node through the per-arc formula
+    :func:`enumeration.arc_index`, each equation a ``<=`` / ``>=`` row
     pair: the reference for :func:`gen_layered_spp`'s scatter."""
     h, r, n = graph.h, graph.r, graph.num_arcs
     rows, rhs = [], []
@@ -315,17 +324,17 @@ def flow_rows(graph: LayeredGraph):
 
     out, inc = np.zeros(n), np.zeros(n)
     for node in range(r):
-        out[graph.arc_index(0, 0, node)] = 1.0
-        inc[graph.arc_index(h - 1, node, 0)] = 1.0
+        out[arc_index(graph, 0, 0, node)] = 1.0
+        inc[arc_index(graph, h - 1, node, 0)] = 1.0
     add_eq(out, 1.0)
     add_eq(inc, 1.0)
     for layer in range(1, h):
         for node in range(r):
             bal = np.zeros(n)
             for tail in range(1 if layer == 1 else r):
-                bal[graph.arc_index(layer - 1, tail, node)] = 1.0
+                bal[arc_index(graph, layer - 1, tail, node)] = 1.0
             for head in range(1 if layer == h - 1 else r):
-                bal[graph.arc_index(layer, node, head)] -= 1.0
+                bal[arc_index(graph, layer, node, head)] -= 1.0
             add_eq(bal, 0.0)
     return np.array(rows), np.array(rhs)
 
@@ -351,7 +360,7 @@ def coverage_rows(system: CoverageSystem):
 
 
 def loop_subset_masks(system: CoverageSystem) -> np.ndarray:
-    """Item masks set bit by bit: the reference for :func:`_subset_masks`."""
+    """Item masks set bit by bit: the reference for :attr:`CoverageSystem.subset_masks`."""
     words = (system.n_items + 63) // 64
     rows = []
     for s in system.subsets:
@@ -403,7 +412,7 @@ class TestColex:
             systems.append(gen_mcp(n1, n2, int(rng.integers(1, min(n1, 7) + 1)), t % (n2 + 3), rng)[1])
         assert any(s.n_items > 64 for s in systems) and any(s.budget >= s.n_subsets for s in systems)
         for system in systems:
-            selections, octets = _selection_covers(system, _subset_masks(system))
+            selections, octets = system.selection_covers
             want_selections, want_octets = gathered_covers(system)
             np.testing.assert_array_equal(selections, want_selections)
             assert octets.shape == want_octets.shape and octets.tobytes() == want_octets.tobytes()
@@ -601,14 +610,14 @@ def _table_decisions(family, skeleton, structure):
     n = skeleton.feasible.n
     if family == "mcp":
         n1 = structure.n_items
-        selections, octets = _selection_covers(structure, _subset_masks(structure))
+        selections, octets = structure.selection_covers
         items = np.unpackbits(octets.T, axis=1, bitorder="little")[:, :n1]
         rows = np.zeros((selections.shape[1], n))
         rows[:, :n1] = items
         rows[np.arange(selections.shape[1])[:, None], n1 + selections.T] = 1.0
         return rows
     if family == "spp":
-        index = _path_arcs(structure)
+        index = structure.paths
     else:
         n_, h = structure
         index = _colex(n_, h)
@@ -708,7 +717,7 @@ class TestSaaTables:
         gathers = []
         monkeypatch.setattr(problems, "_best_saa_row",
                             lambda boxes, sense, gather: gathers.append(gather) or (0.0, 0))
-        tables = [(_path_arcs(LayeredGraph(h, r)), LayeredGraph(h, r).num_arcs)
+        tables = [(LayeredGraph(h, r).paths, LayeredGraph(h, r).num_arcs)
                   for h, r in ((2, 1), (5, 3), (9, 2), (17, 1), (17, 2))]
         tables += [(_colex(n, h), n) for n, h in ((1, 1), (8, 8), (12, 5), (20, 17))]
         rng = np.random.default_rng(48)
@@ -775,10 +784,12 @@ class TestSaaTables:
     def test_families_above_the_cap_get_no_table(self, monkeypatch):
         # counted, not built: paper spp-k and a coverage system above
         # _SAA_CAP get no handle, and no table is allocated to decide that
-        for name in ("_colex", "_path_arcs", "_selection_covers", "_cover_octets"):
+        for name in ("_colex", "_cover_octets"):
             monkeypatch.setattr(problems, name, lambda *a, name=name: pytest.fail(f"built {name}"))
+        for cls, name in ((LayeredGraph, "paths"), (CoverageSystem, "selection_covers")):
+            monkeypatch.setattr(cls, name, property(lambda self, name=name: pytest.fail(f"built {name}")))
         skeleton, graph = gen_layered_spp(11, 5)
-        assert skeleton.structure.saa is None and "arc_table" not in graph.__dict__
+        assert skeleton.structure.saa is None and "paths" not in graph.__dict__
         assert math.comb(50, 5) <= _SAA_CAP < math.comb(60, 6)
         assert gen_mcp(50, 60, 5, 6, 0)[0].structure.saa is None
         assert gen_sorting(50, 25).structure.saa is None
@@ -804,19 +815,19 @@ class TestSaaTables:
         assert gen_sorting(50, 3).structure.saa is not None
 
     @pytest.mark.parametrize("n1, n2, size, budget", [(20, 20, 5, 5), (24, 15, 4, 3)], ids=["mcp-k", "mcp-n1"])
-    def test_desk_coverage_system_builds_its_covers_once(self, monkeypatch, n1, n2, size, budget):
+    def test_desk_coverage_system_builds_its_covers_once(self, fact_calls, n1, n2, size, budget):
         # the COP's root and the sample-average table read one cover table,
         # ORed from one set of subset masks
-        calls = {"_selection_covers": [], "_subset_masks": []}
-        for name, build in [(name, getattr(problems, name)) for name in calls]:
-            monkeypatch.setattr(problems, name, lambda *a, name=name, build=build: calls[name].append(a[0]) or build(*a))
         skeleton, system = gen_mcp(n1, n2, size, budget, 0)
         rng = np.random.default_rng(5)
         for _ in range(3):
             costs = np.concatenate([rng.random(n1), np.zeros(n2)])
             value, _ = skeleton.structure.cop(costs)
             assert skeleton.structure.saa(_cost_boxes(skeleton, costs), "max")[0] == pytest.approx(value, rel=1e-12)
-        assert calls == {"_selection_covers": [system], "_subset_masks": [system]}
+        assert {key: count for key, count in fact_calls.items() if key[0] == "CoverageSystem"} == {
+            ("CoverageSystem", "members"): 1, ("CoverageSystem", "subset_masks"): 1,
+            ("CoverageSystem", "selection_covers"): 1,
+        }
         assert not any(a.flags.writeable for a in (system.subset_masks, *system.selection_covers))
 
     def test_paper_coverage_handle_matches_the_milp(self, monkeypatch):
